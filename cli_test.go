@@ -1,6 +1,8 @@
 package grade10_test
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -260,5 +262,98 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal("-fail-on-regress exited 0 on a regression")
 	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
 		t.Fatalf("-fail-on-regress exit: %v, want status 3", err)
+	}
+
+	// Alert gate: baselines learned from an archived quiet run, a much
+	// noisier re-run fires the compute regression rule, and the CLI exits 4.
+	rulesFile := filepath.Join(dir, "alerts.rules")
+	if err := os.WriteFile(rulesFile, []byte(
+		"alert compute-regressed severity critical when phase=/pagerank/execute/superstep/worker/compute/thread regressed > 10% vs baseline\n"+
+			"alert parse-degraded severity critical when parse_errors > 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noisierDir := filepath.Join(dir, "run-noisier")
+	run("runsim", "-engine", "giraph", "-algorithm", "pagerank",
+		"-workers", "2", "-noise", "15", "-out", noisierDir)
+	alertStore := filepath.Join(dir, "alert-profiles")
+	run("grade10", "-run", diffBaseDir, "-store", alertStore, "-run-label", "baseline")
+	alertsFile := filepath.Join(dir, "alerts.json")
+	cmd = exec.Command(bin("grade10"), "-run", noisierDir, "-store", alertStore, "-run-label", "noisy",
+		"-alert-rules", rulesFile, "-alert-out", alertsFile)
+	alertReport, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 4 {
+		t.Fatalf("-alert-rules exit: %v, want status 4\n%s", err, alertReport)
+	}
+	if !strings.Contains(string(alertReport), "compute-regressed") {
+		t.Fatalf("alert report does not name the firing rule:\n%s", alertReport)
+	}
+	var alerts struct {
+		Firing       int `json:"firing"`
+		BaselineRuns int `json:"baseline_runs"`
+	}
+	readJSON(t, alertsFile, &alerts)
+	if alerts.Firing != 1 || alerts.BaselineRuns != 1 {
+		t.Fatalf("alerts.json: firing %d from %d baseline runs, want 1 and 1", alerts.Firing, alerts.BaselineRuns)
+	}
+
+	// Explain: the derivation chain for the compute threads' CPU is
+	// non-empty and sums to the profile's own attributed value.
+	const q = "phase=/pagerank/execute/superstep/worker/compute/thread resource=cpu"
+	if text := run("grade10", "-run", runDir, "-explain", q); !strings.Contains(text, "chain sum:") {
+		t.Fatalf("explain text has no chain sum:\n%s", text)
+	}
+	var deriv struct {
+		Instances []struct {
+			Phases []struct {
+				Cells []json.RawMessage `json:"cells"`
+			} `json:"phases"`
+		} `json:"instances"`
+		Attributed float64 `json:"attributed_unit_seconds"`
+		Profile    float64 `json:"profile_unit_seconds"`
+	}
+	if err := json.Unmarshal([]byte(stripDiag(run("grade10", "-run", runDir, "-explain", q, "-format", "json"))), &deriv); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, in := range deriv.Instances {
+		for _, ph := range in.Phases {
+			cells += len(ph.Cells)
+		}
+	}
+	if cells == 0 || deriv.Attributed <= 0 || math.Abs(deriv.Attributed-deriv.Profile) > 1e-6*math.Max(1, deriv.Profile) {
+		t.Fatalf("explain: %d cells, chain %g vs profile %g", cells, deriv.Attributed, deriv.Profile)
+	}
+
+	// Trace export: both the simulator's and the analyzer's self-trace are
+	// Chrome trace-event documents with duration slices (Perfetto-loadable).
+	simTrace, anaTrace := filepath.Join(dir, "runsim-trace.json"), filepath.Join(dir, "grade10-trace.json")
+	run("runsim", "-engine", "giraph", "-algorithm", "pagerank", "-graph", graphFile,
+		"-workers", "2", "-threads", "4", "-out", filepath.Join(dir, "run-traced"), "-trace", simTrace)
+	run("grade10", "-run", runDir, "-trace", anaTrace)
+	for _, path := range []string{simTrace, anaTrace} {
+		var doc struct {
+			TraceEvents []struct {
+				Ph string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		readJSON(t, path, &doc)
+		phases := map[string]bool{}
+		for _, ev := range doc.TraceEvents {
+			phases[ev.Ph] = true
+		}
+		if len(doc.TraceEvents) == 0 || !phases["B"] || !phases["E"] {
+			t.Fatalf("%s: %d events without B/E duration slices", path, len(doc.TraceEvents))
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, out any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

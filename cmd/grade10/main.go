@@ -127,15 +127,8 @@ func main() {
 	// Alert rules parse before the (expensive) pipeline so a typo fails fast.
 	var alertRuleSet []alert.Rule
 	if *alertRulesPath != "" {
-		f, ferr := os.Open(*alertRulesPath)
-		if ferr != nil {
-			logger.Error(ferr.Error())
-			os.Exit(2)
-		}
-		alertRuleSet, err = alert.ParseRules(f)
-		f.Close()
-		if err != nil {
-			logger.Error(fmt.Sprintf("%s: %v", *alertRulesPath, err))
+		if alertRuleSet, err = alert.LoadRules(*alertRulesPath); err != nil {
+			logger.Error(err.Error())
 			os.Exit(2)
 		}
 	}

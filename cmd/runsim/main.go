@@ -20,27 +20,24 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"grade10/internal/cluster"
+	"grade10/internal/enginelog"
 	"grade10/internal/experiments"
-	"grade10/internal/flight"
 	"grade10/internal/giraphsim"
-	"grade10/internal/grade10"
 	"grade10/internal/graph"
 	"grade10/internal/obs"
 	"grade10/internal/pgsim"
 	"grade10/internal/report"
 	"grade10/internal/rundir"
+	"grade10/internal/service"
 	"grade10/internal/stream"
-	"grade10/internal/ui"
 	"grade10/internal/vtime"
 	"grade10/internal/workload"
 )
@@ -108,78 +105,58 @@ func main() {
 		monInterval = vtime.Duration(*interval)
 	}
 
-	run := &rundir.Run{}
+	// The live service (with -serve) starts once the engine's machine spec
+	// is known; its tap hook becomes the simulator's Tee.
 	var live *liveServe
+	serveLive := func(info rundir.Info) func(enginelog.Event) {
+		if *serveAddr == "" {
+			return nil
+		}
+		l, err := startLive(*serveAddr, info, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
+		if err != nil {
+			fail(err)
+		}
+		live = l
+		return l.tap.Func()
+	}
+	run := &rundir.Run{}
+	var (
+		clu        *cluster.Cluster
+		start, end vtime.Time
+	)
 	switch *engine {
 	case "giraph":
 		cfg := experiments.GiraphConfig(*scale)
-		cfg.Workers = *workers
-		cfg.ThreadsPerWorker = *threads
-		cfg.Parallelism = *parallel
-		cfg.Tracer = tracer
+		cfg.Workers, cfg.ThreadsPerWorker = *workers, *threads
+		cfg.Parallelism, cfg.Tracer = *parallel, tracer
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		if *serveAddr != "" {
-			l, err := startLive(*serveAddr, "giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
-			if err != nil {
-				fail(err)
-			}
-			live = l
-			cfg.Tee = live.tap.Func()
-		}
-		part := graph.HashPartition(g, cfg.Workers)
-		res, err := giraphsim.Run(prog, part, cfg)
+		run.Info = runInfo("giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+		cfg.Tee = serveLive(run.Info)
+		res, err := giraphsim.Run(prog, graph.HashPartition(g, cfg.Workers), cfg)
 		if err != nil {
 			fail(err)
 		}
-		run.Log = res.Log
-		run.Monitoring, err = cluster.Monitor(res.Cluster, res.Start, res.End, monInterval)
-		if err != nil {
-			fail(err)
-		}
-		run.Info = rundir.Info{
-			Engine: "giraph", Job: prog.Name(), Workers: cfg.Workers,
-			ThreadsPerWorker: cfg.ThreadsPerWorker, Cores: cfg.Machine.Cores,
-			NetBandwidth: cfg.Machine.NetBandwidth, DiskBandwidth: cfg.Machine.DiskBandwidth,
-			StartNS: int64(res.Start), EndNS: int64(res.End),
-		}
+		run.Log, clu, start, end = res.Log, res.Cluster, res.Start, res.End
 		logger.Info(fmt.Sprintf("%s on giraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
 			"supersteps", res.Stats.Supersteps, "gcs", res.Stats.GCCount,
 			"queue_stalls", res.Stats.QueueStalls)
 
 	case "powergraph":
 		cfg := experiments.PowerGraphConfig(*scale, *bug)
-		cfg.Workers = *workers
-		cfg.ThreadsPerWorker = *threads
-		cfg.Parallelism = *parallel
-		cfg.Tracer = tracer
+		cfg.Workers, cfg.ThreadsPerWorker = *workers, *threads
+		cfg.Parallelism, cfg.Tracer = *parallel, tracer
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		if *serveAddr != "" {
-			l, err := startLive(*serveAddr, "powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
-			if err != nil {
-				fail(err)
-			}
-			live = l
-			cfg.Tee = live.tap.Func()
-		}
+		run.Info = runInfo("powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+		cfg.Tee = serveLive(run.Info)
 		res, err := pgsim.Run(prog, cfg)
 		if err != nil {
 			fail(err)
 		}
-		run.Log = res.Log
-		run.Monitoring, err = cluster.Monitor(res.Cluster, res.Start, res.End, monInterval)
-		if err != nil {
-			fail(err)
-		}
-		run.Info = rundir.Info{
-			Engine: "powergraph", Job: prog.Name(), Workers: cfg.Workers,
-			ThreadsPerWorker: cfg.ThreadsPerWorker, Cores: cfg.Machine.Cores,
-			NetBandwidth: cfg.Machine.NetBandwidth, DiskBandwidth: cfg.Machine.DiskBandwidth,
-			StartNS: int64(res.Start), EndNS: int64(res.End),
-		}
+		run.Log, clu, start, end = res.Log, res.Cluster, res.Start, res.End
 		logger.Info(fmt.Sprintf("%s on powergraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
 			"iterations", res.Stats.Iterations,
 			"replication", fmt.Sprintf("%.2f", res.Stats.ReplicationFactor))
@@ -187,6 +164,10 @@ func main() {
 	default:
 		logger.Error(fmt.Sprintf("unknown engine %q", *engine))
 		os.Exit(2)
+	}
+	run.Info.StartNS, run.Info.EndNS = int64(start), int64(end)
+	if run.Monitoring, err = cluster.Monitor(clu, start, end, monInterval); err != nil {
+		fail(err)
 	}
 
 	if *hosts != "" {
@@ -214,87 +195,40 @@ func main() {
 	}
 }
 
-// liveServe bundles the in-process live characterization pipeline: a
-// streaming engine fed through a tap on the simulator's logger, served over
-// HTTP while the simulation runs.
+// liveServe bundles the in-process live characterization pipeline: the
+// service's single-run engine fed through a tap on the simulator's logger,
+// served over HTTP while the simulation runs.
 type liveServe struct {
+	svc    *service.Server
 	engine *stream.Engine
 	tap    *stream.Tap
-	srv    *http.Server
 }
 
-// startLive builds the streaming engine from the same models the batch
-// analyzer would resolve for this run, installs the HTTP server, and returns
-// the bundle whose tap hook goes into the simulator's Config.Tee. The
+// startLive assembles the live service for this run — the same assembly as
+// cmd/serve, with only what runsim's flags turn on — and starts its engine
+// from the run's metadata, resolving the same models the batch analyzer
+// would. The returned tap hook goes into the simulator's Config.Tee. The
 // tracer (which may be nil) is shared with the simulator, so one -trace file
 // interleaves engine supersteps with analysis window flushes.
-func startLive(addr, engineName, job string, workers, threads int, m cluster.MachineSpec, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveServe, error) {
-	models, err := grade10.ModelsForEngine(engineName, grade10.ModelParams{
-		Job:              job,
-		Cores:            m.Cores,
-		NetBandwidth:     m.NetBandwidth,
-		DiskBandwidth:    m.DiskBandwidth,
-		ThreadsPerWorker: threads,
+func startLive(addr string, info rundir.Info, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveServe, error) {
+	svc, err := service.Assemble(service.Config{
+		RunName: info.Job, Addr: addr, Logger: logger, LogRing: logRing,
+		Engine: stream.Config{
+			RetainForFinal: true, Parallelism: parallel, Tracer: tracer, Explain: explainOn,
+		},
+		Pprof: pprofOn, UI: uiOn,
+		ShutdownTimeout: 3 * time.Second,
 	})
 	if err != nil {
 		return nil, err
 	}
-	resources := 3 // cpu, net-in, net-out
-	if m.DiskBandwidth > 0 {
-		resources++
-	}
-	var broker *ui.Broker
-	account := &obs.RunAccount{}
-	overheadFn := func() []obs.RunOverhead {
-		return []obs.RunOverhead{{Run: job, OverheadSnapshot: account.Snapshot()}}
-	}
-	cfg := stream.Config{
-		Models:            models,
-		ExpectedInstances: workers * resources,
-		RetainForFinal:    true,
-		Parallelism:       parallel,
-		Tracer:            tracer,
-		Explain:           explainOn,
-		Account:           account,
-	}
-	if uiOn {
-		broker = ui.NewBroker(0)
-		cfg.OnWindowFlush = broker.OnWindowFlush
-	}
-	se, err := stream.New(cfg)
+	e, err := svc.Start(info)
 	if err != nil {
+		svc.Shutdown()
 		return nil, err
 	}
-	handler := stream.NewServer(se)
-	if pprofOn {
-		handler.EnablePprof()
-	}
-	handler.Handle("/logs", "recent log records from the flight recorder's ring (?level=&limit=)",
-		flight.LogsHandler(logRing))
-	handler.Handle("/debug/overhead", "framework overhead accounting for this run (JSON)",
-		flight.OverheadHandler(overheadFn))
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	handler.RegisterEngineMetrics(reg)
-	flight.RegisterOverheadMetrics(reg, overheadFn)
-	if broker != nil {
-		broker.RegisterMetrics(reg)
-		uis := ui.NewServer(ui.Config{Engine: se, Broker: broker, Overhead: overheadFn})
-		handler.MountUI(uis, uis.Routes())
-	}
-	handler.SetRegistry(reg)
-	ls := &liveServe{
-		engine: se,
-		tap:    stream.NewTap(se, 0, stream.BlockWhenFull),
-		srv:    &http.Server{Addr: addr, Handler: handler},
-	}
-	go func() {
-		if err := ls.srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			logger.Error("live server: " + err.Error())
-		}
-	}()
-	logger.Info("live characterization on " + addr)
-	return ls, nil
+	logger.Info("live characterization on " + svc.Addr())
+	return &liveServe{svc: svc, engine: e, tap: stream.NewTap(e, 0, stream.BlockWhenFull)}, nil
 }
 
 // finish drains the tap, feeds the run's monitoring samples, finalizes the
@@ -308,7 +242,7 @@ func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Du
 		}
 	}
 	ls.engine.MonitoringDone()
-	if _, err := ls.engine.Finalize(); err != nil {
+	if err := ls.svc.Finish(); err != nil {
 		logger.Error("live finalize: " + err.Error())
 	} else if linger > 0 {
 		logger.Info(fmt.Sprintf("exact report at /report for %v", linger))
@@ -316,9 +250,15 @@ func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Du
 	if linger > 0 {
 		time.Sleep(linger)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	_ = ls.srv.Shutdown(ctx)
+	ls.svc.Shutdown()
+}
+
+// runInfo is the run metadata known before the simulation runs.
+func runInfo(engine, job string, workers, threads int, m cluster.MachineSpec) rundir.Info {
+	return rundir.Info{
+		Engine: engine, Job: job, Workers: workers, ThreadsPerWorker: threads,
+		Cores: m.Cores, NetBandwidth: m.NetBandwidth, DiskBandwidth: m.DiskBandwidth,
+	}
 }
 
 // parsePlacement maps each run-local machine onto a shared host name,

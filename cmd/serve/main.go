@@ -30,7 +30,7 @@
 // once: a watch directory is polled for new run subdirectories, each is
 // admitted through a bounded scheduler (-fleet-active concurrent engines,
 // -fleet-queue backlog, everything beyond that shed and counted), and the
-// cross-run endpoints come up instead of the single-run ones:
+// cross-run endpoints come up next to the per-run ones:
 //
 //	serve -fleet runs/ -addr :7070 -store archive/ -store-shards 4
 //	curl localhost:7070/fleet/runs          # every run + admission counters
@@ -38,35 +38,30 @@
 //	curl localhost:7070/fleet/bottlenecks   # top-K across all runs
 //	curl localhost:7070/fleet/regressions   # top-K archive diff verdicts
 //	curl 'localhost:7070/fleet/blame?run=a' # cross-job blame split
+//	curl 'localhost:7070/profile?run=a'     # any per-run endpoint, for an active run
+//	curl localhost:7070/runs                # archived runs (with -store)
 //	curl 'localhost:7070/diff?a=ID&b=ID'    # archived-run diff (JSON or ?format=text)
 //	open  localhost:7070/ui/                # visual profiler with run picker + diff view
+//
+// Both modes are one service (internal/service): the same HTTP server, the
+// same per-run endpoints, and the same flight recorder, alerting, archive,
+// and metrics wiring.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"path/filepath"
-
 	"grade10/internal/alert"
-	"grade10/internal/fleet"
 	"grade10/internal/flight"
-	"grade10/internal/grade10"
 	"grade10/internal/obs"
-	"grade10/internal/profdiff"
-	"grade10/internal/profstore"
-	"grade10/internal/rundir"
+	"grade10/internal/service"
 	"grade10/internal/stream"
-	"grade10/internal/ui"
 	"grade10/internal/vtime"
 )
 
@@ -124,11 +119,10 @@ func main() {
 		os.Exit(2)
 	}
 	// Alert rules parse before anything expensive so a typo fails fast with
-	// the rule text and position; the webhook notifier is shared by both
-	// modes and drains its queue on shutdown.
+	// the rule text and position.
 	var rules []alert.Rule
 	if *alertRules != "" {
-		rules, err = loadAlertRules(*alertRules)
+		rules, err = alert.LoadRules(*alertRules)
 		if err != nil {
 			logger.Error(err.Error())
 			os.Exit(2)
@@ -138,46 +132,41 @@ func main() {
 		logger.Error("-alert-webhook needs -alert-rules")
 		os.Exit(2)
 	}
-	var notifier *alert.Notifier
-	if *alertWebhook != "" {
-		notifier = alert.NewNotifier(*alertWebhook, alert.NotifierOptions{Logger: logger})
-	}
-	if *fleetDir != "" {
-		runFleet(*fleetDir, *addr, fleetOptions{
-			active: *fleetActive, queue: *fleetQueue, stall: *stallTimeout,
-			poll: *poll, idle: *idle, timeslice: *timeslice,
-			window: *window, maxWin: *maxWin, parallel: *parallel,
-			explain: *explainOn, storeDir: *storeDir, storeMax: *storeMax,
-			storeShards: *storeShards, shutdownTO: *shutdownTO, ui: *uiOn,
-			alertRules: rules, notifier: notifier,
-			logRing: logRing, bundleDir: *bundleDir, bundleMax: *bundleMax,
-			bundleMinGap: *bundleMinGap, bundleCPU: *bundleCPU,
-		})
-		return
-	}
 
-	// The handler swaps from "warming up" to the live server once run.json
-	// reveals which engine's models to build. atomic.Pointer keeps the swap
-	// type-safe across the two concrete handler types.
-	var handler atomic.Pointer[http.Handler]
-	warming := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			fmt.Fprintln(w, "ok")
-			return
-		}
-		http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
-	}))
-	handler.Store(&warming)
-	httpSrv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) {
-			(*handler.Load()).ServeHTTP(w, r)
-		})}
-	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fail(err)
-		}
-	}()
-	logger.Info(fmt.Sprintf("listening on %s, tailing %s", *addr, *runDir))
+	cfg := service.Config{
+		Fleet: *fleetDir != "", Dir: *runDir, RunLabel: *runLabel,
+		Addr: *addr, Logger: logger, LogRing: logRing,
+		Poll: *poll, Idle: *idle,
+		Engine: stream.Config{
+			Timeslice: vtime.Duration(*timeslice), WindowSlices: *window, MaxWindows: *maxWin,
+			RetainForFinal: !*bounded, Parallelism: *parallel, Explain: *explainOn,
+		},
+		MaxActive: *fleetActive, QueueDepth: *fleetQueue, StallTimeout: *stallTimeout,
+		StaleAfter: *stale, Pprof: *pprofOn, UI: *uiOn,
+		StoreDir: *storeDir, StoreMax: *storeMax, StoreShards: *storeShards,
+		AlertRules: rules, AlertWebhook: *alertWebhook,
+		BundleDir: *bundleDir, BundleMax: *bundleMax,
+		BundleMinInterval: *bundleMinGap, BundleCPUProfile: *bundleCPU,
+		ShutdownTimeout: *shutdownTO,
+	}
+	if cfg.Fleet {
+		cfg.Dir = *fleetDir
+	} else {
+		// The single run self-traces its window flushes and final pipeline,
+		// feeding /trace, the stage metrics, and bundles. Fleet engines
+		// carry no tracer.
+		cfg.Engine.Tracer = obs.NewTracer()
+	}
+	svc, err := service.Assemble(cfg)
+	if err != nil {
+		fail(err)
+	}
+	if cfg.Fleet {
+		logger.Info(fmt.Sprintf("fleet mode: listening on %s, watching %s (active<=%d queue<=%d)",
+			svc.Addr(), cfg.Dir, *fleetActive, *fleetQueue))
+	} else {
+		logger.Info(fmt.Sprintf("listening on %s, tailing %s", svc.Addr(), cfg.Dir))
+	}
 
 	stop := make(chan struct{})
 	sigCh := make(chan os.Signal, 1)
@@ -186,286 +175,12 @@ func main() {
 		<-sigCh
 		close(stop)
 	}()
+	watchSIGQUIT(svc.Capturer())
 
-	// Until the engine exists, log bytes and monitoring rows buffer; run.json
-	// may legitimately appear after data starts landing. Log bytes are tailed
-	// raw (not line-split) so both enginelog formats stream transparently.
-	var (
-		engine        *stream.Engine
-		pendingLog    []byte
-		pendingRows   []rundir.MonitoringRow
-		liveSrv       *stream.Server
-		runInfo       rundir.Info
-		alertEv       *alert.Evaluator
-		publishAlerts func([]alert.Event)
-		recorder      *flight.Recorder
-		capt          *flight.Capturer
-	)
-	// Per-run overhead accounting: what characterizing this run costs the
-	// framework itself. Diagnostics only — never feeds analysis output.
-	runName := filepath.Base(filepath.Clean(*runDir))
-	account := &obs.RunAccount{}
-	overheadFn := func() []obs.RunOverhead {
-		return []obs.RunOverhead{{Run: runName, OverheadSnapshot: account.Snapshot()}}
-	}
-	// The SSE broker exists before the engine: buildEngine wires its
-	// OnWindowFlush hook into the stream config so every flushed window
-	// becomes one `event: window` frame on /api/events.
-	var broker *ui.Broker
-	if *uiOn {
-		broker = ui.NewBroker(0)
-	}
-	sink := rundir.FollowSink{
-		Info: func(info rundir.Info) {
-			runInfo = info
-			tracer := obs.NewTracer()
-			recorder = flight.NewRecorder(tracer, logRing)
-			// The archive opens before the engine so baseline-regression
-			// rules can learn per-cell robust stats from prior runs of the
-			// same job — before this run's own record is archived.
-			var store profstore.Archive
-			if *storeDir != "" {
-				st, err := openArchive(*storeDir, *storeMax, *storeShards)
-				if err != nil {
-					fail(err)
-				}
-				store = st
-			}
-			if len(rules) > 0 {
-				var base *alert.Baselines
-				if store != nil {
-					base = alert.LearnArchive(store)
-					logger.Info("learned alert baselines",
-						"runs", base.Runs(), "cells", base.Len())
-				}
-				alertEv = alert.NewEvaluator(rules, base, alert.Config{})
-			}
-			capt = newCapturer(*bundleDir, *bundleMax, *bundleMinGap, *bundleCPU, recorder, alertEv, overheadFn)
-			watchSIGQUIT(capt)
-			if alertEv != nil {
-				publishAlerts = func(evs []alert.Event) {
-					recorder.OnAlerts(evs)
-					onFiring(capt, evs, runName)
-					if broker != nil {
-						broker.PublishAlerts(evs)
-					}
-					if notifier != nil {
-						notifier.Notify(evs)
-					}
-				}
-			}
-			onFlush := func(wr *stream.WindowResult) {
-				if broker != nil {
-					broker.OnWindowFlush(wr)
-				}
-				recorder.OnWindowFlush(runName, wr)
-			}
-			e, err := buildEngine(info, *timeslice, *window, *maxWin, *bounded, *parallel, *explainOn, tracer, onFlush, alertEv, publishAlerts, account)
-			if err != nil {
-				fail(err)
-			}
-			engine = e
-			if len(pendingLog) > 0 {
-				engine.IngestChunk(pendingLog)
-			}
-			for _, row := range pendingRows {
-				engine.IngestRow(row)
-			}
-			pendingLog, pendingRows = nil, nil
-			srv := stream.NewServer(engine)
-			if *pprofOn {
-				srv.EnablePprof()
-			}
-			srv.SetStaleThreshold(*stale)
-			if store != nil {
-				srv.SetStore(store, profdiff.Config{})
-			}
-			srv.Handle("/logs", "recent log records from the flight recorder's ring (?level=&limit=)",
-				flight.LogsHandler(logRing))
-			srv.Handle("/debug/overhead", "framework overhead accounting for this run (JSON)",
-				flight.OverheadHandler(overheadFn))
-			if capt != nil {
-				bh := flight.BundlesHandler(capt)
-				srv.Handle("/debug/bundle", "POST: capture a diagnostics bundle now (?detail=)",
-					flight.TriggerHandler(capt))
-				srv.Handle("/debug/bundles", "captured diagnostics bundles (JSON)", bh)
-				srv.Handle("/debug/bundles/", "fetch one diagnostics bundle as a tar stream", bh)
-			}
-			// The registry feeds /metrics with the tracer bridge (per-stage
-			// histograms), Go runtime gauges, and the engine's staleness and
-			// parser-health gauges.
-			reg := obs.NewRegistry()
-			obs.RegisterRuntime(reg)
-			obs.BridgeTracer(reg, tracer)
-			srv.RegisterEngineMetrics(reg)
-			srv.RegisterStoreMetrics(reg)
-			recorder.RegisterMetrics(reg)
-			capt.RegisterMetrics(reg)
-			flight.RegisterOverheadMetrics(reg, overheadFn)
-			if alertEv != nil {
-				srv.SetAlerts(alertEv, alert.RegisterMetrics(reg, alertEv))
-			}
-			if broker != nil {
-				broker.RegisterMetrics(reg)
-				uis := ui.NewServer(ui.Config{Engine: engine, Broker: broker, Alerts: alertEv, Overhead: overheadFn})
-				srv.MountUI(uis, uis.Routes())
-			}
-			srv.SetRegistry(reg)
-			liveSrv = srv
-			live := http.Handler(srv)
-			handler.Store(&live)
-			if capt != nil {
-				capt.WatchHealth(stop, 0, srv.Degraded)
-			}
-			logger.Info(fmt.Sprintf("%s run of %q on %d workers; live endpoints up",
-				info.Engine, info.Job, info.Workers))
-		},
-		LogChunk: func(chunk []byte) {
-			if engine != nil {
-				engine.IngestChunk(chunk)
-			} else {
-				pendingLog = append(pendingLog, chunk...)
-			}
-		},
-		MonitoringRow: func(row rundir.MonitoringRow) {
-			if engine != nil {
-				engine.IngestRow(row)
-			} else {
-				pendingRows = append(pendingRows, row)
-			}
-		},
-	}
-	if err := rundir.Follow(*runDir, rundir.FollowOptions{Poll: *poll, Idle: *idle}, stop, sink); err != nil {
+	if err := svc.Run(stop); err != nil {
 		fail(err)
 	}
-	if engine == nil {
-		fail(fmt.Errorf("stopped before %s appeared in %s", "run.json", *runDir))
-	}
-
-	out, err := engine.Finalize()
-	if err != nil {
-		fail(err)
-	}
-	st := engine.Stats()
-	logger.Info("run complete",
-		"events", st.Events, "skipped_lines", st.ParseErrors,
-		"samples", st.Samples, "windows", st.WindowsFlushed)
-	if out != nil {
-		logger.Info("exact report ready at /report")
-	} else {
-		logger.Info("bounded mode: live profile at /profile, no exact /report")
-	}
-	// Archive the finalized profile so /runs and /diff can compare this run
-	// against earlier ones; requires the exact output (retain mode).
-	if *storeDir != "" && liveSrv != nil {
-		if out == nil {
-			logger.Info("bounded mode: nothing archived (no exact profile)")
-		} else {
-			rec := profstore.BuildRecord(runInfo, out)
-			rec.Label = *runLabel
-			meta, evicted, err := liveSrv.ArchiveRecord(rec)
-			if err != nil {
-				fail(err)
-			}
-			logger.Info("archived run", "id", meta.ID, "evicted", len(evicted))
-		}
-	}
-	// Baseline-regression rules only see finalized records: evaluate the
-	// completed run against the archive-learned baselines (a clean run here
-	// resolves alerts a noisy earlier run left firing).
-	if alertEv != nil && out != nil {
-		rec := profstore.BuildRecord(runInfo, out)
-		rec.Label = *runLabel
-		evs := alertEv.EvalRecord(rec, filepath.Base(filepath.Clean(*runDir)))
-		for _, tr := range evs {
-			logger.Info("alert transition", "rule", tr.Rule, "from", tr.From, "to", tr.To)
-		}
-		if len(evs) > 0 && publishAlerts != nil {
-			publishAlerts(evs)
-		}
-		if n := alertEv.FiringCount(); n > 0 {
-			logger.Warn("alerts firing at run end", "firing", n)
-		}
-	}
-
-	// Graceful shutdown: the finalize above already drained every in-flight
-	// window flush (Follow returns before Finalize runs), so all that is
-	// left is letting in-flight HTTP requests complete within the budget.
-	<-stop
-	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTO)
-	defer cancel()
-	if broker != nil {
-		broker.Shutdown() // end SSE streams so HTTP shutdown can drain
-	}
-	_ = httpSrv.Shutdown(ctx)
-	if capt != nil {
-		capt.Close() // drain queued bundle captures
-	}
-	if notifier != nil {
-		notifier.Close()
-	}
-}
-
-// openArchive opens the profile archive in single-index or sharded layout.
-// With shards > 0 an existing single-index archive migrates in place.
-func openArchive(dir string, maxRuns, shards int) (profstore.Archive, error) {
-	if shards > 0 {
-		return profstore.OpenSharded(dir, profstore.ShardedOptions{
-			Shards: shards, MaxRunsPerShard: maxRuns,
-		})
-	}
-	return profstore.Open(dir, profstore.Options{MaxRuns: maxRuns})
-}
-
-// loadAlertRules parses the -alert-rules file.
-func loadAlertRules(path string) ([]alert.Rule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rules, err := alert.ParseRules(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rules, nil
-}
-
-// fleetOptions carries the fleet-mode flag values.
-type fleetOptions struct {
-	active, queue         int
-	stall, poll, idle     time.Duration
-	timeslice             time.Duration
-	window, maxWin        int
-	parallel              int
-	explain               bool
-	storeDir              string
-	storeMax, storeShards int
-	shutdownTO            time.Duration
-	ui                    bool
-	alertRules            []alert.Rule
-	notifier              *alert.Notifier
-	logRing               *obs.LogRing
-	bundleDir             string
-	bundleMax             int
-	bundleMinGap          time.Duration
-	bundleCPU             time.Duration
-}
-
-// newCapturer builds the flight bundle capturer from the -bundle-* flags, or
-// nil when -bundle-dir is unset.
-func newCapturer(dir string, max int, minGap, cpu time.Duration, rec *flight.Recorder, ev *alert.Evaluator, overhead func() []obs.RunOverhead) *flight.Capturer {
-	if dir == "" {
-		return nil
-	}
-	capt, err := flight.NewCapturer(flight.Config{
-		Dir: dir, MaxBundles: max, MinInterval: minGap, CPUProfile: cpu,
-		Recorder: rec, Alerts: ev, Overhead: overhead, Logger: logger,
-	})
-	if err != nil {
-		fail(err)
-	}
-	return capt
+	svc.Shutdown()
 }
 
 // watchSIGQUIT captures a bundle on every SIGQUIT instead of the runtime's
@@ -483,219 +198,6 @@ func watchSIGQUIT(capt *flight.Capturer) {
 			capt.Trigger(flight.TriggerSignal, "SIGQUIT", nil)
 		}
 	}()
-}
-
-// onFiring triggers a bundle capture for every alert transitioning to firing.
-func onFiring(capt *flight.Capturer, evs []alert.Event, run string) {
-	if capt == nil {
-		return
-	}
-	for _, ev := range evs {
-		if ev.To == alert.StateFiring {
-			var runs []string
-			if run != "" {
-				runs = []string{run}
-			}
-			capt.Trigger(flight.TriggerAlert, "alert "+ev.Rule+" firing", runs)
-			return // one trigger per batch; the rate limit would eat the rest anyway
-		}
-	}
-}
-
-// runFleet is fleet mode: many concurrent runs behind the admission
-// scheduler, discovered from the watch directory or registered over HTTP.
-func runFleet(watchDir, addr string, opt fleetOptions) {
-	cfg := fleet.Config{
-		MaxActive:    opt.active,
-		QueueDepth:   opt.queue,
-		StallTimeout: opt.stall,
-		Poll:         opt.poll,
-		Idle:         opt.idle,
-		WindowSlices: opt.window,
-		MaxWindows:   opt.maxWin,
-		Parallelism:  opt.parallel,
-		Explain:      opt.explain,
-		Logger:       logger,
-	}
-	if opt.timeslice > 0 {
-		cfg.Timeslice = vtime.Duration(opt.timeslice)
-	}
-	if opt.storeDir != "" {
-		store, err := openArchive(opt.storeDir, opt.storeMax, opt.storeShards)
-		if err != nil {
-			fail(err)
-		}
-		cfg.Archive = store
-	}
-	// Fleet SSE carries only alert frames (window frames are single-run);
-	// the broker still feeds the UI banner's live refresh.
-	var broker *ui.Broker
-	if opt.ui {
-		broker = ui.NewBroker(0)
-	}
-	var alertEv *alert.Evaluator
-	if len(opt.alertRules) > 0 {
-		var base *alert.Baselines
-		if cfg.Archive != nil {
-			base = alert.LearnArchive(cfg.Archive)
-			logger.Info("learned alert baselines",
-				"runs", base.Runs(), "cells", base.Len())
-		}
-		alertEv = alert.NewEvaluator(opt.alertRules, base, alert.Config{})
-		cfg.Alerts = alertEv
-	}
-	// Flight recorder: window snapshots from every run's flush hook, bundle
-	// captures on firing alerts, stall/shed incidents, degraded health,
-	// SIGQUIT, and POST /debug/bundle. Fleet engines carry no tracer, so
-	// bundles omit the self-trace section here.
-	recorder := flight.NewRecorder(nil, opt.logRing)
-	cfg.OnWindowFlush = recorder.OnWindowFlush
-	var fl *fleet.Fleet
-	capt := newCapturer(opt.bundleDir, opt.bundleMax, opt.bundleMinGap, opt.bundleCPU,
-		recorder, alertEv, func() []obs.RunOverhead {
-			if fl == nil {
-				return nil // capture raced fleet construction
-			}
-			return fl.Overhead()
-		})
-	watchSIGQUIT(capt)
-	if capt != nil {
-		cfg.OnIncident = func(kind, detail, run string) {
-			capt.Trigger(flight.Trigger(kind), detail, []string{run})
-		}
-	}
-	if alertEv != nil {
-		cfg.OnAlert = func(evs []alert.Event) {
-			recorder.OnAlerts(evs)
-			if len(evs) > 0 {
-				onFiring(capt, evs, evs[0].Run)
-			}
-			if broker != nil {
-				broker.PublishAlerts(evs)
-			}
-			if opt.notifier != nil {
-				opt.notifier.Notify(evs)
-			}
-		}
-	}
-	fl = fleet.New(cfg)
-	srv := fleet.NewServer(fl)
-	srv.Handle("/logs", "recent log records from the flight recorder's ring (?level=&limit=)",
-		flight.LogsHandler(opt.logRing))
-	srv.Handle("/debug/overhead", "per-run framework overhead accounting (JSON)",
-		flight.OverheadHandler(fl.Overhead))
-	if capt != nil {
-		bh := flight.BundlesHandler(capt)
-		srv.Handle("/debug/bundle", "POST: capture a diagnostics bundle now (?detail=)",
-			flight.TriggerHandler(capt))
-		srv.Handle("/debug/bundles", "captured diagnostics bundles (JSON)", bh)
-		srv.Handle("/debug/bundles/", "fetch one diagnostics bundle as a tar stream", bh)
-	}
-	// Fleet UI: run picker over /fleet/runs, per-run view models via
-	// /api/*?run=, archive diffs via /diff, alert banner via /api/alerts
-	// with SSE alert frames on /api/events.
-	if opt.ui {
-		uis := ui.NewServer(ui.Config{Fleet: fl, Broker: broker, Alerts: alertEv, Overhead: fl.Overhead})
-		srv.MountUI(uis, uis.Routes())
-	}
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	if broker != nil {
-		broker.RegisterMetrics(reg)
-	}
-	if alertEv != nil {
-		srv.SetAlerts(alertEv, alert.RegisterMetrics(reg, alertEv))
-	}
-	srv.RegisterMetrics(reg)
-	recorder.RegisterMetrics(reg)
-	capt.RegisterMetrics(reg)
-	flight.RegisterOverheadMetrics(reg, fl.Overhead)
-
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
-	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			fail(err)
-		}
-	}()
-	logger.Info(fmt.Sprintf("fleet mode: listening on %s, watching %s (active<=%d queue<=%d)",
-		addr, watchDir, opt.active, opt.queue))
-
-	stop := make(chan struct{})
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		close(stop)
-	}()
-	if capt != nil {
-		capt.WatchHealth(stop, 0, func() (bool, string) {
-			h := srv.Health()
-			if h.Status == "ok" {
-				return false, ""
-			}
-			return true, strings.Join(h.Reasons, "; ")
-		})
-	}
-
-	if err := fl.Watch(watchDir, stop); err != nil {
-		fail(err)
-	}
-
-	// Drain: let every active run finish its in-flight flush/finalize (each
-	// still archives), then stop HTTP, all within the shutdown budget.
-	ctx, cancel := context.WithTimeout(context.Background(), opt.shutdownTO)
-	defer cancel()
-	if err := fl.Shutdown(ctx); err != nil {
-		logger.Warn(err.Error())
-	}
-	if broker != nil {
-		broker.Shutdown() // end SSE streams so HTTP shutdown can drain
-	}
-	_ = httpSrv.Shutdown(ctx)
-	if capt != nil {
-		capt.Close() // drain queued bundle captures
-	}
-	if opt.notifier != nil {
-		opt.notifier.Close()
-	}
-}
-
-// buildEngine resolves the run's models through the same entry point as the
-// batch CLI and sizes the streaming engine from the run metadata. The tracer
-// self-traces window flushes and the final batch pipeline, feeding /trace.
-func buildEngine(info rundir.Info, timeslice time.Duration, window, maxWin int, bounded bool, parallel int, explainOn bool, tracer *obs.Tracer, onFlush func(*stream.WindowResult), alerts *alert.Evaluator, onAlert func([]alert.Event), account *obs.RunAccount) (*stream.Engine, error) {
-	models, err := grade10.ModelsForEngine(info.Engine, grade10.ModelParams{
-		Job:              info.Job,
-		Cores:            info.Cores,
-		NetBandwidth:     info.NetBandwidth,
-		DiskBandwidth:    info.DiskBandwidth,
-		ThreadsPerWorker: info.ThreadsPerWorker,
-	})
-	if err != nil {
-		return nil, err
-	}
-	resources := 3 // cpu, net-in, net-out
-	if info.DiskBandwidth > 0 {
-		resources++
-	}
-	cfg := stream.Config{
-		Models:            models,
-		WindowSlices:      window,
-		MaxWindows:        maxWin,
-		ExpectedInstances: info.Workers * resources,
-		RetainForFinal:    !bounded,
-		Parallelism:       parallel,
-		Tracer:            tracer,
-		Explain:           explainOn,
-		OnWindowFlush:     onFlush,
-		Alerts:            alerts,
-		OnAlert:           onAlert,
-		Account:           account,
-	}
-	if timeslice > 0 {
-		cfg.Timeslice = vtime.Duration(timeslice)
-	}
-	return stream.New(cfg)
 }
 
 func fail(err error) {

@@ -6,12 +6,8 @@ import (
 	"grade10/internal/obs"
 )
 
-// Metrics exposes the evaluator on a registry: grade10_alerts_firing,
-// grade10_alert_events_total, grade10_alert_rules, and ALERTS{alertname,
-// severity,alertstate} lifecycle series (value = number of instances of that
-// rule in that state). Refresh rebuilds the ALERTS children; the /metrics
-// handlers call it before rendering so scrape output tracks the lifecycle.
-type Metrics struct {
+// metrics mirrors the evaluator's lifecycle into the ALERTS series.
+type metrics struct {
 	ev  *Evaluator
 	vec *obs.GaugeVec
 
@@ -19,9 +15,13 @@ type Metrics struct {
 	seen map[[3]string]bool
 }
 
-// RegisterMetrics wires the evaluator's gauges into the registry.
-func RegisterMetrics(reg *obs.Registry, ev *Evaluator) *Metrics {
-	m := &Metrics{ev: ev, seen: map[[3]string]bool{}}
+// RegisterMetrics exposes the evaluator on a registry:
+// grade10_alerts_firing, grade10_alert_events_total, grade10_alert_rules, and
+// ALERTS{alertname,severity,alertstate} lifecycle series (value = number of
+// instances of that rule in that state), rebuilt by a scrape hook so every
+// scrape tracks the lifecycle.
+func RegisterMetrics(reg *obs.Registry, ev *Evaluator) {
+	m := &metrics{ev: ev, seen: map[[3]string]bool{}}
 	reg.GaugeFunc("grade10_alerts_firing", "Alert instances currently firing.",
 		func() float64 { return float64(ev.FiringCount()) })
 	reg.GaugeFunc("grade10_alert_events_total", "Lifecycle transitions since start.",
@@ -30,15 +30,12 @@ func RegisterMetrics(reg *obs.Registry, ev *Evaluator) *Metrics {
 		func() float64 { return float64(len(ev.Rules())) })
 	m.vec = reg.GaugeVec("ALERTS", "Alert lifecycle series (value = instances of the rule in the state).",
 		"alertname", "severity", "alertstate")
-	return m
+	reg.AddScrapeHook(m.refresh)
 }
 
-// Refresh rebuilds the ALERTS series from the evaluator state, deleting
+// refresh rebuilds the ALERTS series from the evaluator state, deleting
 // series for (rule, state) pairs no longer populated.
-func (m *Metrics) Refresh() {
-	if m == nil {
-		return
-	}
+func (m *metrics) refresh() {
 	snap := m.ev.Snapshot()
 	counts := map[[3]string]int{}
 	for _, inst := range snap.Instances {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -51,6 +52,20 @@ var keyedMetrics = map[string]bool{
 	"utilization":        true,
 	"saturated_slices":   true,
 	"bottleneck_seconds": true,
+}
+
+// LoadRules parses the rules file at path; errors name the file.
+func LoadRules(path string) ([]Rule, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rules, err := ParseRules(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return rules, nil
 }
 
 // ParseRules reads a rules file: one rule per line, blank lines and

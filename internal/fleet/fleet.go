@@ -14,7 +14,6 @@ import (
 	"grade10/internal/alert"
 	"grade10/internal/grade10"
 	"grade10/internal/obs"
-	"grade10/internal/profdiff"
 	"grade10/internal/profstore"
 	"grade10/internal/rundir"
 	"grade10/internal/stream"
@@ -49,19 +48,16 @@ type Config struct {
 	// Poll and Idle are per-run tailing knobs (rundir.FollowOptions).
 	Poll time.Duration
 	Idle time.Duration
-	// Timeslice, WindowSlices, MaxWindows and Parallelism size each per-run
-	// stream engine exactly as cmd/serve's single-run mode does.
-	Timeslice    vtime.Duration
-	WindowSlices int
-	MaxWindows   int
-	Parallelism  int
-	// Explain enables per-run attribution provenance capture.
-	Explain bool
+	// Engine is the per-run stream engine template (timeslice, window
+	// sizing, parallelism, provenance capture), the same one single-run
+	// serving uses. Models and the expected monitoring feeds come from each
+	// run's metadata; the fleet always retains inputs for the exact finalize
+	// and sets the overhead account and flush hook itself.
+	Engine stream.Config
 	// Archive, when set, receives every finalized run's record. The fleet
-	// serializes access (the store is not goroutine-safe).
+	// serializes access through profstore.Synchronized (the stores are not
+	// goroutine-safe).
 	Archive profstore.Archive
-	// DiffCfg configures /fleet/regressions verdicts.
-	DiffCfg profdiff.Config
 	// BlameSlice is the cross-job blame grid width; default the analysis
 	// timeslice default.
 	BlameSlice vtime.Duration
@@ -85,19 +81,13 @@ type Config struct {
 	OnWindowFlush func(run string, wr *stream.WindowResult)
 	// OnIncident, when set, is notified of fleet-level incidents — the stall
 	// watchdog tearing a run down ("stall") or the admission scheduler
-	// shedding a registration ("shed") — off the fleet lock. cmd wiring
+	// shedding a registration ("shed") — off the fleet lock. The service
 	// points this at the flight bundle capturer; the fleet itself carries no
 	// flight dependency.
 	OnIncident func(kind, detail, run string)
 }
 
 func (c *Config) fill() {
-	if c.WindowSlices <= 0 {
-		c.WindowSlices = 64
-	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = 32
-	}
 	if c.BlameSlice <= 0 {
 		c.BlameSlice = grade10.DefaultTimeslice
 	}
@@ -149,8 +139,6 @@ type Fleet struct {
 	runs  map[string]*runState
 	order []string // registration order, for stable /fleet/runs listings
 
-	archiveMu sync.Mutex // profstore stores are not goroutine-safe
-
 	wg     sync.WaitGroup
 	closed bool
 }
@@ -158,6 +146,9 @@ type Fleet struct {
 // New returns an empty fleet.
 func New(cfg Config) *Fleet {
 	cfg.fill()
+	if cfg.Archive != nil {
+		cfg.Archive = profstore.Synchronized(cfg.Archive)
+	}
 	return &Fleet{
 		cfg: cfg,
 		sched: NewScheduler(SchedulerConfig{
@@ -248,64 +239,26 @@ func (f *Fleet) stallWatch(rs *runState) {
 	}
 }
 
-// runWorker tails one run directory to completion: the cmd/serve ingest
-// pattern (buffer until run.json reveals the models, then stream), followed
-// by finalize, archive, blame-profile build, and engine teardown.
+// runWorker tails one run directory to completion — the same follow-and-
+// buffer ingest as single-run serving (stream.Follow) — followed by
+// finalize, archive, blame-profile build, and engine teardown.
 func (f *Fleet) runWorker(rs *runState) {
 	defer f.wg.Done()
 	defer close(rs.done)
 
-	var (
-		pendingLog  []byte
-		pendingRows []rundir.MonitoringRow
-		buildErr    error
-	)
-	sink := rundir.FollowSink{
-		Info: func(info rundir.Info) {
-			e, acct, err := f.buildEngine(rs.name, info)
-			if err != nil {
-				buildErr = err
-				rs.requestStop()
-				return
-			}
-			if len(pendingLog) > 0 {
-				e.IngestChunk(pendingLog)
-			}
-			for _, row := range pendingRows {
-				e.IngestRow(row)
-			}
-			pendingLog, pendingRows = nil, nil
-			f.mu.Lock()
-			rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
-			f.mu.Unlock()
-			f.cfg.Logger.Info("fleet run ingesting",
-				"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
-		},
-		LogChunk: func(chunk []byte) {
-			f.mu.Lock()
-			e := rs.engine
-			f.mu.Unlock()
-			if e != nil {
-				e.IngestChunk(chunk)
-			} else {
-				pendingLog = append(pendingLog, chunk...)
-			}
-		},
-		MonitoringRow: func(row rundir.MonitoringRow) {
-			f.mu.Lock()
-			e := rs.engine
-			f.mu.Unlock()
-			if e != nil {
-				e.IngestRow(row)
-			} else {
-				pendingRows = append(pendingRows, row)
-			}
-		},
-	}
-	err := rundir.Follow(rs.dir, rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}, rs.stop, sink)
-	if err == nil {
-		err = buildErr
-	}
+	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
+	_, err := stream.Follow(rs.dir, opt, rs.stop, func(info rundir.Info) (*stream.Engine, error) {
+		e, acct, err := f.buildEngine(rs.name, info)
+		if err != nil {
+			return nil, err
+		}
+		f.mu.Lock()
+		rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
+		f.mu.Unlock()
+		f.cfg.Logger.Info("fleet run ingesting",
+			"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
+		return e, nil
+	})
 	f.finishRun(rs, err)
 
 	// Free the slot and start whatever the scheduler promotes.
@@ -359,9 +312,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 	rec.Label = "fleet:" + rs.name
 	var archiveID string
 	if f.cfg.Archive != nil {
-		f.archiveMu.Lock()
 		meta, evicted, err := f.cfg.Archive.Put(rec)
-		f.archiveMu.Unlock()
 		if err != nil {
 			fail(fmt.Errorf("archiving: %w", err))
 			return
@@ -397,43 +348,19 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
 }
 
-// buildEngine mirrors cmd/serve's sizing: models from the run metadata,
-// expected instance count from workers × monitored resources. Every fleet
-// engine carries a per-run overhead account so /fleet/runs and
-// /debug/overhead can report what characterizing the run cost.
+// buildEngine sizes a run's engine from the fleet's template and the run
+// metadata. Every fleet engine carries a per-run overhead account so
+// /fleet/runs and /debug/overhead can report what characterizing the run
+// cost.
 func (f *Fleet) buildEngine(name string, info rundir.Info) (*stream.Engine, *obs.RunAccount, error) {
-	models, err := grade10.ModelsForEngine(info.Engine, grade10.ModelParams{
-		Job:              info.Job,
-		Cores:            info.Cores,
-		NetBandwidth:     info.NetBandwidth,
-		DiskBandwidth:    info.DiskBandwidth,
-		ThreadsPerWorker: info.ThreadsPerWorker,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	resources := 3 // cpu, net-in, net-out
-	if info.DiskBandwidth > 0 {
-		resources++
-	}
 	acct := &obs.RunAccount{}
-	cfg := stream.Config{
-		Models:            models,
-		WindowSlices:      f.cfg.WindowSlices,
-		MaxWindows:        f.cfg.MaxWindows,
-		ExpectedInstances: info.Workers * resources,
-		RetainForFinal:    true, // exact finalize feeds the archive and blame
-		Parallelism:       f.cfg.Parallelism,
-		Explain:           f.cfg.Explain,
-		Account:           acct,
-	}
-	if f.cfg.Timeslice > 0 {
-		cfg.Timeslice = f.cfg.Timeslice
-	}
+	cfg := f.cfg.Engine
+	cfg.RetainForFinal = true // exact finalize feeds the archive and blame
+	cfg.Account = acct
 	if hook := f.cfg.OnWindowFlush; hook != nil {
 		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(name, wr) }
 	}
-	e, err := stream.New(cfg)
+	e, err := stream.NewForRun(info, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -539,12 +466,13 @@ type FleetSnapshot struct {
 }
 
 // Snapshot lists every retained run in registration order plus the
-// admission counters.
+// admission counters. Engines are read after the fleet lock is released, so
+// one run's long finalize never stalls the others' ingest.
 func (f *Fleet) Snapshot() FleetSnapshot {
 	active, queued, shed := f.sched.Counts()
 	snap := FleetSnapshot{Active: active, Queued: queued, ShedTotal: shed}
+	var engines []*stream.Engine
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	for _, name := range f.order {
 		rs := f.runs[name]
 		v := RunView{
@@ -554,65 +482,91 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		if rs.infoSet {
 			v.Engine, v.Job, v.Workers = rs.info.Engine, rs.info.Job, rs.info.Workers
 		}
-		if rs.engine != nil {
-			if age, finalized := rs.engine.IngestAge(); !finalized {
-				v.StalenessSeconds = age.Seconds()
-			}
-		}
 		if rs.account != nil {
 			o := rs.account.Snapshot()
 			v.Overhead = &o
 		}
 		snap.Runs = append(snap.Runs, v)
+		engines = append(engines, rs.engine)
+	}
+	f.mu.Unlock()
+	for i, e := range engines {
+		if e == nil {
+			continue
+		}
+		if age, finalized := e.IngestAge(); !finalized {
+			snap.Runs[i].StalenessSeconds = age.Seconds()
+		}
 	}
 	return snap
 }
 
-// DiffArchived structurally diffs two archived runs by ID (or unique prefix,
-// as the store resolves them), using the fleet's diff configuration.
-func (f *Fleet) DiffArchived(a, b string) (*profdiff.Report, error) {
-	if f.cfg.Archive == nil {
-		return nil, fmt.Errorf("fleet: no archive configured")
-	}
-	f.archiveMu.Lock()
-	recA, errA := f.cfg.Archive.Get(a)
-	recB, errB := f.cfg.Archive.Get(b)
-	f.archiveMu.Unlock()
-	if errA != nil {
-		return nil, errA
-	}
-	if errB != nil {
-		return nil, errB
-	}
-	return profdiff.Diff(recA, recB, f.cfg.DiffCfg)
+// HealthView is the fleet's /healthz body: overall status plus every reason
+// the fleet currently counts as degraded, one line per ailing run.
+type HealthView struct {
+	Status  string   `json:"status"` // "ok" or "degraded"
+	Reasons []string `json:"reasons,omitempty"`
 }
 
-// EngineFor returns the live stream engine and run metadata for an actively
-// ingesting run, or ok=false when the run is unknown or already torn down
-// (engines are released when a run finishes — finished runs live on only as
-// archive records). The UI's per-run view models draw from this.
-func (f *Fleet) EngineFor(name string) (*stream.Engine, rundir.Info, bool) {
+// Health enumerates the fleet's degraded conditions: stalled runs (metadata
+// never appeared), failed runs (ingest or finalize errored), and lifetime
+// load sheds. An empty reason list is a healthy fleet.
+func (f *Fleet) Health() HealthView {
+	snap := f.Snapshot()
+	var reasons []string
+	for _, run := range snap.Runs {
+		switch run.Status {
+		case StatusStalled:
+			reasons = append(reasons, fmt.Sprintf("run %s stalled: %s", run.Name, run.Error))
+		case StatusFailed:
+			reasons = append(reasons, fmt.Sprintf("run %s failed: %s", run.Name, run.Error))
+		}
+	}
+	if snap.ShedTotal > 0 {
+		reasons = append(reasons, fmt.Sprintf("%d registration(s) shed at capacity", snap.ShedTotal))
+	}
+	if len(reasons) > 0 {
+		return HealthView{Status: "degraded", Reasons: reasons}
+	}
+	return HealthView{Status: "ok"}
+}
+
+// EngineFor returns the live stream engine of an actively ingesting run, or
+// ok=false when the run is unknown or already torn down (engines are
+// released when a run finishes — finished runs live on only as archive
+// records). Every per-run endpoint resolves ?run= through this.
+func (f *Fleet) EngineFor(name string) (*stream.Engine, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	rs, ok := f.runs[name]
 	if !ok || rs.engine == nil {
-		return nil, rundir.Info{}, false
+		return nil, false
 	}
-	return rs.engine, rs.info, true
+	return rs.engine, true
 }
 
 // Staleness reports per-run ingest age (seconds) for runs that are actively
 // ingesting — the source for the per-run staleness gauges.
 func (f *Fleet) Staleness() map[string]float64 {
+	out := map[string]float64{}
+	for name, e := range f.activeEngines() {
+		if age, finalized := e.IngestAge(); !finalized {
+			out[name] = age.Seconds()
+		}
+	}
+	return out
+}
+
+// activeEngines copies the live engines out from under the fleet lock:
+// callers then query them unlocked, so a run holding its engine lock (a
+// window flush, a finalize) delays only readers of that run.
+func (f *Fleet) activeEngines() map[string]*stream.Engine {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := map[string]float64{}
-	for _, rs := range f.runs {
-		if rs.engine == nil {
-			continue
-		}
-		if age, finalized := rs.engine.IngestAge(); !finalized {
-			out[rs.name] = age.Seconds()
+	out := map[string]*stream.Engine{}
+	for name, rs := range f.runs {
+		if rs.engine != nil {
+			out[name] = rs.engine
 		}
 	}
 	return out
@@ -656,22 +610,31 @@ type FleetBottleneck struct {
 // active runs, the retained fold for finished ones — by blocked/contended
 // seconds, returning the top k (k<=0 means all).
 func (f *Fleet) Bottlenecks(k int) []FleetBottleneck {
+	type source struct {
+		run    string
+		rows   []stream.BottleneckSummary
+		engine *stream.Engine
+	}
 	f.mu.Lock()
-	var all []FleetBottleneck
+	sources := make([]source, 0, len(f.order))
 	for _, name := range f.order {
 		rs := f.runs[name]
-		rows := rs.bottlenecks
-		if rs.engine != nil {
-			rows = rs.engine.Snapshot().Bottlenecks
+		sources = append(sources, source{rs.name, rs.bottlenecks, rs.engine})
+	}
+	f.mu.Unlock()
+	var all []FleetBottleneck
+	for _, src := range sources {
+		rows := src.rows
+		if src.engine != nil {
+			rows = src.engine.Snapshot().Bottlenecks
 		}
 		for _, b := range rows {
 			all = append(all, FleetBottleneck{
-				Run: rs.name, TypePath: b.TypePath, Resource: b.Resource,
+				Run: src.run, TypePath: b.TypePath, Resource: b.Resource,
 				Kind: b.Kind, Seconds: b.Seconds, Phases: b.Phases, Windows: b.Windows,
 			})
 		}
 	}
-	f.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Seconds != b.Seconds {
@@ -694,93 +657,6 @@ func (f *Fleet) Bottlenecks(k int) []FleetBottleneck {
 	return all
 }
 
-// Regression is one cross-run diff verdict for /fleet/regressions.
-type Regression struct {
-	Engine  string `json:"engine"`
-	Job     string `json:"job"`
-	Workers int    `json:"workers"`
-	BaseID  string `json:"base_id"`
-	NewID   string `json:"new_id"`
-	Verdict string `json:"verdict"`
-	// MakespanRelChange is (new-base)/base; positive is slower.
-	MakespanRelChange float64 `json:"makespan_rel_change"`
-	BaseMakespanNS    int64   `json:"base_makespan_ns"`
-	NewMakespanNS     int64   `json:"new_makespan_ns"`
-}
-
-// Regressions diffs consecutive archived runs of the same (engine, job,
-// workers) configuration and ranks the verdicts by |relative makespan
-// change|, returning the top k (k<=0 means all). Corrupt records are
-// skipped (counted by the sharded store), not fatal.
-func (f *Fleet) Regressions(k int) ([]Regression, error) {
-	if f.cfg.Archive == nil {
-		return nil, fmt.Errorf("fleet: no archive configured")
-	}
-	f.archiveMu.Lock()
-	metas := f.cfg.Archive.List()
-	type key struct {
-		engine, job string
-		workers     int
-	}
-	groups := map[key][]profstore.Meta{}
-	var order []key
-	for _, m := range metas { // List is Seq-ascending already
-		kk := key{m.Engine, m.Job, m.Workers}
-		if _, ok := groups[kk]; !ok {
-			order = append(order, kk)
-		}
-		groups[kk] = append(groups[kk], m)
-	}
-	var out []Regression
-	for _, kk := range order {
-		ms := groups[kk]
-		for i := 1; i < len(ms); i++ {
-			base, err := f.cfg.Archive.Get(ms[i-1].ID)
-			if err != nil {
-				continue // corrupt or evicted: skip the pair
-			}
-			next, err := f.cfg.Archive.Get(ms[i].ID)
-			if err != nil {
-				continue
-			}
-			rep, err := profdiff.Diff(base, next, f.cfg.DiffCfg)
-			if err != nil {
-				continue
-			}
-			out = append(out, Regression{
-				Engine: kk.engine, Job: kk.job, Workers: kk.workers,
-				BaseID: base.ID, NewID: next.ID,
-				Verdict:           string(rep.Verdict),
-				MakespanRelChange: rep.MakespanRelChange,
-				BaseMakespanNS:    base.MakespanNS,
-				NewMakespanNS:     next.MakespanNS,
-			})
-		}
-	}
-	f.archiveMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := abs(out[i].MakespanRelChange), abs(out[j].MakespanRelChange)
-		if ai != aj {
-			return ai > aj
-		}
-		if out[i].NewID != out[j].NewID {
-			return out[i].NewID < out[j].NewID
-		}
-		return out[i].BaseID < out[j].BaseID
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Blame joins the target's demand against every other finished run's and
 // returns the cross-job blame report. Only runs that finalized (StatusDone)
 // participate — an in-flight neighbor has no settled demand timeline yet.
@@ -796,6 +672,6 @@ func (f *Fleet) Blame(target string) (*BlameReport, error) {
 	f.mu.Unlock()
 	return Blame(profiles, target, BlameConfig{
 		SliceWidth:  f.cfg.BlameSlice,
-		Parallelism: f.cfg.Parallelism,
+		Parallelism: f.cfg.Engine.Parallelism,
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,9 +17,9 @@ import (
 	"grade10/internal/cluster"
 	"grade10/internal/giraphsim"
 	"grade10/internal/graph"
-	"grade10/internal/obs"
 	"grade10/internal/profstore"
 	"grade10/internal/rundir"
+	"grade10/internal/stream"
 	"grade10/internal/vtime"
 	"grade10/internal/workload"
 )
@@ -198,9 +197,16 @@ func getJSON(t *testing.T, url string, out any) {
 // waitSettled polls until every retained run reaches a terminal status.
 func waitSettled(t *testing.T, f *Fleet, want int, timeout time.Duration) FleetSnapshot {
 	t.Helper()
+	return waitSettledBy(t, f.Snapshot, want, timeout)
+}
+
+// waitSettledBy is waitSettled over any source of fleet snapshots, such as
+// GET /fleet/runs.
+func waitSettledBy(t *testing.T, snapshot func() FleetSnapshot, want int, timeout time.Duration) FleetSnapshot {
+	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		snap := f.Snapshot()
+		snap := snapshot()
 		settled := 0
 		for _, r := range snap.Runs {
 			switch r.Status {
@@ -330,7 +336,8 @@ func TestFleetCrossJobBlame(t *testing.T) {
 		copyRun(t, fx.quietDir, quiet, shared)
 		copyRun(t, fx.noisyDir, noisy, shared)
 
-		f := New(Config{MaxActive: 2, QueueDepth: 4, Poll: testPoll, Idle: testIdle, Parallelism: par})
+		f := New(Config{MaxActive: 2, QueueDepth: 4, Poll: testPoll, Idle: testIdle,
+			Engine: stream.Config{Parallelism: par}})
 		for _, dir := range []string{quiet, noisy} {
 			if _, _, err := f.Register(dir); err != nil {
 				t.Fatal(err)
@@ -373,117 +380,6 @@ func TestFleetCrossJobBlame(t *testing.T) {
 	}
 }
 
-// TestFleetServerEndpoints drives the HTTP surface end to end: watch-dir
-// discovery, POST registration, cross-run endpoints, and metrics.
-func TestFleetServerEndpoints(t *testing.T) {
-	fx := getFleetFixture(t)
-	root := t.TempDir()
-	watch := filepath.Join(root, "watch")
-	if err := os.MkdirAll(watch, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	store, err := profstore.OpenSharded(filepath.Join(root, "archive"), profstore.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(Config{MaxActive: 2, QueueDepth: 8, Poll: testPoll, Idle: testIdle, Archive: store})
-	stop := make(chan struct{})
-	watchDone := make(chan error, 1)
-	go func() { watchDone <- f.Watch(watch, stop) }()
-	defer func() {
-		close(stop)
-		if err := <-watchDone; err != nil {
-			t.Errorf("watch: %v", err)
-		}
-	}()
-
-	srv := NewServer(f)
-	srv.RegisterMetrics(obs.NewRegistry())
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Stage each run outside the watch dir and rename it in atomically, quiet
-	// first, so the regression diff sees the baseline archived before the
-	// slow variant.
-	shared := []rundir.Placement{{Machine: 0, Host: "hostA"}, {Machine: 1, Host: "hostB"}}
-	stageRun(t, fx.quietDir, root, filepath.Join(watch, "quiet"), shared)
-	waitSettled(t, f, 1, time.Minute)
-	stageRun(t, fx.noisyDir, root, filepath.Join(watch, "noisy"), shared)
-	waitSettled(t, f, 2, time.Minute)
-
-	var snap FleetSnapshot
-	getJSON(t, ts.URL+"/fleet/runs", &snap)
-	if len(snap.Runs) != 2 {
-		t.Fatalf("fleet/runs = %+v, want quiet and noisy", snap.Runs)
-	}
-	for _, r := range snap.Runs {
-		if r.Status != StatusDone || r.ArchiveID == "" {
-			t.Fatalf("run %+v not done+archived", r)
-		}
-	}
-
-	var bt struct {
-		Bottlenecks []FleetBottleneck `json:"bottlenecks"`
-	}
-	getJSON(t, ts.URL+"/fleet/bottlenecks?k=5", &bt)
-	if len(bt.Bottlenecks) > 5 {
-		t.Fatalf("k=5 returned %d bottlenecks", len(bt.Bottlenecks))
-	}
-
-	// quiet and noisy share (engine, job, workers): exactly one diff pair,
-	// and the noisy run is slower, so the verdict is a regression.
-	var rg struct {
-		Regressions []Regression `json:"regressions"`
-	}
-	getJSON(t, ts.URL+"/fleet/regressions?k=5", &rg)
-	if len(rg.Regressions) != 1 {
-		t.Fatalf("regressions = %+v, want one pair", rg.Regressions)
-	}
-	if rg.Regressions[0].Verdict != "regressed" {
-		t.Fatalf("verdict = %s, want regressed (noise slows the run)", rg.Regressions[0].Verdict)
-	}
-
-	var rep BlameReport
-	getJSON(t, ts.URL+"/fleet/blame?run=quiet", &rep)
-	if rep.TotalContendedNS <= 0 || len(rep.Neighbors) == 0 {
-		t.Fatalf("blame = %+v, want nonzero on noisy", rep)
-	}
-	if resp, err := http.Get(ts.URL + "/fleet/blame?run=missing"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("blame on unknown run: %v %v", resp.Status, err)
-	} else {
-		resp.Body.Close()
-	}
-
-	// POST registration (a third copy) is accepted and completes.
-	third := filepath.Join(root, "third")
-	copyRun(t, fx.quietDir, third, nil)
-	body, _ := json.Marshal(map[string]string{"dir": third})
-	resp, err := http.Post(ts.URL+"/fleet/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /fleet/runs = %s", resp.Status)
-	}
-	resp.Body.Close()
-	waitSettled(t, f, 3, time.Minute)
-
-	// Metrics include the fleet families.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	for _, family := range []string{
-		"grade10_fleet_runs_active", "grade10_fleet_runs_queued", "grade10_fleet_runs_shed_total",
-	} {
-		if !bytes.Contains(mbody, []byte(family)) {
-			t.Fatalf("metrics missing %s:\n%s", family, mbody)
-		}
-	}
-}
-
 // TestFleetStallTeardown: a directory that never produces run.json is torn
 // down by the stall watchdog and its slot is released.
 func TestFleetStallTeardown(t *testing.T) {
@@ -521,4 +417,74 @@ func TestFleetStallTeardown(t *testing.T) {
 	if _, _, err := f.Register(dir); err == nil {
 		t.Fatal("register after shutdown did not error")
 	}
+}
+
+// TestFleetFlushStallIsolated: one run holding its engine lock — blocked in
+// OnWindowFlush, which runs under that lock, standing in for a long finalize
+// — must not stall the fleet. Snapshot and Staleness still answer, and
+// another run still finishes while a Bottlenecks call waits on the blocked
+// engine.
+func TestFleetFlushStallIsolated(t *testing.T) {
+	fx := getFleetFixture(t)
+	root := t.TempDir()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var block, unblock sync.Once
+	f := New(Config{
+		MaxActive: 2, QueueDepth: 2, Poll: testPoll, Idle: testIdle,
+		OnWindowFlush: func(run string, wr *stream.WindowResult) {
+			if run == "a" && wr != nil {
+				block.Do(func() { close(entered); <-release })
+			}
+		},
+	})
+	defer f.Shutdown(context.Background())
+	defer unblock.Do(func() { close(release) }) // before Shutdown drains run a
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s stalled behind run a's engine lock", what)
+		}
+	}
+
+	for _, name := range []string{"a", "b"} {
+		copyRun(t, fx.quietDir, filepath.Join(root, name), nil)
+	}
+	if _, _, err := f.Register(filepath.Join(root, "a")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(time.Minute):
+		t.Fatal("run a never flushed a window")
+	}
+	// Bottlenecks reads every live engine, so it waits for run a — but it
+	// must not hold the fleet lock while it does.
+	go f.Bottlenecks(0)
+	within("Snapshot", func() { f.Snapshot() })
+	within("Staleness", func() { f.Staleness() })
+
+	if _, _, err := f.Register(filepath.Join(root, "b")); err != nil {
+		t.Fatal(err)
+	}
+	within("run b", func() {
+		for {
+			for _, r := range f.Snapshot().Runs {
+				if r.Name == "b" && r.Status != StatusQueued && r.Status != StatusActive {
+					if r.Status != StatusDone {
+						t.Errorf("run b = %s (%s)", r.Status, r.Error)
+					}
+					return
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	})
+
+	unblock.Do(func() { close(release) })
+	waitSettled(t, f, 2, time.Minute)
 }

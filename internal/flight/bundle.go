@@ -210,8 +210,11 @@ func (c *Capturer) CaptureSync(tr Trigger, detail string, runs []string) (*Manif
 // minimum interval.
 var ErrRateLimited = fmt.Errorf("flight: bundle capture rate-limited")
 
-// Close stops the worker after draining queued captures.
+// Close stops the worker after draining queued captures; a nil Capturer is a no-op.
 func (c *Capturer) Close() {
+	if c == nil {
+		return
+	}
 	c.closeOnce.Do(func() { close(c.reqs) })
 	<-c.done
 }

@@ -2,7 +2,6 @@ package flight
 
 import (
 	"archive/tar"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
@@ -21,7 +20,7 @@ func BundlesHandler(c *Capturer) http.Handler {
 		rest := strings.TrimPrefix(r.URL.Path, "/debug/bundles")
 		rest = strings.Trim(rest, "/")
 		if rest == "" {
-			writeJSON(w, struct {
+			obs.WriteJSON(w, struct {
 				Bundles []Manifest `json:"bundles"`
 			}{c.List()})
 			return
@@ -88,7 +87,7 @@ func TriggerHandler(c *Capturer) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, m)
+		obs.WriteJSON(w, m)
 	})
 }
 
@@ -114,7 +113,7 @@ func LogsHandler(ring *obs.LogRing) http.Handler {
 			}
 			limit = n
 		}
-		writeJSON(w, struct {
+		obs.WriteJSON(w, struct {
 			Dropped uint64          `json:"dropped"`
 			Records []obs.LogRecord `json:"records"`
 		}{ring.Dropped(), ring.Records(min, limit)})
@@ -128,7 +127,7 @@ func OverheadHandler(fn func() []obs.RunOverhead) http.Handler {
 		if runs == nil {
 			runs = []obs.RunOverhead{}
 		}
-		writeJSON(w, struct {
+		obs.WriteJSON(w, struct {
 			Runs []obs.RunOverhead `json:"runs"`
 		}{runs})
 	})
@@ -164,11 +163,4 @@ func RegisterOverheadMetrics(reg *obs.Registry, fn func() []obs.RunOverhead) {
 			ingest.With(ro.Run).Set(float64(ro.IngestBytes))
 		}
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

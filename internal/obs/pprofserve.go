@@ -3,21 +3,16 @@ package obs
 import (
 	"net"
 	"net/http"
-	"net/http/pprof"
 )
 
 // ServePprof starts a standalone net/http/pprof listener on addr — the
 // -pprof helper for binaries without an HTTP surface of their own
-// (cmd/grade10, cmd/experiments); serve and runsim mount pprof on their
-// existing servers instead. It returns the bound address (useful with
+// (cmd/grade10, cmd/experiments); serve and runsim mount pprof on the
+// service's server instead (MountPprof). It returns the bound address (useful with
 // ":0") and a shutdown func; the listener serves until shut down.
 func ServePprof(addr string) (bound string, shutdown func(), err error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountPprof(mux)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err

@@ -79,6 +79,16 @@ func (c *Counter) Add(delta float64) {
 	}
 }
 
+// Set overwrites the count. It is for counters that mirror a cumulative
+// total kept elsewhere (an engine's ingest counters), refreshed from a scrape
+// hook; everything else counts with Add.
+func (c *Counter) Set(v float64) {
+	if c == nil {
+		return
+	}
+	c.bits.Store(math.Float64bits(v))
+}
+
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	if c == nil {

@@ -15,8 +15,9 @@ import (
 // producer writes it. Callbacks run on the Follow goroutine; nil callbacks
 // are skipped.
 type FollowSink struct {
-	// Info fires once, as soon as run.json appears and parses.
-	Info func(Info)
+	// Info fires once, as soon as run.json appears and parses. A non-nil
+	// error ends the follow, and Follow returns it.
+	Info func(Info) error
 	// LogLine fires for every complete line appended to execution.log,
 	// including comments and malformed lines (the consumer's parser counts
 	// those). It assumes the text format; set LogChunk instead to accept
@@ -109,7 +110,9 @@ func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink
 					infoSeen = true
 					grew = true
 					if sink.Info != nil {
-						sink.Info(info)
+						if err := sink.Info(info); err != nil {
+							return err
+						}
 					}
 				}
 				// An unparsable run.json is mid-write; retry next poll.

@@ -1,0 +1,461 @@
+// Package service is Grade10's serving core: one HTTP server and one
+// assembly for every way a live characterization is served — one run tailed
+// from its directory (serve -run), a fleet of runs behind the admission
+// scheduler (serve -fleet), and one run fed in process by the simulator
+// (runsim -serve).
+//
+// Assemble builds what a Config turns on in dependency order: archive,
+// alert evaluator and webhook notifier, SSE broker, flight recorder, fleet,
+// bundle capturer, routes, metrics, listener. Shutdown tears it down in the
+// one order that drains cleanly: fleet runs, SSE streams, HTTP, queued
+// bundle captures, queued webhooks.
+//
+// Every mode serves the same per-run endpoints (/profile /phases
+// /bottlenecks /windows /stats /report /explain /trace and the UI's /api/*)
+// through one ?run= resolver: the only run by default in single-run mode, an
+// actively ingesting run in fleet mode.
+package service
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"log/slog"
+	"net"
+	"net/http"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"grade10/internal/alert"
+	"grade10/internal/fleet"
+	"grade10/internal/flight"
+	"grade10/internal/obs"
+	"grade10/internal/profstore"
+	"grade10/internal/rundir"
+	"grade10/internal/stream"
+	"grade10/internal/ui"
+)
+
+// Config selects what a service characterizes and which components serve
+// it; zero values turn optional components off. The fields mirror cmd/serve's
+// flags.
+type Config struct {
+	// Fleet selects fleet mode: many runs behind the admission scheduler,
+	// discovered in Dir or registered over POST /fleet/runs.
+	Fleet bool
+	// Dir is what Run follows: the run directory to tail in single-run mode,
+	// the watch directory in fleet mode. A single run fed in process is
+	// started with Start instead.
+	Dir string
+	// RunName names the single run in overhead rows, bundles, and ?run=;
+	// default the base name of Dir. RunLabel is archived with its record.
+	RunName, RunLabel string
+
+	// Addr is the HTTP listen address; empty starts no listener (serve the
+	// Server as an http.Handler).
+	Addr string
+	// Logger should tee into LogRing, the flight recorder's log ring behind
+	// /logs and bundles (obs.NewLoggerWithRing). Defaults: a fresh ring and
+	// a logger writing only to it.
+	Logger  *slog.Logger
+	LogRing *obs.LogRing
+
+	// Poll and Idle tune run-directory tailing (rundir.FollowOptions).
+	Poll, Idle time.Duration
+	// Engine is the per-run stream engine template: timeslice, windows,
+	// parallelism, provenance, retention, self-tracer. Models and the
+	// expected monitoring feeds come from the run metadata unless set; the
+	// service wires the flush, alert, and overhead hooks.
+	Engine stream.Config
+	// MaxActive, QueueDepth, and StallTimeout bound fleet admission.
+	MaxActive, QueueDepth int
+	StallTimeout          time.Duration
+
+	// StaleAfter makes single-run /healthz answer 503 once the last input
+	// is older than this while the run is open; 0 disables.
+	StaleAfter time.Duration
+	// Pprof mounts net/http/pprof under /debug/pprof/; UI mounts the visual
+	// profiler under /ui/ and /api/ with live SSE on /api/events.
+	Pprof, UI bool
+
+	// StoreDir opens the profile archive behind /runs, /runs/{id} and
+	// /diff; every finished run is archived. StoreMax bounds retention (per
+	// shard with StoreShards > 0, which selects the sharded layout).
+	StoreDir              string
+	StoreMax, StoreShards int
+
+	// AlertRules are evaluated on every window flush and, against
+	// archive-learned baselines, on every finished run; AlertWebhook
+	// receives each batch of transitions.
+	AlertRules   []alert.Rule
+	AlertWebhook string
+
+	// BundleDir enables bundle captures: at most BundleMax kept, one per
+	// trigger kind per BundleMinInterval, each with a BundleCPUProfile-long
+	// CPU profile (negative disables it).
+	BundleDir         string
+	BundleMax         int
+	BundleMinInterval time.Duration
+	BundleCPUProfile  time.Duration
+
+	// ShutdownTimeout is Shutdown's drain budget; default 5s.
+	ShutdownTimeout time.Duration
+}
+
+// Server is the assembled service and its HTTP handler.
+type Server struct {
+	cfg     Config
+	log     *slog.Logger
+	runName string
+
+	mux    *http.ServeMux
+	routes []obs.Route
+	reg    *obs.Registry
+	httpm  *obs.HTTPMetrics
+
+	// Single-run mode: the engine appears once Start has run.
+	engine  atomic.Pointer[stream.Engine]
+	info    rundir.Info
+	account *obs.RunAccount
+	// Fleet mode.
+	fleet *fleet.Fleet
+
+	archive           profstore.Archive // synchronized; nil without a store
+	lastDiffRegressed atomic.Int64      // the /diff watchdog gauge
+	alerts            *alert.Evaluator
+	notifier          *alert.Notifier
+	broker            *ui.Broker
+	recorder          *flight.Recorder
+	capt              *flight.Capturer
+
+	httpSrv  *http.Server
+	listener net.Listener
+	done     chan struct{} // closed on shutdown; stops the health watch
+	shutOnce sync.Once
+}
+
+// Assemble builds the service and, with an Addr, starts serving HTTP.
+func Assemble(cfg Config) (*Server, error) {
+	if cfg.LogRing == nil {
+		cfg.LogRing = obs.NewLogRing(0)
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(cfg.LogRing.Wrap(slog.NewTextHandler(io.Discard, nil)))
+	}
+	if cfg.ShutdownTimeout <= 0 {
+		cfg.ShutdownTimeout = 5 * time.Second
+	}
+	if cfg.RunName == "" && cfg.Dir != "" && !cfg.Fleet {
+		cfg.RunName = filepath.Base(filepath.Clean(cfg.Dir))
+	}
+	s := &Server{
+		cfg: cfg, log: cfg.Logger, runName: cfg.RunName,
+		mux: http.NewServeMux(), reg: obs.NewRegistry(), done: make(chan struct{}),
+	}
+	// The archive opens first so baseline-regression rules learn from prior
+	// runs before any new record lands.
+	if cfg.StoreDir != "" {
+		a, err := openArchive(cfg.StoreDir, cfg.StoreMax, cfg.StoreShards)
+		if err != nil {
+			return nil, err
+		}
+		s.archive = profstore.Synchronized(a)
+	}
+	if len(cfg.AlertRules) > 0 {
+		var base *alert.Baselines
+		if s.archive != nil {
+			base = alert.LearnArchive(s.archive)
+			s.log.Info("learned alert baselines", "runs", base.Runs(), "cells", base.Len())
+		}
+		s.alerts = alert.NewEvaluator(cfg.AlertRules, base, alert.Config{})
+		if cfg.AlertWebhook != "" {
+			s.notifier = alert.NewNotifier(cfg.AlertWebhook, alert.NotifierOptions{Logger: s.log})
+		}
+	}
+	if cfg.UI {
+		s.broker = ui.NewBroker(0)
+	}
+	s.recorder = flight.NewRecorder(cfg.Engine.Tracer, cfg.LogRing)
+	overhead := s.singleOverhead
+	if cfg.Fleet {
+		s.fleet = fleet.New(s.fleetConfig())
+		overhead = s.fleet.Overhead
+	} else {
+		s.account = &obs.RunAccount{}
+	}
+	if cfg.BundleDir != "" {
+		var err error
+		s.capt, err = flight.NewCapturer(flight.Config{
+			Dir: cfg.BundleDir, MaxBundles: cfg.BundleMax, MinInterval: cfg.BundleMinInterval,
+			CPUProfile: cfg.BundleCPUProfile, Recorder: s.recorder, Alerts: s.alerts,
+			Overhead: overhead, Logger: s.log,
+		})
+		if err != nil {
+			s.closeBackground()
+			return nil, err
+		}
+		s.capt.WatchHealth(s.done, 0, s.degraded)
+	}
+
+	s.mountRoutes()
+	s.handle("/logs", "recent log records from the flight recorder's ring (?level=&limit=)",
+		flight.LogsHandler(cfg.LogRing))
+	s.handle("/debug/overhead", "framework overhead accounting per run (JSON)", flight.OverheadHandler(overhead))
+	if s.capt != nil {
+		bundles := flight.BundlesHandler(s.capt)
+		s.handle("/debug/bundle", "POST: capture a diagnostics bundle now (?detail=)", flight.TriggerHandler(s.capt))
+		s.handle("/debug/bundles", "captured diagnostics bundles (JSON)", bundles)
+		s.handle("/debug/bundles/", "fetch one diagnostics bundle as a tar stream", bundles)
+	}
+	if s.broker != nil {
+		uis := ui.NewServer(ui.Config{
+			Resolve: s.resolve, Fleet: cfg.Fleet, Broker: s.broker, Alerts: s.alerts, Overhead: overhead,
+		})
+		s.mux.Handle("/ui/", uis)
+		s.mux.Handle("/api/", uis)
+		s.mux.Handle("/ui", http.RedirectHandler("/ui/", http.StatusMovedPermanently))
+		s.routes = append(s.routes, uis.Routes()...)
+	}
+	s.registerMetrics(overhead)
+
+	if cfg.Addr != "" {
+		var err error
+		if s.listener, err = net.Listen("tcp", cfg.Addr); err != nil {
+			s.closeBackground()
+			return nil, err
+		}
+		s.httpSrv = &http.Server{Handler: s}
+		go func() {
+			if err := s.httpSrv.Serve(s.listener); err != http.ErrServerClosed {
+				s.log.Error("http: " + err.Error())
+			}
+		}()
+	}
+	return s, nil
+}
+
+// openArchive opens the archive in single-index or sharded layout; with
+// shards > 0 an existing single-index archive migrates in place.
+func openArchive(dir string, maxRuns, shards int) (profstore.Archive, error) {
+	if shards > 0 {
+		return profstore.OpenSharded(dir, profstore.ShardedOptions{Shards: shards, MaxRunsPerShard: maxRuns})
+	}
+	return profstore.Open(dir, profstore.Options{MaxRuns: maxRuns})
+}
+
+// fleetConfig wires the fleet's hooks to the service's components: every
+// run's flushed windows feed the recorder, stall and shed incidents trigger
+// bundles, and finished runs are archived and alert-evaluated.
+func (s *Server) fleetConfig() fleet.Config {
+	cfg := fleet.Config{
+		MaxActive: s.cfg.MaxActive, QueueDepth: s.cfg.QueueDepth, StallTimeout: s.cfg.StallTimeout,
+		Poll: s.cfg.Poll, Idle: s.cfg.Idle, Engine: s.cfg.Engine, Logger: s.log,
+		Archive:       s.archive,
+		OnWindowFlush: s.recorder.OnWindowFlush,
+		OnIncident: func(kind, detail, run string) {
+			if s.capt != nil {
+				s.capt.Trigger(flight.Trigger(kind), detail, []string{run})
+			}
+		},
+	}
+	if s.alerts != nil {
+		cfg.Alerts, cfg.OnAlert = s.alerts, s.publishAlerts
+	}
+	return cfg
+}
+
+// registerMetrics puts every component's families on the registry behind
+// /metrics.
+func (s *Server) registerMetrics(overhead func() []obs.RunOverhead) {
+	reg := s.reg
+	if s.fleet == nil {
+		registerProfileMetrics(reg, s.engine.Load)
+	}
+	obs.RegisterRuntime(reg)
+	obs.BridgeTracer(reg, s.cfg.Engine.Tracer)
+	registerHealthMetrics(reg, s.degraded)
+	if s.fleet != nil {
+		registerFleetMetrics(reg, s.fleet)
+	}
+	if s.archive != nil {
+		registerArchiveMetrics(reg, s.archive, &s.lastDiffRegressed)
+	}
+	s.recorder.RegisterMetrics(reg)
+	s.capt.RegisterMetrics(reg)
+	flight.RegisterOverheadMetrics(reg, overhead)
+	if s.alerts != nil {
+		alert.RegisterMetrics(reg, s.alerts)
+	}
+	if s.broker != nil {
+		s.broker.RegisterMetrics(reg)
+	}
+	s.httpm = obs.NewHTTPMetrics(reg)
+	obs.RegisterBuildInfo(reg)
+}
+
+func (s *Server) singleOverhead() []obs.RunOverhead {
+	return []obs.RunOverhead{{Run: s.runName, OverheadSnapshot: s.account.Snapshot()}}
+}
+
+// publishAlerts fans alert transitions out to the recorder, one bundle
+// capture per batch that fires, the SSE stream, and the webhook.
+func (s *Server) publishAlerts(evs []alert.Event) {
+	s.recorder.OnAlerts(evs)
+	for _, ev := range evs {
+		if s.capt != nil && ev.To == alert.StateFiring {
+			run := ev.Run // set in fleet mode
+			if run == "" {
+				run = s.runName
+			}
+			s.capt.Trigger(flight.TriggerAlert, "alert "+ev.Rule+" firing", []string{run})
+			break // the per-kind rate limit would eat the rest anyway
+		}
+	}
+	if s.broker != nil {
+		s.broker.PublishAlerts(evs)
+	}
+	if s.notifier != nil {
+		s.notifier.Notify(evs)
+	}
+}
+
+// Addr returns the address the service listens on ("" without a listener).
+func (s *Server) Addr() string {
+	if s.listener == nil {
+		return ""
+	}
+	return s.listener.Addr().String()
+}
+
+// Capturer returns the bundle capturer, nil unless BundleDir is set.
+func (s *Server) Capturer() *flight.Capturer { return s.capt }
+
+// Start builds the single run's engine from its metadata, hooks wired, and
+// begins serving it. Run calls it when run.json appears; an in-process
+// producer calls it directly and feeds the returned engine.
+func (s *Server) Start(info rundir.Info) (*stream.Engine, error) {
+	if s.fleet != nil {
+		return nil, fmt.Errorf("service: Start is for single-run mode")
+	}
+	cfg := s.cfg.Engine
+	cfg.Account = s.account
+	cfg.OnWindowFlush = func(wr *stream.WindowResult) {
+		if s.broker != nil {
+			s.broker.OnWindowFlush(wr)
+		}
+		s.recorder.OnWindowFlush(s.runName, wr)
+	}
+	if s.alerts != nil {
+		cfg.Alerts, cfg.OnAlert = s.alerts, s.publishAlerts
+	}
+	e, err := stream.NewForRun(info, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.info = info
+	s.engine.Store(e)
+	s.log.Info(fmt.Sprintf("%s run of %q on %d workers; live endpoints up", info.Engine, info.Job, info.Workers))
+	return e, nil
+}
+
+// Finish finalizes the single run, archives its exact profile, and
+// evaluates the baseline-regression rules against it (a clean run resolves
+// what a noisy earlier one left firing). A bounded engine has no exact
+// profile, so nothing is archived or evaluated.
+func (s *Server) Finish() error {
+	e := s.engine.Load()
+	if e == nil {
+		return fmt.Errorf("stopped before run.json appeared in %s", s.cfg.Dir)
+	}
+	out, err := e.Finalize()
+	if err != nil {
+		return err
+	}
+	st := e.Stats()
+	s.log.Info("run complete", "events", st.Events, "skipped_lines", st.ParseErrors,
+		"samples", st.Samples, "windows", st.WindowsFlushed)
+	if out == nil {
+		s.log.Info("bounded mode: live profile at /profile, no exact /report")
+		return nil
+	}
+	s.log.Info("exact report ready at /report")
+	if s.archive == nil && s.alerts == nil {
+		return nil
+	}
+	rec := profstore.BuildRecord(s.info, out)
+	rec.Label = s.cfg.RunLabel
+	if s.archive != nil {
+		meta, evicted, err := s.archive.Put(rec)
+		if err != nil {
+			return err
+		}
+		s.log.Info("archived run", "id", meta.ID, "evicted", len(evicted))
+	}
+	if s.alerts != nil {
+		evs := s.alerts.EvalRecord(rec, s.runName)
+		for _, tr := range evs {
+			s.log.Info("alert transition", "rule", tr.Rule, "from", tr.From, "to", tr.To)
+		}
+		if len(evs) > 0 {
+			s.publishAlerts(evs)
+		}
+		if n := s.alerts.FiringCount(); n > 0 {
+			s.log.Warn("alerts firing at run end", "firing", n)
+		}
+	}
+	return nil
+}
+
+// Run drives the configured mode until stop closes. Fleet mode watches Dir
+// for run subdirectories. Single-run mode tails Dir into the engine,
+// finishes the run once it goes idle (or stop closes), and keeps serving
+// the result.
+func (s *Server) Run(stop <-chan struct{}) error {
+	if s.fleet != nil {
+		return s.fleet.Watch(s.cfg.Dir, stop)
+	}
+	opt := rundir.FollowOptions{Poll: s.cfg.Poll, Idle: s.cfg.Idle}
+	if _, err := stream.Follow(s.cfg.Dir, opt, stop, s.Start); err != nil {
+		return err
+	}
+	if err := s.Finish(); err != nil {
+		return err
+	}
+	<-stop
+	return nil
+}
+
+// Shutdown stops the service within ShutdownTimeout: fleet runs drain their
+// in-flight flushes and finalizes (each still archives), SSE streams end so
+// subscribers cannot hold HTTP shutdown open, in-flight requests complete,
+// then queued bundle captures and webhooks drain. Idempotent.
+func (s *Server) Shutdown() {
+	s.shutOnce.Do(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
+		defer cancel()
+		if s.fleet != nil {
+			if err := s.fleet.Shutdown(ctx); err != nil {
+				s.log.Warn(err.Error())
+			}
+		}
+		if s.broker != nil {
+			s.broker.Shutdown()
+		}
+		if s.httpSrv != nil {
+			_ = s.httpSrv.Shutdown(ctx)
+		}
+		s.closeBackground()
+	})
+}
+
+// closeBackground stops the health watch and drains the capturer and the
+// notifier.
+func (s *Server) closeBackground() {
+	close(s.done)
+	s.capt.Close()
+	if s.notifier != nil {
+		s.notifier.Close()
+	}
+}

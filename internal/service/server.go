@@ -1,0 +1,410 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"grade10/internal/explain"
+	"grade10/internal/fleet"
+	"grade10/internal/obs"
+	"grade10/internal/profdiff"
+	"grade10/internal/profstore"
+	"grade10/internal/report"
+	"grade10/internal/stream"
+	"grade10/internal/vtime"
+)
+
+// handle registers a handler and records the route in the endpoint index and
+// the HTTP-metrics label space.
+func (s *Server) handle(path, desc string, h http.Handler) {
+	s.mux.Handle(path, h)
+	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
+}
+
+func (s *Server) handleFunc(path, desc string, h http.HandlerFunc) { s.handle(path, desc, h) }
+
+// mountRoutes registers every endpoint the configuration enables.
+func (s *Server) mountRoutes() {
+	for _, rt := range []struct {
+		path, desc string
+		h          func(http.ResponseWriter, *http.Request, *stream.Engine)
+	}{
+		{"/profile", "full live profile snapshot (JSON)", func(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+			obs.WriteJSON(w, e.Snapshot())
+		}},
+		{"/phases", "open phases and per-type aggregates (JSON)", func(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+			snap := e.Snapshot()
+			obs.WriteJSON(w, struct {
+				WatermarkSeconds float64                        `json:"watermark_seconds"`
+				OpenPhases       []stream.OpenPhase             `json:"open_phases"`
+				PhaseTypes       []stream.TypeSummary           `json:"phase_types"`
+				Counters         map[string]stream.CounterValue `json:"counters,omitempty"`
+			}{snap.WatermarkSeconds, snap.OpenPhases, snap.PhaseTypes, snap.Counters})
+		}},
+		{"/bottlenecks", "cumulative bottleneck rows (JSON)", func(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+			snap := e.Snapshot()
+			obs.WriteJSON(w, struct {
+				Coverage    float64                    `json:"coverage"`
+				Bottlenecks []stream.BottleneckSummary `json:"bottlenecks"`
+			}{snap.Coverage, snap.Bottlenecks})
+		}},
+		{"/windows", "recent analysis-window ring (JSON)", func(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+			snap := e.Snapshot()
+			obs.WriteJSON(w, struct {
+				WindowSeconds float64                `json:"window_seconds"`
+				Windows       []*stream.WindowResult `json:"windows"`
+			}{snap.WindowSeconds, snap.Windows})
+		}},
+		{"/stats", "ingest and robustness counters (JSON)", func(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+			obs.WriteJSON(w, e.Stats())
+		}},
+		{"/report", "exact final report (text; 503 until finalized)", serveReport},
+		{"/explain", "provenance query ?q=phase=.. machine=.. resource=.. (JSON or ?format=text)", serveExplain},
+		{"/trace", "Chrome trace-event JSON (Perfetto-loadable)", serveTrace},
+	} {
+		desc, h := rt.desc, rt.h
+		if s.fleet != nil {
+			desc += "; one active run, ?run=<name>"
+		}
+		s.handleFunc(rt.path, desc, func(w http.ResponseWriter, r *http.Request) {
+			if e, _, ok := s.resolve(w, r); ok {
+				h(w, r, e)
+			}
+		})
+	}
+	s.handleFunc("/metrics", "Prometheus text exposition", s.handleMetrics)
+	if s.fleet != nil {
+		s.handleFunc("/healthz", "liveness; 503 + degraded reasons (JSON) when runs stalled/failed or load shed", s.handleHealthz)
+		s.handleFunc("/fleet/runs", "GET: admission counters + retained runs; POST: register a run directory", s.handleFleetRuns)
+		s.handleFunc("/fleet/bottlenecks", "top-K bottlenecks across all runs (?k=)", s.handleFleetBottlenecks)
+		s.handleFunc("/fleet/regressions", "top-K archive diff verdicts (?k=)", s.handleFleetRegressions)
+		s.handleFunc("/fleet/blame", "cross-job blame report (?run=)", s.handleFleetBlame)
+	} else {
+		s.handleFunc("/healthz", "liveness; 503 degraded when ingest is stale", s.handleHealthz)
+	}
+	if s.archive != nil {
+		s.handleFunc("/runs", "archived run metadata (JSON)", s.handleRuns)
+		s.handleFunc("/runs/", "one full archived record by ID or unique prefix (JSON)", s.handleRunByID)
+		s.handleFunc("/diff", "structural diff of two archived runs ?a=&b= (JSON; &format=text)", s.handleDiff)
+	}
+	if s.alerts != nil {
+		s.handleFunc("/alerts", "alert rules, firing/pending/resolved instances, and history (JSON)",
+			func(w http.ResponseWriter, _ *http.Request) { obs.WriteJSON(w, s.alerts.Snapshot()) })
+	}
+	if s.cfg.Pprof {
+		obs.MountPprof(s.mux)
+		s.routes = append(s.routes, obs.Route{Path: "/debug/pprof/", Desc: "net/http/pprof profiling index"})
+	}
+	s.handleFunc("/", "this endpoint index (JSON)", func(w http.ResponseWriter, r *http.Request) {
+		service := "grade10 live characterization"
+		if s.fleet != nil {
+			service = "grade10 fleet characterization"
+		}
+		obs.ServeIndex(w, r, service, s.routes)
+	})
+}
+
+// ServeHTTP implements http.Handler: every request is instrumented against
+// its mounted route.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.httpm.Serve(obs.RouteLabel(s.routes, r.URL.Path), s.mux, w, r)
+}
+
+// resolve picks the engine answering a per-run request. Single-run mode
+// serves its one run (?run= may name it). Fleet mode needs ?run= naming an
+// actively ingesting run: finished runs are torn down and live on in the
+// archive. The resolver writes the HTTP error itself when it fails; the UI's
+// view models resolve through it too.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*stream.Engine, string, bool) {
+	run := r.URL.Query().Get("run")
+	if s.fleet != nil {
+		if run == "" {
+			http.Error(w, "fleet mode: need ?run=<name> (see /fleet/runs)", http.StatusBadRequest)
+			return nil, "", false
+		}
+		e, ok := s.fleet.EngineFor(run)
+		if !ok {
+			http.Error(w, "run "+run+" is not actively ingesting (finished runs live in the archive; see /fleet/runs and /runs)",
+				http.StatusNotFound)
+			return nil, "", false
+		}
+		return e, run, true
+	}
+	if run != "" && run != s.runName {
+		http.Error(w, fmt.Sprintf("unknown run %q (this service characterizes %q)", run, s.runName), http.StatusNotFound)
+		return nil, "", false
+	}
+	e := s.engine.Load()
+	if e == nil {
+		http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
+		return nil, "", false
+	}
+	return e, "", true
+}
+
+// health reports whether the service is degraded, and why: in single-run
+// mode when ingest is older than the staleness threshold (never once
+// finalized, never without a threshold), in fleet mode when a run stalled
+// or failed or a registration was shed.
+func (s *Server) health() (bool, []string) {
+	if s.fleet != nil {
+		h := s.fleet.Health()
+		return h.Status != "ok", h.Reasons
+	}
+	e := s.engine.Load()
+	if s.cfg.StaleAfter <= 0 || e == nil {
+		return false, nil
+	}
+	age, finalized := e.IngestAge()
+	if finalized || age <= s.cfg.StaleAfter {
+		return false, nil
+	}
+	return true, []string{fmt.Sprintf("degraded: last ingest %s ago (threshold %s)",
+		age.Round(time.Millisecond), s.cfg.StaleAfter)}
+}
+
+// degraded is health with its reasons joined, for the health gauge and the
+// bundle capturer.
+func (s *Server) degraded() (bool, string) {
+	bad, reasons := s.health()
+	return bad, strings.Join(reasons, "; ")
+}
+
+// handleHealthz answers 503 when health reports degraded; the body is a
+// fleet.HealthView (JSON) in fleet mode and the plain reason otherwise.
+func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	bad, reasons := s.health()
+	if s.fleet != nil {
+		h := fleet.HealthView{Status: "ok"}
+		if bad {
+			h = fleet.HealthView{Status: "degraded", Reasons: reasons}
+			w.Header().Set("Content-Type", "application/json") // before the status line
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		obs.WriteJSON(w, h)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	if bad {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, strings.Join(reasons, "; "))
+		return
+	}
+	fmt.Fprintln(w, "ok")
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.reg.WriteText(w)
+}
+
+// serveExplain answers explain queries (?q=<query>) against the captured
+// provenance: one exact full-run derivation once finalized in retain mode,
+// else one derivation per retained window overlapping the query. JSON by
+// default; ?format=text renders the human-readable derivation chains.
+func serveExplain(w http.ResponseWriter, r *http.Request, e *stream.Engine) {
+	queryStr := r.URL.Query().Get("q")
+	if queryStr == "" {
+		http.Error(w, "missing ?q=<query> (grammar: phase=<type-path> machine=<m> resource=<name> [t0..t1])",
+			http.StatusBadRequest)
+		return
+	}
+	derivs, err := e.Explain(queryStr)
+	if err != nil {
+		status := http.StatusUnprocessableEntity
+		var pe *explain.ParseError
+		if errors.As(err, &pe) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	if r.URL.Query().Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for i, wd := range derivs {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			if wd.Final {
+				fmt.Fprintln(w, "=== final (exact full-run derivation) ===")
+			} else {
+				fmt.Fprintf(w, "=== window %s..%s ===\n",
+					vtime.Time(wd.WindowStartNS), vtime.Time(wd.WindowEndNS))
+			}
+			_ = wd.Derivation.WriteText(w)
+		}
+		return
+	}
+	obs.WriteJSON(w, struct {
+		Query       string                    `json:"query"`
+		Derivations []stream.WindowDerivation `json:"derivations"`
+	}{queryStr, derivs})
+}
+
+// serveTrace serves the combined Chrome trace-event export: the pipeline's
+// self-trace spans plus, once the run is finalized in retain mode, the
+// analyzed job's profile tracks.
+func serveTrace(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+	out, _, _ := e.FinalStatus()
+	tracer := e.Tracer()
+	if out == nil && tracer == nil {
+		http.Error(w, "tracing disabled and no finalized profile", http.StatusServiceUnavailable)
+		return
+	}
+	var buf bytes.Buffer
+	if err := report.WriteTraceEvents(&buf, out, tracer); err != nil {
+		http.Error(w, "rendering trace: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Disposition", `attachment; filename="grade10-trace.json"`)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// serveReport serves the exact final report. Until Finalize has run it
+// answers 503; in bounded mode (no retained inputs) it points at the live
+// endpoints instead.
+func serveReport(w http.ResponseWriter, _ *http.Request, e *stream.Engine) {
+	out, finalized, err := e.FinalStatus()
+	switch {
+	case !finalized:
+		http.Error(w, "run still in progress; try /profile", http.StatusServiceUnavailable)
+		return
+	case err != nil:
+		http.Error(w, "finalization failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	case out == nil:
+		http.Error(w, "exact report unavailable in bounded mode; see /profile", http.StatusServiceUnavailable)
+		return
+	}
+	var buf bytes.Buffer
+	if err := report.WriteAll(&buf, out); err != nil {
+		http.Error(w, "rendering report: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write(buf.Bytes())
+}
+
+func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
+	obs.WriteJSON(w, struct {
+		Runs         []profstore.Meta `json:"runs"`
+		EvictedTotal int64            `json:"evicted_total"`
+	}{s.archive.List(), s.archive.EvictedTotal()})
+}
+
+func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
+	id := strings.TrimPrefix(r.URL.Path, "/runs/")
+	if id == "" || strings.Contains(id, "/") {
+		http.NotFound(w, r)
+		return
+	}
+	rec, err := s.archive.Get(id)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	obs.WriteJSON(w, rec)
+}
+
+func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
+	idA, idB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
+	if idA == "" || idB == "" {
+		http.Error(w, "need ?a=<run>&b=<run> (IDs or unique prefixes; see /runs)", http.StatusBadRequest)
+		return
+	}
+	recA, err := s.archive.Get(idA)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	recB, err := s.archive.Get(idB)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	rep, err := profdiff.Diff(recA, recB, profdiff.Config{})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	s.lastDiffRegressed.Store(int64(boolValue(rep.Verdict == profdiff.Regressed)))
+	if r.URL.Query().Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_ = profdiff.WriteText(w, rep)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = profdiff.WriteJSON(w, rep)
+}
+
+func (s *Server) handleFleetRuns(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		obs.WriteJSON(w, s.fleet.Snapshot())
+	case http.MethodPost:
+		var req struct {
+			Dir string `json:"dir"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Dir) == "" {
+			http.Error(w, `expected JSON body {"dir": "<run directory>"}`, http.StatusBadRequest)
+			return
+		}
+		name, d, err := s.fleet.Register(req.Dir)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		status := http.StatusAccepted
+		if d == fleet.DecisionShed {
+			// 429: the fleet is at capacity; the caller may retry later.
+			status = http.StatusTooManyRequests
+		}
+		w.Header().Set("Content-Type", "application/json") // before the status line
+		w.WriteHeader(status)
+		obs.WriteJSON(w, map[string]string{"run": name, "decision": d.String()})
+	default:
+		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
+	}
+}
+
+func (s *Server) handleFleetBottlenecks(w http.ResponseWriter, r *http.Request) {
+	obs.WriteJSON(w, map[string]any{"bottlenecks": s.fleet.Bottlenecks(queryInt(r, "k", 10))})
+}
+
+func (s *Server) handleFleetRegressions(w http.ResponseWriter, r *http.Request) {
+	if s.archive == nil {
+		http.Error(w, "no archive configured (see -store)", http.StatusServiceUnavailable)
+		return
+	}
+	regs := profdiff.Regressions(s.archive, profdiff.Config{}, queryInt(r, "k", 10))
+	obs.WriteJSON(w, map[string]any{"regressions": regs})
+}
+
+func (s *Server) handleFleetBlame(w http.ResponseWriter, r *http.Request) {
+	run := r.URL.Query().Get("run")
+	if run == "" {
+		http.Error(w, "missing ?run=<name>", http.StatusBadRequest)
+		return
+	}
+	rep, err := s.fleet.Blame(run)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	obs.WriteJSON(w, rep)
+}
+
+func queryInt(r *http.Request, key string, def int) int {
+	n, err := strconv.Atoi(r.URL.Query().Get(key))
+	if err != nil {
+		return def
+	}
+	return n
+}

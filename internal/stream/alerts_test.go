@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"grade10/internal/alert"
-	"grade10/internal/obs"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 )
 
@@ -55,8 +55,8 @@ alert never when parse_errors > 0
 	return snap, evj
 }
 
-// TestServerAlertEndpoints: SetAlerts mounts /alerts with the lifecycle
-// snapshot, lists the route in the index, and refreshes the ALERTS series on
+// TestServerAlertEndpoints: alert rules mount /alerts with the lifecycle
+// snapshot, list the route in the index, and refresh the ALERTS series on
 // every /metrics scrape.
 func TestServerAlertEndpoints(t *testing.T) {
 	f := getFixture(t)
@@ -65,19 +65,13 @@ func TestServerAlertEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := alert.NewEvaluator(rules, nil, alert.Config{})
-	e, err := stream.New(stream.Config{
-		Models: f.models, WindowSlices: 16,
-		ExpectedInstances: len(f.monitoring),
-		Alerts:            ev,
+	srv, e := serveEngine(t, service.Config{
+		AlertRules: rules,
+		Engine: stream.Config{
+			Models: f.models, WindowSlices: 16,
+			ExpectedInstances: len(f.monitoring),
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
-	reg := obs.NewRegistry()
-	srv.SetRegistry(reg)
-	srv.SetAlerts(ev, alert.RegisterMetrics(reg, ev))
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"grade10/internal/obs"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 )
 
@@ -15,11 +16,7 @@ import (
 // (unknown paths stay 404).
 func TestServerIndexJSON(t *testing.T) {
 	f := getFixture(t)
-	e, err := stream.New(stream.Config{Models: f.models})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
+	srv, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
 
 	code, body, hdr := get(t, srv, "/")
 	if code != http.StatusOK {
@@ -64,16 +61,11 @@ func TestServerIndexJSON(t *testing.T) {
 	}
 }
 
-// TestServerHTTPMetrics: with a registry attached, every request lands in the
-// per-route request count and latency families on /metrics.
+// TestServerHTTPMetrics: every request lands in the per-route request count
+// and latency families on /metrics.
 func TestServerHTTPMetrics(t *testing.T) {
 	f := getFixture(t)
-	e, err := stream.New(stream.Config{Models: f.models})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
-	srv.SetRegistry(obs.NewRegistry())
+	srv, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
 
 	for i := 0; i < 2; i++ {
 		if code, _, _ := get(t, srv, "/stats"); code != http.StatusOK {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"grade10/internal/obs"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 )
 
@@ -19,15 +20,13 @@ import (
 func TestHealthzStaleness(t *testing.T) {
 	f := getFixture(t)
 	now := time.Unix(1_700_000_000, 0)
-	e, err := stream.New(stream.Config{
-		Models: f.models, RetainForFinal: true,
-		Now: func() time.Time { return now },
+	srv, e := serveEngine(t, service.Config{
+		StaleAfter: 5 * time.Second,
+		Engine: stream.Config{
+			Models: f.models, RetainForFinal: true,
+			Now: func() time.Time { return now },
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
-	srv.SetStaleThreshold(5 * time.Second)
 
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("fresh engine: /healthz %d, want 200", code)
@@ -64,12 +63,8 @@ func TestHealthzStaleness(t *testing.T) {
 	}
 
 	// Without a threshold, staleness checking is off entirely.
-	e2, err := stream.New(stream.Config{Models: f.models,
-		Now: func() time.Time { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := stream.NewServer(e2)
+	srv2, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models,
+		Now: func() time.Time { return now }}})
 	now = now.Add(time.Hour)
 	if code, _, _ := get(t, srv2, "/healthz"); code != http.StatusOK {
 		t.Fatalf("no threshold: /healthz %d, want 200", code)
@@ -83,23 +78,16 @@ func TestServerTrace(t *testing.T) {
 	f := getFixture(t)
 
 	// No tracer, bounded mode: nothing to export.
-	bare, err := stream.New(stream.Config{Models: f.models})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := get(t, stream.NewServer(bare), "/trace"); code != http.StatusServiceUnavailable {
+	bare, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
+	if code, _, _ := get(t, bare, "/trace"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/trace with nothing to export: %d, want 503", code)
 	}
 
 	tracer := obs.NewTracer()
-	e, err := stream.New(stream.Config{
+	srv, e := serveEngine(t, service.Config{Engine: stream.Config{
 		Models: f.models, RetainForFinal: true, WindowSlices: 8,
 		ExpectedInstances: len(f.monitoring), Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
+	}})
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
@@ -142,26 +130,16 @@ func TestServerTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryFamilies wires the full serve-mode metrics stack —
-// runtime gauges, tracer bridge, engine staleness gauges — and checks the
-// /metrics exposition carries all the new families alongside the hand-rolled
-// snapshot ones.
+// TestMetricsRegistryFamilies checks the serve-mode metrics stack — runtime
+// gauges, tracer bridge, engine staleness gauges — on the /metrics
+// exposition alongside the live-profile snapshot families.
 func TestMetricsRegistryFamilies(t *testing.T) {
 	f := getFixture(t)
 	tracer := obs.NewTracer()
-	e, err := stream.New(stream.Config{
+	srv, e := serveEngine(t, service.Config{Engine: stream.Config{
 		Models: f.models, WindowSlices: 8,
 		ExpectedInstances: len(f.monitoring), Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	obs.BridgeTracer(reg, tracer)
-	srv.RegisterEngineMetrics(reg)
-	srv.SetRegistry(reg)
+	}})
 
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
@@ -193,8 +171,8 @@ func TestMetricsRegistryFamilies(t *testing.T) {
 	if !strings.Contains(body, `grade10_stage_duration_seconds_bucket{stage="window-flush"`) {
 		t.Errorf("/metrics missing window-flush stage histogram:\n%s", body)
 	}
-	// The hand-rolled families still lead the exposition.
+	// The live-profile snapshot families ride the same exposition.
 	if !strings.Contains(body, "# TYPE grade10_events_total counter") {
-		t.Error("/metrics lost the hand-rolled snapshot families")
+		t.Error("/metrics lost the snapshot families")
 	}
 }

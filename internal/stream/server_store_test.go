@@ -6,30 +6,22 @@ import (
 	"strings"
 	"testing"
 
-	"grade10/internal/obs"
 	"grade10/internal/profdiff"
 	"grade10/internal/profstore"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 )
 
-// storeServer builds a server over a throwaway engine with an attached
-// archive holding a baseline and a regressed synthetic record.
-func storeServer(t *testing.T) (*stream.Server, *obs.Registry, string, string) {
+// storeServer builds a server over a throwaway engine with an archive
+// holding a baseline and a regressed synthetic record.
+func storeServer(t *testing.T) (*service.Server, string, string) {
 	t.Helper()
 	f := getFixture(t)
-	e, err := stream.New(stream.Config{Models: f.models, ExpectedInstances: len(f.monitoring)})
+	dir := t.TempDir()
+	store, err := profstore.Open(dir, profstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
-	store, err := profstore.Open(t.TempDir(), profstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetStore(store, profdiff.Config{})
-	reg := obs.NewRegistry()
-	srv.RegisterStoreMetrics(reg)
-	srv.SetRegistry(reg)
 
 	const sec = int64(1_000_000_000)
 	base := &profstore.Record{
@@ -54,19 +46,23 @@ func storeServer(t *testing.T) (*stream.Server, *obs.Registry, string, string) {
 				Resource: "cpu", UnitSeconds: 33},
 		},
 	}
-	ma, _, err := srv.ArchiveRecord(base)
+	ma, _, err := store.Put(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, _, err := srv.ArchiveRecord(slow)
+	mb, _, err := store.Put(slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv, reg, ma.ID, mb.ID
+	srv, _ := serveEngine(t, service.Config{
+		StoreDir: dir,
+		Engine:   stream.Config{Models: f.models, ExpectedInstances: len(f.monitoring)},
+	})
+	return srv, ma.ID, mb.ID
 }
 
 func TestStoreEndpoints(t *testing.T) {
-	srv, _, idA, idB := storeServer(t)
+	srv, idA, idB := storeServer(t)
 
 	code, body, hdr := get(t, srv, "/runs")
 	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" {
@@ -104,7 +100,7 @@ func TestStoreEndpoints(t *testing.T) {
 }
 
 func TestDiffEndpointAndWatchdogGauge(t *testing.T) {
-	srv, _, idA, idB := storeServer(t)
+	srv, idA, idB := storeServer(t)
 
 	// Before any diff the watchdog gauge reads 0.
 	_, metrics, _ := get(t, srv, "/metrics")

@@ -7,14 +7,32 @@ import (
 	"strings"
 	"testing"
 
+	"grade10/internal/rundir"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 )
 
-func get(t *testing.T, s *stream.Server, path string) (int, string, http.Header) {
+func get(t *testing.T, h http.Handler, path string) (int, string, http.Header) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	return rec.Code, rec.Body.String(), rec.Header()
+}
+
+// serveEngine assembles a single-run service without a listener and starts
+// its engine from the cfg.Engine template; the test feeds the engine.
+func serveEngine(t *testing.T, cfg service.Config) (*service.Server, *stream.Engine) {
+	t.Helper()
+	srv, err := service.Assemble(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Shutdown)
+	e, err := srv.Start(rundir.Info{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv, e
 }
 
 // TestServerEndpoints drives the HTTP layer mid-run and after finalization:
@@ -22,14 +40,10 @@ func get(t *testing.T, s *stream.Server, path string) (int, string, http.Header)
 // /report must converge to the batch-identical text.
 func TestServerEndpoints(t *testing.T) {
 	f := getFixture(t)
-	e, err := stream.New(stream.Config{
+	srv, e := serveEngine(t, service.Config{Engine: stream.Config{
 		Models: f.models, RetainForFinal: true, WindowSlices: 8,
 		ExpectedInstances: len(f.monitoring),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
+	}})
 
 	// Half the log ingested: the run is "still executing".
 	lines := strings.Split(f.logText, "\n")
@@ -131,11 +145,7 @@ func TestServerEndpoints(t *testing.T) {
 // with a pointer at the live endpoints, not an error or a wrong report.
 func TestServerBoundedReport(t *testing.T) {
 	f := getFixture(t)
-	e, err := stream.New(stream.Config{Models: f.models})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := stream.NewServer(e)
+	srv, e := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)

@@ -282,7 +282,7 @@ func (e *Engine) Snapshot() Snapshot {
 	defer e.mu.Unlock()
 
 	snap := Snapshot{
-		Finalized:        e.finalized,
+		Finalized:        e.finalized.Load(),
 		TimesliceSeconds: e.cfg.Timeslice.Seconds(),
 		WindowSeconds:    e.windowDur().Seconds(),
 		OriginSeconds:    e.origin.Seconds(),

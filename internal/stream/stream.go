@@ -35,6 +35,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grade10/internal/alert"
@@ -260,15 +261,18 @@ type Engine struct {
 	// Retained raw inputs (RetainForFinal only).
 	events []enginelog.Event
 
-	stats     Stats
-	finalized bool
-	finalOut  *grade10.Output
-	finalErr  error
+	stats    Stats
+	finalOut *grade10.Output
+	finalErr error
 
-	// lastIngest is the wall-clock time of the most recent input (event,
-	// line, or sample — valid or not); starts at engine creation so a feed
-	// that never produces anything still reads as stale.
-	lastIngest time.Time
+	// finalized and lastIngestNS are written under mu but are atomics so
+	// IngestAge never waits on the engine lock — a scrape must not stall
+	// behind a window flush or a finalize. lastIngestNS is the wall-clock
+	// time (Unix ns) of the most recent input (event, line, or sample —
+	// valid or not); it starts at engine creation so a feed that never
+	// produces anything still reads as stale.
+	finalized    atomic.Bool
+	lastIngestNS atomic.Int64
 }
 
 // New creates an engine for one run.
@@ -279,19 +283,23 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Engine{
-		cfg:        cfg,
-		root:       &core.Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
-		open:       map[string]*core.Phase{},
-		feeds:      map[string]*instFeed{},
-		instAggs:   map[string]*instAgg{},
-		btlAggs:    map[bottleneckKey]*bottleneckAgg{},
-		typeAggs:   map[string]*typeAgg{},
-		heatAggs:   map[heatKey]float64{},
-		counters:   map[string]*CounterValue{},
-		lastIngest: cfg.Now(),
-	}, nil
+	e := &Engine{
+		cfg:      cfg,
+		root:     &core.Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
+		open:     map[string]*core.Phase{},
+		feeds:    map[string]*instFeed{},
+		instAggs: map[string]*instAgg{},
+		btlAggs:  map[bottleneckKey]*bottleneckAgg{},
+		typeAggs: map[string]*typeAgg{},
+		heatAggs: map[heatKey]float64{},
+		counters: map[string]*CounterValue{},
+	}
+	e.touch()
+	return e, nil
 }
+
+// touch records input activity for IngestAge.
+func (e *Engine) touch() { e.lastIngestNS.Store(e.cfg.Now().UnixNano()) }
 
 // Tracer returns the engine's self-tracer (nil when tracing is disabled).
 func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Tracer }
@@ -299,11 +307,10 @@ func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Tracer }
 // IngestAge returns the wall-clock age of the most recent ingested input
 // (any event, line, or sample; from engine creation before the first one)
 // and whether the engine has been finalized — a finalized engine is complete,
-// not stale.
+// not stale. It takes no engine lock, so it answers even while a window
+// flush or Finalize is running.
 func (e *Engine) IngestAge() (age time.Duration, finalized bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cfg.Now().Sub(e.lastIngest), e.finalized
+	return e.cfg.Now().Sub(time.Unix(0, e.lastIngestNS.Load())), e.finalized.Load()
 }
 
 // Timeslice returns the engine's analysis granularity.
@@ -314,7 +321,7 @@ func (e *Engine) IngestLine(line string) {
 	e.cfg.Account.AddIngest(int64(len(line)), 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lastIngest = e.cfg.Now()
+	e.touch()
 	ev, ok, _ := e.parser.ParseLine(line)
 	if ok {
 		e.ingestEventLocked(ev)
@@ -328,7 +335,7 @@ func (e *Engine) IngestChunk(chunk []byte) {
 	e.cfg.Account.AddIngest(int64(len(chunk)), 0)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lastIngest = e.cfg.Now()
+	e.touch()
 	e.parser.Feed(chunk, e.ingestEventLocked)
 }
 
@@ -355,7 +362,7 @@ func (e *Engine) IngestEvent(ev enginelog.Event) {
 	e.cfg.Account.AddIngest(0, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lastIngest = e.cfg.Now()
+	e.touch()
 	e.ingestEventLocked(ev)
 }
 
@@ -493,7 +500,7 @@ func (e *Engine) IngestSample(machine int, resource string, capacity float64, s 
 	e.cfg.Account.AddIngest(0, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lastIngest = e.cfg.Now()
+	e.touch()
 	res := e.cfg.Models.Res.Lookup(resource)
 	if res == nil || res.Kind != core.Consumable {
 		e.stats.IgnoredSamples++
@@ -612,7 +619,7 @@ func (e *Engine) flushBoundLocked() (vtime.Time, bool) {
 }
 
 func (e *Engine) maybeFlushLocked() {
-	if !e.originSet || e.finalized {
+	if !e.originSet || e.finalized.Load() {
 		return
 	}
 	bound, ok := e.flushBoundLocked()
@@ -863,7 +870,7 @@ func (e *Engine) pruneLocked(ph *core.Phase) {
 func (e *Engine) Finalize() (*grade10.Output, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.finalized {
+	if e.finalized.Load() {
 		return e.finalOut, e.finalErr
 	}
 	e.parser.Finish(e.ingestEventLocked)
@@ -896,7 +903,7 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		}
 	}
 	e.maybeFlushLocked()
-	e.finalized = true
+	e.finalized.Store(true)
 	if e.cfg.OnWindowFlush != nil {
 		e.cfg.OnWindowFlush(nil) // finalize notification
 	}
@@ -972,7 +979,7 @@ func (e *Engine) Final() *grade10.Output {
 func (e *Engine) FinalStatus() (out *grade10.Output, finalized bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.finalOut, e.finalized, e.finalErr
+	return e.finalOut, e.finalized.Load(), e.finalErr
 }
 
 // ExplainEnabled reports whether provenance capture is on.

@@ -3,7 +3,6 @@ package ui
 import (
 	"crypto/sha256"
 	"embed"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"path"
@@ -87,13 +86,4 @@ func (s *Server) handleAssets(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", a.ctype)
 	_, _ = w.Write(a.body)
-}
-
-// writeJSON renders a view model. Encoding is deterministic for these types:
-// slices are pre-sorted by the builders and encoding/json orders map keys.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -1,19 +1,19 @@
 // Package ui is the embedded visual profiler: a zero-dependency browser UI
 // (hand-written HTML/CSS/JS, go:embed-ed — no CDN, no npm) plus the
 // render-ready view-model endpoints it draws from. It mounts under /ui/ and
-// /api/ on the serve and fleet servers (their MountUI), shaping the existing
-// profile, window, trace, and fleet data:
+// /api/ on the service's server, shaping the existing profile, window,
+// trace, and fleet data:
 //
 //	/ui/           embedded assets (ETag/304, Cache-Control)
 //	/api/overview  run header + sorted snapshot summaries (JSON)
 //	/api/heatmap   phase-type tree × machine attribution heatmap (JSON)
 //	/api/timeline  per-machine lanes: phases, blocked intervals, bottlenecks
 //	/api/comms     cross-machine communication matrix estimate (JSON)
-//	/api/events    SSE window-flush stream (single-run mode with a Broker)
+//	/api/events    SSE window-flush and alert stream (with a Broker)
 //
 // Every /api endpoint is deterministic: byte-identical JSON at every engine
-// parallelism. In fleet mode the endpoints take ?run=<name> and resolve
-// against the fleet's active engines.
+// parallelism. The per-run endpoints take ?run=<name> and resolve it through
+// the host server's run resolver (required in fleet mode).
 package ui
 
 import (
@@ -21,17 +21,18 @@ import (
 	"strconv"
 
 	"grade10/internal/alert"
-	"grade10/internal/fleet"
 	"grade10/internal/obs"
 	"grade10/internal/stream"
 )
 
 // Config selects the data sources behind the view models.
 type Config struct {
-	// Engine backs single-run mode; nil in fleet mode.
-	Engine *stream.Engine
-	// Fleet backs fleet mode (?run= resolution); nil in single-run mode.
-	Fleet *fleet.Fleet
+	// Resolve picks the engine answering a per-run request and the run it
+	// names ("" for the single run), writing the HTTP error itself when
+	// resolution fails — the host server's ?run= resolver.
+	Resolve func(http.ResponseWriter, *http.Request) (*stream.Engine, string, bool)
+	// Fleet marks fleet mode in the overview (the page shows its run picker).
+	Fleet bool
 	// Broker, when set, serves the /api/events SSE stream. Wire its
 	// OnWindowFlush into the engine's stream.Config to feed it, and its
 	// PublishAlerts into the alerting OnAlert hook for `event: alert` frames.
@@ -41,14 +42,13 @@ type Config struct {
 	Alerts *alert.Evaluator
 	// Overhead, when set, serves /api/overhead — per-run framework overhead
 	// rows, most expensive first — behind the overview's overhead panel.
-	// Fleet mode wires (*fleet.Fleet).Overhead; single-run mode wraps the
-	// engine's one account.
+	// Fleet mode reports every run; single-run mode its one account.
 	Overhead func() []obs.RunOverhead
 }
 
-// Server is the embedded profiler's http.Handler. Mount it with the serve or
-// fleet server's MountUI, passing Routes() so the endpoints join the host's
-// JSON index and HTTP-metrics label space.
+// Server is the embedded profiler's http.Handler. The host mounts it under
+// /ui/ and /api/ and adds Routes() to its JSON index and HTTP-metrics label
+// space.
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
@@ -89,13 +89,13 @@ func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
 			runs = runs[:n]
 		}
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Runs []obs.RunOverhead `json:"runs"`
 	}{runs})
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cfg.Alerts.Snapshot())
+	obs.WriteJSON(w, s.cfg.Alerts.Snapshot())
 }
 
 func (s *Server) handle(path, desc string, h http.HandlerFunc) {
@@ -109,49 +109,20 @@ func (s *Server) Routes() []obs.Route { return s.routes }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// resolveEngine picks the engine answering this request: the configured one
-// in single-run mode, the named active run's in fleet mode. It writes the
-// HTTP error itself when resolution fails.
-func (s *Server) resolveEngine(w http.ResponseWriter, r *http.Request) (*stream.Engine, string, bool) {
-	run := r.URL.Query().Get("run")
-	if s.cfg.Engine != nil && run == "" {
-		return s.cfg.Engine, "", true
-	}
-	if s.cfg.Fleet != nil {
-		if run == "" {
-			http.Error(w, "fleet mode: need ?run=<name> (see /fleet/runs)", http.StatusBadRequest)
-			return nil, "", false
-		}
-		e, _, ok := s.cfg.Fleet.EngineFor(run)
-		if !ok {
-			http.Error(w, "run "+run+" is not actively ingesting (finished runs live in the archive; see /fleet/runs and /diff)",
-				http.StatusNotFound)
-			return nil, "", false
-		}
-		return e, run, true
-	}
-	if run != "" {
-		http.Error(w, "?run= is only meaningful in fleet mode", http.StatusBadRequest)
-		return nil, "", false
-	}
-	http.Error(w, "no engine configured", http.StatusServiceUnavailable)
-	return nil, "", false
-}
-
 func (s *Server) mode() string {
-	if s.cfg.Fleet != nil {
+	if s.cfg.Fleet {
 		return "fleet"
 	}
 	return "single"
 }
 
 func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	e, run, ok := s.resolveEngine(w, r)
+	e, run, ok := s.cfg.Resolve(w, r)
 	if !ok {
 		return
 	}
 	sse := s.cfg.Broker != nil
-	writeJSON(w, buildOverview(e.Snapshot(), s.mode(), run, sse, e.ExplainEnabled()))
+	obs.WriteJSON(w, buildOverview(e.Snapshot(), s.mode(), run, sse, e.ExplainEnabled()))
 }
 
 // heatCells prefers the exact finalized profile (cells then match /explain
@@ -164,31 +135,31 @@ func heatCells(e *stream.Engine) ([]stream.HeatCell, string) {
 }
 
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
-	e, _, ok := s.resolveEngine(w, r)
+	e, _, ok := s.cfg.Resolve(w, r)
 	if !ok {
 		return
 	}
 	cells, source := heatCells(e)
-	writeJSON(w, buildHeatmap(cells, source))
+	obs.WriteJSON(w, buildHeatmap(cells, source))
 }
 
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	e, _, ok := s.resolveEngine(w, r)
+	e, _, ok := s.cfg.Resolve(w, r)
 	if !ok {
 		return
 	}
 	if out := e.Final(); out != nil && out.Trace != nil {
-		writeJSON(w, buildFinalTimeline(out.Trace, out.Bottlenecks))
+		obs.WriteJSON(w, buildFinalTimeline(out.Trace, out.Bottlenecks))
 		return
 	}
-	writeJSON(w, buildLiveTimeline(e.Snapshot()))
+	obs.WriteJSON(w, buildLiveTimeline(e.Snapshot()))
 }
 
 func (s *Server) handleComms(w http.ResponseWriter, r *http.Request) {
-	e, _, ok := s.resolveEngine(w, r)
+	e, _, ok := s.cfg.Resolve(w, r)
 	if !ok {
 		return
 	}
 	cells, source := heatCells(e)
-	writeJSON(w, buildComms(cells, source))
+	obs.WriteJSON(w, buildComms(cells, source))
 }

@@ -15,8 +15,8 @@ import (
 	"grade10/internal/enginelog"
 	"grade10/internal/giraphsim"
 	"grade10/internal/graph"
-	"grade10/internal/obs"
 	"grade10/internal/rundir"
+	"grade10/internal/service"
 	"grade10/internal/stream"
 	"grade10/internal/ui"
 	"grade10/internal/vtime"
@@ -75,18 +75,30 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
-// engineAt builds a retained, provenance-capturing engine at the given
-// parallelism and feeds it the whole run (without finalizing).
-func engineAt(t *testing.T, f *fixture, parallelism int) *stream.Engine {
-	t.Helper()
-	e, err := stream.New(stream.Config{
+// engineConfig is a retained, provenance-capturing engine at the given
+// parallelism.
+func engineConfig(f *fixture, parallelism int) stream.Config {
+	return stream.Config{
 		Models: f.run.Models, RetainForFinal: true, Explain: true,
 		WindowSlices: 16, MaxWindows: 64,
 		ExpectedInstances: len(f.monitoring), Parallelism: parallelism,
-	})
+	}
+}
+
+// engineAt builds an engineConfig engine and feeds it the whole run
+// (without finalizing).
+func engineAt(t *testing.T, f *fixture, parallelism int) *stream.Engine {
+	t.Helper()
+	e, err := stream.New(engineConfig(f, parallelism))
 	if err != nil {
 		t.Fatal(err)
 	}
+	feedRun(e, f)
+	return e
+}
+
+// feedRun feeds the whole run into e (without finalizing).
+func feedRun(e *stream.Engine, f *fixture) {
 	for _, line := range strings.Split(f.logText, "\n") {
 		e.IngestLine(line)
 	}
@@ -95,7 +107,14 @@ func engineAt(t *testing.T, f *fixture, parallelism int) *stream.Engine {
 		e.IngestMonitoringLine(line)
 	}
 	e.MonitoringDone()
-	return e
+}
+
+// single is a UI over one engine, as the service mounts it in single-run
+// mode.
+func single(e *stream.Engine) *ui.Server {
+	return ui.NewServer(ui.Config{
+		Resolve: func(http.ResponseWriter, *http.Request) (*stream.Engine, string, bool) { return e, "", true },
+	})
 }
 
 func getBody(t *testing.T, h http.Handler, path string) (int, []byte, http.Header) {
@@ -137,8 +156,8 @@ func TestViewModelDeterminism(t *testing.T) {
 	f := getFixture(t)
 	e1 := engineAt(t, f, 1)
 	e8 := engineAt(t, f, 8)
-	s1 := ui.NewServer(ui.Config{Engine: e1})
-	s8 := ui.NewServer(ui.Config{Engine: e8})
+	s1 := single(e1)
+	s8 := single(e8)
 
 	for _, path := range []string{"/api/heatmap", "/api/timeline", "/api/comms", "/api/overview"} {
 		c1, b1, _ := getBody(t, s1, path)
@@ -188,7 +207,7 @@ func TestExplainMatchesHeatmapCell(t *testing.T) {
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	s := ui.NewServer(ui.Config{Engine: e})
+	s := single(e)
 
 	code, body, _ := getBody(t, s, "/api/heatmap")
 	if code != http.StatusOK {
@@ -247,16 +266,21 @@ func closeTo(a, b float64) bool {
 	return diff <= 1e-9*scale
 }
 
-// TestMountUI is the host integration: the UI mounted on the serve server
-// answers /ui/ and /api/* through the host mux, the endpoint index lists the
-// UI routes, and the HTTP middleware counts them per route.
+// TestMountUI is the host integration: the UI mounted on the service's
+// server answers /ui/ and /api/* through the host mux, the endpoint index
+// lists the UI routes, and the HTTP middleware counts them per route.
 func TestMountUI(t *testing.T) {
 	f := getFixture(t)
-	e := engineAt(t, f, 2)
-	host := stream.NewServer(e)
-	host.SetRegistry(obs.NewRegistry())
-	uis := ui.NewServer(ui.Config{Engine: e})
-	host.MountUI(uis, uis.Routes())
+	host, err := service.Assemble(service.Config{UI: true, Engine: engineConfig(f, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Shutdown()
+	e, err := host.Start(rundir.Info{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRun(e, f)
 
 	code, body, hdr := getBody(t, host, "/ui/")
 	if code != http.StatusOK {
@@ -296,7 +320,7 @@ func TestMountUI(t *testing.T) {
 // the profiler works air-gapped.
 func TestAssets(t *testing.T) {
 	f := getFixture(t)
-	s := ui.NewServer(ui.Config{Engine: engineAt(t, f, 1)})
+	s := single(engineAt(t, f, 1))
 
 	for _, path := range []string{"/ui/", "/ui/app.js", "/ui/style.css"} {
 		code, body, hdr := getBody(t, s, path)
