@@ -32,7 +32,7 @@
 // -fleet-queue backlog, everything beyond that shed and counted), and the
 // cross-run endpoints come up next to the per-run ones:
 //
-//	serve -fleet runs/ -addr :7070 -store archive/ -store-shards 4
+//	serve -fleet runs/ -addr :7070 -store archive/
 //	curl localhost:7070/fleet/runs          # every run + admission counters
 //	curl -X POST -d '{"dir":"runs/x"}' localhost:7070/fleet/runs
 //	curl localhost:7070/fleet/bottlenecks   # top-K across all runs
@@ -69,25 +69,24 @@ var logger *slog.Logger
 
 func main() {
 	var (
-		runDir      = flag.String("run", "", "run directory to tail (required)")
-		addr        = flag.String("addr", ":7070", "HTTP listen address")
-		poll        = flag.Duration("poll", 100*time.Millisecond, "file polling interval")
-		idle        = flag.Duration("idle", time.Second, "idle time after which the run counts as complete")
-		timeslice   = flag.Duration("timeslice", 0, "analysis timeslice (virtual; default 10ms)")
-		window      = flag.Int("window", 64, "timeslices per live analysis window")
-		maxWin      = flag.Int("max-windows", 32, "recent windows retained for /windows")
-		bounded     = flag.Bool("bounded", false, "strictly bounded memory: drop raw inputs, /report serves no exact text")
-		parallel    = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); results are identical for every value")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		uiOn        = flag.Bool("ui", true, "serve the embedded visual profiler under /ui/ (view models under /api/, live updates over SSE on /api/events)")
-		explainOn   = flag.Bool("explain", false, "capture attribution provenance and serve /explain queries")
-		stale       = flag.Duration("stale", 0, "report /healthz degraded (503) when the last ingested input is older than this (0 disables)")
-		storeDir    = flag.String("store", "", "profile archive directory: serve /runs and /diff, and archive this run once finalized")
-		storeMax    = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded; per shard with -store-shards)")
-		storeShards = flag.Int("store-shards", 0, "shard the archive index by run-ID prefix into this many shards (0 = single index; existing single-index archives migrate in place)")
-		runLabel    = flag.String("run-label", "", "free-form label recorded with the archived run")
-		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
-		logLevel    = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
+		runDir    = flag.String("run", "", "run directory to tail (required)")
+		addr      = flag.String("addr", ":7070", "HTTP listen address")
+		poll      = flag.Duration("poll", 100*time.Millisecond, "file polling interval")
+		idle      = flag.Duration("idle", time.Second, "idle time after which the run counts as complete")
+		timeslice = flag.Duration("timeslice", 0, "analysis timeslice (virtual; default 10ms)")
+		window    = flag.Int("window", 64, "timeslices per live analysis window")
+		maxWin    = flag.Int("max-windows", 32, "recent windows retained for /windows")
+		bounded   = flag.Bool("bounded", false, "strictly bounded memory: drop raw inputs, /report serves no exact text")
+		parallel  = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); results are identical for every value")
+		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		uiOn      = flag.Bool("ui", true, "serve the embedded visual profiler under /ui/ (view models under /api/, live updates over SSE on /api/events)")
+		explainOn = flag.Bool("explain", false, "capture attribution provenance and serve /explain queries")
+		stale     = flag.Duration("stale", 0, "report /healthz degraded (503) when the last ingested input is older than this (0 disables)")
+		storeDir  = flag.String("store", "", "profile archive directory: serve /runs and /diff, and archive this run once finalized")
+		storeMax  = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded)")
+		runLabel  = flag.String("run-label", "", "free-form label recorded with the archived run")
+		logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
+		logLevel  = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
 
 		alertRules   = flag.String("alert-rules", "", "alert rules file: threshold rules fire on every window flush, baseline-regression rules on finalized runs (vs the -store archive); serves /alerts")
 		alertWebhook = flag.String("alert-webhook", "", "POST each batch of alert lifecycle transitions to this URL as JSON, with retry/backoff (needs -alert-rules)")
@@ -143,7 +142,7 @@ func main() {
 		},
 		MaxActive: *fleetActive, QueueDepth: *fleetQueue, StallTimeout: *stallTimeout,
 		StaleAfter: *stale, Pprof: *pprofOn, UI: *uiOn,
-		StoreDir: *storeDir, StoreMax: *storeMax, StoreShards: *storeShards,
+		StoreDir: *storeDir, StoreMax: *storeMax,
 		AlertRules: rules, AlertWebhook: *alertWebhook,
 		BundleDir: *bundleDir, BundleMax: *bundleMax,
 		BundleMinInterval: *bundleMinGap, BundleCPUProfile: *bundleCPU,

@@ -1,6 +1,6 @@
 // Package fleet turns the per-run characterization pipeline into a
 // multi-tenant service: a bounded admission scheduler feeds many concurrent
-// stream engines, finalized runs land in a sharded profile archive, and runs
+// stream engines, finalized runs land in the profile archive, and runs
 // that declare shared machines (rundir.Info.Placement) get cross-job blame —
 // each job's contended time split across the co-scheduled neighbors whose
 // demand overlapped, after Kalmegh et al.'s contention-blame model.

@@ -54,9 +54,9 @@ type Config struct {
 	// run's metadata; the fleet always retains inputs for the exact finalize
 	// and sets the overhead account and flush hook itself.
 	Engine stream.Config
-	// Archive, when set, receives every finalized run's record. The fleet
-	// serializes access through profstore.Synchronized (the stores are not
-	// goroutine-safe).
+	// Archive, when set, receives every finalized run's record. Runs finish
+	// concurrently and handlers read it meanwhile, so it must be safe for
+	// concurrent use, as profstore.Store is.
 	Archive profstore.Archive
 	// BlameSlice is the cross-job blame grid width; default the analysis
 	// timeslice default.
@@ -146,9 +146,6 @@ type Fleet struct {
 // New returns an empty fleet.
 func New(cfg Config) *Fleet {
 	cfg.fill()
-	if cfg.Archive != nil {
-		cfg.Archive = profstore.Synchronized(cfg.Archive)
-	}
 	return &Fleet{
 		cfg: cfg,
 		sched: NewScheduler(SchedulerConfig{

@@ -233,7 +233,7 @@ func TestFleetHundredRunsBounded(t *testing.T) {
 	}
 	fx := getFleetFixture(t)
 	root := t.TempDir()
-	store, err := profstore.OpenSharded(filepath.Join(root, "archive"), profstore.ShardedOptions{Shards: 4})
+	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

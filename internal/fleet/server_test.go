@@ -139,7 +139,7 @@ func TestFleetServerEndpoints(t *testing.T) {
 	}
 	srv := fleetService(t, service.Config{
 		Dir: watch, MaxActive: 2, QueueDepth: 8,
-		StoreDir: filepath.Join(root, "archive"), StoreShards: 2,
+		StoreDir: filepath.Join(root, "archive"),
 	})
 	stop := make(chan struct{})
 	watchDone := make(chan error, 1)

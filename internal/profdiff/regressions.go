@@ -24,7 +24,7 @@ type Regression struct {
 // Regressions diffs consecutive archived runs of the same (engine, job,
 // workers) configuration and ranks the verdicts by |relative makespan
 // change|, returning the top k (k<=0 means all). Corrupt records are
-// skipped (counted by the sharded store), not fatal.
+// skipped, not fatal.
 func Regressions(a profstore.Archive, cfg Config, k int) []Regression {
 	metas := a.List()
 	type key struct {

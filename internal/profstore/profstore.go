@@ -11,6 +11,8 @@
 //	<dir>/index.json     append-ordered metadata of every retained run
 //	<dir>/runs/<id>.json one Record per archived run
 //
+// This is the only layout; Open migrates the sharded one of earlier builds.
+//
 // Retention is bounded: Options.MaxRuns caps the archive, and the oldest
 // records (lowest sequence number) are evicted deterministically; evictions
 // are counted for the grade10_runs_evicted_total gauge.
@@ -20,10 +22,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 
 	"grade10/internal/core"
 	"grade10/internal/grade10"
@@ -344,12 +349,81 @@ type Options struct {
 	MaxRuns int
 }
 
-// Store is an on-disk run archive. All methods are safe for concurrent use
-// by one process; the on-disk index is rewritten atomically on every Put.
+// ErrCorruptIndex matches (via errors.Is) every CorruptIndexError, so callers
+// can branch on "the archive metadata is damaged" without caring which file.
+var ErrCorruptIndex = errors.New("profstore: corrupt index")
+
+// ErrCorruptRecord matches (via errors.Is) every CorruptRecordError.
+var ErrCorruptRecord = errors.New("profstore: corrupt record")
+
+// ErrNewerVersion matches (via errors.Is) a schema newer than this build's.
+var ErrNewerVersion = errors.New("profstore: newer schema version")
+
+func newerVersion(what string, v int) error {
+	return fmt.Errorf("%w: %s is version %d, this build reads up to %d", ErrNewerVersion, what, v, Version)
+}
+
+// CorruptIndexError reports an index file that exists but does not parse.
+// Path is the offending file (index.json, or a legacy shards.json).
+type CorruptIndexError struct {
+	Path string
+	Err  error
+}
+
+func (e *CorruptIndexError) Error() string {
+	return fmt.Sprintf("profstore: corrupt index %s: %v", e.Path, e.Err)
+}
+
+func (e *CorruptIndexError) Unwrap() error { return e.Err }
+
+// Is makes errors.Is(err, ErrCorruptIndex) true for every CorruptIndexError.
+func (e *CorruptIndexError) Is(target error) bool { return target == ErrCorruptIndex }
+
+// CorruptRecordError reports an archived record file that does not parse.
+type CorruptRecordError struct {
+	Path string
+	Err  error
+}
+
+func (e *CorruptRecordError) Error() string {
+	return fmt.Sprintf("profstore: corrupt record %s: %v", e.Path, e.Err)
+}
+
+func (e *CorruptRecordError) Unwrap() error { return e.Err }
+
+// Is makes errors.Is(err, ErrCorruptRecord) true for every CorruptRecordError.
+func (e *CorruptRecordError) Is(target error) bool { return target == ErrCorruptRecord }
+
+// Archive is the run-archive surface the service, the fleet, alert baselines
+// and regression scans consume: a Store, or a wrapper that embeds one.
+// Implementations must be safe for concurrent use.
+type Archive interface {
+	// Len returns the number of retained runs.
+	Len() int
+	// EvictedTotal returns the runs evicted over the archive's lifetime.
+	EvictedTotal() int64
+	// List returns the retained runs in append order (ascending Seq).
+	List() []Meta
+	// Put archives a record (see Store.Put).
+	Put(rec *Record) (Meta, []string, error)
+	// Get loads one record by ID or unique ID prefix.
+	Get(id string) (*Record, error)
+	// Resolve maps an ID or unique ID prefix to its index entry.
+	Resolve(id string) (Meta, error)
+}
+
+var _ Archive = (*Store)(nil)
+
+// Store is an on-disk run archive. All methods are safe for concurrent use,
+// so the fleet, HTTP handlers and scrapes share one Store: a mutex guards the
+// index, and every file is written to a temporary name and renamed into
+// place, so Get reads records unlocked and a crash never leaves a torn file.
 type Store struct {
 	dir  string
 	opts Options
-	idx  index
+
+	mu  sync.Mutex
+	idx index
 }
 
 const (
@@ -357,70 +431,90 @@ const (
 	runsDir   = "runs"
 )
 
-// Open opens (or creates) the archive at dir.
+// Open opens (or creates) the archive at dir, first migrating a sharded
+// archive left by earlier builds.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, runsDir), 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, idx: index{Version: Version}}
-	data, err := os.ReadFile(filepath.Join(dir, indexFile))
-	switch {
-	case os.IsNotExist(err):
-		return s, nil
-	case err != nil:
+	if err := migrateShards(dir); err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(data, &s.idx); err != nil {
-		return nil, &CorruptIndexError{Path: filepath.Join(dir, indexFile), Err: err}
+	idx, err := readIndex(filepath.Join(dir, indexFile))
+	if err != nil {
+		return nil, err
 	}
-	if s.idx.Version == 0 {
-		s.idx.Version = 1
+	return &Store{dir: dir, opts: opts, idx: idx}, nil
+}
+
+// readIndex loads one index file; a missing file is an empty index.
+func readIndex(path string) (index, error) {
+	idx := index{Version: Version}
+	data, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+		return idx, nil
+	case err != nil:
+		return idx, err
 	}
-	if s.idx.Version > Version {
-		return nil, fmt.Errorf("profstore: %s is version %d, this build reads up to %d",
-			indexFile, s.idx.Version, Version)
+	if err := json.Unmarshal(data, &idx); err != nil {
+		return idx, &CorruptIndexError{Path: path, Err: err}
 	}
-	return s, nil
+	if idx.Version == 0 {
+		idx.Version = 1
+	}
+	if idx.Version > Version {
+		return idx, newerVersion(path, idx.Version)
+	}
+	for _, m := range idx.Runs {
+		// IDs name record files: reject any that could leave runs/.
+		if m.ID == "" || len(m.ID) > 128 || strings.ContainsAny(m.ID, "/\\\x00") {
+			return idx, &CorruptIndexError{Path: path, Err: fmt.Errorf("run id %q is not a file name", m.ID)}
+		}
+	}
+	return idx, nil
 }
 
 // Len returns the number of retained runs.
-func (s *Store) Len() int { return len(s.idx.Runs) }
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.idx.Runs)
+}
 
 // EvictedTotal returns the number of runs evicted over the store's lifetime.
-func (s *Store) EvictedTotal() int64 { return s.idx.EvictedTotal }
+func (s *Store) EvictedTotal() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idx.EvictedTotal
+}
 
 // List returns the retained runs in append order (oldest first).
-func (s *Store) List() []Meta { return append([]Meta(nil), s.idx.Runs...) }
+func (s *Store) List() []Meta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Meta(nil), s.idx.Runs...)
+}
 
 // Put archives the record, assigning its Seq and (if empty) its content ID,
 // then evicts the oldest runs past Options.MaxRuns. Re-archiving an ID
 // already present replaces the record in place at a fresh sequence number.
 // It returns the stored meta and the IDs evicted by this append.
 func (s *Store) Put(rec *Record) (Meta, []string, error) {
-	return s.putAt(rec, s.idx.NextSeq)
-}
-
-// putAt is Put with a caller-assigned sequence number — the hook the sharded
-// store uses to keep one global append order across shard indexes.
-func (s *Store) putAt(rec *Record, seq int64) (Meta, []string, error) {
 	if rec.Version == 0 {
 		rec.Version = Version
 	}
 	if rec.ID == "" {
 		rec.ID = ContentID(rec)
 	}
-	rec.Seq = seq
-	if seq >= s.idx.NextSeq {
-		s.idx.NextSeq = seq + 1
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.Seq = s.idx.NextSeq
+	s.idx.NextSeq++
 	meta := Meta{ID: rec.ID, Seq: rec.Seq, Label: rec.Label, Engine: rec.Engine,
 		Job: rec.Job, Workers: rec.Workers, MakespanNS: rec.MakespanNS}
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	if err := os.WriteFile(s.runPath(rec.ID), append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(s.runPath(rec.ID), rec); err != nil {
 		return Meta{}, nil, err
 	}
 	// Drop a replaced entry, append the new one, then evict oldest-first.
@@ -443,7 +537,7 @@ func (s *Store) putAt(rec *Record, seq int64) (Meta, []string, error) {
 			}
 		}
 	}
-	if err := s.writeIndex(); err != nil {
+	if err := writeJSON(filepath.Join(s.dir, indexFile), &s.idx); err != nil {
 		return Meta{}, nil, err
 	}
 	return meta, evicted, nil
@@ -467,14 +561,15 @@ func (s *Store) Get(id string) (*Record, error) {
 		rec.Version = 1
 	}
 	if rec.Version > Version {
-		return nil, fmt.Errorf("profstore: run %s is version %d, this build reads up to %d",
-			meta.ID, rec.Version, Version)
+		return nil, newerVersion("run "+meta.ID, rec.Version)
 	}
 	return rec, nil
 }
 
 // Resolve maps an ID or unique ID prefix to its index entry.
 func (s *Store) Resolve(id string) (Meta, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if id == "" {
 		return Meta{}, fmt.Errorf("profstore: empty run id")
 	}
@@ -501,15 +596,16 @@ func (s *Store) runPath(id string) string {
 	return filepath.Join(s.dir, runsDir, id+".json")
 }
 
-// writeIndex persists the index atomically (write-then-rename).
-func (s *Store) writeIndex() error {
-	data, err := json.MarshalIndent(&s.idx, "", "  ")
+// writeJSON writes v as indented JSON to a temporary file renamed over path,
+// so a crash leaves either the old file or the new one, never a torn mix.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, indexFile+".tmp")
+	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, indexFile))
+	return os.Rename(tmp, path)
 }

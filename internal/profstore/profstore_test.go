@@ -2,10 +2,12 @@ package profstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -231,5 +233,124 @@ func TestRecordJSONStable(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("record encoding is not stable")
+	}
+}
+
+func TestCorruptIndexTypedError(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFile), []byte("{nope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{})
+	if !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("err = %v, want ErrCorruptIndex", err)
+	}
+	var ce *CorruptIndexError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err %T does not unwrap to *CorruptIndexError", err)
+	}
+	if ce.Path != filepath.Join(dir, indexFile) {
+		t.Fatalf("corrupt index path = %q", ce.Path)
+	}
+}
+
+// TestCorruptRecordTypedError: Get on a garbled record surfaces the typed
+// error with the offending path.
+func TestCorruptRecordTypedError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := s.Put(testRecord("x", 6e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "runs", m.ID+".json")
+	if err := os.WriteFile(path, []byte("}{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Get(m.ID)
+	if !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("err = %v, want ErrCorruptRecord", err)
+	}
+	var ce *CorruptRecordError
+	if !errors.As(err, &ce) || ce.Path != path {
+		t.Fatalf("err = %#v, want path %q", err, path)
+	}
+}
+
+// TestStoreConcurrent runs every Store method from several goroutines on
+// one bounded store; -race flags any access the store's lock misses.
+func TestStoreConcurrent(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{MaxRuns: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				meta, _, err := s.Put(testRecord(fmt.Sprintf("g%d-%d", g, i), int64(1e9+i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// The run may already be evicted by another goroutine.
+				_, _ = s.Get(meta.ID)
+				_, _ = s.Resolve(meta.ID[:6])
+				for _, m := range s.List() {
+					_, _ = s.Resolve(m.ID)
+				}
+				_, _ = s.Len(), s.EvictedTotal()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s.Len() != 5 || s.EvictedTotal() != 8*20-5 {
+		t.Fatalf("len %d evicted %d, want 5 and %d", s.Len(), s.EvictedTotal(), 8*20-5)
+	}
+	if s.List()[4].Seq != 8*20-1 {
+		t.Fatalf("last Seq = %d, want %d", s.List()[4].Seq, 8*20-1)
+	}
+}
+
+// TestPutReplacesRecordAtomically: re-archiving an ID goes through a
+// temporary file renamed into place, so a torn temporary left by a crashed
+// write never reaches the record, and a successful Put leaves none behind.
+func TestPutReplacesRecordAtomically(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := s.Put(testRecord("atomic", 1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "runs", meta.ID+".json")
+	if err := os.WriteFile(path+".tmp", []byte(`{"version": 1, "id": "tor`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(meta.ID); err != nil {
+		t.Fatalf("a torn temporary corrupted the record: %v", err)
+	}
+	rec := testRecord("atomic", 1e9)
+	rec.Label = "again"
+	if _, _, err := s.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(meta.ID)
+	if err != nil || got.Label != "again" {
+		t.Fatalf("re-archived record: %+v, %v", got, err)
+	}
+	left, _ := filepath.Glob(filepath.Join(dir, "*", "*.tmp"))
+	if root, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left)+len(root) != 0 {
+		t.Fatalf("temporary files left behind: %v %v", left, root)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -233,7 +234,7 @@ func ParseMonitoringLine(line string) (MonitoringRow, bool, error) {
 	if err != nil {
 		return MonitoringRow{}, false, fmt.Errorf("machine: %v", err)
 	}
-	capacity, err := strconv.ParseFloat(fields[2], 64)
+	capacity, err := parseFinite(fields[2])
 	if err != nil {
 		return MonitoringRow{}, false, fmt.Errorf("capacity: %v", err)
 	}
@@ -245,7 +246,7 @@ func ParseMonitoringLine(line string) (MonitoringRow, bool, error) {
 	if err != nil {
 		return MonitoringRow{}, false, fmt.Errorf("end: %v", err)
 	}
-	avg, err := strconv.ParseFloat(fields[5], 64)
+	avg, err := parseFinite(fields[5])
 	if err != nil {
 		return MonitoringRow{}, false, fmt.Errorf("avg: %v", err)
 	}
@@ -253,6 +254,16 @@ func ParseMonitoringLine(line string) (MonitoringRow, bool, error) {
 		Machine: machine, Resource: fields[1], Capacity: capacity,
 		Sample: metrics.Sample{Start: vtime.Time(start), End: vtime.Time(end), Avg: avg},
 	}, true, nil
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf, which would
+// otherwise propagate through upsampling into every derived figure.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite value %q", s)
+	}
+	return v, err
 }
 
 // ReadMonitoring parses the CSV written by WriteMonitoring.

@@ -141,12 +141,26 @@ func TestMonitoringCSVErrors(t *testing.T) {
 		"0,cpu,8,zero,100,1\n",                 // bad start
 		"0,cpu,8,0,end,1\n",                    // bad end
 		"0,cpu,8,0,100,avg\n",                  // bad avg
+		"0,cpu,8,0,100,NaN\n",                  // non-finite avg
+		"0,cpu,8,0,100,-Inf\n",                 // non-finite avg
+		"0,cpu,+Inf,0,100,1\n",                 // non-finite capacity
+		"0,cpu,nan,0,100,1\n",                  // non-finite capacity
 		"0,cpu,8,0,100,1\n0,cpu,8,200,300,1\n", // gap between samples
 	}
 	for _, in := range bad {
 		if _, err := ReadMonitoring(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
+	}
+}
+
+// TestMonitoringNonFiniteLineNumber: a NaN sample fails the batch read and
+// the error names its line.
+func TestMonitoringNonFiniteLineNumber(t *testing.T) {
+	in := "machine,resource,capacity,start_ns,end_ns,avg\n0,cpu,8,0,100,1\n0,cpu,8,100,200,NaN\n"
+	_, err := ReadMonitoring(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("err = %v, want a non-finite error on line 3", err)
 	}
 }
 

@@ -81,10 +81,9 @@ type Config struct {
 	Pprof, UI bool
 
 	// StoreDir opens the profile archive behind /runs, /runs/{id} and
-	// /diff; every finished run is archived. StoreMax bounds retention (per
-	// shard with StoreShards > 0, which selects the sharded layout).
-	StoreDir              string
-	StoreMax, StoreShards int
+	// /diff; every finished run is archived. StoreMax bounds retention.
+	StoreDir string
+	StoreMax int
 
 	// AlertRules are evaluated on every window flush and, against
 	// archive-learned baselines, on every finished run; AlertWebhook
@@ -122,7 +121,7 @@ type Server struct {
 	// Fleet mode.
 	fleet *fleet.Fleet
 
-	archive           profstore.Archive // synchronized; nil without a store
+	archive           profstore.Archive // nil without a store
 	lastDiffRegressed atomic.Int64      // the /diff watchdog gauge
 	alerts            *alert.Evaluator
 	notifier          *alert.Notifier
@@ -157,11 +156,11 @@ func Assemble(cfg Config) (*Server, error) {
 	// The archive opens first so baseline-regression rules learn from prior
 	// runs before any new record lands.
 	if cfg.StoreDir != "" {
-		a, err := openArchive(cfg.StoreDir, cfg.StoreMax, cfg.StoreShards)
+		a, err := profstore.Open(cfg.StoreDir, profstore.Options{MaxRuns: cfg.StoreMax})
 		if err != nil {
 			return nil, err
 		}
-		s.archive = profstore.Synchronized(a)
+		s.archive = a
 	}
 	if len(cfg.AlertRules) > 0 {
 		var base *alert.Baselines
@@ -234,15 +233,6 @@ func Assemble(cfg Config) (*Server, error) {
 		}()
 	}
 	return s, nil
-}
-
-// openArchive opens the archive in single-index or sharded layout; with
-// shards > 0 an existing single-index archive migrates in place.
-func openArchive(dir string, maxRuns, shards int) (profstore.Archive, error) {
-	if shards > 0 {
-		return profstore.OpenSharded(dir, profstore.ShardedOptions{Shards: shards, MaxRunsPerShard: maxRuns})
-	}
-	return profstore.Open(dir, profstore.Options{MaxRuns: maxRuns})
 }
 
 // fleetConfig wires the fleet's hooks to the service's components: every

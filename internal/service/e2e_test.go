@@ -310,7 +310,7 @@ func TestServiceEndToEnd(t *testing.T) {
 			}
 			e := serve(t, service.Config{
 				Fleet: true, Dir: watch, MaxActive: 8, QueueDepth: 64, UI: true,
-				StoreDir: filepath.Join(root, "archive"), StoreShards: 2,
+				StoreDir: filepath.Join(root, "archive"),
 			}, func(*env) bool { return true })
 			// Stage outside the watch directory, then move in atomically.
 			for _, src := range []string{quiet, noisy} {

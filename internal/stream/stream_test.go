@@ -274,6 +274,7 @@ func TestStreamMalformedInput(t *testing.T) {
 		if i%100 == 0 {
 			e.IngestMonitoringLine("1,cpu,8,bogus,10,0.5")
 			e.IngestMonitoringLine("0,warp-drive,1,0,10,0.5")
+			e.IngestMonitoringLine("0,cpu,8,0,10,NaN")
 		}
 	}
 	e.MonitoringDone()
