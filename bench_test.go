@@ -423,7 +423,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 	if err := rundir.WriteMonitoring(&monBuf, mon); err != nil {
 		b.Fatal(err)
 	}
-	logLines := strings.Split(strings.TrimRight(logBuf.String(), "\n"), "\n")
+	logLines := bytes.SplitAfter(logBuf.Bytes(), []byte("\n"))
 	monLines := strings.Split(strings.TrimRight(monBuf.String(), "\n"), "\n")
 	b.SetBytes(int64(logBuf.Len() + monBuf.Len()))
 	b.ResetTimer()
@@ -436,7 +436,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, line := range logLines {
-			eng.IngestLine(line)
+			eng.IngestChunk(line)
 		}
 		eng.LogDone()
 		for _, line := range monLines {
@@ -474,7 +474,7 @@ func BenchmarkEnginelogParse(b *testing.B) {
 	b.Run("format=text", func(b *testing.B) {
 		b.SetBytes(int64(textBuf.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := enginelog.ReadStats(bytes.NewReader(textBuf.Bytes())); err != nil {
+			if _, _, _, err := enginelog.ReadStats(bytes.NewReader(textBuf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -482,7 +482,7 @@ func BenchmarkEnginelogParse(b *testing.B) {
 	b.Run("format=binary", func(b *testing.B) {
 		b.SetBytes(int64(binBuf.Len()))
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := enginelog.ReadStatsAny(bytes.NewReader(binBuf.Bytes())); err != nil {
+			if _, _, _, err := enginelog.ReadStats(bytes.NewReader(binBuf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -763,12 +763,12 @@ func TestWriteBenchPipeline(t *testing.T) {
 		// Binary regressing below text speed fails the harness (see below).
 		timeConfigs("enginelog_parse", "format=text", []config{
 			{"format=text", func() {
-				if _, _, err := enginelog.ReadStats(bytes.NewReader(textLog.Bytes())); err != nil {
+				if _, _, _, err := enginelog.ReadStats(bytes.NewReader(textLog.Bytes())); err != nil {
 					t.Fatal(err)
 				}
 			}},
 			{"format=binary", func() {
-				if _, _, _, err := enginelog.ReadStatsAny(bytes.NewReader(binLog.Bytes())); err != nil {
+				if _, _, _, err := enginelog.ReadStats(bytes.NewReader(binLog.Bytes())); err != nil {
 					t.Fatal(err)
 				}
 			}},

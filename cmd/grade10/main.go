@@ -469,7 +469,7 @@ func convertLogFile(input, output, to string) {
 		fail(err)
 	}
 	defer in.Close()
-	log, stats, format, err := enginelog.ReadStatsAny(in)
+	log, stats, format, err := enginelog.ReadStats(in)
 	if err != nil {
 		fail(err)
 	}

@@ -243,7 +243,7 @@ func (d *Decoder) stringAt(buf []byte, off int) (string, int, error) {
 		if err != nil {
 			return "", 0, err
 		}
-		if ln > maxLineLen {
+		if ln > MaxLineLen {
 			return "", 0, fmt.Errorf("interned string length %d exceeds limit", ln)
 		}
 		if off+int(ln) > len(buf) {
@@ -420,56 +420,3 @@ func (d *Decoder) Finish() {
 
 // Stats returns the accumulated parse statistics.
 func (d *Decoder) Stats() ParseStats { return d.stats }
-
-// ReadBinaryStats parses a binary log leniently, mirroring ReadStats:
-// skipped records are counted, only I/O errors are returned.
-func ReadBinaryStats(r io.Reader) (*Log, ParseStats, error) {
-	log := &Log{}
-	var d Decoder
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			d.Feed(buf[:n], func(e Event) { log.Events = append(log.Events, e) })
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, d.Stats(), err
-		}
-	}
-	d.Finish()
-	return log, d.Stats(), nil
-}
-
-// ReadBinary parses a binary log strictly: any skipped or truncated record
-// is an error. The counterpart of Read for the binary format.
-func ReadBinary(r io.Reader) (*Log, error) {
-	log, stats, err := ReadBinaryStats(r)
-	if err != nil {
-		return nil, err
-	}
-	if stats.Degraded() {
-		return nil, fmt.Errorf("enginelog: corrupt binary log: %s (%d records skipped)",
-			stats.FirstError, stats.Skipped)
-	}
-	return log, nil
-}
-
-// ReadStatsAny sniffs the format by magic bytes and parses accordingly,
-// with the same lenient semantics as ReadStats. It reports which format it
-// found so callers can surface it.
-func ReadStatsAny(r io.Reader) (*Log, ParseStats, Format, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	prefix, err := br.Peek(len(Magic))
-	if err != nil && err != io.EOF {
-		return nil, ParseStats{}, FormatText, err
-	}
-	if DetectFormat(prefix) == FormatBinary {
-		log, stats, err := ReadBinaryStats(br)
-		return log, stats, FormatBinary, err
-	}
-	log, stats, err := ReadStats(br)
-	return log, stats, FormatText, err
-}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// FuzzParseBinary feeds arbitrary bytes through the lenient binary decoder:
+// FuzzParseBinary feeds arbitrary bytes, mostly binary, through ReadStats:
 // it must never panic, must never report an error (only count), must keep
 // the ParseStats invariants the text parser keeps, and must be insensitive
 // to chunk boundaries.
@@ -30,9 +30,9 @@ func FuzzParseBinary(f *testing.F) {
 	nan = binary.LittleEndian.AppendUint64(nan, math.Float64bits(math.NaN()))
 	f.Add(nan)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		log, stats, err := ReadBinaryStats(bytes.NewReader(in))
+		log, stats, _, err := ReadStats(bytes.NewReader(in))
 		if err != nil {
-			t.Fatalf("ReadBinaryStats returned I/O error on in-memory input: %v", err)
+			t.Fatalf("ReadStats returned I/O error on in-memory input: %v", err)
 		}
 		if stats.Events != len(log.Events) {
 			t.Fatalf("stats.Events = %d, got %d events", stats.Events, len(log.Events))
@@ -44,19 +44,17 @@ func FuzzParseBinary(f *testing.F) {
 			t.Fatalf("skipped records but no FirstError: %+v", stats)
 		}
 
-		// The strict reader may reject, but must not panic.
-		_, _ = ReadBinary(bytes.NewReader(in))
-
 		// Byte-at-a-time incremental decode must agree exactly with the
 		// batch decode.
-		var d Decoder
+		var sp StreamParser
 		var inc []Event
+		emit := func(e Event) { inc = append(inc, e) }
 		for i := range in {
-			d.Feed(in[i:i+1], func(e Event) { inc = append(inc, e) })
+			sp.Feed(in[i:i+1], emit)
 		}
-		d.Finish()
-		if d.Stats() != stats {
-			t.Fatalf("incremental stats %+v != batch %+v", d.Stats(), stats)
+		sp.Finish(emit)
+		if sp.Stats() != stats {
+			t.Fatalf("incremental stats %+v != batch %+v", sp.Stats(), stats)
 		}
 		if len(inc) != len(log.Events) {
 			t.Fatalf("incremental decoded %d events, batch %d", len(inc), len(log.Events))
@@ -72,7 +70,7 @@ func FuzzParseBinary(f *testing.F) {
 		if werr := WriteBinary(&buf, log); werr != nil {
 			t.Fatalf("re-encode of decoded events failed: %v", werr)
 		}
-		back, rerr := ReadBinary(bytes.NewReader(buf.Bytes()))
+		back, rerr := readClean(bytes.NewReader(buf.Bytes()))
 		if rerr != nil {
 			t.Fatalf("round trip rejected decoded events: %v", rerr)
 		}
@@ -99,7 +97,7 @@ func FuzzBinaryDifferential(f *testing.F) {
 	f.Add("B 10 5 gc /app\nX what\nS 0\n")
 	f.Add(strings.Repeat("S 1 2 /app/w\n", 50))
 	f.Fuzz(func(t *testing.T, in string) {
-		textLog, textStats, err := ReadStats(strings.NewReader(in))
+		textLog, textStats, _, err := ReadStats(strings.NewReader(in))
 		if err != nil {
 			t.Fatalf("ReadStats: %v", err)
 		}
@@ -108,9 +106,9 @@ func FuzzBinaryDifferential(f *testing.F) {
 		if err := WriteBinary(&bin, textLog); err != nil {
 			t.Fatalf("WriteBinary of text-parsed events failed: %v", err)
 		}
-		binLog, binStats, err := ReadBinaryStats(bytes.NewReader(bin.Bytes()))
+		binLog, binStats, _, err := ReadStats(bytes.NewReader(bin.Bytes()))
 		if err != nil {
-			t.Fatalf("ReadBinaryStats: %v", err)
+			t.Fatalf("ReadStats: %v", err)
 		}
 
 		// The event streams must be identical, malformed text or not: the
@@ -141,16 +139,16 @@ func FuzzBinaryDifferential(f *testing.F) {
 			t.Fatalf("Write: %v", err)
 		}
 		for _, data := range [][]byte{text.Bytes(), bin.Bytes()} {
-			got, _, _, err := ReadStatsAny(bytes.NewReader(data))
+			got, _, _, err := ReadStats(bytes.NewReader(data))
 			if err != nil {
-				t.Fatalf("ReadStatsAny: %v", err)
+				t.Fatalf("ReadStats: %v", err)
 			}
 			if len(got.Events) != len(textLog.Events) {
-				t.Fatalf("ReadStatsAny decoded %d events, want %d", len(got.Events), len(textLog.Events))
+				t.Fatalf("ReadStats decoded %d events, want %d", len(got.Events), len(textLog.Events))
 			}
 			for i := range got.Events {
 				if got.Events[i] != textLog.Events[i] {
-					t.Fatalf("ReadStatsAny event %d mismatch", i)
+					t.Fatalf("ReadStats event %d mismatch", i)
 				}
 			}
 		}

@@ -63,7 +63,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinary(&buf, log); err != nil {
 			return false
 		}
-		back, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		back, err := readClean(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestBinaryTextRoundTripByteIdentical(t *testing.T) {
 	if err := Write(&text, log); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := Read(bytes.NewReader(text.Bytes()))
+	parsed, err := readClean(bytes.NewReader(text.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBinaryTextRoundTripByteIdentical(t *testing.T) {
 	if bin.Len() >= text.Len() {
 		t.Errorf("binary (%d bytes) not smaller than text (%d bytes)", bin.Len(), text.Len())
 	}
-	decoded, err := ReadBinary(bytes.NewReader(bin.Bytes()))
+	decoded, err := readClean(bytes.NewReader(bin.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBinaryEmptyLog(t *testing.T) {
 	if DetectFormat(buf.Bytes()) != FormatBinary {
 		t.Fatal("empty binary log not detected as binary")
 	}
-	log, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	log, err := readClean(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBinaryCorruption(t *testing.T) {
 	t.Run("unknown tag", func(t *testing.T) {
 		data := append([]byte(nil), bin.Bytes()...)
 		data = append(data, 0x7f) // bogus record tag after valid records
-		got, stats, err := ReadBinaryStats(bytes.NewReader(data))
+		got, stats, _, err := ReadStats(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,14 +203,14 @@ func TestBinaryCorruption(t *testing.T) {
 		if stats.Events+stats.Skipped != stats.Lines {
 			t.Fatalf("stats inconsistent: %+v", stats)
 		}
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, err := readClean(bytes.NewReader(data)); err == nil {
 			t.Fatal("strict reader accepted corrupt log")
 		}
 	})
 
 	t.Run("truncated tail", func(t *testing.T) {
 		data := bin.Bytes()[:bin.Len()-2]
-		got, stats, err := ReadBinaryStats(bytes.NewReader(data))
+		got, stats, _, err := ReadStats(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestBinaryCorruption(t *testing.T) {
 	t.Run("bad version", func(t *testing.T) {
 		data := append([]byte(nil), bin.Bytes()...)
 		data[len(Magic)] = 99
-		_, stats, err := ReadBinaryStats(bytes.NewReader(data))
+		_, stats, _, err := ReadStats(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestBinaryCorruption(t *testing.T) {
 		data = append(data, BinaryVersion, tagEnd)
 		data = binary.AppendVarint(data, 0) // Δtime
 		data = binary.AppendUvarint(data, 42)
-		_, stats, err := ReadBinaryStats(bytes.NewReader(data))
+		_, stats, _, err := ReadStats(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestBinaryNaNCounterSkipped(t *testing.T) {
 	data = binary.AppendUvarint(data, 1) // ref table[0] = "x"
 	data = binary.LittleEndian.AppendUint64(data, math.Float64bits(2.5))
 
-	got, stats, err := ReadBinaryStats(bytes.NewReader(data))
+	got, stats, _, err := ReadStats(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestReadStatsAny(t *testing.T) {
 		{"text", text.Bytes(), FormatText},
 		{"binary", bin.Bytes(), FormatBinary},
 	} {
-		got, stats, format, err := ReadStatsAny(bytes.NewReader(tc.data))
+		got, stats, format, err := ReadStats(bytes.NewReader(tc.data))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -323,7 +323,7 @@ func TestReadStatsAny(t *testing.T) {
 		}
 	}
 	// Tiny text input, shorter than the magic.
-	got, _, format, err := ReadStatsAny(strings.NewReader("# c"))
+	got, _, format, err := ReadStats(strings.NewReader("# c"))
 	if err != nil || format != FormatText || len(got.Events) != 0 {
 		t.Fatalf("tiny input: %v %v %d", err, format, len(got.Events))
 	}
@@ -371,35 +371,30 @@ func TestStreamParserBothFormats(t *testing.T) {
 	}
 }
 
-// ParseLine (the in-process tap path) forces text mode and keeps Parser
-// semantics.
+// Text fed before the format is decided (fewer than len(Magic) bytes per
+// chunk) is held, then parsed as text with per-line counting once enough
+// bytes arrive to rule out the binary magic.
 func TestStreamParserParseLine(t *testing.T) {
 	var sp StreamParser
-	e, ok, err := sp.ParseLine("S 5 2 /app")
-	if err != nil || !ok {
-		t.Fatalf("ParseLine: %v %v", ok, err)
-	}
-	if e.Kind != PhaseStart || e.Machine != 2 || e.Path != "/app" {
-		t.Fatalf("event %+v", e)
-	}
-	if _, ok, _ := sp.ParseLine("# comment"); ok {
-		t.Fatal("comment parsed as event")
-	}
-	if _, _, err := sp.ParseLine("X garbage"); err == nil {
-		t.Fatal("malformed line not rejected")
+	var got []Event
+	in := "S 5 2 /app\n# comment\nX garbage\n"
+	for i := 0; i < len(in); i += 3 {
+		sp.Feed([]byte(in[i:min(i+3, len(in))]), func(e Event) { got = append(got, e) })
 	}
 	sp.Finish(nil)
+	want := []Event{{Kind: PhaseStart, Time: 5, Machine: 2, Path: "/app"}}
+	eventsEqual(t, got, want)
 	st := sp.Stats()
 	if st.Lines != 2 || st.Events != 1 || st.Skipped != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if sp.Format() != FormatText {
-		t.Fatal("ParseLine did not force text mode")
+		t.Fatal("short chunks were not decided as text")
 	}
 }
 
 // A text stream cut mid-line must still deliver the final unterminated line
-// at Finish, mirroring ForEachLine.
+// at Finish, as ReadStats does at end of input.
 func TestStreamParserTextPartialTail(t *testing.T) {
 	var sp StreamParser
 	var got []Event
@@ -433,7 +428,7 @@ func TestBinaryInterning(t *testing.T) {
 	if bin.Len()*4 > text.Len() {
 		t.Fatalf("interning ineffective: binary %d bytes vs text %d", bin.Len(), text.Len())
 	}
-	back, err := ReadBinary(bytes.NewReader(bin.Bytes()))
+	back, err := readClean(bytes.NewReader(bin.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := Write(&buf, l.Log()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readClean(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 
 func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\nS 0 2 /app\nE 10 /app\n"
-	log, err := Read(strings.NewReader(in))
+	log, err := readClean(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestReadErrors(t *testing.T) {
 		"E 5 /app extra arg\n", // too many fields
 	}
 	for _, in := range bad {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := readClean(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted %q", in)
 		}
 	}

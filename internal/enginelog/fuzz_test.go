@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParse feeds arbitrary bytes through both the lenient reader and the
-// strict one: neither may panic, the lenient one must never return a parse
-// failure (only count it), and every event the lenient path accepts must
-// survive a write/read round trip.
+// FuzzParse feeds arbitrary bytes through ReadStats: it must not panic, must
+// never return a parse failure (only count it), and every event it accepts
+// must survive a write/read round trip that decodes clean.
 func FuzzParse(f *testing.F) {
 	f.Add("S 0 2 /app\nE 10 /app\n")
 	f.Add("B 5 9 gc /app/worker.0\nC 3 msgs 1.5\n")
@@ -18,7 +17,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("B 10 5 gc /app\nX what\nS 0\n")
 	f.Add(strings.Repeat("A", 300) + " 1 2 3\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		log, stats, err := ReadStats(strings.NewReader(in))
+		log, stats, _, err := ReadStats(strings.NewReader(in))
 		if err != nil {
 			t.Fatalf("ReadStats returned I/O error on in-memory input: %v", err)
 		}
@@ -32,16 +31,12 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("skipped lines but no FirstError: %+v", stats)
 		}
 
-		// The strict reader may reject, but must not panic either.
-		_, _ = Read(strings.NewReader(in))
-
-		// Accepted events must round-trip through the writer and the strict
-		// reader.
+		// Accepted events must round-trip through the writer and decode clean.
 		var buf bytes.Buffer
 		if werr := Write(&buf, log); werr != nil {
 			t.Fatalf("Write of parsed events failed: %v", werr)
 		}
-		back, rerr := Read(&buf)
+		back, rerr := readClean(&buf)
 		if rerr != nil {
 			t.Fatalf("round trip rejected accepted events: %v\ninput: %q", rerr, in)
 		}

@@ -1,15 +1,13 @@
 package enginelog
 
 import (
-	"bufio"
+	"bytes"
 	"io"
-	"strings"
 )
 
-// ParseStats counts the outcome of parsing an event stream. Both the batch
-// reader (ReadStats) and the streaming parser (Parser) fill one, so malformed
-// input degrades gracefully on either path: bad lines are counted and
-// skipped, never fatal.
+// ParseStats counts the outcome of decoding an event stream. StreamParser
+// fills one for either format, so malformed input degrades gracefully on
+// every path: bad lines or records are counted and skipped, never fatal.
 type ParseStats struct {
 	// Lines is the number of non-blank, non-comment lines seen.
 	Lines int
@@ -18,8 +16,8 @@ type ParseStats struct {
 	// Skipped is the number of malformed lines that were counted and
 	// dropped.
 	Skipped int
-	// Truncated is the number of over-long lines dropped by the line reader
-	// before parsing (a garbled log can splice lines together).
+	// Truncated is the number of over-long lines dropped by the line
+	// splitter before parsing (a garbled log can splice lines together).
 	Truncated int
 	// FirstError describes the first malformed line, for diagnostics.
 	FirstError string
@@ -28,113 +26,120 @@ type ParseStats struct {
 // Degraded reports whether any input was dropped.
 func (s ParseStats) Degraded() bool { return s.Skipped > 0 || s.Truncated > 0 }
 
-// Parser is an incremental, line-oriented parser for the text log format
-// written by Write. It consumes one line at a time — from a file tail, a
-// network stream, or an in-process pipe — and keeps running ParseStats, so a
-// consumer can observe a log while the producer is still appending to it.
-// Malformed lines are counted, not fatal.
-type Parser struct {
-	stats ParseStats
-}
-
-// ParseLine parses a single line. It returns (event, true, nil) for an event
-// line, (zero, false, nil) for blank lines and comments, and
-// (zero, false, err) for a malformed line, which is counted in Stats but
-// must not abort the stream.
-func (p *Parser) ParseLine(line string) (Event, bool, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return Event{}, false, nil
-	}
-	p.stats.Lines++
-	e, err := parseEvent(strings.Fields(line))
-	if err != nil {
-		p.stats.Skipped++
-		if p.stats.FirstError == "" {
-			p.stats.FirstError = err.Error()
-		}
-		return Event{}, false, err
-	}
-	p.stats.Events++
-	return e, true, nil
-}
-
-// Stats returns the accumulated parse statistics.
-func (p *Parser) Stats() ParseStats { return p.stats }
-
-// maxLineLen bounds a single log line; longer lines are garbage by
-// construction (paths and numbers are short) and are dropped, not fatal.
-const maxLineLen = 1 << 20
-
-// forEachLine invokes fn for every newline-terminated line of r (and a final
-// unterminated one), dropping lines longer than maxLineLen in bounded
-// memory. Unlike bufio.Scanner it never fails on over-long input; the
-// returned count is the number of dropped over-long lines.
-func forEachLine(r io.Reader, fn func(line string)) (truncated int, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var pending []byte
-	discarding := false
-	for {
-		chunk, rerr := br.ReadSlice('\n')
-		if len(chunk) > 0 {
-			complete := chunk[len(chunk)-1] == '\n'
-			switch {
-			case discarding:
-				if complete {
-					discarding = false
-				}
-			case len(pending)+len(chunk) > maxLineLen:
-				pending = pending[:0]
-				truncated++
-				discarding = !complete
-			case complete:
-				line := chunk
-				if len(pending) > 0 {
-					pending = append(pending, chunk...)
-					line = pending
-				}
-				fn(strings.TrimSuffix(string(line), "\n"))
-				pending = pending[:0]
-			default:
-				pending = append(pending, chunk...)
-			}
-		}
-		switch rerr {
-		case nil, bufio.ErrBufferFull:
-			// keep reading
-		case io.EOF:
-			if !discarding && len(pending) > 0 {
-				fn(string(pending))
-			}
-			return truncated, nil
-		default:
-			return truncated, rerr
-		}
-	}
-}
-
-// ForEachLine invokes fn for every line of r with the same bounded-memory,
-// truncation-tolerant behavior ReadStats uses; streaming consumers pair it
-// with Parser.ParseLine. It returns the number of dropped over-long lines.
-func ForEachLine(r io.Reader, fn func(line string)) (truncated int, err error) {
-	return forEachLine(r, fn)
-}
-
-// ReadStats parses a log leniently: malformed lines are skipped and counted
-// in the returned ParseStats instead of aborting, so a truncated or garbled
-// log still yields every event that survived. Only I/O errors are returned.
-func ReadStats(r io.Reader) (*Log, ParseStats, error) {
+// ReadStats decodes a whole execution log in either format, detected by
+// magic bytes. Decoding is lenient: malformed lines or records are skipped
+// and counted in the returned ParseStats, so a truncated or garbled log still
+// yields every event that survived. Only I/O errors are returned.
+func ReadStats(r io.Reader) (*Log, ParseStats, Format, error) {
 	log := &Log{}
-	var p Parser
-	truncated, err := forEachLine(r, func(line string) {
-		if e, ok, _ := p.ParseLine(line); ok {
-			log.Events = append(log.Events, e)
-		}
-	})
-	stats := p.Stats()
-	stats.Truncated = truncated
-	if err != nil {
-		return nil, stats, err
+	emit := func(e Event) { log.Events = append(log.Events, e) }
+	var sp StreamParser
+	if err := sp.FeedReader(r, emit); err != nil {
+		return nil, sp.Stats(), sp.Format(), err
 	}
-	return log, stats, nil
+	sp.Finish(emit)
+	return log, sp.Stats(), sp.Format(), nil
+}
+
+// MaxLineLen bounds one line of a run-directory text file: a text execution
+// log or monitoring.csv. Paths and numbers are short, so a longer line is
+// garbage by construction.
+const MaxLineLen = 1 << 20
+
+// LineSplitter assembles lines from byte chunks of any size and alignment.
+// It is the one line reader behind every text input: StreamParser's text
+// mode (batch ReadStats and live ingest alike), rundir.ReadMonitoring and the
+// followed monitoring tail.
+//
+// The limit rule: a line counts its '\n' terminator toward MaxLineLen. A
+// line of at most MaxLineLen bytes, terminator included, is passed on; a
+// longer one is dropped whole, counted in Truncated, and its bytes are
+// released as soon as it crosses the limit, so the splitter never holds more
+// than MaxLineLen bytes.
+//
+// Lines are passed on with their '\n' when they have one, so a consumer can
+// account for every byte it is handed. The slice is only valid during the
+// call.
+type LineSplitter struct {
+	pending    []byte // the current line's bytes from earlier chunks
+	discarding bool   // inside an over-long line, skipping to its '\n'
+	truncated  int
+}
+
+// Feed splits chunk, calling fn for every line it completes. A trailing
+// partial line is held for the next Feed or for Finish.
+func (s *LineSplitter) Feed(chunk []byte, fn func(line []byte)) {
+	for len(chunk) > 0 {
+		part, complete := chunk, false
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
+			part, complete = chunk[:i+1], true
+		}
+		chunk = chunk[len(part):]
+		switch {
+		case s.discarding:
+		case len(s.pending)+len(part) > MaxLineLen:
+			s.pending = nil
+			s.truncated++
+			s.discarding = true
+		case !complete:
+			s.hold(part)
+		case len(s.pending) > 0:
+			s.hold(part)
+			fn(s.pending)
+			s.pending = s.pending[:0]
+		default:
+			fn(part)
+		}
+		if complete {
+			s.discarding = false
+		}
+	}
+}
+
+// hold appends part of the current line, growing the buffer to at most
+// MaxLineLen so the bound holds on capacity, not just on length.
+func (s *LineSplitter) hold(part []byte) {
+	if need := len(s.pending) + len(part); need > cap(s.pending) {
+		grown := make([]byte, len(s.pending), min(max(2*cap(s.pending), need), MaxLineLen))
+		copy(grown, s.pending)
+		s.pending = grown
+	}
+	s.pending = append(s.pending, part...)
+}
+
+// Finish passes on a final line that has no terminator, at end of input.
+func (s *LineSplitter) Finish(fn func(line []byte)) {
+	if !s.discarding && len(s.pending) > 0 {
+		fn(s.pending)
+	}
+	s.pending, s.discarding = nil, false
+}
+
+// FeedReader feeds all of r through Feed in bounded memory; Finish passes on
+// a final unterminated line.
+func (s *LineSplitter) FeedReader(r io.Reader, fn func(line []byte)) error {
+	return readChunks(r, func(chunk []byte) { s.Feed(chunk, fn) })
+}
+
+// Truncated returns the number of over-long lines dropped so far.
+func (s *LineSplitter) Truncated() int { return s.truncated }
+
+// Retained returns the bytes of line buffer currently held.
+func (s *LineSplitter) Retained() int { return cap(s.pending) }
+
+// readChunks passes all of r to fn in chunks through one 64 KiB buffer.
+func readChunks(r io.Reader, fn func([]byte)) error {
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			fn(buf[:n])
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }

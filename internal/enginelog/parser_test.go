@@ -1,6 +1,8 @@
 package enginelog
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -19,7 +21,7 @@ func TestReadStatsSkipsMalformed(t *testing.T) {
 		"E 40 /app",
 		"", // blank
 	}, "\n")
-	log, stats, err := ReadStats(strings.NewReader(in))
+	log, stats, _, err := ReadStats(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,27 +34,32 @@ func TestReadStatsSkipsMalformed(t *testing.T) {
 	if !stats.Degraded() || stats.FirstError == "" {
 		t.Fatalf("stats should report degradation: %+v", stats)
 	}
-	// The strict reader rejects the same input.
-	if _, err := Read(strings.NewReader(in)); err == nil {
-		t.Fatal("strict Read accepted malformed input")
-	}
 }
 
+// TestParserIncremental feeds a text log one line at a time, as a producer
+// appends it: each completed line is parsed and counted as soon as its '\n'
+// arrives, and a line still missing its terminator waits.
 func TestParserIncremental(t *testing.T) {
-	var p Parser
-	e, ok, err := p.ParseLine("S 5 1 /app")
-	if !ok || err != nil || e.Kind != PhaseStart || e.Machine != 1 {
-		t.Fatalf("event = %+v ok=%v err=%v", e, ok, err)
+	var sp StreamParser
+	var got []Event
+	emit := func(e Event) { got = append(got, e) }
+	sp.Feed([]byte("S 5 1 /app\n"), emit)
+	if len(got) != 1 || got[0].Kind != PhaseStart || got[0].Machine != 1 {
+		t.Fatalf("events = %+v", got)
 	}
-	if _, ok, err := p.ParseLine("# comment"); ok || err != nil {
-		t.Fatal("comment should be silently ignored")
+	sp.Feed([]byte("# comment\n"), emit)
+	sp.Feed([]byte("E five /app\n"), emit)
+	sp.Feed([]byte("E 9 /app"), emit)
+	if len(got) != 1 {
+		t.Fatalf("comment, malformed or unterminated line emitted: %+v", got)
 	}
-	if _, ok, err := p.ParseLine("E five /app"); ok || err == nil {
-		t.Fatal("malformed line should report an error without ok")
-	}
-	s := p.Stats()
-	if s.Lines != 2 || s.Events != 1 || s.Skipped != 1 {
+	s := sp.Stats()
+	if s.Lines != 2 || s.Events != 1 || s.Skipped != 1 || s.FirstError == "" {
 		t.Fatalf("stats = %+v", s)
+	}
+	sp.Feed([]byte("\n"), emit)
+	if len(got) != 2 || got[1].Kind != PhaseEnd || got[1].Time != 9 {
+		t.Fatalf("events = %+v", got)
 	}
 }
 
@@ -60,9 +67,9 @@ func TestReadStatsLongLine(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("S 0 0 /app\n")
 	sb.WriteString("C 1 x ")
-	sb.WriteString(strings.Repeat("9", maxLineLen+10))
+	sb.WriteString(strings.Repeat("9", MaxLineLen+10))
 	sb.WriteString("\nE 2 /app\n")
-	log, stats, err := ReadStats(strings.NewReader(sb.String()))
+	log, stats, _, err := ReadStats(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +79,19 @@ func TestReadStatsLongLine(t *testing.T) {
 	if stats.Truncated != 1 {
 		t.Fatalf("stats = %+v, want 1 truncated", stats)
 	}
+}
+
+// readClean decodes a log that must be clean: the strict counterpart of
+// ReadStats for round-trip tests, failing on any skipped or truncated input.
+func readClean(r io.Reader) (*Log, error) {
+	log, stats, _, err := ReadStats(r)
+	if err != nil {
+		return nil, err
+	}
+	if stats.Degraded() {
+		return nil, fmt.Errorf("degraded decode: %+v", stats)
+	}
+	return log, nil
 }
 
 func TestLoggerTee(t *testing.T) {

@@ -46,7 +46,7 @@ func TestSerializationRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, log); err != nil {
 			return false
 		}
-		back, err := Read(&buf)
+		back, err := readClean(&buf)
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"grade10/internal/vtime"
 )
@@ -43,32 +42,6 @@ func Write(w io.Writer, log *Log) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Read parses a log produced by Write. Blank lines and '#' comments are
-// skipped.
-func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	log := &Log{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		e, err := parseEvent(fields)
-		if err != nil {
-			return nil, fmt.Errorf("enginelog: line %d: %v", lineNo, err)
-		}
-		log.Events = append(log.Events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return log, nil
 }
 
 func parseEvent(fields []string) (Event, error) {

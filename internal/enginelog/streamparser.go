@@ -3,17 +3,14 @@ package enginelog
 import (
 	"bytes"
 	"io"
+	"strings"
 )
 
-// StreamParser is an incremental parser that accepts either enginelog
-// format, deciding by magic bytes from the first chunk it sees. It unifies
-// the two ingest paths a live consumer has:
-//
-//   - Feed(chunk): raw bytes in either format, as read from a file tail or a
-//     network stream. Text chunks are split into lines with the same
-//     bounded-memory, truncation-tolerant semantics as ForEachLine.
-//   - ParseLine(line): a single pre-split text line (the in-process tap
-//     path). Calling it forces text mode.
+// StreamParser is the one execution-log decoder. It accepts either enginelog
+// format, deciding by magic bytes from the first len(Magic) bytes it sees, and
+// consumes raw chunks of any size and alignment: a whole file (ReadStats), a
+// file tail, or a network stream. Text is split into lines by a LineSplitter;
+// binary records go through a Decoder.
 //
 // Finish flushes any buffered partial line or record once the stream ends.
 // Stats reports one unified ParseStats whichever format was detected.
@@ -22,11 +19,9 @@ type StreamParser struct {
 	decided bool
 	hdr     []byte // undecided prefix, < len(Magic) bytes
 
-	// Text mode: line assembly mirroring forEachLine.
-	p          Parser
-	pending    []byte
-	discarding bool
-	truncated  int
+	// Text mode.
+	lines LineSplitter
+	text  ParseStats
 
 	// Binary mode.
 	dec Decoder
@@ -35,113 +30,69 @@ type StreamParser struct {
 }
 
 // Format returns the detected format; meaningful once at least len(Magic)
-// bytes were fed or a line was parsed (text until then).
+// bytes were fed or the stream finished (text until then).
 func (sp *StreamParser) Format() Format { return sp.format }
+
+// Feed consumes a raw chunk in whichever format the stream is, invoking
+// emit for every completed event.
+func (sp *StreamParser) Feed(chunk []byte, emit func(Event)) {
+	if !sp.decided {
+		if len(sp.hdr) == 0 && len(chunk) >= len(Magic) {
+			// The common case: decide on the chunk in place, copying nothing.
+			sp.decide(DetectFormat(chunk))
+		} else {
+			n := min(len(Magic)-len(sp.hdr), len(chunk))
+			sp.hdr = append(sp.hdr, chunk[:n]...)
+			chunk = chunk[n:]
+			if len(sp.hdr) < len(Magic) {
+				return
+			}
+			sp.decide(DetectFormat(sp.hdr))
+			sp.feed(sp.hdr, emit)
+			sp.hdr = nil
+		}
+	}
+	sp.feed(chunk, emit)
+}
 
 func (sp *StreamParser) decide(f Format) {
 	sp.format = f
 	sp.decided = true
 }
 
-// ParseLine parses one text line, forcing text mode if the format is still
-// undecided. It keeps the Parser contract: (event, true, nil) for events,
-// (zero, false, nil) for blanks/comments, counted error for malformed lines.
-func (sp *StreamParser) ParseLine(line string) (Event, bool, error) {
-	if !sp.decided {
-		sp.decide(FormatText)
-		if len(sp.hdr) > 0 {
-			// Bytes fed before the first line call: treat as text input
-			// preceding this line.
-			sp.feedText(sp.hdr, nil)
-			sp.hdr = nil
-		}
-	}
-	if sp.format == FormatBinary {
-		// A stray text line in a binary stream is a malformed record.
-		sp.dec.stats.Lines++
-		sp.dec.stats.Skipped++
-		if sp.dec.stats.FirstError == "" {
-			sp.dec.stats.FirstError = "text line injected into binary stream"
-		}
-		return Event{}, false, errSkipRecord{"text line injected into binary stream"}
-	}
-	return sp.p.ParseLine(line)
-}
-
-// Feed consumes a raw chunk in whichever format the stream is, invoking
-// emit for every completed event.
-func (sp *StreamParser) Feed(chunk []byte, emit func(Event)) {
-	if !sp.decided {
-		if len(sp.hdr)+len(chunk) < len(Magic) {
-			sp.hdr = append(sp.hdr, chunk...)
-			return
-		}
-		sp.hdr = append(sp.hdr, chunk...)
-		chunk = sp.hdr
-		sp.hdr = nil
-		sp.decide(DetectFormat(chunk))
-	}
+func (sp *StreamParser) feed(chunk []byte, emit func(Event)) {
 	if sp.format == FormatBinary {
 		sp.dec.Feed(chunk, emit)
 		return
 	}
-	sp.feedText(chunk, emit)
+	sp.lines.Feed(chunk, func(line []byte) { sp.parseLine(line, emit) })
 }
 
-// feedText splits a chunk into lines with forEachLine's semantics: partial
-// lines buffer across chunks, over-long lines are dropped in bounded memory
-// and counted as truncated.
-func (sp *StreamParser) feedText(chunk []byte, emit func(Event)) {
-	for len(chunk) > 0 {
-		i := bytes.IndexByte(chunk, '\n')
-		if i < 0 {
-			switch {
-			case sp.discarding:
-			case len(sp.pending)+len(chunk) > maxLineLen:
-				sp.pending = sp.pending[:0]
-				sp.truncated++
-				sp.discarding = true
-			default:
-				sp.pending = append(sp.pending, chunk...)
-			}
-			return
+// parseLine parses one text line. Blank lines and '#' comments are ignored;
+// a malformed line is counted and skipped.
+func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 || line[0] == '#' {
+		return
+	}
+	sp.text.Lines++
+	e, err := parseEvent(strings.Fields(string(line)))
+	if err != nil {
+		sp.text.Skipped++
+		if sp.text.FirstError == "" {
+			sp.text.FirstError = err.Error()
 		}
-		line := chunk[:i]
-		chunk = chunk[i+1:]
-		switch {
-		case sp.discarding:
-			sp.discarding = false
-		case len(sp.pending)+len(line) > maxLineLen:
-			sp.pending = sp.pending[:0]
-			sp.truncated++
-		default:
-			if len(sp.pending) > 0 {
-				sp.pending = append(sp.pending, line...)
-				line = sp.pending
-			}
-			if e, ok, _ := sp.p.ParseLine(string(line)); ok && emit != nil {
-				emit(e)
-			}
-			sp.pending = sp.pending[:0]
-		}
+		return
+	}
+	sp.text.Events++
+	if emit != nil {
+		emit(e)
 	}
 }
 
 // FeedReader streams all of r through Feed in bounded memory.
 func (sp *StreamParser) FeedReader(r io.Reader, emit func(Event)) error {
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			sp.Feed(buf[:n], emit)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	return readChunks(r, func(chunk []byte) { sp.Feed(chunk, emit) })
 }
 
 // Finish flushes buffered partial input at end of stream: a final
@@ -155,20 +106,14 @@ func (sp *StreamParser) Finish(emit func(Event)) {
 	if !sp.decided {
 		// Fewer than len(Magic) bytes ever arrived; that is text.
 		sp.decide(FormatText)
-		sp.pending = append(sp.pending, sp.hdr...)
+		sp.feed(sp.hdr, emit)
 		sp.hdr = nil
 	}
 	if sp.format == FormatBinary {
 		sp.dec.Finish()
 		return
 	}
-	if !sp.discarding && len(sp.pending) > 0 {
-		if e, ok, _ := sp.p.ParseLine(string(sp.pending)); ok && emit != nil {
-			emit(e)
-		}
-	}
-	sp.pending = nil
-	sp.discarding = false
+	sp.lines.Finish(func(line []byte) { sp.parseLine(line, emit) })
 }
 
 // Stats returns unified parse statistics for whichever format was seen.
@@ -176,7 +121,7 @@ func (sp *StreamParser) Stats() ParseStats {
 	if sp.format == FormatBinary {
 		return sp.dec.Stats()
 	}
-	st := sp.p.Stats()
-	st.Truncated += sp.truncated
+	st := sp.text
+	st.Truncated = sp.lines.Truncated()
 	return st
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -98,6 +99,39 @@ func TestFleetOverheadAndFlightHooks(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
+	if err := f.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFleetIngestBytesMatchRunFiles: a finished run's ingest volume is every
+// byte of its two data files — the execution log through IngestChunk and
+// monitoring.csv line by line, terminators included.
+func TestFleetIngestBytesMatchRunFiles(t *testing.T) {
+	fx := getFleetFixture(t)
+	dir := filepath.Join(t.TempDir(), "run")
+	copyRun(t, fx.quietDir, dir, nil)
+	var want int64
+	for _, name := range []string{"execution.log", "monitoring.csv"} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size()
+	}
+
+	f := New(Config{MaxActive: 1, QueueDepth: 1, Poll: testPoll, Idle: testIdle})
+	if _, d, err := f.Register(dir); err != nil || d == DecisionShed {
+		t.Fatalf("register: decision=%v err=%v", d, err)
+	}
+	snap := waitSettled(t, f, 1, time.Minute)
+	r := snap.Runs[0]
+	if r.Status != StatusDone || r.Overhead == nil {
+		t.Fatalf("run %s = %s (%s), overhead %+v", r.Name, r.Status, r.Error, r.Overhead)
+	}
+	if r.Overhead.IngestBytes != want {
+		t.Fatalf("IngestBytes = %d, want %d (execution.log + monitoring.csv)", r.Overhead.IngestBytes, want)
+	}
 	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,9 @@ func TestLogSerializationRoundTrip(t *testing.T) {
 	if err := enginelog.Write(&buf, res.Log); err != nil {
 		t.Fatal(err)
 	}
-	back, err := enginelog.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	back, stats, _, err := enginelog.ReadStats(&buf)
+	if err != nil || stats.Degraded() {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
 	if len(back.Events) != len(res.Log.Events) {
 		t.Fatalf("%d vs %d events", len(back.Events), len(res.Log.Events))

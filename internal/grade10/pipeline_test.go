@@ -115,9 +115,9 @@ func TestEndToEndGiraphViaSerializedLog(t *testing.T) {
 	if err := enginelog.Write(&buf, res.Log); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := enginelog.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	parsed, stats, _, err := enginelog.ReadStats(&buf)
+	if err != nil || stats.Degraded() {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
 	models, err := GiraphModel(giraphParams(cfg))
 	if err != nil {

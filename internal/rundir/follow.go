@@ -2,13 +2,13 @@ package rundir
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
+
+	"grade10/internal/enginelog"
 )
 
 // FollowSink receives the contents of a run directory incrementally as the
@@ -18,21 +18,18 @@ type FollowSink struct {
 	// Info fires once, as soon as run.json appears and parses. A non-nil
 	// error ends the follow, and Follow returns it.
 	Info func(Info) error
-	// LogLine fires for every complete line appended to execution.log,
-	// including comments and malformed lines (the consumer's parser counts
-	// those). It assumes the text format; set LogChunk instead to accept
-	// either encoding.
-	LogLine func(string)
 	// LogChunk fires with every raw byte range appended to execution.log,
 	// whatever its format — the consumer feeds a format-detecting parser
 	// (e.g. stream.Engine.IngestChunk). The slice is only valid during the
-	// callback. When both LogChunk and LogLine are set, LogChunk wins.
+	// callback.
 	LogChunk func([]byte)
-	// MonitoringRow fires for every parsed monitoring.csv record.
-	MonitoringRow func(MonitoringRow)
-	// MonitoringError fires for malformed monitoring lines; the follow
-	// continues.
-	MonitoringError func(error)
+	// MonitoringLine fires for every line of monitoring.csv, split by
+	// enginelog.LineSplitter: with its '\n' terminator, and including the
+	// header, comments and malformed lines, which the consumer's parser
+	// skips or counts (e.g. stream.Engine.IngestMonitoringLine). Over-long
+	// lines are dropped. A final line without a terminator arrives when the
+	// follow ends.
+	MonitoringLine func(string)
 }
 
 // FollowOptions tunes the tail-follow loop. Times are wall-clock.
@@ -54,74 +51,23 @@ func (o *FollowOptions) fill() {
 }
 
 // Follow tails a run directory while cmd/runsim (or any producer) is still
-// writing it, delivering log lines and monitoring rows to the sink as they
+// writing it, delivering log bytes and monitoring lines to the sink as they
 // land on disk. It handles files that do not exist yet and partially
 // written trailing lines. Follow returns when the run is complete (run.json
 // present and the data files idle), or when stop is closed.
 func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink) error {
 	opt.fill()
-	logPath := filepath.Join(dir, logFile)
-	var drainLog func() (int64, error)
-	if sink.LogChunk != nil {
-		logTail := &byteTail{path: logPath}
-		drainLog = func() (int64, error) { return logTail.drain(sink.LogChunk) }
-	} else {
-		logTail := &lineTail{path: logPath}
-		drainLog = func() (int64, error) {
-			return logTail.drain(func(line string) {
-				if sink.LogLine != nil {
-					sink.LogLine(line)
-				}
-			})
-		}
-	}
-	monTail := &lineTail{path: filepath.Join(dir, monitoringFile)}
-	infoSeen := false
+	f := newFollower(dir, sink)
+	defer f.finish()
 	lastGrowth := time.Now()
-
 	for {
-		grew := false
-		n, err := drainLog()
+		grew, err := f.poll()
 		if err != nil {
-			return fmt.Errorf("rundir: following %s: %w", logFile, err)
+			return err
 		}
-		grew = grew || n > 0
-		n, err = monTail.drain(func(line string) {
-			row, ok, perr := ParseMonitoringLine(line)
-			switch {
-			case perr != nil:
-				if sink.MonitoringError != nil {
-					sink.MonitoringError(perr)
-				}
-			case ok && sink.MonitoringRow != nil:
-				sink.MonitoringRow(row)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("rundir: following %s: %w", monitoringFile, err)
-		}
-		grew = grew || n > 0
-
-		if !infoSeen {
-			meta, err := os.ReadFile(filepath.Join(dir, infoFile))
-			if err == nil {
-				var info Info
-				if jerr := json.Unmarshal(meta, &info); jerr == nil {
-					infoSeen = true
-					grew = true
-					if sink.Info != nil {
-						if err := sink.Info(info); err != nil {
-							return err
-						}
-					}
-				}
-				// An unparsable run.json is mid-write; retry next poll.
-			}
-		}
-
 		if grew {
 			lastGrowth = time.Now()
-		} else if infoSeen && time.Since(lastGrowth) >= opt.Idle {
+		} else if f.infoSeen && time.Since(lastGrowth) >= opt.Idle {
 			return nil
 		}
 		select {
@@ -132,17 +78,75 @@ func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink
 	}
 }
 
-// byteTail incrementally reads raw bytes appended to a file, with no
-// line-structure assumptions — the binary-capable counterpart of lineTail.
-type byteTail struct {
-	path   string
-	offset int64
+// follower is Follow's state for one run directory, apart from the clock.
+type follower struct {
+	dir      string
+	sink     FollowSink
+	log, mon tail
+	infoSeen bool
 }
 
-// drain reads everything appended since the last call and invokes fn with
-// each chunk read. The chunk is only valid during the call. A missing file
-// is not an error.
-func (t *byteTail) drain(fn func([]byte)) (int64, error) {
+func newFollower(dir string, sink FollowSink) *follower {
+	return &follower{
+		dir:  dir,
+		sink: sink,
+		log:  tail{path: filepath.Join(dir, logFile)},
+		mon:  tail{path: filepath.Join(dir, monitoringFile)},
+	}
+}
+
+func (f *follower) monitoringLine(line []byte) {
+	if f.sink.MonitoringLine != nil {
+		f.sink.MonitoringLine(string(line))
+	}
+}
+
+// poll drains whatever both data files gained since the last poll, then
+// looks for run.json until it has parsed once. It reports whether anything
+// arrived.
+func (f *follower) poll() (bool, error) {
+	n, err := f.log.drain(f.sink.LogChunk)
+	if err != nil {
+		return false, fmt.Errorf("rundir: following %s: %w", logFile, err)
+	}
+	m, err := f.mon.drain(func(chunk []byte) { f.mon.lines.Feed(chunk, f.monitoringLine) })
+	if err != nil {
+		return false, fmt.Errorf("rundir: following %s: %w", monitoringFile, err)
+	}
+	grew := n+m > 0
+	if !f.infoSeen {
+		meta, err := os.ReadFile(filepath.Join(f.dir, infoFile))
+		var info Info
+		// An unreadable or unparsable run.json is mid-write; retry next poll.
+		if err == nil && json.Unmarshal(meta, &info) == nil {
+			f.infoSeen, grew = true, true
+			if f.sink.Info != nil {
+				if err := f.sink.Info(info); err != nil {
+					return grew, err
+				}
+			}
+		}
+	}
+	return grew, nil
+}
+
+// finish delivers a final monitoring line that never got its terminator.
+func (f *follower) finish() { f.mon.lines.Finish(f.monitoringLine) }
+
+// tail reads what a producer appends to one file, poll after poll, through
+// one read buffer it reuses. lines splits the chunks of a text file.
+type tail struct {
+	path   string
+	offset int64
+	buf    []byte
+	lines  enginelog.LineSplitter
+}
+
+// drain reads everything appended since the last call and passes it to fn
+// chunk by chunk; a chunk is only valid during the call. It returns the
+// number of bytes read. A missing file is not an error (the producer has not
+// created it yet).
+func (t *tail) drain(fn func(chunk []byte)) (int64, error) {
 	f, err := os.Open(t.path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -151,83 +155,24 @@ func (t *byteTail) drain(fn func([]byte)) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(t.offset, 0); err != nil {
-		return 0, err
+	if t.buf == nil {
+		t.buf = make([]byte, 64<<10)
 	}
-	buf := make([]byte, 64<<10)
 	var consumed int64
 	for {
-		n, rerr := f.Read(buf)
+		n, err := f.ReadAt(t.buf, t.offset)
 		if n > 0 {
 			consumed += int64(n)
 			t.offset += int64(n)
 			if fn != nil {
-				fn(buf[:n])
+				fn(t.buf[:n])
 			}
 		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				return consumed, nil
-			}
-			return consumed, rerr
+		if err == io.EOF {
+			return consumed, nil
 		}
-	}
-}
-
-// lineTail incrementally reads complete lines appended to a file, holding
-// back a trailing partial line until its newline arrives.
-type lineTail struct {
-	path    string
-	offset  int64
-	partial strings.Builder
-}
-
-// drain reads everything appended since the last call and invokes fn for
-// each complete line. It returns the number of bytes consumed. A missing
-// file is not an error (the producer has not created it yet).
-func (t *lineTail) drain(fn func(string)) (int64, error) {
-	f, err := os.Open(t.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	if _, err := f.Seek(t.offset, 0); err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 64<<10)
-	var consumed int64
-	for {
-		n, rerr := f.Read(buf)
-		if n > 0 {
-			consumed += int64(n)
-			t.offset += int64(n)
-			chunk := buf[:n]
-			for {
-				nl := -1
-				for i, c := range chunk {
-					if c == '\n' {
-						nl = i
-						break
-					}
-				}
-				if nl < 0 {
-					t.partial.Write(chunk)
-					break
-				}
-				t.partial.Write(chunk[:nl])
-				fn(t.partial.String())
-				t.partial.Reset()
-				chunk = chunk[nl+1:]
-			}
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				return consumed, nil
-			}
-			return consumed, rerr
+		if err != nil {
+			return consumed, err
 		}
 	}
 }

@@ -2,9 +2,12 @@ package rundir
 
 import (
 	"bytes"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"grade10/internal/enginelog"
 )
 
 // FuzzReadMonitoring: arbitrary monitoring CSV never panics the parser, and
@@ -33,6 +36,93 @@ func FuzzReadMonitoring(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, out) {
 			t.Fatalf("round trip changed the samples:\n got %+v\nwant %+v", back, out)
+		}
+	})
+}
+
+// FuzzFollow appends a text or binary execution log and a monitoring CSV to a
+// run directory piece by piece, in an order and at split points taken from
+// the fuzzed bytes, and drains both tails after every append the way Follow's
+// poll loop does, minus its clock. Whatever the splits, the follower must
+// deliver exactly the bytes of the final log, which decode to the events and
+// ParseStats of ReadStats on the whole file, and exactly the lines of the
+// final monitoring file.
+func FuzzFollow(f *testing.F) {
+	run := sampleRun()
+	var text, bin, mon bytes.Buffer
+	if err := enginelog.Write(&text, run.Log); err != nil {
+		f.Fatal(err)
+	}
+	if err := enginelog.WriteBinary(&bin, run.Log); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteMonitoring(&mon, run.Monitoring); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text.Bytes(), false, mon.Bytes(), []byte{3, 17, 1, 200, 0, 9})
+	f.Add(bin.Bytes()[len(enginelog.Magic)+1:], true, mon.Bytes(), []byte{5, 0, 9, 2})
+	f.Add(bin.Bytes()[len(enginelog.Magic)+1:bin.Len()-3], true, []byte("machine,resource\n0,cpu"), []byte{1})
+	f.Add([]byte("S 0 0 /a\ngarbage\n\nE 1 /a"), false, []byte("0,cpu,4,0,1,NaN\n\n# c\r\n0,cpu"), []byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, logData []byte, binary bool, monData, cuts []byte) {
+		if binary {
+			logData = append([]byte(enginelog.Magic+"\x01"), logData...)
+		}
+		dir := t.TempDir()
+		var (
+			sp       enginelog.StreamParser
+			events   []enginelog.Event
+			logBytes []byte
+			lines    []string
+		)
+		emit := func(e enginelog.Event) { events = append(events, e) }
+		fl := newFollower(dir, FollowSink{
+			LogChunk: func(c []byte) {
+				logBytes = append(logBytes, c...)
+				sp.Feed(c, emit)
+			},
+			MonitoringLine: func(l string) { lines = append(lines, l) },
+		})
+		files := []struct {
+			path string
+			rest []byte
+		}{{filepath.Join(dir, logFile), logData}, {filepath.Join(dir, monitoringFile), monData}}
+		put := func(i, n int) {
+			n = min(n, len(files[i].rest))
+			appendFile(t, files[i].path, files[i].rest[:n])
+			files[i].rest = files[i].rest[n:]
+			if _, err := fl.poll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, c := range cuts {
+			put(k%2, int(c))
+		}
+		put(0, len(logData))
+		put(1, len(monData))
+		fl.finish()
+		sp.Finish(emit)
+
+		if !bytes.Equal(logBytes, logData) {
+			t.Fatalf("followed %d log bytes, want the %d of the file", len(logBytes), len(logData))
+		}
+		want, wantStats, wantFormat, err := enginelog.ReadStats(bytes.NewReader(logData))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Stats() != wantStats || sp.Format() != wantFormat {
+			t.Fatalf("followed %v stats %+v, batch %v stats %+v", sp.Format(), sp.Stats(), wantFormat, wantStats)
+		}
+		if !reflect.DeepEqual(events, want.Events) && len(events)+len(want.Events) > 0 {
+			t.Fatalf("followed events %+v, batch %+v", events, want.Events)
+		}
+		var wantLines []string
+		for _, l := range strings.SplitAfter(string(monData), "\n") {
+			if l != "" && len(l) <= enginelog.MaxLineLen {
+				wantLines = append(wantLines, l)
+			}
+		}
+		if !reflect.DeepEqual(lines, wantLines) {
+			t.Fatalf("followed monitoring lines %q, want %q", lines, wantLines)
 		}
 	})
 }

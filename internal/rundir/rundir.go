@@ -174,7 +174,7 @@ func Load(dir string) (*Run, error) {
 		run.LogBytes = fi.Size()
 	}
 	parseStart := time.Now()
-	run.Log, run.LogStats, run.LogFormat, err = enginelog.ReadStatsAny(lf)
+	run.Log, run.LogStats, run.LogFormat, err = enginelog.ReadStats(lf)
 	run.LogParse = time.Since(parseStart)
 	if err != nil {
 		return nil, err
@@ -266,25 +266,31 @@ func parseFinite(s string) (float64, error) {
 	return v, err
 }
 
-// ReadMonitoring parses the CSV written by WriteMonitoring.
+// ReadMonitoring parses the CSV written by WriteMonitoring. It is strict: a
+// malformed line, or one longer than enginelog.MaxLineLen, is an error naming
+// its line number.
 func ReadMonitoring(r io.Reader) ([]cluster.ResourceSamples, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	type key struct {
 		machine  int
 		resource string
 	}
 	order := []key{}
 	byKey := map[key]*cluster.ResourceSamples{}
+	var lines enginelog.LineSplitter
 	lineNo := 0
-	for sc.Scan() {
+	var err error
+	parse := func(line []byte) {
+		if err != nil || lines.Truncated() > 0 {
+			return
+		}
 		lineNo++
-		row, ok, err := ParseMonitoringLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("rundir: monitoring line %d: %v", lineNo, err)
+		row, ok, perr := ParseMonitoringLine(string(line))
+		if perr != nil {
+			err = fmt.Errorf("rundir: monitoring line %d: %v", lineNo, perr)
+			return
 		}
 		if !ok {
-			continue
+			return
 		}
 		k := key{row.Machine, row.Resource}
 		rs, ok := byKey[k]
@@ -298,7 +304,15 @@ func ReadMonitoring(r io.Reader) ([]cluster.ResourceSamples, error) {
 		}
 		rs.Samples.Samples = append(rs.Samples.Samples, row.Sample)
 	}
-	if err := sc.Err(); err != nil {
+	if rerr := lines.FeedReader(r, parse); rerr != nil {
+		return nil, rerr
+	}
+	lines.Finish(parse)
+	if err == nil && lines.Truncated() > 0 {
+		// Lines after the over-long one were not counted, so it is the next.
+		err = fmt.Errorf("rundir: monitoring line %d: longer than %d bytes", lineNo+1, enginelog.MaxLineLen)
+	}
+	if err != nil {
 		return nil, err
 	}
 	out := make([]cluster.ResourceSamples, 0, len(order))

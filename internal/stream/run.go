@@ -33,18 +33,20 @@ func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 	return New(cfg)
 }
 
-// Follow tails a run directory into an engine. Log bytes and monitoring rows
-// buffer until run.json appears (it may legitimately land after the data);
-// build then turns the metadata into the engine, the buffer replays into it,
-// and everything after streams straight in. Log bytes are tailed raw, so both
-// enginelog formats stream transparently. Follow returns when the run goes
-// idle or stop closes, handing back the engine for the caller to finalize —
-// nil when run.json never appeared. A build error ends the follow.
+// Follow tails a run directory into an engine. Log bytes and monitoring
+// lines buffer until run.json appears (it may legitimately land after the
+// data); build then turns the metadata into the engine, the buffer replays
+// into it, and everything after streams straight in. Log bytes are tailed
+// raw, so both enginelog formats stream transparently; monitoring lines go
+// through IngestMonitoringLine, which counts malformed rows. Follow returns
+// when the run goes idle or stop closes, handing back the engine for the
+// caller to finalize — nil when run.json never appeared. A build error ends
+// the follow.
 func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build func(rundir.Info) (*Engine, error)) (*Engine, error) {
 	var (
-		e           *Engine
-		pendingLog  []byte
-		pendingRows []rundir.MonitoringRow
+		e          *Engine
+		pendingLog []byte
+		pendingMon []string
 	)
 	err := rundir.Follow(dir, opt, stop, rundir.FollowSink{
 		Info: func(info rundir.Info) error {
@@ -55,10 +57,10 @@ func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build fu
 			if len(pendingLog) > 0 {
 				e.IngestChunk(pendingLog)
 			}
-			for _, row := range pendingRows {
-				e.IngestRow(row)
+			for _, line := range pendingMon {
+				e.IngestMonitoringLine(line)
 			}
-			pendingLog, pendingRows = nil, nil
+			pendingLog, pendingMon = nil, nil
 			return nil
 		},
 		LogChunk: func(chunk []byte) {
@@ -68,11 +70,11 @@ func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build fu
 				pendingLog = append(pendingLog, chunk...)
 			}
 		},
-		MonitoringRow: func(row rundir.MonitoringRow) {
+		MonitoringLine: func(line string) {
 			if e != nil {
-				e.IngestRow(row)
+				e.IngestMonitoringLine(line)
 			} else {
-				pendingRows = append(pendingRows, row)
+				pendingMon = append(pendingMon, line)
 			}
 		},
 	})

@@ -43,7 +43,7 @@ func TestHealthzStaleness(t *testing.T) {
 
 	// Any ingest attempt — even a line the parser rejects — counts as feed
 	// activity and clears the degraded state.
-	e.IngestLine("definitely not an enginelog event")
+	ingestLine(e, "definitely not an enginelog event")
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("after ingest: /healthz %d, want 200", code)
 	}

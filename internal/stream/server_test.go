@@ -48,7 +48,7 @@ func TestServerEndpoints(t *testing.T) {
 	// Half the log ingested: the run is "still executing".
 	lines := strings.Split(f.logText, "\n")
 	for _, line := range lines[:len(lines)/2] {
-		e.IngestLine(line)
+		ingestLine(e, line)
 	}
 
 	code, body, hdr := get(t, srv, "/profile")
@@ -109,7 +109,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Finish the run and finalize: /report must match batch byte-for-byte.
 	for _, line := range lines[len(lines)/2:] {
-		e.IngestLine(line)
+		ingestLine(e, line)
 	}
 	e.LogDone()
 	for _, line := range strings.Split(f.monText, "\n") {

@@ -1,8 +1,9 @@
 // Package stream is Grade10's online characterization engine: it consumes
-// enginelog events and monitoring samples incrementally — from a file tail,
-// an io.Reader, or an in-process tap into a running engine — and maintains a
-// live performance profile while the job is still executing, the way GiViP
-// streams profiling data out of a running Giraph cluster.
+// enginelog events and monitoring samples incrementally — as raw bytes from a
+// file tail or a network stream, or from an in-process tap into a running
+// engine — and maintains a live performance profile while the job is still
+// executing, the way GiViP streams profiling data out of a running Giraph
+// cluster.
 //
 // The engine discretizes virtual time on the same timeslice grid as the
 // batch pipeline and groups slices into fixed-width windows. A window is
@@ -32,7 +33,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -316,18 +316,6 @@ func (e *Engine) IngestAge() (age time.Duration, finalized bool) {
 // Timeslice returns the engine's analysis granularity.
 func (e *Engine) Timeslice() vtime.Duration { return e.cfg.Timeslice }
 
-// IngestLine feeds one log line. Malformed lines are counted and skipped.
-func (e *Engine) IngestLine(line string) {
-	e.cfg.Account.AddIngest(int64(len(line)), 1)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.touch()
-	ev, ok, _ := e.parser.ParseLine(line)
-	if ok {
-		e.ingestEventLocked(ev)
-	}
-}
-
 // IngestChunk feeds a raw byte range of the execution log in either format;
 // the encoding is auto-detected from the first bytes fed. Chunks may split
 // lines or binary records arbitrarily.
@@ -337,24 +325,6 @@ func (e *Engine) IngestChunk(chunk []byte) {
 	defer e.mu.Unlock()
 	e.touch()
 	e.parser.Feed(chunk, e.ingestEventLocked)
-}
-
-// IngestReader streams a whole log (or log prefix) in either format. Only
-// I/O errors are returned; malformed input is counted.
-func (e *Engine) IngestReader(r io.Reader) error {
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			e.IngestChunk(buf[:n])
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // IngestEvent feeds one already-parsed event (the in-process tap path).
@@ -537,8 +507,9 @@ func (e *Engine) IngestSample(machine int, resource string, capacity float64, s 
 	e.maybeFlushLocked()
 }
 
-// IngestMonitoringLine feeds one monitoring CSV line (rundir format).
-// Malformed lines are counted as invalid samples and skipped.
+// IngestMonitoringLine feeds one monitoring CSV line (rundir format), with
+// or without its '\n' terminator; every byte it is handed counts as ingest
+// volume. Malformed lines are counted as invalid samples and skipped.
 func (e *Engine) IngestMonitoringLine(line string) {
 	e.cfg.Account.AddIngest(int64(len(line)), 0)
 	row, ok, err := rundir.ParseMonitoringLine(line)
@@ -549,13 +520,8 @@ func (e *Engine) IngestMonitoringLine(line string) {
 		return
 	}
 	if ok {
-		e.IngestRow(row)
+		e.IngestSample(row.Machine, row.Resource, row.Capacity, row.Sample)
 	}
-}
-
-// IngestRow feeds one parsed monitoring record.
-func (e *Engine) IngestRow(row rundir.MonitoringRow) {
-	e.IngestSample(row.Machine, row.Resource, row.Capacity, row.Sample)
 }
 
 // LogDone marks the event feed complete; remaining windows no longer wait

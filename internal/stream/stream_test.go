@@ -89,9 +89,14 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
+// ingestLine feeds one text log line, terminated, through the chunk path.
+func ingestLine(e *stream.Engine, line string) {
+	e.IngestChunk([]byte(line + "\n"))
+}
+
 func feedAll(e *stream.Engine, f *fixture) {
 	for _, line := range strings.Split(f.logText, "\n") {
-		e.IngestLine(line)
+		ingestLine(e, line)
 	}
 	e.LogDone()
 	for _, line := range strings.Split(f.monText, "\n") {
@@ -211,7 +216,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 	totalStarts := strings.Count(f.logText, "\nS ") + 1
 	maxTree, maxPending := 0, 0
 	for i, line := range lines {
-		e.IngestLine(line)
+		ingestLine(e, line)
 		if i%512 == 0 {
 			m := e.Mem()
 			if m.RetainedEvents != 0 {
@@ -261,11 +266,11 @@ func TestStreamMalformedInput(t *testing.T) {
 	}
 	lines := strings.Split(f.logText, "\n")
 	for i, line := range lines {
-		e.IngestLine(line)
+		ingestLine(e, line)
 		if i%100 == 0 {
-			e.IngestLine("garbage line " + line)
-			e.IngestLine("E 12 /no/such/phase")
-			e.IngestLine("S not-a-number 0 /x")
+			ingestLine(e, "garbage line "+line)
+			ingestLine(e, "E 12 /no/such/phase")
+			ingestLine(e, "S not-a-number 0 /x")
 		}
 	}
 	e.LogDone()
@@ -314,7 +319,7 @@ func TestStreamTruncatedLog(t *testing.T) {
 	}
 	lines := strings.Split(f.logText, "\n")
 	for _, line := range lines[:len(lines)/2] {
-		e.IngestLine(line)
+		ingestLine(e, line)
 	}
 	e.LogDone()
 	for _, line := range strings.Split(f.monText, "\n") {
@@ -341,9 +346,9 @@ func TestTapDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := enginelog.Read(strings.NewReader(f.logText))
-	if err != nil {
-		t.Fatal(err)
+	log, stats, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
+	if err != nil || stats.Degraded() {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
 	tap := stream.NewTap(e, 64, stream.BlockWhenFull)
 	done := make(chan struct{})
@@ -401,9 +406,9 @@ func head(s string, n int) string {
 // text lines; both must reproduce the batch report byte for byte.
 func TestStreamBinaryIngestEquivalence(t *testing.T) {
 	f := getFixture(t)
-	textLog, err := enginelog.Read(strings.NewReader(f.logText))
-	if err != nil {
-		t.Fatal(err)
+	textLog, stats, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
+	if err != nil || stats.Degraded() {
+		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
 	var bin bytes.Buffer
 	if err := enginelog.WriteBinary(&bin, textLog); err != nil {
@@ -451,10 +456,12 @@ func TestStreamBinaryIngestEquivalence(t *testing.T) {
 			e.IngestChunk(data[off:end])
 		}
 	})
-	// Text through the same chunk path.
+	// Text through the same chunk path, in one chunk per 64 KiB as a file
+	// read would deliver it.
 	textChunked := render(func(e *stream.Engine) {
-		if err := e.IngestReader(strings.NewReader(f.logText)); err != nil {
-			t.Fatal(err)
+		data := []byte(f.logText)
+		for off := 0; off < len(data); off += 64 << 10 {
+			e.IngestChunk(data[off:min(off+64<<10, len(data))])
 		}
 	})
 	if binText != f.batchText {

@@ -99,9 +99,7 @@ func engineAt(t *testing.T, f *fixture, parallelism int) *stream.Engine {
 
 // feedRun feeds the whole run into e (without finalizing).
 func feedRun(e *stream.Engine, f *fixture) {
-	for _, line := range strings.Split(f.logText, "\n") {
-		e.IngestLine(line)
-	}
+	e.IngestChunk([]byte(f.logText))
 	e.LogDone()
 	for _, line := range strings.Split(f.monText, "\n") {
 		e.IngestMonitoringLine(line)
