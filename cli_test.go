@@ -1,13 +1,18 @@
 package grade10_test
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCLIPipeline exercises the full file-based pipeline of the paper's
@@ -20,7 +25,7 @@ func TestCLIPipeline(t *testing.T) {
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
 
-	for _, tool := range []string{"gengraph", "runsim", "grade10", "infer"} {
+	for _, tool := range []string{"gengraph", "runsim", "grade10", "infer", "serve"} {
 		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -344,6 +349,139 @@ func TestCLIPipeline(t *testing.T) {
 		if len(doc.TraceEvents) == 0 || !phases["B"] || !phases["E"] {
 			t.Fatalf("%s: %d events without B/E duration slices", path, len(doc.TraceEvents))
 		}
+	}
+
+	checkServe(t, bin("serve"), bin("grade10"), runDir)
+}
+
+// checkServe drives the real serve binary over a runsim-written directory:
+// how its flags map onto the service is what these cases pin.
+func checkServe(t *testing.T, serveBin, grade10Bin, runDir string) {
+	batch, err := exec.Command(grade10Bin, "-run", runDir).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The /report body is the batch report without the parse-stats footer.
+	want := string(batch)
+	want = want[:strings.LastIndex(want, "\nlog parse: ")]
+
+	// -run: /report converges to the batch text and /healthz answers 200.
+	base := startServe(t, serveBin, "-run", runDir, "-addr", "127.0.0.1:0", "-idle", "50ms")
+	report := waitHTTP(t, base+"/report", func(code int, _ string) bool { return code == http.StatusOK })
+	if report != want {
+		t.Fatalf("serve -run /report differs from grade10 -run:\n%s", report)
+	}
+	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d: %s", code, body)
+	}
+
+	// -run -bounded: no exact report once the run finishes.
+	base = startServe(t, serveBin, "-run", runDir, "-addr", "127.0.0.1:0", "-idle", "50ms", "-bounded")
+	waitHTTP(t, base+"/report", func(code int, body string) bool {
+		return code == http.StatusServiceUnavailable && strings.Contains(body, "bounded")
+	})
+
+	// -fleet -store: a run moved into the watch directory ends done and
+	// archived.
+	root := t.TempDir()
+	watch, staged := filepath.Join(root, "watch"), filepath.Join(root, "staged")
+	for _, d := range []string{watch, staged} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"run.json", "execution.log", "monitoring.csv"} {
+		data, err := os.ReadFile(filepath.Join(runDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(staged, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base = startServe(t, serveBin, "-fleet", watch, "-store", filepath.Join(root, "store"),
+		"-addr", "127.0.0.1:0", "-idle", "50ms", "-poll", "20ms")
+	if err := os.Rename(staged, filepath.Join(watch, "r1")); err != nil {
+		t.Fatal(err)
+	}
+	waitHTTP(t, base+"/fleet/runs", func(code int, body string) bool {
+		var snap struct {
+			Runs []struct {
+				Name, Status string
+				ArchiveID    string `json:"archive_id"`
+			}
+		}
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &snap) != nil {
+			return false
+		}
+		return len(snap.Runs) == 1 && snap.Runs[0].Name == "r1" &&
+			snap.Runs[0].Status == "done" && snap.Runs[0].ArchiveID != ""
+	})
+}
+
+var listenAddr = regexp.MustCompile(`listening on ([^\s,"]+)`)
+
+// startServe starts serve with args, learns its address from the
+// "listening on" log line, and stops it when the test ends.
+func startServe(t *testing.T, serveBin string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(serveBin, args...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Signal(os.Interrupt)
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			_ = cmd.Process.Kill()
+			t.Errorf("serve %v did not exit on interrupt", args)
+		}
+	})
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if m := listenAddr.FindStringSubmatch(sc.Text()); m != nil {
+			go func() { _, _ = io.Copy(io.Discard, stderr) }()
+			return "http://" + m[1]
+		}
+	}
+	t.Fatalf("serve %v exited without a listening line", args)
+	return ""
+}
+
+func httpGet(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// waitHTTP polls url until ok accepts the answer and returns its body.
+func waitHTTP(t *testing.T, url string, ok func(code int, body string) bool) string {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		code, body := httpGet(t, url)
+		if ok(code, body) {
+			return body
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET %s: last answer %d: %.300s", url, code, body)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

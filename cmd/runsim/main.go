@@ -196,23 +196,25 @@ func main() {
 }
 
 // liveServe bundles the in-process live characterization pipeline: the
-// service's single-run engine fed through a tap on the simulator's logger,
-// served over HTTP while the simulation runs.
+// service's pinned run, its engine fed through a tap on the simulator's
+// logger, served over HTTP while the simulation runs.
 type liveServe struct {
 	svc    *service.Server
+	run    string
 	engine *stream.Engine
 	tap    *stream.Tap
 }
 
 // startLive assembles the live service for this run — the same assembly as
-// cmd/serve, with only what runsim's flags turn on — and starts its engine
-// from the run's metadata, resolving the same models the batch analyzer
-// would. The returned tap hook goes into the simulator's Config.Tee. The
+// cmd/serve, with only what runsim's flags turn on — and pins the run, its
+// engine built from the run's metadata with the same models the batch
+// analyzer would resolve. The returned tap hook goes into the simulator's
+// Config.Tee. The
 // tracer (which may be nil) is shared with the simulator, so one -trace file
 // interleaves engine supersteps with analysis window flushes.
 func startLive(addr string, info rundir.Info, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveServe, error) {
 	svc, err := service.Assemble(service.Config{
-		RunName: info.Job, Addr: addr, Logger: logger, LogRing: logRing,
+		Addr: addr, Logger: logger, LogRing: logRing,
 		Engine: stream.Config{
 			RetainForFinal: true, Parallelism: parallel, Tracer: tracer, Explain: explainOn,
 		},
@@ -222,13 +224,13 @@ func startLive(addr string, info rundir.Info, parallel int, pprofOn, explainOn, 
 	if err != nil {
 		return nil, err
 	}
-	e, err := svc.Start(info)
+	e, err := svc.Fleet().Attach(info.Job, "", info)
 	if err != nil {
 		svc.Shutdown()
 		return nil, err
 	}
 	logger.Info("live characterization on " + svc.Addr())
-	return &liveServe{svc: svc, engine: e, tap: stream.NewTap(e, 0, stream.BlockWhenFull)}, nil
+	return &liveServe{svc: svc, run: info.Job, engine: e, tap: stream.NewTap(e, 0, stream.BlockWhenFull)}, nil
 }
 
 // finish drains the tap, feeds the run's monitoring samples, finalizes the
@@ -242,7 +244,7 @@ func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Du
 		}
 	}
 	ls.engine.MonitoringDone()
-	if err := ls.svc.Finish(); err != nil {
+	if err := ls.svc.Fleet().Finish(ls.run); err != nil {
 		logger.Error("live finalize: " + err.Error())
 	} else if linger > 0 {
 		logger.Info(fmt.Sprintf("exact report at /report for %v", linger))

@@ -17,20 +17,24 @@
 //	curl localhost:7070/trace        # Chrome trace-event JSON (Perfetto)
 //	curl localhost:7070/report       # final report (503 until the run ends)
 //	curl localhost:7070/explain      # -explain: provenance query ?q=...
-//	curl localhost:7070/healthz      # 503 + reason when ingest goes stale
+//	curl localhost:7070/healthz      # 503 + reasons (JSON) when degraded
 //	curl localhost:7070/alerts       # -alert-rules: rules + firing/pending/resolved (JSON)
 //
 // The service is robust to producers in progress: files that do not exist
 // yet, partially written lines, and garbled log content are handled by
 // waiting, buffering, and counting respectively. With -stale, /healthz
-// reports degraded (HTTP 503) when no input has arrived for the given
-// wall-clock duration while the run is still open.
+// reports degraded (HTTP 503) when an active run has had no input for the
+// given wall-clock duration.
 //
-// Fleet mode (-fleet, mutually exclusive with -run) serves many runs at
-// once: a watch directory is polled for new run subdirectories, each is
-// admitted through a bounded scheduler (-fleet-active concurrent engines,
-// -fleet-queue backlog, everything beyond that shed and counted), and the
-// cross-run endpoints come up next to the per-run ones:
+// Every run is owned by one fleet (internal/fleet). -run pins its one run:
+// an empty ?run= names it, its engine keeps serving after the run ends,
+// -bounded drops its raw inputs, and its window flushes drive the SSE
+// stream and the threshold alert rules. -fleet (mutually exclusive with
+// -run) watches a directory for new run subdirectories; each is admitted
+// through a bounded scheduler (-fleet-active concurrent engines,
+// -fleet-queue backlog, everything beyond that shed and counted), retains
+// its inputs for the exact finalize, and is torn down once archived. The
+// cross-run endpoints serve in both modes:
 //
 //	serve -fleet runs/ -addr :7070 -store archive/
 //	curl localhost:7070/fleet/runs          # every run + admission counters
@@ -81,14 +85,14 @@ func main() {
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		uiOn      = flag.Bool("ui", true, "serve the embedded visual profiler under /ui/ (view models under /api/, live updates over SSE on /api/events)")
 		explainOn = flag.Bool("explain", false, "capture attribution provenance and serve /explain queries")
-		stale     = flag.Duration("stale", 0, "report /healthz degraded (503) when the last ingested input is older than this (0 disables)")
+		stale     = flag.Duration("stale", 0, "report /healthz degraded (503) when an active run's last ingested input is older than this (0 disables)")
 		storeDir  = flag.String("store", "", "profile archive directory: serve /runs and /diff, and archive this run once finalized")
 		storeMax  = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded)")
 		runLabel  = flag.String("run-label", "", "free-form label recorded with the archived run")
 		logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
 		logLevel  = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
 
-		alertRules   = flag.String("alert-rules", "", "alert rules file: threshold rules fire on every window flush, baseline-regression rules on finalized runs (vs the -store archive); serves /alerts")
+		alertRules   = flag.String("alert-rules", "", "alert rules file: threshold rules fire on every window flush of the -run run, baseline-regression rules on finalized runs (vs the -store archive); serves /alerts")
 		alertWebhook = flag.String("alert-webhook", "", "POST each batch of alert lifecycle transitions to this URL as JSON, with retry/backoff (needs -alert-rules)")
 
 		bundleDir    = flag.String("bundle-dir", "", "flight recorder: write triggered diagnostics bundles (pprof, self-trace, log ring, window and alert snapshots) under this directory; empty disables bundle capture (the in-memory rings stay on)")
@@ -133,7 +137,7 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Fleet: *fleetDir != "", Dir: *runDir, RunLabel: *runLabel,
+		Dir: *runDir, RunLabel: *runLabel, Watch: *fleetDir,
 		Addr: *addr, Logger: logger, LogRing: logRing,
 		Poll: *poll, Idle: *idle,
 		Engine: stream.Config{
@@ -148,21 +152,19 @@ func main() {
 		BundleMinInterval: *bundleMinGap, BundleCPUProfile: *bundleCPU,
 		ShutdownTimeout: *shutdownTO,
 	}
-	if cfg.Fleet {
-		cfg.Dir = *fleetDir
-	} else {
-		// The single run self-traces its window flushes and final pipeline,
-		// feeding /trace, the stage metrics, and bundles. Fleet engines
-		// carry no tracer.
+	if cfg.Watch == "" {
+		// The pinned run self-traces its window flushes and final pipeline,
+		// feeding /trace, the stage metrics, and bundles. Watched runs carry
+		// no tracer.
 		cfg.Engine.Tracer = obs.NewTracer()
 	}
 	svc, err := service.Assemble(cfg)
 	if err != nil {
 		fail(err)
 	}
-	if cfg.Fleet {
+	if cfg.Watch != "" {
 		logger.Info(fmt.Sprintf("fleet mode: listening on %s, watching %s (active<=%d queue<=%d)",
-			svc.Addr(), cfg.Dir, *fleetActive, *fleetQueue))
+			svc.Addr(), cfg.Watch, *fleetActive, *fleetQueue))
 	} else {
 		logger.Info(fmt.Sprintf("listening on %s, tailing %s", svc.Addr(), cfg.Dir))
 	}

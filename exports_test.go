@@ -1,0 +1,314 @@
+package grade10_test
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyAllowlist names the exported functions and methods that only
+// tests call today. A later change deletes them or gives them a production
+// caller (ROADMAP "Less surface: the test-only exports"). The list can only
+// shrink: an entry that gains a production caller, loses its test callers,
+// or disappears fails the test until it is removed here.
+var testOnlyAllowlist = map[string]bool{
+	"grade10/internal/algo.BFSLevels":                              true,
+	"grade10/internal/algo.CDLP":                                   true,
+	"grade10/internal/algo.LCC":                                    true,
+	"grade10/internal/algo.PageRank":                               true,
+	"grade10/internal/algo.SSSP":                                   true,
+	"grade10/internal/algo.WCC":                                    true,
+	"grade10/internal/alert.Notifier.Stats":                        true,
+	"grade10/internal/attribution.AttributeN":                      true,
+	"grade10/internal/attribution.AttributeWindow":                 true,
+	"grade10/internal/attribution.InstanceProfile.EstimatedDemand": true,
+	"grade10/internal/bottleneck.BottleneckFraction":               true,
+	"grade10/internal/bottleneck.DefaultConfig":                    true,
+	"grade10/internal/core.PhaseType.Parent":                       true,
+	"grade10/internal/explain.Recorder.Dropped":                    true,
+	"grade10/internal/graph.E":                                     true,
+	"grade10/internal/graph.Graph.Degree":                          true,
+	"grade10/internal/graph.Graph.MaxOutDegree":                    true,
+	"grade10/internal/graph.Partition.PartSizes":                   true,
+	"grade10/internal/graph.RangePartition":                        true,
+	"grade10/internal/graph.VertexCut.EdgePart":                    true,
+	"grade10/internal/graph.VertexCut.HasReplica":                  true,
+	"grade10/internal/graph.VertexCut.Replicas":                    true,
+	"grade10/internal/infer.Result.Amount":                         true,
+	"grade10/internal/issues.Group.TotalDuration":                  true,
+	"grade10/internal/issues.RecordedDurations":                    true,
+	"grade10/internal/metrics.SampleSeries.TotalConsumption":       true,
+	"grade10/internal/metrics.Series.Max":                          true,
+	"grade10/internal/metrics.Series.Points":                       true,
+	"grade10/internal/sim.Gate.IsOpen":                             true,
+	"grade10/internal/sim.Network.TransferAsync":                   true,
+	"grade10/internal/sim.Queue.Fill":                              true,
+	"grade10/internal/sim.Scheduler.Pending":                       true,
+	"grade10/internal/sim.Scheduler.RunUntil":                      true,
+	"grade10/internal/stream.Engine.Timeslice":                     true,
+	"grade10/internal/vtime.Clamp":                                 true,
+	"grade10/internal/vtime.Duration.Milliseconds":                 true,
+	"grade10/internal/vtime.Time.After":                            true,
+	"grade10/internal/vtime.Time.Before":                           true,
+}
+
+// keepExports are test-only by design: how tests observe memory bounds.
+var keepExports = map[string]bool{
+	"grade10/internal/enginelog.LineSplitter.Retained": true,
+	"grade10/internal/stream.Engine.Mem":               true,
+}
+
+// interfaceMethods satisfy standard-library interfaces implicitly, so the
+// callers that matter live outside this module.
+var interfaceMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true,
+	"Is": true, "As": true, "ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true, "Len": true, "Less": true, "Swap": true,
+	"Push": true, "Pop": true, "Read": true, "Write": true, "Close": true,
+	"Handle": true, "Enabled": true, "WithAttrs": true, "WithGroup": true,
+}
+
+// TestNoTestOnlyExports fails when an exported function or method under cmd/
+// or internal/ is referenced only from _test.go files. Production callers
+// are the module's non-test files plus perfbench/, which runs the binaries'
+// code paths as a benchmark. The check type-checks every package from
+// source, so a method is matched on its receiver type, not only its name.
+func TestNoTestOnlyExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	c := newExportChecker()
+	var dirs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if err := c.scanDir(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var testOnly []string
+	for key, decl := range c.decls {
+		// A method may be called through an interface: exempt the names of
+		// standard interfaces and of every interface method production calls.
+		viaInterface := decl.method && (interfaceMethods[decl.name] || c.prodIfaceNames[decl.name])
+		if c.test[key] && !c.prod[key] && !keepExports[key] && !viaInterface {
+			testOnly = append(testOnly, key)
+		}
+	}
+	sort.Strings(testOnly)
+	for _, key := range testOnly {
+		if !testOnlyAllowlist[key] {
+			t.Errorf("%s is exported but only tests call it: delete it or move its test onto the production path", key)
+		}
+	}
+	for key := range testOnlyAllowlist {
+		switch {
+		case c.decls[key] == nil:
+			t.Errorf("allowlisted %s no longer exists: remove it from testOnlyAllowlist", key)
+		case c.prod[key]:
+			t.Errorf("allowlisted %s now has a production caller: remove it from testOnlyAllowlist", key)
+		case !c.test[key]:
+			t.Errorf("allowlisted %s has no test caller left: delete it and remove it from testOnlyAllowlist", key)
+		}
+	}
+}
+
+// exportDecl is one exported function or method declared under cmd/ or
+// internal/.
+type exportDecl struct {
+	name   string
+	method bool
+}
+
+type exportChecker struct {
+	fset   *token.FileSet
+	std    types.Importer
+	pkgs   map[string]*types.Package // module packages, non-test files only
+	module string
+
+	decls          map[string]*exportDecl
+	prod, test     map[string]bool
+	prodIfaceNames map[string]bool // interface methods production calls
+}
+
+func newExportChecker() *exportChecker {
+	fset := token.NewFileSet()
+	return &exportChecker{
+		fset: fset, std: importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{}, module: "grade10",
+		decls: map[string]*exportDecl{}, prod: map[string]bool{}, test: map[string]bool{},
+		prodIfaceNames: map[string]bool{},
+	}
+}
+
+// Import resolves module packages from their non-test files and the
+// standard library from source.
+func (c *exportChecker) Import(path string) (*types.Package, error) {
+	if path != c.module && !strings.HasPrefix(path, c.module+"/") {
+		return c.std.Import(path)
+	}
+	if pkg, ok := c.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(path, c.module), "/")
+	if dir == "" {
+		dir = "."
+	}
+	files, err := c.parse(dir, func(name string) bool { return !strings.HasSuffix(name, "_test.go") })
+	if err != nil {
+		return nil, err
+	}
+	pkg, _ := c.check(path, files)
+	c.pkgs[path] = pkg
+	return pkg, nil
+}
+
+func (c *exportChecker) parse(dir string, keep func(string) bool) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || !keep(e.Name()) {
+			continue
+		}
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// check type-checks files as one package, tolerating errors: an external
+// test package may use names that only its package's export_test.go
+// declares.
+func (c *exportChecker) check(path string, files []*ast.File) (*types.Package, *types.Info) {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: c, Error: func(error) {}}
+	pkg, _ := conf.Check(path, c.fset, files, info)
+	return pkg, info
+}
+
+// scanDir records the references from one directory's files and, under
+// cmd/ and internal/, its exported declarations.
+func (c *exportChecker) scanDir(dir string) error {
+	dir = filepath.ToSlash(dir)
+	path := c.module
+	if dir != "." {
+		path += "/" + dir
+	}
+	byPkg := map[string][]*ast.File{}
+	files, err := c.parse(dir, func(string) bool { return true })
+	if err != nil || len(files) == 0 {
+		return err
+	}
+	for _, f := range files {
+		byPkg[f.Name.Name] = append(byPkg[f.Name.Name], f)
+	}
+	for name, pf := range byPkg {
+		pkgPath := path
+		if strings.HasSuffix(name, "_test") {
+			pkgPath += "_test"
+		}
+		_, info := c.check(pkgPath, pf)
+		for id, obj := range info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || !fn.Exported() {
+				continue
+			}
+			file := c.fset.Position(id.Pos()).Filename
+			isTest := strings.HasSuffix(file, "_test.go")
+			key, iface := funcKey(fn.Origin())
+			switch {
+			case isTest:
+				c.test[key] = true
+			case iface:
+				c.prodIfaceNames[fn.Name()] = true
+			default:
+				c.prod[key] = true
+			}
+		}
+	}
+	if !(strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")) ||
+		strings.HasPrefix(dir, "internal/attribution/reference") { // the frozen oracle
+		return nil
+	}
+	pkg, err := c.Import(path)
+	if err != nil || pkg == nil {
+		return err
+	}
+	scope := pkg.Scope()
+	for _, n := range scope.Names() {
+		obj := scope.Lookup(n)
+		if fn, ok := obj.(*types.Func); ok && fn.Exported() {
+			key, _ := funcKey(fn)
+			c.decls[key] = &exportDecl{name: fn.Name()}
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			if m.Exported() {
+				key, _ := funcKey(m)
+				c.decls[key] = &exportDecl{name: m.Name(), method: true}
+			}
+		}
+	}
+	return nil
+}
+
+// funcKey names a function as import path, receiver type, and name; iface
+// reports a method declared by an interface.
+func funcKey(fn *types.Func) (string, bool) {
+	sig := fn.Type().(*types.Signature)
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	if sig.Recv() == nil {
+		return pkg + "." + fn.Name(), false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	switch rt := t.(type) {
+	case *types.Named:
+		_, iface := rt.Underlying().(*types.Interface)
+		return pkg + "." + rt.Obj().Name() + "." + fn.Name(), iface
+	case *types.Interface:
+		return pkg + ".interface." + fn.Name(), true
+	}
+	return pkg + "." + fn.Name(), false
+}

@@ -16,19 +16,6 @@ type Key struct {
 	Resource  string `json:"resource,omitempty"`
 }
 
-func keyLess(a, b Key) bool {
-	if a.Quantity != b.Quantity {
-		return a.Quantity < b.Quantity
-	}
-	if a.PhasePath != b.PhasePath {
-		return a.PhasePath < b.PhasePath
-	}
-	if a.Machine != b.Machine {
-		return a.Machine < b.Machine
-	}
-	return a.Resource < b.Resource
-}
-
 // Stat is the robust statistic of one baseline cell across the archive.
 type Stat struct {
 	// N is the number of archived runs the cell appeared in.
@@ -72,19 +59,6 @@ func (b *Baselines) Lookup(k Key) (Stat, bool) {
 	}
 	s, ok := b.stats[k]
 	return s, ok
-}
-
-// Keys returns the learned cell keys in sorted order.
-func (b *Baselines) Keys() []Key {
-	if b == nil {
-		return nil
-	}
-	keys := make([]Key, 0, len(b.stats))
-	for k := range b.stats {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
 }
 
 // Learn computes per-cell robust statistics from archived records. Records

@@ -95,14 +95,10 @@ func ParseRules(r io.Reader) ([]Rule, error) {
 		rules = append(rules, rule)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The line the scanner could not return, e.g. one over 64 KiB.
+		return nil, &ParseError{Line: line + 1, Msg: err.Error()}
 	}
 	return rules, nil
-}
-
-// ParseRule parses a single rule line (line numbers reported as 1).
-func ParseRule(text string) (Rule, error) {
-	return parseRuleLine(strings.TrimSpace(text), 1)
 }
 
 func parseRuleLine(text string, line int) (Rule, error) {

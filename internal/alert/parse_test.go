@@ -2,9 +2,23 @@ package alert
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// parseOne parses a one-rule file through ParseRules, the path LoadRules
+// takes.
+func parseOne(text string) (Rule, error) {
+	rules, err := ParseRules(strings.NewReader(text))
+	if err != nil {
+		return Rule{}, err
+	}
+	if len(rules) != 1 {
+		return Rule{}, fmt.Errorf("%d rules in %q, want 1", len(rules), text)
+	}
+	return rules[0], nil
+}
 
 func TestParseRuleForms(t *testing.T) {
 	cases := []struct {
@@ -55,16 +69,16 @@ func TestParseRuleForms(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		got, err := ParseRule(tc.in)
+		got, err := parseOne(tc.in)
 		if err != nil {
-			t.Fatalf("ParseRule(%q): %v", tc.in, err)
+			t.Fatalf("parseOne(%q): %v", tc.in, err)
 		}
 		tc.want.Line = 1
 		if got != tc.want {
-			t.Errorf("ParseRule(%q)\n got %+v\nwant %+v", tc.in, got, tc.want)
+			t.Errorf("parseOne(%q)\n got %+v\nwant %+v", tc.in, got, tc.want)
 		}
 		// Canonical round-trip: rendering and reparsing is a fixed point.
-		re, err := ParseRule(got.String())
+		re, err := parseOne(got.String())
 		if err != nil {
 			t.Fatalf("reparse of %q (from %q): %v", got.String(), tc.in, err)
 		}
@@ -99,18 +113,18 @@ func TestParseRuleErrors(t *testing.T) {
 		{"alert x when phase=/a resource=cpu regressed > -5% vs baseline", "invalid regression percentage"},
 	}
 	for _, tc := range cases {
-		_, err := ParseRule(tc.in)
+		_, err := parseOne(tc.in)
 		if err == nil {
-			t.Errorf("ParseRule(%q): wanted error containing %q, got nil", tc.in, tc.wantSub)
+			t.Errorf("parseOne(%q): wanted error containing %q, got nil", tc.in, tc.wantSub)
 			continue
 		}
 		var pe *ParseError
 		if !errors.As(err, &pe) {
-			t.Errorf("ParseRule(%q): error %T is not *ParseError", tc.in, err)
+			t.Errorf("parseOne(%q): error %T is not *ParseError", tc.in, err)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("ParseRule(%q): error %q does not contain %q", tc.in, err, tc.wantSub)
+			t.Errorf("parseOne(%q): error %q does not contain %q", tc.in, err, tc.wantSub)
 		}
 	}
 }
@@ -143,6 +157,20 @@ alert b severity critical when parse_errors > 0 for 2 windows
 	}
 }
 
+// TestParseRulesLongLine: a line over the scanner's 64 KiB limit is a
+// *ParseError naming that line, like every other rules-file error.
+func TestParseRulesLongLine(t *testing.T) {
+	text := "alert a when coverage < 1\nalert " + strings.Repeat("x", 64<<10) + " when events > 0\n"
+	_, err := ParseRules(strings.NewReader(text))
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("over-long line: err = %v (%T), want *ParseError", err, err)
+	}
+	if pe.Line != 2 {
+		t.Errorf("over-long line error line = %d, want 2", pe.Line)
+	}
+}
+
 func FuzzParseRule(f *testing.F) {
 	seeds := []string{
 		"alert lag when lag_seconds > 2.5",
@@ -155,30 +183,34 @@ func FuzzParseRule(f *testing.F) {
 		"# comment",
 		"",
 		"alert x when phase=/ regressed > 1e309% vs baseline",
+		"alert a when coverage < 1\n# two rules\nalert b when events > 0 for 2 windows\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, line string) {
-		rule, err := ParseRule(line)
+	f.Fuzz(func(t *testing.T, text string) {
+		rules, err := ParseRules(strings.NewReader(text))
 		if err != nil {
 			var pe *ParseError
 			if !errors.As(err, &pe) {
-				t.Fatalf("ParseRule(%q): non-typed error %T: %v", line, err, err)
+				t.Fatalf("ParseRules(%q): non-typed error %T: %v", text, err, err)
 			}
 			return
 		}
-		// Accepted input must render canonically and reparse to a fixed point.
-		canon := rule.String()
-		re, err := ParseRule(canon)
-		if err != nil {
-			t.Fatalf("canonical %q (from %q) does not reparse: %v", canon, line, err)
-		}
-		if re.String() != canon {
-			t.Fatalf("canonical form is not a fixed point: %q -> %q", canon, re.String())
-		}
-		if rule.For < 1 {
-			t.Fatalf("parsed For = %d < 1 from %q", rule.For, line)
+		// Every accepted rule must render canonically and reparse to a fixed
+		// point.
+		for _, rule := range rules {
+			canon := rule.String()
+			re, err := parseOne(canon)
+			if err != nil {
+				t.Fatalf("canonical %q (from %q) does not reparse: %v", canon, text, err)
+			}
+			if re.String() != canon {
+				t.Fatalf("canonical form is not a fixed point: %q -> %q", canon, re.String())
+			}
+			if rule.For < 1 {
+				t.Fatalf("parsed For = %d < 1 from %q", rule.For, text)
+			}
 		}
 	})
 }

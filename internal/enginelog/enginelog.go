@@ -172,15 +172,6 @@ func (l *Logger) BlockedSince(path, resource string, since vtime.Time) {
 	l.emit(Event{Kind: Blocked, Time: since, End: now, Path: path, Resource: resource})
 }
 
-// BlockedFor logs a blocking interval of duration d ending now.
-func (l *Logger) BlockedFor(path, resource string, d vtime.Duration) {
-	if d <= 0 {
-		return
-	}
-	now := l.now()
-	l.BlockedSince(path, resource, now.Add(-d))
-}
-
 // AddCounter logs a named scalar.
 func (l *Logger) AddCounter(name string, value float64) {
 	l.emit(Event{Kind: Counter, Time: l.now(), Name: name, Value: value})

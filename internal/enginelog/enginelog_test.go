@@ -48,7 +48,7 @@ func TestLoggerAccumulates(t *testing.T) {
 	l := NewLogger(func() vtime.Time { return now })
 	l.StartPhase("/app", 0)
 	now = vtime.Time(100 * vtime.Millisecond)
-	l.BlockedFor("/app", "gc", 30*vtime.Millisecond)
+	l.BlockedSince("/app", "gc", now.Add(-30*vtime.Millisecond))
 	l.AddCounter("messages", 42)
 	now = vtime.Time(200 * vtime.Millisecond)
 	l.EndPhase("/app")
@@ -75,7 +75,6 @@ func TestLoggerAccumulates(t *testing.T) {
 
 func TestLoggerDropsEmptyBlocks(t *testing.T) {
 	l := NewLogger(func() vtime.Time { return 50 })
-	l.BlockedFor("/a", "gc", 0)
 	l.BlockedSince("/a", "gc", 50)
 	l.BlockedSince("/a", "gc", 60) // "since" in the future: dropped
 	if len(l.Log().Events) != 0 {
@@ -89,7 +88,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	l.StartPhase("/app", -1)
 	l.StartPhase("/app/worker.0", 0)
 	now = vtime.Time(10 * vtime.Millisecond)
-	l.BlockedFor("/app/worker.0", "msgqueue", 4*vtime.Millisecond)
+	l.BlockedSince("/app/worker.0", "msgqueue", now.Add(-4*vtime.Millisecond))
 	l.AddCounter("bytes-sent", 1.5e6)
 	now = vtime.Time(20 * vtime.Millisecond)
 	l.EndPhase("/app/worker.0")

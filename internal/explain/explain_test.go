@@ -56,7 +56,7 @@ func buildFixture(t testing.TB, maxCells int) *fixture {
 	now = at(2)
 	l.StartPhase("/job/p2", -1)
 	now = vtime.Time(3500 * vtime.Millisecond)
-	l.BlockedFor("/job/p2", "gc", 1*sec)
+	l.BlockedSince("/job/p2", "gc", now.Add(-1*sec))
 	now = at(4)
 	l.EndPhase("/job/p2")
 	emit(at(3), at(4), "/job/p3")

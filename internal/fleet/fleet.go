@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"grade10/internal/alert"
@@ -28,8 +29,9 @@ const (
 	StatusQueued RunStatus = "queued"
 	// StatusActive: a worker is tailing the run directory into its engine.
 	StatusActive RunStatus = "active"
-	// StatusDone: finalized; the compact record and blame profile remain,
-	// the stream engine has been torn down.
+	// StatusDone: finalized; the compact record and blame profile remain.
+	// A Registered run's stream engine has been torn down; a pinned run
+	// keeps its engine.
 	StatusDone RunStatus = "done"
 	// StatusFailed: ingest or finalize errored; Error carries the cause.
 	StatusFailed RunStatus = "failed"
@@ -49,10 +51,11 @@ type Config struct {
 	Poll time.Duration
 	Idle time.Duration
 	// Engine is the per-run stream engine template (timeslice, window
-	// sizing, parallelism, provenance capture), the same one single-run
-	// serving uses. Models and the expected monitoring feeds come from each
-	// run's metadata; the fleet always retains inputs for the exact finalize
-	// and sets the overhead account and flush hook itself.
+	// sizing, parallelism, provenance capture, retention, self-tracer).
+	// Models and the expected monitoring feeds come from each run's
+	// metadata; the fleet sets the overhead account and flush hook itself.
+	// Registered runs always retain inputs for the exact finalize; a pinned
+	// run honours RetainForFinal.
 	Engine stream.Config
 	// Archive, when set, receives every finalized run's record. Runs finish
 	// concurrently and handlers read it meanwhile, so it must be safe for
@@ -64,13 +67,13 @@ type Config struct {
 	// Alerts, when set, is evaluated against every finalized run's record
 	// (after archiving): baseline-regression rules compare the fresh record
 	// to the archive-learned statistics, and a later clean run resolves what
-	// a noisy one fired. The evaluator is internally synchronized.
+	// a noisy one fired. The pinned run's engine also evaluates it on every
+	// window flush. The evaluator is internally synchronized.
 	Alerts *alert.Evaluator
-	// OnAlert, when set, receives the transitions each record evaluation
-	// produced (only called when there are any), off the fleet lock.
+	// OnAlert, when set, receives the transitions each evaluation produced
+	// (only called when there are any), off the fleet lock; window-level
+	// transitions arrive under the pinned engine's lock.
 	OnAlert func([]alert.Event)
-	// Now is the wall clock; injectable for tests.
-	Now func() time.Time
 	// Logger receives per-run lifecycle diagnostics; default discards.
 	Logger *slog.Logger
 	// OnWindowFlush, when set, receives every run's flushed windows tagged
@@ -91,25 +94,25 @@ func (c *Config) fill() {
 	if c.BlameSlice <= 0 {
 		c.BlameSlice = grade10.DefaultTimeslice
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 }
 
-// runState is everything the fleet holds about one registered run. While
-// active it owns a stream engine; after teardown only the compact artifacts
-// (record, bottleneck fold, blame profile) remain, bounding fleet memory by
-// the active cap rather than the registration count.
+// runState is everything the fleet holds about one run. While active it
+// owns a stream engine; after a Registered run's teardown only the compact
+// artifacts (record, bottleneck fold, blame profile) remain, bounding fleet
+// memory by the active cap rather than the registration count.
 type runState struct {
-	name string
-	dir  string
+	name  string
+	dir   string
+	label string // archived with the record
+	// pinned marks the run Attach added: its caller feeds the engine, which
+	// outlives finalize.
+	pinned bool
 
-	status     RunStatus
-	err        string
-	registered time.Time
+	status RunStatus
+	err    string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -139,6 +142,11 @@ type Fleet struct {
 	runs  map[string]*runState
 	order []string // registration order, for stable /fleet/runs listings
 
+	// pinned is the run an empty ?run= resolves to; nil until Attach. Its
+	// name and engine never change once stored, so Pinned reads them
+	// without f.mu (every window flush asks for the pinned name).
+	pinned atomic.Pointer[runState]
+
 	wg     sync.WaitGroup
 	closed bool
 }
@@ -147,11 +155,9 @@ type Fleet struct {
 func New(cfg Config) *Fleet {
 	cfg.fill()
 	return &Fleet{
-		cfg: cfg,
-		sched: NewScheduler(SchedulerConfig{
-			MaxActive: cfg.MaxActive, QueueDepth: cfg.QueueDepth, Now: cfg.Now,
-		}),
-		runs: map[string]*runState{},
+		cfg:   cfg,
+		sched: NewScheduler(SchedulerConfig{MaxActive: cfg.MaxActive, QueueDepth: cfg.QueueDepth}),
+		runs:  map[string]*runState{},
 	}
 }
 
@@ -185,18 +191,82 @@ func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
 		}
 		return name, d, nil // load-shed: counted by the scheduler, not retained
 	}
-	rs := &runState{
-		name: name, dir: dir, registered: f.cfg.Now(),
-		stop: make(chan struct{}), done: make(chan struct{}),
-	}
-	f.runs[name] = rs
-	f.order = append(f.order, name)
+	rs := f.addLocked(name, "fleet:"+name)
+	rs.dir = dir
 	if d == DecisionActive {
 		f.startLocked(rs)
 	} else {
 		rs.status = StatusQueued
 	}
 	return name, d, nil
+}
+
+// addLocked records a new run. Caller holds f.mu.
+func (f *Fleet) addLocked(name, label string) *runState {
+	rs := &runState{
+		name: name, label: label,
+		stop: make(chan struct{}), done: make(chan struct{}),
+	}
+	f.runs[name] = rs
+	f.order = append(f.order, name)
+	return rs
+}
+
+// Attach pins a run whose caller supplies the metadata and feeds the
+// returned engine: serve -run from stream.Follow, runsim -serve from its
+// tap. The pinned run skips admission, and its caller ends it with Finish.
+// It differs from a Registered run in five ways: its engine outlives
+// finalize, it honours the template's RetainForFinal, its engine evaluates
+// Alerts on every window flush, its record carries label, and Pinned
+// reports it. A fleet pins at most one run.
+func (f *Fleet) Attach(name, label string, info rundir.Info) (*stream.Engine, error) {
+	e, acct, err := f.buildEngine(name, true, info)
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	switch {
+	case f.closed:
+		err = fmt.Errorf("fleet: shut down")
+	case f.pinned.Load() != nil:
+		err = fmt.Errorf("fleet: run %q is already pinned", f.pinned.Load().name)
+	case f.runs[name] != nil:
+		err = fmt.Errorf("fleet: run %q is already registered", name)
+	default:
+		rs := f.addLocked(name, label)
+		rs.pinned, rs.status = true, StatusActive
+		rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
+		f.pinned.Store(rs)
+	}
+	f.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	f.cfg.Logger.Info(fmt.Sprintf("%s run of %q on %d workers pinned", info.Engine, info.Job, info.Workers),
+		"run", name)
+	return e, nil
+}
+
+// Finish finalizes the pinned run through the same finalize, archive,
+// alert-evaluation and blame path as every Registered run, and keeps its
+// engine serving. A bounded engine has no exact profile: the run ends done
+// with no record and no blame.
+func (f *Fleet) Finish(name string) error {
+	rs := f.pinned.Load()
+	if rs == nil || rs.name != name {
+		return fmt.Errorf("fleet: run %q is not pinned", name)
+	}
+	return f.finishRun(rs, nil)
+}
+
+// Pinned returns the pinned run's name and engine; ok is false until
+// Attach.
+func (f *Fleet) Pinned() (name string, e *stream.Engine, ok bool) {
+	rs := f.pinned.Load()
+	if rs == nil {
+		return "", nil, false
+	}
+	return rs.name, rs.engine, true
 }
 
 // startLocked transitions a run to active and launches its worker.
@@ -236,16 +306,16 @@ func (f *Fleet) stallWatch(rs *runState) {
 	}
 }
 
-// runWorker tails one run directory to completion — the same follow-and-
-// buffer ingest as single-run serving (stream.Follow) — followed by
-// finalize, archive, blame-profile build, and engine teardown.
+// runWorker tails one Registered run directory to completion, then
+// finalizes it and starts whatever the scheduler promotes into the freed
+// slot.
 func (f *Fleet) runWorker(rs *runState) {
 	defer f.wg.Done()
 	defer close(rs.done)
 
 	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
 	_, err := stream.Follow(rs.dir, opt, rs.stop, func(info rundir.Info) (*stream.Engine, error) {
-		e, acct, err := f.buildEngine(rs.name, info)
+		e, acct, err := f.buildEngine(rs.name, false, info)
 		if err != nil {
 			return nil, err
 		}
@@ -256,63 +326,107 @@ func (f *Fleet) runWorker(rs *runState) {
 			"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
 		return e, nil
 	})
-	f.finishRun(rs, err)
+	_ = f.finishRun(rs, err)
 
-	// Free the slot and start whatever the scheduler promotes.
 	promoted := f.sched.Release(rs.name)
 	f.mu.Lock()
-	for _, name := range promoted {
-		if next, ok := f.runs[name]; ok && next.status == StatusQueued {
-			f.startLocked(next)
+	defer f.mu.Unlock()
+	for len(promoted) > 0 {
+		next, ok := f.runs[promoted[0]]
+		promoted = promoted[1:]
+		if !ok || next.status != StatusQueued {
+			continue
 		}
+		if f.closed {
+			// Shutdown has begun: a queued run never starts, so nothing
+			// half-written gets archived as finished. Hand its slot on.
+			promoted = append(promoted, f.sched.Release(next.name)...)
+			continue
+		}
+		f.startLocked(next)
 	}
-	f.mu.Unlock()
 }
 
-// finishRun finalizes the engine, archives the record, builds the blame
-// profile, and tears the engine down, settling the run's terminal status.
-func (f *Fleet) finishRun(rs *runState, followErr error) {
+// finishRun is the one finalize path: it finalizes the run's engine,
+// archives the record, evaluates the record-level alerts, builds the blame
+// profile, and settles the terminal status. A Registered run's engine is
+// torn down; the pinned run keeps serving its own.
+func (f *Fleet) finishRun(rs *runState, followErr error) error {
 	f.mu.Lock()
 	engine := rs.engine
 	stalled := rs.status == StatusStalled
 	f.mu.Unlock()
 
-	fail := func(err error) {
+	fail := func(err error) error {
 		f.mu.Lock()
-		rs.engine = nil
+		if !rs.pinned {
+			rs.engine = nil
+		}
 		if rs.status != StatusStalled {
 			rs.status = StatusFailed
 			rs.err = err.Error()
 		}
 		f.mu.Unlock()
 		f.cfg.Logger.Warn("fleet run failed", "run", rs.name, "err", err)
+		return err
 	}
 	if followErr != nil {
-		fail(followErr)
-		return
+		return fail(followErr)
 	}
 	if engine == nil {
 		if stalled {
-			return // watchdog already settled the status
+			return nil // watchdog already settled the status
 		}
-		fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.dir))
-		return
+		return fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.dir))
 	}
 
 	out, err := engine.Finalize()
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	snap := engine.Snapshot()
+	var (
+		archiveID string
+		makespan  int64
+		blame     *BlameProfile
+	)
+	if out != nil { // nil only for a bounded pinned run: no record, no blame
+		if archiveID, err = f.archive(rs, out); err != nil {
+			return fail(err)
+		}
+		blame = BuildBlameProfile(rs.name, rs.info, out, f.cfg.BlameSlice)
+		makespan = int64(out.Trace.End.Sub(out.Trace.Start))
+	}
+
+	f.mu.Lock()
+	if !rs.pinned {
+		rs.engine = nil // teardown: the windows, provenance and raw inputs go
+	}
+	rs.status = StatusDone
+	rs.bottlenecks = snap.Bottlenecks
+	rs.makespanNS = makespan
+	rs.archiveID = archiveID
+	rs.blame = blame
+	f.mu.Unlock()
+	f.cfg.Logger.Info("fleet run done", "run", rs.name,
+		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
+	return nil
+}
+
+// archive builds the run's record, archives it, and evaluates the
+// record-level alert rules against it, returning the archive ID ("" without
+// an archive). With neither an archive nor alert rules no record is built.
+func (f *Fleet) archive(rs *runState, out *grade10.Output) (string, error) {
+	if f.cfg.Archive == nil && f.cfg.Alerts == nil {
+		return "", nil
+	}
 	rec := profstore.BuildRecord(rs.info, out)
-	rec.Label = "fleet:" + rs.name
+	rec.Label = rs.label
 	var archiveID string
 	if f.cfg.Archive != nil {
 		meta, evicted, err := f.cfg.Archive.Put(rec)
 		if err != nil {
-			fail(fmt.Errorf("archiving: %w", err))
-			return
+			return "", fmt.Errorf("archiving: %w", err)
 		}
 		archiveID = meta.ID
 		if len(evicted) > 0 {
@@ -330,30 +444,23 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 			}
 		}
 	}
-	blame := BuildBlameProfile(rs.name, rs.info, out, f.cfg.BlameSlice)
-	makespan := int64(out.Trace.End.Sub(out.Trace.Start))
-
-	f.mu.Lock()
-	rs.engine = nil // teardown: the windows, provenance and raw inputs go
-	rs.status = StatusDone
-	rs.bottlenecks = snap.Bottlenecks
-	rs.makespanNS = makespan
-	rs.archiveID = archiveID
-	rs.blame = blame
-	f.mu.Unlock()
-	f.cfg.Logger.Info("fleet run done", "run", rs.name,
-		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
+	return archiveID, nil
 }
 
 // buildEngine sizes a run's engine from the fleet's template and the run
-// metadata. Every fleet engine carries a per-run overhead account so
-// /fleet/runs and /debug/overhead can report what characterizing the run
-// cost.
-func (f *Fleet) buildEngine(name string, info rundir.Info) (*stream.Engine, *obs.RunAccount, error) {
+// metadata. Every engine carries a per-run overhead account so /fleet/runs
+// and /debug/overhead can report what characterizing the run cost.
+func (f *Fleet) buildEngine(name string, pinned bool, info rundir.Info) (*stream.Engine, *obs.RunAccount, error) {
 	acct := &obs.RunAccount{}
 	cfg := f.cfg.Engine
-	cfg.RetainForFinal = true // exact finalize feeds the archive and blame
 	cfg.Account = acct
+	if pinned {
+		if f.cfg.Alerts != nil {
+			cfg.Alerts, cfg.OnAlert = f.cfg.Alerts, f.cfg.OnAlert
+		}
+	} else {
+		cfg.RetainForFinal = true // exact finalize feeds the archive and blame
+	}
 	if hook := f.cfg.OnWindowFlush; hook != nil {
 		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(name, wr) }
 	}
@@ -409,8 +516,9 @@ func (f *Fleet) Watch(watchDir string, stop <-chan struct{}) error {
 }
 
 // Shutdown requests every run to stop and drains the workers — in-flight
-// window flushes and finalizes complete (each terminal run still archives)
-// — until ctx expires.
+// window flushes and finalizes complete (each started run still archives)
+// — until ctx expires. Queued runs never start. The pinned run's caller
+// owns its finish.
 func (f *Fleet) Shutdown(ctx context.Context) error {
 	f.mu.Lock()
 	f.closed = true
@@ -440,6 +548,7 @@ type RunView struct {
 	Name       string    `json:"name"`
 	Dir        string    `json:"dir"`
 	Status     RunStatus `json:"status"`
+	Pinned     bool      `json:"pinned,omitempty"`
 	Error      string    `json:"error,omitempty"`
 	Engine     string    `json:"engine,omitempty"`
 	Job        string    `json:"job,omitempty"`
@@ -473,7 +582,7 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	for _, name := range f.order {
 		rs := f.runs[name]
 		v := RunView{
-			Name: rs.name, Dir: rs.dir, Status: rs.status, Error: rs.err,
+			Name: rs.name, Dir: rs.dir, Status: rs.status, Pinned: rs.pinned, Error: rs.err,
 			ArchiveID: rs.archiveID, MakespanNS: rs.makespanNS,
 		}
 		if rs.infoSet {
@@ -528,10 +637,10 @@ func (f *Fleet) Health() HealthView {
 	return HealthView{Status: "ok"}
 }
 
-// EngineFor returns the live stream engine of an actively ingesting run, or
-// ok=false when the run is unknown or already torn down (engines are
-// released when a run finishes — finished runs live on only as archive
-// records). Every per-run endpoint resolves ?run= through this.
+// EngineFor returns the stream engine of an actively ingesting run or of
+// the pinned run, or ok=false when the run is unknown or already torn down
+// (a Registered run's engine is released when it finishes; it lives on only
+// as an archive record). Every per-run endpoint resolves ?run= through this.
 func (f *Fleet) EngineFor(name string) (*stream.Engine, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

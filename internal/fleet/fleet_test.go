@@ -68,11 +68,11 @@ func getFleetFixture(t *testing.T) *fleetFixture {
 			quietDir: filepath.Join(root, "quiet"),
 			noisyDir: filepath.Join(root, "noisy"),
 		}
-		if err := rundir.Save(f.quietDir, quiet); err != nil {
+		if err := rundir.SaveOpts(f.quietDir, quiet, rundir.SaveOptions{}); err != nil {
 			ffErr = err
 			return
 		}
-		if err := rundir.Save(f.noisyDir, noisy); err != nil {
+		if err := rundir.SaveOpts(f.noisyDir, noisy, rundir.SaveOptions{}); err != nil {
 			ffErr = err
 			return
 		}
@@ -416,6 +416,147 @@ func TestFleetStallTeardown(t *testing.T) {
 	}
 	if _, _, err := f.Register(dir); err == nil {
 		t.Fatal("register after shutdown did not error")
+	}
+}
+
+// TestFleetShutdownSkipsQueued: Shutdown stops the started run and starts
+// none of the queued ones. A queued run never gets an engine, is never
+// archived, and never counts as done: its producer may still be writing.
+func TestFleetShutdownSkipsQueued(t *testing.T) {
+	fx := getFleetFixture(t)
+	root := t.TempDir()
+	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A long idle keeps the first run active until Shutdown stops it.
+	f := New(Config{MaxActive: 1, QueueDepth: 4, Poll: testPoll, Idle: time.Hour, Archive: store})
+	names := []string{"r0", "r1", "r2", "r3"}
+	for _, name := range names {
+		copyRun(t, fx.quietDir, filepath.Join(root, name), nil)
+		if _, _, err := f.Register(filepath.Join(root, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if _, ok := f.EngineFor("r0"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("r0 never started ingesting")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := f.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f.Snapshot().Runs {
+		if r.Name == "r0" {
+			if r.Status != StatusDone || r.ArchiveID == "" {
+				t.Errorf("started run r0 = %s, archive %q; want done and archived", r.Status, r.ArchiveID)
+			}
+			continue
+		}
+		if r.Status != StatusQueued || r.ArchiveID != "" || r.Overhead != nil {
+			t.Errorf("queued run %s = %s, archive %q, overhead %v; want never started",
+				r.Name, r.Status, r.ArchiveID, r.Overhead)
+		}
+	}
+	if n := store.Len(); n != 1 {
+		t.Errorf("archive holds %d runs, want only r0", n)
+	}
+	if a, q, _ := f.Counts(); a != 0 || q != 0 {
+		t.Errorf("counts after shutdown = (%d, %d), want (0, 0)", a, q)
+	}
+}
+
+// feedPinned plays a run directory into a pinned engine the way runsim's
+// tap does.
+func feedPinned(t *testing.T, e *stream.Engine, run *rundir.Run) {
+	t.Helper()
+	for _, ev := range run.Log.Events {
+		e.IngestEvent(ev)
+	}
+	e.LogDone()
+	for _, rs := range run.Monitoring {
+		for _, s := range rs.Samples.Samples {
+			e.IngestSample(rs.Machine, rs.Resource, rs.Capacity, s)
+		}
+	}
+	e.MonitoringDone()
+}
+
+// TestFleetPinnedRun: a pinned run finishes through the fleet's one
+// finalize path but keeps its engine, carries its caller's label, and is
+// what Pinned reports. A bounded pinned run ends done with no record.
+func TestFleetPinnedRun(t *testing.T) {
+	fx := getFleetFixture(t)
+	run, err := rundir.Load(fx.quietDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Config{Archive: store, Engine: stream.Config{RetainForFinal: true}})
+	defer f.Shutdown(context.Background())
+	if _, _, ok := f.Pinned(); ok {
+		t.Fatal("Pinned before Attach")
+	}
+	e, err := f.Attach("p", "nightly", run.Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Attach("q", "", run.Info); err == nil {
+		t.Error("a second pinned run was accepted")
+	}
+	copyRun(t, fx.quietDir, filepath.Join(root, "p"), nil)
+	if _, _, err := f.Register(filepath.Join(root, "p")); err == nil {
+		t.Error("Register reused the pinned run's name")
+	}
+	feedPinned(t, e, run)
+	if err := f.Finish("nope"); err == nil {
+		t.Error("Finish of an unpinned name did not error")
+	}
+	if err := f.Finish("p"); err != nil {
+		t.Fatal(err)
+	}
+	if name, pe, ok := f.Pinned(); !ok || name != "p" || pe != e {
+		t.Fatalf("Pinned = (%q, %p, %v), want p's engine", name, pe, ok)
+	}
+	if got, ok := f.EngineFor("p"); !ok || got != e || e.Final() == nil {
+		t.Fatal("pinned engine did not outlive finalize with its exact profile")
+	}
+	snap := f.Snapshot()
+	if len(snap.Runs) != 1 || !snap.Runs[0].Pinned || snap.Runs[0].Status != StatusDone || snap.Runs[0].ArchiveID == "" {
+		t.Fatalf("pinned run view = %+v", snap.Runs)
+	}
+	if rec, err := store.Get(snap.Runs[0].ArchiveID); err != nil || rec.Label != "nightly" {
+		t.Fatalf("archived record label = %q (%v), want nightly", rec.Label, err)
+	}
+	if _, err := f.Blame("p"); err != nil {
+		t.Errorf("blame of the finished pinned run: %v", err)
+	}
+
+	bounded := New(Config{Archive: store})
+	defer bounded.Shutdown(context.Background())
+	be, err := bounded.Attach("b", "", run.Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedPinned(t, be, run)
+	if err := bounded.Finish("b"); err != nil {
+		t.Fatal(err)
+	}
+	v := bounded.Snapshot().Runs[0]
+	if v.Status != StatusDone || v.ArchiveID != "" || store.Len() != 1 {
+		t.Fatalf("bounded pinned run = %s, archive %q, store %d; want done and unarchived", v.Status, v.ArchiveID, store.Len())
+	}
+	if _, ok := bounded.EngineFor("b"); !ok {
+		t.Fatal("bounded pinned engine was torn down")
 	}
 }
 

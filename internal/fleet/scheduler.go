@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Decision is the admission scheduler's verdict on one registration.
@@ -39,8 +38,6 @@ type SchedulerConfig struct {
 	// QueueDepth caps the admission backlog; registrations beyond
 	// MaxActive+QueueDepth are shed. Default 64.
 	QueueDepth int
-	// Now is the wall clock (injectable for tests); default time.Now.
-	Now func() time.Time
 }
 
 func (c *SchedulerConfig) fill() {
@@ -50,35 +47,26 @@ func (c *SchedulerConfig) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-}
-
-// queuedRun is one backlog entry.
-type queuedRun struct {
-	id string
-	at time.Time
 }
 
 // Scheduler is the fleet's bounded admission scheduler: at most MaxActive
 // runs ingest concurrently, at most QueueDepth wait behind them, and
 // everything beyond that is shed (counted). It holds pure admission state —
-// no goroutines — so burst behavior is deterministic and testable with a
-// fake clock; the Fleet wraps it with the actual per-run workers.
+// no goroutines — so burst behavior is deterministic and testable; the Fleet
+// wraps it with the actual per-run workers.
 type Scheduler struct {
 	cfg SchedulerConfig
 
 	mu        sync.Mutex
-	active    map[string]time.Time // run id -> admit time
-	queue     []queuedRun
+	active    map[string]bool
+	queue     []string
 	shedTotal int64
 }
 
 // NewScheduler returns an empty scheduler.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	cfg.fill()
-	return &Scheduler{cfg: cfg, active: map[string]time.Time{}}
+	return &Scheduler{cfg: cfg, active: map[string]bool{}}
 }
 
 // Admit decides one registration: an active slot if one is free, else the
@@ -87,20 +75,20 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 func (s *Scheduler) Admit(id string) (Decision, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.active[id]; dup {
+	if s.active[id] {
 		return DecisionShed, fmt.Errorf("fleet: run %q is already active", id)
 	}
 	for _, q := range s.queue {
-		if q.id == id {
+		if q == id {
 			return DecisionShed, fmt.Errorf("fleet: run %q is already queued", id)
 		}
 	}
 	switch {
 	case len(s.active) < s.cfg.MaxActive:
-		s.active[id] = s.cfg.Now()
+		s.active[id] = true
 		return DecisionActive, nil
 	case len(s.queue) < s.cfg.QueueDepth:
-		s.queue = append(s.queue, queuedRun{id: id, at: s.cfg.Now()})
+		s.queue = append(s.queue, id)
 		return DecisionQueued, nil
 	default:
 		s.shedTotal++
@@ -114,11 +102,11 @@ func (s *Scheduler) Admit(id string) (Decision, error) {
 func (s *Scheduler) Release(id string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.active[id]; ok {
+	if s.active[id] {
 		delete(s.active, id)
 	} else {
 		for i, q := range s.queue {
-			if q.id == id {
+			if q == id {
 				s.queue = append(s.queue[:i], s.queue[i+1:]...)
 				break
 			}
@@ -128,8 +116,8 @@ func (s *Scheduler) Release(id string) []string {
 	for len(s.queue) > 0 && len(s.active) < s.cfg.MaxActive {
 		next := s.queue[0]
 		s.queue = s.queue[1:]
-		s.active[next.id] = s.cfg.Now()
-		promoted = append(promoted, next.id)
+		s.active[next] = true
+		promoted = append(promoted, next)
 	}
 	return promoted
 }
@@ -140,24 +128,4 @@ func (s *Scheduler) Counts() (active, queued int, shed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.active), len(s.queue), s.shedTotal
-}
-
-// ActiveSince returns when the run was admitted to an active slot.
-func (s *Scheduler) ActiveSince(id string) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.active[id]
-	return t, ok
-}
-
-// QueueWait returns how long the run has been waiting in the backlog.
-func (s *Scheduler) QueueWait(id string) (time.Duration, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, q := range s.queue {
-		if q.id == id {
-			return s.cfg.Now().Sub(q.at), true
-		}
-	}
-	return 0, false
 }

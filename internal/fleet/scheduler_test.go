@@ -2,20 +2,12 @@ package fleet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 )
 
-// fakeClock is a deterministic time source for scheduler tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
-
 func TestSchedulerBurstAdmission(t *testing.T) {
-	clk := newFakeClock()
-	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 3, Now: clk.now})
+	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 3})
 
 	// A burst of 7 registrations: 2 active, 3 queued, 2 shed.
 	var decisions []Decision
@@ -25,7 +17,6 @@ func TestSchedulerBurstAdmission(t *testing.T) {
 			t.Fatalf("admit run-%d: %v", i, err)
 		}
 		decisions = append(decisions, d)
-		clk.advance(time.Second)
 	}
 	want := []Decision{
 		DecisionActive, DecisionActive,
@@ -41,30 +32,20 @@ func TestSchedulerBurstAdmission(t *testing.T) {
 		t.Fatalf("counts = (%d, %d, %d), want (2, 3, 2)", a, q, shed)
 	}
 
-	// Duplicates error without shedding.
-	if _, err := s.Admit("run-0"); err == nil {
-		t.Fatal("re-admitting an active run did not error")
+	// Duplicates error without shedding, naming where the run sits.
+	if _, err := s.Admit("run-0"); err == nil || !strings.Contains(err.Error(), "already active") {
+		t.Fatalf("re-admitting an active run: %v", err)
 	}
-	if _, err := s.Admit("run-2"); err == nil {
-		t.Fatal("re-admitting a queued run did not error")
+	if _, err := s.Admit("run-2"); err == nil || !strings.Contains(err.Error(), "already queued") {
+		t.Fatalf("re-admitting a queued run: %v", err)
 	}
 	if _, _, shed := s.Counts(); shed != 2 {
 		t.Fatalf("duplicate admits changed the shed counter to %d", shed)
 	}
-
-	// Queue wait is measured against the injected clock.
-	wait, ok := s.QueueWait("run-2")
-	if !ok {
-		t.Fatal("run-2 not found in queue")
-	}
-	if want := 5 * time.Second; wait != want {
-		t.Fatalf("queue wait = %v, want %v", wait, want)
-	}
 }
 
 func TestSchedulerReleasePromotesFIFO(t *testing.T) {
-	clk := newFakeClock()
-	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 4, Now: clk.now})
+	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 4})
 	for i := 0; i < 5; i++ {
 		if _, err := s.Admit(fmt.Sprintf("run-%d", i)); err != nil {
 			t.Fatal(err)
@@ -76,8 +57,8 @@ func TestSchedulerReleasePromotesFIFO(t *testing.T) {
 	if len(promoted) != 1 || promoted[0] != "run-2" {
 		t.Fatalf("promoted = %v, want [run-2]", promoted)
 	}
-	if _, ok := s.ActiveSince("run-2"); !ok {
-		t.Fatal("run-2 not active after promotion")
+	if _, err := s.Admit("run-2"); err == nil || !strings.Contains(err.Error(), "already active") {
+		t.Fatalf("run-2 not active after promotion: %v", err)
 	}
 
 	// Releasing a queued run does not free an active slot.

@@ -24,10 +24,14 @@ import (
 	"grade10/internal/service"
 )
 
-// fleetService assembles a fleet-mode service without a listener.
+// fleetService assembles a fleet-mode service without a listener. A watch
+// directory makes it a fleet; unless the test calls Run, runs arrive only
+// over POST /fleet/runs.
 func fleetService(t *testing.T, cfg service.Config) *service.Server {
 	t.Helper()
-	cfg.Fleet = true
+	if cfg.Watch == "" {
+		cfg.Watch = t.TempDir()
+	}
 	if cfg.Poll == 0 {
 		cfg.Poll, cfg.Idle = fleet.TestPoll, fleet.TestIdle
 	}
@@ -138,7 +142,7 @@ func TestFleetServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := fleetService(t, service.Config{
-		Dir: watch, MaxActive: 2, QueueDepth: 8,
+		Watch: watch, MaxActive: 2, QueueDepth: 8,
 		StoreDir: filepath.Join(root, "archive"),
 	})
 	stop := make(chan struct{})

@@ -73,7 +73,7 @@ func NewRecorder(tracer *obs.Tracer, ring *obs.LogRing) *Recorder {
 }
 
 // OnWindowFlush retains one flushed window for run (the last winPerRun are
-// kept; "" names the single-run engine). WindowResults are immutable once
+// kept). WindowResults are immutable once
 // flushed, so retaining the pointer is safe. Non-blocking: it runs under the
 // engine lock.
 func (r *Recorder) OnWindowFlush(run string, wr *stream.WindowResult) {

@@ -30,7 +30,7 @@ type Input struct {
 	IssueConfig      issues.Config
 	// Parallelism is the worker count for the attribution fan-out and the
 	// issue detector's trace replays. Output is identical for every value;
-	// 0 takes par.Default() (GOMAXPROCS unless overridden).
+	// 0 takes par.Default() (GOMAXPROCS).
 	Parallelism int
 	// Tracer collects self-trace spans for every pipeline stage (trace
 	// build, resource trace assembly, attribution jobs, bottleneck scan,
@@ -137,11 +137,4 @@ func FilterBlocking(log *enginelog.Log, resources ...string) *enginelog.Log {
 		out.Events = append(out.Events, e)
 	}
 	return out
-}
-
-// MonitorCluster samples a finished run's cluster at the given interval over
-// [start, end), producing the Monitoring input for Characterize.
-func MonitorCluster(c *cluster.Cluster, start, end vtime.Time,
-	interval vtime.Duration) ([]cluster.ResourceSamples, error) {
-	return cluster.Monitor(c, start, end, interval)
 }

@@ -46,7 +46,7 @@ func TestEndToEndGiraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitoring, err := MonitorCluster(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
+	monitoring, err := cluster.Monitor(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEndToEndGiraphViaSerializedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitoring, err := MonitorCluster(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
+	monitoring, err := cluster.Monitor(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestEndToEndPowerGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitoring, err := MonitorCluster(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
+	monitoring, err := cluster.Monitor(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestDiskResourceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitoring, err := MonitorCluster(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
+	monitoring, err := cluster.Monitor(res.Cluster, res.Start, res.End, 50*vtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

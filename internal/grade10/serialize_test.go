@@ -131,7 +131,7 @@ func TestSavedModelsUsableEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitoring, err := MonitorCluster(res.Cluster, res.Start, res.End, 50000000)
+	monitoring, err := cluster.Monitor(res.Cluster, res.Start, res.End, 50000000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,14 @@ import (
 )
 
 // TestTracerWraparoundOrderingConcurrent: many goroutines emit spans through
-// a tiny ring. The snapshot taken afterwards must be in strictly increasing
+// the default-capacity ring until it wraps. The snapshot taken afterwards must be in strictly increasing
 // completion (Seq) order with the newest span retained, and the drop counter
 // must account for everything the ring shed — the flight recorder's Perfetto
 // export relies on that ordering.
 func TestTracerWraparoundOrderingConcurrent(t *testing.T) {
 	tr := NewTracer()
-	tr.SetMaxSpans(64)
 
-	const workers, perWorker = 8, 200
+	const workers, perWorker = 8, DefaultMaxSpans/8 + 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -35,8 +34,8 @@ func TestTracerWraparoundOrderingConcurrent(t *testing.T) {
 	wg.Wait()
 
 	spans := tr.Spans()
-	if len(spans) == 0 || len(spans) > 64 {
-		t.Fatalf("ring retained %d spans, want 1..64", len(spans))
+	if len(spans) == 0 || len(spans) > DefaultMaxSpans {
+		t.Fatalf("ring retained %d spans, want 1..%d", len(spans), DefaultMaxSpans)
 	}
 	for i := 1; i < len(spans); i++ {
 		if spans[i].Seq <= spans[i-1].Seq {
@@ -57,10 +56,14 @@ func TestTracerWraparoundOrderingConcurrent(t *testing.T) {
 // TestTracerConcurrentEmitAndScrape: span emission races snapshotting — the
 // live /debug/flamegraph and bundle-capture paths read Spans() while engines
 // keep tracing. Run under -race; every snapshot must be internally ordered.
+// The ring starts full, so every span emitted while the scrapes run wraps it.
 func TestTracerConcurrentEmitAndScrape(t *testing.T) {
 	tr := NewTracer()
-	tr.SetMaxSpans(128)
 	tr.OnRecord(func(SpanRecord) {}) // exercise the hook path too
+	for i := 0; i < DefaultMaxSpans; i++ {
+		s := tr.StartSpan("fill", 0)
+		s.End()
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -80,14 +83,14 @@ func TestTracerConcurrentEmitAndScrape(t *testing.T) {
 			}
 		}(w)
 	}
-	for i := 0; i < 200; i++ {
+	// Scrape until an emitter has wrapped the ring at least once.
+	for i := 0; i < 200 || tr.Dropped() == 0; i++ {
 		spans := tr.Spans()
 		for j := 1; j < len(spans); j++ {
 			if spans[j].Seq <= spans[j-1].Seq {
 				t.Errorf("snapshot %d out of order at %d", i, j)
 			}
 		}
-		_ = tr.Dropped()
 	}
 	close(stop)
 	wg.Wait()

@@ -71,7 +71,7 @@ func TestRegistryOutputStableAndEscaped(t *testing.T) {
 
 func TestRegistryHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("g10_stage_seconds", "Stage durations.", []float64{0.01, 0.1, 1})
+	h := r.HistogramVec("g10_stage_seconds", "Stage durations.", []float64{0.01, 0.1, 1}).With()
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(5)
@@ -111,7 +111,6 @@ func TestTracerRecordsSpans(t *testing.T) {
 	s := tr.StartSpan("parse-log", -1)
 	s.SetDetail("run1")
 	s.SetItems(100)
-	s.SetBytes(4096)
 	s.SetWindow(0, 1e9)
 	s.End()
 	spans := tr.Spans()
@@ -120,7 +119,7 @@ func TestTracerRecordsSpans(t *testing.T) {
 	}
 	r := spans[0]
 	if r.Stage != "parse-log" || r.Worker != -1 || r.Detail != "run1" ||
-		r.Items != 100 || r.Bytes != 4096 || !r.HasWindow || r.VEndNS != 1e9 {
+		r.Items != 100 || !r.HasWindow || r.VEndNS != 1e9 {
 		t.Errorf("unexpected record: %+v", r)
 	}
 	if r.Dur < 0 || r.Seq != 1 {
@@ -133,20 +132,20 @@ func TestTracerRecordsSpans(t *testing.T) {
 
 func TestTracerRingDropsOldest(t *testing.T) {
 	tr := NewTracer()
-	tr.SetMaxSpans(8)
-	for i := 0; i < 20; i++ {
+	const total = DefaultMaxSpans + 12
+	for i := 0; i < total; i++ {
 		s := tr.StartSpan("stage", 0)
 		s.End()
 	}
 	spans := tr.Spans()
-	if len(spans) > 8 {
-		t.Fatalf("ring retained %d spans, max 8", len(spans))
+	if len(spans) > DefaultMaxSpans {
+		t.Fatalf("ring retained %d spans, max %d", len(spans), DefaultMaxSpans)
 	}
 	if tr.Dropped() == 0 {
 		t.Error("expected dropped spans to be counted")
 	}
 	// The newest span must survive.
-	if spans[len(spans)-1].Seq != 20 {
+	if spans[len(spans)-1].Seq != total {
 		t.Errorf("newest span missing, last seq = %d", spans[len(spans)-1].Seq)
 	}
 }
@@ -157,7 +156,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		s := tr.StartSpan("hot", 3)
 		s.SetDetail("x")
 		s.SetItems(1)
-		s.SetBytes(2)
 		s.SetWindow(0, 1)
 		s.End()
 	})

@@ -364,19 +364,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.order = append(f.order, "")
 }
 
-// Histogram registers (or fetches) an unlabeled histogram with the given
-// bucket bounds (nil = DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	f := r.family(name, help, kindHistogram, nil, buckets)
-	if f == nil {
-		return nil
-	}
-	return f.get(nil).histogram
-}
-
 // HistogramVec registers a labeled histogram family (nil = DefBuckets).
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelKeys ...string) *HistogramVec {
 	if buckets == nil {

@@ -66,19 +66,6 @@ func NewTracer() *Tracer {
 // would itself allocate when tracing is off.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// SetMaxSpans bounds the retained ring (values < 1 restore the default).
-func (t *Tracer) SetMaxSpans(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = DefaultMaxSpans
-	}
-	t.mu.Lock()
-	t.max = n
-	t.mu.Unlock()
-}
-
 // OnRecord installs a hook invoked synchronously (under the tracer lock) for
 // every completed span — the bridge that feeds span durations into a
 // Registry. Install before instrumented code runs.
@@ -123,14 +110,6 @@ func (s *Span) SetItems(n int64) {
 		return
 	}
 	s.rec.Items = n
-}
-
-// SetBytes records the processed byte volume.
-func (s *Span) SetBytes(n int64) {
-	if s.t == nil {
-		return
-	}
-	s.rec.Bytes = n
 }
 
 // SetWindow records the virtual-time window the span processed, in virtual

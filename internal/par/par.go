@@ -10,10 +10,10 @@
 // resolved worker count of 1 the loop runs inline on the caller's goroutine,
 // so serial mode is trivially identical to the pre-parallel code path.
 //
-// The package-level default parallelism is what the `-parallelism` flag of
-// cmd/grade10, cmd/runsim, and cmd/serve plumbs through; layers that expose
-// their own knob (grade10.Input, stream.Config, issues.Config, the simulator
-// Configs) treat 0 as "use the default".
+// The `-parallelism` flag of cmd/grade10, cmd/runsim, and cmd/serve plumbs
+// through each layer's own knob (grade10.Input, stream.Config,
+// issues.Config, the simulator Configs), which treats 0 as "use the
+// default", GOMAXPROCS.
 package par
 
 import (
@@ -22,25 +22,8 @@ import (
 	"sync/atomic"
 )
 
-// defaultN is the process-wide default parallelism; 0 means GOMAXPROCS.
-var defaultN atomic.Int64
-
-// SetDefault sets the process-wide default worker count used when a layer's
-// own parallelism knob is 0. n <= 0 resets to GOMAXPROCS.
-func SetDefault(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultN.Store(int64(n))
-}
-
-// Default returns the process-wide default worker count.
-func Default() int {
-	if n := defaultN.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Default returns the default worker count, GOMAXPROCS.
+func Default() int { return runtime.GOMAXPROCS(0) }
 
 // Workers resolves a requested parallelism against the job count: n <= 0
 // takes Default(), and the result never exceeds jobs (no idle goroutines).

@@ -49,21 +49,15 @@ func TestDoPanicPropagates(t *testing.T) {
 }
 
 func TestWorkersResolution(t *testing.T) {
-	SetDefault(0)
 	if got := Workers(0, 1000); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers(0, 1000) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 	if got := Workers(8, 3); got != 3 {
 		t.Fatalf("Workers(8, 3) = %d, want 3", got)
 	}
-	SetDefault(5)
-	if got := Workers(0, 1000); got != 5 {
-		t.Fatalf("after SetDefault(5): Workers(0, 1000) = %d", got)
+	if got := Default(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Default() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Default(); got != 5 {
-		t.Fatalf("Default() = %d, want 5", got)
-	}
-	SetDefault(0)
 	if got := Workers(-1, 2); got < 1 || got > 2 {
 		t.Fatalf("Workers(-1, 2) = %d out of range", got)
 	}

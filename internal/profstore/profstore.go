@@ -33,7 +33,6 @@ import (
 	"grade10/internal/core"
 	"grade10/internal/grade10"
 	"grade10/internal/rundir"
-	"grade10/internal/vtime"
 )
 
 // Version is the record and index schema version. Records without a version
@@ -140,9 +139,6 @@ type Record struct {
 
 	Bench []BenchStage `json:"bench,omitempty"`
 }
-
-// Makespan returns the run's makespan as a virtual duration.
-func (r *Record) Makespan() vtime.Duration { return vtime.Duration(r.MakespanNS) }
 
 // BuildRecord summarizes one characterization into an archivable Record.
 // Every slice is sorted on a total order, and every float is accumulated in

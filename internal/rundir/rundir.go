@@ -95,7 +95,7 @@ const (
 	monitoringFile = "monitoring.csv"
 )
 
-// SaveOptions tunes how Save persists a run.
+// SaveOptions tunes how SaveOpts persists a run.
 type SaveOptions struct {
 	// BinaryLog writes execution.log in the compact binary enginelog format
 	// instead of text. Loaders auto-detect by magic bytes, so the two are
@@ -103,13 +103,8 @@ type SaveOptions struct {
 	BinaryLog bool
 }
 
-// Save writes the run into dir, creating it if needed. The execution log is
-// written in the text format; use SaveOpts for the binary encoding.
-func Save(dir string, run *Run) error {
-	return SaveOpts(dir, run, SaveOptions{})
-}
-
-// SaveOpts writes the run into dir with explicit options.
+// SaveOpts writes the run into dir, creating it if needed. The execution
+// log is written in the text format unless opt asks for the binary one.
 func SaveOpts(dir string, run *Run, opt SaveOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

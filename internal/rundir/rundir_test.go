@@ -21,7 +21,7 @@ func sampleRun() *Run {
 	l.StartPhase("/job", -1)
 	l.StartPhase("/job/a", 0)
 	now = vtime.Time(50 * vtime.Millisecond)
-	l.BlockedFor("/job/a", "gc", 10*vtime.Millisecond)
+	l.BlockedSince("/job/a", "gc", now.Add(-10*vtime.Millisecond))
 	now = vtime.Time(100 * vtime.Millisecond)
 	l.EndPhase("/job/a")
 	l.EndPhase("/job")
@@ -54,7 +54,7 @@ func sampleRun() *Run {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	run := sampleRun()
-	if err := Save(dir, run); err != nil {
+	if err := SaveOpts(dir, run, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(dir)
@@ -87,7 +87,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestInfoVersionCompat(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "run")
 	run := sampleRun()
-	if err := Save(dir, run); err != nil {
+	if err := SaveOpts(dir, run, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if run.Info.Version != InfoVersion {
@@ -226,7 +226,7 @@ func TestSaveLoadBinaryLog(t *testing.T) {
 
 	// The text variant of the same run must load to the identical events.
 	textDir := filepath.Join(t.TempDir(), "run-text")
-	if err := Save(textDir, run); err != nil {
+	if err := SaveOpts(textDir, run, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	textBack, err := Load(textDir)

@@ -4,6 +4,10 @@
 // scheduler (serve -fleet), and one run fed in process by the simulator
 // (runsim -serve).
 //
+// Every mode is a fleet (internal/fleet), which owns each run's lifecycle.
+// serve -run and runsim -serve are a fleet holding one pinned run
+// (fleet.Attach, fleet.Finish); serve -fleet watches a directory for runs.
+//
 // Assemble builds what a Config turns on in dependency order: archive,
 // alert evaluator and webhook notifier, SSE broker, flight recorder, fleet,
 // bundle capturer, routes, metrics, listener. Shutdown tears it down in the
@@ -12,8 +16,8 @@
 //
 // Every mode serves the same per-run endpoints (/profile /phases
 // /bottlenecks /windows /stats /report /explain /trace and the UI's /api/*)
-// through one ?run= resolver: the only run by default in single-run mode, an
-// actively ingesting run in fleet mode.
+// through one ?run= resolver: an empty ?run= names the pinned run, any other
+// name an actively ingesting run.
 package service
 
 import (
@@ -42,16 +46,15 @@ import (
 // it; zero values turn optional components off. The fields mirror cmd/serve's
 // flags.
 type Config struct {
-	// Fleet selects fleet mode: many runs behind the admission scheduler,
-	// discovered in Dir or registered over POST /fleet/runs.
-	Fleet bool
-	// Dir is what Run follows: the run directory to tail in single-run mode,
-	// the watch directory in fleet mode. A single run fed in process is
-	// started with Start instead.
-	Dir string
-	// RunName names the single run in overhead rows, bundles, and ?run=;
-	// default the base name of Dir. RunLabel is archived with its record.
-	RunName, RunLabel string
+	// Dir is the run directory Run tails as the pinned run, named by its
+	// base name; RunLabel is archived with its record. A run fed in process
+	// is pinned with Fleet().Attach instead.
+	Dir, RunLabel string
+	// Watch is the directory Run polls for run subdirectories, each
+	// Registered with the fleet; runs may also be registered over POST
+	// /fleet/runs. Without Watch the service serves one pinned run and
+	// refuses registrations.
+	Watch string
 
 	// Addr is the HTTP listen address; empty starts no listener (serve the
 	// Server as an http.Handler).
@@ -73,8 +76,8 @@ type Config struct {
 	MaxActive, QueueDepth int
 	StallTimeout          time.Duration
 
-	// StaleAfter makes single-run /healthz answer 503 once the last input
-	// is older than this while the run is open; 0 disables.
+	// StaleAfter makes /healthz answer 503 once an active run's last input
+	// is older than this; 0 disables.
 	StaleAfter time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/; UI mounts the visual
 	// profiler under /ui/ and /api/ with live SSE on /api/events.
@@ -85,8 +88,8 @@ type Config struct {
 	StoreDir string
 	StoreMax int
 
-	// AlertRules are evaluated on every window flush and, against
-	// archive-learned baselines, on every finished run; AlertWebhook
+	// AlertRules are evaluated on every window flush of the pinned run and,
+	// against archive-learned baselines, on every finished run; AlertWebhook
 	// receives each batch of transitions.
 	AlertRules   []alert.Rule
 	AlertWebhook string
@@ -105,20 +108,14 @@ type Config struct {
 
 // Server is the assembled service and its HTTP handler.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger
-	runName string
+	cfg Config
+	log *slog.Logger
 
 	mux    *http.ServeMux
 	routes []obs.Route
 	reg    *obs.Registry
 	httpm  *obs.HTTPMetrics
 
-	// Single-run mode: the engine appears once Start has run.
-	engine  atomic.Pointer[stream.Engine]
-	info    rundir.Info
-	account *obs.RunAccount
-	// Fleet mode.
 	fleet *fleet.Fleet
 
 	archive           profstore.Archive // nil without a store
@@ -146,11 +143,8 @@ func Assemble(cfg Config) (*Server, error) {
 	if cfg.ShutdownTimeout <= 0 {
 		cfg.ShutdownTimeout = 5 * time.Second
 	}
-	if cfg.RunName == "" && cfg.Dir != "" && !cfg.Fleet {
-		cfg.RunName = filepath.Base(filepath.Clean(cfg.Dir))
-	}
 	s := &Server{
-		cfg: cfg, log: cfg.Logger, runName: cfg.RunName,
+		cfg: cfg, log: cfg.Logger,
 		mux: http.NewServeMux(), reg: obs.NewRegistry(), done: make(chan struct{}),
 	}
 	// The archive opens first so baseline-regression rules learn from prior
@@ -177,13 +171,8 @@ func Assemble(cfg Config) (*Server, error) {
 		s.broker = ui.NewBroker(0)
 	}
 	s.recorder = flight.NewRecorder(cfg.Engine.Tracer, cfg.LogRing)
-	overhead := s.singleOverhead
-	if cfg.Fleet {
-		s.fleet = fleet.New(s.fleetConfig())
-		overhead = s.fleet.Overhead
-	} else {
-		s.account = &obs.RunAccount{}
-	}
+	s.fleet = fleet.New(s.fleetConfig())
+	overhead := s.fleet.Overhead
 	if cfg.BundleDir != "" {
 		var err error
 		s.capt, err = flight.NewCapturer(flight.Config{
@@ -210,7 +199,7 @@ func Assemble(cfg Config) (*Server, error) {
 	}
 	if s.broker != nil {
 		uis := ui.NewServer(ui.Config{
-			Resolve: s.resolve, Fleet: cfg.Fleet, Broker: s.broker, Alerts: s.alerts, Overhead: overhead,
+			Resolve: s.resolve, Broker: s.broker, Alerts: s.alerts, Overhead: overhead,
 		})
 		s.mux.Handle("/ui/", uis)
 		s.mux.Handle("/api/", uis)
@@ -236,14 +225,20 @@ func Assemble(cfg Config) (*Server, error) {
 }
 
 // fleetConfig wires the fleet's hooks to the service's components: every
-// run's flushed windows feed the recorder, stall and shed incidents trigger
-// bundles, and finished runs are archived and alert-evaluated.
+// run's flushed windows feed the recorder and the pinned run's also the SSE
+// stream, stall and shed incidents trigger bundles, and finished runs are
+// archived and alert-evaluated.
 func (s *Server) fleetConfig() fleet.Config {
 	cfg := fleet.Config{
 		MaxActive: s.cfg.MaxActive, QueueDepth: s.cfg.QueueDepth, StallTimeout: s.cfg.StallTimeout,
 		Poll: s.cfg.Poll, Idle: s.cfg.Idle, Engine: s.cfg.Engine, Logger: s.log,
-		Archive:       s.archive,
-		OnWindowFlush: s.recorder.OnWindowFlush,
+		Archive: s.archive,
+		OnWindowFlush: func(run string, wr *stream.WindowResult) {
+			s.recorder.OnWindowFlush(run, wr)
+			if s.broker != nil && run == s.pinnedName() {
+				s.broker.OnWindowFlush(wr)
+			}
+		},
 		OnIncident: func(kind, detail, run string) {
 			if s.capt != nil {
 				s.capt.Trigger(flight.Trigger(kind), detail, []string{run})
@@ -260,15 +255,11 @@ func (s *Server) fleetConfig() fleet.Config {
 // /metrics.
 func (s *Server) registerMetrics(overhead func() []obs.RunOverhead) {
 	reg := s.reg
-	if s.fleet == nil {
-		registerProfileMetrics(reg, s.engine.Load)
-	}
+	registerProfileMetrics(reg, s.fleet)
 	obs.RegisterRuntime(reg)
 	obs.BridgeTracer(reg, s.cfg.Engine.Tracer)
 	registerHealthMetrics(reg, s.degraded)
-	if s.fleet != nil {
-		registerFleetMetrics(reg, s.fleet)
-	}
+	registerFleetMetrics(reg, s.fleet)
 	if s.archive != nil {
 		registerArchiveMetrics(reg, s.archive, &s.lastDiffRegressed)
 	}
@@ -285,8 +276,14 @@ func (s *Server) registerMetrics(overhead func() []obs.RunOverhead) {
 	obs.RegisterBuildInfo(reg)
 }
 
-func (s *Server) singleOverhead() []obs.RunOverhead {
-	return []obs.RunOverhead{{Run: s.runName, OverheadSnapshot: s.account.Snapshot()}}
+// pinnedMode reports whether the service serves one pinned run (serve -run,
+// runsim -serve) rather than watching for runs to register (serve -fleet).
+func (s *Server) pinnedMode() bool { return s.cfg.Watch == "" }
+
+// pinnedName is the pinned run's name, "" before Attach.
+func (s *Server) pinnedName() string {
+	name, _, _ := s.fleet.Pinned()
+	return name
 }
 
 // publishAlerts fans alert transitions out to the recorder, one bundle
@@ -295,9 +292,9 @@ func (s *Server) publishAlerts(evs []alert.Event) {
 	s.recorder.OnAlerts(evs)
 	for _, ev := range evs {
 		if s.capt != nil && ev.To == alert.StateFiring {
-			run := ev.Run // set in fleet mode
+			run := ev.Run // set by record-level evaluation
 			if run == "" {
-				run = s.runName
+				run = s.pinnedName()
 			}
 			s.capt.Trigger(flight.TriggerAlert, "alert "+ev.Rule+" firing", []string{run})
 			break // the per-kind rate limit would eat the rest anyway
@@ -322,113 +319,50 @@ func (s *Server) Addr() string {
 // Capturer returns the bundle capturer, nil unless BundleDir is set.
 func (s *Server) Capturer() *flight.Capturer { return s.capt }
 
-// Start builds the single run's engine from its metadata, hooks wired, and
-// begins serving it. Run calls it when run.json appears; an in-process
-// producer calls it directly and feeds the returned engine.
-func (s *Server) Start(info rundir.Info) (*stream.Engine, error) {
-	if s.fleet != nil {
-		return nil, fmt.Errorf("service: Start is for single-run mode")
-	}
-	cfg := s.cfg.Engine
-	cfg.Account = s.account
-	cfg.OnWindowFlush = func(wr *stream.WindowResult) {
-		if s.broker != nil {
-			s.broker.OnWindowFlush(wr)
-		}
-		s.recorder.OnWindowFlush(s.runName, wr)
-	}
-	if s.alerts != nil {
-		cfg.Alerts, cfg.OnAlert = s.alerts, s.publishAlerts
-	}
-	e, err := stream.NewForRun(info, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.info = info
-	s.engine.Store(e)
-	s.log.Info(fmt.Sprintf("%s run of %q on %d workers; live endpoints up", info.Engine, info.Job, info.Workers))
-	return e, nil
-}
+// Fleet returns the fleet that owns every run's lifecycle. An in-process
+// producer pins its run with Attach, feeds the returned engine, and ends it
+// with Finish.
+func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 
-// Finish finalizes the single run, archives its exact profile, and
-// evaluates the baseline-regression rules against it (a clean run resolves
-// what a noisy earlier one left firing). A bounded engine has no exact
-// profile, so nothing is archived or evaluated.
-func (s *Server) Finish() error {
-	e := s.engine.Load()
-	if e == nil {
-		return fmt.Errorf("stopped before run.json appeared in %s", s.cfg.Dir)
+// Run drives the configured inputs until stop closes. With Watch it
+// registers every run subdirectory. With Dir it tails the directory into
+// the pinned run, finishes the run once it goes idle (or stop closes), and
+// keeps serving the result.
+func (s *Server) Run(stop <-chan struct{}) error {
+	if s.cfg.Watch != "" {
+		return s.fleet.Watch(s.cfg.Watch, stop)
 	}
-	out, err := e.Finalize()
-	if err != nil {
-		return err
-	}
-	st := e.Stats()
-	s.log.Info("run complete", "events", st.Events, "skipped_lines", st.ParseErrors,
-		"samples", st.Samples, "windows", st.WindowsFlushed)
-	if out == nil {
-		s.log.Info("bounded mode: live profile at /profile, no exact /report")
-		return nil
-	}
-	s.log.Info("exact report ready at /report")
-	if s.archive == nil && s.alerts == nil {
-		return nil
-	}
-	rec := profstore.BuildRecord(s.info, out)
-	rec.Label = s.cfg.RunLabel
-	if s.archive != nil {
-		meta, evicted, err := s.archive.Put(rec)
-		if err != nil {
+	if s.cfg.Dir != "" {
+		name := filepath.Base(filepath.Clean(s.cfg.Dir))
+		opt := rundir.FollowOptions{Poll: s.cfg.Poll, Idle: s.cfg.Idle}
+		e, err := stream.Follow(s.cfg.Dir, opt, stop, func(info rundir.Info) (*stream.Engine, error) {
+			return s.fleet.Attach(name, s.cfg.RunLabel, info)
+		})
+		switch {
+		case err != nil:
+			return err
+		case e == nil:
+			return fmt.Errorf("stopped before run.json appeared in %s", s.cfg.Dir)
+		}
+		if err := s.fleet.Finish(name); err != nil {
 			return err
 		}
-		s.log.Info("archived run", "id", meta.ID, "evicted", len(evicted))
-	}
-	if s.alerts != nil {
-		evs := s.alerts.EvalRecord(rec, s.runName)
-		for _, tr := range evs {
-			s.log.Info("alert transition", "rule", tr.Rule, "from", tr.From, "to", tr.To)
-		}
-		if len(evs) > 0 {
-			s.publishAlerts(evs)
-		}
-		if n := s.alerts.FiringCount(); n > 0 {
-			s.log.Warn("alerts firing at run end", "firing", n)
-		}
-	}
-	return nil
-}
-
-// Run drives the configured mode until stop closes. Fleet mode watches Dir
-// for run subdirectories. Single-run mode tails Dir into the engine,
-// finishes the run once it goes idle (or stop closes), and keeps serving
-// the result.
-func (s *Server) Run(stop <-chan struct{}) error {
-	if s.fleet != nil {
-		return s.fleet.Watch(s.cfg.Dir, stop)
-	}
-	opt := rundir.FollowOptions{Poll: s.cfg.Poll, Idle: s.cfg.Idle}
-	if _, err := stream.Follow(s.cfg.Dir, opt, stop, s.Start); err != nil {
-		return err
-	}
-	if err := s.Finish(); err != nil {
-		return err
 	}
 	<-stop
 	return nil
 }
 
 // Shutdown stops the service within ShutdownTimeout: fleet runs drain their
-// in-flight flushes and finalizes (each still archives), SSE streams end so
-// subscribers cannot hold HTTP shutdown open, in-flight requests complete,
-// then queued bundle captures and webhooks drain. Idempotent.
+// in-flight flushes and finalizes (each started run still archives), SSE
+// streams end so subscribers cannot hold HTTP shutdown open, in-flight
+// requests complete, then queued bundle captures and webhooks drain.
+// Idempotent.
 func (s *Server) Shutdown() {
 	s.shutOnce.Do(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 		defer cancel()
-		if s.fleet != nil {
-			if err := s.fleet.Shutdown(ctx); err != nil {
-				s.log.Warn(err.Error())
-			}
+		if err := s.fleet.Shutdown(ctx); err != nil {
+			s.log.Warn(err.Error())
 		}
 		if s.broker != nil {
 			s.broker.Shutdown()

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"grade10/internal/alert"
 	"grade10/internal/cluster"
 	"grade10/internal/experiments"
+	"grade10/internal/fleet"
 	"grade10/internal/giraphsim"
 	"grade10/internal/graph"
 	"grade10/internal/obs"
@@ -87,7 +89,7 @@ func simulate(dir string, noise float64) error {
 	if err != nil {
 		return err
 	}
-	return rundir.Save(dir, &rundir.Run{
+	return rundir.SaveOpts(dir, &rundir.Run{
 		Log: res.Log, Monitoring: mon,
 		Info: rundir.Info{
 			Engine: "giraph", Job: prog.Name(), Workers: cfg.Workers,
@@ -96,7 +98,7 @@ func simulate(dir string, noise float64) error {
 			StartNS: int64(res.Start), EndNS: int64(res.End),
 			Placement: []rundir.Placement{{Machine: 0, Host: "m0"}, {Machine: 1, Host: "m1"}},
 		},
-	})
+	}, rundir.SaveOptions{})
 }
 
 // copyRun copies a fixture run directory so every service owns its inputs.
@@ -263,11 +265,7 @@ func serve(t *testing.T, cfg service.Config, ready func(*env) bool) *env {
 	}
 	e := &env{t: t, srv: srv, base: "http://" + srv.Addr(), vars: map[string]string{"id": "none", "id2": "none"}}
 	stop, ran := make(chan struct{}), make(chan error, 1)
-	if cfg.Fleet || cfg.Dir != "" {
-		go func() { ran <- srv.Run(stop) }()
-	} else {
-		ran <- nil
-	}
+	go func() { ran <- srv.Run(stop) }()
 	t.Cleanup(func() {
 		close(stop)
 		if err := <-ran; err != nil {
@@ -309,7 +307,7 @@ func TestServiceEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := serve(t, service.Config{
-				Fleet: true, Dir: watch, MaxActive: 8, QueueDepth: 64, UI: true,
+				Watch: watch, MaxActive: 8, QueueDepth: 64, UI: true,
 				StoreDir: filepath.Join(root, "archive"),
 			}, func(*env) bool { return true })
 			// Stage outside the watch directory, then move in atomically.
@@ -345,7 +343,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		}, checkFleet},
 		{"runsim-serve", func(t *testing.T) *env {
 			e := serve(t, service.Config{
-				RunName: "pagerank", UI: true,
+				UI:     true,
 				Engine: stream.Config{RetainForFinal: true}, ShutdownTimeout: 3 * time.Second,
 			}, func(*env) bool { return true })
 			feedInProcess(t, e.srv, quiet)
@@ -367,20 +365,50 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// serveEngine is cmd/serve's single-run engine template at default flags.
+// TestPinnedRefusesRegistration: serve -run takes no registrations. A POST
+// /fleet/runs naming a directory with the pinned run's base name, sent before
+// run.json appears, is refused, and the service still pins the run, finishes
+// it and serves /report.
+func TestPinnedRefusesRegistration(t *testing.T) {
+	quiet, _ := fixture(t)
+	root := t.TempDir()
+	dir := filepath.Join(root, "quiet")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e := serve(t, service.Config{Dir: dir, Engine: serveEngine()}, func(*env) bool { return true })
+	body := `{"dir": ` + strconv.Quote(filepath.Join(root, "elsewhere", "quiet")) + `}`
+	resp, err := client.Post(e.base+"/fleet/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("POST /fleet/runs in pinned mode = %d, want %d", resp.StatusCode, http.StatusConflict)
+	}
+	copyRun(t, quiet, dir)
+	waitFor(t, "/report", func() bool { return reportReady(e) })
+	var snap fleet.FleetSnapshot
+	e.getJSON("/fleet/runs", &snap)
+	if len(snap.Runs) != 1 || !snap.Runs[0].Pinned || snap.Runs[0].Status != fleet.StatusDone {
+		t.Fatalf("/fleet/runs = %+v, want the one pinned run, done", snap.Runs)
+	}
+}
+
+// serveEngine is cmd/serve's -run engine template at default flags.
 func serveEngine() stream.Config {
 	return stream.Config{WindowSlices: 64, MaxWindows: 32, RetainForFinal: true, Tracer: obs.NewTracer()}
 }
 
-// feedInProcess plays the run into a started single-run engine the way
-// runsim's tap does, then finishes it.
+// feedInProcess pins the run as "pagerank" and plays it into the pinned
+// engine the way runsim's tap does, then finishes it.
 func feedInProcess(t *testing.T, srv *service.Server, dir string) {
 	t.Helper()
 	run, err := rundir.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := srv.Start(run.Info)
+	e, err := srv.Fleet().Attach("pagerank", "", run.Info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +424,7 @@ func feedInProcess(t *testing.T, srv *service.Server, dir string) {
 		}
 	}
 	e.MonitoringDone()
-	if err := srv.Finish(); err != nil {
+	if err := srv.Fleet().Finish("pagerank"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -650,7 +678,7 @@ func checkFleet(e *env) {
 	}
 }
 
-// checkMetricsGolden pins the single-run /metrics schema: every family's
+// checkMetricsGolden pins the pinned-run /metrics schema: every family's
 // name, TYPE, and label keys.
 func checkMetricsGolden(e *env) {
 	checkGolden(e.t, "metrics_"+e.t.Name()[strings.LastIndex(e.t.Name(), "/")+1:]+".golden",

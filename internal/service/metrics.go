@@ -44,7 +44,7 @@ var profileGauges = []struct {
 	{"grade10_parser_malformed_lines", "Malformed log lines counted by the enginelog parser (ParseStats).", func(s *stream.Snapshot) float64 { return float64(s.Stats.ParseErrors) }},
 }
 
-// profileMetrics mirrors the single run's live profile onto the registry.
+// profileMetrics mirrors the pinned run's live profile onto the registry.
 type profileMetrics struct {
 	reg                    *obs.Registry
 	stats                  []*obs.Counter
@@ -112,19 +112,23 @@ func (m *profileMetrics) update(snap *stream.Snapshot, explainQueries, provenanc
 	}
 }
 
-// registerProfileMetrics mirrors the single run's live profile onto the
+// registerProfileMetrics mirrors the pinned run's live profile onto the
 // registry: one scrape hook takes one engine Snapshot per scrape and
-// refreshes every family from it. Before the engine exists (run.json not yet
-// seen) the families read zero.
-func registerProfileMetrics(reg *obs.Registry, engine func() *stream.Engine) {
-	m := newProfileMetrics(reg)
+// refreshes every family from it. The families register on the first
+// scrape after the run is pinned, so a fleet without one exposes none.
+func registerProfileMetrics(reg *obs.Registry, fl *fleet.Fleet) {
+	var once sync.Once
+	var m *profileMetrics
 	reg.AddScrapeHook(func() {
-		if e := engine(); e != nil {
-			snap := e.Snapshot()
-			m.update(&snap, e.ExplainQueries(), e.ProvenanceBytes())
-			age, _ := e.IngestAge()
-			m.ingestAge.Set(age.Seconds())
+		_, e, ok := fl.Pinned()
+		if !ok {
+			return
 		}
+		once.Do(func() { m = newProfileMetrics(reg) })
+		snap := e.Snapshot()
+		m.update(&snap, e.ExplainQueries(), e.ProvenanceBytes())
+		age, _ := e.IngestAge()
+		m.ingestAge.Set(age.Seconds())
 	})
 }
 
@@ -181,7 +185,7 @@ func registerHealthMetrics(reg *obs.Registry, degraded func() (bool, string)) {
 	reg.GaugeFunc("grade10_uptime_seconds", "Wall-clock seconds since the service started.",
 		func() float64 { return time.Since(start).Seconds() })
 	reg.GaugeFunc("grade10_health_degraded",
-		"1 when /healthz reports degraded (ingest older than the staleness threshold; in fleet mode a stalled or failed run, or a shed).",
+		"1 when /healthz reports degraded (an active run's ingest older than the staleness threshold, a stalled or failed run, or a shed).",
 		func() float64 { bad, _ := degraded(); return boolValue(bad) })
 }
 

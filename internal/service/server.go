@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -68,26 +69,19 @@ func (s *Server) mountRoutes() {
 		{"/explain", "provenance query ?q=phase=.. machine=.. resource=.. (JSON or ?format=text)", serveExplain},
 		{"/trace", "Chrome trace-event JSON (Perfetto-loadable)", serveTrace},
 	} {
-		desc, h := rt.desc, rt.h
-		if s.fleet != nil {
-			desc += "; one active run, ?run=<name>"
-		}
-		s.handleFunc(rt.path, desc, func(w http.ResponseWriter, r *http.Request) {
+		h := rt.h
+		s.handleFunc(rt.path, rt.desc+"; ?run=<name> picks an active run, default the pinned run", func(w http.ResponseWriter, r *http.Request) {
 			if e, _, ok := s.resolve(w, r); ok {
 				h(w, r, e)
 			}
 		})
 	}
 	s.handleFunc("/metrics", "Prometheus text exposition", s.handleMetrics)
-	if s.fleet != nil {
-		s.handleFunc("/healthz", "liveness; 503 + degraded reasons (JSON) when runs stalled/failed or load shed", s.handleHealthz)
-		s.handleFunc("/fleet/runs", "GET: admission counters + retained runs; POST: register a run directory", s.handleFleetRuns)
-		s.handleFunc("/fleet/bottlenecks", "top-K bottlenecks across all runs (?k=)", s.handleFleetBottlenecks)
-		s.handleFunc("/fleet/regressions", "top-K archive diff verdicts (?k=)", s.handleFleetRegressions)
-		s.handleFunc("/fleet/blame", "cross-job blame report (?run=)", s.handleFleetBlame)
-	} else {
-		s.handleFunc("/healthz", "liveness; 503 degraded when ingest is stale", s.handleHealthz)
-	}
+	s.handleFunc("/healthz", "liveness; 503 + degraded reasons (JSON) when ingest is stale, runs stalled/failed, or load shed", s.handleHealthz)
+	s.handleFunc("/fleet/runs", "GET: admission counters + retained runs; POST: register a run directory (serve -fleet)", s.handleFleetRuns)
+	s.handleFunc("/fleet/bottlenecks", "top-K bottlenecks across all runs (?k=)", s.handleFleetBottlenecks)
+	s.handleFunc("/fleet/regressions", "top-K archive diff verdicts (?k=)", s.handleFleetRegressions)
+	s.handleFunc("/fleet/blame", "cross-job blame report (?run=)", s.handleFleetBlame)
 	if s.archive != nil {
 		s.handleFunc("/runs", "archived run metadata (JSON)", s.handleRuns)
 		s.handleFunc("/runs/", "one full archived record by ID or unique prefix (JSON)", s.handleRunByID)
@@ -102,11 +96,7 @@ func (s *Server) mountRoutes() {
 		s.routes = append(s.routes, obs.Route{Path: "/debug/pprof/", Desc: "net/http/pprof profiling index"})
 	}
 	s.handleFunc("/", "this endpoint index (JSON)", func(w http.ResponseWriter, r *http.Request) {
-		service := "grade10 live characterization"
-		if s.fleet != nil {
-			service = "grade10 fleet characterization"
-		}
-		obs.ServeIndex(w, r, service, s.routes)
+		obs.ServeIndex(w, r, "grade10 live characterization", s.routes)
 	})
 }
 
@@ -116,87 +106,73 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.httpm.Serve(obs.RouteLabel(s.routes, r.URL.Path), s.mux, w, r)
 }
 
-// resolve picks the engine answering a per-run request. Single-run mode
-// serves its one run (?run= may name it). Fleet mode needs ?run= naming an
-// actively ingesting run: finished runs are torn down and live on in the
-// archive. The resolver writes the HTTP error itself when it fails; the UI's
-// view models resolve through it too.
+// resolve picks the engine answering a per-run request. An empty ?run= (or
+// the pinned run's name) resolves to the pinned run, returned under the run
+// name "". Any other name must be an actively ingesting run: a finished
+// Registered run is torn down and lives on in the archive. The resolver
+// writes the HTTP error itself when it fails; the UI's view models resolve
+// through it too.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*stream.Engine, string, bool) {
 	run := r.URL.Query().Get("run")
-	if s.fleet != nil {
-		if run == "" {
-			http.Error(w, "fleet mode: need ?run=<name> (see /fleet/runs)", http.StatusBadRequest)
-			return nil, "", false
-		}
-		e, ok := s.fleet.EngineFor(run)
-		if !ok {
-			http.Error(w, "run "+run+" is not actively ingesting (finished runs live in the archive; see /fleet/runs and /runs)",
-				http.StatusNotFound)
-			return nil, "", false
-		}
-		return e, run, true
+	if name, e, ok := s.fleet.Pinned(); ok && (run == "" || run == name) {
+		return e, "", true
 	}
-	if run != "" && run != s.runName {
-		http.Error(w, fmt.Sprintf("unknown run %q (this service characterizes %q)", run, s.runName), http.StatusNotFound)
+	if run == "" {
+		if s.pinnedMode() {
+			http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
+		} else {
+			http.Error(w, "no pinned run: need ?run=<name> (see /fleet/runs)", http.StatusBadRequest)
+		}
 		return nil, "", false
 	}
-	e := s.engine.Load()
-	if e == nil {
-		http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
+	e, ok := s.fleet.EngineFor(run)
+	if !ok {
+		http.Error(w, "run "+run+" is not actively ingesting (finished runs live in the archive; see /fleet/runs and /runs)",
+			http.StatusNotFound)
 		return nil, "", false
 	}
-	return e, "", true
+	return e, run, true
 }
 
-// health reports whether the service is degraded, and why: in single-run
-// mode when ingest is older than the staleness threshold (never once
-// finalized, never without a threshold), in fleet mode when a run stalled
-// or failed or a registration was shed.
-func (s *Server) health() (bool, []string) {
-	if s.fleet != nil {
-		h := s.fleet.Health()
-		return h.Status != "ok", h.Reasons
+// health reports whether the service is degraded, and why: a run stalled or
+// failed, a registration was shed, or an active run's last ingest is older
+// than the staleness threshold.
+func (s *Server) health() fleet.HealthView {
+	h := s.fleet.Health()
+	if s.cfg.StaleAfter > 0 {
+		ages := s.fleet.Staleness()
+		runs := make([]string, 0, len(ages))
+		for run := range ages {
+			runs = append(runs, run)
+		}
+		sort.Strings(runs)
+		for _, run := range runs {
+			if age := time.Duration(ages[run] * float64(time.Second)); age > s.cfg.StaleAfter {
+				h.Status = "degraded"
+				h.Reasons = append(h.Reasons, fmt.Sprintf("run %s degraded: last ingest %s ago (threshold %s)",
+					run, age.Round(time.Millisecond), s.cfg.StaleAfter))
+			}
+		}
 	}
-	e := s.engine.Load()
-	if s.cfg.StaleAfter <= 0 || e == nil {
-		return false, nil
-	}
-	age, finalized := e.IngestAge()
-	if finalized || age <= s.cfg.StaleAfter {
-		return false, nil
-	}
-	return true, []string{fmt.Sprintf("degraded: last ingest %s ago (threshold %s)",
-		age.Round(time.Millisecond), s.cfg.StaleAfter)}
+	return h
 }
 
 // degraded is health with its reasons joined, for the health gauge and the
 // bundle capturer.
 func (s *Server) degraded() (bool, string) {
-	bad, reasons := s.health()
-	return bad, strings.Join(reasons, "; ")
+	h := s.health()
+	return h.Status != "ok", strings.Join(h.Reasons, "; ")
 }
 
-// handleHealthz answers 503 when health reports degraded; the body is a
-// fleet.HealthView (JSON) in fleet mode and the plain reason otherwise.
+// handleHealthz answers the fleet.HealthView (JSON), with 503 when health
+// reports degraded.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	bad, reasons := s.health()
-	if s.fleet != nil {
-		h := fleet.HealthView{Status: "ok"}
-		if bad {
-			h = fleet.HealthView{Status: "degraded", Reasons: reasons}
-			w.Header().Set("Content-Type", "application/json") // before the status line
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		obs.WriteJSON(w, h)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if bad {
+	h := s.health()
+	if h.Status != "ok" {
+		w.Header().Set("Content-Type", "application/json") // before the status line
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, strings.Join(reasons, "; "))
-		return
 	}
-	fmt.Fprintln(w, "ok")
+	obs.WriteJSON(w, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -349,6 +325,11 @@ func (s *Server) handleFleetRuns(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		obs.WriteJSON(w, s.fleet.Snapshot())
 	case http.MethodPost:
+		if s.pinnedMode() { // a registration could take the pinned name before run.json
+			http.Error(w, "this service characterizes one pinned run; register runs with serve -fleet",
+				http.StatusConflict)
+			return
+		}
 		var req struct {
 			Dir string `json:"dir"`
 		}

@@ -31,8 +31,9 @@ func TestFleetConcurrentScrapes(t *testing.T) {
 	quiet, _ := fixture(t)
 	root := t.TempDir()
 	// A long idle keeps every run active after it has ingested everything.
+	// The watch directory makes it a fleet; runs arrive over POST.
 	srv, err := service.Assemble(service.Config{
-		Fleet: true, MaxActive: 4, QueueDepth: 4, Poll: testPoll, Idle: time.Hour, UI: true,
+		Watch: t.TempDir(), MaxActive: 4, QueueDepth: 4, Poll: testPoll, Idle: time.Hour, UI: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestShutdownWithOpenSSE(t *testing.T) {
 	quiet, _ := fixture(t)
 	const budget = 3 * time.Second
 	srv, err := service.Assemble(service.Config{
-		Addr: "127.0.0.1:0", RunName: "pagerank", UI: true,
+		Addr: "127.0.0.1:0", UI: true,
 		Engine: stream.Config{RetainForFinal: true}, ShutdownTimeout: budget,
 	})
 	if err != nil {

@@ -19,8 +19,8 @@ func get(t *testing.T, h http.Handler, path string) (int, string, http.Header) {
 	return rec.Code, rec.Body.String(), rec.Header()
 }
 
-// serveEngine assembles a single-run service without a listener and starts
-// its engine from the cfg.Engine template; the test feeds the engine.
+// serveEngine assembles a service without a listener and pins one run built
+// from the cfg.Engine template; the test feeds the engine.
 func serveEngine(t *testing.T, cfg service.Config) (*service.Server, *stream.Engine) {
 	t.Helper()
 	srv, err := service.Assemble(cfg)
@@ -28,7 +28,7 @@ func serveEngine(t *testing.T, cfg service.Config) (*service.Server, *stream.Eng
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Shutdown)
-	e, err := srv.Start(rundir.Info{})
+	e, err := srv.Fleet().Attach("run", "", rundir.Info{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,8 +378,8 @@ func TestTapDelivery(t *testing.T) {
 	if buf.String() != f.batchText {
 		t.Fatal("tapped stream diverged from batch report")
 	}
-	if tap.Dropped() != 0 {
-		t.Fatalf("blocking tap dropped %d events", tap.Dropped())
+	if n := e.Stats().DroppedEvents; n != 0 {
+		t.Fatalf("blocking tap dropped %d events", n)
 	}
 	if int(e.Stats().Events) != len(log.Events) {
 		t.Fatalf("tap delivered %d of %d events", e.Stats().Events, len(log.Events))

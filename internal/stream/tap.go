@@ -2,7 +2,6 @@ package stream
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"grade10/internal/enginelog"
 )
@@ -25,12 +24,11 @@ const (
 // producer's hot path from attribution work: events are handed to a channel
 // and consumed by one goroutine.
 type Tap struct {
-	engine  *Engine
-	ch      chan enginelog.Event
-	policy  TapPolicy
-	dropped atomic.Int64
-	done    chan struct{}
-	once    sync.Once
+	engine *Engine
+	ch     chan enginelog.Event
+	policy TapPolicy
+	done   chan struct{}
+	once   sync.Once
 }
 
 // NewTap starts a tap with the given buffer size (default 4096).
@@ -62,7 +60,6 @@ func (t *Tap) Feed(ev enginelog.Event) {
 		select {
 		case t.ch <- ev:
 		default:
-			t.dropped.Add(1)
 			t.engine.CountDropped(1)
 		}
 		return
@@ -80,6 +77,3 @@ func (t *Tap) Close() {
 	t.once.Do(func() { close(t.ch) })
 	<-t.done
 }
-
-// Dropped reports how many events this tap shed.
-func (t *Tap) Dropped() int64 { return t.dropped.Load() }

@@ -424,8 +424,12 @@ function connectSSE() {
 }
 
 async function setupFleet() {
-  // Probe fleet mode: /fleet/runs only exists on the fleet server.
+  // Fleet mode: the resolver answers 400 without ?run= (no pinned run), so
+  // the page picks a run from /fleet/runs. A pinned run answers 200, or 503
+  // while it waits for run.json.
   try {
+    const probe = await fetch("/api/overview");
+    if (probe.status !== 400) return;
     const snap = await getJSON("/fleet/runs");
     state.mode = "fleet";
     const wrap = $("run-picker-wrap"), picker = $("run-picker");
@@ -435,10 +439,10 @@ async function setupFleet() {
     for (const r of runs) {
       const o = el("option", "", r.name + " (" + r.status + ")");
       o.value = r.name;
-      o.disabled = r.status !== "ingesting" && r.status !== "queued";
+      o.disabled = r.status !== "active" && r.status !== "queued";
       picker.append(o);
     }
-    const active = runs.find((r) => r.status === "ingesting");
+    const active = runs.find((r) => r.status === "active");
     if (active) { state.run = active.name; picker.value = active.name; }
     picker.onchange = () => { state.run = picker.value; refreshAll(); };
   } catch { state.mode = "single"; }

@@ -28,11 +28,9 @@ import (
 // Config selects the data sources behind the view models.
 type Config struct {
 	// Resolve picks the engine answering a per-run request and the run it
-	// names ("" for the single run), writing the HTTP error itself when
+	// names ("" for the pinned run), writing the HTTP error itself when
 	// resolution fails — the host server's ?run= resolver.
 	Resolve func(http.ResponseWriter, *http.Request) (*stream.Engine, string, bool)
-	// Fleet marks fleet mode in the overview (the page shows its run picker).
-	Fleet bool
 	// Broker, when set, serves the /api/events SSE stream. Wire its
 	// OnWindowFlush into the engine's stream.Config to feed it, and its
 	// PublishAlerts into the alerting OnAlert hook for `event: alert` frames.
@@ -42,7 +40,7 @@ type Config struct {
 	Alerts *alert.Evaluator
 	// Overhead, when set, serves /api/overhead — per-run framework overhead
 	// rows, most expensive first — behind the overview's overhead panel.
-	// Fleet mode reports every run; single-run mode its one account.
+	// Every run that has started ingesting has a row.
 	Overhead func() []obs.RunOverhead
 }
 
@@ -109,8 +107,10 @@ func (s *Server) Routes() []obs.Route { return s.routes }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func (s *Server) mode() string {
-	if s.cfg.Fleet {
+// mode is the overview's mode for a resolved run: "single" for the pinned
+// run, "fleet" for a run picked by name.
+func mode(run string) string {
+	if run != "" {
 		return "fleet"
 	}
 	return "single"
@@ -122,7 +122,7 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sse := s.cfg.Broker != nil
-	obs.WriteJSON(w, buildOverview(e.Snapshot(), s.mode(), run, sse, e.ExplainEnabled()))
+	obs.WriteJSON(w, buildOverview(e.Snapshot(), mode(run), run, sse, e.ExplainEnabled()))
 }
 
 // heatCells prefers the exact finalized profile (cells then match /explain

@@ -107,8 +107,8 @@ func feedRun(e *stream.Engine, f *fixture) {
 	e.MonitoringDone()
 }
 
-// single is a UI over one engine, as the service mounts it in single-run
-// mode.
+// single is a UI over one engine, as the service mounts it for its pinned
+// run.
 func single(e *stream.Engine) *ui.Server {
 	return ui.NewServer(ui.Config{
 		Resolve: func(http.ResponseWriter, *http.Request) (*stream.Engine, string, bool) { return e, "", true },
@@ -274,7 +274,7 @@ func TestMountUI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer host.Shutdown()
-	e, err := host.Start(rundir.Info{})
+	e, err := host.Fleet().Attach("run", "", rundir.Info{})
 	if err != nil {
 		t.Fatal(err)
 	}

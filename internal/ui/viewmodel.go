@@ -41,7 +41,7 @@ type Overview struct {
 	Stats       stream.Stats               `json:"stats"`
 
 	// SSE marks /api/events as live; Explain marks /explain click-through as
-	// available (single-run serve with provenance capture on).
+	// available (provenance capture on).
 	SSE     bool `json:"sse"`
 	Explain bool `json:"explain"`
 }
