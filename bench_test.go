@@ -217,7 +217,7 @@ func BenchmarkBottleneckDetection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bottleneck.Detect(prof, bottleneck.DefaultConfig())
+		bottleneck.Detect(prof, bottleneck.Config{})
 	}
 }
 
@@ -284,37 +284,6 @@ func BenchmarkAblationTimesliceWidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := attribution.Attribute(tr, rt, rules, slices); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPartitioner compares hash and range edge-cut partitioning
-// on the BSP engine, reporting the resulting makespans. (The community
-// generator deliberately shuffles vertex ids, so neither strategy gets
-// trivially aligned communities; differences come from degree placement.)
-func BenchmarkAblationPartitioner(b *testing.B) {
-	g := graph.Community(graph.CommunityParams{
-		Vertices: 2048, Communities: 16, IntraDegree: 5, InterFraction: 0.03, Seed: 2,
-	})
-	cfg := giraphsim.DefaultConfig()
-	cfg.Workers = 4
-	for _, strat := range []string{"hash", "range"} {
-		b.Run(strat, func(b *testing.B) {
-			var part *graph.Partition
-			if strat == "hash" {
-				part = graph.HashPartition(g, cfg.Workers)
-			} else {
-				part = graph.RangePartition(g, cfg.Workers)
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := giraphsim.Run(vertexprog.NewPageRank(g, 0.85, 4), part, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.End.Seconds()*1000, "makespan-ms")
 				}
 			}
 		})
@@ -391,7 +360,7 @@ func BenchmarkWindowedAttribution(b *testing.B) {
 				}
 			}
 			wtr := &core.ExecutionTrace{Root: tr.Root, Start: w0, End: w1}
-			if _, err := attribution.AttributeWindow(wtr, overlap, rt, rules, win); err != nil {
+			if _, err := attribution.AttributeWindow(wtr, overlap, rt, rules, win, 0, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -507,7 +476,7 @@ func BenchmarkAttributionColumnar(b *testing.B) {
 	b.Run("impl=columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+			if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 				slices, 1, nil, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -530,7 +499,7 @@ func BenchmarkAttributionParallel(b *testing.B) {
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := attribution.AttributeN(tr, rt, rules, slices, w); err != nil {
+				if _, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules, slices, w, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -547,7 +516,7 @@ func BenchmarkAttributionProvenance(b *testing.B) {
 	leaves := tr.Leaves()
 	b.Run("recorder=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+			if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 				slices, 0, nil, nil); err != nil {
 				b.Fatal(err)
 			}
@@ -555,7 +524,7 @@ func BenchmarkAttributionProvenance(b *testing.B) {
 	})
 	b.Run("recorder=on", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+			if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 				slices, 0, nil, explain.NewRecorder(0)); err != nil {
 				b.Fatal(err)
 			}
@@ -564,9 +533,17 @@ func BenchmarkAttributionProvenance(b *testing.B) {
 }
 
 // TestAttributionNilRecorderZeroAlloc is the zero-overhead guard for the
-// provenance hooks: attribution with a nil recorder must allocate exactly
-// what the pre-provenance baseline (AttributeN) allocates — the hooks are
-// nil-guarded branches, never allocation sites.
+// provenance hooks: attribution with a recorder that declines every instance
+// (nil per-instance sinks) must allocate exactly what attribution with a nil
+// recorder allocates — the hooks are nil-guarded branches, never allocation
+// sites.
+// declineRecorder skips every instance: each job gets a nil sink.
+type declineRecorder struct{}
+
+func (declineRecorder) InstanceRecorder(int, *core.ResourceInstance, core.Timeslices) attribution.InstanceRecorder {
+	return nil
+}
+
 func TestAttributionNilRecorderZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full attribution pass; skipped with -short")
@@ -579,15 +556,13 @@ func TestAttributionNilRecorderZeroAlloc(t *testing.T) {
 	// shows up as phantom allocations; hold it off while comparing.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	base := func() {
-		if _, err := attribution.AttributeN(tr, rt, rules, slices, 1); err != nil {
+		if _, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules, slices, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Mirror AttributeN exactly (including the tr.Leaves() call) so the only
-	// difference is the explicit nil recorder argument.
 	withNil := func() {
-		if _, err := attribution.AttributeWindowProv(tr, tr.Leaves(), rt, rules,
-			slices, 1, nil, nil); err != nil {
+		if _, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules,
+			slices, 1, nil, declineRecorder{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -610,7 +585,7 @@ func BenchmarkIssueReplayParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			cfg := issues.DefaultConfig()
@@ -673,7 +648,7 @@ func TestWriteBenchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 
 	type stage struct {
 		Name    string             `json:"name"`
@@ -734,7 +709,7 @@ func TestWriteBenchPipeline(t *testing.T) {
 	leaves := tr.Leaves()
 	stages := []stage{
 		timeStage("attribution", func(w int) {
-			if _, err := attribution.AttributeN(tr, rt, rules, slices, w); err != nil {
+			if _, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules, slices, w, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}),
@@ -747,13 +722,13 @@ func TestWriteBenchPipeline(t *testing.T) {
 		// recorder. Speedup under 1x on recorder=on is the price of evidence.
 		timeConfigs("attribution_provenance", "recorder=off", []config{
 			{"recorder=off", func() {
-				if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 					slices, 0, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}},
 			{"recorder=on", func() {
-				if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 					slices, 0, nil, explain.NewRecorder(0)); err != nil {
 					t.Fatal(err)
 				}
@@ -782,7 +757,7 @@ func TestWriteBenchPipeline(t *testing.T) {
 				}
 			}},
 			{"impl=columnar", func() {
-				if _, err := attribution.AttributeWindowProv(tr, leaves, rt, rules,
+				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
 					slices, 1, nil, nil); err != nil {
 					t.Fatal(err)
 				}

@@ -14,50 +14,12 @@ import (
 	"testing"
 )
 
-// testOnlyAllowlist names the exported functions and methods that only
-// tests call today. A later change deletes them or gives them a production
-// caller (ROADMAP "Less surface: the test-only exports"). The list can only
-// shrink: an entry that gains a production caller, loses its test callers,
-// or disappears fails the test until it is removed here.
-var testOnlyAllowlist = map[string]bool{
-	"grade10/internal/algo.BFSLevels":                              true,
-	"grade10/internal/algo.CDLP":                                   true,
-	"grade10/internal/algo.LCC":                                    true,
-	"grade10/internal/algo.PageRank":                               true,
-	"grade10/internal/algo.SSSP":                                   true,
-	"grade10/internal/algo.WCC":                                    true,
-	"grade10/internal/alert.Notifier.Stats":                        true,
-	"grade10/internal/attribution.AttributeN":                      true,
-	"grade10/internal/attribution.AttributeWindow":                 true,
-	"grade10/internal/attribution.InstanceProfile.EstimatedDemand": true,
-	"grade10/internal/bottleneck.BottleneckFraction":               true,
-	"grade10/internal/bottleneck.DefaultConfig":                    true,
-	"grade10/internal/core.PhaseType.Parent":                       true,
-	"grade10/internal/explain.Recorder.Dropped":                    true,
-	"grade10/internal/graph.E":                                     true,
-	"grade10/internal/graph.Graph.Degree":                          true,
-	"grade10/internal/graph.Graph.MaxOutDegree":                    true,
-	"grade10/internal/graph.Partition.PartSizes":                   true,
-	"grade10/internal/graph.RangePartition":                        true,
-	"grade10/internal/graph.VertexCut.EdgePart":                    true,
-	"grade10/internal/graph.VertexCut.HasReplica":                  true,
-	"grade10/internal/graph.VertexCut.Replicas":                    true,
-	"grade10/internal/infer.Result.Amount":                         true,
-	"grade10/internal/issues.Group.TotalDuration":                  true,
-	"grade10/internal/issues.RecordedDurations":                    true,
-	"grade10/internal/metrics.SampleSeries.TotalConsumption":       true,
-	"grade10/internal/metrics.Series.Max":                          true,
-	"grade10/internal/metrics.Series.Points":                       true,
-	"grade10/internal/sim.Gate.IsOpen":                             true,
-	"grade10/internal/sim.Network.TransferAsync":                   true,
-	"grade10/internal/sim.Queue.Fill":                              true,
-	"grade10/internal/sim.Scheduler.Pending":                       true,
-	"grade10/internal/sim.Scheduler.RunUntil":                      true,
-	"grade10/internal/stream.Engine.Timeslice":                     true,
-	"grade10/internal/vtime.Clamp":                                 true,
-	"grade10/internal/vtime.Duration.Milliseconds":                 true,
-	"grade10/internal/vtime.Time.After":                            true,
-	"grade10/internal/vtime.Time.Before":                           true,
+// testOracles are the packages tests compare the production code against:
+// the frozen attribution oracle and the sequential reference algorithms the
+// vertex programs are validated against. Only tests call them, by design.
+var testOracles = map[string]bool{
+	"internal/algo":                  true,
+	"internal/attribution/reference": true,
 }
 
 // keepExports are test-only by design: how tests observe memory bounds.
@@ -77,9 +39,9 @@ var interfaceMethods = map[string]bool{
 }
 
 // TestNoTestOnlyExports fails when an exported function or method under cmd/
-// or internal/ is referenced only from _test.go files. Production callers
-// are the module's non-test files plus perfbench/, which runs the binaries'
-// code paths as a benchmark. The check type-checks every package from
+// or internal/ has no production caller: only _test.go files reference it,
+// or nothing does. Production callers are the module's non-test files plus
+// perfbench/, which runs the binaries' code paths as a benchmark. The check type-checks every package from
 // source, so a method is matched on its receiver type, not only its name.
 func TestNoTestOnlyExports(t *testing.T) {
 	if testing.Short() {
@@ -108,29 +70,21 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	var testOnly []string
+	var unused []string
 	for key, decl := range c.decls {
 		// A method may be called through an interface: exempt the names of
 		// standard interfaces and of every interface method production calls.
 		viaInterface := decl.method && (interfaceMethods[decl.name] || c.prodIfaceNames[decl.name])
-		if c.test[key] && !c.prod[key] && !keepExports[key] && !viaInterface {
-			testOnly = append(testOnly, key)
+		if !c.prod[key] && !keepExports[key] && !viaInterface {
+			unused = append(unused, key)
 		}
 	}
-	sort.Strings(testOnly)
-	for _, key := range testOnly {
-		if !testOnlyAllowlist[key] {
+	sort.Strings(unused)
+	for _, key := range unused {
+		if c.test[key] {
 			t.Errorf("%s is exported but only tests call it: delete it or move its test onto the production path", key)
-		}
-	}
-	for key := range testOnlyAllowlist {
-		switch {
-		case c.decls[key] == nil:
-			t.Errorf("allowlisted %s no longer exists: remove it from testOnlyAllowlist", key)
-		case c.prod[key]:
-			t.Errorf("allowlisted %s now has a production caller: remove it from testOnlyAllowlist", key)
-		case !c.test[key]:
-			t.Errorf("allowlisted %s has no test caller left: delete it and remove it from testOnlyAllowlist", key)
+		} else {
+			t.Errorf("%s is exported but nothing calls it: delete it", key)
 		}
 	}
 }
@@ -254,8 +208,7 @@ func (c *exportChecker) scanDir(dir string) error {
 			}
 		}
 	}
-	if !(strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")) ||
-		strings.HasPrefix(dir, "internal/attribution/reference") { // the frozen oracle
+	if !(strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")) || testOracles[dir] {
 		return nil
 	}
 	pkg, err := c.Import(path)

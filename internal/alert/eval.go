@@ -154,9 +154,6 @@ func NewEvaluator(rules []Rule, base *Baselines, cfg Config) *Evaluator {
 // Rules returns the loaded rules in evaluation order.
 func (e *Evaluator) Rules() []Rule { return e.rules }
 
-// Baselines returns the learned baselines (may be nil).
-func (e *Evaluator) Baselines() *Baselines { return e.base }
-
 // Eval applies every rule to one observation, in rule order, and returns the
 // lifecycle transitions it caused (nil when nothing changed).
 func (e *Evaluator) Eval(o Obs) []Event {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -18,22 +17,15 @@ type NotifierOptions struct {
 	MaxAttempts int
 	// Backoff is the first retry delay, doubling per attempt (default 500ms).
 	Backoff time.Duration
-	// QueueDepth bounds pending batches; overflow is dropped and counted
+	// QueueDepth bounds pending batches; overflow is dropped and logged
 	// (default 64).
 	QueueDepth int
 	// Now stamps payloads; Sleep waits between attempts. Defaults: time.Now,
 	// time.Sleep.
 	Now   func() time.Time
 	Sleep func(time.Duration)
-	// Logger reports delivery failures; nil discards.
+	// Logger reports delivery failures and dropped batches; nil discards.
 	Logger *slog.Logger
-}
-
-// NotifierStats counts the notifier's lifetime deliveries.
-type NotifierStats struct {
-	Sent    int64 `json:"sent"`
-	Failed  int64 `json:"failed"`
-	Dropped int64 `json:"dropped"`
 }
 
 // Notifier delivers alert transition batches to a webhook URL as JSON, with
@@ -46,9 +38,6 @@ type Notifier struct {
 
 	ch   chan []Event
 	done chan struct{}
-
-	mu    sync.Mutex
-	stats NotifierStats
 }
 
 // webhookPayload is the POST body: one batch of lifecycle transitions.
@@ -88,7 +77,7 @@ func NewNotifier(url string, opts NotifierOptions) *Notifier {
 	return n
 }
 
-// Notify enqueues one transition batch; a full queue drops it (counted).
+// Notify enqueues one transition batch; a full queue drops it (logged).
 func (n *Notifier) Notify(events []Event) {
 	if n == nil || len(events) == 0 {
 		return
@@ -96,9 +85,10 @@ func (n *Notifier) Notify(events []Event) {
 	select {
 	case n.ch <- events:
 	default:
-		n.mu.Lock()
-		n.stats.Dropped++
-		n.mu.Unlock()
+		if n.opts.Logger != nil {
+			n.opts.Logger.Warn("alert webhook queue full, batch dropped",
+				"url", n.url, "events", len(events))
+		}
 	}
 }
 
@@ -111,28 +101,12 @@ func (n *Notifier) Close() {
 	<-n.done
 }
 
-// Stats returns the delivery counters.
-func (n *Notifier) Stats() NotifierStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
 func (n *Notifier) run() {
 	defer close(n.done)
 	for batch := range n.ch {
-		if n.deliver(batch) {
-			n.mu.Lock()
-			n.stats.Sent++
-			n.mu.Unlock()
-		} else {
-			n.mu.Lock()
-			n.stats.Failed++
-			n.mu.Unlock()
-			if n.opts.Logger != nil {
-				n.opts.Logger.Warn("alert webhook delivery failed",
-					"url", n.url, "events", len(batch), "attempts", n.opts.MaxAttempts)
-			}
+		if !n.deliver(batch) && n.opts.Logger != nil {
+			n.opts.Logger.Warn("alert webhook delivery failed",
+				"url", n.url, "events", len(batch), "attempts", n.opts.MaxAttempts)
 		}
 	}
 }

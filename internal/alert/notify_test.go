@@ -1,8 +1,10 @@
 package alert
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -30,10 +32,12 @@ func TestNotifierRetryBackoff(t *testing.T) {
 	defer srv.Close()
 
 	var slept []time.Duration
+	var logs bytes.Buffer
 	fakeNow := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	n := NewNotifier(srv.URL, NotifierOptions{
 		Backoff:     100 * time.Millisecond,
 		MaxAttempts: 4,
+		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
 		Now:         func() time.Time { return fakeNow },
 		Sleep: func(d time.Duration) {
 			mu.Lock()
@@ -52,9 +56,9 @@ func TestNotifierRetryBackoff(t *testing.T) {
 	if len(slept) != 2 || slept[0] != 100*time.Millisecond || slept[1] != 200*time.Millisecond {
 		t.Fatalf("backoff schedule = %v, want [100ms 200ms]", slept)
 	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Failed != 0 || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want sent=1", st)
+	// Close waited for the delivery goroutine, so logs is quiescent.
+	if len(bodies) != 1 || logs.Len() != 0 {
+		t.Fatalf("delivered %d batches, logged %q; want one sent, none failed or dropped", len(bodies), logs.String())
 	}
 
 	var payload webhookPayload
@@ -70,7 +74,7 @@ func TestNotifierRetryBackoff(t *testing.T) {
 }
 
 // TestNotifierGivesUp: a webhook that never succeeds consumes exactly
-// MaxAttempts tries and counts one failure.
+// MaxAttempts tries and logs one failure.
 func TestNotifierGivesUp(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
@@ -82,10 +86,12 @@ func TestNotifierGivesUp(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	var logs bytes.Buffer
 	n := NewNotifier(srv.URL, NotifierOptions{
 		Backoff:     time.Millisecond,
 		MaxAttempts: 3,
 		Sleep:       func(time.Duration) {},
+		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	n.Notify([]Event{{Rule: "x"}})
 	n.Close()
@@ -95,12 +101,13 @@ func TestNotifierGivesUp(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", attempts)
 	}
-	if st := n.Stats(); st.Failed != 1 || st.Sent != 0 {
-		t.Fatalf("stats = %+v, want failed=1", st)
+	if got := bytes.Count(logs.Bytes(), []byte("delivery failed")); got != 1 {
+		t.Fatalf("logged %d delivery failures, want 1:\n%s", got, logs.String())
 	}
 }
 
-// TestNotifierQueueOverflow: a stuffed queue sheds batches without blocking.
+// TestNotifierQueueOverflow: a stuffed queue sheds batches without blocking,
+// logging each one it drops.
 func TestNotifierQueueOverflow(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -108,14 +115,16 @@ func TestNotifierQueueOverflow(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	n := NewNotifier(srv.URL, NotifierOptions{QueueDepth: 1, MaxAttempts: 1, Sleep: func(time.Duration) {}})
+	var logs bytes.Buffer
+	n := NewNotifier(srv.URL, NotifierOptions{QueueDepth: 1, MaxAttempts: 1, Sleep: func(time.Duration) {},
+		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 	// One in flight, one queued, the rest shed.
 	for i := 0; i < 5; i++ {
 		n.Notify([]Event{{Rule: "x", Tick: i}})
 	}
 	close(release)
 	n.Close()
-	if st := n.Stats(); st.Dropped < 2 {
-		t.Fatalf("stats = %+v, want at least 2 dropped", st)
+	if got := bytes.Count(logs.Bytes(), []byte("batch dropped")); got < 2 {
+		t.Fatalf("logged %d dropped batches, want at least 2:\n%s", got, logs.String())
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 func TestBFSChain(t *testing.T) {
 	// 0→1→2→3, 4 isolated.
-	g := graph.FromEdges(5, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3)})
+	g := graph.FromEdges(5, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
 	dist := BFS(g, 0)
 	want := []int64{0, 1, 2, 3, Unreachable}
 	for v, w := range want {
@@ -22,7 +22,7 @@ func TestBFSChain(t *testing.T) {
 }
 
 func TestBFSDiamondShortest(t *testing.T) {
-	g := graph.FromEdges(4, []graph.Edge{graph.E(0, 1), graph.E(0, 2), graph.E(1, 3), graph.E(2, 3)})
+	g := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}})
 	dist := BFS(g, 0)
 	if dist[3] != 2 {
 		t.Fatalf("dist[3] = %d", dist[3])
@@ -30,7 +30,7 @@ func TestBFSDiamondShortest(t *testing.T) {
 }
 
 func TestBFSLevels(t *testing.T) {
-	g := graph.FromEdges(4, []graph.Edge{graph.E(0, 1), graph.E(0, 2), graph.E(1, 3), graph.E(2, 3)})
+	g := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}})
 	levels := BFSLevels(g, 0)
 	want := []int{1, 2, 1}
 	if len(levels) != len(want) {
@@ -115,7 +115,7 @@ func TestPageRankHub(t *testing.T) {
 	// Star: all point to 0. Vertex 0 must far outrank the leaves.
 	edges := make([]graph.Edge, 0, 9)
 	for v := graph.Vertex(1); v < 10; v++ {
-		edges = append(edges, graph.E(v, 0))
+		edges = append(edges, graph.Edge{Src: v, Dst: 0})
 	}
 	g := graph.FromEdges(10, edges)
 	pr := PageRank(g, 0.85, 30)
@@ -128,7 +128,7 @@ func TestPageRankHub(t *testing.T) {
 
 func TestWCC(t *testing.T) {
 	// Two components: {0,1,2} (directed chain) and {3,4}.
-	g := graph.FromEdges(6, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(4, 3)})
+	g := graph.FromEdges(6, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 4, Dst: 3}})
 	label := WCC(g)
 	if label[0] != 0 || label[1] != 0 || label[2] != 0 {
 		t.Fatalf("labels = %v", label)
@@ -178,9 +178,9 @@ func TestWCCProperty(t *testing.T) {
 func TestCDLPTwoCliques(t *testing.T) {
 	// Two triangles joined by one edge: labels converge per triangle.
 	g := graph.FromEdges(6, []graph.Edge{
-		graph.E(0, 1), graph.E(1, 0), graph.E(1, 2), graph.E(2, 1), graph.E(2, 0), graph.E(0, 2),
-		graph.E(3, 4), graph.E(4, 3), graph.E(4, 5), graph.E(5, 4), graph.E(5, 3), graph.E(3, 5),
-		graph.E(2, 3),
+		{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 2}, {Src: 2, Dst: 1}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2},
+		{Src: 3, Dst: 4}, {Src: 4, Dst: 3}, {Src: 4, Dst: 5}, {Src: 5, Dst: 4}, {Src: 5, Dst: 3}, {Src: 3, Dst: 5},
+		{Src: 2, Dst: 3},
 	})
 	label := CDLP(g, 10)
 	if label[0] != label[1] || label[1] != label[2] {
@@ -221,7 +221,7 @@ func TestCDLPFindsCommunities(t *testing.T) {
 
 func TestLCCTriangle(t *testing.T) {
 	// Complete directed triangle: every neighborhood fully connected → 1.0.
-	g := graph.FromEdges(3, []graph.Edge{graph.E(0, 1), graph.E(1, 0), graph.E(1, 2), graph.E(2, 1), graph.E(2, 0), graph.E(0, 2)})
+	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 2}, {Src: 2, Dst: 1}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2}})
 	for v, c := range LCC(g) {
 		if math.Abs(c-1.0) > 1e-12 {
 			t.Fatalf("lcc[%d] = %v", v, c)
@@ -231,7 +231,7 @@ func TestLCCTriangle(t *testing.T) {
 
 func TestLCCPath(t *testing.T) {
 	// Path 0-1-2 (undirected neighbors of 1 are {0,2}, no edge between them).
-	g := graph.FromEdges(3, []graph.Edge{graph.E(0, 1), graph.E(1, 2)})
+	g := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
 	lcc := LCC(g)
 	if lcc[1] != 0 {
 		t.Fatalf("lcc[1] = %v", lcc[1])

@@ -102,13 +102,6 @@ func (ip *InstanceProfile) UpsampledSeries(slices core.Timeslices) *metrics.Seri
 	return s
 }
 
-// EstimatedDemand returns KnownDemand[k] + VariableWeight[k]: the demand
-// estimate plotted by the paper's Figure 3, interpreting a variable weight
-// of w as "about w units when unconstrained".
-func (ip *InstanceProfile) EstimatedDemand(k int) float64 {
-	return ip.KnownDemand[k] + ip.VariableWeight[k]
-}
-
 // Totals integrates the instance profile over the profiled span: total
 // upsampled consumption, the part attributed to phases, and the part no
 // rule could absorb, all in unit·seconds. Attribution coverage — the live
@@ -148,53 +141,7 @@ func (p *Profile) Get(name string, machine int) *InstanceProfile {
 // instance in the trace, fanning instances out over par.Default() workers.
 func Attribute(tr *core.ExecutionTrace, rt *core.ResourceTrace, rules *core.RuleSet,
 	slices core.Timeslices) (*Profile, error) {
-	return AttributeWindowN(tr, tr.Leaves(), rt, rules, slices, 0)
-}
-
-// AttributeN is Attribute with an explicit worker count (0 = par.Default()).
-func AttributeN(tr *core.ExecutionTrace, rt *core.ResourceTrace, rules *core.RuleSet,
-	slices core.Timeslices, workers int) (*Profile, error) {
-	return AttributeWindowN(tr, tr.Leaves(), rt, rules, slices, workers)
-}
-
-// AttributeWindow runs the same attribution process restricted to the window
-// covered by the slices argument: monitoring samples are clipped to the
-// window, and leaves contribute only the activity that falls inside it. The
-// batch path (Attribute) and the online path (internal/stream) share this
-// one implementation; the window is simply the whole run in the batch case.
-//
-// leaves is the candidate leaf set, normally tr.Leaves() or, when streaming,
-// the phases known to overlap the window; phases outside the window are
-// harmless (they contribute no demand and are pruned from the usage list).
-// The caller must sort leaves by (Start, Path) — the order tr.Leaves()
-// returns — so per-slice floating-point accumulation is deterministic.
-func AttributeWindow(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
-	rules *core.RuleSet, slices core.Timeslices) (*Profile, error) {
-	return AttributeWindowN(tr, leaves, rt, rules, slices, 0)
-}
-
-// AttributeWindowN is AttributeWindow with an explicit worker count
-// (0 = par.Default()). Instances are attributed concurrently — each
-// (resource, machine) pair is independent — and merged into the profile in
-// the deterministic rt.Instances() order, so the result is identical for
-// every worker count.
-func AttributeWindowN(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
-	rules *core.RuleSet, slices core.Timeslices, workers int) (*Profile, error) {
-	return AttributeWindowTraced(tr, leaves, rt, rules, slices, workers, nil)
-}
-
-// errEmptySpan is the shared empty-window failure of the Attribute* entry
-// points.
-var errEmptySpan = fmt.Errorf("attribution: empty timeslice span")
-
-// AttributeWindowTraced is AttributeWindowN with self-tracing: each
-// per-instance attribution job and its inner upsampling step emit one span to
-// tracer, tagged with the worker lane that ran it and the virtual-time window
-// attributed. A nil tracer disables tracing with zero added allocations on
-// this hot path (every span call is a nil no-op).
-func AttributeWindowTraced(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
-	rules *core.RuleSet, slices core.Timeslices, workers int, tracer *obs.Tracer) (*Profile, error) {
-	return AttributeWindowProv(tr, leaves, rt, rules, slices, workers, tracer, nil)
+	return AttributeWindow(tr, tr.Leaves(), rt, rules, slices, 0, nil, nil)
 }
 
 // arena is the per-instance scratch of one attribution job, pooled across

@@ -189,7 +189,7 @@ func TestFigure2R1ScarceExactScaling(t *testing.T) {
 func TestMassConservation(t *testing.T) {
 	f, prof := attributeFig2(t)
 	for _, ip := range prof.Instances {
-		measured := ip.Instance.Samples.TotalConsumption()
+		measured := sampledConsumption(ip.Instance.Samples)
 		upsampled := 0.0
 		for k := 0; k < f.slices.Count; k++ {
 			upsampled += ip.Consumption[k] * f.slices.SliceSeconds(k)
@@ -215,9 +215,10 @@ func TestUpsampledSeries(t *testing.T) {
 	f, prof := attributeFig2(t)
 	r2 := prof.Get("r2", core.GlobalMachine)
 	s := r2.UpsampledSeries(f.slices)
-	approx(t, "series at 2.5s", s.At(at(2).Add(sec/2)), 15)
-	approx(t, "series at 3.5s", s.At(at(3).Add(sec/2)), 65)
-	approx(t, "series after end", s.At(at(7)), 0)
+	// A step series' value at t is its average over a window with no step.
+	approx(t, "series at 2.5s", s.Average(at(2).Add(sec/2), at(3)), 15)
+	approx(t, "series at 3.5s", s.Average(at(3).Add(sec/2), at(4)), 65)
+	approx(t, "series after end", s.Average(at(7), at(8)), 0)
 	// Integral equals measured consumption.
 	approx(t, "series integral", s.Integral(at(0), at(6)), 80)
 }
@@ -225,7 +226,7 @@ func TestUpsampledSeries(t *testing.T) {
 func TestEstimatedDemand(t *testing.T) {
 	_, prof := attributeFig2(t)
 	r2 := prof.Get("r2", core.GlobalMachine)
-	approx(t, "estimated demand slice3", r2.EstimatedDemand(3), 51)
+	approx(t, "estimated demand slice3", r2.KnownDemand[3]+r2.VariableWeight[3], 51)
 }
 
 func TestPhaseUsageTotal(t *testing.T) {
@@ -234,4 +235,13 @@ func TestPhaseUsageTotal(t *testing.T) {
 	p2 := f.tr.ByPath["/job/p2"]
 	// P2 on R2: 15 + 15 over two 1-second slices = 30 unit·seconds.
 	approx(t, "P2 r2 total", r2.UsageOf(p2).Total(f.slices), 30)
+}
+
+// sampledConsumption integrates the monitoring samples, in unit·seconds.
+func sampledConsumption(ss *metrics.SampleSeries) float64 {
+	total := 0.0
+	for _, s := range ss.Samples {
+		total += s.Avg * s.Duration().Seconds()
+	}
+	return total
 }

@@ -295,7 +295,7 @@ func TestUpsamplingConservationProperty(t *testing.T) {
 		}
 		_, prof := sc.run(t)
 		ip := prof.Get("res", core.GlobalMachine)
-		measured := ip.Instance.Samples.TotalConsumption()
+		measured := sampledConsumption(ip.Instance.Samples)
 		upsampled := 0.0
 		for k := 0; k < spanSlices; k++ {
 			c := ip.Consumption[k]

@@ -1,6 +1,8 @@
 package attribution
 
 import (
+	"fmt"
+
 	"grade10/internal/core"
 	"grade10/internal/obs"
 	"grade10/internal/par"
@@ -50,15 +52,34 @@ type InstanceRecorder interface {
 	Share(k int, phase *core.Phase, rule core.Rule, activity, share float64)
 }
 
-// AttributeWindowProv is AttributeWindowTraced plus provenance capture: a
-// non-nil rec receives the full derivation chain of every attributed cell.
-// With rec nil it is byte-for-byte the same computation and allocates
-// nothing extra.
-func AttributeWindowProv(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
+// AttributeWindow runs the attribution process restricted to the window
+// covered by the slices argument: monitoring samples are clipped to the
+// window, and leaves contribute only the activity that falls inside it. The
+// batch path and the online path (internal/stream) share this one
+// implementation; the window is simply the whole run in the batch case.
+//
+// leaves is the candidate leaf set, normally tr.Leaves() or, when streaming,
+// the phases known to overlap the window; phases outside the window are
+// harmless (they contribute no demand and are pruned from the usage list).
+// The caller must sort leaves by (Start, Path) — the order tr.Leaves()
+// returns — so per-slice floating-point accumulation is deterministic.
+//
+// Instances are attributed concurrently over workers goroutines
+// (0 = par.Default()) — each (resource, machine) pair is independent — and
+// merged into the profile in the deterministic rt.Instances() order, so the
+// result is identical for every worker count.
+//
+// A non-nil tracer receives one span per per-instance attribution job and
+// its inner upsampling step, tagged with the worker lane that ran it and the
+// virtual-time window attributed. A non-nil rec receives the full derivation
+// chain of every attributed cell. With both nil it is byte-for-byte the same
+// computation and allocates nothing extra: every span and provenance call is
+// a nil no-op on this hot path.
+func AttributeWindow(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
 	rules *core.RuleSet, slices core.Timeslices, workers int, tracer *obs.Tracer,
 	rec Recorder) (*Profile, error) {
 	if slices.Count == 0 {
-		return nil, errEmptySpan
+		return nil, fmt.Errorf("attribution: empty timeslice span")
 	}
 	instances := rt.Instances()
 	prof := &Profile{Trace: tr, Slices: slices, Rules: rules,

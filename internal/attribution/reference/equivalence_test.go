@@ -283,7 +283,7 @@ func TestColumnarMatchesReference(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			gotRec := newCapRecorder(nInst)
-			got, err := attribution.AttributeWindowProv(f.tr, f.leaves, f.rt, f.rules,
+			got, err := attribution.AttributeWindow(f.tr, f.leaves, f.rt, f.rules,
 				f.slices, workers, nil, gotRec)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -350,7 +350,7 @@ func TestColumnarMatchesReferenceEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			gotRec := newCapRecorder(1)
-			got, err := attribution.AttributeWindowProv(tr, tr.Leaves(), rt, rules,
+			got, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules,
 				slices, 1, nil, gotRec)
 			if err != nil {
 				t.Fatal(err)
@@ -369,7 +369,7 @@ func TestColumnarNilRecorderMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := attribution.AttributeWindowProv(f.tr, f.leaves, f.rt, f.rules,
+	got, err := attribution.AttributeWindow(f.tr, f.leaves, f.rt, f.rules,
 		f.slices, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)

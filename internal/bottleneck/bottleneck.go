@@ -44,24 +44,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Config tunes detection thresholds.
+// SaturationThreshold is the utilization fraction of capacity at or above
+// which a consumable resource counts as saturated (§III-E): the default of
+// Config.SaturationThreshold, and the threshold internal/explain flags
+// saturated cells against.
+const SaturationThreshold = 0.99
+
+// Config tunes detection thresholds; zero fields take the defaults.
 type Config struct {
-	// SaturationThreshold is the utilization fraction of capacity at or
-	// above which a consumable resource counts as saturated. Default 0.99.
+	// SaturationThreshold overrides the package's SaturationThreshold.
 	SaturationThreshold float64
 	// ExactTolerance is the fraction of a phase's Exact demand that must be
 	// attributed to it for the phase to count as pinned. Default 0.95.
 	ExactTolerance float64
 }
 
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config {
-	return Config{SaturationThreshold: 0.99, ExactTolerance: 0.95}
-}
-
 func (c *Config) fill() {
 	if c.SaturationThreshold == 0 {
-		c.SaturationThreshold = 0.99
+		c.SaturationThreshold = SaturationThreshold
 	}
 	if c.ExactTolerance == 0 {
 		c.ExactTolerance = 0.95
@@ -309,25 +309,4 @@ func detectConsumable(prof *attribution.Profile, cfg Config, rep *Report) {
 			}
 		}
 	}
-}
-
-// BottleneckFraction returns, for each resource name, the fraction of the
-// phase's duration it spent bottlenecked on that resource (by any kind).
-// Overlaps between kinds on the same resource are not double-counted beyond
-// the phase duration (values are clamped to 1).
-func BottleneckFraction(rep *Report, p *core.Phase) map[string]float64 {
-	out := map[string]float64{}
-	dur := p.Duration().Seconds()
-	if dur <= 0 {
-		return out
-	}
-	for _, b := range rep.byPhase[p] {
-		out[b.Resource] += b.Time.Seconds() / dur
-	}
-	for res, f := range out {
-		if f > 1 {
-			out[res] = 1
-		}
-	}
-	return out
 }

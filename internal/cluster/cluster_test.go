@@ -22,7 +22,7 @@ func TestClusterGroundTruthCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Absolute units: 2 cores used during [0, 0.5s).
-	if got := truth.At(vtime.Time(250 * ms)); math.Abs(got-2) > 1e-9 {
+	if got := truth.Average(vtime.Time(250*ms), vtime.Time(251*ms)); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("cpu truth %v, want 2 cores", got)
 	}
 	idle, err := c.GroundTruth(1, ResCPU)
@@ -43,7 +43,7 @@ func TestClusterGroundTruthNetwork(t *testing.T) {
 	s.Run()
 	out, _ := c.GroundTruth(0, ResNetOut)
 	in, _ := c.GroundTruth(1, ResNetIn)
-	if got := out.At(vtime.Time(250 * ms)); math.Abs(got-1000) > 1e-9 {
+	if got := out.Average(vtime.Time(250*ms), vtime.Time(251*ms)); math.Abs(got-1000) > 1e-9 {
 		t.Fatalf("egress truth %v", got)
 	}
 	if got := in.Integral(0, vtime.Time(vtime.Second)); math.Abs(got-500) > 1e-6 {

@@ -81,9 +81,6 @@ func (t *PhaseType) Child(name string, repeated bool, after ...string) *PhaseTyp
 	return c
 }
 
-// Parent returns the parent type, nil for the root.
-func (t *PhaseType) Parent() *PhaseType { return t.parent }
-
 // Children returns the child types in declaration order.
 func (t *PhaseType) Children() []*PhaseType { return t.children }
 

@@ -28,8 +28,8 @@ func TestExecutionModelPathsAndLookup(t *testing.T) {
 	if pt == nil || pt.Name != "compute" || !pt.IsLeaf() {
 		t.Fatalf("lookup failed: %+v", pt)
 	}
-	if pt.Parent().Name != "worker" {
-		t.Fatal("parent wrong")
+	if pt.Path() != "/app/execute/superstep/worker/compute" {
+		t.Fatalf("path = %q", pt.Path())
 	}
 	if got := m.LookupInstance("/app/execute/superstep.3/worker.1/compute"); got != pt {
 		t.Fatal("instance lookup wrong")

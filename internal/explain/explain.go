@@ -8,13 +8,10 @@ import (
 	"strings"
 
 	"grade10/internal/attribution"
+	"grade10/internal/bottleneck"
 	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
-
-// DefaultSaturationThreshold mirrors bottleneck.Config: a slice is flagged
-// saturated when consumption ≥ threshold × capacity.
-const DefaultSaturationThreshold = 0.99
 
 // maxTextCells caps the per-phase cell rows printed by WriteText; WriteJSON
 // always carries the full chain.
@@ -38,14 +35,12 @@ func evalErr(format string, args ...any) error {
 type Explainer struct {
 	Prof *attribution.Profile
 	Rec  *Recorder
-	// SaturationThreshold flags saturated cells; zero takes the default.
-	SaturationThreshold float64
 }
 
 // NewExplainer pairs a profile with the recorder that observed its
 // attribution pass.
 func NewExplainer(prof *attribution.Profile, rec *Recorder) *Explainer {
-	return &Explainer{Prof: prof, Rec: rec, SaturationThreshold: DefaultSaturationThreshold}
+	return &Explainer{Prof: prof, Rec: rec}
 }
 
 // Derivation is the full answer to one explain query: per instance, per
@@ -199,10 +194,6 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 
 	resourceKnown := q.Resource == ""
 	phaseKnown := q.Phase == ""
-	sat := e.SaturationThreshold
-	if sat <= 0 {
-		sat = DefaultSaturationThreshold
-	}
 
 	for i, ip := range e.Prof.Instances {
 		ri := ip.Instance
@@ -221,7 +212,7 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 			continue
 		}
 		d.DroppedRows += sh.dropped
-		inst := e.explainInstance(ip, sh, q, first, last, sat)
+		inst := e.explainInstance(ip, sh, q, first, last)
 		if inst == nil {
 			continue
 		}
@@ -260,7 +251,7 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 // explainInstance joins the shard's four provenance tables for one instance
 // over slice range [first, last) and the query's phase filter.
 func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
-	q Query, first, last int, sat float64) *InstanceDerivation {
+	q Query, first, last int) *InstanceDerivation {
 	slices := e.Prof.Slices
 
 	// Index the columnar tables for the join. Key (slice, phase) for demand
@@ -324,7 +315,7 @@ func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
 				cell.TotalVarW = sh.sVarW[sr]
 				cell.ExactScale = sh.sScale[sr]
 				cell.Remainder = sh.sRemainder[sr]
-				cell.Saturated = sh.capacity > 0 && sh.sCons[sr] >= sat*sh.capacity
+				cell.Saturated = sh.capacity > 0 && sh.sCons[sr] >= bottleneck.SaturationThreshold*sh.capacity
 			}
 			if hr, ok := shareAt[cellKey(int32(k), int32(pi))]; ok {
 				cell.ShareRate = sh.hShare[hr.row]

@@ -87,7 +87,7 @@ func buildFixture(t testing.TB, maxCells int) *fixture {
 
 	slices := core.NewTimeslices(at(0), at(6), 1*sec)
 	rec := NewRecorder(maxCells)
-	prof, err := attribution.AttributeWindowProv(tr, tr.Leaves(), rt, rules,
+	prof, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules,
 		slices, 1, nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -281,21 +281,32 @@ func TestExplainRenderings(t *testing.T) {
 // drops rows, counts them, and the derivation carries the warning.
 func TestRecorderMemoryBound(t *testing.T) {
 	f := buildFixture(t, 4)
-	if f.rec.Dropped() == 0 {
+	if droppedRows(f.rec) == 0 {
 		t.Fatal("tiny bound dropped nothing")
 	}
 	if f.rec.Bytes() <= 0 {
 		t.Fatal("Bytes() = 0 with rows recorded")
 	}
 	d := explainQ(t, f, "resource=cpu")
-	if d.DroppedRows != f.rec.Dropped() {
+	if d.DroppedRows != droppedRows(f.rec) {
 		t.Fatalf("derivation DroppedRows = %d, recorder dropped %d",
-			d.DroppedRows, f.rec.Dropped())
+			d.DroppedRows, droppedRows(f.rec))
 	}
 
 	unbounded := buildFixture(t, 0)
-	if unbounded.rec.Dropped() != 0 {
+	if droppedRows(unbounded.rec) != 0 {
 		t.Fatalf("default bound dropped %d rows on a 6-slice fixture",
-			unbounded.rec.Dropped())
+			droppedRows(unbounded.rec))
 	}
+}
+
+// droppedRows sums the rows every shard of rec discarded.
+func droppedRows(rec *Recorder) int64 {
+	var total int64
+	for _, sh := range rec.shards {
+		if sh != nil {
+			total += sh.dropped
+		}
+	}
+	return total
 }

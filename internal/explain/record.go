@@ -91,20 +91,6 @@ func (r *Recorder) Bytes() int64 {
 	return total
 }
 
-// Dropped returns the number of provenance rows discarded by the
-// per-instance memory bound.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, sh := range r.shards {
-		if sh != nil {
-			total += sh.dropped
-		}
-	}
-	return total
-}
-
 // shard holds one resource instance's provenance in columnar form: four
 // append-only tables (demand, upsample, slice split, share), with phases
 // interned once per shard. rows() across the tables is bounded by maxCells.

@@ -24,10 +24,6 @@ type Input struct {
 	Models Models
 	// Timeslice is the analysis granularity (§III-C); default 10ms.
 	Timeslice vtime.Duration
-	// BottleneckConfig and IssueConfig tune detection; zero values take
-	// defaults.
-	BottleneckConfig bottleneck.Config
-	IssueConfig      issues.Config
 	// Parallelism is the worker count for the attribution fan-out and the
 	// issue detector's trace replays. Output is identical for every value;
 	// 0 takes par.Default() (GOMAXPROCS).
@@ -95,7 +91,7 @@ func Characterize(in Input) (*Output, error) {
 	span = in.Tracer.StartSpan("attribution", -1)
 	span.SetItems(int64(slices.Count))
 	span.SetWindow(int64(slices.Start), int64(slices.End))
-	prof, err := attribution.AttributeWindowProv(tr, tr.Leaves(), rt, in.Models.Rules,
+	prof, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, in.Models.Rules,
 		slices, in.Parallelism, in.Tracer, in.Recorder)
 	span.End()
 	if err != nil {
@@ -103,18 +99,12 @@ func Characterize(in Input) (*Output, error) {
 	}
 
 	span = in.Tracer.StartSpan("bottleneck-scan", -1)
-	btl := bottleneck.Detect(prof, in.BottleneckConfig)
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	span.SetItems(int64(len(btl.Bottlenecks)))
 	span.End()
 
-	if in.IssueConfig.Parallelism == 0 {
-		in.IssueConfig.Parallelism = in.Parallelism
-	}
-	if in.IssueConfig.Tracer == nil {
-		in.IssueConfig.Tracer = in.Tracer
-	}
 	span = in.Tracer.StartSpan("issue-analysis", -1)
-	iss := issues.Analyze(prof, btl, in.IssueConfig)
+	iss := issues.Analyze(prof, btl, issues.Config{Parallelism: in.Parallelism, Tracer: in.Tracer})
 	span.SetItems(int64(len(iss.Issues)))
 	span.End()
 

@@ -17,10 +17,6 @@ type Edge struct {
 	Src, Dst Vertex
 }
 
-// E constructs an Edge; a shorthand for building edge lists in callers and
-// tests.
-func E(src, dst Vertex) Edge { return Edge{Src: src, Dst: dst} }
-
 // Graph is an immutable directed graph in CSR form, with both out- and
 // in-adjacency for algorithms that traverse in either direction.
 type Graph struct {
@@ -56,9 +52,6 @@ func (g *Graph) OutDegree(v Vertex) int { return int(g.outOff[v+1] - g.outOff[v]
 // InDegree returns the in-degree of v.
 func (g *Graph) InDegree(v Vertex) int { return int(g.inOff[v+1] - g.inOff[v]) }
 
-// Degree returns the total degree (in + out) of v.
-func (g *Graph) Degree(v Vertex) int { return g.OutDegree(v) + g.InDegree(v) }
-
 // Edges calls fn for every directed edge in CSR order (sorted by source,
 // then destination). The edge index passed to fn is stable and matches the
 // ordering used by vertex-cut partition assignments.
@@ -81,17 +74,6 @@ func (g *Graph) EdgeSource(i int64) Vertex {
 
 // EdgeDst returns the destination vertex of the edge with CSR index i.
 func (g *Graph) EdgeDst(i int64) Vertex { return g.outAdj[i] }
-
-// MaxOutDegree returns the largest out-degree in the graph.
-func (g *Graph) MaxOutDegree() int {
-	maxD := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.OutDegree(Vertex(v)); d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
 
 // Builder accumulates edges and produces a Graph. Duplicate edges are kept
 // unless deduplication is requested; self-loops are kept (graph algorithms in

@@ -25,15 +25,6 @@ func (p *Partition) PartVertices() [][]Vertex {
 	return parts
 }
 
-// PartSizes returns the number of vertices owned by each part.
-func (p *Partition) PartSizes() []int {
-	sizes := make([]int, p.NumParts)
-	for _, o := range p.owner {
-		sizes[o]++
-	}
-	return sizes
-}
-
 // HashPartition assigns vertices to k parts by multiplicative hashing of the
 // vertex identifier — Giraph's default strategy. The hash decorrelates
 // ownership from generator vertex numbering.
@@ -50,22 +41,6 @@ func HashPartition(g *Graph, k int) *Partition {
 	return p
 }
 
-// RangePartition assigns contiguous vertex ranges to parts. It preserves any
-// locality present in vertex numbering, which makes imbalance worse on
-// community graphs — useful for imbalance experiments.
-func RangePartition(g *Graph, k int) *Partition {
-	if k <= 0 || k > 1<<16 {
-		panic("graph: part count out of range")
-	}
-	n := g.NumVertices()
-	p := &Partition{NumParts: k, owner: make([]uint16, n)}
-	per := (n + k - 1) / k
-	for v := 0; v < n; v++ {
-		p.owner[v] = uint16(v / per)
-	}
-	return p
-}
-
 // VertexCut is a PowerGraph-style vertex-cut partitioning: every edge lives
 // on exactly one part; a vertex is replicated on every part holding one of
 // its edges, with one replica designated master. Mirror↔master
@@ -74,8 +49,6 @@ func RangePartition(g *Graph, k int) *Partition {
 // Part count is limited to 64 so replica sets fit in one machine word.
 type VertexCut struct {
 	NumParts int
-	// edgePart[i] is the part owning the edge with CSR index i.
-	edgePart []uint8
 	// replicaMask[v] has bit p set iff vertex v has a replica on part p.
 	replicaMask []uint64
 	// master[v] is the part holding v's master replica.
@@ -99,7 +72,6 @@ func GreedyVertexCut(g *Graph, k int) *VertexCut {
 	n := g.NumVertices()
 	vc := &VertexCut{
 		NumParts:    k,
-		edgePart:    make([]uint8, g.NumEdges()),
 		replicaMask: make([]uint64, n),
 		master:      make([]uint8, n),
 		partEdges:   make([][]int64, k),
@@ -146,7 +118,6 @@ func GreedyVertexCut(g *Graph, k int) *VertexCut {
 				part = alt
 			}
 		}
-		vc.edgePart[i] = uint8(part)
 		vc.replicaMask[e.Src] |= 1 << uint(part)
 		vc.replicaMask[e.Dst] |= 1 << uint(part)
 		load[part]++
@@ -200,21 +171,8 @@ func sortInt64s(a []int64) {
 	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }
 
-// EdgePart returns the part owning the edge with CSR index i.
-func (vc *VertexCut) EdgePart(i int64) int { return int(vc.edgePart[i]) }
-
 // Master returns the part holding v's master replica.
 func (vc *VertexCut) Master(v Vertex) int { return int(vc.master[v]) }
-
-// Replicas returns the number of parts holding a replica of v (at least 1).
-func (vc *VertexCut) Replicas(v Vertex) int {
-	return bits.OnesCount64(vc.replicaMask[v])
-}
-
-// HasReplica reports whether part p holds a replica of v.
-func (vc *VertexCut) HasReplica(v Vertex, p int) bool {
-	return vc.replicaMask[v]&(1<<uint(p)) != 0
-}
 
 // ReplicaParts calls fn for each part holding a replica of v.
 func (vc *VertexCut) ReplicaParts(v Vertex, fn func(p int)) {

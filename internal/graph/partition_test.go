@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,10 @@ import (
 func TestHashPartitionCoversAndBalances(t *testing.T) {
 	g := RMAT(10, 8, 1)
 	p := HashPartition(g, 8)
-	sizes := p.PartSizes()
+	var sizes []int
+	for _, vs := range p.PartVertices() {
+		sizes = append(sizes, len(vs))
+	}
 	if len(sizes) != 8 {
 		t.Fatalf("%d parts", len(sizes))
 	}
@@ -41,21 +45,6 @@ func TestPartVerticesConsistent(t *testing.T) {
 	}
 }
 
-func TestRangePartition(t *testing.T) {
-	g := Ring(10)
-	p := RangePartition(g, 3)
-	// per = ceil(10/3) = 4 → parts of 4,4,2.
-	want := []int{4, 4, 2}
-	for i, s := range p.PartSizes() {
-		if s != want[i] {
-			t.Fatalf("sizes %v", p.PartSizes())
-		}
-	}
-	if p.Owner(0) != 0 || p.Owner(4) != 1 || p.Owner(9) != 2 {
-		t.Fatal("range owners wrong")
-	}
-}
-
 func TestGreedyVertexCutInvariants(t *testing.T) {
 	g := RMAT(9, 8, 2)
 	vc := GreedyVertexCut(g, 8)
@@ -63,14 +52,19 @@ func TestGreedyVertexCutInvariants(t *testing.T) {
 	// Every edge is on exactly one part, and both endpoints have a replica
 	// there.
 	edgeTotal := int64(0)
+	listedOn := make([]int, g.NumEdges())
+	for i := range listedOn {
+		listedOn[i] = -1
+	}
 	for p := 0; p < 8; p++ {
 		edgeTotal += int64(len(vc.PartEdges(p)))
 		for _, i := range vc.PartEdges(p) {
-			if vc.EdgePart(i) != p {
-				t.Fatalf("edge %d listed on part %d, assigned to %d", i, p, vc.EdgePart(i))
+			if listedOn[i] != -1 {
+				t.Fatalf("edge %d listed on part %d and on part %d", i, listedOn[i], p)
 			}
+			listedOn[i] = p
 			src, dst := g.EdgeSource(i), g.EdgeDst(i)
-			if !vc.HasReplica(src, p) || !vc.HasReplica(dst, p) {
+			if !hasReplica(vc, src, p) || !hasReplica(vc, dst, p) {
 				t.Fatalf("edge %d endpoints lack replica on part %d", i, p)
 			}
 		}
@@ -81,10 +75,10 @@ func TestGreedyVertexCutInvariants(t *testing.T) {
 
 	// Masters are replicas; every vertex has ≥1 replica.
 	for v := 0; v < g.NumVertices(); v++ {
-		if vc.Replicas(Vertex(v)) < 1 {
+		if replicas(vc, Vertex(v)) < 1 {
 			t.Fatalf("vertex %d has no replicas", v)
 		}
-		if !vc.HasReplica(Vertex(v), vc.Master(Vertex(v))) {
+		if !hasReplica(vc, Vertex(v), vc.Master(Vertex(v))) {
 			t.Fatalf("vertex %d master %d is not a replica", v, vc.Master(Vertex(v)))
 		}
 	}
@@ -127,13 +121,13 @@ func TestReplicaPartsEnumeration(t *testing.T) {
 	for v := 0; v < 3; v++ {
 		count := 0
 		vc.ReplicaParts(Vertex(v), func(p int) {
-			if !vc.HasReplica(Vertex(v), p) {
+			if !hasReplica(vc, Vertex(v), p) {
 				t.Fatalf("enumerated non-replica part %d for %d", p, v)
 			}
 			count++
 		})
-		if count != vc.Replicas(Vertex(v)) {
-			t.Fatalf("vertex %d: enumerated %d, Replicas()=%d", v, count, vc.Replicas(Vertex(v)))
+		if count != replicas(vc, Vertex(v)) {
+			t.Fatalf("vertex %d: enumerated %d, replica mask holds %d", v, count, replicas(vc, Vertex(v)))
 		}
 	}
 }
@@ -159,7 +153,7 @@ func TestVertexCutProperty(t *testing.T) {
 			return false
 		}
 		for v := 0; v < n; v++ {
-			if vc.Replicas(Vertex(v)) < 1 || !vc.HasReplica(Vertex(v), vc.Master(Vertex(v))) {
+			if replicas(vc, Vertex(v)) < 1 || !hasReplica(vc, Vertex(v), vc.Master(Vertex(v))) {
 				return false
 			}
 		}
@@ -174,7 +168,6 @@ func TestPartitionPanics(t *testing.T) {
 	g := Ring(4)
 	for _, fn := range []func(){
 		func() { HashPartition(g, 0) },
-		func() { RangePartition(g, 0) },
 		func() { GreedyVertexCut(g, 0) },
 		func() { GreedyVertexCut(g, 65) },
 	} {
@@ -198,8 +191,18 @@ func TestGreedyVertexCutEmptyGraph(t *testing.T) {
 		t.Fatalf("replication factor %v", vc.ReplicationFactor())
 	}
 	for v := 0; v < 8; v++ {
-		if vc.Replicas(Vertex(v)) != 1 {
-			t.Fatalf("vertex %d replicas %d", v, vc.Replicas(Vertex(v)))
+		if replicas(vc, Vertex(v)) != 1 {
+			t.Fatalf("vertex %d replicas %d", v, replicas(vc, Vertex(v)))
 		}
 	}
+}
+
+// hasReplica reads part p's bit of v's replica mask.
+func hasReplica(vc *VertexCut, v Vertex, p int) bool {
+	return vc.replicaMask[v]&(1<<uint(p)) != 0
+}
+
+// replicas counts the parts in v's replica mask.
+func replicas(vc *VertexCut, v Vertex) int {
+	return bits.OnesCount64(vc.replicaMask[v])
 }

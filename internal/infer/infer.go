@@ -168,16 +168,6 @@ func (r *Result) RuleSet(opts Options) *core.RuleSet {
 	return rules
 }
 
-// Amount returns the fitted coefficient for a type path (0 if absent).
-func (r *Result) Amount(typePath string) float64 {
-	for _, c := range r.Coefficients {
-		if c.TypePath == typePath {
-			return c.Amount
-		}
-	}
-	return 0
-}
-
 // solveRidge solves (AᵀA + λI) x = b by Gaussian elimination with partial
 // pivoting; the ridge term keeps rank-deficient systems (types that never
 // appear alone) solvable.

@@ -66,10 +66,10 @@ func TestInferRecoversKnownCoefficients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := res.Amount("/job/heavy"); math.Abs(h-3) > 0.05 {
+	if h := amount(res, "/job/heavy"); math.Abs(h-3) > 0.05 {
 		t.Fatalf("heavy coefficient %v, want 3", h)
 	}
-	if lgt := res.Amount("/job/light"); math.Abs(lgt-1) > 0.05 {
+	if lgt := amount(res, "/job/light"); math.Abs(lgt-1) > 0.05 {
 		t.Fatalf("light coefficient %v, want 1", lgt)
 	}
 
@@ -117,13 +117,13 @@ func TestInferGiraphThreadRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thread := res.Amount("/pagerank/execute/superstep/worker/compute/thread")
+	thread := amount(res, "/pagerank/execute/superstep/worker/compute/thread")
 	if thread < 0.6 || thread > 1.4 {
 		t.Fatalf("inferred thread demand %v cores, expected ≈1", thread)
 	}
 	// The barrier consumes nothing; its coefficient must be far below the
 	// thread's.
-	barrier := res.Amount("/pagerank/execute/superstep/worker/barrier")
+	barrier := amount(res, "/pagerank/execute/superstep/worker/barrier")
 	if barrier > 0.3*thread {
 		t.Fatalf("barrier coefficient %v not negligible vs thread %v", barrier, thread)
 	}
@@ -162,4 +162,14 @@ func TestInferValidation(t *testing.T) {
 	if _, err := InferRules(tr, "cpu", nil, Options{}); err == nil {
 		t.Fatal("no monitoring accepted")
 	}
+}
+
+// amount returns the fitted coefficient of one phase type, or 0.
+func amount(res *Result, typePath string) float64 {
+	for _, c := range res.Coefficients {
+		if c.TypePath == typePath {
+			return c.Amount
+		}
+	}
+	return 0
 }

@@ -64,7 +64,7 @@ func TestRemoveBottleneckNextLimit(t *testing.T) {
 	// The slow resource sits at 40%: with fast removed, each slice could run
 	// in 40% of its time → phase shrinks from 10s to 4s.
 	prof, work := twoResourceProfile(t, 0.4)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	rep := Analyze(prof, btl, Config{MinImpact: 0.001})
 	var fastIssue *Issue
 	for i := range rep.Issues {
@@ -90,7 +90,7 @@ func TestRemoveBottleneckNextLimit(t *testing.T) {
 func TestRemoveBottleneckFloor(t *testing.T) {
 	// With the slow resource idle, the floor bounds the shrink: default 5%.
 	prof, _ := twoResourceProfile(t, 0)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	rep := Analyze(prof, btl, Config{MinImpact: 0.001})
 	for _, is := range rep.Issues {
 		if is.Kind == BottleneckImpact && is.Resource == "fast" {
@@ -105,7 +105,7 @@ func TestRemoveBottleneckFloor(t *testing.T) {
 
 func TestRemoveBottleneckCustomFloor(t *testing.T) {
 	prof, _ := twoResourceProfile(t, 0)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	rep := Analyze(prof, btl, Config{MinImpact: 0.001, BottleneckFloor: 0.25})
 	for _, is := range rep.Issues {
 		if is.Kind == BottleneckImpact && is.Resource == "fast" {
@@ -116,19 +116,6 @@ func TestRemoveBottleneckCustomFloor(t *testing.T) {
 		}
 	}
 	t.Fatal("no fast issue")
-}
-
-func TestRecordedDurations(t *testing.T) {
-	tr := bspTrace(t, [][][]int64{{{10, 20}}})
-	durs := RecordedDurations(tr)
-	leaf := tr.ByPath["/app/execute/superstep.0/worker.0/thread.1"]
-	if durs[leaf] != 20*sec {
-		t.Fatalf("recorded duration %v", durs[leaf])
-	}
-	// load, write, and both threads.
-	if len(durs) != 4 {
-		t.Fatalf("%d leaves", len(durs))
-	}
 }
 
 func TestIssueDescribeVariants(t *testing.T) {

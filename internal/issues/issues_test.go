@@ -165,9 +165,12 @@ func TestGroupsByNearestSequentialAncestor(t *testing.T) {
 			t.Fatalf("group %s has %d members", g.Key, len(g.Members))
 		}
 	}
-	if threadGroups[0].TotalDuration() != 100*sec || threadGroups[0].MaxDuration() != 40*sec {
-		t.Fatalf("group stats: total %v max %v",
-			threadGroups[0].TotalDuration(), threadGroups[0].MaxDuration())
+	var total vtime.Duration
+	for _, m := range threadGroups[0].Members {
+		total += m.Duration()
+	}
+	if total != 100*sec || threadGroups[0].MaxDuration() != 40*sec {
+		t.Fatalf("group stats: total %v max %v", total, threadGroups[0].MaxDuration())
 	}
 }
 
@@ -198,7 +201,7 @@ func TestAnalyzeImbalance(t *testing.T) {
 		{{10, 10}, {10, 10}},
 	})
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	rep := Analyze(prof, btl, Config{MinImpact: 0.01})
 	// Original: 10 + 40 + 10 + 5 = 65. Balanced: 10 + 17.5 + 10 + 5 = 42.5.
 	var imb *Issue
@@ -242,7 +245,7 @@ func TestAnalyzeBlockingBottleneckRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	rep := Analyze(prof, btl, Config{MinImpact: 0.01})
 	var gc *Issue
 	for i := range rep.Issues {

@@ -17,7 +17,7 @@ func TestAnalyzeParallelBitIdentical(t *testing.T) {
 		{{10, 25}, {10, 10}},
 	})
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	btl := bottleneck.Detect(prof, bottleneck.Config{})
 	serial := Analyze(prof, btl, Config{MinImpact: 0.001, Parallelism: 1})
 	if len(serial.Issues) == 0 {
 		t.Fatal("fixture produced no issues; the guard would be vacuous")

@@ -210,16 +210,6 @@ func (r *replay) syncEnd(key string) vtime.Time {
 	return t
 }
 
-// RecordedDurations returns the durations of all leaves as recorded in the
-// trace (without the sync-wait stripping the replay applies by default).
-func RecordedDurations(tr *core.ExecutionTrace) Durations {
-	durs := Durations{}
-	for _, leaf := range tr.Leaves() {
-		durs[leaf] = leaf.Duration()
-	}
-	return durs
-}
-
 // concurrencyGroup returns the grouping key for imbalance analysis: phases of
 // the same type under the same nearest Sequential (or root) ancestor are
 // considered interchangeable — e.g. all gather threads of one iteration,
@@ -262,15 +252,6 @@ type Group struct {
 	Key      string
 	TypePath string
 	Members  []*core.Phase
-}
-
-// TotalDuration sums the members' durations.
-func (g Group) TotalDuration() vtime.Duration {
-	var total vtime.Duration
-	for _, m := range g.Members {
-		total += m.Duration()
-	}
-	return total
 }
 
 // MaxDuration returns the longest member duration.

@@ -140,5 +140,5 @@ func TestAnalyzeIncludesUnderutilization(t *testing.T) {
 }
 
 func emptyBottlenecks(prof *attribution.Profile) *bottleneck.Report {
-	return bottleneck.Detect(prof, bottleneck.DefaultConfig())
+	return bottleneck.Detect(prof, bottleneck.Config{})
 }

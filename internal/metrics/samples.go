@@ -88,25 +88,6 @@ func (ss *SampleSeries) ToSeries() *Series {
 	return s
 }
 
-// TotalConsumption returns the integral of the sampled rates over all
-// intervals, in value·seconds.
-func (ss *SampleSeries) TotalConsumption() float64 {
-	total := 0.0
-	for _, s := range ss.Samples {
-		total += s.Avg * s.Duration().Seconds()
-	}
-	return total
-}
-
-// Span returns the covered interval [start, end). It returns zeros for an
-// empty series.
-func (ss *SampleSeries) Span() (vtime.Time, vtime.Time) {
-	if len(ss.Samples) == 0 {
-		return 0, 0
-	}
-	return ss.Samples[0].Start, ss.Samples[len(ss.Samples)-1].End
-}
-
 // Validate checks that samples are contiguous and well-formed.
 func (ss *SampleSeries) Validate() error {
 	for i, s := range ss.Samples {

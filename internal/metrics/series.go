@@ -29,7 +29,9 @@ type Point struct {
 //
 // The zero value is an empty series ready for use.
 type Series struct {
-	points []Point
+	// Points are the recorded steps in increasing T order. Readers must not
+	// modify them; Set is the only writer.
+	Points []Point
 }
 
 // NewSeries returns an empty series with room for capacity steps, for
@@ -39,21 +41,21 @@ func NewSeries(capacity int) *Series {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Series{points: make([]Point, 0, capacity)}
+	return &Series{Points: make([]Point, 0, capacity)}
 }
 
 // Set appends a step: the series takes value v from instant t onward.
 // Set panics if t precedes the last recorded instant, since meters only move
 // forward in virtual time.
 func (s *Series) Set(t vtime.Time, v float64) {
-	n := len(s.points)
+	n := len(s.Points)
 	if n > 0 {
-		last := s.points[n-1]
+		last := s.Points[n-1]
 		if t < last.T {
 			panic(fmt.Sprintf("metrics: Set at %v before last point %v", t, last.T))
 		}
 		if t == last.T {
-			s.points[n-1].V = v
+			s.Points[n-1].V = v
 			return
 		}
 		if last.V == v {
@@ -62,53 +64,40 @@ func (s *Series) Set(t vtime.Time, v float64) {
 	} else if v == 0 {
 		return // leading zero is implicit
 	}
-	s.points = append(s.points, Point{t, v})
+	s.Points = append(s.Points, Point{t, v})
 }
 
 // Len returns the number of recorded steps.
-func (s *Series) Len() int { return len(s.points) }
-
-// Points returns the underlying steps. The caller must not modify them.
-func (s *Series) Points() []Point { return s.points }
+func (s *Series) Len() int { return len(s.Points) }
 
 // Clone returns a deep copy of the series.
 func (s *Series) Clone() *Series {
-	c := &Series{points: make([]Point, len(s.points))}
-	copy(c.points, s.points)
+	c := &Series{Points: make([]Point, len(s.Points))}
+	copy(c.Points, s.Points)
 	return c
-}
-
-// At returns the series value at instant t.
-func (s *Series) At(t vtime.Time) float64 {
-	// Index of the last point with T <= t.
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t }) - 1
-	if i < 0 {
-		return 0
-	}
-	return s.points[i].V
 }
 
 // Integral returns the integral of the series over [t0, t1), in value·seconds.
 func (s *Series) Integral(t0, t1 vtime.Time) float64 {
-	if t1 <= t0 || len(s.points) == 0 {
+	if t1 <= t0 || len(s.Points) == 0 {
 		return 0
 	}
 	total := 0.0
 	// First segment potentially overlapping [t0, t1).
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t0 }) - 1
+	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > t0 }) - 1
 	if i < 0 {
 		i = 0
 	}
-	for ; i < len(s.points); i++ {
-		segStart := s.points[i].T
+	for ; i < len(s.Points); i++ {
+		segStart := s.Points[i].T
 		segEnd := vtime.Infinity
-		if i+1 < len(s.points) {
-			segEnd = s.points[i+1].T
+		if i+1 < len(s.Points) {
+			segEnd = s.Points[i+1].T
 		}
 		lo := vtime.Max(segStart, t0)
 		hi := vtime.Min(segEnd, t1)
 		if hi > lo {
-			total += s.points[i].V * hi.Sub(lo).Seconds()
+			total += s.Points[i].V * hi.Sub(lo).Seconds()
 		}
 		if segEnd >= t1 {
 			break
@@ -125,35 +114,11 @@ func (s *Series) Average(t0, t1 vtime.Time) float64 {
 	return s.Integral(t0, t1) / t1.Sub(t0).Seconds()
 }
 
-// Max returns the maximum value attained in [t0, t1).
-func (s *Series) Max(t0, t1 vtime.Time) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	maxV := s.At(t0)
-	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].T > t0 })
-	for ; i < len(s.points) && s.points[i].T < t1; i++ {
-		if s.points[i].V > maxV {
-			maxV = s.points[i].V
-		}
-	}
-	return maxV
-}
-
-// End returns the instant of the last recorded step, or zero for an empty
-// series.
-func (s *Series) End() vtime.Time {
-	if len(s.points) == 0 {
-		return 0
-	}
-	return s.points[len(s.points)-1].T
-}
-
 // Scale returns a new series with every value multiplied by f.
 func (s *Series) Scale(f float64) *Series {
 	c := s.Clone()
-	for i := range c.points {
-		c.points[i].V *= f
+	for i := range c.Points {
+		c.Points[i].V *= f
 	}
 	return c
 }

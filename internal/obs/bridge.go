@@ -26,8 +26,8 @@ func RegisterRuntime(r *Registry) {
 }
 
 // BridgeTracer feeds every span the tracer completes into per-stage metric
-// families on the registry: a duration histogram plus item/byte throughput
-// counters. Install before instrumented code runs; replaces any previous
+// families on the registry: a duration histogram plus an item throughput
+// counter. Install before instrumented code runs; replaces any previous
 // OnRecord hook.
 func BridgeTracer(r *Registry, t *Tracer) {
 	if r == nil || t == nil {
@@ -37,8 +37,6 @@ func BridgeTracer(r *Registry, t *Tracer) {
 		"Wall-clock duration of pipeline self-trace spans, per stage.", nil, "stage")
 	items := r.CounterVec("grade10_stage_items_total",
 		"Items (events, samples, slices) processed by pipeline stages.", "stage")
-	bytesTotal := r.CounterVec("grade10_stage_bytes_total",
-		"Bytes processed by pipeline stages.", "stage")
 	spans := r.Counter("grade10_spans_total", "Completed self-trace spans.")
 	r.GaugeFunc("grade10_spans_dropped_total",
 		"Self-trace spans discarded by the bounded ring.",
@@ -48,9 +46,6 @@ func BridgeTracer(r *Registry, t *Tracer) {
 		durs.With(rec.Stage).Observe(rec.Dur.Seconds())
 		if rec.Items > 0 {
 			items.With(rec.Stage).Add(float64(rec.Items))
-		}
-		if rec.Bytes > 0 {
-			bytesTotal.With(rec.Stage).Add(float64(rec.Bytes))
 		}
 	})
 }

@@ -4,7 +4,7 @@
 //   - Tracer / Span: lightweight wall-clock span tracing for the analysis
 //     pipeline's own stages (log parse, per-instance attribution jobs,
 //     bottleneck scan, issue replays, streaming window flushes, simulator
-//     supersteps). Spans carry a stage name, a worker id, item/byte counts,
+//     supersteps). Spans carry a stage name, a worker id, an item count,
 //     and the virtual-time window they processed. A nil *Tracer disables
 //     tracing with zero allocations on the hot path.
 //

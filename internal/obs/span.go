@@ -23,10 +23,9 @@ type SpanRecord struct {
 	// length.
 	Start time.Duration
 	Dur   time.Duration
-	// Items and Bytes count processed units (events, samples, slices) and
-	// payload volume; -1 when not applicable.
+	// Items counts processed units (events, samples, slices); -1 when not
+	// applicable.
 	Items int64
-	Bytes int64
 	// VStartNS and VEndNS bound the processed virtual-time window in virtual
 	// nanoseconds; VEndNS < VStartNS (the zero record has both 0 with set
 	// false via HasWindow) means no window.
@@ -93,7 +92,7 @@ func (t *Tracer) StartSpan(stage string, worker int) Span {
 		return Span{}
 	}
 	return Span{t: t, start: time.Now(),
-		rec: SpanRecord{Stage: stage, Worker: worker, Items: -1, Bytes: -1}}
+		rec: SpanRecord{Stage: stage, Worker: worker, Items: -1}}
 }
 
 // SetDetail names the unit the span processed.

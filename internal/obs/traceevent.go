@@ -39,9 +39,6 @@ func NewTraceBuilder() *TraceBuilder {
 // Len reports the number of accumulated events.
 func (b *TraceBuilder) Len() int { return len(b.events) }
 
-// Events exposes the accumulated events (for validation in tests).
-func (b *TraceBuilder) Events() []TraceEvent { return b.events }
-
 // ProcessName labels a pid track group.
 func (b *TraceBuilder) ProcessName(pid int, name string) {
 	b.events = append(b.events, TraceEvent{

@@ -156,9 +156,6 @@ func addSelfTrace(b *obs.TraceBuilder, tracer *obs.Tracer) error {
 		if s.Items >= 0 {
 			args["items"] = s.Items
 		}
-		if s.Bytes >= 0 {
-			args["bytes"] = s.Bytes
-		}
 		if s.HasWindow {
 			args["vstart_us"] = s.VStartNS / 1e3
 			args["vend_us"] = s.VEndNS / 1e3

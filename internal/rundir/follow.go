@@ -1,7 +1,6 @@
 package rundir
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -16,7 +15,9 @@ import (
 // are skipped.
 type FollowSink struct {
 	// Info fires once, as soon as run.json appears and parses. A non-nil
-	// error ends the follow, and Follow returns it.
+	// error ends the follow, and Follow returns it. A run.json that Load
+	// would reject for its schema version ends the follow with Load's error
+	// instead, before Info fires.
 	Info func(Info) error
 	// LogChunk fires with every raw byte range appended to execution.log,
 	// whatever its format — the consumer feeds a format-detecting parser
@@ -30,6 +31,9 @@ type FollowSink struct {
 	// lines are dropped. A final line without a terminator arrives when the
 	// follow ends.
 	MonitoringLine func(string)
+	// MonitoringTruncated fires with the number of over-long monitoring
+	// lines dropped from a chunk, when there are any.
+	MonitoringTruncated func(n int)
 }
 
 // FollowOptions tunes the tail-follow loop. Times are wall-clock.
@@ -95,6 +99,16 @@ func newFollower(dir string, sink FollowSink) *follower {
 	}
 }
 
+// monitoringChunk splits a monitoring chunk into lines for the sink and
+// reports how many over-long lines the split dropped.
+func (f *follower) monitoringChunk(chunk []byte) {
+	dropped := f.mon.lines.Truncated()
+	f.mon.lines.Feed(chunk, f.monitoringLine)
+	if dropped = f.mon.lines.Truncated() - dropped; dropped > 0 && f.sink.MonitoringTruncated != nil {
+		f.sink.MonitoringTruncated(dropped)
+	}
+}
+
 func (f *follower) monitoringLine(line []byte) {
 	if f.sink.MonitoringLine != nil {
 		f.sink.MonitoringLine(string(line))
@@ -109,21 +123,27 @@ func (f *follower) poll() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("rundir: following %s: %w", logFile, err)
 	}
-	m, err := f.mon.drain(func(chunk []byte) { f.mon.lines.Feed(chunk, f.monitoringLine) })
+	m, err := f.mon.drain(f.monitoringChunk)
 	if err != nil {
 		return false, fmt.Errorf("rundir: following %s: %w", monitoringFile, err)
 	}
 	grew := n+m > 0
 	if !f.infoSeen {
 		meta, err := os.ReadFile(filepath.Join(f.dir, infoFile))
-		var info Info
-		// An unreadable or unparsable run.json is mid-write; retry next poll.
-		if err == nil && json.Unmarshal(meta, &info) == nil {
-			f.infoSeen, grew = true, true
-			if f.sink.Info != nil {
-				if err := f.sink.Info(info); err != nil {
-					return grew, err
-				}
+		if err != nil {
+			return grew, nil // not written yet; retry next poll
+		}
+		info, unparsed, err := decodeInfo(meta)
+		switch {
+		case unparsed:
+			return grew, nil // mid-write; retry next poll
+		case err != nil:
+			return grew, err
+		}
+		f.infoSeen, grew = true, true
+		if f.sink.Info != nil {
+			if err := f.sink.Info(info); err != nil {
+				return grew, err
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,5 +72,30 @@ func TestFollowLogChunkBinary(t *testing.T) {
 		if e != run.Log.Events[i] {
 			t.Fatalf("event %d differs", i)
 		}
+	}
+}
+
+// A followed run.json goes through the same decoder as Load: bytes that do
+// not parse are mid-write and retried, while a well-formed run.json from a
+// newer schema ends the follow with Load's error, before the sink sees it.
+func TestFollowRejectsNewerInfo(t *testing.T) {
+	dir := t.TempDir()
+	infos := 0
+	fl := newFollower(dir, FollowSink{Info: func(Info) error { infos++; return nil }})
+	infoPath := filepath.Join(dir, infoFile)
+	appendFile(t, infoPath, []byte(`{"version": 99, "engine": "gir`))
+	if _, err := fl.poll(); err != nil {
+		t.Fatalf("partial run.json: %v, want a retry", err)
+	}
+	appendFile(t, infoPath, []byte(`aph", "job": "job"}`))
+	_, err := fl.poll()
+	if err == nil || !strings.Contains(err.Error(), "schema version 99 is newer than supported version 1") {
+		t.Fatalf("newer run.json: err = %v", err)
+	}
+	if infos != 0 || fl.infoSeen {
+		t.Fatalf("newer run.json reached the sink (%d calls, seen %v)", infos, fl.infoSeen)
+	}
+	if err := Follow(dir, FollowOptions{Poll: time.Millisecond}, nil, FollowSink{}); err == nil {
+		t.Fatal("Follow accepted a newer run.json")
 	}
 }

@@ -2,6 +2,7 @@ package rundir
 
 import (
 	"bytes"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -36,6 +37,46 @@ func FuzzReadMonitoring(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, out) {
 			t.Fatalf("round trip changed the samples:\n got %+v\nwant %+v", back, out)
+		}
+	})
+}
+
+// FuzzInfo: arbitrary run.json bytes never panic the decoder Load and the
+// follower share; every accepted schema version is between 1 and
+// InfoVersion, and an accepted Info survives an encode/decode round trip.
+func FuzzInfo(f *testing.F) {
+	meta, err := json.MarshalIndent(sampleRun().Info, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(meta)
+	f.Add([]byte(`{"engine":"giraph","job":"job"}`))
+	f.Add([]byte(`{"version": 99, "engine":"giraph"}`))
+	f.Add([]byte(`{"version": -1}`))
+	f.Add([]byte(`{"version": "1"}`))
+	f.Add([]byte(`{"placement": [], "cores": 1e308, "start_ns": -9223372036854775808}`))
+	f.Add([]byte(`{"engine":"gir`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, _, err := decodeInfo(data)
+		if err != nil {
+			return
+		}
+		if info.Version < 1 || info.Version > InfoVersion {
+			t.Fatalf("accepted schema version %d, supported 1..%d", info.Version, InfoVersion)
+		}
+		enc, err := json.Marshal(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := decodeInfo(enc)
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		if len(info.Placement) == 0 {
+			info.Placement = nil // omitempty drops an empty manifest
+		}
+		if !reflect.DeepEqual(back, info) {
+			t.Fatalf("round trip changed the info:\n got %+v\nwant %+v", back, info)
 		}
 	})
 }

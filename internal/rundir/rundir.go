@@ -31,8 +31,9 @@ const InfoVersion = 1
 // Info is the run metadata cmd/grade10 needs to rebuild the models.
 type Info struct {
 	// Version is the run.json schema version (see InfoVersion). A missing
-	// field is treated as 1 on load; versions newer than InfoVersion are
-	// rejected so old readers fail loudly instead of misreading new runs.
+	// field is treated as 1 on load; negative versions and versions newer
+	// than InfoVersion are rejected so old readers fail loudly instead of
+	// misreading new runs.
 	Version int `json:"version,omitempty"`
 	// Engine is "giraph" or "powergraph".
 	Engine string `json:"engine"`
@@ -150,15 +151,8 @@ func Load(dir string) (*Run, error) {
 		return nil, err
 	}
 	run := &Run{}
-	if err := json.Unmarshal(meta, &run.Info); err != nil {
-		return nil, fmt.Errorf("rundir: parsing %s: %w", infoFile, err)
-	}
-	if run.Info.Version == 0 {
-		run.Info.Version = 1 // pre-versioning run.json
-	}
-	if run.Info.Version > InfoVersion {
-		return nil, fmt.Errorf("rundir: %s schema version %d is newer than supported version %d",
-			infoFile, run.Info.Version, InfoVersion)
+	if run.Info, _, err = decodeInfo(meta); err != nil {
+		return nil, err
 	}
 	lf, err := os.Open(filepath.Join(dir, logFile))
 	if err != nil {
@@ -184,6 +178,26 @@ func Load(dir string) (*Run, error) {
 		return nil, err
 	}
 	return run, nil
+}
+
+// decodeInfo parses run.json and checks its schema version: a missing
+// version is 1, and a negative one or one newer than InfoVersion is an
+// error. unparsed reports bytes that do not decode as an Info at all, which
+// a follower may be reading mid-write.
+func decodeInfo(data []byte) (info Info, unparsed bool, err error) {
+	if err := json.Unmarshal(data, &info); err != nil {
+		return Info{}, true, fmt.Errorf("rundir: parsing %s: %w", infoFile, err)
+	}
+	switch {
+	case info.Version == 0:
+		info.Version = 1 // pre-versioning run.json
+	case info.Version < 0:
+		return Info{}, false, fmt.Errorf("rundir: %s schema version %d is invalid", infoFile, info.Version)
+	case info.Version > InfoVersion:
+		return Info{}, false, fmt.Errorf("rundir: %s schema version %d is newer than supported version %d",
+			infoFile, info.Version, InfoVersion)
+	}
+	return info, false, nil
 }
 
 // WriteMonitoring serializes monitoring samples as CSV:

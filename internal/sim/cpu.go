@@ -101,21 +101,6 @@ func (c *CPU) Resume() {
 	}
 }
 
-// Paused reports whether the CPU is currently stopped-the-world.
-func (c *CPU) Paused() bool { return c.pauseDepth > 0 }
-
-// ActiveDemand returns the summed demand, in cores, of jobs currently
-// eligible to run.
-func (c *CPU) ActiveDemand() float64 {
-	total := 0.0
-	for _, j := range c.jobs {
-		if c.eligible(j) {
-			total += j.demand
-		}
-	}
-	return total
-}
-
 func (c *CPU) eligible(j *cpuJob) bool {
 	return c.pauseDepth == 0 || j.exempt
 }
@@ -198,6 +183,3 @@ func (c *CPU) rebalance() {
 		c.completion = c.sched.At(next, c.rebalance)
 	}
 }
-
-// Busy reports whether any job is currently running.
-func (c *CPU) Busy() bool { return len(c.jobs) > 0 }

@@ -25,7 +25,7 @@ type Network struct {
 	sched *Scheduler
 	nodes []*nic
 
-	// flows is insertion-ordered: completion callbacks and utilization
+	// flows is insertion-ordered: completion wakeups and utilization
 	// summations iterate it in Transfer-call order, keeping same-instant
 	// event ordering and floating-point accumulation deterministic (a map
 	// here would leak runtime-random iteration order into the schedule).
@@ -46,7 +46,7 @@ type flow struct {
 	from, to  int
 	remaining float64 // bytes
 	rate      float64 // bytes/second
-	onDone    func()
+	proc      *Proc   // the process blocked in Transfer
 }
 
 // NewNetwork creates a network of n machines, each with the given symmetric
@@ -62,9 +62,6 @@ func NewNetwork(s *Scheduler, n int, bandwidth float64) *Network {
 	return net
 }
 
-// Nodes returns the number of machines on the network.
-func (n *Network) Nodes() int { return len(n.nodes) }
-
 // EgressUtil returns the recorded egress utilization series of machine m.
 func (n *Network) EgressUtil(m int) *metrics.Series { return &n.nodes[m].egressUtil }
 
@@ -78,35 +75,12 @@ func (n *Network) Transfer(p *Proc, from, to int, bytes float64) {
 	if from == to || bytes <= 0 {
 		return
 	}
-	done := false
-	n.start(from, to, bytes, func() {
-		done = true
-		p.wake()
-	})
-	if !done {
-		p.park()
-	}
-}
-
-// TransferAsync starts a transfer and invokes onDone (in event context) when
-// it completes. Local transfers complete immediately, synchronously.
-func (n *Network) TransferAsync(from, to int, bytes float64, onDone func()) {
-	if from == to || bytes <= 0 {
-		if onDone != nil {
-			onDone()
-		}
-		return
-	}
-	n.start(from, to, bytes, onDone)
-}
-
-func (n *Network) start(from, to int, bytes float64, onDone func()) {
 	if from < 0 || from >= len(n.nodes) || to < 0 || to >= len(n.nodes) {
 		panic(fmt.Sprintf("sim: transfer between unknown machines %d→%d", from, to))
 	}
-	f := &flow{from: from, to: to, remaining: bytes, onDone: onDone}
-	n.flows = append(n.flows, f)
+	n.flows = append(n.flows, &flow{from: from, to: to, remaining: bytes, proc: p})
 	n.rebalance()
+	p.park() // woken by rebalance once the flow completes
 }
 
 func (n *Network) advance() {
@@ -126,7 +100,7 @@ func (n *Network) advance() {
 func (n *Network) rebalance() {
 	n.advance()
 
-	// Complete finished flows; their callbacks run at the end of rebalance
+	// Complete finished flows; their processes wake at the end of rebalance
 	// in Transfer-call order so same-time completions keep a deterministic
 	// event sequence.
 	var finished []*flow
@@ -182,14 +156,7 @@ func (n *Network) rebalance() {
 		n.completion = n.sched.At(next, n.rebalance)
 	}
 
-	// Completion callbacks run after rates are settled so that a callback
-	// starting a new transfer sees a consistent state.
 	for _, f := range finished {
-		if f.onDone != nil {
-			f.onDone()
-		}
+		f.proc.wake()
 	}
 }
-
-// ActiveFlows returns the number of in-flight transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }

@@ -90,25 +90,6 @@ func TestNetworkFlowCompletionReleasesBandwidth(t *testing.T) {
 	approxTime(t, endLong, 1.5, 1e-6)
 }
 
-func TestNetworkAsyncCallback(t *testing.T) {
-	s := NewScheduler()
-	net := NewNetwork(s, 2, 100)
-	var doneAt vtime.Time
-	net.TransferAsync(0, 1, 25, func() { doneAt = s.Now() })
-	s.Run()
-	approxTime(t, doneAt, 0.25, 1e-6)
-}
-
-func TestNetworkAsyncLocalImmediate(t *testing.T) {
-	s := NewScheduler()
-	net := NewNetwork(s, 2, 100)
-	called := false
-	net.TransferAsync(1, 1, 25, func() { called = true })
-	if !called {
-		t.Fatal("local async transfer did not complete synchronously")
-	}
-}
-
 func TestNetworkMassConservation(t *testing.T) {
 	// Integral of egress utilization × capacity over all machines equals
 	// total bytes sent remotely.

@@ -71,9 +71,6 @@ func (p *Proc) repanic() {
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Scheduler returns the scheduler this process runs on.
-func (p *Proc) Scheduler() *Scheduler { return p.sched }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() vtime.Time { return p.sched.Now() }
 
@@ -114,15 +111,5 @@ func (p *Proc) Sleep(d vtime.Duration) {
 		return
 	}
 	p.sched.After(d, p.unpark)
-	p.park()
-}
-
-// SleepUntil suspends the process until virtual instant t. Instants not
-// after the current time return immediately.
-func (p *Proc) SleepUntil(t vtime.Time) {
-	if t <= p.sched.Now() {
-		return
-	}
-	p.sched.At(t, p.unpark)
 	p.park()
 }

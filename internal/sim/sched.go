@@ -33,9 +33,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Time returns the virtual instant the event is scheduled for.
-func (e *Event) Time() vtime.Time { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -126,46 +123,6 @@ func (s *Scheduler) Run() {
 	if stuck := s.parkedProcs(); len(stuck) > 0 {
 		panic(fmt.Sprintf("sim: deadlock at %v; parked processes: %v", s.now, stuck))
 	}
-}
-
-// RunUntil fires events up to and including instant t, then sets the clock
-// to t if it has not advanced that far.
-func (s *Scheduler) RunUntil(t vtime.Time) {
-	for len(s.queue) > 0 {
-		next := s.peek()
-		if next == nil {
-			break
-		}
-		if next.at > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-func (s *Scheduler) peek() *Event {
-	for len(s.queue) > 0 {
-		if s.queue[0].canceled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return s.queue[0]
-	}
-	return nil
-}
-
-// Pending returns the number of non-canceled scheduled events.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, e := range s.queue {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
 }
 
 func (s *Scheduler) parkedProcs() []string {

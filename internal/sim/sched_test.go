@@ -61,24 +61,6 @@ func TestSchedulerPastPanics(t *testing.T) {
 	s.At(vtime.Time(5*ms), func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var fired []int
-	s.At(vtime.Time(10*ms), func() { fired = append(fired, 1) })
-	s.At(vtime.Time(30*ms), func() { fired = append(fired, 2) })
-	s.RunUntil(vtime.Time(20 * ms))
-	if len(fired) != 1 {
-		t.Fatalf("fired = %v", fired)
-	}
-	if s.Now() != vtime.Time(20*ms) {
-		t.Fatalf("clock %v", s.Now())
-	}
-	s.Run()
-	if len(fired) != 2 {
-		t.Fatalf("fired after Run = %v", fired)
-	}
-}
-
 func TestProcSleep(t *testing.T) {
 	s := NewScheduler()
 	var wake vtime.Time

@@ -73,9 +73,6 @@ func (g *Gate) Open() {
 // Close resets the gate so subsequent Waits block.
 func (g *Gate) Close() { g.open = false }
 
-// IsOpen reports the gate state.
-func (g *Gate) IsOpen() bool { return g.open }
-
 // Queue is a bounded buffer measured in abstract units (the engines use
 // bytes). Producers putting beyond capacity block until consumers make room —
 // the mechanism behind the Giraph-like engine's message-queue stalls.
@@ -105,9 +102,6 @@ func NewQueue(s *Scheduler, capacity float64) *Queue {
 	}
 	return &Queue{sched: s, Capacity: capacity}
 }
-
-// Occupied returns the current fill level.
-func (q *Queue) Occupied() float64 { return q.occupied }
 
 // Put adds amount to the queue, blocking p while it does not fit. Amounts
 // larger than the capacity panic (they could never fit). It returns the time
@@ -191,9 +185,3 @@ func (q *Queue) Close() {
 		g.wake()
 	}
 }
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
-
-// Fill returns the occupancy as a fraction of capacity.
-func (q *Queue) Fill() float64 { return q.occupied / q.Capacity }

@@ -223,16 +223,16 @@ func TestQueueOccupancySeries(t *testing.T) {
 		q.Get(p, 1000)
 	})
 	s.Run()
-	if v := q.Occupancy.At(vtime.Time(50 * ms)); v != 40 {
+	if v := q.Occupancy.Average(vtime.Time(50*ms), vtime.Time(51*ms)); math.Abs(v-40) > 1e-9 {
 		t.Fatalf("occupancy at 50ms = %v", v)
 	}
-	if v := q.Occupancy.At(vtime.Time(150 * ms)); v != 80 {
+	if v := q.Occupancy.Average(vtime.Time(150*ms), vtime.Time(151*ms)); math.Abs(v-80) > 1e-9 {
 		t.Fatalf("occupancy at 150ms = %v", v)
 	}
-	if v := q.Occupancy.At(vtime.Time(250 * ms)); v != 0 {
+	if v := q.Occupancy.Average(vtime.Time(250*ms), vtime.Time(251*ms)); v != 0 {
 		t.Fatalf("occupancy at 250ms = %v", v)
 	}
-	if f := q.Fill(); math.Abs(f) > 1e-12 {
+	if f := q.occupied / q.Capacity; math.Abs(f) > 1e-12 {
 		t.Fatalf("final fill %v", f)
 	}
 }

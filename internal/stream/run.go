@@ -38,15 +38,17 @@ func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 // data); build then turns the metadata into the engine, the buffer replays
 // into it, and everything after streams straight in. Log bytes are tailed
 // raw, so both enginelog formats stream transparently; monitoring lines go
-// through IngestMonitoringLine, which counts malformed rows. Follow returns
+// through IngestMonitoringLine, which counts malformed rows, and over-long
+// monitoring lines the tail dropped count in Stats.Truncated. Follow returns
 // when the run goes idle or stop closes, handing back the engine for the
 // caller to finalize — nil when run.json never appeared. A build error ends
 // the follow.
 func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build func(rundir.Info) (*Engine, error)) (*Engine, error) {
 	var (
-		e          *Engine
-		pendingLog []byte
-		pendingMon []string
+		e            *Engine
+		pendingLog   []byte
+		pendingMon   []string
+		pendingTrunc int
 	)
 	err := rundir.Follow(dir, opt, stop, rundir.FollowSink{
 		Info: func(info rundir.Info) error {
@@ -60,6 +62,7 @@ func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build fu
 			for _, line := range pendingMon {
 				e.IngestMonitoringLine(line)
 			}
+			e.addTruncated(pendingTrunc)
 			pendingLog, pendingMon = nil, nil
 			return nil
 		},
@@ -75,6 +78,13 @@ func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build fu
 				e.IngestMonitoringLine(line)
 			} else {
 				pendingMon = append(pendingMon, line)
+			}
+		},
+		MonitoringTruncated: func(n int) {
+			if e != nil {
+				e.addTruncated(n)
+			} else {
+				pendingTrunc += n
 			}
 		},
 	})

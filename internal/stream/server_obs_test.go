@@ -150,7 +150,6 @@ func TestMetricsRegistryFamilies(t *testing.T) {
 	families := []string{
 		"grade10_stage_duration_seconds",
 		"grade10_stage_items_total",
-		"grade10_stage_bytes_total",
 		"grade10_spans_total",
 		"grade10_spans_dropped_total",
 		"go_goroutines",

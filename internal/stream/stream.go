@@ -46,7 +46,6 @@ import (
 	"grade10/internal/enginelog"
 	"grade10/internal/explain"
 	"grade10/internal/grade10"
-	"grade10/internal/issues"
 	"grade10/internal/metrics"
 	"grade10/internal/obs"
 	"grade10/internal/rundir"
@@ -73,9 +72,6 @@ type Config struct {
 	// Finalize can run the exact batch pipeline. Disable for strictly
 	// bounded memory; Finalize then returns only the windowed aggregates.
 	RetainForFinal bool
-	// Bottleneck and Issues tune detection; zero values take defaults.
-	Bottleneck bottleneck.Config
-	Issues     issues.Config
 	// Parallelism is the worker count for per-window attribution and, in
 	// retain mode, the final batch pipeline. Results are identical for every
 	// value; 0 takes par.Default().
@@ -137,7 +133,9 @@ func (c *Config) fill() error {
 
 // Stats are the engine's ingest and robustness counters.
 type Stats struct {
-	// Lines, ParseErrors and Truncated come from the line parser.
+	// Lines and ParseErrors come from the log parser. Truncated counts
+	// over-long lines dropped from either input: the execution log, and
+	// the monitoring file of a followed run.
 	Lines       int64 `json:"lines"`
 	ParseErrors int64 `json:"parse_errors"`
 	Truncated   int64 `json:"truncated_lines"`
@@ -312,9 +310,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.cfg.Tracer }
 func (e *Engine) IngestAge() (age time.Duration, finalized bool) {
 	return e.cfg.Now().Sub(time.Unix(0, e.lastIngestNS.Load())), e.finalized.Load()
 }
-
-// Timeslice returns the engine's analysis granularity.
-func (e *Engine) Timeslice() vtime.Duration { return e.cfg.Timeslice }
 
 // IngestChunk feeds a raw byte range of the execution log in either format;
 // the encoding is auto-detected from the first bytes fed. Chunks may split
@@ -524,6 +519,13 @@ func (e *Engine) IngestMonitoringLine(line string) {
 	}
 }
 
+// addTruncated counts over-long monitoring lines dropped before ingest.
+func (e *Engine) addTruncated(n int) {
+	e.mu.Lock()
+	e.stats.Truncated += int64(n)
+	e.mu.Unlock()
+}
+
 // LogDone marks the event feed complete; remaining windows no longer wait
 // on the log watermark. Any buffered partial line or binary record is
 // flushed first.
@@ -688,7 +690,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		rec = explain.NewRecorder(0)
 		arec = rec
 	}
-	prof, err := attribution.AttributeWindowProv(tr, leaves, rt, e.cfg.Models.Rules, win,
+	prof, err := attribution.AttributeWindow(tr, leaves, rt, e.cfg.Models.Rules, win,
 		e.cfg.Parallelism, e.cfg.Tracer, arec)
 	for _, ph := range reopened {
 		ph.End = -1
@@ -697,7 +699,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		span.End()
 		return // unreachable: windows are never empty
 	}
-	rep := bottleneck.DetectWindow(prof, e.cfg.Bottleneck)
+	rep := bottleneck.DetectWindow(prof, bottleneck.Config{})
 	wr := e.foldWindowLocked(win, prof, rep)
 	if e.cfg.OnWindowFlush != nil {
 		e.cfg.OnWindowFlush(wr)
@@ -708,11 +710,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		}
 	}
 	if rec != nil {
-		ex := explain.NewExplainer(prof, rec)
-		if e.cfg.Bottleneck.SaturationThreshold > 0 {
-			ex.SaturationThreshold = e.cfg.Bottleneck.SaturationThreshold
-		}
-		e.winEx = append(e.winEx, &windowExplainer{W0: w0, W1: w1, Ex: ex})
+		e.winEx = append(e.winEx, &windowExplainer{W0: w0, W1: w1, Ex: explain.NewExplainer(prof, rec)})
 		if over := len(e.winEx) - e.cfg.MaxWindows; over > 0 {
 			e.winEx = append(e.winEx[:0], e.winEx[over:]...)
 		}
@@ -882,14 +880,12 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		return nil, e.finalErr
 	}
 	in := grade10.Input{
-		Log:              &enginelog.Log{Events: e.events},
-		Monitoring:       e.monitoringLocked(),
-		Models:           e.cfg.Models,
-		Timeslice:        e.cfg.Timeslice,
-		BottleneckConfig: e.cfg.Bottleneck,
-		IssueConfig:      e.cfg.Issues,
-		Parallelism:      e.cfg.Parallelism,
-		Tracer:           e.cfg.Tracer,
+		Log:         &enginelog.Log{Events: e.events},
+		Monitoring:  e.monitoringLocked(),
+		Models:      e.cfg.Models,
+		Timeslice:   e.cfg.Timeslice,
+		Parallelism: e.cfg.Parallelism,
+		Tracer:      e.cfg.Tracer,
 	}
 	var rec *explain.Recorder
 	if e.cfg.Explain {
@@ -910,11 +906,7 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		a.AddAlloc(int64(obs.HeapAllocBytes() - finAlloc0))
 	}
 	if e.finalErr == nil && rec != nil {
-		ex := explain.NewExplainer(e.finalOut.Profile, rec)
-		if e.cfg.Bottleneck.SaturationThreshold > 0 {
-			ex.SaturationThreshold = e.cfg.Bottleneck.SaturationThreshold
-		}
-		e.finalEx = ex
+		e.finalEx = explain.NewExplainer(e.finalOut.Profile, rec)
 	}
 	return e.finalOut, e.finalErr
 }

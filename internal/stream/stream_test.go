@@ -136,7 +136,7 @@ func TestStreamBatchEquivalence(t *testing.T) {
 		t.Fatalf("clean input produced errors: %+v", st)
 	}
 	// Windows must tile exactly the trace span (final one clipped).
-	windowDur := 16 * e.Timeslice()
+	windowDur := 16 * grade10.DefaultTimeslice
 	span := f.batch.Trace.End.Sub(f.batch.Trace.Start)
 	want := int64((span + windowDur - 1) / windowDur)
 	if st.WindowsFlushed != want {

@@ -142,7 +142,7 @@ func TestStepDirections(t *testing.T) {
 
 func TestBFSUnreachableHaltsEarly(t *testing.T) {
 	// Star pointing inward: from leaf 1 only vertex 0 is reachable.
-	g := graph.FromEdges(4, []graph.Edge{graph.E(1, 0), graph.E(2, 0), graph.E(3, 0)})
+	g := graph.FromEdges(4, []graph.Edge{{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}})
 	p := NewBFS(g, 1)
 	steps := 0
 	for s := 0; s < p.MaxSteps(); s++ {

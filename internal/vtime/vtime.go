@@ -39,20 +39,11 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Seconds returns the time as a floating-point number of virtual seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Seconds returns the duration as a floating-point number of virtual seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Milliseconds returns the duration as floating-point virtual milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
 // FromSeconds converts a floating-point number of seconds to a Duration.
 func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
@@ -108,15 +99,4 @@ func Max(a, b Time) Time {
 		return a
 	}
 	return b
-}
-
-// Clamp limits t to the interval [lo, hi].
-func Clamp(t, lo, hi Time) Time {
-	if t < lo {
-		return lo
-	}
-	if t > hi {
-		return hi
-	}
-	return t
 }

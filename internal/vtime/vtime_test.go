@@ -11,9 +11,6 @@ func TestArithmetic(t *testing.T) {
 	if d := t1.Sub(t0); d != 500*Millisecond {
 		t.Fatalf("Sub: got %v", d)
 	}
-	if !t0.Before(t1) || t0.After(t1) {
-		t.Fatal("Before/After inconsistent")
-	}
 }
 
 func TestSecondsConversion(t *testing.T) {
@@ -22,9 +19,6 @@ func TestSecondsConversion(t *testing.T) {
 	}
 	if d := FromSeconds(1.5); d != 1500*Millisecond {
 		t.Fatalf("FromSeconds: got %v", d)
-	}
-	if ms := (3 * Second).Milliseconds(); ms != 3000 {
-		t.Fatalf("Milliseconds: got %v", ms)
 	}
 }
 
@@ -60,8 +54,5 @@ func TestMinMaxClamp(t *testing.T) {
 	}
 	if Max(Time(3), Time(5)) != 5 || Max(Time(5), Time(3)) != 5 {
 		t.Fatal("Max wrong")
-	}
-	if Clamp(Time(7), 0, 5) != 5 || Clamp(Time(-1), 0, 5) != 0 || Clamp(Time(3), 0, 5) != 3 {
-		t.Fatal("Clamp wrong")
 	}
 }
