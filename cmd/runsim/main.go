@@ -230,7 +230,7 @@ func startLive(addr string, info rundir.Info, parallel int, pprofOn, explainOn, 
 		return nil, err
 	}
 	logger.Info("live characterization on " + svc.Addr())
-	return &liveServe{svc: svc, run: info.Job, engine: e, tap: stream.NewTap(e, 0, stream.BlockWhenFull)}, nil
+	return &liveServe{svc: svc, run: info.Job, engine: e, tap: stream.NewTap(e)}, nil
 }
 
 // finish drains the tap, feeds the run's monitoring samples, finalizes the

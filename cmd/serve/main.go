@@ -28,13 +28,14 @@
 //
 // Every run is owned by one fleet (internal/fleet). -run pins its one run:
 // an empty ?run= names it, its engine keeps serving after the run ends,
-// -bounded drops its raw inputs, and its window flushes drive the SSE
-// stream and the threshold alert rules. -fleet (mutually exclusive with
-// -run) watches a directory for new run subdirectories; each is admitted
-// through a bounded scheduler (-fleet-active concurrent engines,
-// -fleet-queue backlog, everything beyond that shed and counted), retains
-// its inputs for the exact finalize, and is torn down once archived. The
-// cross-run endpoints serve in both modes:
+// -bounded drops phases and samples once their windows flush, and its
+// window flushes drive the SSE stream and the threshold alert rules. -fleet
+// (mutually exclusive with -run) watches a directory for new run
+// subdirectories; each is admitted through a bounded scheduler
+// (-fleet-active concurrent engines, -fleet-queue backlog, everything
+// beyond that shed and counted), retains its phase tree and monitoring for
+// the exact finalize, and is torn down once archived. The cross-run
+// endpoints serve in both modes:
 //
 //	serve -fleet runs/ -addr :7070 -store archive/
 //	curl localhost:7070/fleet/runs          # every run + admission counters
@@ -80,7 +81,7 @@ func main() {
 		timeslice = flag.Duration("timeslice", 0, "analysis timeslice (virtual; default 10ms)")
 		window    = flag.Int("window", 64, "timeslices per live analysis window")
 		maxWin    = flag.Int("max-windows", 32, "recent windows retained for /windows")
-		bounded   = flag.Bool("bounded", false, "strictly bounded memory: drop raw inputs, /report serves no exact text")
+		bounded   = flag.Bool("bounded", false, "strictly bounded memory: drop phases and samples once their windows flush, /report serves no exact text")
 		parallel  = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); results are identical for every value")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		uiOn      = flag.Bool("ui", true, "serve the embedded visual profiler under /ui/ (view models under /api/, live updates over SSE on /api/events)")

@@ -33,7 +33,6 @@ var scalarMetrics = map[string]bool{
 	"truncated_lines":        true,
 	"invalid_events":         true,
 	"late_events":            true,
-	"dropped_events":         true,
 	"invalid_samples":        true,
 	"gaps_filled":            true,
 	"ignored_samples":        true,

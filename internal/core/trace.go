@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"grade10/internal/enginelog"
@@ -155,80 +157,142 @@ type ExecutionTrace struct {
 	End   vtime.Time
 }
 
-// BuildExecutionTrace parses an engine log against an execution model. Every
-// start must have a matching end, instance paths must map to model types,
-// parents must be logged before children start, and blocking events must
-// reference logged phases.
+// BuildExecutionTrace parses an engine log against an execution model: it
+// feeds every event to a TreeBuilder and finishes the tree.
 func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionTrace, error) {
-	root := &Phase{Path: "/", Machine: -1, Start: vtime.Infinity}
-	tr := &ExecutionTrace{Root: root, ByPath: map[string]*Phase{}}
-	open := map[string]bool{}
+	b := NewTreeBuilder(model)
+	for _, e := range log.Events {
+		if _, err := b.Add(e); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish()
+}
 
-	for i, e := range log.Events {
-		switch e.Kind {
-		case enginelog.PhaseStart:
-			if _, dup := tr.ByPath[e.Path]; dup {
-				return nil, fmt.Errorf("core: event %d: duplicate phase %q", i, e.Path)
-			}
-			pt := model.LookupInstance(e.Path)
-			if pt == nil {
-				return nil, fmt.Errorf("core: event %d: phase %q has no type %q in the execution model",
-					i, e.Path, enginelog.TypePath(e.Path))
-			}
-			parent := root
-			if pp := enginelog.Parent(e.Path); pp != "/" {
-				var ok bool
-				parent, ok = tr.ByPath[pp]
-				if !ok {
-					return nil, fmt.Errorf("core: event %d: phase %q starts before its parent %q", i, e.Path, pp)
-				}
-			}
-			machine := e.Machine
-			if machine < 0 {
-				machine = parent.Machine
-			}
-			ph := &Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine}
-			parent.Children = append(parent.Children, ph)
-			tr.ByPath[e.Path] = ph
-			open[e.Path] = true
+// TreeBuilder assembles an execution trace one event at a time. It holds
+// the one set of event rules: every start must map to a model type and name
+// a logged parent, paths start once, ends close open phases, and blocking
+// events reference logged phases. The batch pipeline feeds it a whole log;
+// the online engine feeds it events as they arrive and reads the growing
+// tree between them.
+type TreeBuilder struct {
+	model *ExecutionModel
+	tr    *ExecutionTrace
+	open  map[string]*Phase
+	n     int // events added, numbering error positions
+}
 
-		case enginelog.PhaseEnd:
-			ph, ok := tr.ByPath[e.Path]
-			if !ok || !open[e.Path] {
-				return nil, fmt.Errorf("core: event %d: end of unknown or closed phase %q", i, e.Path)
-			}
-			if e.Time < ph.Start {
-				return nil, fmt.Errorf("core: event %d: phase %q ends before it starts", i, e.Path)
-			}
-			ph.End = e.Time
-			delete(open, e.Path)
+// NewTreeBuilder starts an empty trace for one execution model.
+func NewTreeBuilder(model *ExecutionModel) *TreeBuilder {
+	return &TreeBuilder{
+		model: model,
+		tr: &ExecutionTrace{
+			Root:   &Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
+			ByPath: map[string]*Phase{},
+		},
+		open: map[string]*Phase{},
+	}
+}
 
-		case enginelog.Blocked:
-			ph, ok := tr.ByPath[e.Path]
+// Add applies one event and returns the phase it started, ended or blocked;
+// counters return nil. A rejected event returns an error and leaves the tree
+// unchanged. An ended phase's blocking intervals are sorted by start time.
+func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
+	i := b.n
+	b.n++
+	switch e.Kind {
+	case enginelog.PhaseStart:
+		if _, dup := b.tr.ByPath[e.Path]; dup {
+			return nil, fmt.Errorf("core: event %d: duplicate phase %q", i, e.Path)
+		}
+		pt := b.model.LookupInstance(e.Path)
+		if pt == nil {
+			return nil, fmt.Errorf("core: event %d: phase %q has no type %q in the execution model",
+				i, e.Path, enginelog.TypePath(e.Path))
+		}
+		parent := b.tr.Root
+		if pp := enginelog.Parent(e.Path); pp != "/" {
+			var ok bool
+			parent, ok = b.tr.ByPath[pp]
 			if !ok {
-				return nil, fmt.Errorf("core: event %d: blocking event for unknown phase %q", i, e.Path)
+				return nil, fmt.Errorf("core: event %d: phase %q starts before its parent %q", i, e.Path, pp)
 			}
-			ph.Blocked = append(ph.Blocked, BlockInterval{Resource: e.Resource, Start: e.Time, End: e.End})
+		}
+		machine := e.Machine
+		if machine < 0 {
+			machine = parent.Machine
+		}
+		ph := &Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine}
+		parent.Children = append(parent.Children, ph)
+		b.tr.ByPath[e.Path] = ph
+		b.open[e.Path] = ph
+		return ph, nil
 
-		case enginelog.Counter:
-			// Counters are informational; the trace ignores them.
+	case enginelog.PhaseEnd:
+		ph, ok := b.open[e.Path]
+		if !ok {
+			return nil, fmt.Errorf("core: event %d: end of unknown or closed phase %q", i, e.Path)
 		}
-	}
-	if len(open) > 0 {
-		for path := range open {
-			return nil, fmt.Errorf("core: phase %q never ended", path)
+		if e.Time < ph.Start {
+			return nil, fmt.Errorf("core: event %d: phase %q ends before it starts", i, e.Path)
 		}
+		ph.End = e.Time
+		delete(b.open, e.Path)
+		sortBlocked(ph)
+		return ph, nil
+
+	case enginelog.Blocked:
+		ph, ok := b.tr.ByPath[e.Path]
+		if !ok {
+			return nil, fmt.Errorf("core: event %d: blocking event for unknown phase %q", i, e.Path)
+		}
+		ph.Blocked = append(ph.Blocked, BlockInterval{Resource: e.Resource, Start: e.Time, End: e.End})
+		return ph, nil
 	}
+	// Counters are informational; the trace ignores them.
+	return nil, nil
+}
+
+// Root returns the synthetic root of the growing tree.
+func (b *TreeBuilder) Root() *Phase { return b.tr.Root }
+
+// Open returns the phases started and not yet ended, by path. The map is the
+// builder's own: callers must not modify it.
+func (b *TreeBuilder) Open() map[string]*Phase { return b.open }
+
+// Retire unlinks an ended phase from its parent and forgets its path, so
+// later events naming it are rejected as unknown. Bounded-memory consumers
+// call it once a phase is no longer needed; a retired tree cannot Finish
+// into a complete trace.
+func (b *TreeBuilder) Retire(ph *Phase) {
+	if i := slices.Index(ph.Parent.Children, ph); i >= 0 {
+		ph.Parent.Children = slices.Delete(ph.Parent.Children, i, i+1)
+	}
+	if b.tr.ByPath[ph.Path] == ph { // a path restarted after retirement keeps its new phase
+		delete(b.tr.ByPath, ph.Path)
+	}
+}
+
+// Finish validates and completes the trace once every event has been added:
+// no phase may be left open, blocking intervals must lie inside their phase,
+// and children inside their parents. Children are then sorted by start time
+// and the trace span set. Call it once.
+func (b *TreeBuilder) Finish() (*ExecutionTrace, error) {
+	for path := range b.open {
+		return nil, fmt.Errorf("core: phase %q never ended", path)
+	}
+	tr, root := b.tr, b.tr.Root
 	if len(tr.ByPath) == 0 {
 		return nil, fmt.Errorf("core: log contains no phases")
 	}
 
 	for _, ph := range tr.ByPath {
-		sort.Slice(ph.Blocked, func(i, j int) bool { return ph.Blocked[i].Start < ph.Blocked[j].Start })
-		for _, b := range ph.Blocked {
-			if b.Start < ph.Start || b.End > ph.End {
+		// Blocking events may follow their phase's end event.
+		sortBlocked(ph)
+		for _, bi := range ph.Blocked {
+			if bi.Start < ph.Start || bi.End > ph.End {
 				return nil, fmt.Errorf("core: phase %q: blocking interval [%v,%v) outside phase [%v,%v)",
-					ph.Path, b.Start, b.End, ph.Start, ph.End)
+					ph.Path, bi.Start, bi.End, ph.Start, ph.End)
 			}
 		}
 		// Children must be contained in their parents.
@@ -248,6 +312,13 @@ func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionT
 	root.Start, root.End = tr.Start, tr.End
 	sortChildren(root)
 	return tr, nil
+}
+
+// sortBlocked orders a phase's blocking intervals by start time, keeping log
+// order among equal starts so sorting again after a late append agrees with
+// sorting once.
+func sortBlocked(ph *Phase) {
+	slices.SortStableFunc(ph.Blocked, func(a, b BlockInterval) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 func sortChildren(p *Phase) {

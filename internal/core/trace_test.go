@@ -221,3 +221,61 @@ func TestBuildTraceErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeBuilderIncremental drives the builder event by event, as the
+// online engine does: each accepted event returns its phase, a rejected
+// event leaves the tree unchanged, a blocking event may follow its phase's
+// end, and a retired path is forgotten.
+func TestTreeBuilderIncremental(t *testing.T) {
+	m := buildBSPModel(t)
+	b := NewTreeBuilder(m)
+	add := func(ev enginelog.Event) *Phase {
+		t.Helper()
+		ph, err := b.Add(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ph
+	}
+	app := add(enginelog.Event{Kind: enginelog.PhaseStart, Time: at(0), Path: "/app", Machine: -1})
+	load := add(enginelog.Event{Kind: enginelog.PhaseStart, Time: at(0), Path: "/app/load", Machine: 2})
+	if load.Parent != app || load.Machine != 2 || len(b.Open()) != 2 {
+		t.Fatalf("start: parent %p machine %d open %d", load.Parent, load.Machine, len(b.Open()))
+	}
+	if ph, err := b.Add(enginelog.Event{Kind: enginelog.PhaseStart, Time: at(1), Path: "/app/load", Machine: -1}); err == nil || ph != nil {
+		t.Fatal("duplicate start accepted")
+	}
+	if len(app.Children) != 1 || len(b.Open()) != 2 {
+		t.Fatal("rejected start changed the tree")
+	}
+	if got := add(enginelog.Event{Kind: enginelog.PhaseEnd, Time: at(10), Path: "/app/load"}); got != load || load.End != at(10) {
+		t.Fatalf("end returned %v, End %v", got, load.End)
+	}
+	// A blocking interval logged after its phase ended, at the same instant.
+	add(enginelog.Event{Kind: enginelog.Blocked, Time: at(9), End: at(10), Path: "/app/load", Resource: "gc"})
+	if _, err := b.Add(enginelog.Event{Kind: enginelog.PhaseStart, Time: at(20), Path: "/app/load", Machine: -1}); err == nil {
+		t.Fatal("second start of an ended path accepted")
+	}
+	if ph := add(enginelog.Event{Kind: enginelog.Counter, Time: at(5), Name: "msgs", Value: 1}); ph != nil {
+		t.Fatal("counter returned a phase")
+	}
+	add(enginelog.Event{Kind: enginelog.PhaseEnd, Time: at(30), Path: "/app"})
+	if len(b.Open()) != 0 || b.Root().Children[0] != app {
+		t.Fatal("open phases or root children wrong")
+	}
+	tr, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.End != at(30) || len(tr.ByPath["/app/load"].Blocked) != 1 {
+		t.Fatalf("finished trace: end %v, blocked %+v", tr.End, tr.ByPath["/app/load"].Blocked)
+	}
+
+	b.Retire(load)
+	if len(app.Children) != 0 || tr.ByPath["/app/load"] != nil {
+		t.Fatal("retired phase still linked")
+	}
+	if _, err := b.Add(enginelog.Event{Kind: enginelog.Blocked, Time: at(1), End: at(2), Path: "/app/load", Resource: "gc"}); err == nil {
+		t.Fatal("blocking event for a retired phase accepted")
+	}
+}

@@ -137,7 +137,6 @@ func OverheadHandler(fn func() []obs.RunOverhead) http.Handler {
 // at every scrape via the registry's scrape hook:
 //
 //	grade10_overhead_wall_seconds{run}
-//	grade10_overhead_cpu_seconds{run}
 //	grade10_overhead_alloc_bytes{run}
 //	grade10_overhead_ingest_bytes{run}
 //
@@ -149,8 +148,6 @@ func RegisterOverheadMetrics(reg *obs.Registry, fn func() []obs.RunOverhead) {
 	}
 	wall := reg.GaugeVec("grade10_overhead_wall_seconds",
 		"Framework wall time spent characterizing the run.", "run")
-	cpu := reg.GaugeVec("grade10_overhead_cpu_seconds",
-		"Approximate framework CPU time spent in the run's compute sections.", "run")
 	alloc := reg.GaugeVec("grade10_overhead_alloc_bytes",
 		"Heap bytes allocated during the run's compute sections (process-wide delta).", "run")
 	ingest := reg.GaugeVec("grade10_overhead_ingest_bytes",
@@ -158,7 +155,6 @@ func RegisterOverheadMetrics(reg *obs.Registry, fn func() []obs.RunOverhead) {
 	reg.AddScrapeHook(func() {
 		for _, ro := range fn() {
 			wall.With(ro.Run).Set(ro.WallSeconds)
-			cpu.With(ro.Run).Set(ro.CPUSeconds)
 			alloc.With(ro.Run).Set(float64(ro.AllocBytes))
 			ingest.With(ro.Run).Set(float64(ro.IngestBytes))
 		}

@@ -57,9 +57,6 @@ func Characterize(in Input) (*Output, error) {
 	if in.Log == nil {
 		return nil, fmt.Errorf("grade10: no execution log")
 	}
-	if in.Timeslice == 0 {
-		in.Timeslice = DefaultTimeslice
-	}
 	span := in.Tracer.StartSpan("build-execution-trace", -1)
 	span.SetItems(int64(len(in.Log.Events)))
 	tr, err := core.BuildExecutionTrace(in.Log, in.Models.Exec)
@@ -67,8 +64,18 @@ func Characterize(in Input) (*Output, error) {
 	if err != nil {
 		return nil, fmt.Errorf("grade10: parsing log: %w", err)
 	}
+	return CharacterizeTrace(tr, in)
+}
 
-	span = in.Tracer.StartSpan("build-resource-trace", -1)
+// CharacterizeTrace runs every pipeline stage after the execution trace is
+// built: resource trace, attribution, bottleneck scan and issue analysis.
+// in.Log is not read. The online engine calls it on the phase tree it
+// assembled while ingesting.
+func CharacterizeTrace(tr *core.ExecutionTrace, in Input) (*Output, error) {
+	if in.Timeslice == 0 {
+		in.Timeslice = DefaultTimeslice
+	}
+	span := in.Tracer.StartSpan("build-resource-trace", -1)
 	span.SetItems(int64(len(in.Monitoring)))
 	rt := core.NewResourceTrace()
 	for _, rs := range in.Monitoring {

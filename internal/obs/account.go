@@ -7,18 +7,17 @@ import (
 )
 
 // RunAccount accrues the framework's own cost of characterizing one run:
-// wall time spent inside engine code paths, CPU time approximated from the
-// single-goroutine compute sections (window flush, finalize), heap bytes
-// allocated process-wide during those sections, and raw ingest volume. All
-// methods are atomic, and every method is a no-op on a nil receiver so
-// instrumented hot paths pay one predictable branch when accounting is off.
+// wall time spent inside the engine's compute sections (window flush,
+// finalize), heap bytes allocated process-wide during those sections, and
+// raw ingest volume. All methods are atomic, and every method is a no-op on
+// a nil receiver so instrumented hot paths pay one predictable branch when
+// accounting is off.
 //
 // The figures are diagnostics, not part of the determinism contract: they
 // come from the wall clock and the Go runtime, so they differ run to run and
 // never feed analyzed-profile output.
 type RunAccount struct {
 	wallNS      atomic.Int64
-	cpuNS       atomic.Int64
 	allocBytes  atomic.Int64
 	ingestBytes atomic.Int64
 	events      atomic.Int64
@@ -31,16 +30,6 @@ func (a *RunAccount) AddWall(d time.Duration) {
 		return
 	}
 	a.wallNS.Add(int64(d))
-}
-
-// AddCPU accrues time spent in a CPU-bound compute section. The engine's
-// compute sections run on one goroutine, so their wall time approximates
-// goroutine CPU time (Go exposes no per-goroutine CPU counter).
-func (a *RunAccount) AddCPU(d time.Duration) {
-	if a == nil || d <= 0 {
-		return
-	}
-	a.cpuNS.Add(int64(d))
 }
 
 // AddAlloc accrues heap bytes allocated during a compute section — a
@@ -80,7 +69,6 @@ func (a *RunAccount) AddWindow() {
 // /fleet/runs and /debug/overhead.
 type OverheadSnapshot struct {
 	WallSeconds float64 `json:"wall_seconds"`
-	CPUSeconds  float64 `json:"cpu_seconds"`
 	AllocBytes  int64   `json:"alloc_bytes"`
 	IngestBytes int64   `json:"ingest_bytes"`
 	IngestItems int64   `json:"ingest_items"`
@@ -94,7 +82,6 @@ func (a *RunAccount) Snapshot() OverheadSnapshot {
 	}
 	return OverheadSnapshot{
 		WallSeconds: time.Duration(a.wallNS.Load()).Seconds(),
-		CPUSeconds:  time.Duration(a.cpuNS.Load()).Seconds(),
 		AllocBytes:  a.allocBytes.Load(),
 		IngestBytes: a.ingestBytes.Load(),
 		IngestItems: a.events.Load(),

@@ -412,7 +412,7 @@ func feedInProcess(t *testing.T, srv *service.Server, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := stream.NewTap(e, 0, stream.BlockWhenFull)
+	tap := stream.NewTap(e)
 	for _, ev := range run.Log.Events {
 		tap.Feed(ev)
 	}

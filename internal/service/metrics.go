@@ -21,8 +21,7 @@ var statFamilies = []struct {
 	{"grade10_truncated_lines_total", "Over-long log lines dropped by the line reader.", func(s stream.Stats) int64 { return s.Truncated }},
 	{"grade10_events_total", "Accepted enginelog events.", func(s stream.Stats) int64 { return s.Events }},
 	{"grade10_invalid_events_total", "Events rejected for violating phase structure.", func(s stream.Stats) int64 { return s.InvalidEvents }},
-	{"grade10_late_events_total", "Blocking intervals arriving behind the flushed frontier.", func(s stream.Stats) int64 { return s.LateEvents }},
-	{"grade10_dropped_events_total", "Events shed by a bounded ingest buffer.", func(s stream.Stats) int64 { return s.DroppedEvents }},
+	{"grade10_late_events_total", "Blocking intervals arriving behind the flushed frontier, and events arriving after finalize.", func(s stream.Stats) int64 { return s.LateEvents }},
 	{"grade10_samples_total", "Accepted monitoring samples.", func(s stream.Stats) int64 { return s.Samples }},
 	{"grade10_invalid_samples_total", "Monitoring samples dropped as malformed.", func(s stream.Stats) int64 { return s.InvalidSamples }},
 	{"grade10_monitoring_gaps_filled_total", "Monitoring gaps zero-filled.", func(s stream.Stats) int64 { return s.GapsFilled }},
@@ -41,7 +40,6 @@ var profileGauges = []struct {
 	{"grade10_ingest_lag_seconds", "Virtual time the watermark runs ahead of the flushed frontier.", func(s *stream.Snapshot) float64 { return s.LagSeconds }},
 	{"grade10_attribution_coverage", "Attributed / consumed over all flushed windows.", func(s *stream.Snapshot) float64 { return s.Coverage }},
 	{"grade10_finalized", "1 once the run has been finalized.", func(s *stream.Snapshot) float64 { return boolValue(s.Finalized) }},
-	{"grade10_parser_malformed_lines", "Malformed log lines counted by the enginelog parser (ParseStats).", func(s *stream.Snapshot) float64 { return float64(s.Stats.ParseErrors) }},
 }
 
 // profileMetrics mirrors the pinned run's live profile onto the registry.

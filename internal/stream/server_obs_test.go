@@ -159,7 +159,6 @@ func TestMetricsRegistryFamilies(t *testing.T) {
 		"grade10_uptime_seconds",
 		"grade10_last_ingest_age_seconds",
 		"grade10_health_degraded",
-		"grade10_parser_malformed_lines",
 	}
 	for _, name := range families {
 		if !strings.Contains(body, "# TYPE "+name+" ") {

@@ -125,9 +125,9 @@ type heatKey struct {
 	Resource string
 }
 
-// HeatCell is one (phase type × machine × resource) cell of the cumulative
-// attribution heatmap, the render-ready aggregate behind the visual
-// profiler's /api/heatmap before finalization.
+// HeatCell is one (phase type × machine × resource) cell of the attribution
+// heatmap, the render-ready aggregate behind the visual profiler's
+// /api/heatmap.
 type HeatCell struct {
 	TypePath    string  `json:"type_path"`
 	Machine     int     `json:"machine"`
@@ -135,22 +135,29 @@ type HeatCell struct {
 	UnitSeconds float64 `json:"unit_seconds"`
 }
 
-// HeatCells returns the cumulative per-(phase type, machine, resource)
-// attributed consumption across flushed windows, sorted by (TypePath,
-// Machine, Resource). The fold order is deterministic (windows flush in
-// order; instances and usages iterate in the attribution profile's
-// deterministic order), so the result is byte-identical at every
-// parallelism.
-func (e *Engine) HeatCells() []HeatCell {
+// HeatCells returns attributed consumption per (phase type, machine,
+// resource), sorted by (TypePath, Machine, Resource). Once Finalize has run
+// in retain mode the cells fold the exact final profile (they then match
+// /explain derivations) and final is true; before that they are the
+// cumulative fold over flushed windows. Folds run in the profiles'
+// deterministic instance and usage order, so the result is byte-identical
+// at every parallelism.
+func (e *Engine) HeatCells() (cells []HeatCell, final bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]HeatCell, 0, len(e.heatAggs))
-	for k, v := range e.heatAggs {
-		out = append(out, HeatCell{TypePath: k.TypePath, Machine: k.Machine,
+	aggs := e.heatAggs
+	if out := e.finalOut; out != nil {
+		aggs = map[heatKey]float64{}
+		foldHeat(aggs, out.Profile, out.Slices)
+		final = true
+	}
+	cells = make([]HeatCell, 0, len(aggs))
+	for k, v := range aggs {
+		cells = append(cells, HeatCell{TypePath: k.TypePath, Machine: k.Machine,
 			Resource: k.Resource, UnitSeconds: v})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sort.Slice(cells, func(i, j int) bool {
+		a, b := cells[i], cells[j]
 		if a.TypePath != b.TypePath {
 			return a.TypePath < b.TypePath
 		}
@@ -159,7 +166,25 @@ func (e *Engine) HeatCells() []HeatCell {
 		}
 		return a.Resource < b.Resource
 	})
-	return out
+	return cells, final
+}
+
+// foldHeat adds a profile's attributed unit·seconds over slices into aggs,
+// per (phase type, machine, resource). Instances and usages iterate in the
+// profile's deterministic order, so per-key accumulation is identical at
+// every parallelism.
+func foldHeat(aggs map[heatKey]float64, prof *attribution.Profile, slices core.Timeslices) {
+	for _, ip := range prof.Instances {
+		for _, u := range ip.Usage {
+			tp := "?"
+			if u.Phase.Type != nil {
+				tp = u.Phase.Type.Path()
+			}
+			hk := heatKey{TypePath: tp, Machine: ip.Instance.Machine,
+				Resource: ip.Instance.Resource.Name}
+			aggs[hk] += u.Total(slices)
+		}
+	}
 }
 
 // foldWindowLocked turns one window's profile and bottleneck report into a
@@ -201,19 +226,8 @@ func (e *Engine) foldWindowLocked(win core.Timeslices, prof *attribution.Profile
 		agg.spanSeconds += span
 		consumedAll += consumed
 		attributedAll += attributed
-		// Heatmap fold: attributed unit·seconds per (phase type, machine,
-		// resource). Usage iterates in the profile's deterministic order, so
-		// per-key accumulation is identical at every parallelism.
-		for _, u := range ip.Usage {
-			tp := "?"
-			if u.Phase.Type != nil {
-				tp = u.Phase.Type.Path()
-			}
-			hk := heatKey{TypePath: tp, Machine: ip.Instance.Machine,
-				Resource: ip.Instance.Resource.Name}
-			e.heatAggs[hk] += u.Total(win)
-		}
 	}
+	foldHeat(e.heatAggs, prof, win)
 	if consumedAll > 0 {
 		wr.Coverage = attributedAll / consumedAll
 	}
@@ -287,7 +301,7 @@ func (e *Engine) Snapshot() Snapshot {
 		snap.LagSeconds = e.watermark.Sub(e.frontier).Seconds()
 	}
 
-	for path, ph := range e.open {
+	for path, ph := range e.tree.Open() {
 		tp := ""
 		if ph.Type != nil {
 			tp = ph.Type.Path()

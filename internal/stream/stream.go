@@ -14,16 +14,18 @@
 // bottleneck.DetectWindow), and the results fold into cumulative live
 // aggregates plus a bounded ring of recent windows.
 //
-// Memory is bounded by window state, not by the trace: closed leaf phases
-// retire once the flushed frontier passes them, consumed monitoring samples
-// are trimmed, and the raw event stream is never buffered — unless the
-// engine is configured to RetainForFinal, in which case it additionally
-// accumulates the raw inputs so Finalize can run the exact batch pipeline
-// (grade10.Characterize) and produce output byte-identical to cmd/grade10
-// on the same run. That equivalence is the correctness anchor of the online
-// path; the windowed live view is a documented approximation (monitoring
-// samples straddling a window boundary are split, and blocking intervals
-// reported after their window flushed are only counted).
+// Events build the phase tree through core.TreeBuilder, under the same rules
+// as the batch pipeline. Memory is bounded by window state, not by the
+// trace: closed leaf phases retire once the flushed frontier passes them,
+// consumed monitoring samples are trimmed, and the raw event stream is never
+// buffered. With RetainForFinal the engine instead keeps the whole phase tree
+// and monitoring, so Finalize can finish that tree and run the rest of the
+// batch pipeline on it (grade10.CharacterizeTrace), producing output
+// byte-identical to cmd/grade10 on the same run. That equivalence is the
+// correctness anchor of the online path; the windowed live view is a
+// documented approximation (monitoring samples straddling a window boundary
+// are split, and blocking intervals reported after their window flushed are
+// only counted).
 //
 // Robustness: malformed log lines are counted and skipped (never fatal),
 // events that violate phase nesting are counted as invalid, gaps in
@@ -68,7 +70,7 @@ type Config struct {
 	// live aggregates never bake in half-arrived monitoring. Default 1:
 	// wait for monitoring to exist at all.
 	ExpectedInstances int
-	// RetainForFinal keeps the raw event stream and full monitoring so
+	// RetainForFinal keeps the whole phase tree and full monitoring so
 	// Finalize can run the exact batch pipeline. Disable for strictly
 	// bounded memory; Finalize then returns only the windowed aggregates.
 	RetainForFinal bool
@@ -107,7 +109,7 @@ type Config struct {
 	// time.Now. Injectable for tests.
 	Now func() time.Time
 	// Account, when set, accrues the framework's own cost of characterizing
-	// this run: wall/CPU time in the compute sections (window flush, final
+	// this run: wall time in the compute sections (window flush, final
 	// characterization), heap bytes allocated across them, and raw ingest
 	// volume. Accounting is diagnostics only — nothing it measures feeds
 	// analysis output, so results stay byte-identical with it on or off.
@@ -139,15 +141,15 @@ type Stats struct {
 	Lines       int64 `json:"lines"`
 	ParseErrors int64 `json:"parse_errors"`
 	Truncated   int64 `json:"truncated_lines"`
-	// Events counts accepted events; InvalidEvents counts structurally
-	// invalid ones (unknown phase, duplicate start, end before start);
-	// LateEvents counts blocking intervals that began before the flushed
-	// frontier (their window was computed without them); DroppedEvents
-	// counts events shed by a bounded ingest buffer (Tap).
+	// Events counts accepted events; InvalidEvents counts the ones the
+	// phase-tree rules reject (unknown phase, duplicate start, end before
+	// start); LateEvents counts blocking intervals that began before the
+	// flushed frontier (their window was computed without them) and every
+	// event that arrives after Finalize, which is dropped: the final trace
+	// is immutable.
 	Events        int64 `json:"events"`
 	InvalidEvents int64 `json:"invalid_events"`
 	LateEvents    int64 `json:"late_events"`
-	DroppedEvents int64 `json:"dropped_events"`
 	// Samples counts accepted monitoring samples; InvalidSamples counts
 	// dropped ones (overlaps, inverted intervals); GapsFilled counts
 	// zero-filled monitoring gaps; IgnoredSamples counts samples for
@@ -170,7 +172,6 @@ type MemStats struct {
 	PendingLeaves   int
 	TreePhases      int
 	BufferedSamples int
-	RetainedEvents  int
 	Windows         int
 }
 
@@ -233,8 +234,7 @@ type Engine struct {
 	origin    vtime.Time // timeslice grid origin: first phase start
 	maxEnd    vtime.Time // latest phase end seen
 
-	root    *core.Phase
-	open    map[string]*core.Phase
+	tree    *core.TreeBuilder
 	pending []*core.Phase // closed leaves not yet retired
 
 	feeds     map[string]*instFeed
@@ -255,9 +255,6 @@ type Engine struct {
 	typeAggs map[string]*typeAgg
 	heatAggs map[heatKey]float64
 	counters map[string]*CounterValue
-
-	// Retained raw inputs (RetainForFinal only).
-	events []enginelog.Event
 
 	stats    Stats
 	finalOut *grade10.Output
@@ -283,8 +280,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		root:     &core.Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
-		open:     map[string]*core.Phase{},
+		tree:     core.NewTreeBuilder(cfg.Models.Exec),
 		feeds:    map[string]*instFeed{},
 		instAggs: map[string]*instAgg{},
 		btlAggs:  map[bottleneckKey]*bottleneckAgg{},
@@ -331,73 +327,12 @@ func (e *Engine) IngestEvent(ev enginelog.Event) {
 	e.ingestEventLocked(ev)
 }
 
-// CountDropped records events shed by a bounded ingest buffer.
-func (e *Engine) CountDropped(n int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats.DroppedEvents += n
-}
-
 func (e *Engine) ingestEventLocked(ev enginelog.Event) {
-	switch ev.Kind {
-	case enginelog.PhaseStart:
-		if !e.originSet {
-			e.originSet = true
-			e.origin = ev.Time
-			e.frontier = ev.Time
-			e.root.Start = ev.Time
-		}
-		if _, dup := e.open[ev.Path]; dup {
-			e.stats.InvalidEvents++
-			return
-		}
-		pt := e.cfg.Models.Exec.LookupInstance(ev.Path)
-		if pt == nil {
-			e.stats.InvalidEvents++
-			return
-		}
-		parent := e.root
-		if pp := enginelog.Parent(ev.Path); pp != "/" {
-			var ok bool
-			if parent, ok = e.open[pp]; !ok {
-				e.stats.InvalidEvents++
-				return
-			}
-		}
-		machine := ev.Machine
-		if machine < 0 {
-			machine = parent.Machine
-		}
-		ph := &core.Phase{Path: ev.Path, Type: pt, Parent: parent,
-			Start: ev.Time, End: -1, Machine: machine}
-		parent.Children = append(parent.Children, ph)
-		e.open[ev.Path] = ph
-		e.noteWatermarkLocked(ev.Time)
-
-	case enginelog.PhaseEnd:
-		ph, ok := e.open[ev.Path]
-		if !ok || ev.Time < ph.Start {
-			e.stats.InvalidEvents++
-			return
-		}
-		e.closePhaseLocked(ph, ev.Time)
-		e.noteWatermarkLocked(ev.Time)
-
-	case enginelog.Blocked:
-		ph, ok := e.open[ev.Path]
-		if !ok {
-			e.stats.InvalidEvents++
-			return
-		}
-		if ev.Time < e.frontier {
-			e.stats.LateEvents++
-		}
-		ph.Blocked = append(ph.Blocked, core.BlockInterval{
-			Resource: ev.Resource, Start: ev.Time, End: ev.End,
-		})
-		e.noteWatermarkLocked(ev.End)
-
-	case enginelog.Counter:
+	if e.finalized.Load() {
+		e.stats.LateEvents++
+		return
+	}
+	if ev.Kind == enginelog.Counter {
 		c := e.counters[ev.Name]
 		if c == nil {
 			c = &CounterValue{}
@@ -407,27 +342,39 @@ func (e *Engine) ingestEventLocked(ev enginelog.Event) {
 		c.Sum += ev.Value
 		c.Last = ev.Value
 		e.noteWatermarkLocked(ev.Time)
-
-	default:
-		e.stats.InvalidEvents++
-		return
+	} else {
+		ph, err := e.tree.Add(ev)
+		if ph == nil || err != nil { // rejected, or a kind the tree does not know
+			e.stats.InvalidEvents++
+			return
+		}
+		switch ev.Kind {
+		case enginelog.PhaseStart:
+			if !e.originSet {
+				e.originSet = true
+				e.origin = ev.Time
+				e.frontier = ev.Time
+			}
+			e.noteWatermarkLocked(ev.Time)
+		case enginelog.PhaseEnd:
+			e.closePhaseLocked(ph)
+			e.noteWatermarkLocked(ev.Time)
+		case enginelog.Blocked:
+			if ev.Time < e.frontier {
+				e.stats.LateEvents++
+			}
+			e.noteWatermarkLocked(ev.End)
+		}
 	}
 	e.stats.Events++
-	if e.cfg.RetainForFinal {
-		e.events = append(e.events, ev)
-	}
 	e.maybeFlushLocked()
 }
 
-func (e *Engine) closePhaseLocked(ph *core.Phase, end vtime.Time) {
-	ph.End = end
-	delete(e.open, ph.Path)
-	sort.Slice(ph.Blocked, func(i, j int) bool { return ph.Blocked[i].Start < ph.Blocked[j].Start })
-	if end > e.maxEnd {
-		e.maxEnd = end
-	}
-	if e.root.End < end {
-		e.root.End = end
+// closePhaseLocked folds a phase the tree builder just ended into the live
+// state.
+func (e *Engine) closePhaseLocked(ph *core.Phase) {
+	if ph.End > e.maxEnd {
+		e.maxEnd = ph.End
 	}
 	if len(ph.Children) == 0 {
 		e.pending = append(e.pending, ph)
@@ -620,19 +567,8 @@ func (e *Engine) maybeFlushLocked() {
 // flushWindowLocked attributes and analyzes one window [w0, w1) through the
 // shared batch implementations and folds the result into the live state.
 func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
-	if a := e.cfg.Account; a != nil {
-		// The flush runs on one goroutine (attribution workers are measured
-		// by their enclosing wall time), so wall ≈ CPU for this section.
-		start := time.Now()
-		alloc0 := obs.HeapAllocBytes()
-		defer func() {
-			d := time.Since(start)
-			a.AddWall(d)
-			a.AddCPU(d)
-			a.AddAlloc(int64(obs.HeapAllocBytes() - alloc0))
-			a.AddWindow()
-		}()
-	}
+	defer e.accountSection()()
+	e.cfg.Account.AddWindow()
 	win := core.NewTimeslices(w0, w1, e.cfg.Timeslice)
 
 	// Leaves overlapping the window: retired-pending closed leaves plus
@@ -647,7 +583,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	}
 	var reopened []*core.Phase
 	horizon := vtime.Max(e.watermark, w1)
-	for _, ph := range e.open {
+	for _, ph := range e.tree.Open() {
 		if ph.Start < w1 && len(ph.Children) == 0 && ph.Type != nil && ph.Type.IsLeaf() {
 			ph.End = horizon
 			reopened = append(reopened, ph)
@@ -678,7 +614,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		}
 	}
 
-	tr := &core.ExecutionTrace{Root: e.root, Start: w0, End: w1}
+	tr := &core.ExecutionTrace{Root: e.tree.Root(), Start: w0, End: w1}
 	span := e.cfg.Tracer.StartSpan("window-flush", -1)
 	if e.cfg.Tracer.Enabled() {
 		span.SetItems(int64(len(leaves)))
@@ -731,7 +667,6 @@ func (e *Engine) windowObsLocked(wr *WindowResult, w1 vtime.Time) alert.Obs {
 		"truncated_lines": float64(st.Truncated),
 		"invalid_events":  float64(st.InvalidEvents),
 		"late_events":     float64(st.LateEvents),
-		"dropped_events":  float64(st.DroppedEvents),
 		"invalid_samples": float64(st.InvalidSamples),
 		"gaps_filled":     float64(st.GapsFilled),
 		"ignored_samples": float64(st.IgnoredSamples),
@@ -739,7 +674,7 @@ func (e *Engine) windowObsLocked(wr *WindowResult, w1 vtime.Time) alert.Obs {
 		"events":          float64(st.Events),
 		"samples":         float64(st.Samples),
 		"windows_flushed": float64(st.WindowsFlushed),
-		"open_phases":     float64(len(e.open)),
+		"open_phases":     float64(len(e.tree.Open())),
 	}
 	lag := 0.0
 	if e.watermark > w1 {
@@ -775,13 +710,14 @@ type windowExplainer struct {
 	Ex     *explain.Explainer
 }
 
-// retireLocked drops live state wholly behind the flushed frontier.
+// retireLocked drops live state wholly behind the flushed frontier. Retain
+// mode keeps the phase tree and every sample for Finalize.
 func (e *Engine) retireLocked() {
 	kept := e.pending[:0]
 	for _, ph := range e.pending {
 		if ph.End > e.frontier {
 			kept = append(kept, ph)
-		} else {
+		} else if !e.cfg.RetainForFinal {
 			e.pruneLocked(ph)
 		}
 	}
@@ -802,21 +738,14 @@ func (e *Engine) retireLocked() {
 	}
 }
 
-// pruneLocked unlinks a retired phase from the live tree and recursively
-// prunes closed, now-childless ancestors behind the frontier.
+// pruneLocked retires a phase from the live tree and recursively retires
+// closed, now-childless ancestors behind the frontier.
 func (e *Engine) pruneLocked(ph *core.Phase) {
-	for ph != nil && ph != e.root {
+	root := e.tree.Root()
+	for ph != root {
 		parent := ph.Parent
-		if parent == nil {
-			return
-		}
-		for i, c := range parent.Children {
-			if c == ph {
-				parent.Children = append(parent.Children[:i], parent.Children[i+1:]...)
-				break
-			}
-		}
-		if parent == e.root || len(parent.Children) > 0 ||
+		e.tree.Retire(ph)
+		if parent == root || len(parent.Children) > 0 ||
 			parent.End < 0 || parent.End > e.frontier {
 			return
 		}
@@ -826,11 +755,11 @@ func (e *Engine) pruneLocked(ph *core.Phase) {
 
 // Finalize marks both feeds complete, flushes every remaining window
 // (including the clipped final one), and force-closes still-open phases at
-// the watermark (counted). With RetainForFinal it then runs the exact batch
-// pipeline over the accumulated inputs and returns output identical to
-// grade10.Characterize on the same run; in bounded mode it returns
-// (nil, nil) and the windowed aggregates are the final result. Finalize is
-// idempotent.
+// the watermark (counted). With RetainForFinal it then finishes the engine's
+// phase tree and runs the rest of the batch pipeline on it, returning output
+// identical to grade10.Characterize on the same run; in bounded mode it
+// returns (nil, nil) and the windowed aggregates are the final result.
+// Finalize is idempotent.
 func (e *Engine) Finalize() (*grade10.Output, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -840,30 +769,14 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 	e.parser.Finish(e.ingestEventLocked)
 	e.logDone, e.monDone = true, true
 
-	// Force-close surviving phases, deepest first so parents close after
-	// children (emitting matching synthetic end events in retain mode).
-	if len(e.open) > 0 {
-		paths := make([]string, 0, len(e.open))
-		for p := range e.open {
-			paths = append(paths, p)
-		}
-		sort.Slice(paths, func(i, j int) bool {
-			di, dj := len(enginelog.Split(paths[i])), len(enginelog.Split(paths[j]))
-			if di != dj {
-				return di > dj
-			}
-			return paths[i] < paths[j]
-		})
-		for _, p := range paths {
-			ph := e.open[p]
-			end := vtime.Max(e.watermark, ph.Start)
-			e.closePhaseLocked(ph, end)
+	// Force-close surviving phases at the watermark. Every accepted start
+	// lies behind it, so no forced end precedes its start, and the closing
+	// order cannot change the fold.
+	for p, ph := range e.tree.Open() {
+		ev := enginelog.Event{Kind: enginelog.PhaseEnd, Time: vtime.Max(e.watermark, ph.Start), Path: p}
+		if _, err := e.tree.Add(ev); err == nil {
+			e.closePhaseLocked(ph)
 			e.stats.ForcedClosures++
-			if e.cfg.RetainForFinal {
-				e.events = append(e.events, enginelog.Event{
-					Kind: enginelog.PhaseEnd, Time: end, Path: p,
-				})
-			}
 		}
 	}
 	e.maybeFlushLocked()
@@ -875,12 +788,19 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 	if !e.cfg.RetainForFinal {
 		return nil, nil
 	}
-	if len(e.events) == 0 {
+	if e.stats.Events == 0 {
 		e.finalErr = fmt.Errorf("stream: no events ingested")
 		return nil, e.finalErr
 	}
+	defer e.accountSection()()
+	span := e.cfg.Tracer.StartSpan("build-execution-trace", -1)
+	tr, err := e.tree.Finish()
+	span.End()
+	if err != nil {
+		e.finalErr = fmt.Errorf("grade10: parsing log: %w", err)
+		return nil, e.finalErr
+	}
 	in := grade10.Input{
-		Log:         &enginelog.Log{Events: e.events},
 		Monitoring:  e.monitoringLocked(),
 		Models:      e.cfg.Models,
 		Timeslice:   e.cfg.Timeslice,
@@ -892,23 +812,27 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		rec = explain.NewRecorder(0)
 		in.Recorder = rec
 	}
-	var finStart time.Time
-	var finAlloc0 uint64
-	if e.cfg.Account != nil {
-		finStart = time.Now()
-		finAlloc0 = obs.HeapAllocBytes()
-	}
-	e.finalOut, e.finalErr = grade10.Characterize(in)
-	if a := e.cfg.Account; a != nil {
-		d := time.Since(finStart)
-		a.AddWall(d)
-		a.AddCPU(d)
-		a.AddAlloc(int64(obs.HeapAllocBytes() - finAlloc0))
-	}
+	e.finalOut, e.finalErr = grade10.CharacterizeTrace(tr, in)
 	if e.finalErr == nil && rec != nil {
 		e.finalEx = explain.NewExplainer(e.finalOut.Profile, rec)
 	}
 	return e.finalOut, e.finalErr
+}
+
+// accountSection opens one accounted compute section (a window flush or the
+// final characterization) and returns the func that closes it, charging the
+// section's wall time and heap allocation to the run. Without an account
+// both are no-ops.
+func (e *Engine) accountSection() func() {
+	a := e.cfg.Account
+	if a == nil {
+		return func() {}
+	}
+	start, alloc0 := time.Now(), obs.HeapAllocBytes()
+	return func() {
+		a.AddWall(time.Since(start))
+		a.AddAlloc(int64(obs.HeapAllocBytes() - alloc0))
+	}
 }
 
 // monitoringLocked reassembles the batch Monitoring input from the retained
@@ -1049,13 +973,12 @@ func (e *Engine) Mem() MemStats {
 		buffered += len(f.samples) - f.firstPending
 	}
 	tree := 0
-	e.root.Walk(func(*core.Phase) { tree++ })
+	e.tree.Root().Walk(func(*core.Phase) { tree++ })
 	return MemStats{
-		OpenPhases:      len(e.open),
+		OpenPhases:      len(e.tree.Open()),
 		PendingLeaves:   len(e.pending),
 		TreePhases:      tree - 1,
 		BufferedSamples: buffered,
-		RetainedEvents:  len(e.events),
 		Windows:         len(e.windows),
 	}
 }

@@ -36,7 +36,7 @@ var (
 	fixErr  error
 )
 
-func getFixture(t *testing.T) *fixture {
+func getFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		ds := workload.Dataset{Name: "stream-test",
@@ -196,8 +196,8 @@ func TestStreamWindowedTotals(t *testing.T) {
 }
 
 // TestStreamBoundedMemory verifies that in bounded mode the engine retains
-// window state, not the trace: no raw events, a pruned phase tree, and
-// trimmed sample buffers throughout ingest.
+// window state, not the trace: a pruned phase tree and trimmed sample
+// buffers throughout ingest.
 func TestStreamBoundedMemory(t *testing.T) {
 	f := getFixture(t)
 	e, err := stream.New(stream.Config{Models: f.models, MaxWindows: 4,
@@ -219,9 +219,6 @@ func TestStreamBoundedMemory(t *testing.T) {
 		ingestLine(e, line)
 		if i%512 == 0 {
 			m := e.Mem()
-			if m.RetainedEvents != 0 {
-				t.Fatalf("bounded mode retained %d events", m.RetainedEvents)
-			}
 			if m.TreePhases > maxTree {
 				maxTree = m.TreePhases
 			}
@@ -246,9 +243,6 @@ func TestStreamBoundedMemory(t *testing.T) {
 	}
 	if m.Windows > 4 {
 		t.Fatalf("window ring over bound: %d", m.Windows)
-	}
-	if m.RetainedEvents != 0 {
-		t.Fatalf("bounded mode retained %d events", m.RetainedEvents)
 	}
 	st := e.Stats()
 	if st.WindowsFlushed < 4 {
@@ -338,6 +332,53 @@ func TestStreamTruncatedLog(t *testing.T) {
 	}
 }
 
+// TestStreamEventsAfterFinalize: the finalized trace is the engine's own
+// tree, so events arriving after Finalize are counted as late and dropped —
+// the report does not change and no phase reopens.
+func TestStreamEventsAfterFinalize(t *testing.T) {
+	f := getFixture(t)
+	e, err := stream.New(stream.Config{Models: f.models, RetainForFinal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedAll(e, f)
+	out, err := e.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	log, _, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := log.Events[:10]
+	for _, ev := range late {
+		e.IngestEvent(ev)
+	}
+	e.IngestEvent(enginelog.Event{Kind: enginelog.PhaseStart, Time: out.Trace.End, Path: "/late", Machine: -1})
+
+	var buf bytes.Buffer
+	if err := report.WriteAll(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != f.batchText {
+		t.Fatal("events after Finalize changed the final report")
+	}
+	st := e.Stats()
+	if got := st.LateEvents - before.LateEvents; got != int64(len(late)+1) {
+		t.Fatalf("LateEvents grew by %d, want %d", got, len(late)+1)
+	}
+	if st.Events != before.Events || st.InvalidEvents != before.InvalidEvents {
+		t.Fatalf("late events were applied: before %+v after %+v", before, st)
+	}
+	if m := e.Mem(); m.OpenPhases != 0 {
+		t.Fatalf("%d phases open after late events", m.OpenPhases)
+	}
+	if ops := e.Snapshot().OpenPhases; len(ops) != 0 {
+		t.Fatalf("snapshot lists open phases after late events: %+v", ops)
+	}
+}
+
 // TestTapDelivery pushes the event stream through a bounded tap from a
 // producer goroutine, as the in-process runsim tee does.
 func TestTapDelivery(t *testing.T) {
@@ -350,7 +391,7 @@ func TestTapDelivery(t *testing.T) {
 	if err != nil || stats.Degraded() {
 		t.Fatalf("decode: err=%v stats=%+v", err, stats)
 	}
-	tap := stream.NewTap(e, 64, stream.BlockWhenFull)
+	tap := stream.NewTap(e)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -377,9 +418,6 @@ func TestTapDelivery(t *testing.T) {
 	}
 	if buf.String() != f.batchText {
 		t.Fatal("tapped stream diverged from batch report")
-	}
-	if n := e.Stats().DroppedEvents; n != 0 {
-		t.Fatalf("blocking tap dropped %d events", n)
 	}
 	if int(e.Stats().Events) != len(log.Events) {
 		t.Fatalf("tap delivered %d of %d events", e.Stats().Events, len(log.Events))

@@ -292,7 +292,7 @@ function fmtBytes(n) {
 }
 
 // renderOverhead lists the most expensive runs: what grade10 itself spent
-// characterizing each one (wall/CPU seconds, allocation, ingest volume).
+// characterizing each one (wall seconds, allocation, ingest volume).
 function renderOverhead(data) {
   const div = $("overhead");
   div.innerHTML = "";
@@ -302,7 +302,7 @@ function renderOverhead(data) {
     const row = el("div", "overhead-row");
     row.append(el("strong", "", r.run || "(this run)"));
     row.append(el("small", "",
-      " wall " + fmt(r.wall_seconds, 2) + "s · cpu " + fmt(r.cpu_seconds, 2) + "s" +
+      " wall " + fmt(r.wall_seconds, 2) + "s" +
       " · alloc " + fmtBytes(r.alloc_bytes) +
       " · ingest " + fmtBytes(r.ingest_bytes) +
       " · " + (r.windows || 0) + " windows"));

@@ -125,13 +125,14 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, buildOverview(e.Snapshot(), mode(run), run, sse, e.ExplainEnabled()))
 }
 
-// heatCells prefers the exact finalized profile (cells then match /explain
-// derivations) and falls back to the engine's windowed aggregates mid-run.
+// heatCells returns the engine's heat cells and their source: "final" once
+// the exact profile exists, "windows" mid-run.
 func heatCells(e *stream.Engine) ([]stream.HeatCell, string) {
-	if out := e.Final(); out != nil && out.Profile != nil {
-		return heatCellsFromProfile(out.Profile, out.Slices), "final"
+	cells, final := e.HeatCells()
+	if final {
+		return cells, "final"
 	}
-	return e.HeatCells(), "windows"
+	return cells, "windows"
 }
 
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"grade10/internal/attribution"
 	"grade10/internal/bottleneck"
 	"grade10/internal/cluster"
 	"grade10/internal/core"
@@ -220,45 +219,6 @@ func emptyNotNil[T any](s []T) []T {
 		return []T{}
 	}
 	return s
-}
-
-// heatCellsFromProfile folds the exact final attribution profile into heat
-// cells, mirroring the engine's windowed fold: attributed unit·seconds per
-// (phase type, machine, resource). The profile's instance and usage order is
-// deterministic, so the fold (and its float accumulation order) is too.
-func heatCellsFromProfile(prof *attribution.Profile, slices core.Timeslices) []stream.HeatCell {
-	type key struct {
-		tp  string
-		m   int
-		res string
-	}
-	aggs := map[key]float64{}
-	for _, ip := range prof.Instances {
-		for _, u := range ip.Usage {
-			tp := "?"
-			if u.Phase.Type != nil {
-				tp = u.Phase.Type.Path()
-			}
-			k := key{tp: tp, m: ip.Instance.Machine, res: ip.Instance.Resource.Name}
-			aggs[k] += u.Total(slices)
-		}
-	}
-	out := make([]stream.HeatCell, 0, len(aggs))
-	for k, v := range aggs {
-		out = append(out, stream.HeatCell{TypePath: k.tp, Machine: k.m,
-			Resource: k.res, UnitSeconds: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.TypePath != b.TypePath {
-			return a.TypePath < b.TypePath
-		}
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
-		}
-		return a.Resource < b.Resource
-	})
-	return out
 }
 
 // explainQuery renders the /explain?q= query reproducing one heat cell.
