@@ -217,7 +217,7 @@ func BenchmarkBottleneckDetection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bottleneck.Detect(prof, bottleneck.Config{})
+		bottleneck.Detect(prof)
 	}
 }
 
@@ -585,11 +585,10 @@ func BenchmarkIssueReplayParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
+	btl := bottleneck.Detect(prof)
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := issues.DefaultConfig()
-			cfg.Parallelism = w
+			cfg := issues.Config{Parallelism: w}
 			for i := 0; i < b.N; i++ {
 				issues.Analyze(prof, btl, cfg)
 			}
@@ -648,7 +647,7 @@ func TestWriteBenchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
+	btl := bottleneck.Detect(prof)
 
 	type stage struct {
 		Name    string             `json:"name"`
@@ -714,8 +713,7 @@ func TestWriteBenchPipeline(t *testing.T) {
 			}
 		}),
 		timeStage("issue_replay", func(w int) {
-			cfg := issues.DefaultConfig()
-			cfg.Parallelism = w
+			cfg := issues.Config{Parallelism: w}
 			issues.Analyze(prof, btl, cfg)
 		}),
 		// Provenance capture cost: nil recorder (the default) vs the explain

@@ -279,7 +279,7 @@ func runAlerts(rules []alert.Rule, base *alert.Baselines, run *rundir.Run, out *
 	if base != nil {
 		logger.Info("learned alert baselines", "runs", base.Runs(), "cells", base.Len())
 	}
-	ev := alert.NewEvaluator(rules, base, alert.Config{})
+	ev := alert.NewEvaluator(rules, base)
 	rec := profstore.BuildRecord(run.Info, out)
 	rec.Label = label
 	ev.EvalRecord(rec, filepath.Base(filepath.Clean(runDir)))
@@ -382,8 +382,7 @@ func runDiff(dir string, maxRuns int, idA, idB string, threshold float64, jsonOu
 	if err != nil {
 		fail(err)
 	}
-	cfg := profdiff.Config{RegressThreshold: threshold, ImproveThreshold: threshold}
-	rep, err := profdiff.Diff(a, b, cfg)
+	rep, err := profdiff.Diff(a, b, threshold)
 	if err != nil {
 		fail(err)
 	}

@@ -100,7 +100,7 @@ func main() {
 		if err != nil {
 			fail(fmt.Errorf("fitting %s: %w", res.Name, err))
 		}
-		fitted := result.RuleSet(opts)
+		fitted := result.RuleSet()
 		for _, c := range result.Coefficients {
 			fmt.Fprintf(tw, "%s\t%s\t%.4g\n", res.Name, c.TypePath, c.Amount)
 			inferredRules.Set(c.TypePath, res.Name, fitted.Get(c.TypePath, res.Name))

@@ -184,7 +184,7 @@ func TestDiffParallelBitIdentical(t *testing.T) {
 		t.Helper()
 		a := record(baseRun, cfg, parallelism)
 		b := record(noisyRun, noisyCfg, parallelism)
-		rep, err := profdiff.Diff(a, b, profdiff.Config{})
+		rep, err := profdiff.Diff(a, b, profdiff.DefaultThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}

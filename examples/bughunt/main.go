@@ -52,10 +52,7 @@ func main() {
 		// Step 2: straggler detection localizes the threads to blame. In the
 		// fixed engine the same analysis stays quiet — the residual spread is
 		// ordinary degree skew, below the outlier threshold.
-		outs := issues.DetectOutliers(out.Trace, issues.Config{
-			OutlierFactor:           2.0,
-			MinOutlierGroupDuration: 10 * vtime.Millisecond,
-		})
+		outs := issues.DetectOutliers(out.Trace, issues.Config{MinOutlierGroupDuration: 10 * vtime.Millisecond})
 		if len(outs) == 0 {
 			fmt.Println("  no stragglers detected")
 		}

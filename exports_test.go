@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,32 +45,7 @@ var interfaceMethods = map[string]bool{
 // perfbench/, which runs the binaries' code paths as a benchmark. The check type-checks every package from
 // source, so a method is matched on its receiver type, not only its name.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	c := newExportChecker()
-	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if err := c.scanDir(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	c := scanModule(t)
 	var unused []string
 	for key, decl := range c.decls {
 		// A method may be called through an interface: exempt the names of
@@ -89,6 +65,78 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// simulatorConfigs are the engine simulators: their configs generate
+// workloads, and their tests vary those parameters on purpose.
+var simulatorConfigs = map[string]bool{
+	"internal/giraphsim":   true,
+	"internal/pgsim":       true,
+	"internal/dataflowsim": true,
+}
+
+// TestNoUnsetOptions fails when an exported field of an exported *Config or
+// *Options struct under cmd/ or internal/ has no writer outside its own
+// package among the production files: a value only its package's defaults
+// or tests set is a constant, not an option. Writers are composite-literal
+// keys, assignments, increments and address-taking (flag binding); like
+// TestNoTestOnlyExports, perfbench counts as production. Func-typed fields
+// are exempt: they are hooks and test fakes, not values. So are the
+// simulator configs (simulatorConfigs).
+func TestNoUnsetOptions(t *testing.T) {
+	c := scanModule(t)
+	var unset []string
+	for pos, key := range c.options {
+		if !c.optionSet[pos] {
+			unset = append(unset, key)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		t.Errorf("%s is an option no production code outside its package sets: make it a constant", key)
+	}
+}
+
+var (
+	moduleOnce    sync.Once
+	moduleChecker *exportChecker
+	moduleErr     error
+)
+
+// scanModule type-checks every package of the module once and shares the
+// result between the tests of this file.
+func scanModule(t *testing.T) *exportChecker {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	moduleOnce.Do(func() {
+		c := newExportChecker()
+		var dirs []string
+		moduleErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if d.IsDir() {
+				dirs = append(dirs, path)
+			}
+			return nil
+		})
+		for _, dir := range dirs {
+			if moduleErr != nil {
+				break
+			}
+			moduleErr = c.scanDir(dir)
+		}
+		moduleChecker = c
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleChecker
+}
+
 // exportDecl is one exported function or method declared under cmd/ or
 // internal/.
 type exportDecl struct {
@@ -105,6 +153,11 @@ type exportChecker struct {
 	decls          map[string]*exportDecl
 	prod, test     map[string]bool
 	prodIfaceNames map[string]bool // interface methods production calls
+
+	// Option fields are keyed by declaration position, which is stable
+	// across the several type-checks of one package.
+	options   map[string]string // position -> pkg.Type.Field
+	optionSet map[string]bool   // positions production outside the package writes
 }
 
 func newExportChecker() *exportChecker {
@@ -114,6 +167,7 @@ func newExportChecker() *exportChecker {
 		pkgs: map[string]*types.Package{}, module: "grade10",
 		decls: map[string]*exportDecl{}, prod: map[string]bool{}, test: map[string]bool{},
 		prodIfaceNames: map[string]bool{},
+		options:        map[string]string{}, optionSet: map[string]bool{},
 	}
 }
 
@@ -162,7 +216,10 @@ func (c *exportChecker) parse(dir string, keep func(string) bool) ([]*ast.File, 
 // test package may use names that only its package's export_test.go
 // declares.
 func (c *exportChecker) check(path string, files []*ast.File) (*types.Package, *types.Info) {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	info := &types.Info{
+		Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{Importer: c, Error: func(error) {}}
 	pkg, _ := conf.Check(path, c.fset, files, info)
 	return pkg, info
@@ -190,6 +247,11 @@ func (c *exportChecker) scanDir(dir string) error {
 			pkgPath += "_test"
 		}
 		_, info := c.check(pkgPath, pf)
+		for _, f := range pf {
+			if !strings.HasSuffix(c.fset.Position(f.Pos()).Filename, "_test.go") {
+				c.recordWrites(pkgPath, f, info)
+			}
+		}
 		for id, obj := range info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok || !fn.Exported() {
@@ -230,6 +292,15 @@ func (c *exportChecker) scanDir(dir string) error {
 		if !ok {
 			continue
 		}
+		if st, ok := named.Underlying().(*types.Struct); ok && tn.Exported() && !simulatorConfigs[dir] &&
+			(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options")) {
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if _, hook := f.Type().Underlying().(*types.Signature); f.Exported() && !hook {
+					c.options[c.fset.Position(f.Pos()).String()] = path + "." + tn.Name() + "." + f.Name()
+				}
+			}
+		}
 		for i := 0; i < named.NumMethods(); i++ {
 			m := named.Method(i)
 			if m.Exported() {
@@ -239,6 +310,56 @@ func (c *exportChecker) scanDir(dir string) error {
 		}
 	}
 	return nil
+}
+
+// recordWrites marks the struct fields one production file of package
+// pkgPath sets, unless the field is declared in that package.
+func (c *exportChecker) recordWrites(pkgPath string, f *ast.File, info *types.Info) {
+	mark := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != nil && v.Pkg().Path() != pkgPath {
+			c.optionSet[c.fset.Position(v.Pos()).String()] = true
+		}
+	}
+	markSel := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				mark(s.Obj())
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if t == nil {
+				return true
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						mark(info.Uses[id])
+					}
+				} else if i < st.NumFields() {
+					mark(st.Field(i))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				markSel(lhs)
+			}
+		case *ast.IncDecStmt:
+			markSel(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				markSel(n.X)
+			}
+		}
+		return true
+	})
 }
 
 // funcKey names a function as import path, receiver type, and name; iface

@@ -114,7 +114,7 @@ func (c ThresholdCond) holds(v float64) bool {
 }
 
 // BaselineCond fires when a record cell exceeds its archive-learned baseline
-// median by more than Pct percent (guarded by the MAD, see Config.MADGuard):
+// median by more than Pct percent (guarded by the MAD, see MADGuard):
 // "phase=/x/y resource=cpu attributed regressed > 10% vs baseline".
 type BaselineCond struct {
 	PhasePath string

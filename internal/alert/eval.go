@@ -103,35 +103,16 @@ type Event struct {
 	Run          string            `json:"run,omitempty"`
 }
 
-// Config tunes an Evaluator.
-type Config struct {
-	// MaxHistory bounds the transition-event ring; default 256.
-	MaxHistory int
-	// MinHistory is the minimum number of archived runs a baseline cell must
-	// have before its rules can fire; default 1.
-	MinHistory int
-	// MADGuard suppresses baseline alerts within MADGuard·MAD of the median,
-	// so a noisy cell needs a genuinely unusual value, not just pct drift;
-	// default 3.
-	MADGuard float64
-}
+// MADGuard suppresses baseline alerts within MADGuard·MAD of the median, so
+// a noisy cell needs a genuinely unusual value, not just pct drift.
+const MADGuard = 3
 
-func (c *Config) fill() {
-	if c.MaxHistory <= 0 {
-		c.MaxHistory = 256
-	}
-	if c.MinHistory <= 0 {
-		c.MinHistory = 1
-	}
-	if c.MADGuard <= 0 {
-		c.MADGuard = 3
-	}
-}
+// maxHistory bounds the transition-event ring.
+const maxHistory = 256
 
 // Evaluator applies a rule set to a stream of observations and maintains the
 // alert lifecycle. Safe for concurrent use; evaluation is serialized.
 type Evaluator struct {
-	cfg   Config
 	rules []Rule
 	base  *Baselines
 
@@ -146,9 +127,8 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator over the given rules and learned
 // baselines (nil baselines: baseline rules never fire).
-func NewEvaluator(rules []Rule, base *Baselines, cfg Config) *Evaluator {
-	cfg.fill()
-	return &Evaluator{cfg: cfg, rules: rules, base: base, insts: map[string]*Instance{}}
+func NewEvaluator(rules []Rule, base *Baselines) *Evaluator {
+	return &Evaluator{rules: rules, base: base, insts: map[string]*Instance{}}
 }
 
 // Rules returns the loaded rules in evaluation order.
@@ -178,7 +158,7 @@ func (e *Evaluator) Eval(o Obs) []Event {
 		e.history = append(e.history, ev)
 		e.eventsTotal++
 	}
-	if over := len(e.history) - e.cfg.MaxHistory; over > 0 {
+	if over := len(e.history) - maxHistory; over > 0 {
 		e.history = append([]Event(nil), e.history[over:]...)
 	}
 	return events
@@ -224,7 +204,7 @@ func (e *Evaluator) evalBaselineLocked(rule Rule, c BaselineCond, o Obs) *Event 
 		k.Machine = c.Machine
 	}
 	stat, ok := e.base.Lookup(k)
-	if !ok || stat.N < e.cfg.MinHistory {
+	if !ok {
 		return nil
 	}
 	v := 0.0
@@ -237,7 +217,7 @@ func (e *Evaluator) evalBaselineLocked(rule Rule, c BaselineCond, o Obs) *Event 
 	threshold := stat.Median * (1 + c.Pct/100)
 	// A zero-median baseline means the cell never carried weight before: any
 	// positive value is an unbounded regression.
-	holds := v > threshold && v-stat.Median > e.cfg.MADGuard*stat.MAD
+	holds := v > threshold && v-stat.Median > MADGuard*stat.MAD
 	if stat.Median <= 0 {
 		holds = v > 0
 	}

@@ -41,7 +41,7 @@ func eventTransitions(evs []Event) []transition {
 // transition sequence.
 func TestLifecycleGolden(t *testing.T) {
 	rules := mustRules(t, "alert lag severity critical when lag_seconds > 2 for 3 windows\n")
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 
 	lags := []float64{1, 3, 3, 3, 3, 1, 3}
 	var got []transition
@@ -80,7 +80,7 @@ func TestLifecycleGolden(t *testing.T) {
 func TestLifecycleImmediateFiring(t *testing.T) {
 	rules := mustRules(t,
 		"alert now when parse_errors > 0\nalert slow when invalid_events > 0 for 2 windows\n")
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 
 	evs := ev.Eval(windowObs(0, map[string]float64{"parse_errors": 1, "invalid_events": 1}))
 	got := eventTransitions(evs)
@@ -116,7 +116,7 @@ func TestLifecycleImmediateFiring(t *testing.T) {
 func TestFingerprintDedup(t *testing.T) {
 	rules := mustRules(t, "alert hot when utilization[cpu@0] > 0.9\n"+
 		"alert hot2 when utilization[cpu@1] > 0.9\n")
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 	for i := 0; i < 5; i++ {
 		ev.Eval(Obs{Tick: i, TimeNS: int64(i), Keyed: map[string]map[string]float64{
 			"utilization": {"cpu@0": 0.95, "cpu@1": 0.99},
@@ -170,7 +170,7 @@ func TestBaselineRegressionLifecycle(t *testing.T) {
 	rules := mustRules(t,
 		"alert slow severity critical when phase=/pr/compute duration regressed > 20% vs baseline\n"+
 			"alert cpu when phase=/pr/compute resource=cpu regressed > 20% vs baseline\n")
-	ev := NewEvaluator(rules, base, Config{})
+	ev := NewEvaluator(rules, base)
 
 	evs := ev.EvalRecord(baselineRecord(1.8), "noisy")
 	if len(evs) != 2 {
@@ -210,29 +210,22 @@ func TestBaselineRegressionLifecycle(t *testing.T) {
 	}
 }
 
-// TestBaselineGuards: baseline rules stay silent without enough history and
+// TestBaselineGuards: baseline rules stay silent without a baseline and
 // within the MAD guard band, and never evaluate on window observations.
 func TestBaselineGuards(t *testing.T) {
 	rules := mustRules(t, "alert slow when phase=/pr/compute duration regressed > 5% vs baseline\n")
 
 	// No baselines at all: never fires.
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 	if evs := ev.EvalRecord(baselineRecord(10), ""); evs != nil {
 		t.Fatalf("no-baseline events = %+v, want none", evs)
-	}
-
-	// MinHistory above the archive depth: never fires.
-	base := Learn([]*profstore.Record{baselineRecord(1)})
-	ev = NewEvaluator(rules, base, Config{MinHistory: 2})
-	if evs := ev.EvalRecord(baselineRecord(10), ""); evs != nil {
-		t.Fatalf("thin-history events = %+v, want none", evs)
 	}
 
 	// A noisy baseline: +7% exceeds pct but sits inside 3·MAD — suppressed.
 	noisy := Learn([]*profstore.Record{
 		baselineRecord(0.8), baselineRecord(1.0), baselineRecord(1.2),
 	})
-	ev = NewEvaluator(rules, noisy, Config{})
+	ev = NewEvaluator(rules, noisy)
 	if evs := ev.EvalRecord(baselineRecord(1.07), ""); evs != nil {
 		t.Fatalf("inside-MAD events = %+v, want none", evs)
 	}
@@ -242,29 +235,30 @@ func TestBaselineGuards(t *testing.T) {
 	}
 
 	// Window observations never trigger baseline rules.
-	ev = NewEvaluator(rules, Learn([]*profstore.Record{baselineRecord(1)}), Config{})
+	ev = NewEvaluator(rules, Learn([]*profstore.Record{baselineRecord(1)}))
 	if evs := ev.Eval(windowObs(0, map[string]float64{"coverage": 0})); evs != nil {
 		t.Fatalf("window-tick baseline events = %+v, want none", evs)
 	}
 }
 
-// TestHistoryRingBounded: the transition history is bounded by MaxHistory.
+// TestHistoryRingBounded: the transition history is bounded by maxHistory.
 func TestHistoryRingBounded(t *testing.T) {
 	rules := mustRules(t, "alert flap when parse_errors > 0\n")
-	ev := NewEvaluator(rules, nil, Config{MaxHistory: 4})
-	for i := 0; i < 20; i++ {
+	ev := NewEvaluator(rules, nil)
+	ticks := maxHistory + 20
+	for i := 0; i < ticks; i++ {
 		ev.Eval(windowObs(i, map[string]float64{"parse_errors": float64(i % 2)}))
 	}
 	snap := ev.Snapshot()
-	if len(snap.History) != 4 {
-		t.Fatalf("history = %d entries, want 4", len(snap.History))
+	if len(snap.History) != maxHistory {
+		t.Fatalf("history = %d entries, want %d", len(snap.History), maxHistory)
 	}
-	if snap.EventsTotal <= 4 {
-		t.Fatalf("events_total = %d, want > 4", snap.EventsTotal)
+	if snap.EventsTotal <= maxHistory {
+		t.Fatalf("events_total = %d, want > %d", snap.EventsTotal, maxHistory)
 	}
 	// Ring keeps the newest events.
-	if snap.History[3].Tick != 19 {
-		t.Fatalf("last history tick = %d, want 19", snap.History[3].Tick)
+	if last := snap.History[maxHistory-1].Tick; last != ticks-1 {
+		t.Fatalf("last history tick = %d, want %d", last, ticks-1)
 	}
 }
 
@@ -273,7 +267,7 @@ func TestHistoryRingBounded(t *testing.T) {
 func TestSnapshotDeterministic(t *testing.T) {
 	rules := mustRules(t, "alert a when utilization[cpu@0] > 0.5\n"+
 		"alert b when utilization[cpu@1] > 0.5 for 5 windows\n")
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 	ev.Eval(Obs{Tick: 0, Keyed: map[string]map[string]float64{
 		"utilization": {"cpu@0": 0.9, "cpu@1": 0.9},
 	}})
@@ -291,7 +285,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestWriteText smoke-checks the CLI report rendering.
 func TestWriteText(t *testing.T) {
 	rules := mustRules(t, "alert hot when utilization[cpu@0] > 0.5\n")
-	ev := NewEvaluator(rules, nil, Config{})
+	ev := NewEvaluator(rules, nil)
 	ev.Eval(Obs{Tick: 0, Keyed: map[string]map[string]float64{"utilization": {"cpu@0": 0.9}}})
 	var sb strings.Builder
 	WriteText(&sb, ev.Snapshot())

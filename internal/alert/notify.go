@@ -8,18 +8,19 @@ import (
 	"time"
 )
 
+// Webhook delivery bounds.
+const (
+	// maxAttempts bounds delivery attempts per batch.
+	maxAttempts = 4
+	// backoff is the first retry delay, doubling per attempt.
+	backoff = 500 * time.Millisecond
+	// queueDepth bounds pending batches; overflow is dropped and logged.
+	queueDepth = 64
+)
+
 // NotifierOptions tunes the webhook notifier. The clock and sleeper are
 // injectable so the retry/backoff schedule is testable without waiting.
 type NotifierOptions struct {
-	// Client posts the payloads; nil takes a 10s-timeout http.Client.
-	Client *http.Client
-	// MaxAttempts bounds delivery attempts per batch (default 4).
-	MaxAttempts int
-	// Backoff is the first retry delay, doubling per attempt (default 500ms).
-	Backoff time.Duration
-	// QueueDepth bounds pending batches; overflow is dropped and logged
-	// (default 64).
-	QueueDepth int
 	// Now stamps payloads; Sleep waits between attempts. Defaults: time.Now,
 	// time.Sleep.
 	Now   func() time.Time
@@ -33,8 +34,9 @@ type NotifierOptions struct {
 // alert path runs under the engine lock, so delivery happens on a background
 // goroutine and overflow is shed, not waited on.
 type Notifier struct {
-	url  string
-	opts NotifierOptions
+	url    string
+	opts   NotifierOptions
+	client *http.Client
 
 	ch   chan []Event
 	done chan struct{}
@@ -49,18 +51,6 @@ type webhookPayload struct {
 
 // NewNotifier starts a notifier delivering to url.
 func NewNotifier(url string, opts NotifierOptions) *Notifier {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 4
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 500 * time.Millisecond
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
@@ -68,10 +58,11 @@ func NewNotifier(url string, opts NotifierOptions) *Notifier {
 		opts.Sleep = time.Sleep
 	}
 	n := &Notifier{
-		url:  url,
-		opts: opts,
-		ch:   make(chan []Event, opts.QueueDepth),
-		done: make(chan struct{}),
+		url:    url,
+		opts:   opts,
+		client: &http.Client{Timeout: 10 * time.Second},
+		ch:     make(chan []Event, queueDepth),
+		done:   make(chan struct{}),
 	}
 	go n.run()
 	return n
@@ -106,7 +97,7 @@ func (n *Notifier) run() {
 	for batch := range n.ch {
 		if !n.deliver(batch) && n.opts.Logger != nil {
 			n.opts.Logger.Warn("alert webhook delivery failed",
-				"url", n.url, "events", len(batch), "attempts", n.opts.MaxAttempts)
+				"url", n.url, "events", len(batch), "attempts", maxAttempts)
 		}
 	}
 }
@@ -122,13 +113,13 @@ func (n *Notifier) deliver(batch []Event) bool {
 	if err != nil {
 		return false
 	}
-	delay := n.opts.Backoff
-	for attempt := 0; attempt < n.opts.MaxAttempts; attempt++ {
+	delay := backoff
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			n.opts.Sleep(delay)
 			delay *= 2
 		}
-		resp, err := n.opts.Client.Post(n.url, "application/json", bytes.NewReader(payload))
+		resp, err := n.client.Post(n.url, "application/json", bytes.NewReader(payload))
 		if err != nil {
 			continue
 		}

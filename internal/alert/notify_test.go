@@ -35,10 +35,8 @@ func TestNotifierRetryBackoff(t *testing.T) {
 	var logs bytes.Buffer
 	fakeNow := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	n := NewNotifier(srv.URL, NotifierOptions{
-		Backoff:     100 * time.Millisecond,
-		MaxAttempts: 4,
-		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
-		Now:         func() time.Time { return fakeNow },
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
+		Now:    func() time.Time { return fakeNow },
 		Sleep: func(d time.Duration) {
 			mu.Lock()
 			slept = append(slept, d)
@@ -53,8 +51,8 @@ func TestNotifierRetryBackoff(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("attempts = %d, want 3 (two failures, one success)", attempts)
 	}
-	if len(slept) != 2 || slept[0] != 100*time.Millisecond || slept[1] != 200*time.Millisecond {
-		t.Fatalf("backoff schedule = %v, want [100ms 200ms]", slept)
+	if len(slept) != 2 || slept[0] != backoff || slept[1] != 2*backoff {
+		t.Fatalf("backoff schedule = %v, want [%v %v]", slept, backoff, 2*backoff)
 	}
 	// Close waited for the delivery goroutine, so logs is quiescent.
 	if len(bodies) != 1 || logs.Len() != 0 {
@@ -74,7 +72,7 @@ func TestNotifierRetryBackoff(t *testing.T) {
 }
 
 // TestNotifierGivesUp: a webhook that never succeeds consumes exactly
-// MaxAttempts tries and logs one failure.
+// maxAttempts tries and logs one failure.
 func TestNotifierGivesUp(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
@@ -88,18 +86,16 @@ func TestNotifierGivesUp(t *testing.T) {
 
 	var logs bytes.Buffer
 	n := NewNotifier(srv.URL, NotifierOptions{
-		Backoff:     time.Millisecond,
-		MaxAttempts: 3,
-		Sleep:       func(time.Duration) {},
-		Logger:      slog.New(slog.NewTextHandler(&logs, nil)),
+		Sleep:  func(time.Duration) {},
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	n.Notify([]Event{{Rule: "x"}})
 	n.Close()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts)
+	if attempts != maxAttempts {
+		t.Fatalf("attempts = %d, want %d", attempts, maxAttempts)
 	}
 	if got := bytes.Count(logs.Bytes(), []byte("delivery failed")); got != 1 {
 		t.Fatalf("logged %d delivery failures, want 1:\n%s", got, logs.String())
@@ -116,10 +112,10 @@ func TestNotifierQueueOverflow(t *testing.T) {
 	defer srv.Close()
 
 	var logs bytes.Buffer
-	n := NewNotifier(srv.URL, NotifierOptions{QueueDepth: 1, MaxAttempts: 1, Sleep: func(time.Duration) {},
+	n := NewNotifier(srv.URL, NotifierOptions{Sleep: func(time.Duration) {},
 		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
-	// One in flight, one queued, the rest shed.
-	for i := 0; i < 5; i++ {
+	// At most one in flight and queueDepth queued, the rest shed.
+	for i := 0; i < queueDepth+3; i++ {
 		n.Notify([]Event{{Rule: "x", Tick: i}})
 	}
 	close(release)

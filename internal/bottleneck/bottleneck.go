@@ -45,28 +45,13 @@ func (k Kind) String() string {
 }
 
 // SaturationThreshold is the utilization fraction of capacity at or above
-// which a consumable resource counts as saturated (§III-E): the default of
-// Config.SaturationThreshold, and the threshold internal/explain flags
-// saturated cells against.
+// which a consumable resource counts as saturated (§III-E), and the
+// threshold internal/explain flags saturated cells against.
 const SaturationThreshold = 0.99
 
-// Config tunes detection thresholds; zero fields take the defaults.
-type Config struct {
-	// SaturationThreshold overrides the package's SaturationThreshold.
-	SaturationThreshold float64
-	// ExactTolerance is the fraction of a phase's Exact demand that must be
-	// attributed to it for the phase to count as pinned. Default 0.95.
-	ExactTolerance float64
-}
-
-func (c *Config) fill() {
-	if c.SaturationThreshold == 0 {
-		c.SaturationThreshold = SaturationThreshold
-	}
-	if c.ExactTolerance == 0 {
-		c.ExactTolerance = 0.95
-	}
-}
+// ExactTolerance is the fraction of a phase's Exact demand that must be
+// attributed to it for the phase to count as pinned.
+const ExactTolerance = 0.95
 
 // PhaseBottleneck records one (phase, resource) bottleneck.
 type PhaseBottleneck struct {
@@ -104,8 +89,8 @@ type Report struct {
 func (r *Report) ForPhase(p *core.Phase) []*PhaseBottleneck { return r.byPhase[p] }
 
 // Detect runs all three detectors over an attribution profile.
-func Detect(prof *attribution.Profile, cfg Config) *Report {
-	return detect(prof, cfg, false)
+func Detect(prof *attribution.Profile) *Report {
+	return detect(prof, false)
 }
 
 // DetectWindow runs the same detectors over a window-scoped profile (one
@@ -114,16 +99,15 @@ func Detect(prof *attribution.Profile, cfg Config) *Report {
 // overlaps rather than to the window that happens to contain the phase. The
 // batch and streaming paths share this one implementation; Detect is the
 // whole-run window.
-func DetectWindow(prof *attribution.Profile, cfg Config) *Report {
-	return detect(prof, cfg, true)
+func DetectWindow(prof *attribution.Profile) *Report {
+	return detect(prof, true)
 }
 
-func detect(prof *attribution.Profile, cfg Config, windowed bool) *Report {
-	cfg.fill()
+func detect(prof *attribution.Profile, windowed bool) *Report {
 	rep := &Report{Saturated: map[string][]int{}, byPhase: map[*core.Phase][]*PhaseBottleneck{}}
 
 	detectBlocking(prof, rep, windowed)
-	detectConsumable(prof, cfg, rep)
+	detectConsumable(prof, rep)
 
 	sort.Slice(rep.Bottlenecks, func(i, j int) bool {
 		a, b := rep.Bottlenecks[i], rep.Bottlenecks[j]
@@ -246,11 +230,11 @@ func sliceEvidence(slices core.Timeslices, ks []int) (runs int, start, end vtime
 
 // detectConsumable finds saturation and exact-limit bottlenecks from the
 // upsampled per-slice consumption and per-phase attribution.
-func detectConsumable(prof *attribution.Profile, cfg Config, rep *Report) {
+func detectConsumable(prof *attribution.Profile, rep *Report) {
 	slices := prof.Slices
 	for _, ip := range prof.Instances {
 		capacity := ip.Instance.Resource.Capacity
-		satLevel := cfg.SaturationThreshold * capacity
+		satLevel := SaturationThreshold * capacity
 
 		var saturated []int
 		for k := 0; k < slices.Count; k++ {
@@ -283,7 +267,7 @@ func detectConsumable(prof *attribution.Profile, cfg Config, rep *Report) {
 				}
 				if rule.Kind == core.RuleExact {
 					demand := rule.Amount * usage.Phase.ActiveFraction(t0, t1)
-					if demand > 0 && rate >= cfg.ExactTolerance*demand {
+					if demand > 0 && rate >= ExactTolerance*demand {
 						exactSlices = append(exactSlices, k)
 						exactTime += active
 					}

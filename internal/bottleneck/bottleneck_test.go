@@ -100,12 +100,16 @@ func find(rep *Report, path, resource string, kind Kind) *PhaseBottleneck {
 
 func TestFigure2SaturationBottleneck(t *testing.T) {
 	_, prof := fig2Profile(t)
-	rep := Detect(prof, Config{})
+	rep := Detect(prof)
 	// R3 hits 100% in slice 3; both P2 and P3 are consuming it then, so both
 	// are saturation-bottlenecked (the paper's example verbatim).
 	sat := rep.Saturated["r3@global"]
 	if len(sat) != 1 || sat[0] != 3 {
 		t.Fatalf("saturated slices = %v", sat)
+	}
+	// R2 peaks at 65%: below SaturationThreshold, never saturated.
+	if sat := rep.Saturated["r2@global"]; len(sat) != 0 {
+		t.Fatalf("r2 saturated in slices %v", sat)
 	}
 	for _, path := range []string{"/job/p2", "/job/p3"} {
 		b := find(rep, path, "r3", Saturation)
@@ -123,7 +127,7 @@ func TestFigure2SaturationBottleneck(t *testing.T) {
 
 func TestFigure2ExactLimitBottleneck(t *testing.T) {
 	_, prof := fig2Profile(t)
-	rep := Detect(prof, Config{})
+	rep := Detect(prof)
 	// Slice 2: P2 uses its full Exact 80 on R3 while R3 is at 80% only.
 	b := find(rep, "/job/p2", "r3", ExactLimit)
 	if b == nil {
@@ -177,7 +181,7 @@ func TestBlockingBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Detect(prof, Config{})
+	rep := Detect(prof)
 	gc := find(rep, "/job/a", "gc", Blocking)
 	if gc == nil || gc.Time != vtime.Duration(sec) {
 		t.Fatalf("gc bottleneck = %+v", gc)
@@ -195,28 +199,12 @@ func TestBlockingBottleneck(t *testing.T) {
 
 func TestNoFalseBottlenecksWhenIdle(t *testing.T) {
 	_, prof := fig2Profile(t)
-	rep := Detect(prof, Config{})
+	rep := Detect(prof)
 	// P1 only uses R1 at 30% of a 100-capacity resource: no bottleneck of
 	// any kind.
 	for _, b := range rep.Bottlenecks {
 		if b.Phase.Path == "/job/p1" {
 			t.Fatalf("spurious bottleneck %+v", b)
-		}
-	}
-}
-
-func TestConfigThresholds(t *testing.T) {
-	_, prof := fig2Profile(t)
-	// With a lax saturation threshold of 0.60, R2's 65% slice counts too.
-	rep := Detect(prof, Config{SaturationThreshold: 0.60, ExactTolerance: 0.95})
-	if find(rep, "/job/p2", "r2", Saturation) == nil {
-		t.Fatal("lax threshold did not flag r2")
-	}
-	// With a strict exact tolerance of 1.01 nothing can be pinned.
-	rep2 := Detect(prof, Config{SaturationThreshold: 0.99, ExactTolerance: 1.01})
-	for _, b := range rep2.Bottlenecks {
-		if b.Kind == ExactLimit {
-			t.Fatalf("pinned despite impossible tolerance: %+v", b)
 		}
 	}
 }

@@ -63,10 +63,7 @@ func fig6FromTrace(tr *core.ExecutionTrace, threads int) (*Fig6Result, error) {
 	// last tens of milliseconds, not the paper's seconds; "non-trivial"
 	// scales accordingly.
 	minStep := 10 * vtime.Millisecond
-	outs := issues.DetectOutliers(tr, issues.Config{
-		OutlierFactor:           2.0,
-		MinOutlierGroupDuration: minStep,
-	})
+	outs := issues.DetectOutliers(tr, issues.Config{MinOutlierGroupDuration: minStep})
 	gatherOutliers := filterGather(outs)
 	if len(gatherOutliers) == 0 {
 		return nil, fmt.Errorf("fig6: no gather outliers detected (bug not manifest)")

@@ -115,7 +115,7 @@ func Regress() (*RegressResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := profdiff.Diff(a, b, profdiff.Config{})
+	rep, err := profdiff.Diff(a, b, profdiff.DefaultThreshold)
 	if err != nil {
 		return nil, err
 	}

@@ -146,19 +146,16 @@ type BlameConfig struct {
 	// Parallelism fans the per-(host, resource, machine) joins out over the
 	// shared par pool; the report is byte-identical for every value.
 	Parallelism int
-	// TopEvidence bounds the evidence pointers kept per (neighbor, resource);
-	// default 3.
-	TopEvidence int
 }
 
 func (c *BlameConfig) fill() {
 	if c.SliceWidth <= 0 {
 		c.SliceWidth = grade10.DefaultTimeslice
 	}
-	if c.TopEvidence <= 0 {
-		c.TopEvidence = 3
-	}
 }
+
+// topEvidence bounds the evidence pointers kept per (neighbor, resource).
+const topEvidence = 3
 
 // Evidence is one explain-style pointer backing a blame share: the blame
 // slice where the neighbor's overlapping demand contended with the target,
@@ -417,7 +414,7 @@ func blameEntry(e *HostDemand, tp *BlameProfile, others []*BlameProfile, cfg Bla
 						ExplainQuery: fmt.Sprintf("resource=%s machine=%d [%dns..%dns]",
 							e.Resource, e.Machine,
 							int64(k)*int64(cfg.SliceWidth), int64(k+1)*int64(cfg.SliceWidth)),
-					}, cfg.TopEvidence)
+					})
 			}
 		}
 		// The residual — self-contention plus float round-off — is self,
@@ -427,18 +424,18 @@ func blameEntry(e *HostDemand, tp *BlameProfile, others []*BlameProfile, cfg Bla
 	return out
 }
 
-// keepTopEvidence inserts ev into a list bounded at n, ranked by blamed time
-// descending with earlier slices first on ties. The list is always sorted on
-// entry, so bubbling the new element into place suffices — no sort.Slice,
-// no per-insertion allocations on this hot path.
-func keepTopEvidence(list []Evidence, ev Evidence, n int) []Evidence {
-	if len(list) == n {
-		last := &list[n-1]
+// keepTopEvidence inserts ev into a list bounded at topEvidence, ranked by
+// blamed time descending with earlier slices first on ties. The list is
+// always sorted on entry, so bubbling the new element into place suffices —
+// no sort.Slice, no per-insertion allocations on this hot path.
+func keepTopEvidence(list []Evidence, ev Evidence) []Evidence {
+	if len(list) == topEvidence {
+		last := &list[topEvidence-1]
 		if ev.BlamedNS < last.BlamedNS ||
 			(ev.BlamedNS == last.BlamedNS && ev.T0NS >= last.T0NS) {
 			return list // would be evicted immediately: skip the append
 		}
-		list[n-1] = ev
+		list[topEvidence-1] = ev
 	} else {
 		list = append(list, ev)
 	}

@@ -41,7 +41,7 @@ const (
 
 // Config tunes the fleet manager.
 type Config struct {
-	// MaxActive / QueueDepth bound admission (see SchedulerConfig).
+	// MaxActive / QueueDepth bound admission (see NewScheduler).
 	MaxActive  int
 	QueueDepth int
 	// StallTimeout tears an active run down if its metadata (run.json) has
@@ -51,7 +51,8 @@ type Config struct {
 	Poll time.Duration
 	Idle time.Duration
 	// Engine is the per-run stream engine template (timeslice, window
-	// sizing, parallelism, provenance capture, retention, self-tracer).
+	// sizing, parallelism, provenance capture, retention, self-tracer). Its
+	// Timeslice is also the cross-job blame grid width.
 	// Models and the expected monitoring feeds come from each run's
 	// metadata; the fleet sets the overhead account and flush hook itself.
 	// Registered runs always retain inputs for the exact finalize; a pinned
@@ -61,9 +62,6 @@ type Config struct {
 	// concurrently and handlers read it meanwhile, so it must be safe for
 	// concurrent use, as profstore.Store is.
 	Archive profstore.Archive
-	// BlameSlice is the cross-job blame grid width; default the analysis
-	// timeslice default.
-	BlameSlice vtime.Duration
 	// Alerts, when set, is evaluated against every finalized run's record
 	// (after archiving): baseline-regression rules compare the fresh record
 	// to the archive-learned statistics, and a later clean run resolves what
@@ -91,9 +89,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.BlameSlice <= 0 {
-		c.BlameSlice = grade10.DefaultTimeslice
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -156,7 +151,7 @@ func New(cfg Config) *Fleet {
 	cfg.fill()
 	return &Fleet{
 		cfg:   cfg,
-		sched: NewScheduler(SchedulerConfig{MaxActive: cfg.MaxActive, QueueDepth: cfg.QueueDepth}),
+		sched: NewScheduler(cfg.MaxActive, cfg.QueueDepth),
 		runs:  map[string]*runState{},
 	}
 }
@@ -394,7 +389,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 		if archiveID, err = f.archive(rs, out); err != nil {
 			return fail(err)
 		}
-		blame = BuildBlameProfile(rs.name, rs.info, out, f.cfg.BlameSlice)
+		blame = BuildBlameProfile(rs.name, rs.info, out, f.cfg.Engine.Timeslice)
 		makespan = int64(out.Trace.End.Sub(out.Trace.Start))
 	}
 
@@ -777,7 +772,7 @@ func (f *Fleet) Blame(target string) (*BlameReport, error) {
 	}
 	f.mu.Unlock()
 	return Blame(profiles, target, BlameConfig{
-		SliceWidth:  f.cfg.BlameSlice,
+		SliceWidth:  f.cfg.Engine.Timeslice,
 		Parallelism: f.cfg.Engine.Parallelism,
 	})
 }

@@ -527,8 +527,11 @@ func TestFleetPinnedRun(t *testing.T) {
 	if name, pe, ok := f.Pinned(); !ok || name != "p" || pe != e {
 		t.Fatalf("Pinned = (%q, %p, %v), want p's engine", name, pe, ok)
 	}
-	if got, ok := f.EngineFor("p"); !ok || got != e || e.Final() == nil {
-		t.Fatal("pinned engine did not outlive finalize with its exact profile")
+	if got, ok := f.EngineFor("p"); !ok || got != e {
+		t.Fatal("pinned engine did not outlive finalize")
+	}
+	if out, finalized, _ := e.FinalStatus(); out == nil || !finalized {
+		t.Fatal("pinned engine lost its exact profile at finalize")
 	}
 	snap := f.Snapshot()
 	if len(snap.Runs) != 1 || !snap.Runs[0].Pinned || snap.Runs[0].Status != StatusDone || snap.Runs[0].ArchiveID == "" {

@@ -31,31 +31,13 @@ func (d Decision) String() string {
 	return fmt.Sprintf("Decision(%d)", int(d))
 }
 
-// SchedulerConfig bounds the admission scheduler.
-type SchedulerConfig struct {
-	// MaxActive caps concurrently ingesting runs; default 8.
-	MaxActive int
-	// QueueDepth caps the admission backlog; registrations beyond
-	// MaxActive+QueueDepth are shed. Default 64.
-	QueueDepth int
-}
-
-func (c *SchedulerConfig) fill() {
-	if c.MaxActive <= 0 {
-		c.MaxActive = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-}
-
 // Scheduler is the fleet's bounded admission scheduler: at most MaxActive
 // runs ingest concurrently, at most QueueDepth wait behind them, and
 // everything beyond that is shed (counted). It holds pure admission state —
 // no goroutines — so burst behavior is deterministic and testable; the Fleet
 // wraps it with the actual per-run workers.
 type Scheduler struct {
-	cfg SchedulerConfig
+	maxActive, queueDepth int
 
 	mu        sync.Mutex
 	active    map[string]bool
@@ -63,10 +45,17 @@ type Scheduler struct {
 	shedTotal int64
 }
 
-// NewScheduler returns an empty scheduler.
-func NewScheduler(cfg SchedulerConfig) *Scheduler {
-	cfg.fill()
-	return &Scheduler{cfg: cfg, active: map[string]bool{}}
+// NewScheduler returns an empty scheduler admitting maxActive concurrent
+// runs (default 8) with a backlog of queueDepth (default 64); registrations
+// beyond maxActive+queueDepth are shed.
+func NewScheduler(maxActive, queueDepth int) *Scheduler {
+	if maxActive <= 0 {
+		maxActive = 8
+	}
+	if queueDepth <= 0 {
+		queueDepth = 64
+	}
+	return &Scheduler{maxActive: maxActive, queueDepth: queueDepth, active: map[string]bool{}}
 }
 
 // Admit decides one registration: an active slot if one is free, else the
@@ -84,10 +73,10 @@ func (s *Scheduler) Admit(id string) (Decision, error) {
 		}
 	}
 	switch {
-	case len(s.active) < s.cfg.MaxActive:
+	case len(s.active) < s.maxActive:
 		s.active[id] = true
 		return DecisionActive, nil
-	case len(s.queue) < s.cfg.QueueDepth:
+	case len(s.queue) < s.queueDepth:
 		s.queue = append(s.queue, id)
 		return DecisionQueued, nil
 	default:
@@ -113,7 +102,7 @@ func (s *Scheduler) Release(id string) []string {
 		}
 	}
 	var promoted []string
-	for len(s.queue) > 0 && len(s.active) < s.cfg.MaxActive {
+	for len(s.queue) > 0 && len(s.active) < s.maxActive {
 		next := s.queue[0]
 		s.queue = s.queue[1:]
 		s.active[next] = true

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSchedulerBurstAdmission(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 3})
+	s := NewScheduler(2, 3)
 
 	// A burst of 7 registrations: 2 active, 3 queued, 2 shed.
 	var decisions []Decision
@@ -45,7 +45,7 @@ func TestSchedulerBurstAdmission(t *testing.T) {
 }
 
 func TestSchedulerReleasePromotesFIFO(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{MaxActive: 2, QueueDepth: 4})
+	s := NewScheduler(2, 4)
 	for i := 0; i < 5; i++ {
 		if _, err := s.Admit(fmt.Sprintf("run-%d", i)); err != nil {
 			t.Fatal(err)

@@ -69,7 +69,7 @@ func TestBundleCaptureContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := alert.NewEvaluator(rules, nil, alert.Config{})
+	ev := alert.NewEvaluator(rules, nil)
 	ev.Eval(alert.Obs{Tick: 1, Scalars: map[string]float64{"coverage": 0.1}})
 
 	c, err := NewCapturer(Config{

@@ -106,7 +106,7 @@ func CharacterizeTrace(tr *core.ExecutionTrace, in Input) (*Output, error) {
 	}
 
 	span = in.Tracer.StartSpan("bottleneck-scan", -1)
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
+	btl := bottleneck.Detect(prof)
 	span.SetItems(int64(len(btl.Bottlenecks)))
 	span.End()
 

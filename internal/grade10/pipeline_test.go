@@ -300,12 +300,8 @@ func TestDiskResourceEndToEnd(t *testing.T) {
 	}
 
 	// With a slow disk, load workers saturate it: a disk bottleneck exists.
-	// The disk read is one part of the load phase, so its utilization
-	// averaged over the phase sits below full; a 85% threshold still
-	// identifies the saturation clearly.
-	btl := bottleneck.Detect(out.Profile, bottleneck.Config{SaturationThreshold: 0.85, ExactTolerance: 0.95})
 	foundDisk := false
-	for _, b := range btl.Bottlenecks {
+	for _, b := range out.Bottlenecks.Bottlenecks {
 		if b.Resource == cluster.ResDisk && b.Phase.Type.Path() == "/pagerank/load/worker" {
 			foundDisk = true
 		}

@@ -43,11 +43,12 @@ type Options struct {
 	// Timeslice is the fitting granularity; it should match (or be a small
 	// multiple of) the monitoring interval. Default 50ms.
 	Timeslice vtime.Duration
-	// NoneThreshold is the coefficient below which a type is reported as not
-	// using the resource (a None rule), as a fraction of the largest fitted
-	// coefficient. Default 0.05.
-	NoneThreshold float64
 }
+
+// NoneThreshold is the coefficient below which a type is reported as not
+// using the resource (a None rule), as a fraction of the largest fitted
+// coefficient.
+const NoneThreshold = 0.05
 
 // InferRules fits demand coefficients for one consumable resource from a
 // trace and its per-machine monitoring samples (keyed by machine index; use
@@ -56,9 +57,6 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 	monitoring map[int]*metrics.SampleSeries, opts Options) (*Result, error) {
 	if opts.Timeslice <= 0 {
 		opts.Timeslice = 50 * vtime.Millisecond
-	}
-	if opts.NoneThreshold <= 0 {
-		opts.NoneThreshold = 0.05
 	}
 	if len(monitoring) == 0 {
 		return nil, fmt.Errorf("infer: no monitoring data")
@@ -147,10 +145,7 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 
 // RuleSet converts the fit into attribution rules: coefficients below
 // NoneThreshold of the maximum become None, the rest Exact(amount).
-func (r *Result) RuleSet(opts Options) *core.RuleSet {
-	if opts.NoneThreshold <= 0 {
-		opts.NoneThreshold = 0.05
-	}
+func (r *Result) RuleSet() *core.RuleSet {
 	maxC := 0.0
 	for _, c := range r.Coefficients {
 		if c.Amount > maxC {
@@ -159,7 +154,7 @@ func (r *Result) RuleSet(opts Options) *core.RuleSet {
 	}
 	rules := core.NewRuleSet()
 	for _, c := range r.Coefficients {
-		if maxC > 0 && c.Amount < opts.NoneThreshold*maxC {
+		if maxC > 0 && c.Amount < NoneThreshold*maxC {
 			rules.Set(c.TypePath, r.Resource, core.None())
 		} else {
 			rules.Set(c.TypePath, r.Resource, core.Exact(c.Amount))

@@ -73,7 +73,7 @@ func TestInferRecoversKnownCoefficients(t *testing.T) {
 		t.Fatalf("light coefficient %v, want 1", lgt)
 	}
 
-	rules := res.RuleSet(Options{})
+	rules := res.RuleSet()
 	if r := rules.Get("/job/heavy", "cpu"); r.Kind != core.RuleExact {
 		t.Fatalf("heavy rule %+v", r)
 	}

@@ -101,25 +101,28 @@ type Outlier struct {
 	StepSlowdown float64
 }
 
+// Detection thresholds (§III-F).
+const (
+	// MinImpact suppresses issues below this makespan fraction.
+	MinImpact = 0.01
+	// OutlierFactor: a phase is an outlier if it exceeds the mean of its
+	// same-parent siblings by this factor.
+	OutlierFactor = 2.0
+	// BottleneckFloor is the minimum per-slice time fraction left after
+	// removing a bottleneck (the next-limiting-resource estimate cannot
+	// shrink a slice below this).
+	BottleneckFloor = 0.05
+	// UnderutilizationThreshold is the utilization fraction below which an
+	// active slice counts as underutilized.
+	UnderutilizationThreshold = 0.5
+)
+
 // Config tunes issue detection.
 type Config struct {
-	// MinImpact suppresses issues below this makespan fraction.
-	// Default 0.01.
-	MinImpact float64
-	// OutlierFactor: a phase is an outlier if it exceeds the mean of its
-	// same-parent siblings by this factor. Default 2.0.
-	OutlierFactor float64
 	// MinOutlierGroupDuration ignores groups whose longest member is shorter
 	// than this (the paper analyzes "non-trivial processing steps" >1s).
 	// Default 1s.
 	MinOutlierGroupDuration vtime.Duration
-	// BottleneckFloor is the minimum per-slice time fraction left after
-	// removing a bottleneck (the next-limiting-resource estimate cannot
-	// shrink a slice below this). Default 0.05.
-	BottleneckFloor float64
-	// UnderutilizationThreshold is the utilization fraction below which an
-	// active slice counts as underutilized. Default 0.5.
-	UnderutilizationThreshold float64
 	// Parallelism is the worker count for the per-candidate replay
 	// simulations (one replay per bottleneck-removal or imbalance
 	// hypothesis). 0 takes par.Default(); 1 runs serially. The report is
@@ -130,28 +133,9 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config {
-	return Config{MinImpact: 0.01, OutlierFactor: 2.0,
-		MinOutlierGroupDuration: vtime.Second, BottleneckFloor: 0.05}
-}
-
 func (c *Config) fill() {
-	d := DefaultConfig()
-	if c.MinImpact == 0 {
-		c.MinImpact = d.MinImpact
-	}
-	if c.OutlierFactor == 0 {
-		c.OutlierFactor = d.OutlierFactor
-	}
 	if c.MinOutlierGroupDuration == 0 {
-		c.MinOutlierGroupDuration = d.MinOutlierGroupDuration
-	}
-	if c.BottleneckFloor == 0 {
-		c.BottleneckFloor = d.BottleneckFloor
-	}
-	if c.UnderutilizationThreshold == 0 {
-		c.UnderutilizationThreshold = 0.5
+		c.MinOutlierGroupDuration = vtime.Second
 	}
 }
 
@@ -177,7 +161,6 @@ type Report struct {
 // land in a pre-sized slice indexed by candidate and are filtered in order,
 // keeping the report identical to a serial run.
 func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Report {
-	cfg.fill()
 	tr := prof.Trace
 	leaves := tr.Leaves()
 	rep := &Report{Original: Replay(tr, nil)}
@@ -210,7 +193,7 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 		switch c.kind {
 		case BottleneckImpact:
 			issue.Resource = c.name
-			durs = removeBottleneck(prof, btl, leaves, c.name, cfg)
+			durs = removeBottleneck(prof, btl, leaves, c.name)
 		case ImbalanceImpact:
 			issue.PhaseType = c.name
 			durs = balanceType(groups, c.name)
@@ -223,13 +206,13 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 	})
 	rep.Issues = make([]Issue, 0, len(results))
 	for _, issue := range results {
-		if issue.Impact >= cfg.MinImpact {
+		if issue.Impact >= MinImpact {
 			rep.Issues = append(rep.Issues, issue)
 		}
 	}
 
 	rep.Outliers = DetectOutliers(tr, cfg)
-	rep.Underutilization = DetectUnderutilization(prof, cfg.UnderutilizationThreshold)
+	rep.Underutilization = DetectUnderutilization(prof)
 	rep.Burstiness = DetectBurstiness(prof)
 
 	sort.Slice(rep.Issues, func(i, j int) bool { return rep.Issues[i].Impact > rep.Issues[j].Impact })
@@ -303,7 +286,7 @@ func bottleneckResources(prof *attribution.Profile, btl *bottleneck.Report) []st
 // resource allows (§III-F, "how much shorter a phase could become until
 // another resource becomes bottlenecked").
 func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
-	leaves []*core.Phase, res string, cfg Config) Durations {
+	leaves []*core.Phase, res string) Durations {
 	durs := Durations{}
 	slices := prof.Slices
 	for _, leaf := range leaves {
@@ -331,8 +314,8 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 					continue
 				}
 				limit := nextLimit(prof, leaf, res, k)
-				if limit < cfg.BottleneckFloor {
-					limit = cfg.BottleneckFloor
+				if limit < BottleneckFloor {
+					limit = BottleneckFloor
 				}
 				saved := vtime.Duration(float64(active) * (1 - limit))
 				newDur -= saved
@@ -437,7 +420,7 @@ func DetectOutliers(tr *core.ExecutionTrace, cfg Config) []Outlier {
 			}
 			for _, s := range sibs {
 				others := (total - s.Duration()) / vtime.Duration(len(sibs)-1)
-				if others > 0 && float64(s.Duration()) > cfg.OutlierFactor*float64(others) {
+				if others > 0 && float64(s.Duration()) > OutlierFactor*float64(others) {
 					outliers = append(outliers, s)
 					isOutlier[s] = true
 				}

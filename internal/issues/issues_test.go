@@ -201,8 +201,8 @@ func TestAnalyzeImbalance(t *testing.T) {
 		{{10, 10}, {10, 10}},
 	})
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
-	rep := Analyze(prof, btl, Config{MinImpact: 0.01})
+	btl := bottleneck.Detect(prof)
+	rep := Analyze(prof, btl, Config{})
 	// Original: 10 + 40 + 10 + 5 = 65. Balanced: 10 + 17.5 + 10 + 5 = 42.5.
 	var imb *Issue
 	for i := range rep.Issues {
@@ -245,8 +245,8 @@ func TestAnalyzeBlockingBottleneckRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
-	rep := Analyze(prof, btl, Config{MinImpact: 0.01})
+	btl := bottleneck.Detect(prof)
+	rep := Analyze(prof, btl, Config{})
 	var gc *Issue
 	for i := range rep.Issues {
 		if rep.Issues[i].Kind == BottleneckImpact && rep.Issues[i].Resource == "gc" {
@@ -273,7 +273,7 @@ func TestDetectOutliers(t *testing.T) {
 	tr := bspTrace(t, [][][]int64{
 		{{48, 16, 16}, {20, 18, 19}},
 	})
-	outs := DetectOutliers(tr, Config{OutlierFactor: 2.0, MinOutlierGroupDuration: sec})
+	outs := DetectOutliers(tr, Config{MinOutlierGroupDuration: sec})
 	if len(outs) != 1 {
 		t.Fatalf("%d outliers: %+v", len(outs), outs)
 	}
@@ -296,7 +296,7 @@ func TestDetectOutliersIgnoresTrivialGroups(t *testing.T) {
 	tr := bspTrace(t, [][][]int64{
 		{{48, 16, 16}},
 	})
-	outs := DetectOutliers(tr, Config{OutlierFactor: 2.0, MinOutlierGroupDuration: 100 * sec})
+	outs := DetectOutliers(tr, Config{MinOutlierGroupDuration: 100 * sec})
 	if len(outs) != 0 {
 		t.Fatalf("outliers in trivial group: %+v", outs)
 	}

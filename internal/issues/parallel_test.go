@@ -17,13 +17,13 @@ func TestAnalyzeParallelBitIdentical(t *testing.T) {
 		{{10, 25}, {10, 10}},
 	})
 	prof := profileFor(t, tr)
-	btl := bottleneck.Detect(prof, bottleneck.Config{})
-	serial := Analyze(prof, btl, Config{MinImpact: 0.001, Parallelism: 1})
+	btl := bottleneck.Detect(prof)
+	serial := Analyze(prof, btl, Config{Parallelism: 1})
 	if len(serial.Issues) == 0 {
 		t.Fatal("fixture produced no issues; the guard would be vacuous")
 	}
 	for _, workers := range []int{2, 3, 8} {
-		parallel := Analyze(prof, btl, Config{MinImpact: 0.001, Parallelism: workers})
+		parallel := Analyze(prof, btl, Config{Parallelism: workers})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("parallelism %d: report differs from serial\nserial:   %+v\nparallel: %+v",
 				workers, serial.Issues, parallel.Issues)

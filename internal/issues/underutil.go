@@ -24,13 +24,9 @@ type Underutilization struct {
 }
 
 // DetectUnderutilization scans the profile for slices where work was active
-// but no consumable resource exceeded threshold·capacity. A threshold ≤ 0
-// defaults to 0.5.
-func DetectUnderutilization(prof *attribution.Profile, threshold float64) Underutilization {
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	u := Underutilization{Threshold: threshold}
+// but no consumable resource exceeded UnderutilizationThreshold·capacity.
+func DetectUnderutilization(prof *attribution.Profile) Underutilization {
+	u := Underutilization{Threshold: UnderutilizationThreshold}
 	slices := prof.Slices
 	leaves := prof.Trace.Leaves()
 	var span vtime.Duration
@@ -49,7 +45,7 @@ func DetectUnderutilization(prof *attribution.Profile, threshold float64) Underu
 		}
 		busy := false
 		for _, ip := range prof.Instances {
-			if ip.Consumption[k] >= threshold*ip.Instance.Resource.Capacity {
+			if ip.Consumption[k] >= UnderutilizationThreshold*ip.Instance.Resource.Capacity {
 				busy = true
 				break
 			}

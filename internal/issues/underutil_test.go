@@ -58,7 +58,7 @@ func TestDetectUnderutilization(t *testing.T) {
 	// Capacity 10; utilization 9,9,2,1,9 → slices 2 and 3 are below the 0.5
 	// threshold while the phase is active.
 	prof := underutilProfile(t, 10, []float64{9, 9, 2, 1, 9})
-	u := DetectUnderutilization(prof, 0.5)
+	u := DetectUnderutilization(prof)
 	if len(u.Slices) != 2 || u.Slices[0] != 2 || u.Slices[1] != 3 {
 		t.Fatalf("slices = %v", u.Slices)
 	}
@@ -72,7 +72,7 @@ func TestDetectUnderutilization(t *testing.T) {
 
 func TestUnderutilizationSaturatedRunClean(t *testing.T) {
 	prof := underutilProfile(t, 10, []float64{9, 10, 8, 9})
-	u := DetectUnderutilization(prof, 0.5)
+	u := DetectUnderutilization(prof)
 	if len(u.Slices) != 0 || u.Fraction != 0 {
 		t.Fatalf("spurious underutilization: %+v", u)
 	}
@@ -80,8 +80,8 @@ func TestUnderutilizationSaturatedRunClean(t *testing.T) {
 
 func TestUnderutilizationThresholdDefault(t *testing.T) {
 	prof := underutilProfile(t, 10, []float64{4, 4})
-	u := DetectUnderutilization(prof, 0)
-	if u.Threshold != 0.5 {
+	u := DetectUnderutilization(prof)
+	if u.Threshold != UnderutilizationThreshold {
 		t.Fatalf("threshold %v", u.Threshold)
 	}
 	if len(u.Slices) != 2 {
@@ -123,7 +123,7 @@ func TestUnderutilizationIgnoresIdleSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := DetectUnderutilization(prof, 0.5)
+	u := DetectUnderutilization(prof)
 	// The root phase "/job" is not a leaf... but "work" is the only leaf and
 	// covers slices 0-1; slices 2-3 have no active leaves.
 	if len(u.Slices) != 2 || u.Slices[0] != 0 || u.Slices[1] != 1 {
@@ -140,5 +140,5 @@ func TestAnalyzeIncludesUnderutilization(t *testing.T) {
 }
 
 func emptyBottlenecks(prof *attribution.Profile) *bottleneck.Report {
-	return bottleneck.Detect(prof, bottleneck.Config{})
+	return bottleneck.Detect(prof)
 }

@@ -2,8 +2,8 @@
 // archived performance profiles (profstore.Record) structurally — phase
 // summaries by (type path, machine), bottlenecks by (type path, resource,
 // kind), issues by (kind, target) — computes the deltas, classifies the run
-// pair as improved/regressed/neutral against configurable makespan
-// thresholds, and localizes the dominant regression to a leaf phase-type
+// pair as improved/regressed/neutral against a configurable makespan
+// threshold, and localizes the dominant regression to a leaf phase-type
 // path and the resource whose evidence (blocking, bottleneck time,
 // attributed consumption) grew the most.
 //
@@ -20,49 +20,22 @@ import (
 	"grade10/internal/profstore"
 )
 
-// Config tunes classification and reporting.
-type Config struct {
-	// RegressThreshold: the pair is "regressed" when the makespan grows by
-	// more than this fraction. Default 0.05.
-	RegressThreshold float64
-	// ImproveThreshold: "improved" when the makespan shrinks by more than
-	// this fraction. Default 0.05.
-	ImproveThreshold float64
-	// MinDeltaNS is the noise floor: common phase and bottleneck rows with a
-	// smaller absolute delta are omitted from the ranked lists. Default 1ms.
-	MinDeltaNS int64
-	// MinIssueImpactDelta suppresses issue rows whose impact moved by less
-	// than this fraction. Default 0.01.
-	MinIssueImpactDelta float64
-	// MaxPhaseRows caps the ranked phase table; the omitted count is
-	// reported. Default 24.
-	MaxPhaseRows int
-}
+// DefaultThreshold is the makespan fraction separating neutral from
+// improved and regressed when the caller gives none.
+const DefaultThreshold = 0.05
 
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config {
-	return Config{RegressThreshold: 0.05, ImproveThreshold: 0.05,
-		MinDeltaNS: 1_000_000, MinIssueImpactDelta: 0.01, MaxPhaseRows: 24}
-}
-
-func (c *Config) fill() {
-	d := DefaultConfig()
-	if c.RegressThreshold == 0 {
-		c.RegressThreshold = d.RegressThreshold
-	}
-	if c.ImproveThreshold == 0 {
-		c.ImproveThreshold = d.ImproveThreshold
-	}
-	if c.MinDeltaNS == 0 {
-		c.MinDeltaNS = d.MinDeltaNS
-	}
-	if c.MinIssueImpactDelta == 0 {
-		c.MinIssueImpactDelta = d.MinIssueImpactDelta
-	}
-	if c.MaxPhaseRows == 0 {
-		c.MaxPhaseRows = d.MaxPhaseRows
-	}
-}
+// Reporting floors and caps.
+const (
+	// minDeltaNS is the noise floor: common phase and bottleneck rows with a
+	// smaller absolute delta are omitted from the ranked lists.
+	minDeltaNS = 1_000_000
+	// minIssueImpactDelta suppresses issue rows whose impact moved by less
+	// than this fraction.
+	minIssueImpactDelta = 0.01
+	// maxPhaseRows caps the ranked phase table; the omitted count is
+	// reported.
+	maxPhaseRows = 24
+)
 
 // Verdict classifies a run pair.
 type Verdict string
@@ -182,8 +155,8 @@ type Report struct {
 	TopRegression  *Localization `json:"top_regression,omitempty"`
 	TopImprovement *Localization `json:"top_improvement,omitempty"`
 
-	// Phases ranked by |delta| (descending); rows below Config.MinDeltaNS
-	// are dropped and counted in PhasesOmitted.
+	// Phases ranked by |delta| (descending); rows below the noise floor
+	// (minDeltaNS) are dropped and counted in PhasesOmitted.
 	Phases        []PhaseDelta `json:"phases"`
 	PhasesOmitted int          `json:"phases_omitted"`
 
@@ -192,18 +165,22 @@ type Report struct {
 	Bench       []BenchDelta      `json:"bench,omitempty"`
 }
 
-// Diff aligns and compares two records. The zero Config takes defaults.
-func Diff(a, b *profstore.Record, cfg Config) (*Report, error) {
+// Diff aligns and compares two records. The pair is regressed when the
+// makespan grows by more than threshold (a fraction) and improved when it
+// shrinks by more than threshold; a zero threshold takes DefaultThreshold.
+func Diff(a, b *profstore.Record, threshold float64) (*Report, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("profdiff: nil record")
 	}
-	cfg.fill()
+	if threshold == 0 {
+		threshold = DefaultThreshold
+	}
 	rep := &Report{
 		SchemaVersion:    profstore.Version,
 		A:                runRef(a),
 		B:                runRef(b),
-		RegressThreshold: cfg.RegressThreshold,
-		ImproveThreshold: cfg.ImproveThreshold,
+		RegressThreshold: threshold,
+		ImproveThreshold: threshold,
 	}
 	if a.Engine != b.Engine {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("engines differ: %s vs %s", a.Engine, b.Engine))
@@ -218,9 +195,9 @@ func Diff(a, b *profstore.Record, cfg Config) (*Report, error) {
 	rep.MakespanDeltaNS = b.MakespanNS - a.MakespanNS
 	rep.MakespanRelChange = safeRel(a.MakespanNS, b.MakespanNS)
 	switch {
-	case rep.MakespanRelChange > cfg.RegressThreshold:
+	case rep.MakespanRelChange > threshold:
 		rep.Verdict = Regressed
-	case rep.MakespanRelChange < -cfg.ImproveThreshold:
+	case rep.MakespanRelChange < -threshold:
 		rep.Verdict = Improved
 	default:
 		rep.Verdict = Neutral
@@ -229,9 +206,9 @@ func Diff(a, b *profstore.Record, cfg Config) (*Report, error) {
 	phases := diffPhases(a, b)
 	rep.TopRegression = localize(a, b, phases, +1)
 	rep.TopImprovement = localize(a, b, phases, -1)
-	rep.Phases, rep.PhasesOmitted = rankPhases(phases, cfg)
-	rep.Bottlenecks = diffBottlenecks(a, b, cfg)
-	rep.Issues = diffIssues(a, b, cfg)
+	rep.Phases, rep.PhasesOmitted = rankPhases(phases)
+	rep.Bottlenecks = diffBottlenecks(a, b)
+	rep.Issues = diffIssues(a, b)
 	rep.Bench = diffBench(a, b)
 	return rep, nil
 }
@@ -311,10 +288,10 @@ func diffPhases(a, b *profstore.Record) []PhaseDelta {
 
 // rankPhases orders rows by descending |delta| (ties broken by type path
 // then machine), drops common rows under the noise floor, and caps the list.
-func rankPhases(all []PhaseDelta, cfg Config) (rows []PhaseDelta, omitted int) {
+func rankPhases(all []PhaseDelta) (rows []PhaseDelta, omitted int) {
 	kept := make([]PhaseDelta, 0, len(all))
 	for _, d := range all {
-		if d.Status == StatusCommon && abs64(d.DeltaNS) < cfg.MinDeltaNS {
+		if d.Status == StatusCommon && abs64(d.DeltaNS) < minDeltaNS {
 			omitted++
 			continue
 		}
@@ -330,9 +307,9 @@ func rankPhases(all []PhaseDelta, cfg Config) (rows []PhaseDelta, omitted int) {
 		}
 		return kept[i].Machine < kept[j].Machine
 	})
-	if len(kept) > cfg.MaxPhaseRows {
-		omitted += len(kept) - cfg.MaxPhaseRows
-		kept = kept[:cfg.MaxPhaseRows]
+	if len(kept) > maxPhaseRows {
+		omitted += len(kept) - maxPhaseRows
+		kept = kept[:maxPhaseRows]
 	}
 	return kept, omitted
 }
@@ -477,7 +454,7 @@ func blameResource(a, b *profstore.Record, tp string, dir int64) (res string, bl
 	return res, blockedDelta[res], btlDelta[res], attrDelta[res]
 }
 
-func diffBottlenecks(a, b *profstore.Record, cfg Config) []BottleneckDelta {
+func diffBottlenecks(a, b *profstore.Record) []BottleneckDelta {
 	type key struct{ tp, res, kind string }
 	index := func(rows []profstore.BottleneckSummary) map[key]profstore.BottleneckSummary {
 		m := make(map[key]profstore.BottleneckSummary, len(rows))
@@ -505,7 +482,7 @@ func diffBottlenecks(a, b *profstore.Record, cfg Config) []BottleneckDelta {
 		switch {
 		case inA && inB:
 			d.Status = StatusChanged
-			if abs64(d.DeltaNS) < cfg.MinDeltaNS {
+			if abs64(d.DeltaNS) < minDeltaNS {
 				continue
 			}
 		case inB:
@@ -531,7 +508,7 @@ func diffBottlenecks(a, b *profstore.Record, cfg Config) []BottleneckDelta {
 	return out
 }
 
-func diffIssues(a, b *profstore.Record, cfg Config) []IssueDelta {
+func diffIssues(a, b *profstore.Record) []IssueDelta {
 	type key struct{ kind, target string }
 	index := func(rows []profstore.IssueSummary) map[key]profstore.IssueSummary {
 		m := make(map[key]profstore.IssueSummary, len(rows))
@@ -558,7 +535,7 @@ func diffIssues(a, b *profstore.Record, cfg Config) []IssueDelta {
 		switch {
 		case inA && inB:
 			d.Status = StatusChanged
-			if absf(d.DeltaImpact) < cfg.MinIssueImpactDelta {
+			if absf(d.DeltaImpact) < minIssueImpactDelta {
 				continue
 			}
 		case inB:

@@ -139,7 +139,7 @@ func goldenCases() map[string]func() (*profstore.Record, *profstore.Record) {
 
 func render(t *testing.T, a, b *profstore.Record) (text, jsonOut []byte) {
 	t.Helper()
-	rep, err := Diff(a, b, Config{})
+	rep, err := Diff(a, b, DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestGoldenReports(t *testing.T) {
 func TestVerdictsAndLocalization(t *testing.T) {
 	base := baseRecord("aaaaaaaaaaaa", "baseline")
 
-	rep, err := Diff(base, regressedRecord(), Config{})
+	rep, err := Diff(base, regressedRecord(), DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestVerdictsAndLocalization(t *testing.T) {
 		t.Errorf("top regression machine = %d, want 1 (hardest hit)", rep.TopRegression.Machine)
 	}
 
-	rep, err = Diff(base, improvedRecord(), Config{})
+	rep, err = Diff(base, improvedRecord(), DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestVerdictsAndLocalization(t *testing.T) {
 		t.Error("cpu saturation bottleneck should be reported as disappeared")
 	}
 
-	rep, err = Diff(base, baseRecord("eeeeeeeeeeee", "rerun"), Config{})
+	rep, err = Diff(base, baseRecord("eeeeeeeeeeee", "rerun"), DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestVerdictsAndLocalization(t *testing.T) {
 }
 
 func TestPhaseAddRemove(t *testing.T) {
-	rep, err := Diff(baseRecord("aaaaaaaaaaaa", "baseline"), reshapedRecord(), Config{})
+	rep, err := Diff(baseRecord("aaaaaaaaaaaa", "baseline"), reshapedRecord(), DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPhaseAddRemove(t *testing.T) {
 func TestThresholdConfig(t *testing.T) {
 	base := baseRecord("aaaaaaaaaaaa", "")
 	// 20% slower is neutral under a 25% threshold.
-	rep, err := Diff(base, regressedRecord(), Config{RegressThreshold: 0.25, ImproveThreshold: 0.25})
+	rep, err := Diff(base, regressedRecord(), 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

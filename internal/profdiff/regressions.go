@@ -23,9 +23,9 @@ type Regression struct {
 
 // Regressions diffs consecutive archived runs of the same (engine, job,
 // workers) configuration and ranks the verdicts by |relative makespan
-// change|, returning the top k (k<=0 means all). Corrupt records are
-// skipped, not fatal.
-func Regressions(a profstore.Archive, cfg Config, k int) []Regression {
+// change|, returning the top k (k<=0 means all). Verdicts use
+// DefaultThreshold. Corrupt records are skipped, not fatal.
+func Regressions(a profstore.Archive, k int) []Regression {
 	metas := a.List()
 	type key struct {
 		engine, job string
@@ -52,7 +52,7 @@ func Regressions(a profstore.Archive, cfg Config, k int) []Regression {
 			if err != nil {
 				continue
 			}
-			rep, err := Diff(base, next, cfg)
+			rep, err := Diff(base, next, DefaultThreshold)
 			if err != nil {
 				continue
 			}

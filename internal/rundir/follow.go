@@ -58,7 +58,9 @@ func (o *FollowOptions) fill() {
 // writing it, delivering log bytes and monitoring lines to the sink as they
 // land on disk. It handles files that do not exist yet and partially
 // written trailing lines. Follow returns when the run is complete (run.json
-// present and the data files idle), or when stop is closed.
+// present and the data files idle), or when stop is closed: then it drains
+// both data files once more, so bytes appended since the last poll still
+// reach the sink, but no longer looks for run.json.
 func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink) error {
 	opt.fill()
 	f := newFollower(dir, sink)
@@ -76,7 +78,8 @@ func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink
 		}
 		select {
 		case <-stop:
-			return nil
+			_, err := f.drain()
+			return err
 		case <-time.After(opt.Poll):
 		}
 	}
@@ -115,19 +118,28 @@ func (f *follower) monitoringLine(line []byte) {
 	}
 }
 
-// poll drains whatever both data files gained since the last poll, then
-// looks for run.json until it has parsed once. It reports whether anything
-// arrived.
-func (f *follower) poll() (bool, error) {
+// drain delivers whatever both data files gained since the last call and
+// returns the number of bytes read.
+func (f *follower) drain() (int64, error) {
 	n, err := f.log.drain(f.sink.LogChunk)
 	if err != nil {
-		return false, fmt.Errorf("rundir: following %s: %w", logFile, err)
+		return n, fmt.Errorf("rundir: following %s: %w", logFile, err)
 	}
 	m, err := f.mon.drain(f.monitoringChunk)
 	if err != nil {
-		return false, fmt.Errorf("rundir: following %s: %w", monitoringFile, err)
+		return n + m, fmt.Errorf("rundir: following %s: %w", monitoringFile, err)
 	}
-	grew := n+m > 0
+	return n + m, nil
+}
+
+// poll drains both data files, then looks for run.json until it has parsed
+// once. It reports whether anything arrived.
+func (f *follower) poll() (bool, error) {
+	n, err := f.drain()
+	if err != nil {
+		return false, err
+	}
+	grew := n > 0
 	if !f.infoSeen {
 		meta, err := os.ReadFile(filepath.Join(f.dir, infoFile))
 		if err != nil {

@@ -99,3 +99,42 @@ func TestFollowRejectsNewerInfo(t *testing.T) {
 		t.Fatal("Follow accepted a newer run.json")
 	}
 }
+
+// Closing stop ends the follow only after one more drain of both data files,
+// so bytes appended after the last poll still reach the sink.
+func TestFollowDrainsOnStop(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, logFile)
+	monPath := filepath.Join(dir, monitoringFile)
+	appendFile(t, filepath.Join(dir, infoFile), []byte(`{"engine":"giraph","job":"job"}`))
+	appendFile(t, logPath, []byte("head\n"))
+	appendFile(t, monPath, []byte("machine,resource,capacity,start_ns,end_ns,avg\n"))
+
+	var log []byte
+	var lines []string
+	infoSeen := make(chan struct{})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		// Poll and Idle never elapse: only stop ends the follow.
+		done <- Follow(dir, FollowOptions{Poll: time.Hour, Idle: time.Hour}, stop, FollowSink{
+			Info:           func(Info) error { close(infoSeen); return nil },
+			LogChunk:       func(chunk []byte) { log = append(log, chunk...) },
+			MonitoringLine: func(line string) { lines = append(lines, line) },
+		})
+	}()
+	// Info fires after the first poll drained both files.
+	<-infoSeen
+	appendFile(t, logPath, []byte("tail\n"))
+	appendFile(t, monPath, []byte("0,cpu,8,0,10,1\n"))
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if string(log) != "head\ntail\n" {
+		t.Fatalf("log = %q, want the appended tail", log)
+	}
+	if len(lines) != 2 || lines[1] != "0,cpu,8,0,10,1\n" {
+		t.Fatalf("monitoring lines = %q, want the appended row", lines)
+	}
+}

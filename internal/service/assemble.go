@@ -162,7 +162,7 @@ func Assemble(cfg Config) (*Server, error) {
 			base = alert.LearnArchive(s.archive)
 			s.log.Info("learned alert baselines", "runs", base.Runs(), "cells", base.Len())
 		}
-		s.alerts = alert.NewEvaluator(cfg.AlertRules, base, alert.Config{})
+		s.alerts = alert.NewEvaluator(cfg.AlertRules, base)
 		if cfg.AlertWebhook != "" {
 			s.notifier = alert.NewNotifier(cfg.AlertWebhook, alert.NotifierOptions{Logger: s.log})
 		}

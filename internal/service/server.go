@@ -305,7 +305,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	rep, err := profdiff.Diff(recA, recB, profdiff.Config{})
+	rep, err := profdiff.Diff(recA, recB, profdiff.DefaultThreshold)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -364,7 +364,7 @@ func (s *Server) handleFleetRegressions(w http.ResponseWriter, r *http.Request) 
 		http.Error(w, "no archive configured (see -store)", http.StatusServiceUnavailable)
 		return
 	}
-	regs := profdiff.Regressions(s.archive, profdiff.Config{}, queryInt(r, "k", 10))
+	regs := profdiff.Regressions(s.archive, queryInt(r, "k", 10))
 	obs.WriteJSON(w, map[string]any{"regressions": regs})
 }
 

@@ -25,7 +25,7 @@ alert never when parse_errors > 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := alert.NewEvaluator(rules, nil, alert.Config{})
+	ev := alert.NewEvaluator(rules, nil)
 	var events []alert.Event
 	e, err := stream.New(stream.Config{
 		Models: f.models, WindowSlices: 16, MaxWindows: 4,

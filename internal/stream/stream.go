@@ -320,14 +320,16 @@ func (e *Engine) IngestChunk(chunk []byte) {
 
 // IngestEvent feeds one already-parsed event (the in-process tap path).
 func (e *Engine) IngestEvent(ev enginelog.Event) {
-	e.cfg.Account.AddIngest(0, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.touch()
 	e.ingestEventLocked(ev)
 }
 
+// ingestEventLocked is where the chunk and tap paths meet: it counts every
+// event as one ingest item.
 func (e *Engine) ingestEventLocked(ev enginelog.Event) {
+	e.cfg.Account.AddIngest(0, 1)
 	if e.finalized.Load() {
 		e.stats.LateEvents++
 		return
@@ -451,11 +453,13 @@ func (e *Engine) IngestSample(machine int, resource string, capacity float64, s 
 
 // IngestMonitoringLine feeds one monitoring CSV line (rundir format), with
 // or without its '\n' terminator; every byte it is handed counts as ingest
-// volume. Malformed lines are counted as invalid samples and skipped.
+// volume. Malformed lines are counted as invalid samples and skipped; like a
+// well-formed row (counted by IngestSample) each is one ingest item.
 func (e *Engine) IngestMonitoringLine(line string) {
 	e.cfg.Account.AddIngest(int64(len(line)), 0)
 	row, ok, err := rundir.ParseMonitoringLine(line)
 	if err != nil {
+		e.cfg.Account.AddIngest(0, 1)
 		e.mu.Lock()
 		e.stats.InvalidSamples++
 		e.mu.Unlock()
@@ -635,7 +639,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		span.End()
 		return // unreachable: windows are never empty
 	}
-	rep := bottleneck.DetectWindow(prof, bottleneck.Config{})
+	rep := bottleneck.DetectWindow(prof)
 	wr := e.foldWindowLocked(win, prof, rep)
 	if e.cfg.OnWindowFlush != nil {
 		e.cfg.OnWindowFlush(wr)
@@ -849,15 +853,8 @@ func (e *Engine) monitoringLocked() []cluster.ResourceSamples {
 	return out
 }
 
-// Final returns the exact batch output once Finalize has run in retain
-// mode, else nil.
-func (e *Engine) Final() *grade10.Output {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.finalOut
-}
-
-// FinalStatus reports whether Finalize has run, and with what result.
+// FinalStatus reports whether Finalize has run, and with what result: the
+// exact batch output in retain mode, else nil.
 func (e *Engine) FinalStatus() (out *grade10.Output, finalized bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -128,7 +128,7 @@ func TestSSEAlertFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := alert.NewEvaluator(rules, nil, alert.Config{})
+	ev := alert.NewEvaluator(rules, nil)
 	s := ui.NewServer(ui.Config{Broker: broker, Alerts: ev})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

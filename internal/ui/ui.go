@@ -149,7 +149,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if out := e.Final(); out != nil && out.Trace != nil {
+	if out, _, _ := e.FinalStatus(); out != nil && out.Trace != nil {
 		obs.WriteJSON(w, buildFinalTimeline(out.Trace, out.Bottlenecks))
 		return
 	}
