@@ -77,7 +77,7 @@ func main() {
 		runDir    = flag.String("run", "", "run directory to tail (required)")
 		addr      = flag.String("addr", ":7070", "HTTP listen address")
 		poll      = flag.Duration("poll", 100*time.Millisecond, "file polling interval")
-		idle      = flag.Duration("idle", time.Second, "idle time after which the run counts as complete")
+		idle      = flag.Duration("idle", time.Second, "fallback for a run whose content never completes (its producer died or stopped mid-run): finish it once its files have been idle this long; a complete run finishes at once")
 		timeslice = flag.Duration("timeslice", 0, "analysis timeslice (virtual; default 10ms)")
 		window    = flag.Int("window", 64, "timeslices per live analysis window")
 		maxWin    = flag.Int("max-windows", 32, "recent windows retained for /windows")

@@ -116,6 +116,19 @@ func (sp *StreamParser) Finish(emit func(Event)) {
 	sp.lines.Finish(func(line []byte) { sp.parseLine(line, emit) })
 }
 
+// Buffered reports whether the parser holds a partial line, binary record or
+// format header that more bytes (or Finish) would complete.
+func (sp *StreamParser) Buffered() bool {
+	switch {
+	case !sp.decided:
+		return len(sp.hdr) > 0
+	case sp.format == FormatBinary:
+		return len(sp.dec.buf) > 0
+	default:
+		return len(sp.lines.pending) > 0 || sp.lines.discarding
+	}
+}
+
 // Stats returns unified parse statistics for whichever format was seen.
 func (sp *StreamParser) Stats() ParseStats {
 	if sp.format == FormatBinary {

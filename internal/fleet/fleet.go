@@ -47,7 +47,9 @@ type Config struct {
 	// StallTimeout tears an active run down if its metadata (run.json) has
 	// not appeared that long after admission; 0 disables.
 	StallTimeout time.Duration
-	// Poll and Idle are per-run tailing knobs (rundir.FollowOptions).
+	// Poll and Idle are per-run tailing knobs (rundir.FollowOptions). A run
+	// finishes once its content is complete; Idle only ends one whose
+	// producer stopped before that.
 	Poll time.Duration
 	Idle time.Duration
 	// Engine is the per-run stream engine template (timeslice, window
@@ -208,7 +210,7 @@ func (f *Fleet) addLocked(name, label string) *runState {
 }
 
 // Attach pins a run whose caller supplies the metadata and feeds the
-// returned engine: serve -run from stream.Follow, runsim -serve from its
+// returned engine: serve -run through Follow, runsim -serve from its
 // tap. The pinned run skips admission, and its caller ends it with Finish.
 // It differs from a Registered run in five ways: its engine outlives
 // finalize, it honours the template's RetainForFinal, its engine evaluates
@@ -240,6 +242,35 @@ func (f *Fleet) Attach(name, label string, info rundir.Info) (*stream.Engine, er
 	f.cfg.Logger.Info(fmt.Sprintf("%s run of %q on %d workers pinned", info.Engine, info.Job, info.Workers),
 		"run", name)
 	return e, nil
+}
+
+// Follow tails the run directory dir into a pinned run, as serve -run does:
+// run.json pins it (Attach, named after the directory), and the run finishes
+// (Finish) once its content is complete, it goes idle, or stop closes.
+func (f *Fleet) Follow(dir, label string, stop <-chan struct{}) error {
+	name := filepath.Base(filepath.Clean(dir))
+	e, err := f.follow(name, dir, stop, func(info rundir.Info) (*stream.Engine, error) {
+		return f.Attach(name, label, info)
+	})
+	switch {
+	case err != nil:
+		return err
+	case e == nil:
+		return fmt.Errorf("stopped before run.json appeared in %s", dir)
+	}
+	return f.Finish(name)
+}
+
+// follow tails a run directory into the engine build returns. A run that
+// ends through the Idle fallback, before its content completed, is logged:
+// its producer may have died rather than finished.
+func (f *Fleet) follow(name, dir string, stop <-chan struct{}, build func(rundir.Info) (*stream.Engine, error)) (*stream.Engine, error) {
+	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
+	e, idle, err := stream.Follow(dir, opt, stop, build)
+	if idle {
+		f.cfg.Logger.Warn("fleet run went idle before its content completed", "run", name, "dir", dir)
+	}
+	return e, err
 }
 
 // Finish finalizes the pinned run through the same finalize, archive,
@@ -276,8 +307,9 @@ func (f *Fleet) startLocked(rs *runState) {
 }
 
 // stallWatch tears the run down if run.json has not appeared StallTimeout
-// after admission. Once metadata exists the per-run Idle timeout owns
-// completion, so the watchdog stands down.
+// after admission. Once metadata exists the run finishes when its content
+// completes, or through the per-run Idle fallback if its producer dies, so
+// the watchdog stands down.
 func (f *Fleet) stallWatch(rs *runState) {
 	t := time.NewTimer(f.cfg.StallTimeout)
 	defer t.Stop()
@@ -308,8 +340,7 @@ func (f *Fleet) runWorker(rs *runState) {
 	defer f.wg.Done()
 	defer close(rs.done)
 
-	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
-	_, err := stream.Follow(rs.dir, opt, rs.stop, func(info rundir.Info) (*stream.Engine, error) {
+	_, err := f.follow(rs.name, rs.dir, rs.stop, func(info rundir.Info) (*stream.Engine, error) {
 		e, acct, err := f.buildEngine(rs.name, false, info)
 		if err != nil {
 			return nil, err

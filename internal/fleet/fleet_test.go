@@ -429,11 +429,14 @@ func TestFleetShutdownSkipsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A long idle keeps the first run active until Shutdown stops it.
+	// Every run withholds its last monitoring row, so its content never
+	// completes, and a long idle keeps the first run active until Shutdown
+	// stops it.
 	f := New(Config{MaxActive: 1, QueueDepth: 4, Poll: testPoll, Idle: time.Hour, Archive: store})
 	names := []string{"r0", "r1", "r2", "r3"}
 	for _, name := range names {
 		copyRun(t, fx.quietDir, filepath.Join(root, name), nil)
+		withholdLastMonitoringRow(t, filepath.Join(root, name))
 		if _, _, err := f.Register(filepath.Join(root, name)); err != nil {
 			t.Fatal(err)
 		}
@@ -468,6 +471,25 @@ func TestFleetShutdownSkipsQueued(t *testing.T) {
 	}
 	if a, q, _ := f.Counts(); a != 0 || q != 0 {
 		t.Errorf("counts after shutdown = (%d, %d), want (0, 0)", a, q)
+	}
+}
+
+// withholdLastMonitoringRow drops the last row of a run directory's
+// monitoring.csv: one feed then stops a sample short of the run's end_ns, so
+// the run's content never completes and only stop or Idle ends its follow.
+func withholdLastMonitoringRow(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "monitoring.csv")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.SplitAfter(string(data), "\n")
+	if len(rows) < 3 || rows[len(rows)-1] != "" {
+		t.Fatalf("%s: want a header and terminated rows", path)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(rows[:len(rows)-2], "")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

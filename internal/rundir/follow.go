@@ -34,14 +34,21 @@ type FollowSink struct {
 	// MonitoringTruncated fires with the number of over-long monitoring
 	// lines dropped from a chunk, when there are any.
 	MonitoringTruncated func(n int)
+	// Complete is asked after every poll whether everything delivered so
+	// far makes a whole run (e.g. the stream engine's content check). Once it
+	// answers true, Follow drains both data files once more and returns
+	// without waiting for Idle.
+	Complete func() bool
 }
 
 // FollowOptions tunes the tail-follow loop. Times are wall-clock.
 type FollowOptions struct {
 	// Poll is the file polling interval; default 100ms.
 	Poll time.Duration
-	// Idle declares the run complete once run.json exists and neither data
-	// file has grown for this long; default 1s.
+	// Idle is the fallback for a run whose content never completes (a
+	// producer that died or stopped mid-run, or a sink without Complete):
+	// the follow ends once run.json exists and neither data file has grown
+	// for this long; default 1s.
 	Idle time.Duration
 }
 
@@ -57,10 +64,13 @@ func (o *FollowOptions) fill() {
 // Follow tails a run directory while cmd/runsim (or any producer) is still
 // writing it, delivering log bytes and monitoring lines to the sink as they
 // land on disk. It handles files that do not exist yet and partially
-// written trailing lines. Follow returns when the run is complete (run.json
-// present and the data files idle), or when stop is closed: then it drains
-// both data files once more, so bytes appended since the last poll still
-// reach the sink, but no longer looks for run.json.
+// written trailing lines. Follow returns as soon as a poll leaves the sink's
+// Complete answering true, with no sleep in between; when the content never
+// completes, once run.json is present and the data files have been idle for
+// Idle; or when stop is closed. On completion and on stop it drains both
+// data files once more, so bytes appended since the poll still reach the
+// sink (a poll reads the log before the monitoring that proved it whole),
+// but no longer looks for run.json.
 func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink) error {
 	opt.fill()
 	f := newFollower(dir, sink)
@@ -69,6 +79,10 @@ func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink
 	for {
 		grew, err := f.poll()
 		if err != nil {
+			return err
+		}
+		if sink.Complete != nil && sink.Complete() {
+			_, err := f.drain()
 			return err
 		}
 		if grew {

@@ -138,3 +138,49 @@ func TestFollowDrainsOnStop(t *testing.T) {
 		t.Fatalf("monitoring lines = %q, want the appended row", lines)
 	}
 }
+
+// A sink whose Complete answers true ends the follow after its first poll,
+// with no sleep (Poll and Idle are an hour), and the drain that follows still
+// delivers log bytes that landed after the poll had read the log.
+func TestFollowEndsOnComplete(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, logFile)
+	appendFile(t, filepath.Join(dir, infoFile), []byte(`{"engine":"giraph","job":"job"}`))
+	appendFile(t, logPath, []byte("head\n"))
+
+	var (
+		log       []byte
+		checks    int
+		appendErr error
+	)
+	done := make(chan error, 1)
+	go func() {
+		done <- Follow(dir, FollowOptions{Poll: time.Hour, Idle: time.Hour}, nil, FollowSink{
+			LogChunk: func(chunk []byte) { log = append(log, chunk...) },
+			Complete: func() bool {
+				checks++
+				f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+				if err == nil {
+					_, err = f.WriteString("tail\n")
+					f.Close()
+				}
+				appendErr = err
+				return true
+			},
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Follow slept although its sink reported the run complete")
+	}
+	if appendErr != nil {
+		t.Fatal(appendErr)
+	}
+	if checks != 1 || string(log) != "head\ntail\n" {
+		t.Fatalf("%d completeness checks, log %q; want one check and the appended tail", checks, log)
+	}
+}

@@ -22,12 +22,10 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +35,6 @@ import (
 	"grade10/internal/flight"
 	"grade10/internal/obs"
 	"grade10/internal/profstore"
-	"grade10/internal/rundir"
 	"grade10/internal/stream"
 	"grade10/internal/ui"
 )
@@ -326,25 +323,14 @@ func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 
 // Run drives the configured inputs until stop closes. With Watch it
 // registers every run subdirectory. With Dir it tails the directory into
-// the pinned run, finishes the run once it goes idle (or stop closes), and
-// keeps serving the result.
+// the pinned run, finishes the run once its content is complete (or it goes
+// idle, or stop closes), and keeps serving the result.
 func (s *Server) Run(stop <-chan struct{}) error {
 	if s.cfg.Watch != "" {
 		return s.fleet.Watch(s.cfg.Watch, stop)
 	}
 	if s.cfg.Dir != "" {
-		name := filepath.Base(filepath.Clean(s.cfg.Dir))
-		opt := rundir.FollowOptions{Poll: s.cfg.Poll, Idle: s.cfg.Idle}
-		e, err := stream.Follow(s.cfg.Dir, opt, stop, func(info rundir.Info) (*stream.Engine, error) {
-			return s.fleet.Attach(name, s.cfg.RunLabel, info)
-		})
-		switch {
-		case err != nil:
-			return err
-		case e == nil:
-			return fmt.Errorf("stopped before run.json appeared in %s", s.cfg.Dir)
-		}
-		if err := s.fleet.Finish(name); err != nil {
+		if err := s.fleet.Follow(s.cfg.Dir, s.cfg.RunLabel, stop); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -30,8 +31,10 @@ func status(h http.Handler, path string) (int, string) {
 func TestFleetConcurrentScrapes(t *testing.T) {
 	quiet, _ := fixture(t)
 	root := t.TempDir()
-	// A long idle keeps every run active after it has ingested everything.
-	// The watch directory makes it a fleet; runs arrive over POST.
+	// Every run withholds its last monitoring row, so its content never
+	// completes, and a long idle keeps it active after it has ingested
+	// everything. The watch directory makes it a fleet; runs arrive over
+	// POST.
 	srv, err := service.Assemble(service.Config{
 		Watch: t.TempDir(), MaxActive: 4, QueueDepth: 4, Poll: testPoll, Idle: time.Hour, UI: true,
 	})
@@ -45,6 +48,7 @@ func TestFleetConcurrentScrapes(t *testing.T) {
 	for _, name := range runs {
 		dir := filepath.Join(root, name)
 		copyRun(t, quiet, dir)
+		withholdLastMonitoringRow(t, dir)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/runs", strings.NewReader(`{"dir": "`+dir+`"}`)))
 		if rec.Code != http.StatusAccepted {
@@ -148,5 +152,24 @@ func TestSingleRunBeforeMetadata(t *testing.T) {
 	}
 	if _, body := status(srv, "/profile"); !strings.Contains(body, "run.json") {
 		t.Errorf("/profile before metadata: %q", body)
+	}
+}
+
+// withholdLastMonitoringRow drops the last row of a run directory's
+// monitoring.csv: one feed then stops a sample short of the run's end_ns, so
+// the run's content never completes and only stop or Idle ends its follow.
+func withholdLastMonitoringRow(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "monitoring.csv")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.SplitAfter(string(data), "\n")
+	if len(rows) < 3 || rows[len(rows)-1] != "" {
+		t.Fatalf("%s: want a header and terminated rows", path)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(rows[:len(rows)-2], "")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,12 +3,15 @@ package stream
 import (
 	"grade10/internal/grade10"
 	"grade10/internal/rundir"
+	"grade10/internal/vtime"
 )
 
 // NewForRun builds an engine for one run from its metadata: cfg is the
 // template (sizing, parallelism, hooks), and whatever it leaves unset is
 // derived from info — the models through the same entry point as the batch
 // CLI, and the expected monitoring feeds as workers × monitored resources.
+// A positive span [StartNS, EndNS) is the end the run's monitoring must
+// reach for a follow to finish it from its content.
 func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 	if cfg.Models.Exec == nil {
 		models, err := grade10.ModelsForEngine(info.Engine, grade10.ModelParams{
@@ -30,7 +33,14 @@ func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 		}
 		cfg.ExpectedInstances = info.Workers * resources
 	}
-	return New(cfg)
+	e, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if info.EndNS > info.StartNS {
+		e.runEnd, e.hasRunEnd = vtime.Time(info.EndNS), true
+	}
+	return e, nil
 }
 
 // Follow tails a run directory into an engine. Log bytes and monitoring
@@ -39,54 +49,81 @@ func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 // into it, and everything after streams straight in. Log bytes are tailed
 // raw, so both enginelog formats stream transparently; monitoring lines go
 // through IngestMonitoringLine, which counts malformed rows, and over-long
-// monitoring lines the tail dropped count in Stats.Truncated. Follow returns
-// when the run goes idle or stop closes, handing back the engine for the
-// caller to finalize — nil when run.json never appeared. A build error ends
-// the follow.
-func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build func(rundir.Info) (*Engine, error)) (*Engine, error) {
-	var (
-		e            *Engine
-		pendingLog   []byte
-		pendingMon   []string
-		pendingTrunc int
-	)
-	err := rundir.Follow(dir, opt, stop, rundir.FollowSink{
+// monitoring lines the tail dropped count in Stats.Truncated.
+//
+// Follow returns, handing back the engine for the caller to finalize (nil
+// when run.json never appeared), as soon as a poll leaves the engine holding
+// the whole run (see Engine.complete). A producer that dies or stops mid-run
+// never completes its content: then Follow returns once the files have been
+// idle for opt.Idle, and idle reports it. Follow also returns when stop
+// closes, or with the error of a failed build.
+func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build func(rundir.Info) (*Engine, error)) (e *Engine, idle bool, err error) {
+	fs := &followSink{build: build}
+	err = rundir.Follow(dir, opt, stop, fs.sink())
+	if err != nil || fs.e == nil || fs.complete {
+		return fs.e, false, err
+	}
+	select {
+	case <-stop:
+		return fs.e, false, nil
+	default:
+		return fs.e, true, nil
+	}
+}
+
+// followSink is Follow's side of the tail: the engine once run.json built it,
+// the input that arrived before that, and whether the content completed.
+type followSink struct {
+	build        func(rundir.Info) (*Engine, error)
+	e            *Engine
+	pendingLog   []byte
+	pendingMon   []string
+	pendingTrunc int
+	complete     bool
+}
+
+func (fs *followSink) sink() rundir.FollowSink {
+	return rundir.FollowSink{
 		Info: func(info rundir.Info) error {
-			var err error
-			if e, err = build(info); err != nil {
+			e, err := fs.build(info)
+			if err != nil {
 				return err
 			}
-			if len(pendingLog) > 0 {
-				e.IngestChunk(pendingLog)
+			fs.e = e
+			if len(fs.pendingLog) > 0 {
+				e.IngestChunk(fs.pendingLog)
 			}
-			for _, line := range pendingMon {
+			for _, line := range fs.pendingMon {
 				e.IngestMonitoringLine(line)
 			}
-			e.addTruncated(pendingTrunc)
-			pendingLog, pendingMon = nil, nil
+			e.addTruncated(fs.pendingTrunc)
+			fs.pendingLog, fs.pendingMon = nil, nil
 			return nil
 		},
 		LogChunk: func(chunk []byte) {
-			if e != nil {
-				e.IngestChunk(chunk)
+			if fs.e != nil {
+				fs.e.IngestChunk(chunk)
 			} else {
-				pendingLog = append(pendingLog, chunk...)
+				fs.pendingLog = append(fs.pendingLog, chunk...)
 			}
 		},
 		MonitoringLine: func(line string) {
-			if e != nil {
-				e.IngestMonitoringLine(line)
+			if fs.e != nil {
+				fs.e.IngestMonitoringLine(line)
 			} else {
-				pendingMon = append(pendingMon, line)
+				fs.pendingMon = append(fs.pendingMon, line)
 			}
 		},
 		MonitoringTruncated: func(n int) {
-			if e != nil {
-				e.addTruncated(n)
+			if fs.e != nil {
+				fs.e.addTruncated(n)
 			} else {
-				pendingTrunc += n
+				fs.pendingTrunc += n
 			}
 		},
-	})
-	return e, err
+		Complete: func() bool {
+			fs.complete = fs.e != nil && fs.e.complete()
+			return fs.complete
+		},
+	}
 }

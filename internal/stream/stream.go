@@ -243,6 +243,11 @@ type Engine struct {
 	watermark        vtime.Time
 	logDone, monDone bool
 
+	// runEnd is run.json's end_ns, recorded by NewForRun when the run's span
+	// is positive; without it (hasRunEnd false) content never completes.
+	runEnd    vtime.Time
+	hasRunEnd bool
+
 	nextWindow int        // index of the next window to flush
 	frontier   vtime.Time // end of the last flushed window
 
@@ -468,6 +473,26 @@ func (e *Engine) IngestMonitoringLine(line string) {
 	if ok {
 		e.IngestSample(row.Machine, row.Resource, row.Capacity, row.Sample)
 	}
+}
+
+// complete reports whether the engine holds a whole run, so a follow can end
+// it without waiting for Idle: run.json gave a positive span, a phase started
+// and none is still open (the root phase's end was decoded), the log parser
+// holds no partial line or record, and every expected monitoring feed
+// reaches the run's end_ns.
+func (e *Engine) complete() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.hasRunEnd || !e.originSet || len(e.tree.Open()) > 0 || e.parser.Buffered() ||
+		len(e.feedOrder) < max(e.cfg.ExpectedInstances, 1) {
+		return false
+	}
+	for _, key := range e.feedOrder {
+		if e.feeds[key].lastEnd < e.runEnd {
+			return false
+		}
+	}
+	return true
 }
 
 // addTruncated counts over-long monitoring lines dropped before ingest.

@@ -20,8 +20,10 @@ import (
 )
 
 // fixture is one finished giraphsim run with its serialized inputs and the
-// batch reference output, shared across the streaming tests.
+// batch reference output, shared across the streaming tests. run is the run
+// as cmd/runsim would save it, with the metadata its run.json carries.
 type fixture struct {
+	run        *rundir.Run
 	models     grade10.Models
 	logText    string
 	monText    string
@@ -74,7 +76,17 @@ func getFixture(t testing.TB) *fixture {
 			fixErr = err
 			return
 		}
+		mc := run.Config.Machine
 		fix = &fixture{
+			run: &rundir.Run{
+				Log: run.Result.Log, Monitoring: monitoring,
+				Info: rundir.Info{
+					Engine: "giraph", Job: run.Spec.Algorithm, Workers: run.Config.Workers,
+					ThreadsPerWorker: run.Config.ThreadsPerWorker, Cores: mc.Cores,
+					NetBandwidth: mc.NetBandwidth, DiskBandwidth: mc.DiskBandwidth,
+					StartNS: int64(run.Result.Start), EndNS: int64(run.Result.End),
+				},
+			},
 			models:     run.Models,
 			logText:    logBuf.String(),
 			monText:    monBuf.String(),
