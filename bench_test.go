@@ -10,14 +10,10 @@ package grade10_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
-	"time"
 
 	"grade10/internal/attribution"
 	"grade10/internal/attribution/reference"
@@ -29,12 +25,10 @@ import (
 	"grade10/internal/experiments"
 	"grade10/internal/explain"
 	"grade10/internal/giraphsim"
-	grade10lib "grade10/internal/grade10"
 	"grade10/internal/graph"
 	"grade10/internal/issues"
 	"grade10/internal/metrics"
 	"grade10/internal/pgsim"
-	"grade10/internal/profstore"
 	"grade10/internal/race"
 	"grade10/internal/rundir"
 	"grade10/internal/stream"
@@ -421,41 +415,67 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginelogParse decodes the same fixture log from both on-disk
-// formats; MB/s is over the encoded size, so the binary side reflects both
-// the smaller encoding and the cheaper decode.
-func BenchmarkEnginelogParse(b *testing.B) {
+// enginelogFixture encodes one 4-worker Giraph PageRank log in both on-disk
+// formats.
+func enginelogFixture(tb testing.TB) (text, binary []byte) {
+	tb.Helper()
 	cfg := giraphsim.DefaultConfig()
 	cfg.Workers = 4
 	run, err := workload.RunGiraph(workload.Spec{
 		Dataset:   workload.Dataset{Name: "bench-parse", Gen: func() *graph.Graph { return graph.RMAT(11, 8, 42) }},
 		Algorithm: "pagerank"}, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var textBuf, binBuf bytes.Buffer
 	if err := enginelog.Write(&textBuf, run.Result.Log); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := enginelog.WriteBinary(&binBuf, run.Result.Log); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Run("format=text", func(b *testing.B) {
-		b.SetBytes(int64(textBuf.Len()))
+	return textBuf.Bytes(), binBuf.Bytes()
+}
+
+// decodeLoop is one decode benchmark: ReadStats over log, b.N times.
+func decodeLoop(log []byte) func(*testing.B) {
+	return func(b *testing.B) {
+		b.SetBytes(int64(len(log)))
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := enginelog.ReadStats(bytes.NewReader(textBuf.Bytes())); err != nil {
+			if _, _, _, err := enginelog.ReadStats(bytes.NewReader(log)); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("format=binary", func(b *testing.B) {
-		b.SetBytes(int64(binBuf.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := enginelog.ReadStats(bytes.NewReader(binBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+}
+
+// BenchmarkEnginelogParse decodes the same fixture log from both on-disk
+// formats; MB/s is over the encoded size, so the binary side reflects both
+// the smaller encoding and the cheaper decode.
+func BenchmarkEnginelogParse(b *testing.B) {
+	text, binary := enginelogFixture(b)
+	b.Run("format=text", decodeLoop(text))
+	b.Run("format=binary", decodeLoop(binary))
+}
+
+// TestBinaryDecodeFasterThanText is the binary format's reason to exist, as
+// a gate: decoding the fixture log from the binary encoding must take fewer
+// ns/op than decoding it from text. Each side is one testing.Benchmark run
+// of BenchmarkEnginelogParse's loop.
+func TestBinaryDecodeFasterThanText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times two decode benchmarks; skipped with -short")
+	}
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation distorts the timing comparison")
+	}
+	text, binary := enginelogFixture(t)
+	txt := testing.Benchmark(decodeLoop(text)).NsPerOp()
+	bin := testing.Benchmark(decodeLoop(binary)).NsPerOp()
+	if bin >= txt {
+		t.Errorf("binary enginelog decode (%d ns/op) not faster than text (%d ns/op)", bin, txt)
+	}
+	t.Logf("enginelog decode: text %d ns/op, binary %d ns/op", txt, bin)
 }
 
 // BenchmarkAttributionColumnar compares the columnar core against the frozen
@@ -614,229 +634,6 @@ func BenchmarkSuperstepParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestWriteBenchPipeline is the perf-trajectory harness: set
-// GRADE10_WRITE_BENCH=1 to time the serial and parallel pipeline stages and
-// write the results (with honest host-core counts — speedup requires real
-// cores) to BENCH_pipeline.json for comparison across PRs.
-//
-// The bench rides through profstore: the fixture run is characterized and
-// archived (GRADE10_BENCH_STORE names the store directory; default a temp
-// dir) with the stage timings attached as Record.Bench, and the JSON gains
-// the archived run_id — so `grade10 -diff` between two bench records shows
-// the wall-clock trajectory next to the simulated-profile deltas. Timings
-// are host-dependent and excluded from the content ID: on a 1-core host all
-// speedups read ~1x, which says nothing about the pipeline's scalability.
-//
-//	GRADE10_WRITE_BENCH=1 go test -run TestWriteBenchPipeline -count=1 .
-func TestWriteBenchPipeline(t *testing.T) {
-	if os.Getenv("GRADE10_WRITE_BENCH") == "" {
-		t.Skip("set GRADE10_WRITE_BENCH=1 to write BENCH_pipeline.json")
-	}
-	fixCfg := giraphsim.DefaultConfig()
-	fixCfg.Workers = 4
-	fixRun, err := workload.RunGiraph(workload.Spec{
-		Dataset:   workload.Dataset{Name: "bench", Gen: func() *graph.Graph { return graph.RMAT(11, 8, 42) }},
-		Algorithm: "pagerank"}, fixCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, rt, rules, slices := analyzerFixture(t)
-	prof, err := attribution.Attribute(tr, rt, rules, slices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	btl := bottleneck.Detect(prof)
-
-	type stage struct {
-		Name    string             `json:"name"`
-		NsPerOp map[string]float64 `json:"ns_per_op"` // key: workers=N
-		Speedup map[string]float64 `json:"speedup"`   // vs workers=1
-	}
-	timeStage := func(name string, run func(workers int)) stage {
-		s := stage{Name: name, NsPerOp: map[string]float64{}, Speedup: map[string]float64{}}
-		for _, w := range benchWorkerCounts {
-			w := w
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					run(w)
-				}
-			})
-			s.NsPerOp[fmt.Sprintf("workers=%d", w)] = float64(r.NsPerOp())
-		}
-		base := s.NsPerOp["workers=1"]
-		for k, ns := range s.NsPerOp {
-			s.Speedup[k] = base / ns
-		}
-		return s
-	}
-
-	// timeConfigs times arbitrary labeled configurations of one stage, with
-	// speedup relative to baseKey (timeStage is the workers=N specialization).
-	type config struct {
-		key string
-		run func()
-	}
-	timeConfigs := func(name, baseKey string, configs []config) stage {
-		s := stage{Name: name, NsPerOp: map[string]float64{}, Speedup: map[string]float64{}}
-		for _, c := range configs {
-			c := c
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					c.run()
-				}
-			})
-			s.NsPerOp[c.key] = float64(r.NsPerOp())
-		}
-		base := s.NsPerOp[baseKey]
-		for k, ns := range s.NsPerOp {
-			s.Speedup[k] = base / ns
-		}
-		return s
-	}
-
-	// Both serializations of the fixture log, for the parse stage.
-	var textLog, binLog bytes.Buffer
-	if err := enginelog.Write(&textLog, fixRun.Result.Log); err != nil {
-		t.Fatal(err)
-	}
-	if err := enginelog.WriteBinary(&binLog, fixRun.Result.Log); err != nil {
-		t.Fatal(err)
-	}
-
-	leaves := tr.Leaves()
-	stages := []stage{
-		timeStage("attribution", func(w int) {
-			if _, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules, slices, w, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}),
-		timeStage("issue_replay", func(w int) {
-			cfg := issues.Config{Parallelism: w}
-			issues.Analyze(prof, btl, cfg)
-		}),
-		// Provenance capture cost: nil recorder (the default) vs the explain
-		// recorder. Speedup under 1x on recorder=on is the price of evidence.
-		timeConfigs("attribution_provenance", "recorder=off", []config{
-			{"recorder=off", func() {
-				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
-					slices, 0, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}},
-			{"recorder=on", func() {
-				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
-					slices, 0, nil, explain.NewRecorder(0)); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		}),
-		// Enginelog decode: the same fixture log in both on-disk formats.
-		// Binary regressing below text speed fails the harness (see below).
-		timeConfigs("enginelog_parse", "format=text", []config{
-			{"format=text", func() {
-				if _, _, _, err := enginelog.ReadStats(bytes.NewReader(textLog.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-			}},
-			{"format=binary", func() {
-				if _, _, _, err := enginelog.ReadStats(bytes.NewReader(binLog.Bytes())); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		}),
-		// Columnar attribution core vs the frozen row-based oracle, both
-		// serial, so the delta is layout/pooling rather than parallelism.
-		timeConfigs("attribution_columnar", "impl=reference", []config{
-			{"impl=reference", func() {
-				if _, err := reference.Attribute(leaves, rt, rules, slices, nil); err != nil {
-					t.Fatal(err)
-				}
-			}},
-			{"impl=columnar", func() {
-				if _, err := attribution.AttributeWindow(tr, leaves, rt, rules,
-					slices, 1, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		}),
-	}
-
-	// The binary format exists to be faster; a bench run where it is not is a
-	// regression, and CI runs this harness as its bench smoke.
-	for _, s := range stages {
-		if s.Name != "enginelog_parse" {
-			continue
-		}
-		txt, bin := s.NsPerOp["format=text"], s.NsPerOp["format=binary"]
-		if bin >= txt {
-			t.Errorf("binary enginelog decode (%.0f ns/op) not faster than text (%.0f ns/op)", bin, txt)
-		}
-	}
-
-	// Archive the characterized fixture run with the stage timings attached,
-	// so the bench trajectory is diffable like any other archived profile.
-	mon, err := cluster.Monitor(fixRun.Result.Cluster, fixRun.Result.Start,
-		fixRun.Result.End, 50*vtime.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	charOut, err := grade10lib.Characterize(grade10lib.Input{
-		Log: fixRun.Result.Log, Monitoring: mon, Models: fixRun.Models,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := profstore.BuildRecord(rundir.Info{
-		Engine: "giraph", Job: "pagerank", Workers: fixCfg.Workers,
-		ThreadsPerWorker: fixCfg.ThreadsPerWorker, Cores: fixCfg.Machine.Cores,
-		NetBandwidth: fixCfg.Machine.NetBandwidth, DiskBandwidth: fixCfg.Machine.DiskBandwidth,
-		StartNS: int64(fixRun.Result.Start), EndNS: int64(fixRun.Result.End),
-	}, charOut)
-	rec.Label = "bench-pipeline"
-	for _, s := range stages {
-		rec.Bench = append(rec.Bench, profstore.BenchStage{Name: s.Name, NsPerOp: s.NsPerOp})
-	}
-	storeDir := os.Getenv("GRADE10_BENCH_STORE")
-	if storeDir == "" {
-		storeDir = t.TempDir()
-	}
-	store, err := profstore.Open(storeDir, profstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, _, err := store.Put(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	out := struct {
-		Date       string  `json:"date"`
-		RunID      string  `json:"run_id"`
-		HostCPUs   int     `json:"host_cpus"`
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Note       string  `json:"note"`
-		Stages     []stage `json:"stages"`
-	}{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		RunID:      meta.ID,
-		HostCPUs:   runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Note: "speedup is relative to workers=1 on this host; " +
-			"parallel gains need host_cpus > 1 (a 1-core host honestly reads ~1x). " +
-			"run_id is the profstore content ID of the archived fixture profile " +
-			"(timings ride as Record.Bench, excluded from the ID).",
-		Stages: stages,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_pipeline.json (host_cpus=%d, run_id=%s)", out.HostCPUs, meta.ID)
 }
 
 // BenchmarkDataflowEngine measures the Spark-like extension engine.

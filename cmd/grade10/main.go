@@ -534,24 +534,16 @@ func resolveModels(run *rundir.Run, modelsIn string, untuned bool) (grade10.Mode
 		DiskBandwidth:    run.Info.DiskBandwidth,
 		ThreadsPerWorker: run.Info.ThreadsPerWorker,
 	}
-	switch run.Info.Engine {
-	case "giraph":
-		if untuned {
-			models, err := grade10.GiraphModelUntuned(params)
-			log := grade10.FilterBlocking(run.Log, grade10.ResGC, grade10.ResMsgQueue)
-			return models, log, err
-		}
-		models, err := grade10.GiraphModel(params)
+	if !untuned {
+		models, err := grade10.ModelsForEngine(run.Info.Engine, params)
 		return models, run.Log, err
-	case "powergraph":
-		if untuned {
-			return grade10.Models{}, nil, fmt.Errorf("-untuned is only meaningful for the giraph engine")
-		}
-		models, err := grade10.PowerGraphModel(params)
-		return models, run.Log, err
-	default:
-		return grade10.Models{}, nil, fmt.Errorf("unknown engine %q in run metadata", run.Info.Engine)
 	}
+	if run.Info.Engine != "giraph" {
+		return grade10.Models{}, nil, fmt.Errorf("-untuned is only meaningful for the giraph engine")
+	}
+	models, err := grade10.GiraphModelUntuned(params)
+	log := grade10.FilterBlocking(run.Log, grade10.ResGC, grade10.ResMsgQueue)
+	return models, log, err
 }
 
 func fail(err error) {

@@ -52,7 +52,16 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	models, err := builtinModels(run)
+	// The built-in framework model named in the run metadata: the execution
+	// model is needed to parse the log, while the expert rules are replaced
+	// by the fit.
+	models, err := grade10.ModelsForEngine(run.Info.Engine, grade10.ModelParams{
+		Job:              run.Info.Job,
+		Cores:            run.Info.Cores,
+		NetBandwidth:     run.Info.NetBandwidth,
+		DiskBandwidth:    run.Info.DiskBandwidth,
+		ThreadsPerWorker: run.Info.ThreadsPerWorker,
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -120,27 +129,6 @@ func main() {
 		}
 		logger.Info(fmt.Sprintf("wrote %s (analyze with: grade10 -run %s -models %s)",
 			*out, *runDir, *out))
-	}
-}
-
-// builtinModels resolves the framework model named in the run metadata; the
-// execution model is needed to parse the log, while the expert rules are
-// replaced by the fit.
-func builtinModels(run *rundir.Run) (grade10.Models, error) {
-	params := grade10.ModelParams{
-		Job:              run.Info.Job,
-		Cores:            run.Info.Cores,
-		NetBandwidth:     run.Info.NetBandwidth,
-		DiskBandwidth:    run.Info.DiskBandwidth,
-		ThreadsPerWorker: run.Info.ThreadsPerWorker,
-	}
-	switch run.Info.Engine {
-	case "giraph":
-		return grade10.GiraphModel(params)
-	case "powergraph":
-		return grade10.PowerGraphModel(params)
-	default:
-		return grade10.Models{}, fmt.Errorf("unknown engine %q", run.Info.Engine)
 	}
 }
 

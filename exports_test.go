@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -95,6 +96,59 @@ func TestNoUnsetOptions(t *testing.T) {
 	}
 }
 
+// keepFields are read only by tests, by design, each with the reason.
+var keepFields = map[string]string{
+	"grade10/internal/giraphsim.Result.Values": "the vertex-program tests check the engine's values against internal/algo",
+	"grade10/internal/pgsim.Result.Values":     "the vertex-program tests check the engine's values against internal/algo",
+
+	"grade10/internal/giraphsim.Stats.BytesSent":      "engine tests check message bytes against the network model's traffic",
+	"grade10/internal/giraphsim.Stats.MessagesSent":   "engine tests check remote messages are counted, and none on one worker",
+	"grade10/internal/giraphsim.Stats.GCTime":         "engine tests check the pause per GC is the same for any GC thread count",
+	"grade10/internal/giraphsim.Stats.QueueStallTime": "engine tests check a faster network stalls producers less",
+	"grade10/internal/pgsim.Stats.BytesSent":          "engine tests check exchange bytes grow with the replication factor",
+	"grade10/internal/pgsim.Stats.MessagesSent":       "engine tests check a replicated graph exchanges messages",
+	"grade10/internal/pgsim.Stats.BarrierWait":        "engine tests check workers wait at barriers",
+	"grade10/internal/dataflowsim.Result.StageRows":   "engine tests check each stage's input rows follow the selectivities",
+
+	"grade10/internal/stream.MemStats.OpenPhases":    "bounded-memory tests read it through Engine.Mem",
+	"grade10/internal/stream.MemStats.PendingLeaves": "bounded-memory tests read it through Engine.Mem",
+	"grade10/internal/stream.MemStats.TreePhases":    "bounded-memory tests read it through Engine.Mem",
+	"grade10/internal/stream.MemStats.Windows":       "bounded-memory tests read it through Engine.Mem",
+}
+
+// TestNoTestOnlyFields fails when an exported field of an exported struct
+// under cmd/ or internal/ is never read by production code: only tests read
+// it, or nothing does, so whatever computes it is dead weight. A read is a
+// field selector anywhere but an assignment's left side or an increment; a
+// json tag counts as a read, because encoding/json reads the field. As in
+// the other ratchets, perfbench counts as production and the test oracles
+// are exempt. Embedded fields are exempt: they are read through the fields
+// and methods they promote.
+func TestNoTestOnlyFields(t *testing.T) {
+	c := scanModule(t)
+	var unread []string
+	kept := map[string]bool{}
+	for pos, key := range c.fields {
+		if c.fieldRead[pos] {
+			continue
+		}
+		if _, keep := keepFields[key]; keep {
+			kept[key] = true
+		} else {
+			unread = append(unread, key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("%s is an exported field no production code reads: delete it and the code that computes it", key)
+	}
+	for key := range keepFields {
+		if !kept[key] {
+			t.Errorf("keepFields exempts %s, which is gone or read by production: drop the exemption", key)
+		}
+	}
+}
+
 var (
 	moduleOnce    sync.Once
 	moduleChecker *exportChecker
@@ -158,6 +212,10 @@ type exportChecker struct {
 	// across the several type-checks of one package.
 	options   map[string]string // position -> pkg.Type.Field
 	optionSet map[string]bool   // positions production outside the package writes
+
+	// Exported struct fields, keyed by declaration position like options.
+	fields    map[string]string // position -> pkg.Type.Field
+	fieldRead map[string]bool   // positions production reads
 }
 
 func newExportChecker() *exportChecker {
@@ -168,6 +226,7 @@ func newExportChecker() *exportChecker {
 		decls: map[string]*exportDecl{}, prod: map[string]bool{}, test: map[string]bool{},
 		prodIfaceNames: map[string]bool{},
 		options:        map[string]string{}, optionSet: map[string]bool{},
+		fields: map[string]string{}, fieldRead: map[string]bool{},
 	}
 }
 
@@ -250,6 +309,7 @@ func (c *exportChecker) scanDir(dir string) error {
 		for _, f := range pf {
 			if !strings.HasSuffix(c.fset.Position(f.Pos()).Filename, "_test.go") {
 				c.recordWrites(pkgPath, f, info)
+				c.recordReads(f, info)
 			}
 		}
 		for id, obj := range info.Uses {
@@ -292,12 +352,22 @@ func (c *exportChecker) scanDir(dir string) error {
 		if !ok {
 			continue
 		}
-		if st, ok := named.Underlying().(*types.Struct); ok && tn.Exported() && !simulatorConfigs[dir] &&
-			(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options")) {
+		st, ok := named.Underlying().(*types.Struct)
+		if ok && tn.Exported() {
+			option := !simulatorConfigs[dir] &&
+				(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options"))
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if _, hook := f.Type().Underlying().(*types.Signature); f.Exported() && !hook {
-					c.options[c.fset.Position(f.Pos()).String()] = path + "." + tn.Name() + "." + f.Name()
+				if !f.Exported() || f.Embedded() {
+					continue
+				}
+				pos, key := c.fset.Position(f.Pos()).String(), path+"."+tn.Name()+"."+f.Name()
+				c.fields[pos] = key
+				if tag := reflect.StructTag(st.Tag(i)).Get("json"); tag != "" && tag != "-" {
+					c.fieldRead[pos] = true
+				}
+				if _, hook := f.Type().Underlying().(*types.Signature); option && !hook {
+					c.options[pos] = key
 				}
 			}
 		}
@@ -356,6 +426,27 @@ func (c *exportChecker) recordWrites(pkgPath string, f *ast.File, info *types.In
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				markSel(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// recordReads marks the struct fields one production file reads: every
+// field selector but those an assignment or increment writes to.
+func (c *exportChecker) recordReads(f *ast.File, info *types.Info) {
+	written := map[ast.Expr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				written[ast.Unparen(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			written[ast.Unparen(n.X)] = true
+		case *ast.SelectorExpr:
+			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+				c.fieldRead[c.fset.Position(s.Obj().Pos()).String()] = true
 			}
 		}
 		return true

@@ -150,8 +150,6 @@ type Rule struct {
 	// promotes from pending to firing; minimum (and default) 1.
 	For  int
 	Cond Cond
-	// Line is the 1-based source line in the rules file.
-	Line int
 }
 
 // String renders the rule in canonical form; parsing the result yields an

@@ -114,7 +114,7 @@ func parseRuleLine(text string, line int) (Rule, error) {
 	if len(toks) < 2 {
 		return fail("missing rule name after %q", "alert")
 	}
-	rule := Rule{Name: toks[1], Severity: SeverityWarning, For: 1, Line: line}
+	rule := Rule{Name: toks[1], Severity: SeverityWarning, For: 1}
 	if !validName(rule.Name) {
 		return fail("invalid rule name %q (want letters, digits, and [_:.-])", rule.Name)
 	}

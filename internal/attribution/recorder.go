@@ -61,8 +61,8 @@ type InstanceRecorder interface {
 // leaves is the candidate leaf set, normally tr.Leaves() or, when streaming,
 // the phases known to overlap the window; phases outside the window are
 // harmless (they contribute no demand and are pruned from the usage list).
-// The caller must sort leaves by (Start, Path) — the order tr.Leaves()
-// returns — so per-slice floating-point accumulation is deterministic.
+// The caller must sort leaves with core.SortPhases, the order tr.Leaves()
+// returns, so per-slice floating-point accumulation is deterministic.
 //
 // Instances are attributed concurrently over workers goroutines
 // (0 = par.Default()) — each (resource, machine) pair is independent — and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"grade10/internal/enginelog"
 	"grade10/internal/vtime"
@@ -322,18 +323,24 @@ func sortBlocked(ph *Phase) {
 }
 
 func sortChildren(p *Phase) {
-	sort.Slice(p.Children, func(i, j int) bool {
-		if p.Children[i].Start != p.Children[j].Start {
-			return p.Children[i].Start < p.Children[j].Start
-		}
-		return p.Children[i].Path < p.Children[j].Path
-	})
+	SortPhases(p.Children)
 	for _, c := range p.Children {
 		sortChildren(c)
 	}
 }
 
-// Leaves returns all leaf phases, sorted by start time then path.
+// SortPhases sorts phases into the one phase order: by start time, then
+// path. Paths are unique within a trace, so the order is total.
+func SortPhases(phases []*Phase) {
+	slices.SortFunc(phases, func(a, b *Phase) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Path, b.Path)
+	})
+}
+
+// Leaves returns all leaf phases in SortPhases order.
 func (tr *ExecutionTrace) Leaves() []*Phase {
 	var out []*Phase
 	tr.Root.Walk(func(p *Phase) {
@@ -341,17 +348,12 @@ func (tr *ExecutionTrace) Leaves() []*Phase {
 			out = append(out, p)
 		}
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Path < out[j].Path
-	})
+	SortPhases(out)
 	return out
 }
 
-// PhasesOfType returns all instances of the given type path, sorted by start
-// time then path.
+// PhasesOfType returns all instances of the given type path in SortPhases
+// order.
 func (tr *ExecutionTrace) PhasesOfType(typePath string) []*Phase {
 	var out []*Phase
 	for _, p := range tr.ByPath {
@@ -359,11 +361,6 @@ func (tr *ExecutionTrace) PhasesOfType(typePath string) []*Phase {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Path < out[j].Path
-	})
+	SortPhases(out)
 	return out
 }

@@ -82,7 +82,6 @@ type Result struct {
 	Log        *enginelog.Log
 	Cluster    *cluster.Cluster
 	Start, End vtime.Time
-	RootPath   string
 	// RowsIn and RowsOut verify conservation through the pipeline.
 	RowsIn, RowsOut float64
 	// StageRows[i][t] is the input row count of stage i, task t.
@@ -108,7 +107,6 @@ func Run(job Job, cfg Config) (*Result, error) {
 		Cluster:   e.cl,
 		Start:     0,
 		End:       e.endTime,
-		RootPath:  e.root,
 		RowsIn:    float64(job.InputRows),
 		RowsOut:   e.rowsOut,
 		StageRows: e.stageRows,

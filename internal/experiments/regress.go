@@ -22,7 +22,6 @@ import (
 // and localize the slowdown to the compute leaf × cpu, which is where extra
 // background CPU load lands in the Giraph model.
 type RegressResult struct {
-	BaselineID    string
 	NoisyID       string
 	BaselineNoise float64
 	InjectedNoise float64
@@ -121,8 +120,7 @@ func Regress() (*RegressResult, error) {
 	}
 
 	r := &RegressResult{
-		BaselineID: baseID, NoisyID: noisyID,
-		BaselineNoise: baseline, InjectedNoise: RegressNoiseCores,
+		NoisyID: noisyID, BaselineNoise: baseline, InjectedNoise: RegressNoiseCores,
 		Report: rep,
 	}
 	if tr := rep.TopRegression; tr != nil {

@@ -25,7 +25,7 @@ func TestRegressWatchdog(t *testing.T) {
 	if !r.Localized {
 		t.Errorf("top regression = %+v, want .../compute/thread × cpu", r.Report.TopRegression)
 	}
-	if r.BaselineID == r.NoisyID {
+	if r.Report.A.ID == r.Report.B.ID {
 		t.Error("baseline and noisy runs share a content ID")
 	}
 

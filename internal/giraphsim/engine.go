@@ -22,8 +22,6 @@ type Result struct {
 	Cluster *cluster.Cluster
 	// Start and End bound the run in virtual time.
 	Start, End vtime.Time
-	// RootPath is the top-level phase path ("/pagerank").
-	RootPath string
 	// Values are the final per-vertex algorithm values, identical to the
 	// sequential reference.
 	Values []float64
@@ -64,13 +62,12 @@ func Run(prog vertexprog.Program, part *graph.Partition, cfg Config) (*Result, e
 	e.sched.Run()
 
 	return &Result{
-		Log:      e.log.Log(),
-		Cluster:  e.cl,
-		Start:    0,
-		End:      e.endTime,
-		RootPath: e.root,
-		Values:   prog.Values(),
-		Stats:    e.stats,
+		Log:     e.log.Log(),
+		Cluster: e.cl,
+		Start:   0,
+		End:     e.endTime,
+		Values:  prog.Values(),
+		Stats:   e.stats,
 	}, nil
 }
 

@@ -76,8 +76,9 @@ func diskRules(p ModelParams, rules *core.RuleSet, em *core.ExecutionModel) {
 }
 
 // ModelsForEngine builds the built-in tuned models for the named engine
-// ("giraph" or "powergraph"). Both the batch CLI and the live serving layer
-// resolve run metadata through this one entry point.
+// ("giraph" or "powergraph"). The batch CLIs (cmd/grade10 and cmd/infer)
+// and the live serving layer resolve run metadata through this one entry
+// point.
 func ModelsForEngine(engine string, p ModelParams) (Models, error) {
 	switch engine {
 	case "giraph":

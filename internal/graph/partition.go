@@ -48,7 +48,6 @@ func HashPartition(g *Graph, k int) *Partition {
 //
 // Part count is limited to 64 so replica sets fit in one machine word.
 type VertexCut struct {
-	NumParts int
 	// replicaMask[v] has bit p set iff vertex v has a replica on part p.
 	replicaMask []uint64
 	// master[v] is the part holding v's master replica.
@@ -71,7 +70,6 @@ func GreedyVertexCut(g *Graph, k int) *VertexCut {
 	}
 	n := g.NumVertices()
 	vc := &VertexCut{
-		NumParts:    k,
 		replicaMask: make([]uint64, n),
 		master:      make([]uint8, n),
 		partEdges:   make([][]int64, k),

@@ -65,7 +65,8 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 	// Collect leaf types in a stable order.
 	typeIndex := map[string]int{}
 	var types []string
-	for _, leaf := range tr.Leaves() {
+	leaves := tr.Leaves()
+	for _, leaf := range leaves {
 		tp := leaf.Type.Path()
 		if _, ok := typeIndex[tp]; !ok {
 			typeIndex[tp] = len(types)
@@ -88,16 +89,23 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 	}
 	atb := make([]float64, n)
 
+	// Machines are summed in sorted order: float addition is not
+	// associative, so map order would make the fit vary between calls.
+	machines := make([]int, 0, len(monitoring))
+	for machine := range monitoring {
+		machines = append(machines, machine)
+	}
+	sort.Ints(machines)
 	row := make([]float64, n)
-	for machine, samples := range monitoring {
-		truth := samples.ToSeries()
+	for _, machine := range machines {
+		truth := monitoring[machine].ToSeries()
 		for k := 0; k < slices.Count; k++ {
 			t0, t1 := slices.Bounds(k)
 			for i := range row {
 				row[i] = 0
 			}
 			any := false
-			for _, leaf := range tr.Leaves() {
+			for _, leaf := range leaves {
 				if machine != core.GlobalMachine && leaf.Machine != machine {
 					continue
 				}

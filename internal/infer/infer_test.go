@@ -79,11 +79,12 @@ func TestInferRecoversKnownCoefficients(t *testing.T) {
 	}
 }
 
-// The §V headline: inferring the Giraph compute-thread rule from a real run
-// recovers "one active thread uses about one core" without any expert input.
-func TestInferGiraphThreadRule(t *testing.T) {
+// giraphFixture runs PageRank on the BSP engine with the given worker count
+// and returns its trace with per-machine CPU ground truth as monitoring.
+func giraphFixture(t *testing.T, workers int) (*core.ExecutionTrace, map[int]*metrics.SampleSeries) {
+	t.Helper()
 	cfg := giraphsim.DefaultConfig()
-	cfg.Workers = 2
+	cfg.Workers = workers
 	cfg.ThreadsPerWorker = 4
 	cfg.OSNoiseCores = 0 // fit against clean ground truth
 	g := graph.RMAT(11, 8, 42)
@@ -111,7 +112,13 @@ func TestInferGiraphThreadRule(t *testing.T) {
 		}
 		monitoring[m] = metrics.SampleSeriesOf(truth, run.Start, run.End, 10*vtime.Millisecond)
 	}
+	return tr, monitoring
+}
 
+// The §V headline: inferring the Giraph compute-thread rule from a real run
+// recovers "one active thread uses about one core" without any expert input.
+func TestInferGiraphThreadRule(t *testing.T) {
+	tr, monitoring := giraphFixture(t, 2)
 	res, err := InferRules(tr, cluster.ResCPU, monitoring,
 		Options{Timeslice: 10 * vtime.Millisecond})
 	if err != nil {
@@ -126,6 +133,34 @@ func TestInferGiraphThreadRule(t *testing.T) {
 	barrier := amount(res, "/pagerank/execute/superstep/worker/barrier")
 	if barrier > 0.3*thread {
 		t.Fatalf("barrier coefficient %v not negligible vs thread %v", barrier, thread)
+	}
+}
+
+// TestInferRulesDeterministic: the fit sums every machine's equations, so
+// repeated calls on the same multi-machine input must return bit-identical
+// coefficients, whatever order the monitoring map iterates in.
+func TestInferRulesDeterministic(t *testing.T) {
+	tr, monitoring := giraphFixture(t, 4)
+	opts := Options{Timeslice: 10 * vtime.Millisecond}
+	first, err := InferRules(tr, cluster.ResCPU, monitoring, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call < 30; call++ {
+		res, err := InferRules(tr, cluster.ResCPU, monitoring, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Coefficients) != len(first.Coefficients) {
+			t.Fatalf("call %d: %d coefficients, first call %d", call, len(res.Coefficients), len(first.Coefficients))
+		}
+		for i, c := range res.Coefficients {
+			want := first.Coefficients[i]
+			if c.TypePath != want.TypePath || math.Float64bits(c.Amount) != math.Float64bits(want.Amount) {
+				t.Fatalf("call %d: coefficient %d = %s %v, first call %s %v",
+					call, i, c.TypePath, c.Amount, want.TypePath, want.Amount)
+			}
+		}
 	}
 }
 

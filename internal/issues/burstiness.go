@@ -14,10 +14,8 @@ import (
 type Burstiness struct {
 	// InstanceKey identifies the resource instance ("cpu@0").
 	InstanceKey string
-	// Mean is the average per-slice consumption over the active span
-	// (slices from the first to the last nonzero consumption).
-	Mean float64
-	// CoV is the coefficient of variation (σ/μ) over that span: 0 for
+	// CoV is the coefficient of variation (σ/μ) over the active span
+	// (slices from the first to the last nonzero consumption): 0 for
 	// perfectly smooth usage, >1 for heavily bursty usage.
 	CoV float64
 	// PeakToMean is max/mean over the span.
@@ -56,7 +54,7 @@ func DetectBurstiness(prof *attribution.Profile) []Burstiness {
 			variance += (c - mean) * (c - mean)
 		}
 		variance /= float64(len(span))
-		b := Burstiness{InstanceKey: ip.Instance.Key(), Mean: mean}
+		b := Burstiness{InstanceKey: ip.Instance.Key()}
 		if mean > 0 {
 			b.CoV = math.Sqrt(variance) / mean
 			b.PeakToMean = maxV / mean

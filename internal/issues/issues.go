@@ -92,8 +92,6 @@ func (i Issue) Describe() string {
 type Outlier struct {
 	// Phase is the straggling phase.
 	Phase *core.Phase
-	// Group is the parent path (e.g. one worker's gather step).
-	Group string
 	// Ratio is the phase duration over the mean of its siblings.
 	Ratio float64
 	// StepSlowdown is the concurrency group's max duration over the max
@@ -456,7 +454,7 @@ func DetectOutliers(tr *core.ExecutionTrace, cfg Config) []Outlier {
 				ratio = float64(o.Duration()) / float64(mean)
 			}
 			out = append(out, Outlier{
-				Phase: o, Group: o.Parent.Path, Ratio: ratio, StepSlowdown: slowdown,
+				Phase: o, Ratio: ratio, StepSlowdown: slowdown,
 			})
 		}
 	}

@@ -162,7 +162,7 @@ func TestGroupsByNearestSequentialAncestor(t *testing.T) {
 	}
 	for _, g := range threadGroups {
 		if len(g.Members) != 4 {
-			t.Fatalf("group %s has %d members", g.Key, len(g.Members))
+			t.Fatalf("group of %s has %d members", g.Members[0].Path, len(g.Members))
 		}
 	}
 	var total vtime.Duration

@@ -242,14 +242,13 @@ func Groups(tr *core.ExecutionTrace) []Group {
 	for _, k := range keys {
 		members := byKey[k]
 		sort.Slice(members, func(i, j int) bool { return members[i].Path < members[j].Path })
-		out = append(out, Group{Key: k, TypePath: members[0].Type.Path(), Members: members})
+		out = append(out, Group{TypePath: members[0].Type.Path(), Members: members})
 	}
 	return out
 }
 
 // Group is a set of interchangeable concurrent phases.
 type Group struct {
-	Key      string
 	TypePath string
 	Members  []*core.Phase
 }

@@ -21,8 +21,6 @@ type Result struct {
 	Cluster *cluster.Cluster
 	// Start and End bound the run in virtual time.
 	Start, End vtime.Time
-	// RootPath is the top-level phase path ("/cdlp").
-	RootPath string
 	// Values are the final per-vertex algorithm values.
 	Values []float64
 	// Stats aggregates engine observations.
@@ -50,13 +48,12 @@ func Run(prog vertexprog.Program, cfg Config) (*Result, error) {
 	e.sched.Run()
 
 	return &Result{
-		Log:      e.log.Log(),
-		Cluster:  e.cl,
-		Start:    0,
-		End:      e.endTime,
-		RootPath: e.root,
-		Values:   prog.Values(),
-		Stats:    e.stats,
+		Log:     e.log.Log(),
+		Cluster: e.cl,
+		Start:   0,
+		End:     e.endTime,
+		Values:  prog.Values(),
+		Stats:   e.stats,
 	}, nil
 }
 

@@ -105,16 +105,6 @@ type IssueDelta struct {
 	DeltaImpact float64 `json:"delta_impact"`
 }
 
-// BenchDelta compares one wall-clock bench stage configuration. Host
-// dependent — reported for trajectory reading, never part of the verdict.
-type BenchDelta struct {
-	Stage    string  `json:"stage"`
-	Config   string  `json:"config"`
-	ANsPerOp float64 `json:"a_ns_per_op"`
-	BNsPerOp float64 `json:"b_ns_per_op"`
-	Ratio    float64 `json:"ratio"` // b/a; >1 is slower
-}
-
 // Localization names the leaf phase-type path and resource that explain the
 // largest makespan movement, with the per-resource evidence that picked the
 // resource (all in seconds; attribution normalized by resource capacity).
@@ -162,7 +152,6 @@ type Report struct {
 
 	Bottlenecks []BottleneckDelta `json:"bottlenecks"`
 	Issues      []IssueDelta      `json:"issues"`
-	Bench       []BenchDelta      `json:"bench,omitempty"`
 }
 
 // Diff aligns and compares two records. The pair is regressed when the
@@ -209,7 +198,6 @@ func Diff(a, b *profstore.Record, threshold float64) (*Report, error) {
 	rep.Phases, rep.PhasesOmitted = rankPhases(phases)
 	rep.Bottlenecks = diffBottlenecks(a, b)
 	rep.Issues = diffIssues(a, b)
-	rep.Bench = diffBench(a, b)
 	return rep, nil
 }
 
@@ -554,49 +542,6 @@ func diffIssues(a, b *profstore.Record) []IssueDelta {
 			return out[i].Kind < out[j].Kind
 		}
 		return out[i].Target < out[j].Target
-	})
-	return out
-}
-
-func diffBench(a, b *profstore.Record) []BenchDelta {
-	if len(a.Bench) == 0 || len(b.Bench) == 0 {
-		return nil
-	}
-	index := func(stages []profstore.BenchStage) map[string]profstore.BenchStage {
-		m := make(map[string]profstore.BenchStage, len(stages))
-		for _, s := range stages {
-			m[s.Name] = s
-		}
-		return m
-	}
-	bm := index(b.Bench)
-	var out []BenchDelta
-	for _, sa := range a.Bench {
-		sb, ok := bm[sa.Name]
-		if !ok {
-			continue
-		}
-		cfgs := make([]string, 0, len(sa.NsPerOp))
-		for c := range sa.NsPerOp {
-			if _, ok := sb.NsPerOp[c]; ok {
-				cfgs = append(cfgs, c)
-			}
-		}
-		sort.Strings(cfgs)
-		for _, c := range cfgs {
-			d := BenchDelta{Stage: sa.Name, Config: c,
-				ANsPerOp: sa.NsPerOp[c], BNsPerOp: sb.NsPerOp[c]}
-			if d.ANsPerOp > 0 {
-				d.Ratio = d.BNsPerOp / d.ANsPerOp
-			}
-			out = append(out, d)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Stage != out[j].Stage {
-			return out[i].Stage < out[j].Stage
-		}
-		return out[i].Config < out[j].Config
 	})
 	return out
 }

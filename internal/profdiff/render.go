@@ -87,17 +87,6 @@ func WriteText(w io.Writer, rep *Report) error {
 		tw.Flush()
 	}
 
-	if len(rep.Bench) > 0 {
-		fmt.Fprintf(&b, "\nbench (wall clock, host dependent — not part of the verdict):\n")
-		tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(tw, "  stage\tconfig\ta ns/op\tb ns/op\tratio\n")
-		for _, d := range rep.Bench {
-			fmt.Fprintf(tw, "  %s\t%s\t%.0f\t%.0f\t%.2fx\n",
-				d.Stage, d.Config, d.ANsPerOp, d.BNsPerOp, d.Ratio)
-		}
-		tw.Flush()
-	}
-
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -102,16 +102,6 @@ type IssueSummary struct {
 	Impact       float64 `json:"impact"`
 }
 
-// BenchStage carries one wall-clock benchmark stage alongside the profile,
-// so BENCH_*.json trajectories ride the same archive the watchdog reads.
-// Wall-clock numbers are host-dependent (the seed container has one core;
-// speedups there are honestly ~1x) and are excluded from the content ID.
-type BenchStage struct {
-	Name string `json:"name"`
-	// NsPerOp maps a configuration label (e.g. "workers=4") to ns/op.
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-}
-
 // Record is one archived run: everything profdiff needs to explain a
 // cross-run delta, none of the raw per-timeslice bulk.
 type Record struct {
@@ -136,8 +126,6 @@ type Record struct {
 
 	Stragglers            int     `json:"stragglers"`
 	UnderutilizedFraction float64 `json:"underutilized_fraction"`
-
-	Bench []BenchStage `json:"bench,omitempty"`
 }
 
 // BuildRecord summarizes one characterization into an archivable Record.
@@ -305,11 +293,11 @@ func BuildRecord(info rundir.Info, out *grade10.Output) *Record {
 
 // ContentID derives the record's deterministic ID: the first 12 hex digits
 // of the SHA-256 of its stable encoding with the store-assigned fields (ID,
-// Seq, Label) and the host-dependent Bench section zeroed. Two analyses of
-// the same run — at any parallelism — share an ID; archiving is idempotent.
+// Seq, Label) zeroed. Two analyses of the same run — at any parallelism —
+// share an ID; archiving is idempotent.
 func ContentID(rec *Record) string {
 	clone := *rec
-	clone.ID, clone.Seq, clone.Label, clone.Bench = "", 0, "", nil
+	clone.ID, clone.Seq, clone.Label = "", 0, ""
 	data, err := json.Marshal(&clone)
 	if err != nil {
 		// Record marshaling cannot fail: plain structs, string-keyed maps.

@@ -86,12 +86,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestContentIDDeterministicAndIdempotent(t *testing.T) {
 	a := testRecord("pr", 1_000_000_000)
 	b := testRecord("pr", 1_000_000_000)
-	// Store-assigned and host-dependent fields do not change the identity.
+	// Store-assigned fields do not change the identity.
 	b.Label = "other-label"
 	b.Seq = 99
-	b.Bench = []BenchStage{{Name: "attribution", NsPerOp: map[string]float64{"workers=1": 123}}}
 	if ContentID(a) != ContentID(b) {
-		t.Fatal("label/seq/bench changed the content ID")
+		t.Fatal("label/seq changed the content ID")
 	}
 	c := testRecord("pr", 1_100_000_000)
 	if ContentID(a) == ContentID(c) {
@@ -196,6 +195,28 @@ func TestVersionCompat(t *testing.T) {
 	}
 	if got.Version != 1 {
 		t.Fatalf("legacy record version = %d, want 1", got.Version)
+	}
+
+	// A record with the wall-clock "bench" section older builds wrote still
+	// opens, under the same content ID.
+	end := strings.LastIndex(string(data), "}")
+	withBench := string(data[:end]) + `,
+  "bench": [{"name": "attribution", "ns_per_op": {"workers=1": 123}}]
+}
+`
+	if err := os.WriteFile(path, []byte(withBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = reopened.Get(meta.ID)
+	if err != nil {
+		t.Fatalf("record with a bench section: %v", err)
+	}
+	if got.ID != meta.ID || ContentID(got) != meta.ID {
+		t.Fatalf("record with a bench section: id %q, content id %q, want %q", got.ID, ContentID(got), meta.ID)
 	}
 
 	// A record from a future schema is rejected with a clear error.

@@ -35,7 +35,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,11 +167,10 @@ type Stats struct {
 // MemStats exposes the engine's retained-state sizes, for bounded-memory
 // verification.
 type MemStats struct {
-	OpenPhases      int
-	PendingLeaves   int
-	TreePhases      int
-	BufferedSamples int
-	Windows         int
+	OpenPhases    int
+	PendingLeaves int
+	TreePhases    int
+	Windows       int
 }
 
 // instFeed is the per-resource-instance monitoring buffer.
@@ -602,8 +600,9 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 
 	// Leaves overlapping the window: retired-pending closed leaves plus
 	// currently-open model-leaf phases (extended provisionally to the
-	// watermark). Sorted as tr.Leaves() sorts, so attribution accumulates
-	// in the same deterministic order as the batch path.
+	// watermark). In core.SortPhases order, as tr.Leaves() returns them, so
+	// attribution accumulates in the same deterministic order as the batch
+	// path.
 	var leaves []*core.Phase
 	for _, ph := range e.pending {
 		if ph.Start < w1 && ph.End > w0 {
@@ -619,12 +618,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 			leaves = append(leaves, ph)
 		}
 	}
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].Start != leaves[j].Start {
-			return leaves[i].Start < leaves[j].Start
-		}
-		return leaves[i].Path < leaves[j].Path
-	})
+	core.SortPhases(leaves)
 
 	rt := core.NewResourceTrace()
 	for _, key := range e.feedOrder {
@@ -989,18 +983,12 @@ func (e *Engine) Explain(queryStr string) ([]WindowDerivation, error) {
 func (e *Engine) Mem() MemStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	buffered := 0
-	for _, key := range e.feedOrder {
-		f := e.feeds[key]
-		buffered += len(f.samples) - f.firstPending
-	}
 	tree := 0
 	e.tree.Root().Walk(func(*core.Phase) { tree++ })
 	return MemStats{
-		OpenPhases:      len(e.tree.Open()),
-		PendingLeaves:   len(e.pending),
-		TreePhases:      tree - 1,
-		BufferedSamples: buffered,
-		Windows:         len(e.windows),
+		OpenPhases:    len(e.tree.Open()),
+		PendingLeaves: len(e.pending),
+		TreePhases:    tree - 1,
+		Windows:       len(e.windows),
 	}
 }

@@ -81,7 +81,7 @@ func getFixture(t testing.TB) *fixture {
 			run: &rundir.Run{
 				Log: run.Result.Log, Monitoring: monitoring,
 				Info: rundir.Info{
-					Engine: "giraph", Job: run.Spec.Algorithm, Workers: run.Config.Workers,
+					Engine: "giraph", Job: "pagerank", Workers: run.Config.Workers,
 					ThreadsPerWorker: run.Config.ThreadsPerWorker, Cores: mc.Cores,
 					NetBandwidth: mc.NetBandwidth, DiskBandwidth: mc.DiskBandwidth,
 					StartNS: int64(run.Result.Start), EndNS: int64(run.Result.End),

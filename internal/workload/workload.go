@@ -111,7 +111,6 @@ func All() []Spec {
 // GiraphRun is a finished BSP-engine execution with everything Grade10
 // needs.
 type GiraphRun struct {
-	Spec   Spec
 	Config giraphsim.Config
 	Result *giraphsim.Result
 	Models grade10.Models
@@ -140,7 +139,7 @@ func RunGiraph(spec Spec, cfg giraphsim.Config) (*GiraphRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GiraphRun{Spec: spec, Config: cfg, Result: res, Models: models}, nil
+	return &GiraphRun{Config: cfg, Result: res, Models: models}, nil
 }
 
 // Characterize runs the Grade10 pipeline on the run with the given
@@ -160,7 +159,6 @@ func (r *GiraphRun) Characterize(interval, timeslice vtime.Duration) (*grade10.O
 
 // PowerGraphRun is a finished GAS-engine execution.
 type PowerGraphRun struct {
-	Spec   Spec
 	Config pgsim.Config
 	Result *pgsim.Result
 	Models grade10.Models
@@ -188,7 +186,7 @@ func RunPowerGraph(spec Spec, cfg pgsim.Config) (*PowerGraphRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PowerGraphRun{Spec: spec, Config: cfg, Result: res, Models: models}, nil
+	return &PowerGraphRun{Config: cfg, Result: res, Models: models}, nil
 }
 
 // Characterize runs the Grade10 pipeline on the run.
