@@ -215,13 +215,87 @@ func BenchmarkBottleneckDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkReplaySimulator measures the §III-F trace replay.
+// BenchmarkReplaySimulator measures the §III-F trace replay in its two
+// parts: compiling a finished trace's schedule, once per analysis, and one
+// replay over it, once per what-if candidate. It runs on the Giraph fixture
+// and on synthetic BSP logs of 50 and 500 sequential supersteps; a replay is
+// one pass over the schedule, so its time grows linearly with the superstep
+// count.
 func BenchmarkReplaySimulator(b *testing.B) {
-	tr, _, _, _ := analyzerFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		issues.Replay(tr, nil)
+	fixture, _, _, _ := analyzerFixture(b)
+	for _, c := range []struct {
+		name string
+		tr   *core.ExecutionTrace
+	}{
+		{"fixture", fixture},
+		{"supersteps=50", superstepTrace(b, 50)},
+		{"supersteps=500", superstepTrace(b, 500)},
+	} {
+		b.Run(c.name+"/compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				issues.Compile(c.tr)
+			}
+		})
+		sched := issues.Compile(c.tr)
+		b.Run(c.name+"/replay", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sched.Replay(nil)
+			}
+		})
 	}
+}
+
+// superstepTrace builds a BSP trace of n sequential supersteps on four
+// workers, each computing for a worker- and step-dependent time and then
+// waiting at a cluster-wide barrier.
+func superstepTrace(b testing.TB, n int) *core.ExecutionTrace {
+	b.Helper()
+	root := core.NewRootType("bsp")
+	ss := root.Child("superstep", true)
+	ss.Sequential = true
+	worker := ss.Child("worker", true)
+	worker.Child("compute", false)
+	worker.Child("barrier", false, "compute").SyncGroup = true
+	model, err := core.NewExecutionModel(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const workers = 4
+	var now vtime.Time
+	l := enginelog.NewLogger(func() vtime.Time { return now })
+	l.StartPhase("/bsp", -1)
+	for s := 0; s < n; s++ {
+		ssPath := enginelog.JoinIndexed("/bsp", "superstep", s)
+		l.StartPhase(ssPath, -1)
+		start := now
+		var end vtime.Time
+		for w := 0; w < workers; w++ {
+			end = vtime.Max(end, start.Add(vtime.Duration(10+(s*7+w*3)%11)*vtime.Millisecond))
+		}
+		for w := 0; w < workers; w++ {
+			wPath := enginelog.JoinIndexed(ssPath, "worker", w)
+			computed := start.Add(vtime.Duration(10+(s*7+w*3)%11) * vtime.Millisecond)
+			now = start
+			l.StartPhase(wPath, w)
+			l.StartPhase(wPath+"/compute", -1)
+			now = computed
+			l.EndPhase(wPath + "/compute")
+			l.StartPhase(wPath+"/barrier", -1)
+			now = end
+			l.BlockedSince(wPath+"/barrier", "sync", computed)
+			l.EndPhase(wPath + "/barrier")
+			l.EndPhase(wPath)
+		}
+		l.EndPhase(ssPath)
+	}
+	l.EndPhase("/bsp")
+	tr, err := core.BuildExecutionTrace(l.Log(), model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }
 
 // BenchmarkGiraphEngine measures the BSP engine simulation end to end.

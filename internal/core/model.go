@@ -81,6 +81,9 @@ func (t *PhaseType) Child(name string, repeated bool, after ...string) *PhaseTyp
 	return c
 }
 
+// child returns the child type with the given name, or nil.
+func (t *PhaseType) child(name string) *PhaseType { return t.byName[name] }
+
 // Children returns the child types in declaration order.
 func (t *PhaseType) Children() []*PhaseType { return t.children }
 
@@ -109,12 +112,19 @@ type ExecutionModel struct {
 }
 
 // NewExecutionModel finalizes a type hierarchy into a model. It validates
-// that After edges reference existing siblings and contain no cycles.
+// that After edges reference existing siblings and contain no cycles, and
+// that no type is both Sequential and SyncGroup: a sequential instance
+// starts after its predecessor ends, while a sync group makes every
+// instance end with its latest sibling, so such a type would wait on
+// itself.
 func NewExecutionModel(root *PhaseType) (*ExecutionModel, error) {
 	m := &ExecutionModel{Root: root, byPath: map[string]*PhaseType{}}
 	var walk func(t *PhaseType) error
 	walk = func(t *PhaseType) error {
 		m.byPath[t.Path()] = t
+		if t.Sequential && t.SyncGroup {
+			return fmt.Errorf("core: phase %s: a type cannot be both Sequential and SyncGroup", t.Path())
+		}
 		if err := checkSiblingDAG(t); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -69,6 +70,20 @@ func TestModelRejectsCyclicAfter(t *testing.T) {
 	root.Child("b", false, "a")
 	if _, err := NewExecutionModel(root); err == nil {
 		t.Fatal("cyclic precedence accepted")
+	}
+}
+
+// A type both Sequential and SyncGroup would wait on itself in the replay:
+// each instance starts after its predecessor ends, and every instance ends
+// with the latest one. The model rejects it, naming the type.
+func TestModelRejectsSequentialSyncGroup(t *testing.T) {
+	root := NewRootType("app")
+	step := root.Child("step", true)
+	step.Sequential = true
+	step.SyncGroup = true
+	_, err := NewExecutionModel(root)
+	if err == nil || !strings.Contains(err.Error(), "/app/step") {
+		t.Fatalf("err = %v, want a rejection naming /app/step", err)
 	}
 }
 

@@ -156,6 +156,11 @@ type ExecutionTrace struct {
 	// Start and End bound the whole execution.
 	Start vtime.Time
 	End   vtime.Time
+
+	// leaves caches Leaves for a finished trace. Only Finish sets it: a
+	// trace assembled by hand over a growing tree (a live window) never
+	// holds a cache that later events could make stale.
+	leaves []*Phase
 }
 
 // BuildExecutionTrace parses an engine log against an execution model: it
@@ -206,17 +211,11 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 		if _, dup := b.tr.ByPath[e.Path]; dup {
 			return nil, fmt.Errorf("core: event %d: duplicate phase %q", i, e.Path)
 		}
-		pt := b.model.LookupInstance(e.Path)
+		parent, pt := b.resolve(e.Path)
 		if pt == nil {
-			return nil, fmt.Errorf("core: event %d: phase %q has no type %q in the execution model",
-				i, e.Path, enginelog.TypePath(e.Path))
-		}
-		parent := b.tr.Root
-		if pp := enginelog.Parent(e.Path); pp != "/" {
-			var ok bool
-			parent, ok = b.tr.ByPath[pp]
-			if !ok {
-				return nil, fmt.Errorf("core: event %d: phase %q starts before its parent %q", i, e.Path, pp)
+			var err error
+			if parent, pt, err = b.resolveSlow(i, e.Path); err != nil {
+				return nil, err
 			}
 		}
 		machine := e.Machine
@@ -252,6 +251,52 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 	}
 	// Counters are informational; the trace ignores them.
 	return nil, nil
+}
+
+// resolve finds a started phase's parent and type without splitting its
+// path: the parent path ends at the last slash, and the type is the parent
+// phase's type's child named by the last segment. It answers only for
+// canonical paths ("/a/b.1": a leading slash, no empty segment, no trailing
+// slash), where that agrees with resolving the whole type path. Otherwise,
+// or when the parent or type is missing, it returns a nil type and the
+// caller takes resolveSlow, which also words the error.
+func (b *TreeBuilder) resolve(path string) (*Phase, *PhaseType) {
+	if len(path) < 2 || path[0] != '/' || path[len(path)-1] == '/' || strings.Contains(path, "//") {
+		return nil, nil
+	}
+	cut := strings.LastIndexByte(path, '/')
+	name := enginelog.SegmentName(path[cut+1:])
+	if cut == 0 {
+		if root := b.model.Root; root.Name == name {
+			return b.tr.Root, root
+		}
+		return nil, nil
+	}
+	parent, ok := b.tr.ByPath[path[:cut]]
+	if !ok {
+		return nil, nil
+	}
+	return parent, parent.Type.child(name)
+}
+
+// resolveSlow resolves a started phase's type from its whole type path and
+// its parent from its parent path, and reports which of the two is missing,
+// type first.
+func (b *TreeBuilder) resolveSlow(i int, path string) (*Phase, *PhaseType, error) {
+	pt := b.model.LookupInstance(path)
+	if pt == nil {
+		return nil, nil, fmt.Errorf("core: event %d: phase %q has no type %q in the execution model",
+			i, path, enginelog.TypePath(path))
+	}
+	parent := b.tr.Root
+	if pp := enginelog.Parent(path); pp != "/" {
+		var ok bool
+		parent, ok = b.tr.ByPath[pp]
+		if !ok {
+			return nil, nil, fmt.Errorf("core: event %d: phase %q starts before its parent %q", i, path, pp)
+		}
+	}
+	return parent, pt, nil
 }
 
 // Root returns the synthetic root of the growing tree.
@@ -312,6 +357,7 @@ func (b *TreeBuilder) Finish() (*ExecutionTrace, error) {
 	}
 	root.Start, root.End = tr.Start, tr.End
 	sortChildren(root)
+	tr.leaves = slices.Clip(collectLeaves(root))
 	return tr, nil
 }
 
@@ -340,11 +386,21 @@ func SortPhases(phases []*Phase) {
 	})
 }
 
-// Leaves returns all leaf phases in SortPhases order.
+// Leaves returns all leaf phases in SortPhases order. A finished trace
+// sorts them once and returns that shared slice on every call: callers must
+// not modify it.
 func (tr *ExecutionTrace) Leaves() []*Phase {
+	if tr.leaves != nil {
+		return tr.leaves
+	}
+	return collectLeaves(tr.Root)
+}
+
+// collectLeaves gathers the leaves under root in SortPhases order.
+func collectLeaves(root *Phase) []*Phase {
 	var out []*Phase
-	tr.Root.Walk(func(p *Phase) {
-		if p != tr.Root && p.IsLeaf() {
+	root.Walk(func(p *Phase) {
+		if p != root && p.IsLeaf() {
 			out = append(out, p)
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"grade10/internal/enginelog"
@@ -277,5 +278,85 @@ func TestTreeBuilderIncremental(t *testing.T) {
 	}
 	if _, err := b.Add(enginelog.Event{Kind: enginelog.Blocked, Time: at(1), End: at(2), Path: "/app/load", Resource: "gc"}); err == nil {
 		t.Fatal("blocking event for a retired phase accepted")
+	}
+}
+
+// TestTreeBuilderResolvesLikeTypePath pins the builder's path resolution to
+// its definition: a started phase's type is the model type at its type path
+// and its parent the phase at its parent path, and a rejection reports the
+// missing type before the missing parent. Canonical paths take the
+// parent-type lookup, others the whole-path lookup; both must agree with the
+// definition, including on odd paths.
+func TestTreeBuilderResolvesLikeTypePath(t *testing.T) {
+	m := buildBSPModel(t)
+	base := []string{"/app", "/app/", "/app/execute", "/app/execute/superstep.0", "/app/execute/superstep.0/worker.1"}
+	paths := []string{
+		"/app/load", "/app/execute/superstep.1", "/app/execute/superstep.0/worker.1/compute",
+		"/app/execute/superstep.0/worker.0/compute", "/app/mystery", "/app/load.7",
+		"/app/execute/superstep.0/", "/app//load", "app/load", "/app/execute/superstep.x/worker.1",
+		"/other", "/app.2", "/", "", "//app",
+	}
+	for _, path := range paths {
+		b := NewTreeBuilder(m)
+		for _, p := range base {
+			if _, err := b.Add(enginelog.Event{Kind: enginelog.PhaseStart, Path: p, Machine: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ph, err := b.Add(enginelog.Event{Kind: enginelog.PhaseStart, Path: path, Machine: -1})
+
+		wantType := m.LookupInstance(path)
+		wantParent, parentOK := b.Root(), true
+		if pp := enginelog.Parent(path); pp != "/" {
+			wantParent, parentOK = b.tr.ByPath[pp]
+		}
+		switch {
+		case wantType == nil:
+			if err == nil || !strings.Contains(err.Error(), "has no type") {
+				t.Errorf("%q: err %v, want a missing-type rejection", path, err)
+			}
+		case !parentOK:
+			if err == nil || !strings.Contains(err.Error(), "starts before its parent") {
+				t.Errorf("%q: err %v, want a missing-parent rejection", path, err)
+			}
+		case err != nil:
+			t.Errorf("%q: rejected: %v", path, err)
+		case ph.Type != wantType || ph.Parent != wantParent:
+			t.Errorf("%q: type %s parent %s, want %s under %s",
+				path, ph.Type.Path(), ph.Parent.Path, wantType.Path(), wantParent.Path)
+		}
+	}
+}
+
+// TestLeavesSharedOnceFinished checks the leaf cache: a finished trace sorts
+// its leaves once and hands out one clipped slice, while a trace assembled
+// by hand over a growing tree, as a live window is, sees every new leaf.
+func TestLeavesSharedOnceFinished(t *testing.T) {
+	tr := simpleTrace(t)
+	a, b := tr.Leaves(), tr.Leaves()
+	if &a[0] != &b[0] || cap(a) != len(a) {
+		t.Fatal("finished trace re-collected its leaves or handed out spare capacity")
+	}
+
+	bld := NewTreeBuilder(buildBSPModel(t))
+	window := &ExecutionTrace{Root: bld.Root()}
+	for i, step := range []struct {
+		path string
+		want []string
+	}{
+		{"/app", []string{"/app"}},
+		{"/app/load", []string{"/app/load"}},
+		{"/app/execute", []string{"/app/load", "/app/execute"}},
+	} {
+		if _, err := bld.Add(enginelog.Event{Kind: enginelog.PhaseStart, Time: at(int64(i)), Path: step.path, Machine: -1}); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, leaf := range window.Leaves() {
+			got = append(got, leaf.Path)
+		}
+		if strings.Join(got, " ") != strings.Join(step.want, " ") {
+			t.Fatalf("after %s: window leaves %v, want %v", step.path, got, step.want)
+		}
 	}
 }

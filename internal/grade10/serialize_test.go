@@ -108,11 +108,16 @@ func TestLoadModelsErrors(t *testing.T) {
 		"unknown type":     `{"execution":{"name":"a"},"resources":[{"name":"cpu","kind":"blocking"}],"rules":[{"phase_type":"/b","resource":"cpu","kind":"none"}]}`,
 		"unknown resource": `{"execution":{"name":"a"},"resources":[],"rules":[{"phase_type":"/a","resource":"cpu","kind":"none"}]}`,
 		"zero capacity":    `{"execution":{"name":"a"},"resources":[{"name":"cpu","kind":"consumable"}]}`,
+		"sequential sync":  `{"execution":{"name":"a","children":[{"name":"step","repeated":true,"sequential":true,"sync_group":true}]},"resources":[]}`,
 	}
 	for name, in := range cases {
 		if _, err := LoadModels(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// A type the replay could never schedule is named in the error.
+	if _, err := LoadModels(strings.NewReader(cases["sequential sync"])); err == nil || !strings.Contains(err.Error(), "/a/step") {
+		t.Errorf("sequential sync: err %v, want it to name /a/step", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package issues
 
 import (
+	"slices"
+
 	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
@@ -12,126 +14,112 @@ type CriticalStep struct {
 	End   vtime.Time
 }
 
-// CriticalPath extracts the chain of leaf phases that determines the
-// replayed makespan: starting from the phase whose end equals the root end,
-// it walks backward through whichever dependency (sibling precedence,
-// sequential predecessor, or sync-group straggler) pinned each start. The
-// paper's §VI groups critical-path analysis with Grade10 as complementary
-// techniques; here it falls out of the replay scheduler directly.
+// criticalPath extracts, from one replay's node values, the chain of leaf
+// phases that determines the replayed makespan: starting from the leaf whose
+// end equals the root end, it walks backward through whichever dependency
+// (sibling precedence, sequential predecessor, or sync-group straggler)
+// pinned each start. The paper's §VI groups critical-path analysis with
+// Grade10 as complementary techniques; here it falls out of the replay
+// scheduler directly.
 //
 // The result is ordered from the start of the execution to its end. Gaps are
 // possible where a leaf's start was pinned by its parent's start rather than
 // another leaf.
-func CriticalPath(tr *core.ExecutionTrace) []CriticalStep {
-	r := &replay{
-		start:  map[*core.Phase]vtime.Time{},
-		end:    map[*core.Phase]vtime.Time{},
-		sync:   map[string]vtime.Time{},
-		groups: map[string][]*core.Phase{},
-	}
-	r.index(tr.Root)
-	makespan := r.endOf(tr.Root)
+func (s *Schedule) criticalPath(val []vtime.Time) []CriticalStep {
+	makespan := val[s.end[0]]
 
 	// Find the leaf whose replayed end matches the makespan; among ties take
 	// the lexicographically first for determinism.
-	var cur *core.Phase
-	for _, leaf := range tr.Leaves() {
-		if r.endOf(leaf) == makespan {
-			if cur == nil || leaf.Path < cur.Path {
-				cur = leaf
-			}
+	cur := int32(-1)
+	for _, p := range s.leafOf {
+		if val[s.end[p]] == makespan && (cur < 0 || s.phases[p].Path < s.phases[cur].Path) {
+			cur = p
 		}
 	}
 	// A sync-group leaf's coupled end may exceed every leaf's raw end only
 	// when the group's straggler is itself a leaf, so cur is found whenever
 	// the trace has leaves at all.
-	if cur == nil {
+	if cur < 0 {
 		return nil
 	}
 
 	var path []CriticalStep
-	seen := map[*core.Phase]bool{}
-	for cur != nil && !seen[cur] {
+	seen := make([]bool, len(s.phases))
+	for cur >= 0 && !seen[cur] {
 		seen[cur] = true
-		path = append(path, CriticalStep{Phase: cur, Start: r.startOf(cur), End: r.endOf(cur)})
-		cur = r.pinnedBy(cur)
+		path = append(path, CriticalStep{Phase: s.phases[cur], Start: val[s.start[cur]], End: val[s.end[cur]]})
+		cur = s.pinnedBy(val, cur)
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path
 }
 
 // pinnedBy returns the leaf that determined p's (or its sync group's)
-// schedule, or nil when p starts with its ancestors at time zero.
-func (r *replay) pinnedBy(p *core.Phase) *core.Phase {
+// schedule, or -1 when p starts with its ancestors at time zero.
+func (s *Schedule) pinnedBy(val []vtime.Time, p int32) int32 {
 	// If p belongs to a sync group and its raw end is below the group end,
 	// the straggling member is the real constraint.
-	if p.Type != nil && p.Type.SyncGroup {
-		key := syncKey(p)
-		groupEnd := r.syncEnd(key)
-		if r.rawEnd(p) < groupEnd {
-			for _, m := range r.groups[key] {
-				if m != p && r.rawEnd(m) == groupEnd {
-					return r.deepestLeafEndingAt(m, groupEnd)
+	if g := s.group[p]; g >= 0 {
+		groupEnd := val[s.groupEnd[g]]
+		if val[s.rawEnd[p]] < groupEnd {
+			for _, m := range s.members[s.memOff[g]:s.memOff[g+1]] {
+				if m != p && val[s.rawEnd[m]] == groupEnd {
+					return s.deepestLeafEndingAt(val, m, groupEnd)
 				}
 			}
 		}
 	}
 	// Otherwise walk up from p until an ancestor whose start was pinned by a
 	// predecessor, and descend into the predecessor's latest leaf.
-	for q := p; q != nil; q = q.Parent {
-		start := r.startOf(q)
+	for q := p; q >= 0; q = s.parent[q] {
+		start := val[s.start[q]]
 		if start == 0 {
-			return nil
+			return -1
 		}
-		if q.Parent != nil && r.startOf(q.Parent) == start {
+		if par := s.parent[q]; par >= 0 && val[s.start[par]] == start {
 			continue // inherited from the parent: keep climbing
 		}
-		pred := r.predecessorEndingAt(q, start)
-		if pred != nil {
-			return r.deepestLeafEndingAt(pred, start)
+		if pred := s.predecessorEndingAt(val, q, start); pred >= 0 {
+			return s.deepestLeafEndingAt(val, pred, start)
 		}
 	}
-	return nil
+	return -1
 }
 
-// predecessorEndingAt finds the sibling (After edge or sequential
-// predecessor) whose replayed end equals q's start.
-func (r *replay) predecessorEndingAt(q *core.Phase, start vtime.Time) *core.Phase {
-	if q.Parent == nil || q.Type == nil {
-		return nil
+// predecessorEndingAt finds the first sibling in child order (an After
+// predecessor, or a lower-indexed instance of q's Sequential type) whose
+// replayed end equals q's start.
+func (s *Schedule) predecessorEndingAt(val []vtime.Time, q int32, start vtime.Time) int32 {
+	par, typ := s.parent[q], s.phases[q].Type
+	if par < 0 || typ == nil {
+		return -1
 	}
-	after := map[string]bool{}
-	for _, a := range q.Type.After {
-		after[a] = true
-	}
-	for _, sib := range q.Parent.Children {
-		if sib == q || sib.Type == nil {
+	for k, sib := range s.phases[par].Children {
+		b := s.firstKid[par] + int32(k)
+		if b == q || sib.Type == nil {
 			continue
 		}
-		isPred := after[sib.Type.Name] ||
-			(q.Type.Sequential && sib.Type == q.Type && sib.Index() >= 0 && sib.Index() < q.Index())
-		if isPred && r.endOf(sib) == start {
-			return sib
+		isPred := slices.Contains(typ.After, sib.Type.Name) ||
+			(typ.Sequential && sib.Type == typ && s.seqIndex[b] >= 0 && s.seqIndex[b] < s.seqIndex[q])
+		if isPred && val[s.end[b]] == start {
+			return b
 		}
 	}
-	return nil
+	return -1
 }
 
-// deepestLeafEndingAt descends from p to a leaf whose replayed end matches t.
-func (r *replay) deepestLeafEndingAt(p *core.Phase, t vtime.Time) *core.Phase {
-	for len(p.Children) > 0 {
-		var next *core.Phase
-		for _, c := range p.Children {
-			if r.endOf(c) == t {
-				if next == nil || c.Path < next.Path {
-					next = c
-				}
+// deepestLeafEndingAt descends from p to a leaf whose replayed end matches t,
+// taking the lexicographically first child on ties.
+func (s *Schedule) deepestLeafEndingAt(val []vtime.Time, p int32, t vtime.Time) int32 {
+	for len(s.phases[p].Children) > 0 {
+		next := int32(-1)
+		for k := range s.phases[p].Children {
+			c := s.firstKid[p] + int32(k)
+			if val[s.end[c]] == t && (next < 0 || s.phases[c].Path < s.phases[next].Path) {
+				next = c
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			return p
 		}
 		p = next

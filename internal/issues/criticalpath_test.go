@@ -12,7 +12,7 @@ func TestCriticalPathFollowsSlowestWorkers(t *testing.T) {
 		{{5, 10}, {8, 40}},
 		{{25, 5}, {10, 10}},
 	})
-	path := CriticalPath(tr)
+	path := criticalPath(t, tr)
 	if len(path) == 0 {
 		t.Fatal("empty critical path")
 	}
@@ -38,7 +38,7 @@ func TestCriticalPathFollowsSlowestWorkers(t *testing.T) {
 		}
 	}
 	// The final step ends at the replayed makespan.
-	makespan := Replay(tr, nil)
+	makespan := replay(t, tr, nil)
 	if path[len(path)-1].End.Sub(0) != makespan {
 		t.Fatalf("path ends at %v, makespan %v", path[len(path)-1].End, makespan)
 	}
@@ -49,7 +49,7 @@ func TestCriticalPathCrossesSyncGroups(t *testing.T) {
 	// exchange sync; worker 0's apply (5s) dominates after it. The path must
 	// jump from worker 0's exchange back to worker 1's gather.
 	tr := gasTrace(t, []int64{10, 20}, []int64{2, 2}, []int64{5, 3})
-	path := CriticalPath(tr)
+	path := criticalPath(t, tr)
 	var paths []string
 	for _, s := range path {
 		paths = append(paths, s.Phase.Path)
@@ -67,7 +67,7 @@ func TestCriticalPathCrossesSyncGroups(t *testing.T) {
 
 func TestCriticalPathSingleLeaf(t *testing.T) {
 	tr := bspTrace(t, [][][]int64{{{7}}})
-	path := CriticalPath(tr)
+	path := criticalPath(t, tr)
 	if len(path) == 0 {
 		t.Fatal("empty path")
 	}

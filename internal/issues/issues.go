@@ -150,20 +150,25 @@ type Report struct {
 	Burstiness []Burstiness
 	// Original is the replayed makespan of the unmodified trace.
 	Original vtime.Duration
+	// CriticalPath is the chain of leaves that determines Original, from
+	// the replay of the unmodified trace.
+	CriticalPath []CriticalStep
 }
 
 // Analyze runs all §III-F detectors: per-resource bottleneck removal,
-// per-type imbalance, and straggler detection. The candidate-issue replays
-// are independent of each other — each perturbs its own Durations copy and
-// re-simulates the trace — so they run on cfg.Parallelism workers; results
-// land in a pre-sized slice indexed by candidate and are filtered in order,
-// keeping the report identical to a serial run.
+// per-type imbalance, and straggler detection. It compiles the trace's
+// replay schedule once; the original replay also yields the critical path.
+// The candidate-issue replays are independent of each other — each perturbs
+// its own Durations and re-simulates the schedule — so they run on
+// cfg.Parallelism workers; results land in a pre-sized slice indexed by
+// candidate and are filtered in order, keeping the report identical to a
+// serial run.
 func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Report {
-	tr := prof.Trace
-	leaves := tr.Leaves()
-	rep := &Report{Original: Replay(tr, nil)}
+	sched := Compile(prof.Trace)
+	rep := &Report{}
+	rep.Original, rep.CriticalPath = sched.replayPath(nil)
 
-	groups := Groups(tr)
+	groups := groupLeaves(sched.leaves)
 	resources := bottleneckResources(prof, btl)
 	typePaths := groupTypePaths(groups)
 
@@ -191,14 +196,14 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 		switch c.kind {
 		case BottleneckImpact:
 			issue.Resource = c.name
-			durs = removeBottleneck(prof, btl, leaves, c.name)
+			durs = removeBottleneck(prof, btl, sched, c.name)
 		case ImbalanceImpact:
 			issue.PhaseType = c.name
-			durs = balanceType(groups, c.name)
+			durs = balanceType(sched, groups, c.name)
 		}
-		issue.Optimistic = Replay(tr, durs)
+		issue.Optimistic = sched.Replay(durs)
 		issue.Impact = impact(rep.Original, issue.Optimistic)
-		issue.Trail = trailOf(durs)
+		issue.Trail = trailOf(sched, durs)
 		results[i] = issue
 		span.End()
 	})
@@ -209,7 +214,7 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 		}
 	}
 
-	rep.Outliers = DetectOutliers(tr, cfg)
+	rep.Outliers = detectOutliers(groups, cfg)
 	rep.Underutilization = DetectUnderutilization(prof)
 	rep.Burstiness = DetectBurstiness(prof)
 
@@ -221,9 +226,10 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 // type: the evidence of which work the hypothesis actually shortened.
 // Deterministic: sorted by delta ascending (largest savings first), then
 // type path, and capped at maxTrailEntries.
-func trailOf(durs Durations) []TrailEntry {
+func trailOf(s *Schedule, durs Durations) []TrailEntry {
 	byType := map[string]*TrailEntry{}
-	for leaf, newDur := range durs {
+	for _, o := range durs {
+		leaf := s.leaves[o.Leaf]
 		tp := "(untyped)"
 		if leaf.Type != nil {
 			tp = leaf.Type.Path()
@@ -234,7 +240,7 @@ func trailOf(durs Durations) []TrailEntry {
 			byType[tp] = e
 		}
 		e.Phases++
-		e.DeltaNS += int64(newDur - Intrinsic(leaf))
+		e.DeltaNS += int64(o.Dur - s.intrinsic[o.Leaf])
 	}
 	out := make([]TrailEntry, 0, len(byType))
 	for _, e := range byType {
@@ -284,11 +290,11 @@ func bottleneckResources(prof *attribution.Profile, btl *bottleneck.Report) []st
 // resource allows (§III-F, "how much shorter a phase could become until
 // another resource becomes bottlenecked").
 func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
-	leaves []*core.Phase, res string) Durations {
-	durs := Durations{}
+	s *Schedule, res string) Durations {
+	var durs Durations
 	slices := prof.Slices
-	for _, leaf := range leaves {
-		newDur := Intrinsic(leaf)
+	for i, leaf := range s.leaves {
+		newDur := s.intrinsic[i]
 		// Blocking bottlenecks on res disappear entirely — including stalls
 		// inherited from ancestors (a GC pause logged on the worker phase
 		// stalls every thread under it). Waits already stripped as elastic
@@ -322,8 +328,8 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 		if newDur < 0 {
 			newDur = 0
 		}
-		if newDur != Intrinsic(leaf) {
-			durs[leaf] = newDur
+		if newDur != s.intrinsic[i] {
+			durs = append(durs, Override{Leaf: int32(i), Dur: newDur})
 		}
 	}
 	return durs
@@ -371,19 +377,19 @@ func groupTypePaths(groups []Group) []string {
 
 // balanceType sets every member of each concurrency group of the given type
 // to the group's mean intrinsic duration, preserving total work (§III-F).
-func balanceType(groups []Group, typePath string) Durations {
-	durs := Durations{}
+func balanceType(s *Schedule, groups []Group, typePath string) Durations {
+	var durs Durations
 	for _, g := range groups {
 		if g.TypePath != typePath || len(g.Members) < 2 {
 			continue
 		}
 		var total vtime.Duration
-		for _, m := range g.Members {
-			total += Intrinsic(m)
+		for _, li := range g.leaves {
+			total += s.intrinsic[li]
 		}
 		mean := total / vtime.Duration(len(g.Members))
-		for _, m := range g.Members {
-			durs[m] = mean
+		for _, li := range g.leaves {
+			durs = append(durs, Override{Leaf: li, Dur: mean})
 		}
 	}
 	return durs
@@ -395,9 +401,14 @@ func balanceType(groups []Group, typePath string) Durations {
 // StepSlowdown compares the group maximum against the maximum with outliers
 // excluded.
 func DetectOutliers(tr *core.ExecutionTrace, cfg Config) []Outlier {
+	return detectOutliers(Groups(tr), cfg)
+}
+
+// detectOutliers scans already-built concurrency groups for stragglers.
+func detectOutliers(groups []Group, cfg Config) []Outlier {
 	cfg.fill()
 	var out []Outlier
-	for _, g := range Groups(tr) {
+	for _, g := range groups {
 		if len(g.Members) < 2 || g.MaxDuration() < cfg.MinOutlierGroupDuration {
 			continue
 		}

@@ -100,7 +100,7 @@ func TestReplayMatchesCriticalPath(t *testing.T) {
 		{{20, 5}, {15, 10}},
 	})
 	// load 10 + ss0 40 + ss1 20 + write 5 = 75.
-	if got := Replay(tr, nil); got != 75*sec {
+	if got := replay(t, tr, nil); got != 75*sec {
 		t.Fatalf("makespan %v, want 75s", got)
 	}
 }
@@ -113,8 +113,8 @@ func TestReplaySequentialSuperstepsEnforced(t *testing.T) {
 	// Shrinking superstep 0's thread shortens the whole run: supersteps are
 	// serialized.
 	leaf := tr.ByPath["/app/execute/superstep.0/worker.0/thread.0"]
-	durs := Durations{leaf: 2 * sec}
-	if got := Replay(tr, durs); got != (10+2+10+5)*sec {
+	durs := phaseDurs{leaf: 2 * sec}
+	if got := replay(t, tr, durs); got != (10+2+10+5)*sec {
 		t.Fatalf("makespan %v", got)
 	}
 }
@@ -126,11 +126,11 @@ func TestReplayConcurrentWorkers(t *testing.T) {
 		{{40}, {10}},
 	})
 	fast := tr.ByPath["/app/execute/superstep.0/worker.1/thread.0"]
-	if got := Replay(tr, Durations{fast: 1 * sec}); got != (10+40+5)*sec {
+	if got := replay(t, tr, phaseDurs{fast: 1 * sec}); got != (10+40+5)*sec {
 		t.Fatalf("makespan %v", got)
 	}
 	slow := tr.ByPath["/app/execute/superstep.0/worker.0/thread.0"]
-	if got := Replay(tr, Durations{slow: 15 * sec}); got != (10+15+5)*sec {
+	if got := replay(t, tr, phaseDurs{slow: 15 * sec}); got != (10+15+5)*sec {
 		t.Fatalf("makespan %v", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestReplayConcurrentWorkers(t *testing.T) {
 func TestReplayNegativeDurationClamped(t *testing.T) {
 	tr := bspTrace(t, [][][]int64{{{10}}})
 	leaf := tr.ByPath["/app/execute/superstep.0/worker.0/thread.0"]
-	if got := Replay(tr, Durations{leaf: -5 * sec}); got != (10+0+5)*sec {
+	if got := replay(t, tr, phaseDurs{leaf: -5 * sec}); got != (10+0+5)*sec {
 		t.Fatalf("makespan %v", got)
 	}
 }

@@ -30,11 +30,11 @@ func TestReplayMonotonicityProperty(t *testing.T) {
 			}
 		}
 		tr := bspTrace(t, shape)
-		base := Replay(tr, nil)
+		base := replay(t, tr, nil)
 
 		// Shrink a random subset.
-		shrunk := Durations{}
-		grown := Durations{}
+		shrunk := phaseDurs{}
+		grown := phaseDurs{}
 		for _, leaf := range tr.Leaves() {
 			if rng.Intn(2) == 0 {
 				shrunk[leaf] = leaf.Duration() / 2
@@ -43,10 +43,10 @@ func TestReplayMonotonicityProperty(t *testing.T) {
 				grown[leaf] = leaf.Duration() * 2
 			}
 		}
-		if Replay(tr, shrunk) > base {
+		if replay(t, tr, shrunk) > base {
 			return false
 		}
-		if Replay(tr, grown) < base {
+		if replay(t, tr, grown) < base {
 			return false
 		}
 		return true
@@ -73,7 +73,7 @@ func TestReplayNeverExceedsRecordedProperty(t *testing.T) {
 		}
 		tr := bspTrace(t, shape)
 		recorded := vtime.Duration(tr.End.Sub(tr.Start))
-		return Replay(tr, nil) <= recorded
+		return replay(t, tr, nil) <= recorded
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

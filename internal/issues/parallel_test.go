@@ -31,20 +31,23 @@ func TestAnalyzeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayPoolReuse exercises repeated pooled replays over the same trace:
-// the memoization maps are recycled, so results must stay stable across
-// reuse and interleaved different-trace replays.
+// TestReplayPoolReuse exercises repeated pooled replays: each schedule
+// recycles its scratch, so results must stay stable across reuse,
+// interleaved replays of another schedule, and what-if replays in between.
 func TestReplayPoolReuse(t *testing.T) {
 	trA := bspTrace(t, [][][]int64{{{20, 40}, {30, 10}}})
 	trB := bspTrace(t, [][][]int64{{{5}}, {{7}}})
-	wantA := Replay(trA, nil)
-	wantB := Replay(trB, nil)
+	a, b := Compile(trA), Compile(trB)
+	wantA := replay(t, trA, nil)
+	wantB := replay(t, trB, nil)
+	shrunk := Durations{{Leaf: 1, Dur: 0}}
 	for i := 0; i < 10; i++ {
-		if got := Replay(trA, nil); got != wantA {
+		if got := a.Replay(nil); got != wantA {
 			t.Fatalf("iteration %d: trace A makespan %v, want %v", i, got, wantA)
 		}
-		if got := Replay(trB, nil); got != wantB {
+		if got := b.Replay(nil); got != wantB {
 			t.Fatalf("iteration %d: trace B makespan %v, want %v", i, got, wantB)
 		}
+		a.Replay(shrunk)
 	}
 }

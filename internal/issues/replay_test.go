@@ -105,7 +105,7 @@ func gasTrace(t *testing.T, gather, exchange, apply []int64) *core.ExecutionTrac
 func TestReplayReconstructsLockstepSchedule(t *testing.T) {
 	// gather 10/20, exchange 2/2, apply 5/3: sync at 22, barrier at 27.
 	tr := gasTrace(t, []int64{10, 20}, []int64{2, 2}, []int64{5, 3})
-	if got := Replay(tr, nil); got != 27*sec {
+	if got := replay(t, tr, nil); got != 27*sec {
 		t.Fatalf("replayed makespan %v, want 27s", got)
 	}
 }
@@ -116,9 +116,9 @@ func TestReplaySyncGroupRespondsToBalancing(t *testing.T) {
 	tr := gasTrace(t, []int64{10, 20}, []int64{2, 2}, []int64{5, 3})
 	g0 := tr.ByPath["/app/iteration.0/worker.0/gather"]
 	g1 := tr.ByPath["/app/iteration.0/worker.1/gather"]
-	durs := Durations{g0: 15 * sec, g1: 15 * sec}
+	durs := phaseDurs{g0: 15 * sec, g1: 15 * sec}
 	// sync at 17, apply ends 22, barrier 22.
-	if got := Replay(tr, durs); got != 22*sec {
+	if got := replay(t, tr, durs); got != 22*sec {
 		t.Fatalf("balanced makespan %v, want 22s", got)
 	}
 }
@@ -148,17 +148,17 @@ func TestReplaySequentialIterationsWithSync(t *testing.T) {
 	// overkill — reuse gasTrace twice is not possible, so check via the
 	// makespan of a single iteration plus a shifted one.
 	tr := gasTrace(t, []int64{10, 10}, []int64{2, 2}, []int64{4, 4})
-	if got := Replay(tr, nil); got != 16*sec {
+	if got := replay(t, tr, nil); got != 16*sec {
 		t.Fatalf("makespan %v, want 16s", got)
 	}
 	// Shrinking one worker's apply does not help: the other still takes 4.
 	a0 := tr.ByPath["/app/iteration.0/worker.0/apply"]
-	if got := Replay(tr, Durations{a0: 1 * sec}); got != 16*sec {
+	if got := replay(t, tr, phaseDurs{a0: 1 * sec}); got != 16*sec {
 		t.Fatalf("makespan %v, want 16s", got)
 	}
 	// Shrinking both does.
 	a1 := tr.ByPath["/app/iteration.0/worker.1/apply"]
-	if got := Replay(tr, Durations{a0: 1 * sec, a1: 1 * sec}); got != 13*sec {
+	if got := replay(t, tr, phaseDurs{a0: 1 * sec, a1: 1 * sec}); got != 13*sec {
 		t.Fatalf("makespan %v, want 13s", got)
 	}
 }
@@ -205,12 +205,12 @@ func TestReplayElasticWaitsStripped(t *testing.T) {
 	}
 	// Intrinsic communicate = 12 − 11 waited = 1s; critical path = compute
 	// 10s (communicate runs concurrently).
-	if got := Replay(tr, nil); got != 10*sec {
+	if got := replay(t, tr, nil); got != 10*sec {
 		t.Fatalf("makespan %v, want 10s", got)
 	}
 	// Shrinking compute to 3s: communicate (1s intrinsic) no longer caps it.
 	c := tr.ByPath["/app/superstep.0/worker.0/compute"]
-	if got := Replay(tr, Durations{c: 3 * sec}); got != 3*sec {
+	if got := replay(t, tr, phaseDurs{c: 3 * sec}); got != 3*sec {
 		t.Fatalf("makespan %v, want 3s", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"grade10/internal/core"
 	"grade10/internal/grade10"
-	"grade10/internal/issues"
 	"grade10/internal/vtime"
 )
 
@@ -79,11 +78,11 @@ func WriteTimeline(w io.Writer, out *grade10.Output, maxColumns int) error {
 	return nil
 }
 
-// WriteCriticalPath renders the replayed critical path: the chain of leaf
-// phases that determines the makespan. Long runs of same-type steps are
-// collapsed into one line with a count.
+// WriteCriticalPath renders the replayed critical path the issue analysis
+// found: the chain of leaf phases that determines the makespan. Long runs of
+// same-type steps are collapsed into one line with a count.
 func WriteCriticalPath(w io.Writer, out *grade10.Output) error {
-	path := issues.CriticalPath(out.Trace)
+	path := out.Issues.CriticalPath
 	if len(path) == 0 {
 		fmt.Fprintln(w, "no critical path (empty trace)")
 		return nil
