@@ -527,13 +527,7 @@ func resolveModels(run *rundir.Run, modelsIn string, untuned bool) (grade10.Mode
 		models, err := grade10.LoadModels(f)
 		return models, run.Log, err
 	}
-	params := grade10.ModelParams{
-		Job:              run.Info.Job,
-		Cores:            run.Info.Cores,
-		NetBandwidth:     run.Info.NetBandwidth,
-		DiskBandwidth:    run.Info.DiskBandwidth,
-		ThreadsPerWorker: run.Info.ThreadsPerWorker,
-	}
+	params := grade10.RunParams(run.Info)
 	if !untuned {
 		models, err := grade10.ModelsForEngine(run.Info.Engine, params)
 		return models, run.Log, err

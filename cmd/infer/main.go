@@ -55,13 +55,7 @@ func main() {
 	// The built-in framework model named in the run metadata: the execution
 	// model is needed to parse the log, while the expert rules are replaced
 	// by the fit.
-	models, err := grade10.ModelsForEngine(run.Info.Engine, grade10.ModelParams{
-		Job:              run.Info.Job,
-		Cores:            run.Info.Cores,
-		NetBandwidth:     run.Info.NetBandwidth,
-		DiskBandwidth:    run.Info.DiskBandwidth,
-		ThreadsPerWorker: run.Info.ThreadsPerWorker,
-	})
+	models, err := grade10.ModelsForEngine(run.Info.Engine, grade10.RunParams(run.Info))
 	if err != nil {
 		fail(err)
 	}

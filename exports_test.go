@@ -27,7 +27,6 @@ var testOracles = map[string]bool{
 // keepExports are test-only by design: how tests observe memory bounds.
 var keepExports = map[string]bool{
 	"grade10/internal/enginelog.LineSplitter.Retained": true,
-	"grade10/internal/stream.Engine.Mem":               true,
 }
 
 // interfaceMethods satisfy standard-library interfaces implicitly, so the
@@ -109,11 +108,6 @@ var keepFields = map[string]string{
 	"grade10/internal/pgsim.Stats.MessagesSent":       "engine tests check a replicated graph exchanges messages",
 	"grade10/internal/pgsim.Stats.BarrierWait":        "engine tests check workers wait at barriers",
 	"grade10/internal/dataflowsim.Result.StageRows":   "engine tests check each stage's input rows follow the selectivities",
-
-	"grade10/internal/stream.MemStats.OpenPhases":    "bounded-memory tests read it through Engine.Mem",
-	"grade10/internal/stream.MemStats.PendingLeaves": "bounded-memory tests read it through Engine.Mem",
-	"grade10/internal/stream.MemStats.TreePhases":    "bounded-memory tests read it through Engine.Mem",
-	"grade10/internal/stream.MemStats.Windows":       "bounded-memory tests read it through Engine.Mem",
 }
 
 // TestNoTestOnlyFields fails when an exported field of an exported struct

@@ -75,10 +75,32 @@ type PhaseBottleneck struct {
 	EvEnd     vtime.Time
 }
 
+// Row aggregates the bottlenecks of one (phase type, resource, kind): the
+// one table the text report, the archive record, the live fold and the issue
+// detectors read.
+type Row struct {
+	TypePath string
+	Resource string
+	Kind     Kind
+	// Phases counts the bottlenecked phases; Time sums their bottlenecked
+	// durations.
+	Phases int
+	Time   vtime.Duration
+	// Intervals, EvStart and EvEnd summarize the evidence across the phases:
+	// the total evidence interval count and the bounds of the earliest and
+	// latest.
+	Intervals int
+	EvStart   vtime.Time
+	EvEnd     vtime.Time
+}
+
 // Report is the detection result.
 type Report struct {
 	// Bottlenecks, sorted by phase path then resource then kind.
 	Bottlenecks []*PhaseBottleneck
+	// Rows aggregates Bottlenecks by (type path, resource, kind), ordered by
+	// Time descending, then type path, resource and kind.
+	Rows []Row
 	// Saturated maps a resource instance key to its saturated slice indices.
 	Saturated map[string][]int
 
@@ -88,25 +110,13 @@ type Report struct {
 // ForPhase returns the bottlenecks of one phase.
 func (r *Report) ForPhase(p *core.Phase) []*PhaseBottleneck { return r.byPhase[p] }
 
-// Detect runs all three detectors over an attribution profile.
+// Detect runs all three detectors over an attribution profile: a whole run
+// (grade10.Characterize) or one live window (attribution.AttributeWindow)
+// alike. No bottleneck has zero time.
 func Detect(prof *attribution.Profile) *Report {
-	return detect(prof, false)
-}
-
-// DetectWindow runs the same detectors over a window-scoped profile (one
-// produced by attribution.AttributeWindow): blocking bottlenecks are clipped
-// to the profile's slice span, so a stall is charged to the windows it
-// overlaps rather than to the window that happens to contain the phase. The
-// batch and streaming paths share this one implementation; Detect is the
-// whole-run window.
-func DetectWindow(prof *attribution.Profile) *Report {
-	return detect(prof, true)
-}
-
-func detect(prof *attribution.Profile, windowed bool) *Report {
 	rep := &Report{Saturated: map[string][]int{}, byPhase: map[*core.Phase][]*PhaseBottleneck{}}
 
-	detectBlocking(prof, rep, windowed)
+	detectBlocking(prof, rep)
 	detectConsumable(prof, rep)
 
 	sort.Slice(rep.Bottlenecks, func(i, j int) bool {
@@ -122,19 +132,63 @@ func detect(prof *attribution.Profile, windowed bool) *Report {
 	for _, b := range rep.Bottlenecks {
 		rep.byPhase[b.Phase] = append(rep.byPhase[b.Phase], b)
 	}
+	rep.Rows = aggregate(rep.Bottlenecks)
 	return rep
 }
 
+// aggregate groups per-phase bottlenecks into rows, in the Rows order.
+func aggregate(bs []*PhaseBottleneck) []Row {
+	type key struct {
+		tp, res string
+		kind    Kind
+	}
+	index := map[key]int{}
+	var rows []Row
+	for _, b := range bs {
+		k := key{b.Phase.Type.Path(), b.Resource, b.Kind}
+		i, ok := index[k]
+		if !ok {
+			i = len(rows)
+			index[k] = i
+			rows = append(rows, Row{TypePath: k.tp, Resource: k.res, Kind: k.kind})
+		}
+		r := &rows[i]
+		r.Phases++
+		r.Time += b.Time
+		r.Intervals += b.Intervals
+		if b.EvEnd > b.EvStart {
+			if r.EvEnd <= r.EvStart || b.EvStart < r.EvStart {
+				r.EvStart = b.EvStart
+			}
+			if b.EvEnd > r.EvEnd {
+				r.EvEnd = b.EvEnd
+			}
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Time != b.Time {
+			return a.Time > b.Time
+		}
+		if a.TypePath != b.TypePath {
+			return a.TypePath < b.TypePath
+		}
+		if a.Resource != b.Resource {
+			return a.Resource < b.Resource
+		}
+		return a.Kind < b.Kind
+	})
+	return rows
+}
+
 // detectBlocking turns blocking events into bottlenecks: any time a phase is
-// blocked, the blocking resource delays it (§III-E). When windowed, stalls
-// are clipped to the profile's slice span and zero-overlap phases skipped.
-func detectBlocking(prof *attribution.Profile, rep *Report, windowed bool) {
+// blocked, the blocking resource delays it (§III-E). A phase's own stalls
+// count, clipped to the profile's slice span, so a live window charges a
+// stall to the windows it overlaps and a whole run charges all of it.
+func detectBlocking(prof *attribution.Profile, rep *Report) {
 	w0, w1 := prof.Slices.Start, prof.Slices.End
 	prof.Trace.Root.Walk(func(p *core.Phase) {
 		if p == prof.Trace.Root || len(p.Blocked) == 0 {
-			return
-		}
-		if windowed && (p.End <= w0 || p.Start >= w1) {
 			return
 		}
 		resources := map[string]bool{}
@@ -147,56 +201,28 @@ func detectBlocking(prof *attribution.Profile, rep *Report, windowed bool) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			t := p.BlockedTime(name)
-			if windowed {
-				if t = clippedBlockedTime(p, name, w0, w1); t <= 0 {
-					continue
-				}
+			t := p.BlockedTime(name, w0, w1)
+			if t <= 0 {
+				continue
 			}
 			b := &PhaseBottleneck{
 				Phase: p, Resource: name, Machine: core.GlobalMachine,
 				Kind: Blocking, Time: t,
 			}
-			b.Intervals, b.EvStart, b.EvEnd = stallEvidence(p, name, w0, w1, windowed)
+			b.Intervals, b.EvStart, b.EvEnd = stallEvidence(p, name, w0, w1)
 			rep.Bottlenecks = append(rep.Bottlenecks, b)
 		}
 	})
 }
 
-// clippedBlockedTime unions the phase's own blocking intervals on one
-// resource clipped to [t0, t1). Intervals are sorted by start, as in
-// Phase.BlockedTime.
-func clippedBlockedTime(p *core.Phase, resource string, t0, t1 vtime.Time) vtime.Duration {
-	var total vtime.Duration
-	lastEnd := t0
+// stallEvidence counts the phase's stall intervals on one resource clipped
+// to [t0, t1) and returns the time bounds of the first and last of them.
+func stallEvidence(p *core.Phase, resource string, t0, t1 vtime.Time) (n int, start, end vtime.Time) {
 	for _, b := range p.Blocked {
 		if b.Resource != resource {
 			continue
 		}
 		s, e := vtime.Max(b.Start, t0), vtime.Min(b.End, t1)
-		if s < lastEnd {
-			s = lastEnd
-		}
-		if e > s {
-			total += e.Sub(s)
-			lastEnd = e
-		}
-	}
-	return total
-}
-
-// stallEvidence counts the phase's stall intervals on one resource (clipped
-// to [t0, t1) when windowed) and returns the time bounds of the first and
-// last of them.
-func stallEvidence(p *core.Phase, resource string, t0, t1 vtime.Time, windowed bool) (n int, start, end vtime.Time) {
-	for _, b := range p.Blocked {
-		if b.Resource != resource {
-			continue
-		}
-		s, e := b.Start, b.End
-		if windowed {
-			s, e = vtime.Max(s, t0), vtime.Min(e, t1)
-		}
 		if e <= s {
 			continue
 		}

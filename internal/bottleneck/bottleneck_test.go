@@ -1,6 +1,7 @@
 package bottleneck
 
 import (
+	"slices"
 	"testing"
 
 	"grade10/internal/attribution"
@@ -213,5 +214,93 @@ func TestKindString(t *testing.T) {
 	if Blocking.String() != "blocking" || Saturation.String() != "saturation" ||
 		ExactLimit.String() != "exact-limit" || Kind(99).String() != "unknown" {
 		t.Fatal("kind strings wrong")
+	}
+}
+
+// stallTrace builds a finished /job trace with one phase per entry of
+// stalls, each phase stalled on the listed resources for [1s, 2s) and the
+// phase spanning [0s, 3s).
+func stallTrace(t *testing.T, stalls map[string][]string) *core.ExecutionTrace {
+	t.Helper()
+	root := core.NewRootType("job")
+	for name := range stalls {
+		root.Child(name, false)
+	}
+	model, err := core.NewExecutionModel(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now vtime.Time
+	l := enginelog.NewLogger(func() vtime.Time { return now })
+	l.StartPhase("/job", -1)
+	for name, resources := range stalls {
+		now = at(0)
+		l.StartPhase("/job/"+name, -1)
+		now = at(2)
+		for _, res := range resources {
+			l.BlockedSince("/job/"+name, res, at(1))
+		}
+		now = at(3)
+		l.EndPhase("/job/" + name)
+	}
+	l.EndPhase("/job")
+	tr, err := core.BuildExecutionTrace(l.Log(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestRowsTiedOrder checks three rows tied on time come out in one order,
+// by type path then resource, on every call.
+func TestRowsTiedOrder(t *testing.T) {
+	tr := stallTrace(t, map[string][]string{"b": {"gc"}, "a": {"queue", "gc"}})
+	prof := &attribution.Profile{Trace: tr, Slices: core.NewTimeslices(tr.Start, tr.End, sec)}
+	want := []string{"/job/a gc", "/job/a queue", "/job/b gc"}
+	for i := 0; i < 50; i++ {
+		var got []string
+		for _, r := range Detect(prof).Rows {
+			if r.Time != vtime.Duration(sec) || r.Phases != 1 {
+				t.Fatalf("row %+v, want one phase for 1s", r)
+			}
+			got = append(got, r.TypePath+" "+r.Resource)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: rows %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestZeroLengthStallNoBottleneck checks a zero-length stall, which both
+// log parsers accept, yields no bottleneck and no row over the whole run or
+// over a window holding it.
+func TestZeroLengthStallNoBottleneck(t *testing.T) {
+	root := core.NewRootType("job")
+	root.Child("a", false)
+	model, err := core.NewExecutionModel(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written as parsed events: enginelog.Logger never logs a zero-length
+	// stall.
+	tr, err := core.BuildExecutionTrace(&enginelog.Log{Events: []enginelog.Event{
+		{Kind: enginelog.PhaseStart, Time: at(0), Path: "/job", Machine: -1},
+		{Kind: enginelog.PhaseStart, Time: at(0), Path: "/job/a", Machine: -1},
+		{Kind: enginelog.Blocked, Time: at(2), End: at(2), Path: "/job/a", Resource: "gc"},
+		{Kind: enginelog.PhaseEnd, Time: at(4), Path: "/job/a"},
+		{Kind: enginelog.PhaseEnd, Time: at(4), Path: "/job"},
+	}}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, win := range []core.Timeslices{
+		core.NewTimeslices(tr.Start, tr.End, sec),
+		core.NewTimeslices(at(1), at(3), sec),
+		core.NewTimeslices(at(2), at(3), sec),
+	} {
+		rep := Detect(&attribution.Profile{Trace: tr, Slices: win})
+		if len(rep.Bottlenecks) != 0 || len(rep.Rows) != 0 {
+			t.Fatalf("window [%v, %v): bottlenecks %+v, rows %+v", win.Start, win.End, rep.Bottlenecks, rep.Rows)
+		}
 	}
 }

@@ -59,19 +59,17 @@ func (p *Phase) Index() int {
 	return enginelog.SegmentIndex(segs[len(segs)-1])
 }
 
-// BlockedTime returns the total time blocked on the named resource, or on
-// any resource when name is empty. Overlapping intervals are unioned.
-func (p *Phase) BlockedTime(resource string) vtime.Duration {
+// BlockedTime returns the phase's own blocking time on the named resource,
+// or on any resource when name is empty, inside [t0, t1). Overlapping
+// intervals are unioned.
+func (p *Phase) BlockedTime(resource string, t0, t1 vtime.Time) vtime.Duration {
 	var total vtime.Duration
-	var lastEnd vtime.Time
+	lastEnd := t0
 	for _, b := range p.Blocked {
 		if resource != "" && b.Resource != resource {
 			continue
 		}
-		s, e := b.Start, b.End
-		if s < lastEnd {
-			s = lastEnd
-		}
+		s, e := vtime.Max(b.Start, lastEnd), vtime.Min(b.End, t1)
 		if e > s {
 			total += e.Sub(s)
 			lastEnd = e
@@ -176,11 +174,11 @@ func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionT
 }
 
 // TreeBuilder assembles an execution trace one event at a time. It holds
-// the one set of event rules: every start must map to a model type and name
-// a logged parent, paths start once, ends close open phases, and blocking
-// events reference logged phases. The batch pipeline feeds it a whole log;
-// the online engine feeds it events as they arrive and reads the growing
-// tree between them.
+// the one set of event rules: every start must have a canonical path, map
+// to a model type and name a logged parent, paths start once, ends close
+// open phases, and blocking events reference logged phases. The batch
+// pipeline feeds it a whole log; the online engine feeds it events as they
+// arrive and reads the growing tree between them.
 type TreeBuilder struct {
 	model *ExecutionModel
 	tr    *ExecutionTrace
@@ -208,6 +206,10 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 	b.n++
 	switch e.Kind {
 	case enginelog.PhaseStart:
+		if !canonical(e.Path) {
+			return nil, fmt.Errorf("core: event %d: phase path %q is not canonical "+
+				"(want a leading slash, no empty segment, no trailing slash)", i, e.Path)
+		}
 		if _, dup := b.tr.ByPath[e.Path]; dup {
 			return nil, fmt.Errorf("core: event %d: duplicate phase %q", i, e.Path)
 		}
@@ -253,17 +255,19 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 	return nil, nil
 }
 
-// resolve finds a started phase's parent and type without splitting its
-// path: the parent path ends at the last slash, and the type is the parent
-// phase's type's child named by the last segment. It answers only for
-// canonical paths ("/a/b.1": a leading slash, no empty segment, no trailing
-// slash), where that agrees with resolving the whole type path. Otherwise,
-// or when the parent or type is missing, it returns a nil type and the
-// caller takes resolveSlow, which also words the error.
+// canonical reports whether an instance path is canonical ("/a/b.1"): a
+// leading slash, no empty segment and no trailing slash, so each phase has
+// exactly one spelling.
+func canonical(path string) bool {
+	return len(path) >= 2 && path[0] == '/' && path[len(path)-1] != '/' && !strings.Contains(path, "//")
+}
+
+// resolve finds a canonical started phase's parent and type without
+// splitting its path: the parent path ends at the last slash, and the type
+// is the parent phase's type's child named by the last segment. When the
+// parent or type is missing it returns a nil type and the caller takes
+// resolveSlow, which words the error.
 func (b *TreeBuilder) resolve(path string) (*Phase, *PhaseType) {
-	if len(path) < 2 || path[0] != '/' || path[len(path)-1] == '/' || strings.Contains(path, "//") {
-		return nil, nil
-	}
 	cut := strings.LastIndexByte(path, '/')
 	name := enginelog.SegmentName(path[cut+1:])
 	if cut == 0 {
@@ -279,9 +283,9 @@ func (b *TreeBuilder) resolve(path string) (*Phase, *PhaseType) {
 	return parent, parent.Type.child(name)
 }
 
-// resolveSlow resolves a started phase's type from its whole type path and
-// its parent from its parent path, and reports which of the two is missing,
-// type first.
+// resolveSlow words the rejection of a canonical start that resolve could
+// not place: it resolves the type from the whole type path and the parent
+// from the parent path, and reports which of the two is missing, type first.
 func (b *TreeBuilder) resolveSlow(i int, path string) (*Phase, *PhaseType, error) {
 	pt := b.model.LookupInstance(path)
 	if pt == nil {

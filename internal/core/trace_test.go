@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,14 +175,24 @@ func TestBlockedTimeUnionsOverlaps(t *testing.T) {
 			{Resource: "queue", Start: at(50), End: at(60)},
 		},
 	}
-	if got := p.BlockedTime("gc"); got != 30*ms {
+	if got := p.BlockedTime("gc", p.Start, p.End); got != 30*ms {
 		t.Fatalf("gc blocked %v", got)
 	}
-	if got := p.BlockedTime(""); got != 40*ms {
+	if got := p.BlockedTime("", p.Start, p.End); got != 40*ms {
 		t.Fatalf("total blocked %v", got)
 	}
-	if got := p.BlockedTime("queue"); got != 10*ms {
+	if got := p.BlockedTime("queue", p.Start, p.End); got != 10*ms {
 		t.Fatalf("queue blocked %v", got)
+	}
+	// Clipped: [25, 55) keeps gc [25, 40) and queue [50, 55).
+	if got := p.BlockedTime("gc", at(25), at(55)); got != 15*ms {
+		t.Fatalf("clipped gc blocked %v", got)
+	}
+	if got := p.BlockedTime("", at(25), at(55)); got != 20*ms {
+		t.Fatalf("clipped total blocked %v", got)
+	}
+	if got := p.BlockedTime("gc", at(60), at(100)); got != 0 {
+		t.Fatalf("gc blocked outside its stalls %v", got)
 	}
 }
 
@@ -284,19 +295,21 @@ func TestTreeBuilderIncremental(t *testing.T) {
 // TestTreeBuilderResolvesLikeTypePath pins the builder's path resolution to
 // its definition: a started phase's type is the model type at its type path
 // and its parent the phase at its parent path, and a rejection reports the
-// missing type before the missing parent. Canonical paths take the
-// parent-type lookup, others the whole-path lookup; both must agree with the
-// definition, including on odd paths.
+// missing type before the missing parent. A non-canonical path (no leading
+// slash, an empty segment or a trailing slash) is rejected before either
+// lookup, so no phase enters the tree under a second spelling.
 func TestTreeBuilderResolvesLikeTypePath(t *testing.T) {
 	m := buildBSPModel(t)
-	base := []string{"/app", "/app/", "/app/execute", "/app/execute/superstep.0", "/app/execute/superstep.0/worker.1"}
+	base := []string{"/app", "/app/execute", "/app/execute/superstep.0", "/app/execute/superstep.0/worker.1"}
 	paths := []string{
 		"/app/load", "/app/execute/superstep.1", "/app/execute/superstep.0/worker.1/compute",
 		"/app/execute/superstep.0/worker.0/compute", "/app/mystery", "/app/load.7",
-		"/app/execute/superstep.0/", "/app//load", "app/load", "/app/execute/superstep.x/worker.1",
-		"/other", "/app.2", "/", "", "//app",
+		"/app/execute/superstep.x/worker.1", "/other", "/app.2",
 	}
-	for _, path := range paths {
+	nonCanonical := []string{
+		"/app/", "/app/execute/superstep.0/", "/app//load", "app/load", "/", "", "//app",
+	}
+	for _, path := range append(paths, nonCanonical...) {
 		b := NewTreeBuilder(m)
 		for _, p := range base {
 			if _, err := b.Add(enginelog.Event{Kind: enginelog.PhaseStart, Path: p, Machine: -1}); err != nil {
@@ -311,6 +324,10 @@ func TestTreeBuilderResolvesLikeTypePath(t *testing.T) {
 			wantParent, parentOK = b.tr.ByPath[pp]
 		}
 		switch {
+		case slices.Contains(nonCanonical, path):
+			if err == nil || !strings.Contains(err.Error(), "not canonical") {
+				t.Errorf("%q: err %v, want a non-canonical rejection", path, err)
+			}
 		case wantType == nil:
 			if err == nil || !strings.Contains(err.Error(), "has no type") {
 				t.Errorf("%q: err %v, want a missing-type rejection", path, err)
@@ -324,6 +341,9 @@ func TestTreeBuilderResolvesLikeTypePath(t *testing.T) {
 		case ph.Type != wantType || ph.Parent != wantParent:
 			t.Errorf("%q: type %s parent %s, want %s under %s",
 				path, ph.Type.Path(), ph.Parent.Path, wantType.Path(), wantParent.Path)
+		}
+		if err != nil && len(b.tr.ByPath) != len(base) {
+			t.Errorf("%q: rejected start changed the tree", path)
 		}
 	}
 }

@@ -312,9 +312,6 @@ func (c *Capturer) capture(req captureReq) (*Manifest, error) {
 		write("windows.json", func(w io.Writer) error {
 			return writeJSONIndent(w, rec.WindowSnapshots())
 		})
-		write("alert_events.json", func(w io.Writer) error {
-			return writeJSONIndent(w, rec.RecentAlerts())
-		})
 	}
 	if c.cfg.Alerts != nil {
 		write("alerts.json", func(w io.Writer) error {

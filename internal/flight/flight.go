@@ -5,11 +5,11 @@
 //
 // The Recorder tees cheap, fixed-budget rings that already exist or cost
 // little to maintain: the obs.Tracer span ring, the obs.LogRing slog ring,
-// the last K window snapshots per engine, and recent alert events. The
-// Capturer turns a trigger (alert firing, fleet stall/shed, degraded health,
-// SIGQUIT, manual POST) into a self-contained bundle directory holding pprof
-// profiles, the span ring as a Perfetto trace, the log ring, window and alert
-// snapshots, and a manifest — rate-limited per trigger kind and retained
+// and the last K window snapshots per engine. The Capturer turns a trigger
+// (alert firing, fleet stall/shed, degraded health, SIGQUIT, manual POST)
+// into a self-contained bundle directory holding pprof profiles, the span
+// ring as a Perfetto trace, the log ring, the window snapshots, the alert
+// evaluator's lifecycle snapshot, and a manifest — rate-limited per trigger kind and retained
 // oldest-first-evicted under a bundle cap.
 //
 // Bundles are incident data: they hold wall-clock timestamps, goroutine
@@ -21,7 +21,6 @@ package flight
 import (
 	"sync"
 
-	"grade10/internal/alert"
 	"grade10/internal/obs"
 	"grade10/internal/stream"
 )
@@ -34,13 +33,10 @@ const DefaultWindowsPerRun = 8
 // least-recently-flushed runs are evicted first.
 const DefaultMaxRuns = 64
 
-// DefaultMaxAlerts bounds the recent-alert-event ring.
-const DefaultMaxAlerts = 128
-
 // Recorder is the always-on half of the flight recorder: bounded in-memory
 // rings a bundle capture snapshots. All methods are safe for concurrent use
-// and non-blocking — OnWindowFlush and OnAlerts run on the stream engine's
-// flush path, under the engine lock.
+// and non-blocking — OnWindowFlush runs on the stream engine's flush path,
+// under the engine lock.
 type Recorder struct {
 	// Tracer is the span ring to snapshot into bundles (may be nil).
 	Tracer *obs.Tracer
@@ -53,10 +49,6 @@ type Recorder struct {
 	windows    map[string][]*stream.WindowResult
 	winOrder   []string // least-recently-flushed first
 	winDropped uint64
-
-	maxAlerts     int
-	alerts        []alert.Event
-	alertsDropped uint64
 }
 
 // NewRecorder builds a recorder over the given span and log rings (either
@@ -68,7 +60,6 @@ func NewRecorder(tracer *obs.Tracer, ring *obs.LogRing) *Recorder {
 		winPerRun: DefaultWindowsPerRun,
 		maxRuns:   DefaultMaxRuns,
 		windows:   map[string][]*stream.WindowResult{},
-		maxAlerts: DefaultMaxAlerts,
 	}
 }
 
@@ -109,20 +100,6 @@ func (r *Recorder) OnWindowFlush(run string, wr *stream.WindowResult) {
 	r.mu.Unlock()
 }
 
-// OnAlerts retains recent alert lifecycle transitions. Non-blocking.
-func (r *Recorder) OnAlerts(events []alert.Event) {
-	if r == nil || len(events) == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.alerts = append(r.alerts, events...)
-	if over := len(r.alerts) - r.maxAlerts; over > 0 {
-		r.alertsDropped += uint64(over)
-		r.alerts = append(r.alerts[:0], r.alerts[over:]...)
-	}
-	r.mu.Unlock()
-}
-
 // RunWindows is one run's retained window snapshots, bundle-shaped.
 type RunWindows struct {
 	Run     string                 `json:"run"`
@@ -147,24 +124,12 @@ func (r *Recorder) WindowSnapshots() []RunWindows {
 	return out
 }
 
-// RecentAlerts returns the retained alert transitions, oldest first.
-func (r *Recorder) RecentAlerts() []alert.Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]alert.Event(nil), r.alerts...)
-}
-
 // RegisterMetrics exposes the recorder's ring budgets and drop counters
 // (the log ring registers its own families; the tracer's span drops are
 // already grade10_spans_dropped_total via BridgeTracer):
 //
 //	grade10_flight_window_snapshots            retained window snapshots
 //	grade10_flight_window_dropped_total        snapshots evicted by the rings
-//	grade10_flight_alert_events                retained alert transitions
-//	grade10_flight_alert_events_dropped_total  transitions evicted by the ring
 func (r *Recorder) RegisterMetrics(reg *obs.Registry) {
 	if r == nil || reg == nil {
 		return
@@ -187,19 +152,5 @@ func (r *Recorder) RegisterMetrics(reg *obs.Registry) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			return float64(r.winDropped)
-		})
-	reg.GaugeFunc("grade10_flight_alert_events",
-		"Alert transitions retained by the flight recorder.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return float64(len(r.alerts))
-		})
-	reg.GaugeFunc("grade10_flight_alert_events_dropped_total",
-		"Alert transitions evicted from the flight recorder's bounded ring.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return float64(r.alertsDropped)
 		})
 }

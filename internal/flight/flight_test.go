@@ -36,7 +36,6 @@ func testRecorder() *Recorder {
 
 	rec := NewRecorder(tracer, ring)
 	rec.OnWindowFlush("run-a", &stream.WindowResult{Index: 1, StartSeconds: 0, EndSeconds: 1})
-	rec.OnAlerts([]alert.Event{{Rule: "hot", To: alert.StateFiring, Run: "run-a"}})
 	return rec
 }
 
@@ -91,7 +90,7 @@ func TestBundleCaptureContents(t *testing.T) {
 		t.Errorf("capture notes (sections that failed): %v", m.Notes)
 	}
 	want := []string{
-		"alert_events.json", "alerts.json", "goroutine.pprof", "goroutines.txt",
+		"alerts.json", "goroutine.pprof", "goroutines.txt",
 		"heap.pprof", "logs.json", "mutex.pprof", "overhead.json", "trace.json",
 		"windows.json",
 	}

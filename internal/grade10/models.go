@@ -11,6 +11,7 @@ import (
 
 	"grade10/internal/cluster"
 	"grade10/internal/core"
+	"grade10/internal/rundir"
 )
 
 // ModelParams carries the SUT facts the models need.
@@ -27,6 +28,18 @@ type ModelParams struct {
 	// ThreadsPerWorker is the engine's compute thread count (used by Exact
 	// rules for load/write phases).
 	ThreadsPerWorker int
+}
+
+// RunParams maps a run's metadata (run.json) onto the model parameters: the
+// one mapping the batch CLIs and the live engine build their models from.
+func RunParams(info rundir.Info) ModelParams {
+	return ModelParams{
+		Job:              info.Job,
+		Cores:            info.Cores,
+		NetBandwidth:     info.NetBandwidth,
+		DiskBandwidth:    info.DiskBandwidth,
+		ThreadsPerWorker: info.ThreadsPerWorker,
+	}
 }
 
 // Models bundles the three expert inputs for one framework.

@@ -2,6 +2,7 @@ package issues
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"grade10/internal/attribution"
@@ -169,7 +170,7 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 	rep.Original, rep.CriticalPath = sched.replayPath(nil)
 
 	groups := groupLeaves(sched.leaves)
-	resources := bottleneckResources(prof, btl)
+	resources := bottleneckResources(btl)
 	typePaths := groupTypePaths(groups)
 
 	type candidate struct {
@@ -269,16 +270,14 @@ func impact(orig, opt vtime.Duration) float64 {
 	return f
 }
 
-// bottleneckResources lists resource names with at least one bottleneck,
+// bottleneckResources lists the resources of the detection report's rows,
 // sorted.
-func bottleneckResources(prof *attribution.Profile, btl *bottleneck.Report) []string {
-	seen := map[string]bool{}
-	for _, b := range btl.Bottlenecks {
-		seen[b.Resource] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
+func bottleneckResources(btl *bottleneck.Report) []string {
+	var out []string
+	for _, r := range btl.Rows {
+		if !slices.Contains(out, r.Resource) {
+			out = append(out, r.Resource)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -301,7 +300,7 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 		// must not be subtracted twice.
 		removable := leaf.BlockedWithin(res, leaf.Start, leaf.End)
 		if leaf.Type != nil && (leaf.Type.SyncGroup || leaf.Type.ElasticWaits) {
-			removable -= leaf.BlockedTime(res)
+			removable -= leaf.BlockedTime(res, leaf.Start, leaf.End)
 		}
 		if removable > 0 {
 			newDur -= removable

@@ -34,7 +34,7 @@ type Override struct {
 func Intrinsic(p *core.Phase) vtime.Duration {
 	d := p.Duration()
 	if p.Type != nil && (p.Type.SyncGroup || p.Type.ElasticWaits) {
-		d -= p.BlockedTime("")
+		d -= p.BlockedTime("", p.Start, p.End)
 	}
 	if d < 0 {
 		return 0

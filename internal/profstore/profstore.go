@@ -234,26 +234,13 @@ func BuildRecord(info rundir.Info, out *grade10.Output) *Record {
 		return a.Resource < b.Resource
 	})
 
-	// Bottleneck rows aggregated by (type path, resource, kind).
-	type btlKey struct{ tp, res, kind string }
-	btls := map[btlKey]*BottleneckSummary{}
-	for _, b := range out.Bottlenecks.Bottlenecks {
-		tp := "?"
-		if b.Phase.Type != nil {
-			tp = b.Phase.Type.Path()
-		}
-		k := btlKey{tp, b.Resource, b.Kind.String()}
-		row, ok := btls[k]
-		if !ok {
-			row = &BottleneckSummary{TypePath: k.tp, Resource: k.res, Kind: k.kind}
-			btls[k] = row
-		}
-		row.Phases++
-		row.TotalNS += int64(b.Time)
-	}
-	rec.Bottlenecks = make([]BottleneckSummary, 0, len(btls))
-	for _, row := range btls {
-		rec.Bottlenecks = append(rec.Bottlenecks, *row)
+	// The detection report's rows, re-sorted into the record's order.
+	rec.Bottlenecks = make([]BottleneckSummary, 0, len(out.Bottlenecks.Rows))
+	for _, r := range out.Bottlenecks.Rows {
+		rec.Bottlenecks = append(rec.Bottlenecks, BottleneckSummary{
+			TypePath: r.TypePath, Resource: r.Resource, Kind: r.Kind.String(),
+			Phases: r.Phases, TotalNS: int64(r.Time),
+		})
 	}
 	sort.Slice(rec.Bottlenecks, func(i, j int) bool {
 		a, b := rec.Bottlenecks[i], rec.Bottlenecks[j]

@@ -92,73 +92,10 @@ func blockedString(m map[string]vtime.Duration) string {
 	return strings.Join(parts, " ")
 }
 
-// BottleneckRow aggregates bottlenecks of one (type, resource, kind).
-type BottleneckRow struct {
-	TypePath string
-	Resource string
-	Kind     bottleneck.Kind
-	Phases   int
-	Total    vtime.Duration
-	// Intervals, EvStart and EvEnd summarize the triggering evidence across
-	// the aggregated phases: total evidence intervals and the bounds of the
-	// earliest and latest. ExplainQuery() turns them into a provenance
-	// query that reproduces the verdict's inputs.
-	Intervals int
-	EvStart   vtime.Time
-	EvEnd     vtime.Time
-}
-
-// ExplainQuery renders the provenance query resolving this row's evidence,
-// for grade10 -explain or GET /explain?q=.
-func (r BottleneckRow) ExplainQuery() string {
-	q := explain.Query{Phase: r.TypePath, Resource: r.Resource}
-	if r.EvEnd > r.EvStart {
-		q.T0, q.T1, q.HasRange = r.EvStart, r.EvEnd, true
-	}
-	return q.String()
-}
-
-// AggregateBottlenecks groups the report by phase type.
-func AggregateBottlenecks(rep *bottleneck.Report) []BottleneckRow {
-	type key struct {
-		tp, res string
-		kind    bottleneck.Kind
-	}
-	agg := map[key]*BottleneckRow{}
-	for _, b := range rep.Bottlenecks {
-		tp := "?"
-		if b.Phase.Type != nil {
-			tp = b.Phase.Type.Path()
-		}
-		k := key{tp, b.Resource, b.Kind}
-		row, ok := agg[k]
-		if !ok {
-			row = &BottleneckRow{TypePath: tp, Resource: b.Resource, Kind: b.Kind}
-			agg[k] = row
-		}
-		row.Phases++
-		row.Total += b.Time
-		row.Intervals += b.Intervals
-		if b.EvEnd > b.EvStart {
-			if row.EvEnd <= row.EvStart || b.EvStart < row.EvStart {
-				row.EvStart = b.EvStart
-			}
-			if b.EvEnd > row.EvEnd {
-				row.EvEnd = b.EvEnd
-			}
-		}
-	}
-	out := make([]BottleneckRow, 0, len(agg))
-	for _, r := range agg {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	return out
-}
-
-// WriteBottlenecks renders the aggregated bottleneck table.
+// WriteBottlenecks renders the bottleneck table, one line per row of the
+// detection report.
 func WriteBottlenecks(w io.Writer, out *grade10.Output) error {
-	rows := AggregateBottlenecks(out.Bottlenecks)
+	rows := out.Bottlenecks.Rows
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "no bottlenecks detected")
 		return nil
@@ -167,20 +104,30 @@ func WriteBottlenecks(w io.Writer, out *grade10.Output) error {
 	fmt.Fprintln(tw, "PHASE TYPE\tRESOURCE\tKIND\tPHASES\tTOTAL TIME\tEVIDENCE")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%v\t%s\n", r.TypePath, r.Resource, r.Kind,
-			r.Phases, r.Total, evidenceSummary(r))
+			r.Phases, r.Time, evidenceSummary(r))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "evidence pointers (paste into grade10 -explain '...' or GET /explain?q=...):")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %s\n", r.ExplainQuery())
+		fmt.Fprintf(w, "  %s\n", explainQuery(r))
 	}
 	return nil
 }
 
+// explainQuery renders the provenance query resolving a row's evidence, for
+// grade10 -explain or GET /explain?q=.
+func explainQuery(r bottleneck.Row) string {
+	q := explain.Query{Phase: r.TypePath, Resource: r.Resource}
+	if r.EvEnd > r.EvStart {
+		q.T0, q.T1, q.HasRange = r.EvStart, r.EvEnd, true
+	}
+	return q.String()
+}
+
 // evidenceSummary renders the one-line evidence cell of a bottleneck row.
-func evidenceSummary(r BottleneckRow) string {
+func evidenceSummary(r bottleneck.Row) string {
 	if r.Intervals == 0 {
 		return "-"
 	}

@@ -69,15 +69,29 @@ func TestWriteAllProducesSections(t *testing.T) {
 	}
 }
 
-func TestAggregateBottlenecks(t *testing.T) {
+// TestWriteBottlenecksFollowsRows checks the bottleneck table prints the
+// detection report's rows, in their order, with one evidence pointer each.
+func TestWriteBottlenecksFollowsRows(t *testing.T) {
 	out := sampleOutput(t)
-	rows := AggregateBottlenecks(out.Bottlenecks)
+	rows := out.Bottlenecks.Rows
 	if len(rows) == 0 {
-		t.Fatal("no aggregated bottlenecks")
+		t.Fatal("no bottleneck rows")
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1].Total < rows[i].Total {
-			t.Fatal("rows not sorted by total time")
+	var buf bytes.Buffer
+	if err := WriteBottlenecks(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if want := 2 + 2*len(rows); len(lines) != want {
+		t.Fatalf("%d lines for %d rows, want %d:\n%s", len(lines), len(rows), want, buf.String())
+	}
+	for i, r := range rows {
+		line := strings.Fields(lines[1+i])
+		if line[0] != r.TypePath || line[1] != r.Resource || line[2] != r.Kind.String() {
+			t.Errorf("table line %d = %q, want row %+v", i, lines[1+i], r)
+		}
+		if q := strings.TrimSpace(lines[2+len(rows)+i]); q != explainQuery(r) {
+			t.Errorf("evidence pointer %d = %q, want %q", i, q, explainQuery(r))
 		}
 	}
 }

@@ -196,7 +196,7 @@ func Assemble(cfg Config) (*Server, error) {
 	}
 	if s.broker != nil {
 		uis := ui.NewServer(ui.Config{
-			Resolve: s.resolve, Broker: s.broker, Alerts: s.alerts, Overhead: overhead,
+			Resolve: s.resolve, Broker: s.broker,
 		})
 		s.mux.Handle("/ui/", uis)
 		s.mux.Handle("/api/", uis)
@@ -283,10 +283,11 @@ func (s *Server) pinnedName() string {
 	return name
 }
 
-// publishAlerts fans alert transitions out to the recorder, one bundle
-// capture per batch that fires, the SSE stream, and the webhook.
+// publishAlerts fans alert transitions out to one bundle capture per batch
+// that fires, the SSE stream, and the webhook. The evaluator keeps the
+// transitions themselves: /alerts serves them and every bundle's alerts.json
+// holds them.
 func (s *Server) publishAlerts(evs []alert.Event) {
-	s.recorder.OnAlerts(evs)
 	for _, ev := range evs {
 		if s.capt != nil && ev.To == alert.StateFiring {
 			run := ev.Run // set by record-level evaluation

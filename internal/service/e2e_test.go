@@ -155,9 +155,7 @@ var probes = []string{
 	"GET /api/heatmap",
 	"GET /api/timeline",
 	"GET /api/comms",
-	"GET /api/overhead",
 	"GET /api/events",
-	"GET /api/alerts",
 	"GET /alerts",
 	"GET /runs",
 	"GET /runs/{id}",
@@ -490,7 +488,7 @@ func checkFull(e *env) {
 	}
 	files := untar(t, e.get("/debug/bundles/"+alertBundles[0]))
 	for _, want := range []string{"manifest.json", "goroutine.pprof", "heap.pprof", "cpu.pprof",
-		"trace.json", "logs.json", "windows.json", "alert_events.json", "alerts.json", "overhead.json"} {
+		"trace.json", "logs.json", "windows.json", "alerts.json", "overhead.json"} {
 		if _, ok := files[want]; !ok {
 			t.Errorf("bundle missing %s", want)
 		}

@@ -1,6 +1,9 @@
 package stream
 
-import "grade10/internal/rundir"
+import (
+	"grade10/internal/core"
+	"grade10/internal/rundir"
+)
 
 // FollowSinkFor returns the sink Follow tails a run directory into, so tests
 // can deliver a run without files or a clock, and a getter for the engine
@@ -8,4 +11,27 @@ import "grade10/internal/rundir"
 func FollowSinkFor(build func(rundir.Info) (*Engine, error)) (rundir.FollowSink, func() *Engine) {
 	fs := &followSink{build: build}
 	return fs.sink(), func() *Engine { return fs.e }
+}
+
+// MemStats is the engine's retained-state sizes, which the bounded-memory
+// tests read.
+type MemStats struct {
+	OpenPhases    int
+	PendingLeaves int
+	TreePhases    int
+	Windows       int
+}
+
+// Mem returns the engine's retained-state sizes.
+func (e *Engine) Mem() MemStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	tree := 0
+	e.tree.Root().Walk(func(*core.Phase) { tree++ })
+	return MemStats{
+		OpenPhases:    len(e.tree.Open()),
+		PendingLeaves: len(e.pending),
+		TreePhases:    tree - 1,
+		Windows:       len(e.windows),
+	}
 }

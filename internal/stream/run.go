@@ -9,29 +9,27 @@ import (
 // NewForRun builds an engine for one run from its metadata: cfg is the
 // template (sizing, parallelism, hooks), and whatever it leaves unset is
 // derived from info — the models through the same entry point as the batch
-// CLI, and the expected monitoring feeds as workers × monitored resources.
-// A positive span [StartNS, EndNS) is the end the run's monitoring must
+// CLI, and the expected monitoring feeds from the models' consumable
+// resources, one per worker for a per-machine resource and one for a global
+// one. A positive span [StartNS, EndNS) is the end the run's monitoring must
 // reach for a follow to finish it from its content.
 func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 	if cfg.Models.Exec == nil {
-		models, err := grade10.ModelsForEngine(info.Engine, grade10.ModelParams{
-			Job:              info.Job,
-			Cores:            info.Cores,
-			NetBandwidth:     info.NetBandwidth,
-			DiskBandwidth:    info.DiskBandwidth,
-			ThreadsPerWorker: info.ThreadsPerWorker,
-		})
+		models, err := grade10.ModelsForEngine(info.Engine, grade10.RunParams(info))
 		if err != nil {
 			return nil, err
 		}
 		cfg.Models = models
 	}
 	if cfg.ExpectedInstances <= 0 {
-		resources := 3 // cpu, net-in, net-out
-		if info.DiskBandwidth > 0 {
-			resources++
+		cfg.ExpectedInstances = 0
+		for _, r := range cfg.Models.Res.Consumables() {
+			if r.PerMachine {
+				cfg.ExpectedInstances += info.Workers
+			} else {
+				cfg.ExpectedInstances++
+			}
 		}
-		cfg.ExpectedInstances = info.Workers * resources
 	}
 	e, err := New(cfg)
 	if err != nil {

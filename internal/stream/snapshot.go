@@ -232,28 +232,22 @@ func (e *Engine) foldWindowLocked(win core.Timeslices, prof *attribution.Profile
 		wr.Coverage = attributedAll / consumedAll
 	}
 
-	seenKeys := map[bottleneckKey]bool{}
 	for _, b := range rep.Bottlenecks {
-		tp := b.Phase.Path
-		if b.Phase.Type != nil {
-			tp = b.Phase.Type.Path()
-		}
 		wr.Bottlenecks = append(wr.Bottlenecks, WindowBottleneck{
-			Path: b.Phase.Path, TypePath: tp, Resource: b.Resource,
+			Path: b.Phase.Path, TypePath: b.Phase.Type.Path(), Resource: b.Resource,
 			Machine: b.Machine, Kind: b.Kind.String(), Seconds: b.Time.Seconds(),
 		})
-		k := bottleneckKey{TypePath: tp, Resource: b.Resource, Kind: b.Kind}
+	}
+	for _, r := range rep.Rows {
+		k := bottleneckKey{TypePath: r.TypePath, Resource: r.Resource, Kind: r.Kind}
 		agg := e.btlAggs[k]
 		if agg == nil {
 			agg = &bottleneckAgg{}
 			e.btlAggs[k] = agg
 		}
-		agg.Time += b.Time
-		agg.Phases++
-		if !seenKeys[k] {
-			seenKeys[k] = true
-			agg.Windows++
-		}
+		agg.Time += r.Time
+		agg.Phases += r.Phases
+		agg.Windows++
 	}
 
 	e.windows = append(e.windows, wr)

@@ -315,6 +315,57 @@ func TestStreamMalformedInput(t *testing.T) {
 	}
 }
 
+// TestStreamRejectsNonCanonicalStarts feeds second spellings of a logged
+// phase's path next to the real start: each is an invalid event, none
+// enters the tree, and the run finalizes to the batch report.
+func TestStreamRejectsNonCanonicalStarts(t *testing.T) {
+	f := getFixture(t)
+	e, err := stream.New(stream.Config{Models: f.models, RetainForFinal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, _, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := 0
+	for i, ev := range log.Events {
+		e.IngestEvent(ev)
+		if i != 1 || ev.Kind != enginelog.PhaseStart {
+			continue
+		}
+		for _, alias := range []string{ev.Path[1:], ev.Path + "/", "/" + ev.Path} {
+			bad := ev
+			bad.Path = alias
+			e.IngestEvent(bad)
+			injected++
+		}
+	}
+	if injected == 0 {
+		t.Fatal("the fixture's second event is not a phase start")
+	}
+	e.LogDone()
+	for _, line := range strings.Split(f.monText, "\n") {
+		e.IngestMonitoringLine(line)
+	}
+	e.MonitoringDone()
+	out, err := e.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.InvalidEvents != int64(injected) || st.ForcedClosures != 0 {
+		t.Fatalf("invalid events %d, forced closures %d; want %d and 0",
+			st.InvalidEvents, st.ForcedClosures, injected)
+	}
+	var buf bytes.Buffer
+	if err := report.WriteAll(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != f.batchText {
+		t.Fatal("a non-canonical start changed the final report")
+	}
+}
+
 // TestStreamTruncatedLog cuts the log mid-run: Finalize must force-close the
 // surviving phases and still produce a profile.
 func TestStreamTruncatedLog(t *testing.T) {

@@ -1,5 +1,6 @@
 // grade10 embedded visual profiler. Vanilla JS, no external resources: the
-// server pre-shapes everything under /api/*, this file only renders.
+// server pre-shapes everything it serves (/api/*, and the host's /alerts,
+// /debug/overhead and /explain), this file only renders.
 "use strict";
 
 const $ = (id) => document.getElementById(id);
@@ -10,8 +11,8 @@ const state = {
   overview: null,
   es: null,          // EventSource
   refreshTimer: 0,
-  alerts: false,     // /api/alerts mounted (server started with -alert-rules)
-  overhead: false,   // /api/overhead mounted (overhead accounting wired)
+  alerts: false,     // /alerts mounted (server started with -alert-rules)
+  overhead: false,   // /debug/overhead answered (overhead accounting wired)
 };
 
 function apiURL(path) {
@@ -241,7 +242,7 @@ function renderComms(cm) {
 
 // ---------- alert banner ----------
 
-// renderAlerts paints the banner from the /api/alerts lifecycle snapshot:
+// renderAlerts paints the banner from the /alerts lifecycle snapshot:
 // firing first (red), then pending (amber), then recently resolved (dim).
 // Each chip click-throughs to the explain query evidencing the alert.
 function renderAlerts(snap) {
@@ -268,14 +269,14 @@ function renderAlerts(snap) {
 async function refreshAlerts() {
   if (!state.alerts) return;
   try {
-    renderAlerts(await getJSON("/api/alerts"));
+    renderAlerts(await getJSON("/alerts"));
   } catch { /* transient: keep the last banner */ }
 }
 
 async function setupAlerts() {
-  // /api/alerts only exists when the server was started with -alert-rules.
+  // /alerts only exists when the server was started with -alert-rules.
   try {
-    const snap = await getJSON("/api/alerts");
+    const snap = await getJSON("/alerts");
     state.alerts = true;
     renderAlerts(snap);
   } catch { state.alerts = false; }
@@ -316,14 +317,14 @@ function renderOverhead(data) {
 async function refreshOverhead() {
   if (!state.overhead) return;
   try {
-    renderOverhead(await getJSON("/api/overhead"));
+    renderOverhead(await getJSON("/debug/overhead"));
   } catch { /* transient: keep the last panel */ }
 }
 
 async function setupOverhead() {
-  // /api/overhead only exists when the host server wired overhead accounting.
+  // /debug/overhead answers when the host server wired overhead accounting.
   try {
-    const data = await getJSON("/api/overhead");
+    const data = await getJSON("/debug/overhead");
     state.overhead = true;
     $("overhead-sec").classList.remove("hidden");
     renderOverhead(data);

@@ -120,8 +120,7 @@ func TestSSEWindowFrames(t *testing.T) {
 }
 
 // TestSSEAlertFrames: alert lifecycle transitions publish as `event: alert`
-// frames carrying the event batch as a JSON array, and /api/alerts serves
-// the evaluator's snapshot for banner catch-up.
+// frames carrying the event batch as a JSON array.
 func TestSSEAlertFrames(t *testing.T) {
 	broker := ui.NewBroker(0)
 	rules, err := alert.ParseRules(strings.NewReader("alert hot severity critical when coverage < 0.5\n"))
@@ -129,7 +128,7 @@ func TestSSEAlertFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := alert.NewEvaluator(rules, nil)
-	s := ui.NewServer(ui.Config{Broker: broker, Alerts: ev})
+	s := ui.NewServer(ui.Config{Broker: broker})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -157,19 +156,6 @@ func TestSSEAlertFrames(t *testing.T) {
 		t.Fatalf("alert frame = %+v", got)
 	}
 
-	// Banner catch-up endpoint serves the same lifecycle.
-	resp, err := http.Get(ts.URL + "/api/alerts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap alert.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Firing != 1 || len(snap.Instances) != 1 {
-		t.Fatalf("/api/alerts = %+v", snap)
-	}
 }
 
 // TestSSESlowSubscriberDropped: a subscriber that stops reading must be

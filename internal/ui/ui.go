@@ -18,9 +18,7 @@ package ui
 
 import (
 	"net/http"
-	"strconv"
 
-	"grade10/internal/alert"
 	"grade10/internal/obs"
 	"grade10/internal/stream"
 )
@@ -35,13 +33,6 @@ type Config struct {
 	// OnWindowFlush into the engine's stream.Config to feed it, and its
 	// PublishAlerts into the alerting OnAlert hook for `event: alert` frames.
 	Broker *Broker
-	// Alerts, when set, serves /api/alerts (the same lifecycle snapshot as
-	// the host server's /alerts) so the banner can catch up on connect.
-	Alerts *alert.Evaluator
-	// Overhead, when set, serves /api/overhead — per-run framework overhead
-	// rows, most expensive first — behind the overview's overhead panel.
-	// Every run that has started ingesting has a row.
-	Overhead func() []obs.RunOverhead
 }
 
 // Server is the embedded profiler's http.Handler. The host mounts it under
@@ -65,35 +56,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.Broker != nil {
 		s.handle("/api/events", "SSE window-flush and alert stream", cfg.Broker.ServeHTTP)
 	}
-	if cfg.Alerts != nil {
-		s.handle("/api/alerts", "alert lifecycle snapshot for the banner (JSON)", s.handleAlerts)
-	}
-	if cfg.Overhead != nil {
-		s.handle("/api/overhead", "per-run framework overhead, most expensive first (JSON)", s.handleOverhead)
-	}
 	return s
-}
-
-// handleOverhead serves the overhead panel's rows: every run's accrued
-// framework cost, most expensive by wall time first, capped at ?top= rows
-// (default all).
-func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
-	runs := s.cfg.Overhead()
-	if runs == nil {
-		runs = []obs.RunOverhead{}
-	}
-	if t := r.URL.Query().Get("top"); t != "" {
-		if n, err := strconv.Atoi(t); err == nil && n >= 0 && n < len(runs) {
-			runs = runs[:n]
-		}
-	}
-	obs.WriteJSON(w, struct {
-		Runs []obs.RunOverhead `json:"runs"`
-	}{runs})
-}
-
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	obs.WriteJSON(w, s.cfg.Alerts.Snapshot())
 }
 
 func (s *Server) handle(path, desc string, h http.HandlerFunc) {
