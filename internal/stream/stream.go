@@ -642,6 +642,12 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	}
 	prof, err := attribution.AttributeWindow(tr, leaves, rt, e.cfg.Models.Rules, win,
 		e.cfg.Parallelism, e.cfg.Tracer, arec)
+	var rep *bottleneck.Report
+	if err == nil {
+		// The scan reads the same provisional ends as attribution, so an
+		// open leaf's bottlenecks count in the windows that counted its use.
+		rep = bottleneck.Detect(prof)
+	}
 	for _, ph := range reopened {
 		ph.End = -1
 	}
@@ -649,7 +655,6 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		span.End()
 		return // unreachable: windows are never empty
 	}
-	rep := bottleneck.Detect(prof)
 	wr := e.foldWindowLocked(win, prof, rep)
 	if e.cfg.OnWindowFlush != nil {
 		e.cfg.OnWindowFlush(wr)
