@@ -84,7 +84,9 @@ func AttributeWindow(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.Res
 	instances := rt.Instances()
 	prof := &Profile{Trace: tr, Slices: slices, Rules: rules,
 		Instances: make([]*InstanceProfile, 0, len(instances)),
-		byKey:     make(map[string]*InstanceProfile, len(instances))}
+		byKey:     make(map[string]*InstanceProfile, len(instances)),
+		anyActive: make([]bool, slices.Count)}
+	act := newActivity(leaves, slices, prof.anyActive)
 	results := make([]*InstanceProfile, len(instances))
 	errs := make([]error, len(instances))
 	par.DoWithWorker(len(instances), workers, func(worker, i int) {
@@ -99,7 +101,7 @@ func AttributeWindow(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.Res
 		if rec != nil {
 			ir = rec.InstanceRecorder(i, instances[i], slices)
 		}
-		results[i], errs[i] = attributeInstance(instances[i], leaves, rules, slices, tracer, worker, ir)
+		results[i], errs[i] = attributeInstance(instances[i], leaves, &act, rules, slices, tracer, worker, ir)
 		span.End()
 	})
 	for i, ri := range instances {

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"grade10/internal/enginelog"
 	"grade10/internal/vtime"
@@ -81,37 +81,14 @@ func (p *Phase) BlockedTime(resource string, t0, t1 vtime.Time) vtime.Duration {
 // BlockedWithin returns the unioned blocking time of this phase and its
 // ancestors inside the window [t0, t1), restricted to the named resource
 // (empty = any): if a parent is stalled, its running children are stalled
-// too.
+// too. Warm calls do not allocate: the union is built in pooled scratch.
 func (p *Phase) BlockedWithin(resource string, t0, t1 vtime.Time) vtime.Duration {
-	var intervals []BlockInterval
-	for q := p; q != nil; q = q.Parent {
-		for _, b := range q.Blocked {
-			if resource != "" && b.Resource != resource {
-				continue
-			}
-			if b.End > t0 && b.Start < t1 {
-				intervals = append(intervals, BlockInterval{
-					Start: vtime.Max(b.Start, t0), End: vtime.Min(b.End, t1),
-				})
-			}
-		}
-	}
-	if len(intervals) == 0 {
-		return 0
-	}
-	sort.Slice(intervals, func(i, j int) bool { return intervals[i].Start < intervals[j].Start })
+	st := stallsPool.Get().(*Stalls)
 	var total vtime.Duration
-	var lastEnd vtime.Time = t0
-	for _, b := range intervals {
-		s := b.Start
-		if s < lastEnd {
-			s = lastEnd
-		}
-		if b.End > s {
-			total += b.End.Sub(s)
-			lastEnd = b.End
-		}
+	for _, iv := range st.union(p, resource, t0, t1) {
+		total += iv.end.Sub(iv.start)
 	}
+	stallsPool.Put(st)
 	return total
 }
 
@@ -125,6 +102,94 @@ func (p *Phase) ActiveTime(t0, t1 vtime.Time) vtime.Duration {
 		return 0
 	}
 	return hi.Sub(lo) - p.BlockedWithin("", lo, hi)
+}
+
+// ActiveTimes fills dst[i] with ActiveTime over slice first+i of ts, for
+// every i, in one sweep: the stall union of the phase and its ancestors is
+// built once for the whole row and walked with a cursor, so a row costs
+// O(stalls + slices) rather than a union per slice. Every slice
+// first..first+len(dst)-1 must lie in ts. Reusing st across calls keeps a
+// warm sweep free of allocations.
+func (p *Phase) ActiveTimes(ts Timeslices, first int, dst []vtime.Duration, st *Stalls) {
+	if len(dst) == 0 {
+		return
+	}
+	lo, _ := ts.Bounds(first)
+	_, hi := ts.Bounds(first + len(dst) - 1)
+	u := st.union(p, "", vtime.Max(lo, p.Start), vtime.Min(hi, p.End))
+	j := 0
+	for i := range dst {
+		t0, t1 := ts.Bounds(first + i)
+		a0, a1 := vtime.Max(p.Start, t0), vtime.Min(p.End, t1)
+		if a1 <= a0 {
+			dst[i] = 0
+			continue
+		}
+		for j < len(u) && u[j].end <= a0 {
+			j++
+		}
+		active := a1.Sub(a0)
+		for _, iv := range u[j:] {
+			if iv.start >= a1 {
+				break
+			}
+			active -= vtime.Min(iv.end, a1).Sub(vtime.Max(iv.start, a0))
+		}
+		dst[i] = active
+	}
+}
+
+// Stalls is reusable scratch for ActiveTimes: the merged stall union of one
+// phase and its ancestors. The zero value is ready to use; one Stalls serves
+// one goroutine at a time.
+type Stalls struct{ u []stall }
+
+// stall is one interval of a stall union.
+type stall struct{ start, end vtime.Time }
+
+// stallsPool backs the per-call scratch of BlockedWithin.
+var stallsPool = sync.Pool{New: func() any { return new(Stalls) }}
+
+// union returns the sorted, disjoint union of the stalls of p and its
+// ancestors on resource (empty = any), clipped to [t0, t1). The result
+// aliases st and is valid until its next use. Per-phase lists are sorted in
+// a finished trace but may not be in a growing one, so the collected
+// intervals are sorted unless they already arrive in order.
+func (st *Stalls) union(p *Phase, resource string, t0, t1 vtime.Time) []stall {
+	u := st.u[:0]
+	if t1 <= t0 {
+		return u
+	}
+	sorted := true
+	for q := p; q != nil; q = q.Parent {
+		for _, b := range q.Blocked {
+			if resource != "" && b.Resource != resource {
+				continue
+			}
+			s, e := vtime.Max(b.Start, t0), vtime.Min(b.End, t1)
+			if e <= s {
+				continue
+			}
+			if n := len(u); n > 0 && s < u[n-1].start {
+				sorted = false
+			}
+			u = append(u, stall{s, e})
+		}
+	}
+	st.u = u
+	if !sorted {
+		slices.SortFunc(u, func(a, b stall) int { return cmp.Compare(a.start, b.start) })
+	}
+	n := 0
+	for _, iv := range u {
+		if n > 0 && iv.start <= u[n-1].end {
+			u[n-1].end = vtime.Max(u[n-1].end, iv.end)
+			continue
+		}
+		u[n] = iv
+		n++
+	}
+	return u[:n]
 }
 
 // ActiveFraction returns ActiveTime normalized by the window length.

@@ -24,23 +24,16 @@ type Underutilization struct {
 }
 
 // DetectUnderutilization scans the profile for slices where work was active
-// but no consumable resource exceeded UnderutilizationThreshold·capacity.
+// (some attributed leaf, per the profile's activity table) but no consumable
+// resource exceeded UnderutilizationThreshold·capacity.
 func DetectUnderutilization(prof *attribution.Profile) Underutilization {
 	u := Underutilization{Threshold: UnderutilizationThreshold}
 	slices := prof.Slices
-	leaves := prof.Trace.Leaves()
 	var span vtime.Duration
 	for k := 0; k < slices.Count; k++ {
 		t0, t1 := slices.Bounds(k)
 		span += t1.Sub(t0)
-		active := false
-		for _, leaf := range leaves {
-			if leaf.ActiveTime(t0, t1) > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
+		if !prof.AnyActive(k) {
 			continue
 		}
 		busy := false

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"grade10/internal/core"
@@ -31,9 +32,15 @@ func WriteTimeline(w io.Writer, out *grade10.Output, maxColumns int) error {
 		maxColumns = int(span)
 	}
 
-	// Aggregate per-type activity per column (sum of active durations).
+	// Aggregate per-type activity per column (sum of active durations). The
+	// columns are timeslices of width colDur, so each leaf's activity over
+	// its columns is one sweep.
+	cols := core.Timeslices{Start: start, End: start.Add(vtime.Duration(maxColumns) * colDur),
+		Width: colDur, Count: maxColumns}
 	byType := map[string][]float64{}
 	var order []string
+	var act []vtime.Duration
+	var st core.Stalls
 	out.Trace.Root.Walk(func(p *core.Phase) {
 		if p.Type == nil || !p.IsLeaf() {
 			return
@@ -45,15 +52,15 @@ func WriteTimeline(w io.Writer, out *grade10.Output, maxColumns int) error {
 			byType[tp] = row
 			order = append(order, tp)
 		}
-		first := int(p.Start.Sub(start) / colDur)
-		last := int((p.End.Sub(start) - 1) / colDur)
-		for c := first; c <= last && c < maxColumns; c++ {
-			if c < 0 {
-				continue
-			}
-			c0 := start.Add(vtime.Duration(c) * colDur)
-			c1 := c0.Add(colDur)
-			row[c] += p.ActiveTime(c0, c1).Seconds()
+		first := max(int(p.Start.Sub(start)/colDur), 0)
+		last := min(int((p.End.Sub(start)-1)/colDur), maxColumns-1)
+		if last < first {
+			return
+		}
+		act = slices.Grow(act[:0], last-first+1)[:last-first+1]
+		p.ActiveTimes(cols, first, act, &st)
+		for i, d := range act {
+			row[first+i] += d.Seconds()
 		}
 	})
 	sort.Strings(order)
