@@ -48,8 +48,15 @@ func parseEvent(fields []string) (Event, error) {
 	if len(fields) == 0 {
 		return Event{}, fmt.Errorf("empty event")
 	}
-	argc := map[string]int{"S": 4, "E": 3, "B": 5, "C": 4}[fields[0]]
-	if argc == 0 {
+	var argc int
+	switch fields[0] {
+	case "S", "C":
+		argc = 4
+	case "E":
+		argc = 3
+	case "B":
+		argc = 5
+	default:
 		return Event{}, fmt.Errorf("unknown event tag %q", fields[0])
 	}
 	if len(fields) != argc {

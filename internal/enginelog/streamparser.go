@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // StreamParser is the one execution-log decoder. It accepts either enginelog
@@ -76,7 +77,13 @@ func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
 		return
 	}
 	sp.text.Lines++
-	e, err := parseEvent(strings.Fields(string(line)))
+	var buf [maxFields]string
+	text := string(line)
+	fields, ok := splitFields(text, buf[:])
+	if !ok {
+		fields = strings.Fields(text)
+	}
+	e, err := parseEvent(fields)
 	if err != nil {
 		sp.text.Skipped++
 		if sp.text.FirstError == "" {
@@ -88,6 +95,40 @@ func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
 	if emit != nil {
 		emit(e)
 	}
+}
+
+// maxFields is the most fields splitFields returns: the B tag's five and
+// one over, so an overlong line is still split on the stack.
+const maxFields = 6
+
+// asciiSpace marks the bytes strings.Fields splits ASCII text at.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits s at ASCII whitespace into dst, exactly as
+// strings.Fields would, without allocating. It reports false, leaving the
+// split to strings.Fields, when s holds a byte >= 0x80 (which may start
+// Unicode whitespace) or more fields than dst holds.
+func splitFields(s string, dst []string) ([]string, bool) {
+	out := dst[:0]
+	for i := 0; i < len(s); {
+		if s[i] >= utf8.RuneSelf {
+			return nil, false
+		}
+		if asciiSpace[s[i]] {
+			i++
+			continue
+		}
+		j := i
+		for j < len(s) && s[j] < utf8.RuneSelf && !asciiSpace[s[j]] {
+			j++
+		}
+		if len(out) == cap(out) {
+			return nil, false
+		}
+		out = append(out, s[i:j])
+		i = j
+	}
+	return out, true
 }
 
 // FeedReader streams all of r through Feed in bounded memory.
