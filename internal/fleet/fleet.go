@@ -334,8 +334,8 @@ func (f *Fleet) stallWatch(rs *runState) {
 }
 
 // runWorker tails one Registered run directory to completion, then
-// finalizes it and starts whatever the scheduler promotes into the freed
-// slot.
+// finalizes it; settling the run frees its slot for whatever the scheduler
+// promotes.
 func (f *Fleet) runWorker(rs *runState) {
 	defer f.wg.Done()
 	defer close(rs.done)
@@ -353,10 +353,18 @@ func (f *Fleet) runWorker(rs *runState) {
 		return e, nil
 	})
 	_ = f.finishRun(rs, err)
+}
 
+// releaseLocked frees a Registered run's admission slot and starts the runs
+// the scheduler promotes into it. finishRun calls it in the critical section
+// that publishes the run's terminal status, so no snapshot reads the run
+// settled while Counts still holds its slot. The pinned run holds no slot.
+// Caller holds f.mu.
+func (f *Fleet) releaseLocked(rs *runState) {
+	if rs.pinned {
+		return
+	}
 	promoted := f.sched.Release(rs.name)
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	for len(promoted) > 0 {
 		next, ok := f.runs[promoted[0]]
 		promoted = promoted[1:]
@@ -392,6 +400,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 			rs.status = StatusFailed
 			rs.err = err.Error()
 		}
+		f.releaseLocked(rs)
 		f.mu.Unlock()
 		f.cfg.Logger.Warn("fleet run failed", "run", rs.name, "err", err)
 		return err
@@ -401,7 +410,10 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 	}
 	if engine == nil {
 		if stalled {
-			return nil // watchdog already settled the status
+			f.mu.Lock()
+			f.releaseLocked(rs) // the watchdog already settled the status
+			f.mu.Unlock()
+			return nil
 		}
 		return fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.dir))
 	}
@@ -433,6 +445,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 	rs.makespanNS = makespan
 	rs.archiveID = archiveID
 	rs.blame = blame
+	f.releaseLocked(rs)
 	f.mu.Unlock()
 	f.cfg.Logger.Info("fleet run done", "run", rs.name,
 		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
