@@ -364,6 +364,36 @@ func (rs *RuleSet) Get(typePath, resource string) Rule {
 	return rs.Default
 }
 
+// RuleMemo is RuleSet.Get for one resource, memoized by phase type pointer.
+// Hot loops look up the rule of thousands of phases that share a dozen or
+// so types, and a linear identity scan over those beats hashing the type
+// path string per phase. It returns exactly what Get returns. The zero value
+// is ready; Reset it before switching resource or rule set.
+type RuleMemo struct {
+	typ []*PhaseType
+	val []Rule
+}
+
+// Get returns rs.Get(typ.Path(), resource).
+func (m *RuleMemo) Get(rs *RuleSet, typ *PhaseType, resource string) Rule {
+	for i, t := range m.typ {
+		if t == typ {
+			return m.val[i]
+		}
+	}
+	r := rs.Get(typ.Path(), resource)
+	m.typ = append(m.typ, typ)
+	m.val = append(m.val, r)
+	return r
+}
+
+// Reset forgets every memoized rule, keeping capacity; it drops the type
+// pointers so a pooled memo never pins a model.
+func (m *RuleMemo) Reset() {
+	clear(m.typ)
+	m.typ, m.val = m.typ[:0], m.val[:0]
+}
+
 // Explicit reports whether an explicit rule exists for the pair.
 func (rs *RuleSet) Explicit(typePath, resource string) bool {
 	byRes, ok := rs.rules[typePath]
