@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -352,18 +353,28 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	checkServe(t, bin("serve"), bin("grade10"), runDir)
+	checkRunsimServe(t, bin("runsim"), bin("grade10"), graphFile)
+}
+
+// batchReport is grade10 -run's report on runDir split from its trailing
+// "log parse: ..." footer, which the /report body does not carry.
+func batchReport(t *testing.T, grade10Bin, runDir string) (report, footer string) {
+	t.Helper()
+	out, err := exec.Command(grade10Bin, "-run", runDir).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.LastIndex(string(out), "\nlog parse: ")
+	if i < 0 {
+		t.Fatalf("grade10 -run %s printed no parse footer", runDir)
+	}
+	return string(out[:i]), string(out[i:])
 }
 
 // checkServe drives the real serve binary over a runsim-written directory:
 // how its flags map onto the service is what these cases pin.
 func checkServe(t *testing.T, serveBin, grade10Bin, runDir string) {
-	batch, err := exec.Command(grade10Bin, "-run", runDir).Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The /report body is the batch report without the parse-stats footer.
-	want := string(batch)
-	want = want[:strings.LastIndex(want, "\nlog parse: ")]
+	want, _ := batchReport(t, grade10Bin, runDir)
 
 	// -run: /report converges to the batch text and /healthz answers 200.
 	base := startServe(t, serveBin, "-run", runDir, "-addr", "127.0.0.1:0", "-idle", "50ms")
@@ -419,10 +430,46 @@ func checkServe(t *testing.T, serveBin, grade10Bin, runDir string) {
 	})
 }
 
+// checkRunsimServe drives runsim -serve on a fresh -out directory: once the
+// run is saved, the service follows it as serve -run does, so /report is the
+// batch text and the ingest counters measure the bytes the follow read.
+func checkRunsimServe(t *testing.T, runsimBin, grade10Bin, graphFile string) {
+	out := filepath.Join(t.TempDir(), "served")
+	base := startServe(t, runsimBin, "-engine", "giraph", "-algorithm", "pagerank",
+		"-graph", graphFile, "-workers", "2", "-threads", "4", "-out", out,
+		"-serve", "127.0.0.1:0", "-linger", "30s")
+	report := waitHTTP(t, base+"/report", func(code int, _ string) bool { return code == http.StatusOK })
+	want, footer := batchReport(t, grade10Bin, out)
+	if report != want {
+		t.Fatalf("runsim -serve /report differs from grade10 -run:\n%s", report)
+	}
+	m := regexp.MustCompile(` (\d+) events`).FindStringSubmatch(footer)
+	if m == nil {
+		t.Fatalf("no event count in %q", footer)
+	}
+	var stats struct {
+		Lines int64 `json:"lines"`
+	}
+	if _, body := httpGet(t, base+"/stats"); json.Unmarshal([]byte(body), &stats) != nil ||
+		strconv.FormatInt(stats.Lines, 10) != m[1] {
+		t.Fatalf("/stats lines = %d, want the log's %s events: %s", stats.Lines, m[1], body)
+	}
+	var overhead struct {
+		Runs []struct {
+			IngestBytes int64 `json:"ingest_bytes"`
+		} `json:"runs"`
+	}
+	if _, body := httpGet(t, base+"/debug/overhead"); json.Unmarshal([]byte(body), &overhead) != nil ||
+		len(overhead.Runs) != 1 || overhead.Runs[0].IngestBytes <= 0 {
+		t.Fatalf("/debug/overhead does not count the ingested bytes: %s", body)
+	}
+}
+
 var listenAddr = regexp.MustCompile(`listening on ([^\s,"]+)`)
 
-// startServe starts serve with args, learns its address from the
-// "listening on" log line, and stops it when the test ends.
+// startServe starts a serving binary (serve, or runsim -serve) with args,
+// learns its address from the "listening on" log line, and stops it when the
+// test ends.
 func startServe(t *testing.T, serveBin string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(serveBin, args...)
@@ -441,7 +488,7 @@ func startServe(t *testing.T, serveBin string, args ...string) string {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			_ = cmd.Process.Kill()
-			t.Errorf("serve %v did not exit on interrupt", args)
+			t.Errorf("%s %v did not exit on interrupt", filepath.Base(serveBin), args)
 		}
 	})
 	sc := bufio.NewScanner(stderr)
@@ -451,7 +498,7 @@ func startServe(t *testing.T, serveBin string, args ...string) string {
 			return "http://" + m[1]
 		}
 	}
-	t.Fatalf("serve %v exited without a listening line", args)
+	t.Fatalf("%s %v exited without a listening line", filepath.Base(serveBin), args)
 	return ""
 }
 

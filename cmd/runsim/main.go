@@ -11,9 +11,10 @@
 //	runsim -engine giraph -algorithm pagerank -out run/ -trace trace.json
 //
 // With -serve, a live characterization server (the same endpoints as
-// cmd/serve, including the embedded visual profiler under /ui/) runs during
-// the simulation, fed in-process through a tap on the engine's logger;
-// -linger keeps it up after the run for inspection. With
+// cmd/serve, including the embedded visual profiler under /ui/) is up while
+// the simulation runs and, once the run is saved, serves the -out directory
+// through the same follow as serve -run; -linger keeps it up after the run
+// for inspection. With
 // -trace, the simulator's self-trace (supersteps/iterations with their
 // virtual-time windows, plus any live-analysis stages) is written as a
 // Chrome trace-event file loadable in Perfetto.
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"grade10/internal/cluster"
-	"grade10/internal/enginelog"
 	"grade10/internal/experiments"
 	"grade10/internal/giraphsim"
 	"grade10/internal/graph"
@@ -105,19 +105,25 @@ func main() {
 		monInterval = vtime.Duration(*interval)
 	}
 
-	// The live service (with -serve) starts once the engine's machine spec
-	// is known; its tap hook becomes the simulator's Tee.
-	var live *liveServe
-	serveLive := func(info rundir.Info) func(enginelog.Event) {
-		if *serveAddr == "" {
-			return nil
-		}
-		l, err := startLive(*serveAddr, info, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
+	// The live service (with -serve) is the same assembly as cmd/serve, with
+	// only what runsim's flags turn on. Its pinned endpoints answer 503 until
+	// the saved run is followed. The tracer (which may be nil) is shared with
+	// the simulator, so one -trace file interleaves engine supersteps with
+	// analysis window flushes.
+	var svc *service.Server
+	if *serveAddr != "" {
+		svc, err = service.Assemble(service.Config{
+			Addr: *serveAddr, Logger: logger, LogRing: logRing,
+			Engine: stream.Config{
+				RetainForFinal: true, Parallelism: *parallel, Tracer: tracer, Explain: *explainOn,
+			},
+			Pprof: *pprofOn, UI: *uiOn,
+			ShutdownTimeout: 3 * time.Second,
+		})
 		if err != nil {
 			fail(err)
 		}
-		live = l
-		return l.tap.Func()
+		logger.Info("live characterization listening on " + svc.Addr())
 	}
 	run := &rundir.Run{}
 	var (
@@ -133,7 +139,6 @@ func main() {
 			cfg.OSNoiseCores = *noise
 		}
 		run.Info = runInfo("giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
-		cfg.Tee = serveLive(run.Info)
 		res, err := giraphsim.Run(prog, graph.HashPartition(g, cfg.Workers), cfg)
 		if err != nil {
 			fail(err)
@@ -151,7 +156,6 @@ func main() {
 			cfg.OSNoiseCores = *noise
 		}
 		run.Info = runInfo("powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
-		cfg.Tee = serveLive(run.Info)
 		res, err := pgsim.Run(prog, cfg)
 		if err != nil {
 			fail(err)
@@ -177,8 +181,8 @@ func main() {
 		fail(err)
 	}
 	logger.Info(fmt.Sprintf("saved %d log events to %s", len(run.Log.Events), *out))
-	if live != nil {
-		live.finish(run.Monitoring, *linger)
+	if svc != nil {
+		serveRun(svc, *out, *linger)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -195,64 +199,17 @@ func main() {
 	}
 }
 
-// liveServe bundles the in-process live characterization pipeline: the
-// service's pinned run, its engine fed through a tap on the simulator's
-// logger, served over HTTP while the simulation runs.
-type liveServe struct {
-	svc    *service.Server
-	run    string
-	engine *stream.Engine
-	tap    *stream.Tap
-}
-
-// startLive assembles the live service for this run — the same assembly as
-// cmd/serve, with only what runsim's flags turn on — and pins the run, its
-// engine built from the run's metadata with the same models the batch
-// analyzer would resolve. The returned tap hook goes into the simulator's
-// Config.Tee. The
-// tracer (which may be nil) is shared with the simulator, so one -trace file
-// interleaves engine supersteps with analysis window flushes.
-func startLive(addr string, info rundir.Info, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveServe, error) {
-	svc, err := service.Assemble(service.Config{
-		Addr: addr, Logger: logger, LogRing: logRing,
-		Engine: stream.Config{
-			RetainForFinal: true, Parallelism: parallel, Tracer: tracer, Explain: explainOn,
-		},
-		Pprof: pprofOn, UI: uiOn,
-		ShutdownTimeout: 3 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e, err := svc.Fleet().Attach(info.Job, "", info)
-	if err != nil {
-		svc.Shutdown()
-		return nil, err
-	}
-	logger.Info("live characterization on " + svc.Addr())
-	return &liveServe{svc: svc, run: info.Job, engine: e, tap: stream.NewTap(e)}, nil
-}
-
-// finish drains the tap, feeds the run's monitoring samples, finalizes the
-// exact profile, and keeps serving for the linger duration before shutdown.
-func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Duration) {
-	ls.tap.Close()
-	ls.engine.LogDone()
-	for _, rs := range monitoring {
-		for _, s := range rs.Samples.Samples {
-			ls.engine.IngestSample(rs.Machine, rs.Resource, rs.Capacity, s)
-		}
-	}
-	ls.engine.MonitoringDone()
-	if err := ls.svc.Fleet().Finish(ls.run); err != nil {
+// serveRun follows the saved run directory as the service's pinned run —
+// the follow serve -run does, which finishes a complete directory after one
+// poll — and keeps serving for the linger duration before shutdown.
+func serveRun(svc *service.Server, dir string, linger time.Duration) {
+	if err := svc.Fleet().Follow(dir, "", nil); err != nil {
 		logger.Error("live finalize: " + err.Error())
 	} else if linger > 0 {
 		logger.Info(fmt.Sprintf("exact report at /report for %v", linger))
 	}
-	if linger > 0 {
-		time.Sleep(linger)
-	}
-	ls.svc.Shutdown()
+	time.Sleep(linger)
+	svc.Shutdown()
 }
 
 // runInfo is the run metadata known before the simulation runs.

@@ -23,7 +23,6 @@
 package attribution
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -184,10 +183,7 @@ func newActivity(leaves []*core.Phase, slices core.Timeslices, anyActive []bool)
 // Get returns the profile of a resource instance by name and machine, or
 // nil.
 func (p *Profile) Get(name string, machine int) *InstanceProfile {
-	if machine == core.GlobalMachine {
-		return p.byKey[name+"@global"]
-	}
-	return p.byKey[fmt.Sprintf("%s@%d", name, machine)]
+	return p.byKey[core.InstanceKey(name, machine)]
 }
 
 // Attribute runs the three-step attribution process over every resource

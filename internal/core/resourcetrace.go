@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"grade10/internal/metrics"
 )
@@ -17,27 +19,38 @@ type ResourceInstance struct {
 	Resource *Resource
 	Machine  int
 	Samples  *metrics.SampleSeries
+	key      string
 }
 
-// Key returns a stable identifier like "cpu@2" or "lock@global".
-func (ri *ResourceInstance) Key() string {
-	if ri.Machine == GlobalMachine {
-		return ri.Resource.Name + "@global"
+// InstanceKey formats the stable identifier of a resource instance, like
+// "cpu@2" or "lock@global".
+func InstanceKey(resource string, machine int) string {
+	if machine == GlobalMachine {
+		return resource + "@global"
 	}
-	return fmt.Sprintf("%s@%d", ri.Resource.Name, ri.Machine)
+	return resource + "@" + strconv.Itoa(machine)
+}
+
+// Key returns the instance's InstanceKey, formatted once when it was added.
+func (ri *ResourceInstance) Key() string { return ri.key }
+
+// instanceID identifies a resource instance without formatting its key.
+type instanceID struct {
+	resource string
+	machine  int
 }
 
 // ResourceTrace is the set of monitored consumable resource instances for
 // one execution (§III-C). Blocking resources do not appear here: their data
 // arrives as blocking events inside the execution trace.
 type ResourceTrace struct {
-	instances []*ResourceInstance
-	byKey     map[string]*ResourceInstance
+	instances []*ResourceInstance // in key order
+	byID      map[instanceID]*ResourceInstance
 }
 
 // NewResourceTrace creates an empty trace.
 func NewResourceTrace() *ResourceTrace {
-	return &ResourceTrace{byKey: map[string]*ResourceInstance{}}
+	return &ResourceTrace{byID: map[instanceID]*ResourceInstance{}}
 }
 
 // Add registers monitoring samples for a resource instance. Duplicate
@@ -55,27 +68,22 @@ func (rt *ResourceTrace) Add(res *Resource, machine int, samples *metrics.Sample
 	if err := samples.Validate(); err != nil {
 		return fmt.Errorf("core: resource %q machine %d: %v", res.Name, machine, err)
 	}
-	ri := &ResourceInstance{Resource: res, Machine: machine, Samples: samples}
-	if _, dup := rt.byKey[ri.Key()]; dup {
-		return fmt.Errorf("core: duplicate resource instance %s", ri.Key())
+	id, key := instanceID{res.Name, machine}, InstanceKey(res.Name, machine)
+	if _, dup := rt.byID[id]; dup {
+		return fmt.Errorf("core: duplicate resource instance %s", key)
 	}
-	rt.instances = append(rt.instances, ri)
-	rt.byKey[ri.Key()] = ri
+	ri := &ResourceInstance{Resource: res, Machine: machine, Samples: samples, key: key}
+	at := sort.Search(len(rt.instances), func(i int) bool { return rt.instances[i].key > ri.key })
+	rt.instances = slices.Insert(rt.instances, at, ri)
+	rt.byID[id] = ri
 	return nil
 }
 
 // Instances returns the instances sorted by key for deterministic iteration.
-func (rt *ResourceTrace) Instances() []*ResourceInstance {
-	out := make([]*ResourceInstance, len(rt.instances))
-	copy(out, rt.instances)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
+// The slice is the trace's own: callers must not modify it.
+func (rt *ResourceTrace) Instances() []*ResourceInstance { return rt.instances }
 
 // Get resolves an instance by resource name and machine, or nil.
 func (rt *ResourceTrace) Get(name string, machine int) *ResourceInstance {
-	if machine == GlobalMachine {
-		return rt.byKey[name+"@global"]
-	}
-	return rt.byKey[fmt.Sprintf("%s@%d", name, machine)]
+	return rt.byID[instanceID{name, machine}]
 }

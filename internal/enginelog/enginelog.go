@@ -131,7 +131,6 @@ func Parent(path string) string {
 type Logger struct {
 	now func() vtime.Time
 	log Log
-	tee func(Event)
 }
 
 // NewLogger creates a logger reading timestamps from now.
@@ -139,18 +138,7 @@ func NewLogger(now func() vtime.Time) *Logger {
 	return &Logger{now: now}
 }
 
-// SetTee installs a hook invoked synchronously for every event as it is
-// logged, in addition to the in-memory accumulation. This is the in-process
-// streaming path: a live consumer (e.g. internal/stream) observes the
-// execution while it runs instead of waiting for the full log.
-func (l *Logger) SetTee(fn func(Event)) { l.tee = fn }
-
-func (l *Logger) emit(e Event) {
-	l.log.Events = append(l.log.Events, e)
-	if l.tee != nil {
-		l.tee(e)
-	}
-}
+func (l *Logger) emit(e Event) { l.log.Events = append(l.log.Events, e) }
 
 // StartPhase logs the beginning of a phase on a machine (-1 if unbound).
 func (l *Logger) StartPhase(path string, machine int) {

@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"grade10/internal/vtime"
 )
 
 func TestReadStatsSkipsMalformed(t *testing.T) {
@@ -92,22 +90,4 @@ func readClean(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("degraded decode: %+v", stats)
 	}
 	return log, nil
-}
-
-func TestLoggerTee(t *testing.T) {
-	now := vtime.Time(0)
-	l := NewLogger(func() vtime.Time { return now })
-	var seen []Event
-	l.SetTee(func(e Event) { seen = append(seen, e) })
-	l.StartPhase("/app", 0)
-	now = vtime.Time(10)
-	l.EndPhase("/app")
-	if len(seen) != 2 || len(l.Log().Events) != 2 {
-		t.Fatalf("tee saw %d events, logger kept %d", len(seen), len(l.Log().Events))
-	}
-	for i := range seen {
-		if seen[i] != l.Log().Events[i] {
-			t.Fatalf("tee event %d diverges: %+v vs %+v", i, seen[i], l.Log().Events[i])
-		}
-	}
 }

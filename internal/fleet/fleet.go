@@ -104,8 +104,7 @@ type runState struct {
 	name  string
 	dir   string
 	label string // archived with the record
-	// pinned marks the run Attach added: its caller feeds the engine, which
-	// outlives finalize.
+	// pinned marks the run Follow added (see Follow for how it differs).
 	pinned bool
 
 	status RunStatus
@@ -118,8 +117,13 @@ type runState struct {
 	info    rundir.Info
 	infoSet bool
 
-	engine      *stream.Engine
-	account     *obs.RunAccount // survives engine teardown: finished runs still report overhead
+	engine  *stream.Engine
+	account *obs.RunAccount // survives engine teardown: finished runs still report overhead
+	result
+}
+
+// result is a finished run's compact artifacts, which outlive its engine.
+type result struct {
 	bottlenecks []stream.BottleneckSummary
 	archiveID   string
 	makespanNS  int64
@@ -139,9 +143,9 @@ type Fleet struct {
 	runs  map[string]*runState
 	order []string // registration order, for stable /fleet/runs listings
 
-	// pinned is the run an empty ?run= resolves to; nil until Attach. Its
-	// name and engine never change once stored, so Pinned reads them
-	// without f.mu (every window flush asks for the pinned name).
+	// pinned is the run an empty ?run= resolves to; nil until its engine
+	// exists. Its name and engine never change once stored, so Pinned reads
+	// them without f.mu (every window flush asks for the pinned name).
 	pinned atomic.Pointer[runState]
 
 	wg     sync.WaitGroup
@@ -209,84 +213,50 @@ func (f *Fleet) addLocked(name, label string) *runState {
 	return rs
 }
 
-// Attach pins a run whose caller supplies the metadata and feeds the
-// returned engine: serve -run through Follow, runsim -serve from its
-// tap. The pinned run skips admission, and its caller ends it with Finish.
-// It differs from a Registered run in five ways: its engine outlives
-// finalize, it honours the template's RetainForFinal, its engine evaluates
-// Alerts on every window flush, its record carries label, and Pinned
-// reports it. A fleet pins at most one run.
-func (f *Fleet) Attach(name, label string, info rundir.Info) (*stream.Engine, error) {
-	e, acct, err := f.buildEngine(name, true, info)
-	if err != nil {
-		return nil, err
-	}
+// Follow tails the run directory dir as the fleet's pinned run, as serve -run
+// and runsim -serve do, and returns once the run has finished: its content
+// completed, it went idle, or stop closed. The run is named after the
+// directory and runs the same worker body as a Registered run, on the
+// caller's goroutine and without admission. It differs from a Registered run
+// in five ways: its engine outlives finalize, it honours the template's
+// RetainForFinal, its engine evaluates Alerts on every window flush, its
+// record carries label, and Pinned reports it once run.json has built its
+// engine. A fleet pins at most one run.
+func (f *Fleet) Follow(dir, label string, stop <-chan struct{}) error {
+	name := filepath.Base(filepath.Clean(dir))
 	f.mu.Lock()
-	switch {
-	case f.closed:
-		err = fmt.Errorf("fleet: shut down")
-	case f.pinned.Load() != nil:
-		err = fmt.Errorf("fleet: run %q is already pinned", f.pinned.Load().name)
-	case f.runs[name] != nil:
-		err = fmt.Errorf("fleet: run %q is already registered", name)
-	default:
-		rs := f.addLocked(name, label)
-		rs.pinned, rs.status = true, StatusActive
-		rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
-		f.pinned.Store(rs)
+	err := f.pinnableLocked(name)
+	var rs *runState
+	if err == nil {
+		rs = f.addLocked(name, label)
+		rs.dir, rs.pinned, rs.status = dir, true, StatusActive
 	}
 	f.mu.Unlock()
 	if err != nil {
-		return nil, err
-	}
-	f.cfg.Logger.Info(fmt.Sprintf("%s run of %q on %d workers pinned", info.Engine, info.Job, info.Workers),
-		"run", name)
-	return e, nil
-}
-
-// Follow tails the run directory dir into a pinned run, as serve -run does:
-// run.json pins it (Attach, named after the directory), and the run finishes
-// (Finish) once its content is complete, it goes idle, or stop closes.
-func (f *Fleet) Follow(dir, label string, stop <-chan struct{}) error {
-	name := filepath.Base(filepath.Clean(dir))
-	e, err := f.follow(name, dir, stop, func(info rundir.Info) (*stream.Engine, error) {
-		return f.Attach(name, label, info)
-	})
-	switch {
-	case err != nil:
 		return err
-	case e == nil:
-		return fmt.Errorf("stopped before run.json appeared in %s", dir)
 	}
-	return f.Finish(name)
+	return f.runWorker(rs, stop)
 }
 
-// follow tails a run directory into the engine build returns. A run that
-// ends through the Idle fallback, before its content completed, is logged:
-// its producer may have died rather than finished.
-func (f *Fleet) follow(name, dir string, stop <-chan struct{}, build func(rundir.Info) (*stream.Engine, error)) (*stream.Engine, error) {
-	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
-	e, idle, err := stream.Follow(dir, opt, stop, build)
-	if idle {
-		f.cfg.Logger.Warn("fleet run went idle before its content completed", "run", name, "dir", dir)
+// pinnableLocked reports why name cannot become the pinned run, if it
+// cannot. Caller holds f.mu.
+func (f *Fleet) pinnableLocked(name string) error {
+	if f.closed {
+		return fmt.Errorf("fleet: shut down")
 	}
-	return e, err
-}
-
-// Finish finalizes the pinned run through the same finalize, archive,
-// alert-evaluation and blame path as every Registered run, and keeps its
-// engine serving. A bounded engine has no exact profile: the run ends done
-// with no record and no blame.
-func (f *Fleet) Finish(name string) error {
-	rs := f.pinned.Load()
-	if rs == nil || rs.name != name {
-		return fmt.Errorf("fleet: run %q is not pinned", name)
+	for _, rs := range f.runs {
+		if rs.pinned {
+			return fmt.Errorf("fleet: run %q is already pinned", rs.name)
+		}
 	}
-	return f.finishRun(rs, nil)
+	if f.runs[name] != nil {
+		return fmt.Errorf("fleet: run %q is already registered", name)
+	}
+	return nil
 }
 
 // Pinned returns the pinned run's name and engine; ok is false until
-// Attach.
+// run.json has built its engine.
 func (f *Fleet) Pinned() (name string, e *stream.Engine, ok bool) {
 	rs := f.pinned.Load()
 	if rs == nil {
@@ -300,7 +270,10 @@ func (f *Fleet) Pinned() (name string, e *stream.Engine, ok bool) {
 func (f *Fleet) startLocked(rs *runState) {
 	rs.status = StatusActive
 	f.wg.Add(1)
-	go f.runWorker(rs)
+	go func() {
+		defer f.wg.Done()
+		_ = f.runWorker(rs, rs.stop)
+	}()
 	if f.cfg.StallTimeout > 0 {
 		go f.stallWatch(rs)
 	}
@@ -333,26 +306,20 @@ func (f *Fleet) stallWatch(rs *runState) {
 	}
 }
 
-// runWorker tails one Registered run directory to completion, then
-// finalizes it; settling the run frees its slot for whatever the scheduler
-// promotes.
-func (f *Fleet) runWorker(rs *runState) {
-	defer f.wg.Done()
+// runWorker is every run's worker body: it tails the run directory into the
+// engine run.json builds until stop closes or the run ends, then finalizes
+// it. A run that ends through the Idle fallback, before its content
+// completed, is logged: its producer may have died rather than finished.
+func (f *Fleet) runWorker(rs *runState, stop <-chan struct{}) error {
 	defer close(rs.done)
-
-	_, err := f.follow(rs.name, rs.dir, rs.stop, func(info rundir.Info) (*stream.Engine, error) {
-		e, acct, err := f.buildEngine(rs.name, false, info)
-		if err != nil {
-			return nil, err
-		}
-		f.mu.Lock()
-		rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
-		f.mu.Unlock()
-		f.cfg.Logger.Info("fleet run ingesting",
-			"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
-		return e, nil
+	opt := rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}
+	_, idle, err := stream.Follow(rs.dir, opt, stop, func(info rundir.Info) (*stream.Engine, error) {
+		return f.buildEngine(rs, info)
 	})
-	_ = f.finishRun(rs, err)
+	if idle {
+		f.cfg.Logger.Warn("fleet run went idle before its content completed", "run", rs.name, "dir", rs.dir)
+	}
+	return f.finishRun(rs, err)
 }
 
 // releaseLocked frees a Registered run's admission slot and starts the runs
@@ -391,65 +358,56 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 	stalled := rs.status == StatusStalled
 	f.mu.Unlock()
 
-	fail := func(err error) error {
-		f.mu.Lock()
-		if !rs.pinned {
-			rs.engine = nil
-		}
-		if rs.status != StatusStalled {
-			rs.status = StatusFailed
-			rs.err = err.Error()
-		}
-		f.releaseLocked(rs)
-		f.mu.Unlock()
-		f.cfg.Logger.Warn("fleet run failed", "run", rs.name, "err", err)
-		return err
-	}
-	if followErr != nil {
-		return fail(followErr)
-	}
-	if engine == nil {
-		if stalled {
-			f.mu.Lock()
-			f.releaseLocked(rs) // the watchdog already settled the status
-			f.mu.Unlock()
-			return nil
-		}
-		return fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.dir))
-	}
-
-	out, err := engine.Finalize()
-	if err != nil {
-		return fail(err)
-	}
-	snap := engine.Snapshot()
-	var (
-		archiveID string
-		makespan  int64
-		blame     *BlameProfile
-	)
-	if out != nil { // nil only for a bounded pinned run: no record, no blame
-		if archiveID, err = f.archive(rs, out); err != nil {
-			return fail(err)
-		}
-		blame = BuildBlameProfile(rs.name, rs.info, out, f.cfg.Engine.Timeslice)
-		makespan = int64(out.Trace.End.Sub(out.Trace.Start))
+	var res result
+	err := followErr
+	switch {
+	case err != nil:
+	case engine != nil:
+		res, err = f.finalize(rs, engine)
+	case !stalled: // a stalled run's watchdog already settled its status
+		err = fmt.Errorf("stopped before run metadata appeared in %s", rs.dir)
 	}
 
 	f.mu.Lock()
 	if !rs.pinned {
 		rs.engine = nil // teardown: the windows, provenance and raw inputs go
 	}
-	rs.status = StatusDone
-	rs.bottlenecks = snap.Bottlenecks
-	rs.makespanNS = makespan
-	rs.archiveID = archiveID
-	rs.blame = blame
+	switch {
+	case err != nil && rs.status != StatusStalled:
+		rs.status, rs.err = StatusFailed, err.Error()
+	case err == nil && engine != nil:
+		rs.status, rs.result = StatusDone, res
+	}
 	f.releaseLocked(rs)
 	f.mu.Unlock()
-	f.cfg.Logger.Info("fleet run done", "run", rs.name,
-		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
-	return nil
+	switch {
+	case err != nil:
+		f.cfg.Logger.Warn("fleet run failed", "run", rs.name, "err", err)
+	case engine != nil:
+		f.cfg.Logger.Info("fleet run done", "run", rs.name,
+			"makespan", vtime.Duration(res.makespanNS).String(), "archived", res.archiveID != "")
+	}
+	return err
+}
+
+// finalize runs the exact finalize on a run's engine, archives the record,
+// evaluates the record-level alerts, and builds the blame profile. A bounded
+// engine has no exact profile: its result has no record and no blame.
+func (f *Fleet) finalize(rs *runState, e *stream.Engine) (result, error) {
+	out, err := e.Finalize()
+	if err != nil {
+		return result{}, err
+	}
+	res := result{bottlenecks: e.Snapshot().Bottlenecks}
+	if out == nil {
+		return res, nil
+	}
+	if res.archiveID, err = f.archive(rs, out); err != nil {
+		return result{}, err
+	}
+	res.blame = BuildBlameProfile(rs.name, rs.info, out, f.cfg.Engine.Timeslice)
+	res.makespanNS = int64(out.Trace.End.Sub(out.Trace.Start))
+	return res, nil
 }
 
 // archive builds the run's record, archives it, and evaluates the
@@ -486,14 +444,15 @@ func (f *Fleet) archive(rs *runState, out *grade10.Output) (string, error) {
 	return archiveID, nil
 }
 
-// buildEngine sizes a run's engine from the fleet's template and the run
-// metadata. Every engine carries a per-run overhead account so /fleet/runs
-// and /debug/overhead can report what characterizing the run cost.
-func (f *Fleet) buildEngine(name string, pinned bool, info rundir.Info) (*stream.Engine, *obs.RunAccount, error) {
+// buildEngine is a run's engine build once run.json appears: it sizes the
+// engine from the fleet's template and the run metadata and publishes it.
+// Every engine carries a per-run overhead account so /fleet/runs and
+// /debug/overhead can report what characterizing the run cost.
+func (f *Fleet) buildEngine(rs *runState, info rundir.Info) (*stream.Engine, error) {
 	acct := &obs.RunAccount{}
 	cfg := f.cfg.Engine
 	cfg.Account = acct
-	if pinned {
+	if rs.pinned {
 		if f.cfg.Alerts != nil {
 			cfg.Alerts, cfg.OnAlert = f.cfg.Alerts, f.cfg.OnAlert
 		}
@@ -501,13 +460,21 @@ func (f *Fleet) buildEngine(name string, pinned bool, info rundir.Info) (*stream
 		cfg.RetainForFinal = true // exact finalize feeds the archive and blame
 	}
 	if hook := f.cfg.OnWindowFlush; hook != nil {
-		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(name, wr) }
+		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(rs.name, wr) }
 	}
 	e, err := stream.NewForRun(info, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return e, acct, nil
+	f.mu.Lock()
+	rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
+	f.mu.Unlock()
+	if rs.pinned {
+		f.pinned.Store(rs) // an empty ?run= resolves to it from here on
+	}
+	f.cfg.Logger.Info("fleet run ingesting",
+		"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
+	return e, nil
 }
 
 // Watch polls watchDir for new subdirectories and registers each exactly
@@ -556,8 +523,8 @@ func (f *Fleet) Watch(watchDir string, stop <-chan struct{}) error {
 
 // Shutdown requests every run to stop and drains the workers — in-flight
 // window flushes and finalizes complete (each started run still archives)
-// — until ctx expires. Queued runs never start. The pinned run's caller
-// owns its finish.
+// — until ctx expires. Queued runs never start. The pinned run ends when its
+// Follow's stop closes.
 func (f *Fleet) Shutdown(ctx context.Context) error {
 	f.mu.Lock()
 	f.closed = true

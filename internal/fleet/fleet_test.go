@@ -493,61 +493,39 @@ func withholdLastMonitoringRow(t *testing.T, dir string) {
 	}
 }
 
-// feedPinned plays a run directory into a pinned engine the way runsim's
-// tap does.
-func feedPinned(t *testing.T, e *stream.Engine, run *rundir.Run) {
-	t.Helper()
-	for _, ev := range run.Log.Events {
-		e.IngestEvent(ev)
-	}
-	e.LogDone()
-	for _, rs := range run.Monitoring {
-		for _, s := range rs.Samples.Samples {
-			e.IngestSample(rs.Machine, rs.Resource, rs.Capacity, s)
-		}
-	}
-	e.MonitoringDone()
-}
-
-// TestFleetPinnedRun: a pinned run finishes through the fleet's one
-// finalize path but keeps its engine, carries its caller's label, and is
-// what Pinned reports. A bounded pinned run ends done with no record.
+// TestFleetPinnedRun: a followed directory is the pinned run. It finishes
+// through the fleet's one finalize path but keeps its engine, carries its
+// caller's label, and is what Pinned reports. A bounded pinned run ends done
+// with no record.
 func TestFleetPinnedRun(t *testing.T) {
 	fx := getFleetFixture(t)
-	run, err := rundir.Load(fx.quietDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	root := t.TempDir()
 	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(Config{Archive: store, Engine: stream.Config{RetainForFinal: true}})
+	cfg := Config{Archive: store, Poll: testPoll, Idle: testIdle, Engine: stream.Config{RetainForFinal: true}}
+	f := New(cfg)
 	defer f.Shutdown(context.Background())
 	if _, _, ok := f.Pinned(); ok {
-		t.Fatal("Pinned before Attach")
+		t.Fatal("Pinned before Follow")
 	}
-	e, err := f.Attach("p", "nightly", run.Info)
-	if err != nil {
+	dir := filepath.Join(root, "p")
+	copyRun(t, fx.quietDir, dir, nil)
+	if err := f.Follow(dir, "nightly", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Attach("q", "", run.Info); err == nil {
+	stopped := make(chan struct{})
+	close(stopped)
+	if err := f.Follow(filepath.Join(root, "q"), "", stopped); err == nil {
 		t.Error("a second pinned run was accepted")
 	}
-	copyRun(t, fx.quietDir, filepath.Join(root, "p"), nil)
-	if _, _, err := f.Register(filepath.Join(root, "p")); err == nil {
+	if _, _, err := f.Register(filepath.Join(root, "elsewhere", "p")); err == nil {
 		t.Error("Register reused the pinned run's name")
 	}
-	feedPinned(t, e, run)
-	if err := f.Finish("nope"); err == nil {
-		t.Error("Finish of an unpinned name did not error")
-	}
-	if err := f.Finish("p"); err != nil {
-		t.Fatal(err)
-	}
-	if name, pe, ok := f.Pinned(); !ok || name != "p" || pe != e {
-		t.Fatalf("Pinned = (%q, %p, %v), want p's engine", name, pe, ok)
+	name, e, ok := f.Pinned()
+	if !ok || name != "p" {
+		t.Fatalf("Pinned = (%q, %v), want p", name, ok)
 	}
 	if got, ok := f.EngineFor("p"); !ok || got != e {
 		t.Fatal("pinned engine did not outlive finalize")
@@ -566,14 +544,11 @@ func TestFleetPinnedRun(t *testing.T) {
 		t.Errorf("blame of the finished pinned run: %v", err)
 	}
 
-	bounded := New(Config{Archive: store})
+	cfg.Engine.RetainForFinal = false
+	bounded := New(cfg)
 	defer bounded.Shutdown(context.Background())
-	be, err := bounded.Attach("b", "", run.Info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedPinned(t, be, run)
-	if err := bounded.Finish("b"); err != nil {
+	copyRun(t, fx.quietDir, filepath.Join(root, "b"), nil)
+	if err := bounded.Follow(filepath.Join(root, "b"), "", nil); err != nil {
 		t.Fatal(err)
 	}
 	v := bounded.Snapshot().Runs[0]

@@ -20,7 +20,6 @@ package giraphsim
 
 import (
 	"grade10/internal/cluster"
-	"grade10/internal/enginelog"
 	"grade10/internal/obs"
 	"grade10/internal/vtime"
 )
@@ -97,11 +96,6 @@ type Config struct {
 	// this many cores (0 disables); NoiseSeed makes it deterministic.
 	OSNoiseCores float64
 	NoiseSeed    int64
-
-	// Tee, when set, observes every log event as it is emitted — the hook
-	// for live characterization (stream.Tap) while the engine runs. It is
-	// called synchronously on the engine's goroutine.
-	Tee func(enginelog.Event)
 
 	// Tracer, when set, records self-trace spans for each superstep and its
 	// host-side cost-model precomputation, annotated with the superstep's

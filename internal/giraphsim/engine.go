@@ -48,7 +48,6 @@ func Run(prog vertexprog.Program, part *graph.Partition, cfg Config) (*Result, e
 	e.sched = sim.NewScheduler()
 	e.cl = cluster.New(e.sched, cfg.Workers, cfg.Machine)
 	e.log = enginelog.NewLogger(e.sched.Now)
-	e.log.SetTee(cfg.Tee)
 	e.root = "/" + prog.Name()
 	e.owned = part.PartVertices()
 	e.recv = make([]int32, e.g.NumVertices())

@@ -21,7 +21,6 @@ package pgsim
 
 import (
 	"grade10/internal/cluster"
-	"grade10/internal/enginelog"
 	"grade10/internal/obs"
 	"grade10/internal/vtime"
 )
@@ -82,11 +81,6 @@ type Config struct {
 	// this many cores (0 disables); NoiseSeed makes it deterministic.
 	OSNoiseCores float64
 	NoiseSeed    int64
-
-	// Tee, when set, observes every log event as it is emitted — the hook
-	// for live characterization (stream.Tap) while the engine runs. It is
-	// called synchronously on the engine's goroutine.
-	Tee func(enginelog.Event)
 
 	// Tracer, when set, records self-trace spans for each GAS iteration and
 	// its host-side plan precomputation, annotated with the iteration's

@@ -38,7 +38,6 @@ func Run(prog vertexprog.Program, cfg Config) (*Result, error) {
 	e.sched = sim.NewScheduler()
 	e.cl = cluster.New(e.sched, cfg.Workers, cfg.Machine)
 	e.log = enginelog.NewLogger(e.sched.Now)
-	e.log.SetTee(cfg.Tee)
 	e.root = "/" + prog.Name()
 	e.active = make([]bool, g.NumVertices())
 	e.bugRNG = rand.New(rand.NewSource(cfg.BugSeed))

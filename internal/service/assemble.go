@@ -1,12 +1,13 @@
 // Package service is Grade10's serving core: one HTTP server and one
 // assembly for every way a live characterization is served — one run tailed
-// from its directory (serve -run), a fleet of runs behind the admission
-// scheduler (serve -fleet), and one run fed in process by the simulator
-// (runsim -serve).
+// from its directory (serve -run, and runsim -serve once its simulation has
+// saved the run) and a fleet of runs behind the admission scheduler
+// (serve -fleet).
 //
-// Every mode is a fleet (internal/fleet), which owns each run's lifecycle.
-// serve -run and runsim -serve are a fleet holding one pinned run
-// (fleet.Attach, fleet.Finish); serve -fleet watches a directory for runs.
+// Every mode is a fleet (internal/fleet), which owns each run's lifecycle and
+// tails every run from its directory. serve -run and runsim -serve are a
+// fleet holding one pinned run (fleet.Follow); serve -fleet watches a
+// directory for runs.
 //
 // Assemble builds what a Config turns on in dependency order: archive,
 // alert evaluator and webhook notifier, SSE broker, flight recorder, fleet,
@@ -44,8 +45,7 @@ import (
 // flags.
 type Config struct {
 	// Dir is the run directory Run tails as the pinned run, named by its
-	// base name; RunLabel is archived with its record. A run fed in process
-	// is pinned with Fleet().Attach instead.
+	// base name; RunLabel is archived with its record.
 	Dir, RunLabel string
 	// Watch is the directory Run polls for run subdirectories, each
 	// Registered with the fleet; runs may also be registered over POST
@@ -277,7 +277,7 @@ func (s *Server) registerMetrics(overhead func() []obs.RunOverhead) {
 // runsim -serve) rather than watching for runs to register (serve -fleet).
 func (s *Server) pinnedMode() bool { return s.cfg.Watch == "" }
 
-// pinnedName is the pinned run's name, "" before Attach.
+// pinnedName is the pinned run's name, "" until run.json has pinned it.
 func (s *Server) pinnedName() string {
 	name, _, _ := s.fleet.Pinned()
 	return name
@@ -317,9 +317,8 @@ func (s *Server) Addr() string {
 // Capturer returns the bundle capturer, nil unless BundleDir is set.
 func (s *Server) Capturer() *flight.Capturer { return s.capt }
 
-// Fleet returns the fleet that owns every run's lifecycle. An in-process
-// producer pins its run with Attach, feeds the returned engine, and ends it
-// with Finish.
+// Fleet returns the fleet that owns every run's lifecycle. A producer that
+// has just written a run directory serves it with Fleet().Follow.
 func (s *Server) Fleet() *fleet.Fleet { return s.fleet }
 
 // Run drives the configured inputs until stop closes. With Watch it

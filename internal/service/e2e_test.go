@@ -344,8 +344,8 @@ func TestServiceEndToEnd(t *testing.T) {
 				UI:     true,
 				Engine: stream.Config{RetainForFinal: true}, ShutdownTimeout: 3 * time.Second,
 			}, func(*env) bool { return true })
-			feedInProcess(t, e.srv, quiet)
-			e.vars["run"] = "pagerank"
+			followWritten(t, e.srv, quiet)
+			e.vars["run"] = "quiet"
 			return e
 		}, func(*env) {}},
 	} {
@@ -398,31 +398,12 @@ func serveEngine() stream.Config {
 	return stream.Config{WindowSlices: 64, MaxWindows: 32, RetainForFinal: true, Tracer: obs.NewTracer()}
 }
 
-// feedInProcess pins the run as "pagerank" and plays it into the pinned
-// engine the way runsim's tap does, then finishes it.
-func feedInProcess(t *testing.T, srv *service.Server, dir string) {
+// followWritten serves a run the way runsim -serve does once its simulation
+// has saved the run: the fleet follows the complete directory as its pinned
+// run, which finishes after one poll.
+func followWritten(t *testing.T, srv *service.Server, dir string) {
 	t.Helper()
-	run, err := rundir.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := srv.Fleet().Attach("pagerank", "", run.Info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tap := stream.NewTap(e)
-	for _, ev := range run.Log.Events {
-		tap.Feed(ev)
-	}
-	tap.Close()
-	e.LogDone()
-	for _, rs := range run.Monitoring {
-		for _, s := range rs.Samples.Samples {
-			e.IngestSample(rs.Machine, rs.Resource, rs.Capacity, s)
-		}
-	}
-	e.MonitoringDone()
-	if err := srv.Fleet().Finish("pagerank"); err != nil {
+	if err := srv.Fleet().Follow(dir, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

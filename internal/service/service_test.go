@@ -113,7 +113,7 @@ func TestShutdownWithOpenSSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedInProcess(t, srv, quiet)
+	followWritten(t, srv, quiet)
 	resp, err := http.Get("http://" + srv.Addr() + "/api/events")
 	if err != nil {
 		t.Fatal(err)

@@ -65,17 +65,13 @@ func TestServerAlertEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, e := serveEngine(t, service.Config{
+	srv, _ := serveRun(t, service.Config{
 		AlertRules: rules,
 		Engine: stream.Config{
 			Models: f.models, WindowSlices: 16,
 			ExpectedInstances: len(f.monitoring),
 		},
 	})
-	feedAll(e, f)
-	if _, err := e.Finalize(); err != nil {
-		t.Fatal(err)
-	}
 
 	code, body, hdr := get(t, srv, "/alerts")
 	if code != 200 || hdr.Get("Content-Type") != "application/json" {

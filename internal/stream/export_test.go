@@ -2,8 +2,18 @@ package stream
 
 import (
 	"grade10/internal/core"
+	"grade10/internal/enginelog"
 	"grade10/internal/rundir"
 )
+
+// IngestEvent feeds one already-decoded event, for tests that craft events
+// the log encodings cannot carry or that need no log text.
+func (e *Engine) IngestEvent(ev enginelog.Event) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.touch()
+	e.ingestEventLocked(ev)
+}
 
 // FollowSinkFor returns the sink Follow tails a run directory into, so tests
 // can deliver a run without files or a clock, and a getter for the engine

@@ -1,12 +1,12 @@
 package stream_test
 
 import (
+	"fmt"
 	"testing"
 
 	"grade10/internal/core"
 	"grade10/internal/enginelog"
 	"grade10/internal/grade10"
-	"grade10/internal/metrics"
 	"grade10/internal/stream"
 	"grade10/internal/vtime"
 )
@@ -44,7 +44,7 @@ func TestWindowReportsOpenLeafBottleneck(t *testing.T) {
 		t.Fatal(err)
 	}
 	win := vtime.Time(4 * slice)
-	e.IngestSample(0, "cpu", 1, metrics.Sample{Start: 0, End: 2 * win, Avg: 1})
+	e.IngestMonitoringLine(fmt.Sprintf("0,cpu,1,0,%d,1\n", 2*win))
 	e.IngestEvent(enginelog.Event{Kind: enginelog.PhaseStart, Time: 0, Path: "/app", Machine: 0})
 	e.IngestEvent(enginelog.Event{Kind: enginelog.PhaseStart, Time: 0, Path: "/app/work", Machine: -1})
 	// A counter past the first window moves the log watermark and flushes

@@ -76,9 +76,8 @@ func TestDeterminismWithAccountingAndRecorder(t *testing.T) {
 }
 
 // TestIngestItemsCountEveryInput: the account counts one ingest item per log
-// event and per monitoring row, whichever path delivers them — raw chunks and
-// CSV lines (a followed run) or parsed events and samples (the in-process
-// tap) — and a malformed monitoring line still counts as one item.
+// event and per monitoring row, and a malformed monitoring line still counts
+// as one item.
 func TestIngestItemsCountEveryInput(t *testing.T) {
 	f := getFixture(t)
 	log, _, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
@@ -89,17 +88,11 @@ func TestIngestItemsCountEveryInput(t *testing.T) {
 	for _, m := range f.monitoring {
 		want += int64(len(m.Samples.Samples))
 	}
-	newEngine := func() (*stream.Engine, *obs.RunAccount) {
-		t.Helper()
-		account := &obs.RunAccount{}
-		e, err := stream.New(stream.Config{Models: f.models, WindowSlices: 16, Account: account})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, account
+	account := &obs.RunAccount{}
+	e, err := stream.New(stream.Config{Models: f.models, WindowSlices: 16, Account: account})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	e, account := newEngine()
 	feedAll(e, f)
 	if got := account.Snapshot().IngestItems; got != want {
 		t.Errorf("chunks and lines: ingest_items = %d, want %d events + samples", got, want)
@@ -107,20 +100,5 @@ func TestIngestItemsCountEveryInput(t *testing.T) {
 	e.IngestMonitoringLine("not,a,monitoring,row\n")
 	if got := account.Snapshot().IngestItems; got != want+1 {
 		t.Errorf("after a malformed line: ingest_items = %d, want %d", got, want+1)
-	}
-
-	e, account = newEngine()
-	for _, ev := range log.Events {
-		e.IngestEvent(ev)
-	}
-	e.LogDone()
-	for _, m := range f.monitoring {
-		for _, s := range m.Samples.Samples {
-			e.IngestSample(m.Machine, m.Resource, m.Capacity, s)
-		}
-	}
-	e.MonitoringDone()
-	if got := account.Snapshot().IngestItems; got != want {
-		t.Errorf("events and samples: ingest_items = %d, want %d events + samples", got, want)
 	}
 }

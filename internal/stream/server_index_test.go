@@ -16,7 +16,7 @@ import (
 // (unknown paths stay 404).
 func TestServerIndexJSON(t *testing.T) {
 	f := getFixture(t)
-	srv, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
+	srv, _ := serveRun(t, service.Config{Engine: stream.Config{Models: f.models}})
 
 	code, body, hdr := get(t, srv, "/")
 	if code != http.StatusOK {
@@ -65,7 +65,7 @@ func TestServerIndexJSON(t *testing.T) {
 // and latency families on /metrics.
 func TestServerHTTPMetrics(t *testing.T) {
 	f := getFixture(t)
-	srv, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
+	srv, _ := serveRun(t, service.Config{Engine: stream.Config{Models: f.models}})
 
 	for i := 0; i < 2; i++ {
 		if code, _, _ := get(t, srv, "/stats"); code != http.StatusOK {

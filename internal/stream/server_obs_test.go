@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,20 +20,21 @@ import (
 // healthy after finalization.
 func TestHealthzStaleness(t *testing.T) {
 	f := getFixture(t)
-	now := time.Unix(1_700_000_000, 0)
-	srv, e := serveEngine(t, service.Config{
+	var nowNS atomic.Int64 // the follow goroutine reads the clock too
+	nowNS.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, nowNS.Load()) }
+	advance := func(d time.Duration) { nowNS.Add(int64(d)) }
+	dir := writeRun(t, f, "", "")
+	srv, _ := serveDir(t, service.Config{
 		StaleAfter: 5 * time.Second,
-		Engine: stream.Config{
-			Models: f.models, RetainForFinal: true,
-			Now: func() time.Time { return now },
-		},
-	})
+		Engine:     stream.Config{Models: f.models, RetainForFinal: true, Now: now},
+	}, dir)
 
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("fresh engine: /healthz %d, want 200", code)
 	}
 
-	now = now.Add(10 * time.Second)
+	advance(10 * time.Second)
 	code, body, _ := get(t, srv, "/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("stale engine: /healthz %d, want 503", code)
@@ -43,29 +45,30 @@ func TestHealthzStaleness(t *testing.T) {
 
 	// Any ingest attempt — even a line the parser rejects — counts as feed
 	// activity and clears the degraded state.
-	ingestLine(e, "definitely not an enginelog event")
-	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
-		t.Fatalf("after ingest: /healthz %d, want 200", code)
-	}
+	appendTo(t, dir, "execution.log", "definitely not an enginelog event\n")
+	waitFor(t, "/healthz healthy after ingest", func() bool {
+		code, _, _ := get(t, srv, "/healthz")
+		return code == http.StatusOK
+	})
 
-	now = now.Add(time.Minute)
+	advance(time.Minute)
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("stale again: /healthz %d, want 503", code)
 	}
 
-	feedAll(e, f)
-	if _, err := e.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(24 * time.Hour)
+	appendTo(t, dir, "execution.log", f.logText)
+	appendTo(t, dir, "monitoring.csv", f.monText)
+	_, e, _ := srv.Fleet().Pinned()
+	waitFor(t, "finalize", func() bool { return finalized(e) })
+	advance(24 * time.Hour)
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("finalized engine must never be stale: /healthz %d", code)
 	}
 
 	// Without a threshold, staleness checking is off entirely.
-	srv2, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models,
-		Now: func() time.Time { return now }}})
-	now = now.Add(time.Hour)
+	srv2, _ := serveDir(t, service.Config{Engine: stream.Config{Models: f.models, Now: now}},
+		writeRun(t, f, "", ""))
+	advance(time.Hour)
 	if code, _, _ := get(t, srv2, "/healthz"); code != http.StatusOK {
 		t.Fatalf("no threshold: /healthz %d, want 200", code)
 	}
@@ -78,20 +81,16 @@ func TestServerTrace(t *testing.T) {
 	f := getFixture(t)
 
 	// No tracer, bounded mode: nothing to export.
-	bare, _ := serveEngine(t, service.Config{Engine: stream.Config{Models: f.models}})
+	bare, _ := serveRun(t, service.Config{Engine: stream.Config{Models: f.models}})
 	if code, _, _ := get(t, bare, "/trace"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/trace with nothing to export: %d, want 503", code)
 	}
 
 	tracer := obs.NewTracer()
-	srv, e := serveEngine(t, service.Config{Engine: stream.Config{
+	srv, _ := serveRun(t, service.Config{Engine: stream.Config{
 		Models: f.models, RetainForFinal: true, WindowSlices: 8,
 		ExpectedInstances: len(f.monitoring), Tracer: tracer,
 	}})
-	feedAll(e, f)
-	if _, err := e.Finalize(); err != nil {
-		t.Fatal(err)
-	}
 
 	code, body, hdr := get(t, srv, "/trace")
 	if code != http.StatusOK {
@@ -136,15 +135,10 @@ func TestServerTrace(t *testing.T) {
 func TestMetricsRegistryFamilies(t *testing.T) {
 	f := getFixture(t)
 	tracer := obs.NewTracer()
-	srv, e := serveEngine(t, service.Config{Engine: stream.Config{
+	srv, _ := serveRun(t, service.Config{Engine: stream.Config{
 		Models: f.models, WindowSlices: 8,
 		ExpectedInstances: len(f.monitoring), Tracer: tracer,
 	}})
-
-	feedAll(e, f)
-	if _, err := e.Finalize(); err != nil {
-		t.Fatal(err)
-	}
 
 	_, body, _ := get(t, srv, "/metrics")
 	families := []string{

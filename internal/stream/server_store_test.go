@@ -9,14 +9,12 @@ import (
 	"grade10/internal/profdiff"
 	"grade10/internal/profstore"
 	"grade10/internal/service"
-	"grade10/internal/stream"
 )
 
-// storeServer builds a server over a throwaway engine with an archive
-// holding a baseline and a regressed synthetic record.
+// storeServer builds a server with an archive holding a baseline and a
+// regressed synthetic record.
 func storeServer(t *testing.T) (*service.Server, string, string) {
 	t.Helper()
-	f := getFixture(t)
 	dir := t.TempDir()
 	store, err := profstore.Open(dir, profstore.Options{})
 	if err != nil {
@@ -54,11 +52,7 @@ func storeServer(t *testing.T) (*service.Server, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := serveEngine(t, service.Config{
-		StoreDir: dir,
-		Engine:   stream.Config{Models: f.models, ExpectedInstances: len(f.monitoring)},
-	})
-	return srv, ma.ID, mb.ID
+	return assemble(t, service.Config{StoreDir: dir}), ma.ID, mb.ID
 }
 
 func TestStoreEndpoints(t *testing.T) {

@@ -332,13 +332,14 @@ func (e *Engine) Snapshot() Snapshot {
 		return snap.PhaseTypes[i].TypePath < snap.PhaseTypes[j].TypePath
 	})
 
-	for key, agg := range e.instAggs {
-		capacity := 0.0
-		if f := e.feeds[key]; f != nil {
-			capacity = f.capacity
+	for _, f := range e.feedOrder {
+		agg := e.instAggs[f.key]
+		if agg == nil {
+			continue // no flushed window has profiled it yet
 		}
+		capacity := f.capacity
 		is := InstanceSummary{
-			Key: key, Capacity: capacity,
+			Key: f.key, Capacity: capacity,
 			LastWindowUtilization:   agg.lastUtil,
 			ConsumedUnitSeconds:     agg.consumed,
 			AttributedUnitSeconds:   agg.attributed,

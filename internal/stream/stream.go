@@ -1,9 +1,8 @@
 // Package stream is Grade10's online characterization engine: it consumes
-// enginelog events and monitoring samples incrementally — as raw bytes from a
-// file tail or a network stream, or from an in-process tap into a running
-// engine — and maintains a live performance profile while the job is still
-// executing, the way GiViP streams profiling data out of a running Giraph
-// cluster.
+// the execution log and the monitoring file incrementally, as raw bytes
+// tailed from the run directory a job is still writing (Follow), and
+// maintains a live performance profile while the job executes, the way
+// GiViP streams profiling data out of a running Giraph cluster.
 //
 // The engine discretizes virtual time on the same timeslice grid as the
 // batch pipeline and groups slices into fixed-width windows. A window is
@@ -164,6 +163,12 @@ type Stats struct {
 	WindowsFlushed int64 `json:"windows_flushed"`
 }
 
+// feedID identifies a resource instance's feed without formatting its key.
+type feedID struct {
+	resource string
+	machine  int
+}
+
 // instFeed is the per-resource-instance monitoring buffer.
 type instFeed struct {
 	res      *core.Resource
@@ -212,7 +217,7 @@ type instAgg struct {
 
 // Engine is the online characterization engine. All methods are safe for
 // concurrent use; ingest methods are typically called from one goroutine
-// (or a Tap) while HTTP handlers snapshot from others.
+// (a Follow) while HTTP handlers snapshot from others.
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config
@@ -226,8 +231,8 @@ type Engine struct {
 	tree    *core.TreeBuilder
 	pending []*core.Phase // closed leaves not yet retired
 
-	feeds     map[string]*instFeed
-	feedOrder []string
+	feeds     map[feedID]*instFeed
+	feedOrder []*instFeed // first-seen order
 
 	watermark        vtime.Time
 	logDone, monDone bool
@@ -275,7 +280,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		tree:     core.NewTreeBuilder(cfg.Models.Exec),
-		feeds:    map[string]*instFeed{},
+		feeds:    map[feedID]*instFeed{},
 		instAggs: map[string]*instAgg{},
 		btlAggs:  map[bottleneckKey]*bottleneckAgg{},
 		typeAggs: map[string]*typeAgg{},
@@ -312,16 +317,8 @@ func (e *Engine) IngestChunk(chunk []byte) {
 	e.parser.Feed(chunk, e.ingestEventLocked)
 }
 
-// IngestEvent feeds one already-parsed event (the in-process tap path).
-func (e *Engine) IngestEvent(ev enginelog.Event) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.touch()
-	e.ingestEventLocked(ev)
-}
-
-// ingestEventLocked is where the chunk and tap paths meet: it counts every
-// event as one ingest item.
+// ingestEventLocked folds one decoded event into the live state, counting
+// it as one ingest item.
 func (e *Engine) ingestEventLocked(ev enginelog.Event) {
 	e.cfg.Account.AddIngest(0, 1)
 	if e.finalized.Load() {
@@ -401,10 +398,10 @@ func (e *Engine) noteWatermarkLocked(t vtime.Time) {
 	}
 }
 
-// IngestSample feeds one monitoring record. Samples for resources the model
+// ingestSample feeds one monitoring record. Samples for resources the model
 // does not cover are ignored (as in the batch path); overlapping samples are
 // dropped and gaps zero-filled, both counted.
-func (e *Engine) IngestSample(machine int, resource string, capacity float64, s metrics.Sample) {
+func (e *Engine) ingestSample(machine int, resource string, capacity float64, s metrics.Sample) {
 	e.cfg.Account.AddIngest(0, 1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -421,12 +418,12 @@ func (e *Engine) IngestSample(machine int, resource string, capacity float64, s 
 	if !res.PerMachine {
 		machine = core.GlobalMachine
 	}
-	key := instKey(resource, machine)
-	f := e.feeds[key]
+	id := feedID{resource, machine}
+	f := e.feeds[id]
 	if f == nil {
-		f = &instFeed{res: res, machine: machine, key: key, capacity: capacity}
-		e.feeds[key] = f
-		e.feedOrder = append(e.feedOrder, key)
+		f = &instFeed{res: res, machine: machine, key: core.InstanceKey(resource, machine), capacity: capacity}
+		e.feeds[id] = f
+		e.feedOrder = append(e.feedOrder, f)
 	}
 	if f.seen {
 		switch {
@@ -448,7 +445,7 @@ func (e *Engine) IngestSample(machine int, resource string, capacity float64, s 
 // IngestMonitoringLine feeds one monitoring CSV line (rundir format), with
 // or without its '\n' terminator; every byte it is handed counts as ingest
 // volume. Malformed lines are counted as invalid samples and skipped; like a
-// well-formed row (counted by IngestSample) each is one ingest item.
+// well-formed row (counted by ingestSample) each is one ingest item.
 func (e *Engine) IngestMonitoringLine(line string) {
 	e.cfg.Account.AddIngest(int64(len(line)), 0)
 	row, ok, err := rundir.ParseMonitoringLine(line)
@@ -460,7 +457,7 @@ func (e *Engine) IngestMonitoringLine(line string) {
 		return
 	}
 	if ok {
-		e.IngestSample(row.Machine, row.Resource, row.Capacity, row.Sample)
+		e.ingestSample(row.Machine, row.Resource, row.Capacity, row.Sample)
 	}
 }
 
@@ -476,8 +473,8 @@ func (e *Engine) complete() bool {
 		len(e.feedOrder) < max(e.cfg.ExpectedInstances, 1) {
 		return false
 	}
-	for _, key := range e.feedOrder {
-		if e.feeds[key].lastEnd < e.runEnd {
+	for _, f := range e.feedOrder {
+		if f.lastEnd < e.runEnd {
 			return false
 		}
 	}
@@ -510,13 +507,6 @@ func (e *Engine) MonitoringDone() {
 	e.maybeFlushLocked()
 }
 
-func instKey(resource string, machine int) string {
-	if machine == core.GlobalMachine {
-		return resource + "@global"
-	}
-	return fmt.Sprintf("%s@%d", resource, machine)
-}
-
 // windowDur returns the window width in virtual time.
 func (e *Engine) windowDur() vtime.Duration {
 	return e.cfg.Timeslice * vtime.Duration(e.cfg.WindowSlices)
@@ -542,8 +532,8 @@ func (e *Engine) flushBoundLocked() (vtime.Time, bool) {
 		if len(e.feedOrder) < want {
 			return 0, false
 		}
-		for _, key := range e.feedOrder {
-			if f := e.feeds[key]; f.lastEnd < monWM {
+		for _, f := range e.feedOrder {
+			if f.lastEnd < monWM {
 				monWM = f.lastEnd
 			}
 		}
@@ -612,8 +602,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	core.SortPhases(leaves)
 
 	rt := core.NewResourceTrace()
-	for _, key := range e.feedOrder {
-		f := e.feeds[key]
+	for _, f := range e.feedOrder {
 		sub := f.samples[f.firstPending:]
 		lo := 0
 		for lo < len(sub) && sub[lo].End <= w0 {
@@ -746,8 +735,7 @@ func (e *Engine) retireLocked() {
 	}
 	e.pending = kept
 
-	for _, key := range e.feedOrder {
-		f := e.feeds[key]
+	for _, f := range e.feedOrder {
 		for f.firstPending < len(f.samples) && f.samples[f.firstPending].End <= e.frontier {
 			f.firstPending++
 		}
@@ -859,8 +847,7 @@ func (e *Engine) accountSection() func() {
 // feeds, in first-seen order as rundir.ReadMonitoring would produce it.
 func (e *Engine) monitoringLocked() []cluster.ResourceSamples {
 	out := make([]cluster.ResourceSamples, 0, len(e.feedOrder))
-	for _, key := range e.feedOrder {
-		f := e.feeds[key]
+	for _, f := range e.feedOrder {
 		out = append(out, cluster.ResourceSamples{
 			Machine: f.machine, Resource: f.res.Name, Capacity: f.capacity,
 			Samples: &metrics.SampleSeries{Samples: f.samples},

@@ -442,51 +442,6 @@ func TestStreamEventsAfterFinalize(t *testing.T) {
 	}
 }
 
-// TestTapDelivery pushes the event stream through a bounded tap from a
-// producer goroutine, as the in-process runsim tee does.
-func TestTapDelivery(t *testing.T) {
-	f := getFixture(t)
-	e, err := stream.New(stream.Config{Models: f.models, RetainForFinal: true, WindowSlices: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, stats, _, err := enginelog.ReadStats(strings.NewReader(f.logText))
-	if err != nil || stats.Degraded() {
-		t.Fatalf("decode: err=%v stats=%+v", err, stats)
-	}
-	tap := stream.NewTap(e)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		feed := tap.Func()
-		for _, ev := range log.Events {
-			feed(ev)
-		}
-	}()
-	<-done
-	tap.Close()
-	tap.Close() // idempotent
-	e.LogDone()
-	for _, line := range strings.Split(f.monText, "\n") {
-		e.IngestMonitoringLine(line)
-	}
-	e.MonitoringDone()
-	out, err := e.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := report.WriteAll(&buf, out); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != f.batchText {
-		t.Fatal("tapped stream diverged from batch report")
-	}
-	if int(e.Stats().Events) != len(log.Events) {
-		t.Fatalf("tap delivered %d of %d events", e.Stats().Events, len(log.Events))
-	}
-}
-
 func relDiff(a, b float64) float64 {
 	if a == 0 && b == 0 {
 		return 0

@@ -274,11 +274,16 @@ func TestMountUI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer host.Shutdown()
-	e, err := host.Fleet().Attach("run", "", rundir.Info{})
-	if err != nil {
+	dir := filepath.Join(t.TempDir(), "run")
+	run := &rundir.Run{Log: f.run.Result.Log, Monitoring: f.monitoring, Info: rundir.Info{
+		StartNS: int64(f.run.Result.Start), EndNS: int64(f.run.Result.End),
+	}}
+	if err := rundir.SaveOpts(dir, run, rundir.SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	feedRun(e, f)
+	if err := host.Fleet().Follow(dir, "", nil); err != nil {
+		t.Fatal(err)
+	}
 
 	code, body, hdr := getBody(t, host, "/ui/")
 	if code != http.StatusOK {
