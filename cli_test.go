@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +16,9 @@ import (
 	"testing"
 	"time"
 )
+
+// computeCPUQuery asks for the compute threads' CPU attribution.
+const computeCPUQuery = "phase=/pagerank/execute/superstep/worker/compute/thread resource=cpu"
 
 // TestCLIPipeline exercises the full file-based pipeline of the paper's
 // Figure 1 through the real binaries: gengraph → runsim → grade10, plus the
@@ -304,7 +308,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	// Explain: the derivation chain for the compute threads' CPU is
 	// non-empty and sums to the profile's own attributed value.
-	const q = "phase=/pagerank/execute/superstep/worker/compute/thread resource=cpu"
+	q := computeCPUQuery
 	if text := run("grade10", "-run", runDir, "-explain", q); !strings.Contains(text, "chain sum:") {
 		t.Fatalf("explain text has no chain sum:\n%s", text)
 	}
@@ -432,7 +436,8 @@ func checkServe(t *testing.T, serveBin, grade10Bin, runDir string) {
 
 // checkRunsimServe drives runsim -serve on a fresh -out directory: once the
 // run is saved, the service follows it as serve -run does, so /report is the
-// batch text and the ingest counters measure the bytes the follow read.
+// batch text, the ingest counters measure the bytes the follow read, and
+// /explain answers on the finalized run with grade10 -explain's derivation.
 func checkRunsimServe(t *testing.T, runsimBin, grade10Bin, graphFile string) {
 	out := filepath.Join(t.TempDir(), "served")
 	base := startServe(t, runsimBin, "-engine", "giraph", "-algorithm", "pagerank",
@@ -462,6 +467,18 @@ func checkRunsimServe(t *testing.T, runsimBin, grade10Bin, graphFile string) {
 	if _, body := httpGet(t, base+"/debug/overhead"); json.Unmarshal([]byte(body), &overhead) != nil ||
 		len(overhead.Runs) != 1 || overhead.Runs[0].IngestBytes <= 0 {
 		t.Fatalf("/debug/overhead does not count the ingested bytes: %s", body)
+	}
+	const header = "=== final (exact full-run derivation) ===\n"
+	code, body := httpGet(t, base+"/explain?format=text&q="+url.QueryEscape(computeCPUQuery))
+	if code != http.StatusOK || !strings.HasPrefix(body, header) {
+		t.Fatalf("/explain = %d, want the final derivation: %.300s", code, body)
+	}
+	cli, err := exec.Command(grade10Bin, "-run", out, "-explain", computeCPUQuery).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derivation := strings.TrimPrefix(body, header); derivation != string(cli) {
+		t.Fatalf("runsim -serve /explain differs from grade10 -explain:\n%s\n--- grade10:\n%s", derivation, cli)
 	}
 }
 

@@ -177,7 +177,6 @@ func main() {
 		Tracer:      tracer,
 	}
 	var query explain.Query
-	var rec *explain.Recorder
 	if *explainQ != "" {
 		// Parse before the (expensive) pipeline runs so a typo fails fast.
 		query, err = explain.ParseQuery(*explainQ)
@@ -189,8 +188,6 @@ func main() {
 			logger.Error("-format must be text or json")
 			os.Exit(2)
 		}
-		rec = explain.NewRecorder(0)
-		in.Recorder = rec
 	}
 	out, err := grade10.Characterize(in)
 	if err != nil {
@@ -198,8 +195,7 @@ func main() {
 	}
 
 	if *explainQ != "" {
-		ex := explain.NewExplainer(out.Profile, rec)
-		d, err := ex.Explain(query)
+		d, err := explain.NewExplainer(out.Profile).Explain(query)
 		if err != nil {
 			fail(err)
 		}

@@ -68,7 +68,6 @@ func main() {
 		parallel  = flag.Int("parallelism", 0, "host-side precompute/analysis worker count (0 = GOMAXPROCS); logs and results are identical for every value")
 		pprofOn   = flag.Bool("pprof", false, "with -serve: expose net/http/pprof under /debug/pprof/")
 		uiOn      = flag.Bool("ui", true, "with -serve: mount the embedded visual profiler under /ui/ (live SSE updates on /api/events)")
-		explainOn = flag.Bool("explain", false, "with -serve: capture attribution provenance and serve /explain queries")
 		traceOut  = flag.String("trace", "", "write the simulator/analysis self-trace as Chrome trace-event JSON to this path")
 		binaryLog = flag.Bool("binary-log", false, "write execution.log in the compact binary enginelog format (consumers auto-detect either format)")
 		logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
@@ -115,7 +114,7 @@ func main() {
 		svc, err = service.Assemble(service.Config{
 			Addr: *serveAddr, Logger: logger, LogRing: logRing,
 			Engine: stream.Config{
-				RetainForFinal: true, Parallelism: *parallel, Tracer: tracer, Explain: *explainOn,
+				RetainForFinal: true, Parallelism: *parallel, Tracer: tracer,
 			},
 			Pprof: *pprofOn, UI: *uiOn,
 			ShutdownTimeout: 3 * time.Second,

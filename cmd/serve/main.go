@@ -16,7 +16,7 @@
 //	curl localhost:7070/metrics      # Prometheus text format
 //	curl localhost:7070/trace        # Chrome trace-event JSON (Perfetto)
 //	curl localhost:7070/report       # final report (503 until the run ends)
-//	curl localhost:7070/explain      # -explain: provenance query ?q=...
+//	curl localhost:7070/explain      # provenance query ?q=... (finalized run)
 //	curl localhost:7070/healthz      # 503 + reasons (JSON) when degraded
 //	curl localhost:7070/alerts       # -alert-rules: rules + firing/pending/resolved (JSON)
 //
@@ -85,7 +85,6 @@ func main() {
 		parallel  = flag.Int("parallelism", 0, "analysis worker count (0 = GOMAXPROCS); results are identical for every value")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		uiOn      = flag.Bool("ui", true, "serve the embedded visual profiler under /ui/ (view models under /api/, live updates over SSE on /api/events)")
-		explainOn = flag.Bool("explain", false, "capture attribution provenance and serve /explain queries")
 		stale     = flag.Duration("stale", 0, "report /healthz degraded (503) when an active run's last ingested input is older than this (0 disables)")
 		storeDir  = flag.String("store", "", "profile archive directory: serve /runs and /diff, and archive this run once finalized")
 		storeMax  = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded)")
@@ -143,7 +142,7 @@ func main() {
 		Poll: *poll, Idle: *idle,
 		Engine: stream.Config{
 			Timeslice: vtime.Duration(*timeslice), WindowSlices: *window, MaxWindows: *maxWin,
-			RetainForFinal: !*bounded, Parallelism: *parallel, Explain: *explainOn,
+			RetainForFinal: !*bounded, Parallelism: *parallel,
 		},
 		MaxActive: *fleetActive, QueueDepth: *fleetQueue, StallTimeout: *stallTimeout,
 		StaleAfter: *stale, Pprof: *pprofOn, UI: *uiOn,

@@ -67,10 +67,10 @@ func TestPipelineParallelReportBitIdentical(t *testing.T) {
 
 // TestExplainParallelBitIdentical extends the guard to the provenance layer:
 // the explain engine's derivation chains (text and JSON) must be
-// byte-identical whatever parallelism the attribution fan-out ran at — the
-// per-instance provenance shards are appended serially by each instance's
-// job and merged in instance order, so worker count must never reorder or
-// reshape the evidence.
+// byte-identical whatever parallelism the profile's attribution fan-out ran
+// at — each query recomputes its chains serially from the profile's inputs
+// and reads the profile's own cells alongside, so worker count must never
+// reorder or reshape the evidence.
 func TestExplainParallelBitIdentical(t *testing.T) {
 	cfg := giraphsim.DefaultConfig()
 	cfg.Workers = 4
@@ -93,18 +93,16 @@ func TestExplainParallelBitIdentical(t *testing.T) {
 	}
 	render := func(parallelism int) []byte {
 		t.Helper()
-		rec := explain.NewRecorder(0)
 		out, err := grade10.Characterize(grade10.Input{
 			Log:         run.Result.Log,
 			Monitoring:  mon,
 			Models:      run.Models,
 			Parallelism: parallelism,
-			Recorder:    rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := explain.NewExplainer(out.Profile, rec)
+		ex := explain.NewExplainer(out.Profile)
 		var buf bytes.Buffer
 		for _, qs := range queries {
 			q, err := explain.ParseQuery(qs)

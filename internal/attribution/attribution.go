@@ -23,12 +23,14 @@
 package attribution
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
 	"grade10/internal/core"
 	"grade10/internal/metrics"
 	"grade10/internal/obs"
+	"grade10/internal/par"
 	"grade10/internal/vtime"
 )
 
@@ -190,7 +192,63 @@ func (p *Profile) Get(name string, machine int) *InstanceProfile {
 // instance in the trace, fanning instances out over par.Default() workers.
 func Attribute(tr *core.ExecutionTrace, rt *core.ResourceTrace, rules *core.RuleSet,
 	slices core.Timeslices) (*Profile, error) {
-	return AttributeWindow(tr, tr.Leaves(), rt, rules, slices, 0, nil, nil)
+	return AttributeWindow(tr, tr.Leaves(), rt, rules, slices, 0, nil)
+}
+
+// AttributeWindow runs the attribution process restricted to the window
+// covered by the slices argument: monitoring samples are clipped to the
+// window, and leaves contribute only the activity that falls inside it. The
+// batch path and the online path (internal/stream) share this one
+// implementation; the window is simply the whole run in the batch case.
+//
+// leaves is the candidate leaf set, normally tr.Leaves() or, when streaming,
+// the phases known to overlap the window; phases outside the window are
+// harmless (they contribute no demand and are pruned from the usage list).
+// The caller must sort leaves with core.SortPhases, the order tr.Leaves()
+// returns, so per-slice floating-point accumulation is deterministic.
+//
+// Instances are attributed concurrently over workers goroutines
+// (0 = par.Default()) — each (resource, machine) pair is independent — and
+// merged into the profile in the deterministic rt.Instances() order, so the
+// result is identical for every worker count.
+//
+// A non-nil tracer receives one span per per-instance attribution job and
+// its inner upsampling step, tagged with the worker lane that ran it and the
+// virtual-time window attributed. With a nil tracer it is byte-for-byte the
+// same computation and allocates nothing extra: every span call is a nil
+// no-op on this hot path.
+func AttributeWindow(tr *core.ExecutionTrace, leaves []*core.Phase, rt *core.ResourceTrace,
+	rules *core.RuleSet, slices core.Timeslices, workers int, tracer *obs.Tracer) (*Profile, error) {
+	if slices.Count == 0 {
+		return nil, fmt.Errorf("attribution: empty timeslice span")
+	}
+	instances := rt.Instances()
+	prof := &Profile{Trace: tr, Slices: slices, Rules: rules,
+		Instances: make([]*InstanceProfile, 0, len(instances)),
+		byKey:     make(map[string]*InstanceProfile, len(instances)),
+		anyActive: make([]bool, slices.Count)}
+	act := newActivity(leaves, slices, prof.anyActive)
+	results := make([]*InstanceProfile, len(instances))
+	errs := make([]error, len(instances))
+	par.DoWithWorker(len(instances), workers, func(worker, i int) {
+		span := tracer.StartSpan("attribute-instance", worker)
+		if tracer.Enabled() {
+			// Key() formats a string; only pay for it when tracing is on.
+			span.SetDetail(instances[i].Key())
+			span.SetItems(int64(slices.Count))
+			span.SetWindow(int64(slices.Start), int64(slices.End))
+		}
+		results[i], errs[i] = attributeInstance(instances[i], leaves, &act, rules, slices, tracer, worker)
+		span.End()
+	})
+	for i, ri := range instances {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		prof.Instances = append(prof.Instances, results[i])
+		prof.byKey[ri.Key()] = results[i]
+	}
+	return prof, nil
 }
 
 // arena is the per-instance scratch of one attribution job, pooled across
@@ -281,8 +339,7 @@ func (ar *arena) upsampleViews(n int) (dur, capAmt, knownAmt, varW, alloc, head 
 }
 
 func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *activity,
-	rules *core.RuleSet, slices core.Timeslices, tracer *obs.Tracer, worker int,
-	rec InstanceRecorder) (*InstanceProfile, error) {
+	rules *core.RuleSet, slices core.Timeslices, tracer *obs.Tracer, worker int) (*InstanceProfile, error) {
 	n := slices.Count
 	// One flat backing for the four per-slice output series. The views are
 	// capacity-clipped so an accidental append cannot bleed into a neighbor.
@@ -340,9 +397,6 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 			ar.entrySlice = append(ar.entrySlice, int32(k))
 			ar.entryComp = append(ar.entryComp, ci)
 			ar.entryAct = append(ar.entryAct, a)
-			if rec != nil {
-				rec.Demand(k, leaf, rule, a)
-			}
 		}
 	}
 
@@ -398,14 +452,14 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 		uspan.SetDetail(ri.Key())
 		uspan.SetItems(int64(len(ri.Samples.Samples)))
 	}
-	if err := upsample(ip, ri, slices, ar, rec); err != nil {
+	if err := upsample(ip, ri, slices, ar); err != nil {
 		return nil, err
 	}
 	uspan.End()
 
 	// Step 3: attribute per-slice consumption to phases (§III-D3).
 	for k := 0; k < n; k++ {
-		attributeSlice(ip, ar, slab, k, rec)
+		attributeSlice(ip, ar, slab, k)
 	}
 
 	// Keep only phases that received any consumption.
@@ -434,7 +488,7 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 // capacity, with the excess over Exact demand load-balanced across Variable
 // demand (§III-D2).
 func upsample(ip *InstanceProfile, ri *core.ResourceInstance, slices core.Timeslices,
-	ar *arena, rec InstanceRecorder) error {
+	ar *arena) error {
 	capUnit := ri.Resource.Capacity
 	for _, smp := range ri.Samples.Samples {
 		// Clip the measurement to the analyzed span; consumption outside it
@@ -519,9 +573,6 @@ func upsample(ip *InstanceProfile, ri *core.ResourceInstance, slices core.Timesl
 		for i := 0; i < n; i++ {
 			if dur[i] > 0 {
 				ip.Consumption[first+i] += alloc[i] / slices.SliceSeconds(first+i)
-				if rec != nil {
-					rec.Upsample(first+i, w0, w1, smp.Avg, alloc[i])
-				}
 			}
 		}
 	}
@@ -570,8 +621,7 @@ func waterFill(alloc []float64, amount float64, weights, ceil []float64) float64
 // Variable phases by weight (§III-D3). The active set is the CSR row
 // [csrOff[k], csrOff[k+1]); entries are in leaf order, so both accumulation
 // loops run in the oracle's sequence.
-func attributeSlice(ip *InstanceProfile, ar *arena, slab []PhaseUsage, k int,
-	rec InstanceRecorder) {
+func attributeSlice(ip *InstanceProfile, ar *arena, slab []PhaseUsage, k int) {
 	u := ip.Consumption[k]
 	lo, hi := ar.csrOff[k], ar.csrOff[k+1]
 	if u <= epsilon || lo == hi {
@@ -597,9 +647,6 @@ func attributeSlice(ip *InstanceProfile, ar *arena, slab []PhaseUsage, k int,
 	}
 	givenExact := math.Min(u, totalExact)
 	remainder := u - givenExact
-	if rec != nil {
-		rec.SliceSplit(k, u, totalExact, totalVarW, exactScale, remainder)
-	}
 	for e := lo; e < hi; e++ {
 		ci := ar.csrComp[e]
 		rule := &ar.compRule[ci]
@@ -616,9 +663,6 @@ func attributeSlice(ip *InstanceProfile, ar *arena, slab []PhaseUsage, k int,
 		if share > 0 {
 			usage := &slab[ci]
 			usage.Rates[k-usage.First] += share
-		}
-		if rec != nil {
-			rec.Share(k, ar.compPhase[ci], *rule, activity, share)
 		}
 	}
 	if totalVarW == 0 && remainder > epsilon {

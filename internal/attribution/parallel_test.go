@@ -56,12 +56,12 @@ func equalProfiles(t *testing.T, a, b *Profile) {
 // rt.Instances() order.
 func TestAttributeParallelBitIdentical(t *testing.T) {
 	f := buildFig2(t)
-	serial, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, nil, nil)
+	serial, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		parallel, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, workers, nil, nil)
+		parallel, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestAttributeParallelBitIdentical(t *testing.T) {
 	}
 	// Profile.Get resolves the same instances in both.
 	for _, name := range []string{"r1", "r2", "r3"} {
-		p8, _ := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 8, nil, nil)
+		p8, _ := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 8, nil)
 		if p8.Get(name, core.GlobalMachine) == nil {
 			t.Fatalf("parallel profile missing %s", name)
 		}

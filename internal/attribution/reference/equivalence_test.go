@@ -11,6 +11,7 @@ import (
 	"grade10/internal/attribution/reference"
 	"grade10/internal/core"
 	"grade10/internal/enginelog"
+	"grade10/internal/explain"
 	"grade10/internal/metrics"
 	"grade10/internal/vtime"
 )
@@ -19,7 +20,8 @@ import (
 // attribution core: on any input — misaligned monitoring windows, short
 // final slices, per-machine resources, capacity saturation, model
 // mismatch — attribution must reproduce the row-based reference oracle bit
-// for bit, including the full provenance callback stream.
+// for bit, and every explain derivation chain, which the oracle recomputes
+// per query, must sum to exactly the columnar profile's cells.
 
 const sec = vtime.Second
 
@@ -34,57 +36,6 @@ type fixture struct {
 	rt     *core.ResourceTrace
 	rules  *core.RuleSet
 	slices core.Timeslices
-}
-
-// provEvent is one recorded provenance callback, floats held as raw bits so
-// comparison is exact.
-type provEvent struct {
-	kind   string
-	k      int
-	phase  *core.Phase
-	rule   core.Rule
-	t0, t1 vtime.Time
-	bits   [5]uint64
-}
-
-type capSink struct{ evs []provEvent }
-
-func f5(a, b, c, d, e float64) [5]uint64 {
-	return [5]uint64{math.Float64bits(a), math.Float64bits(b), math.Float64bits(c),
-		math.Float64bits(d), math.Float64bits(e)}
-}
-
-func (s *capSink) Demand(k int, phase *core.Phase, rule core.Rule, activity float64) {
-	s.evs = append(s.evs, provEvent{kind: "demand", k: k, phase: phase, rule: rule,
-		bits: f5(activity, 0, 0, 0, 0)})
-}
-
-func (s *capSink) Upsample(k int, mStart, mEnd vtime.Time, avg, alloc float64) {
-	s.evs = append(s.evs, provEvent{kind: "upsample", k: k, t0: mStart, t1: mEnd,
-		bits: f5(avg, alloc, 0, 0, 0)})
-}
-
-func (s *capSink) SliceSplit(k int, consumption, totalExact, totalVarW, exactScale, remainder float64) {
-	s.evs = append(s.evs, provEvent{kind: "split", k: k,
-		bits: f5(consumption, totalExact, totalVarW, exactScale, remainder)})
-}
-
-func (s *capSink) Share(k int, phase *core.Phase, rule core.Rule, activity, share float64) {
-	s.evs = append(s.evs, provEvent{kind: "share", k: k, phase: phase, rule: rule,
-		bits: f5(activity, share, 0, 0, 0)})
-}
-
-// capRecorder collects per-instance sinks by instance index. Safe under the
-// parallel fan-out: each index is assigned exactly once.
-type capRecorder struct{ sinks []*capSink }
-
-func newCapRecorder(n int) *capRecorder { return &capRecorder{sinks: make([]*capSink, n)} }
-
-func (r *capRecorder) InstanceRecorder(i int, ri *core.ResourceInstance,
-	slices core.Timeslices) attribution.InstanceRecorder {
-	s := &capSink{}
-	r.sinks[i] = s
-	return s
 }
 
 // buildFixture generates a randomized multi-resource, multi-machine input
@@ -250,46 +201,60 @@ func diffProfiles(t *testing.T, got *attribution.Profile, want *reference.Profil
 	}
 }
 
-// diffProvenance asserts both recorders captured the identical callback
-// stream for every instance.
-func diffProvenance(t *testing.T, got, want *capRecorder) {
-	t.Helper()
-	if len(got.sinks) != len(want.sinks) {
-		t.Fatalf("sink counts: %d vs %d", len(got.sinks), len(want.sinks))
-	}
-	for i := range got.sinks {
-		g, w := got.sinks[i], want.sinks[i]
-		if len(g.evs) != len(w.evs) {
-			t.Fatalf("instance %d: %d provenance events vs %d", i, len(g.evs), len(w.evs))
-		}
-		for j := range g.evs {
-			if g.evs[j] != w.evs[j] {
-				t.Fatalf("instance %d event %d:\n got %+v\nwant %+v", i, j, g.evs[j], w.evs[j])
-			}
-		}
-	}
-}
-
 // TestColumnarMatchesReference is the core equivalence sweep: randomized
-// fixtures, every worker count, profile and provenance both bit-identical.
+// fixtures, several worker counts, profiles bit-identical.
 func TestColumnarMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		f := buildFixture(t, seed)
-		nInst := len(f.rt.Instances())
-		wantRec := newCapRecorder(nInst)
-		want, err := reference.Attribute(f.leaves, f.rt, f.rules, f.slices, wantRec)
+		want, err := reference.Attribute(f.leaves, f.rt, f.rules, f.slices, nil)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		for _, workers := range []int{1, 4} {
-			gotRec := newCapRecorder(nInst)
+		for _, workers := range []int{1, 2, 4} {
 			got, err := attribution.AttributeWindow(f.tr, f.leaves, f.rt, f.rules,
-				f.slices, workers, nil, gotRec)
+				f.slices, workers, nil)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
 			diffProfiles(t, got, want)
-			diffProvenance(t, gotRec, wantRec)
+		}
+	}
+}
+
+// TestExplainChainsReproduceProfile is the per-query check that the
+// oracle's recomputed derivation chain reproduces the columnar profile: on
+// every sweep fixture, each phase derivation of an all-instances explain
+// sums to exactly the profile cells it explains, float64 bits and all.
+func TestExplainChainsReproduceProfile(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		f := buildFixture(t, seed)
+		prof, err := attribution.AttributeWindow(f.tr, f.leaves, f.rt, f.rules,
+			f.slices, 4, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		d, err := explain.NewExplainer(prof).Explain(explain.Query{})
+		if err != nil {
+			t.Fatalf("seed %d: explain: %v", seed, err)
+		}
+		if len(d.Instances) != len(f.rt.Instances()) {
+			t.Fatalf("seed %d: %d explained instances, want %d",
+				seed, len(d.Instances), len(f.rt.Instances()))
+		}
+		phases := 0
+		for _, inst := range d.Instances {
+			for _, pd := range inst.Phases {
+				phases++
+				if math.Float64bits(pd.AttributedUnitSeconds) != math.Float64bits(pd.ProfileUnitSeconds) {
+					t.Fatalf("seed %d %s %s: chain sums to %v (%#x), profile holds %v (%#x)",
+						seed, inst.Key, pd.Path,
+						pd.AttributedUnitSeconds, math.Float64bits(pd.AttributedUnitSeconds),
+						pd.ProfileUnitSeconds, math.Float64bits(pd.ProfileUnitSeconds))
+				}
+			}
+		}
+		if phases == 0 {
+			t.Fatalf("seed %d: no phase derivation", seed)
 		}
 	}
 }
@@ -344,35 +309,16 @@ func TestColumnarMatchesReferenceEdges(t *testing.T) {
 			rules := core.NewRuleSet()
 			rules.Set("/job/a", "res", tc.rule)
 			slices := core.NewTimeslices(at(2), at(5), 700*vtime.Millisecond)
-			wantRec := newCapRecorder(1)
-			want, err := reference.Attribute(tr.Leaves(), rt, rules, slices, wantRec)
+			want, err := reference.Attribute(tr.Leaves(), rt, rules, slices, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRec := newCapRecorder(1)
 			got, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules,
-				slices, 1, nil, gotRec)
+				slices, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			diffProfiles(t, got, want)
-			diffProvenance(t, gotRec, wantRec)
 		})
 	}
-}
-
-// TestColumnarNilRecorderMatches re-runs a fixture without any recorder:
-// the nil-guarded path must produce the same bits as the recorded path.
-func TestColumnarNilRecorderMatches(t *testing.T) {
-	f := buildFixture(t, 99)
-	want, err := reference.Attribute(f.leaves, f.rt, f.rules, f.slices, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := attribution.AttributeWindow(f.tr, f.leaves, f.rt, f.rules,
-		f.slices, 2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffProfiles(t, got, want)
 }

@@ -11,12 +11,12 @@ import (
 // plus its inner upsampling step, each tagged with the attributed window.
 func TestAttributeTracedBitIdentical(t *testing.T) {
 	f := buildFig2(t)
-	plain, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 2, nil, nil)
+	plain, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer()
-	traced, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 2, tracer, nil)
+	traced, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 2, tracer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkAttributeTracingDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, nil, nil); err != nil {
+		if _, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkAttributeTracingEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, tracer, nil); err != nil {
+		if _, err := AttributeWindow(f.tr, f.tr.Leaves(), f.rt, f.rules, f.slices, 1, tracer); err != nil {
 			b.Fatal(err)
 		}
 	}

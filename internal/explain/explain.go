@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"grade10/internal/attribution"
+	"grade10/internal/attribution/reference"
 	"grade10/internal/bottleneck"
 	"grade10/internal/core"
 	"grade10/internal/vtime"
@@ -29,18 +30,17 @@ func evalErr(format string, args ...any) error {
 	return &EvalError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Explainer answers explain queries from an attribution profile and the
-// provenance its Recorder captured during the same pass. It is immutable
-// after construction and safe for concurrent Explain calls.
+// Explainer answers explain queries about a finalized attribution profile,
+// recomputing each query's derivation chains from the profile's own inputs.
+// It is immutable after construction and safe for concurrent Explain calls.
 type Explainer struct {
 	Prof *attribution.Profile
-	Rec  *Recorder
 }
 
-// NewExplainer pairs a profile with the recorder that observed its
-// attribution pass.
-func NewExplainer(prof *attribution.Profile, rec *Recorder) *Explainer {
-	return &Explainer{Prof: prof, Rec: rec}
+// NewExplainer returns an explainer over prof. The profile must be final:
+// its trace, rules, slices and samples are re-read on every query.
+func NewExplainer(prof *attribution.Profile) *Explainer {
+	return &Explainer{Prof: prof}
 }
 
 // Derivation is the full answer to one explain query: per instance, per
@@ -169,6 +169,11 @@ type StallInterval struct {
 // phase or resource absent from this profile, or a window outside the
 // analyzed span.
 func (e *Explainer) Explain(q Query) (*Derivation, error) {
+	return e.explain(q, newRecorder(DefaultMaxCellsPerInstance))
+}
+
+// explain answers q, recording the recomputed provenance into rec.
+func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
 	slices := e.Prof.Slices
 	first, last := 0, slices.Count
 	t0, t1 := slices.Start, slices.End
@@ -195,7 +200,12 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 	resourceKnown := q.Resource == ""
 	phaseKnown := q.Phase == ""
 
-	for i, ip := range e.Prof.Instances {
+	// Re-attribute only the selected instances, through the oracle that
+	// emits the derivation callbacks; instances are independent, so each
+	// chain is the one the full pass would have produced.
+	var selected []*attribution.InstanceProfile
+	sub := core.NewResourceTrace()
+	for _, ip := range e.Prof.Instances {
 		ri := ip.Instance
 		if q.Resource != "" && ri.Resource.Name != q.Resource {
 			continue
@@ -204,13 +214,19 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 		if q.HasMachine && ri.Machine != q.Machine {
 			continue
 		}
-		var sh *shard
-		if e.Rec != nil {
-			sh = e.Rec.shardAt(i)
+		if err := sub.Add(ri.Resource, ri.Machine, ri.Samples); err != nil {
+			return nil, err
 		}
-		if sh == nil {
-			continue
+		selected = append(selected, ip)
+	}
+	if len(selected) > 0 {
+		if _, err := reference.Attribute(e.Prof.Trace.Leaves(), sub, e.Prof.Rules,
+			slices, rec); err != nil {
+			return nil, err
 		}
+	}
+	for _, ip := range selected {
+		sh := rec.shards[ip.Instance.Key()]
 		d.DroppedRows += sh.dropped
 		inst := e.explainInstance(ip, sh, q, first, last)
 		if inst == nil {
@@ -253,6 +269,8 @@ func (e *Explainer) Explain(q Query) (*Derivation, error) {
 func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
 	q Query, first, last int) *InstanceDerivation {
 	slices := e.Prof.Slices
+	ri := ip.Instance
+	capacity := ri.Resource.Capacity
 
 	// Index the columnar tables for the join. Key (slice, phase) for demand
 	// and share; slice alone for split context and upsample contributions.
@@ -276,14 +294,14 @@ func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
 	}
 
 	inst := &InstanceDerivation{
-		Key:      sh.key,
-		Resource: sh.resource,
-		Machine:  sh.machine,
-		Capacity: sh.capacity,
+		Key:      ri.Key(),
+		Resource: ri.Resource.Name,
+		Machine:  ri.Machine,
+		Capacity: capacity,
 	}
 
 	// Phases in intern order — the leaf-major order of the demand pass —
-	// which is deterministic for a given input at any worker count.
+	// which is deterministic for a given input.
 	for pi, phase := range sh.phases {
 		if q.Phase != "" && (phase.Type == nil || phase.Type.Path() != q.Phase) {
 			continue
@@ -315,7 +333,7 @@ func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
 				cell.TotalVarW = sh.sVarW[sr]
 				cell.ExactScale = sh.sScale[sr]
 				cell.Remainder = sh.sRemainder[sr]
-				cell.Saturated = sh.capacity > 0 && sh.sCons[sr] >= bottleneck.SaturationThreshold*sh.capacity
+				cell.Saturated = capacity > 0 && sh.sCons[sr] >= bottleneck.SaturationThreshold*capacity
 			}
 			if hr, ok := shareAt[cellKey(int32(k), int32(pi))]; ok {
 				cell.ShareRate = sh.hShare[hr.row]

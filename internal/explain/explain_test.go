@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"grade10/internal/attribution"
@@ -27,11 +28,10 @@ func at(s int64) vtime.Time { return vtime.Time(s) * vtime.Time(sec) }
 //	monitoring: [0,2)=30  [2,4)=60  [4,6)=25
 type fixture struct {
 	prof   *attribution.Profile
-	rec    *Recorder
 	slices core.Timeslices
 }
 
-func buildFixture(t testing.TB, maxCells int) *fixture {
+func buildFixture(t testing.TB) *fixture {
 	t.Helper()
 	root := core.NewRootType("job")
 	for _, name := range []string{"p1", "p2", "p3"} {
@@ -86,13 +86,12 @@ func buildFixture(t testing.TB, maxCells int) *fixture {
 		Set("/job/p3", "cpu", core.Variable(1))
 
 	slices := core.NewTimeslices(at(0), at(6), 1*sec)
-	rec := NewRecorder(maxCells)
 	prof, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, rules,
-		slices, 1, nil, rec)
+		slices, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{prof: prof, rec: rec, slices: slices}
+	return &fixture{prof: prof, slices: slices}
 }
 
 func explainQ(t *testing.T, f *fixture, query string) *Derivation {
@@ -101,7 +100,7 @@ func explainQ(t *testing.T, f *fixture, query string) *Derivation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewExplainer(f.prof, f.rec).Explain(q)
+	d, err := NewExplainer(f.prof).Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func approx(t *testing.T, what string, got, want float64) {
 // printed derivation chain reproduces the profile's attributed value exactly,
 // for a single phase and for the whole resource.
 func TestExplainChainReproducesProfile(t *testing.T) {
-	f := buildFixture(t, 0)
+	f := buildFixture(t)
 
 	d := explainQ(t, f, "phase=/job/p2 resource=cpu")
 	if len(d.Instances) != 1 || len(d.Instances[0].Phases) != 1 {
@@ -174,7 +173,7 @@ func TestExplainChainReproducesProfile(t *testing.T) {
 // TestExplainRangeClipsCells checks the [t0..t1] window restricts both the
 // slice span and the cells in the chain.
 func TestExplainRangeClipsCells(t *testing.T) {
-	f := buildFixture(t, 0)
+	f := buildFixture(t)
 	d := explainQ(t, f, "phase=/job/p2 resource=cpu [2s..3s]")
 	if d.Slices != 1 {
 		t.Fatalf("window [2s..3s) covers 1 slice, got %d", d.Slices)
@@ -186,11 +185,11 @@ func TestExplainRangeClipsCells(t *testing.T) {
 	approx(t, "clipped chain vs profile", pd.AttributedUnitSeconds, pd.ProfileUnitSeconds)
 
 	// A range clipped to the span still answers; one fully outside errors.
-	if _, err := NewExplainer(f.prof, f.rec).Explain(Query{
+	if _, err := NewExplainer(f.prof).Explain(Query{
 		Resource: "cpu", T0: at(5), T1: at(20), HasRange: true}); err != nil {
 		t.Fatalf("partially overlapping range: %v", err)
 	}
-	_, err := NewExplainer(f.prof, f.rec).Explain(Query{
+	_, err := NewExplainer(f.prof).Explain(Query{
 		Resource: "cpu", T0: at(10), T1: at(20), HasRange: true})
 	var ee *EvalError
 	if !errors.As(err, &ee) {
@@ -202,7 +201,7 @@ func TestExplainRangeClipsCells(t *testing.T) {
 // trace: gc has no consumable instance, so the evidence is p2's blocked
 // interval, clipped to the queried window.
 func TestExplainBlockingResource(t *testing.T) {
-	f := buildFixture(t, 0)
+	f := buildFixture(t)
 
 	d := explainQ(t, f, "resource=gc")
 	if len(d.Instances) != 0 || len(d.Blocking) != 1 {
@@ -234,8 +233,8 @@ func TestExplainBlockingResource(t *testing.T) {
 
 // TestExplainEvalErrors checks unknown names surface as typed *EvalError.
 func TestExplainEvalErrors(t *testing.T) {
-	f := buildFixture(t, 0)
-	ex := NewExplainer(f.prof, f.rec)
+	f := buildFixture(t)
+	ex := NewExplainer(f.prof)
 	for _, q := range []Query{
 		{Resource: "quantum-bus"},
 		{Phase: "/job/p9"},
@@ -252,7 +251,7 @@ func TestExplainEvalErrors(t *testing.T) {
 // TestExplainRenderings smoke-checks both output formats: the text chain
 // carries the sums, and the JSON parses back with the same totals.
 func TestExplainRenderings(t *testing.T) {
-	f := buildFixture(t, 0)
+	f := buildFixture(t)
 	d := explainQ(t, f, "phase=/job/p2 resource=cpu")
 
 	var text bytes.Buffer
@@ -277,36 +276,83 @@ func TestExplainRenderings(t *testing.T) {
 	approx(t, "JSON round-trip total", back.AttributedUnitSeconds, d.AttributedUnitSeconds)
 }
 
+// TestExplainConcurrentQueries checks that queries recompute independently:
+// one explainer answering from several goroutines at once (as the service's
+// handlers do on a finalized run) gives every caller the serial answer.
+func TestExplainConcurrentQueries(t *testing.T) {
+	f := buildFixture(t)
+	ex := NewExplainer(f.prof)
+	render := func() ([]byte, error) {
+		d, err := ex.Explain(Query{Resource: "cpu"})
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = d.WriteJSON(&buf)
+		return buf.Bytes(), err
+	}
+	want, err := render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := render()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("concurrent explain differs from serial (err %v)", err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestRecorderMemoryBound checks the per-instance row cap: a tiny bound
-// drops rows, counts them, and the derivation carries the warning.
+// stops the shard at the cap, counts the dropped rows, and the derivation
+// carries the count and the warning.
 func TestRecorderMemoryBound(t *testing.T) {
-	f := buildFixture(t, 4)
-	if droppedRows(f.rec) == 0 {
+	f := buildFixture(t)
+	q := Query{Resource: "cpu"}
+	rec := newRecorder(4)
+	d, err := NewExplainer(f.prof).explain(q, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if droppedRows(rec) == 0 {
 		t.Fatal("tiny bound dropped nothing")
 	}
-	if f.rec.Bytes() <= 0 {
-		t.Fatal("Bytes() = 0 with rows recorded")
+	if rows := rec.shards["cpu@global"].rows(); rows != 4 {
+		t.Fatalf("bounded shard holds %d rows, want the cap 4", rows)
 	}
-	d := explainQ(t, f, "resource=cpu")
-	if d.DroppedRows != droppedRows(f.rec) {
+	if d.DroppedRows != droppedRows(rec) {
 		t.Fatalf("derivation DroppedRows = %d, recorder dropped %d",
-			d.DroppedRows, droppedRows(f.rec))
+			d.DroppedRows, droppedRows(rec))
+	}
+	var text bytes.Buffer
+	if err := d.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "provenance rows dropped by the memory bound") {
+		t.Fatalf("bounded derivation carries no warning:\n%s", text.String())
 	}
 
-	unbounded := buildFixture(t, 0)
-	if droppedRows(unbounded.rec) != 0 {
+	unbounded := newRecorder(DefaultMaxCellsPerInstance)
+	if _, err := NewExplainer(f.prof).explain(q, unbounded); err != nil {
+		t.Fatal(err)
+	}
+	if droppedRows(unbounded) != 0 {
 		t.Fatalf("default bound dropped %d rows on a 6-slice fixture",
-			droppedRows(unbounded.rec))
+			droppedRows(unbounded))
 	}
 }
 
 // droppedRows sums the rows every shard of rec discarded.
-func droppedRows(rec *Recorder) int64 {
+func droppedRows(rec *recorder) int64 {
 	var total int64
 	for _, sh := range rec.shards {
-		if sh != nil {
-			total += sh.dropped
-		}
+		total += sh.dropped
 	}
 	return total
 }

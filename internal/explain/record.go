@@ -1,20 +1,21 @@
-// Package explain is Grade10's provenance and explanation layer: an opt-in
-// recorder that captures the full derivation chain behind every attributed
-// cell (rule fired → estimated demand → upsampling allocation → capacity
-// share), and a query engine that answers "why was this phase attributed X
-// on this resource?" from the captured evidence — the paper's attribution
+// Package explain is Grade10's provenance and explanation layer: it answers
+// "why was this phase attributed X on this resource?" with the full
+// derivation chain behind every selected cell (rule fired → estimated
+// demand → upsampling allocation → capacity share) — the paper's attribution
 // process (§III-D) made inspectable after the fact.
 //
-// Provenance is stored in compact columnar shards, one per resource
-// instance, appended serially by the instance's attribution job in a
-// deterministic order, so explain output is byte-identical at any
-// -parallelism. Memory is bounded: each shard stops recording past
-// MaxCellsPerInstance rows and counts what it dropped.
+// Provenance is recomputed per query, never captured while attributing: the
+// explainer re-attributes only the resource instances a query selects
+// through the row-based oracle (internal/attribution/reference), which
+// emits the derivation callbacks, over the finalized profile's own leaves,
+// rules, slices and samples. The oracle is bit-identical to the columnar
+// core, so the chain reproduces the profile, and the production attribution
+// path carries no capture hooks. Memory is bounded per query: each
+// instance's shard stops recording past DefaultMaxCellsPerInstance rows and
+// counts what it dropped.
 package explain
 
 import (
-	"sync"
-
 	"grade10/internal/attribution"
 	"grade10/internal/core"
 	"grade10/internal/vtime"
@@ -26,80 +27,32 @@ import (
 // that a pathological trace cannot exhaust memory silently.
 const DefaultMaxCellsPerInstance = 1 << 20
 
-// Recorder implements attribution.Recorder with per-instance columnar
-// shards. One Recorder serves one attribution pass; create a fresh one per
-// window or run.
-type Recorder struct {
+// recorder implements attribution.Recorder with per-instance columnar
+// shards keyed by instance. One recorder serves one recomputation; the
+// reference oracle calls it serially, so it needs no locking.
+type recorder struct {
 	maxCells int
-
-	mu     sync.Mutex
-	shards []*shard // indexed by rt.Instances() order; grown under mu
+	shards   map[string]*shard // by ResourceInstance.Key()
 }
 
-// NewRecorder creates a recorder; maxCellsPerInstance <= 0 takes the
-// default bound.
-func NewRecorder(maxCellsPerInstance int) *Recorder {
-	if maxCellsPerInstance <= 0 {
-		maxCellsPerInstance = DefaultMaxCellsPerInstance
-	}
-	return &Recorder{maxCells: maxCellsPerInstance}
+// newRecorder creates a recorder that keeps at most maxCells rows per
+// instance.
+func newRecorder(maxCells int) *recorder {
+	return &recorder{maxCells: maxCells, shards: map[string]*shard{}}
 }
 
-// InstanceRecorder implements attribution.Recorder. Each per-instance sink
-// is written serially by its attribution job; only the shard-table growth
-// here is locked.
-func (r *Recorder) InstanceRecorder(i int, ri *core.ResourceInstance,
-	slices core.Timeslices) attribution.InstanceRecorder {
-	sh := &shard{
-		key:      ri.Key(),
-		resource: ri.Resource.Name,
-		machine:  ri.Machine,
-		capacity: ri.Resource.Capacity,
-		maxCells: r.maxCells,
-		phaseIdx: map[*core.Phase]int32{},
-	}
-	r.mu.Lock()
-	for len(r.shards) <= i {
-		r.shards = append(r.shards, nil)
-	}
-	r.shards[i] = sh
-	r.mu.Unlock()
+// InstanceRecorder implements attribution.Recorder.
+func (r *recorder) InstanceRecorder(_ int, ri *core.ResourceInstance,
+	_ core.Timeslices) attribution.InstanceRecorder {
+	sh := &shard{maxCells: r.maxCells, phaseIdx: map[*core.Phase]int32{}}
+	r.shards[ri.Key()] = sh
 	return sh
-}
-
-// shardAt returns the shard recorded for instance index i, or nil.
-func (r *Recorder) shardAt(i int) *shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < 0 || i >= len(r.shards) {
-		return nil
-	}
-	return r.shards[i]
-}
-
-// Bytes returns the approximate retained size of the captured provenance,
-// for the grade10_provenance_bytes gauge and memory-bound verification.
-func (r *Recorder) Bytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total int64
-	for _, sh := range r.shards {
-		if sh != nil {
-			total += sh.bytes()
-		}
-	}
-	return total
 }
 
 // shard holds one resource instance's provenance in columnar form: four
 // append-only tables (demand, upsample, slice split, share), with phases
 // interned once per shard. rows() across the tables is bounded by maxCells.
 type shard struct {
-	key      string
-	resource string
-	machine  int
-	capacity float64
-
 	maxCells int
 	dropped  int64
 
@@ -203,13 +156,4 @@ func (s *shard) Share(k int, phase *core.Phase, rule core.Rule, activity, share 
 	s.hPhase = append(s.hPhase, s.intern(phase))
 	s.hShare = append(s.hShare, share)
 	s.hActivity = append(s.hActivity, activity)
-}
-
-func (s *shard) bytes() int64 {
-	n := len(s.dSlice)*(4+4+1+8+8) +
-		len(s.uSlice)*(4+8+8+8+8) +
-		len(s.sSlice)*(4+8*5) +
-		len(s.hSlice)*(4+4+8+8) +
-		len(s.phases)*16
-	return int64(n)
 }

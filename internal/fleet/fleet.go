@@ -53,7 +53,7 @@ type Config struct {
 	Poll time.Duration
 	Idle time.Duration
 	// Engine is the per-run stream engine template (timeslice, window
-	// sizing, parallelism, provenance capture, retention, self-tracer). Its
+	// sizing, parallelism, retention, self-tracer). Its
 	// Timeslice is also the cross-job blame grid width.
 	// Models and the expected monitoring feeds come from each run's
 	// metadata; the fleet sets the overhead account and flush hook itself.
@@ -169,9 +169,9 @@ func (f *Fleet) Counts() (active, queued int, shed int64) { return f.sched.Count
 // decision says whether ingest started immediately, was queued, or was shed
 // (at which point the fleet retains nothing and the caller may retry later).
 func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
-	name = filepath.Base(filepath.Clean(dir))
-	if name == "" || name == "." || name == string(filepath.Separator) {
-		return "", DecisionShed, fmt.Errorf("fleet: cannot derive a run name from %q", dir)
+	name, err = runName(dir)
+	if err != nil {
+		return "", DecisionShed, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -202,6 +202,21 @@ func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
 	return name, d, nil
 }
 
+// runName names a run after its directory. The directory is made absolute
+// first, so a relative path such as "." or "x/.." names the directory it
+// denotes rather than the path's last element.
+func runName(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", fmt.Errorf("fleet: cannot derive a run name from %q: %w", dir, err)
+	}
+	name := filepath.Base(abs)
+	if name == "" || name == string(filepath.Separator) {
+		return "", fmt.Errorf("fleet: cannot derive a run name from %q", dir)
+	}
+	return name, nil
+}
+
 // addLocked records a new run. Caller holds f.mu.
 func (f *Fleet) addLocked(name, label string) *runState {
 	rs := &runState{
@@ -223,9 +238,12 @@ func (f *Fleet) addLocked(name, label string) *runState {
 // record carries label, and Pinned reports it once run.json has built its
 // engine. A fleet pins at most one run.
 func (f *Fleet) Follow(dir, label string, stop <-chan struct{}) error {
-	name := filepath.Base(filepath.Clean(dir))
+	name, err := runName(dir)
+	if err != nil {
+		return err
+	}
 	f.mu.Lock()
-	err := f.pinnableLocked(name)
+	err = f.pinnableLocked(name)
 	var rs *runState
 	if err == nil {
 		rs = f.addLocked(name, label)
@@ -370,7 +388,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) error {
 
 	f.mu.Lock()
 	if !rs.pinned {
-		rs.engine = nil // teardown: the windows, provenance and raw inputs go
+		rs.engine = nil // teardown: the windows and raw inputs go
 	}
 	switch {
 	case err != nil && rs.status != StatusStalled:

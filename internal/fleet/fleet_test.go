@@ -629,3 +629,24 @@ func TestFleetFlushStallIsolated(t *testing.T) {
 	unblock.Do(func() { close(release) })
 	waitSettled(t, f, 2, time.Minute)
 }
+
+// TestRunNameResolvesRelativeDirs checks that a run is named after the
+// directory a relative path denotes, not the path's last element.
+func TestRunNameResolvesRelativeDirs(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, want := range map[string]string{
+		".":      filepath.Base(wd),
+		"x/..":   filepath.Base(wd),
+		"./run/": "run",
+	} {
+		if got, err := runName(dir); err != nil || got != want {
+			t.Errorf("runName(%q) = %q, %v; want %q", dir, got, err, want)
+		}
+	}
+	if _, err := runName(string(filepath.Separator)); err == nil {
+		t.Error("runName of the root directory gave a name")
+	}
+}

@@ -32,10 +32,6 @@ type Input struct {
 	// build, resource trace assembly, attribution jobs, bottleneck scan,
 	// issue replays). Nil disables self-tracing at zero cost.
 	Tracer *obs.Tracer
-	// Recorder receives provenance callbacks from the attribution pass for
-	// the explain engine (internal/explain). Nil disables capture at zero
-	// cost. Pass a literal nil, never a typed nil pointer.
-	Recorder attribution.Recorder
 }
 
 // Output is the full performance profile of one execution.
@@ -99,7 +95,7 @@ func CharacterizeTrace(tr *core.ExecutionTrace, in Input) (*Output, error) {
 	span.SetItems(int64(slices.Count))
 	span.SetWindow(int64(slices.Start), int64(slices.End))
 	prof, err := attribution.AttributeWindow(tr, tr.Leaves(), rt, in.Models.Rules,
-		slices, in.Parallelism, in.Tracer, in.Recorder)
+		slices, in.Parallelism, in.Tracer)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("grade10: attribution: %w", err)

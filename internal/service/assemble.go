@@ -65,7 +65,7 @@ type Config struct {
 	// Poll and Idle tune run-directory tailing (rundir.FollowOptions).
 	Poll, Idle time.Duration
 	// Engine is the per-run stream engine template: timeslice, windows,
-	// parallelism, provenance, retention, self-tracer. Models and the
+	// parallelism, retention, self-tracer. Models and the
 	// expected monitoring feeds come from the run metadata unless set; the
 	// service wires the flush, alert, and overhead hooks.
 	Engine stream.Config

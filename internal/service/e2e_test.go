@@ -408,7 +408,7 @@ func followWritten(t *testing.T, srv *service.Server, dir string) {
 	}
 }
 
-// startFull is serve -run with -explain -store -alert-rules -bundle-dir
+// startFull is serve -run with -store -alert-rules -bundle-dir
 // -pprof. The always-true threshold rule fires on the first window flush;
 // the firing transition happens once and the per-trigger-kind rate limit
 // guards the rest, so exactly one alert bundle may land.
@@ -421,10 +421,8 @@ func startFull(t *testing.T) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := serveEngine()
-	engine.Explain = true
 	e := serve(t, service.Config{
-		Dir: dir, UI: true, Engine: engine, Pprof: true,
+		Dir: dir, UI: true, Engine: serveEngine(), Pprof: true,
 		StoreDir: filepath.Join(root, "archive"), AlertRules: rules,
 		BundleDir: filepath.Join(root, "bundles"), BundleMax: 16,
 		BundleMinInterval: time.Minute, BundleCPUProfile: 250 * time.Millisecond,

@@ -47,7 +47,6 @@ type profileMetrics struct {
 	reg                    *obs.Registry
 	stats                  []*obs.Counter
 	explainQ               *obs.Counter
-	provenance             *obs.Gauge
 	gauges                 []*obs.Gauge
 	ingestAge              *obs.Gauge
 	util, lastUtil         *obs.GaugeVec
@@ -60,7 +59,6 @@ func newProfileMetrics(reg *obs.Registry) *profileMetrics {
 		m.stats = append(m.stats, reg.Counter(f.name, f.help))
 	}
 	m.explainQ = reg.Counter("grade10_explain_queries_total", "Explain queries served by the provenance engine.")
-	m.provenance = reg.Gauge("grade10_provenance_bytes", "Approximate retained size of the captured attribution provenance.")
 	for _, g := range profileGauges {
 		m.gauges = append(m.gauges, reg.Gauge(g.name, g.help))
 	}
@@ -79,12 +77,11 @@ func newProfileMetrics(reg *obs.Registry) *profileMetrics {
 }
 
 // update refreshes every family from one snapshot.
-func (m *profileMetrics) update(snap *stream.Snapshot, explainQueries, provenanceBytes int64) {
+func (m *profileMetrics) update(snap *stream.Snapshot, explainQueries int64) {
 	for i, f := range statFamilies {
 		m.stats[i].Set(float64(f.get(snap.Stats)))
 	}
 	m.explainQ.Set(float64(explainQueries))
-	m.provenance.Set(float64(provenanceBytes))
 	for i, g := range profileGauges {
 		m.gauges[i].Set(g.get(snap))
 	}
@@ -124,7 +121,7 @@ func registerProfileMetrics(reg *obs.Registry, fl *fleet.Fleet) {
 		}
 		once.Do(func() { m = newProfileMetrics(reg) })
 		snap := e.Snapshot()
-		m.update(&snap, e.ExplainQueries(), e.ProvenanceBytes())
+		m.update(&snap, e.ExplainQueries())
 		age, _ := e.IngestAge()
 		m.ingestAge.Set(age.Seconds())
 	})

@@ -13,7 +13,7 @@ import (
 func scrapeProfile(t *testing.T, snap stream.Snapshot) string {
 	t.Helper()
 	reg := obs.NewRegistry()
-	newProfileMetrics(reg).update(&snap, 0, 0)
+	newProfileMetrics(reg).update(&snap, 0)
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)

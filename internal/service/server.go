@@ -18,7 +18,6 @@ import (
 	"grade10/internal/profstore"
 	"grade10/internal/report"
 	"grade10/internal/stream"
-	"grade10/internal/vtime"
 )
 
 // handle registers a handler and records the route in the endpoint index and
@@ -180,10 +179,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.reg.WriteText(w)
 }
 
-// serveExplain answers explain queries (?q=<query>) against the captured
-// provenance: one exact full-run derivation once finalized in retain mode,
-// else one derivation per retained window overlapping the query. JSON by
-// default; ?format=text renders the human-readable derivation chains.
+// serveExplain answers explain queries (?q=<query>) with the exact full-run
+// derivation, recomputed from the run's final profile; a run that is not
+// finalized or retains no profile answers 422. JSON by default;
+// ?format=text renders the human-readable derivation chain.
 func serveExplain(w http.ResponseWriter, r *http.Request, e *stream.Engine) {
 	queryStr := r.URL.Query().Get("q")
 	if queryStr == "" {
@@ -203,16 +202,8 @@ func serveExplain(w http.ResponseWriter, r *http.Request, e *stream.Engine) {
 	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for i, wd := range derivs {
-			if i > 0 {
-				fmt.Fprintln(w)
-			}
-			if wd.Final {
-				fmt.Fprintln(w, "=== final (exact full-run derivation) ===")
-			} else {
-				fmt.Fprintf(w, "=== window %s..%s ===\n",
-					vtime.Time(wd.WindowStartNS), vtime.Time(wd.WindowEndNS))
-			}
+		for _, wd := range derivs {
+			fmt.Fprintln(w, "=== final (exact full-run derivation) ===")
 			_ = wd.Derivation.WriteText(w)
 		}
 		return

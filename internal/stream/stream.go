@@ -80,12 +80,6 @@ type Config struct {
 	// attribution jobs inside them, and (in retain mode) the final batch
 	// pipeline. Nil disables self-tracing at zero cost.
 	Tracer *obs.Tracer
-	// Explain enables provenance capture: each flushed window keeps an
-	// explain.Explainer (ring bounded by MaxWindows, like the window
-	// results), and in retain mode Finalize builds one exact full-run
-	// explainer. Off by default — capture costs memory proportional to the
-	// retained windows.
-	Explain bool
 	// OnWindowFlush, when set, is called after each window flush with the
 	// flushed WindowResult (immutable once handed over), and once more with
 	// nil after Finalize completes. It is invoked with the engine lock held:
@@ -246,8 +240,6 @@ type Engine struct {
 	frontier   vtime.Time // end of the last flushed window
 
 	windows  []*WindowResult
-	winEx    []*windowExplainer // parallel ring when cfg.Explain
-	finalEx  *explain.Explainer
 	explainQ int64 // explain queries served
 	instAggs map[string]*instAgg
 	btlAggs  map[bottleneckKey]*bottleneckAgg
@@ -623,14 +615,8 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		span.SetItems(int64(len(leaves)))
 		span.SetWindow(int64(w0), int64(w1))
 	}
-	var rec *explain.Recorder
-	var arec attribution.Recorder // stays a true nil interface when disabled
-	if e.cfg.Explain {
-		rec = explain.NewRecorder(0)
-		arec = rec
-	}
 	prof, err := attribution.AttributeWindow(tr, leaves, rt, e.cfg.Models.Rules, win,
-		e.cfg.Parallelism, e.cfg.Tracer, arec)
+		e.cfg.Parallelism, e.cfg.Tracer)
 	var rep *bottleneck.Report
 	if err == nil {
 		// The scan reads the same provisional ends as attribution, so an
@@ -651,12 +637,6 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	if e.cfg.Alerts != nil {
 		if evs := e.cfg.Alerts.Eval(e.windowObsLocked(wr, rep.Rows, w1)); len(evs) > 0 && e.cfg.OnAlert != nil {
 			e.cfg.OnAlert(evs)
-		}
-	}
-	if rec != nil {
-		e.winEx = append(e.winEx, &windowExplainer{W0: w0, W1: w1, Ex: explain.NewExplainer(prof, rec)})
-		if over := len(e.winEx) - e.cfg.MaxWindows; over > 0 {
-			e.winEx = append(e.winEx[:0], e.winEx[over:]...)
 		}
 	}
 	span.End()
@@ -711,12 +691,6 @@ func (e *Engine) windowObsLocked(wr *WindowResult, rows []bottleneck.Row, w1 vti
 			"bottleneck_seconds": btl,
 		},
 	}
-}
-
-// windowExplainer pairs one flushed window with its provenance explainer.
-type windowExplainer struct {
-	W0, W1 vtime.Time
-	Ex     *explain.Explainer
 }
 
 // retireLocked drops live state wholly behind the flushed frontier. Retain
@@ -815,15 +789,7 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		Parallelism: e.cfg.Parallelism,
 		Tracer:      e.cfg.Tracer,
 	}
-	var rec *explain.Recorder
-	if e.cfg.Explain {
-		rec = explain.NewRecorder(0)
-		in.Recorder = rec
-	}
 	e.finalOut, e.finalErr = grade10.CharacterizeTrace(tr, in)
-	if e.finalErr == nil && rec != nil {
-		e.finalEx = explain.NewExplainer(e.finalOut.Profile, rec)
-	}
 	return e.finalOut, e.finalErr
 }
 
@@ -864,9 +830,6 @@ func (e *Engine) FinalStatus() (out *grade10.Output, finalized bool, err error) 
 	return e.finalOut, e.finalized.Load(), e.finalErr
 }
 
-// ExplainEnabled reports whether provenance capture is on.
-func (e *Engine) ExplainEnabled() bool { return e.cfg.Explain }
-
 // ExplainQueries returns the number of explain queries served (the
 // grade10_explain_queries_total counter).
 func (e *Engine) ExplainQueries() int64 {
@@ -875,90 +838,56 @@ func (e *Engine) ExplainQueries() int64 {
 	return e.explainQ
 }
 
-// ProvenanceBytes returns the approximate retained size of the captured
-// provenance across the window ring and the final explainer (the
-// grade10_provenance_bytes gauge).
-func (e *Engine) ProvenanceBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var total int64
-	for _, we := range e.winEx {
-		total += we.Ex.Rec.Bytes()
-	}
-	if e.finalEx != nil {
-		total += e.finalEx.Rec.Bytes()
-	}
-	return total
-}
-
-// WindowDerivation is one window's (or the final full-run) answer to an
-// explain query.
+// WindowDerivation is the answer to an explain query: the exact full-run
+// derivation of a finalized, retained run.
 type WindowDerivation struct {
-	// WindowStartNS/WindowEndNS bound the window; Final marks the exact
-	// full-run derivation produced after Finalize in retain mode.
+	// WindowStartNS/WindowEndNS bound the analyzed span; Final marks the
+	// exact full-run derivation, the only kind served.
 	WindowStartNS int64               `json:"window_start_ns"`
 	WindowEndNS   int64               `json:"window_end_ns"`
 	Final         bool                `json:"final"`
 	Derivation    *explain.Derivation `json:"derivation"`
 }
 
-// Explain answers one explain query against the captured provenance. After
-// Finalize in retain mode the answer is the single exact full-run
-// derivation; before that it is one derivation per retained window
-// overlapping the query's time range. Returns explain.ParseError /
-// explain.EvalError for bad queries, and a plain error when capture is
-// disabled or no provenance matched.
+// Explain answers one explain query by recomputing its derivation chains
+// from the finalized run's retained profile. Live windows are not
+// explained: a flush attributes open leaves with provisional ends that it
+// reverts afterwards, and late blocking events still reach the tree after
+// their window flushed, so a later recomputation could read different
+// activity than the flush did (DESIGN.md §9). Returns explain.ParseError /
+// explain.EvalError for bad queries, and a plain error naming why when the
+// run has no final profile to explain.
 func (e *Engine) Explain(queryStr string) ([]WindowDerivation, error) {
 	q, err := explain.ParseQuery(queryStr)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.explainQ++
+	out, finalized, finalErr := e.finalOut, e.finalized.Load(), e.finalErr
+	e.mu.Unlock()
+	switch {
+	case !finalized:
+		return nil, fmt.Errorf("stream: run is not finalized yet: explain answers from the final profile")
+	case finalErr != nil:
+		return nil, fmt.Errorf("stream: run has no final profile to explain: %w", finalErr)
+	case out == nil:
+		return nil, fmt.Errorf("stream: run was analyzed in bounded mode and retains no profile to explain")
+	}
+	// The final profile is immutable: derive without the lock.
 	span := e.cfg.Tracer.StartSpan("explain-query", -1)
 	if e.cfg.Tracer.Enabled() {
 		span.SetDetail(q.String())
 	}
 	defer span.End()
-	e.explainQ++
-	if !e.cfg.Explain {
-		return nil, fmt.Errorf("stream: provenance capture is disabled (enable with -explain)")
+	d, err := explain.NewExplainer(out.Profile).Explain(q)
+	if err != nil {
+		return nil, err
 	}
-	// Final explainer: immutable profile, exact whole-run answer.
-	if e.finalEx != nil {
-		d, err := e.finalEx.Explain(q)
-		if err != nil {
-			return nil, err
-		}
-		return []WindowDerivation{{
-			WindowStartNS: int64(e.finalEx.Prof.Slices.Start),
-			WindowEndNS:   int64(e.finalEx.Prof.Slices.End),
-			Final:         true,
-			Derivation:    d,
-		}}, nil
-	}
-	// Live: answer per retained window, still under e.mu — window profiles
-	// reference phases the live tree keeps mutating.
-	var out []WindowDerivation
-	var lastErr error
-	for _, we := range e.winEx {
-		if q.HasRange && (q.T1 <= we.W0 || q.T0 >= we.W1) {
-			continue
-		}
-		d, err := we.Ex.Explain(q)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out = append(out, WindowDerivation{
-			WindowStartNS: int64(we.W0), WindowEndNS: int64(we.W1), Derivation: d,
-		})
-	}
-	if len(out) == 0 {
-		if lastErr != nil {
-			return nil, lastErr
-		}
-		return nil, fmt.Errorf("stream: no flushed window holds provenance for this query yet")
-	}
-	return out, nil
+	return []WindowDerivation{{
+		WindowStartNS: int64(out.Profile.Slices.Start),
+		WindowEndNS:   int64(out.Profile.Slices.End),
+		Final:         true,
+		Derivation:    d,
+	}}, nil
 }

@@ -82,11 +82,9 @@ function renderOverview(ov) {
   kv("windows", ov.stats.windows_flushed);
   kv("coverage", fmt(ov.coverage, 3));
   kv("lag", fmt(ov.lag_seconds, 2) + "s");
-  if (!ov.explain) {
-    $("explain-hint").textContent = ov.mode === "fleet"
-      ? "explain click-through runs on the single-run server (serve <rundir>)."
-      : "provenance capture is off (-explain=false).";
-  }
+  $("explain-hint").textContent = ov.explain
+    ? "click a heatmap cell or timeline span to trace where its number came from."
+    : "explain answers once the run is finalized.";
 
   const bt = $("bottlenecks");
   bt.innerHTML = "";
@@ -337,7 +335,7 @@ async function explain(query) {
   const out = $("explain-out");
   out.textContent = "q: " + query + "\n…";
   try {
-    const resp = await fetch("/explain?format=text&q=" + encodeURIComponent(query));
+    const resp = await fetch(apiURL("/explain?format=text&q=" + encodeURIComponent(query)));
     const text = await resp.text();
     out.textContent = "q: " + query + "\n\n" + text;
   } catch (err) {

@@ -85,7 +85,8 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sse := s.cfg.Broker != nil
-	obs.WriteJSON(w, buildOverview(e.Snapshot(), mode(run), run, sse, e.ExplainEnabled()))
+	out, _, _ := e.FinalStatus()
+	obs.WriteJSON(w, buildOverview(e.Snapshot(), mode(run), run, sse, out != nil))
 }
 
 // heatCells returns the engine's heat cells and their source: "final" once

@@ -75,11 +75,10 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
-// engineConfig is a retained, provenance-capturing engine at the given
-// parallelism.
+// engineConfig is a retained engine at the given parallelism.
 func engineConfig(f *fixture, parallelism int) stream.Config {
 	return stream.Config{
-		Models: f.run.Models, RetainForFinal: true, Explain: true,
+		Models: f.run.Models, RetainForFinal: true,
 		WindowSlices: 16, MaxWindows: 64,
 		ExpectedInstances: len(f.monitoring), Parallelism: parallelism,
 	}

@@ -40,7 +40,7 @@ type Overview struct {
 	Stats       stream.Stats               `json:"stats"`
 
 	// SSE marks /api/events as live; Explain marks /explain click-through as
-	// available (provenance capture on).
+	// available: the run is finalized with a retained profile.
 	SSE     bool `json:"sse"`
 	Explain bool `json:"explain"`
 }
@@ -192,7 +192,7 @@ func machinesAndResources(instances []stream.InstanceSummary) ([]int, []string) 
 }
 
 // buildOverview shapes one engine snapshot into the Overview view model.
-func buildOverview(snap stream.Snapshot, mode, run string, sse, explainOn bool) *Overview {
+func buildOverview(snap stream.Snapshot, mode, run string, sse, explainable bool) *Overview {
 	machines, resources := machinesAndResources(snap.Instances)
 	return &Overview{
 		Mode: mode, Run: run,
@@ -209,7 +209,7 @@ func buildOverview(snap stream.Snapshot, mode, run string, sse, explainOn bool) 
 		Bottlenecks:      emptyNotNil(snap.Bottlenecks),
 		Stats:            snap.Stats,
 		SSE:              sse,
-		Explain:          explainOn,
+		Explain:          explainable,
 	}
 }
 
