@@ -18,7 +18,11 @@ import (
 
 // testOracles are the packages tests compare the production code against:
 // the frozen attribution oracle and the sequential reference algorithms the
-// vertex programs are validated against. Only tests call them, by design.
+// vertex programs are validated against. The scans skip their exports and
+// fields. internal/explain calls reference.Attribute in production, but
+// some of the oracle's exported fields (InstanceProfile.Instance,
+// PhaseUsage.Phase, Profile.Slices) are read only by the equivalence suite,
+// and the oracle is frozen, so it stays exempt.
 var testOracles = map[string]bool{
 	"internal/algo":                  true,
 	"internal/attribution/reference": true,

@@ -53,12 +53,13 @@ type Config struct {
 	Poll time.Duration
 	Idle time.Duration
 	// Engine is the per-run stream engine template (timeslice, window
-	// sizing, parallelism, retention, self-tracer). Its
+	// sizing, parallelism, retention, self-tracer, flush hook). Its
 	// Timeslice is also the cross-job blame grid width.
 	// Models and the expected monitoring feeds come from each run's
-	// metadata; the fleet sets the overhead account and flush hook itself.
-	// Registered runs always retain inputs for the exact finalize; a pinned
-	// run honours RetainForFinal.
+	// metadata. The fleet sets only the overhead account itself; the alert
+	// hooks come from Alerts, and OnWindowFlush reaches every run's engine
+	// unchanged. Registered runs always retain inputs for the exact
+	// finalize; a pinned run honours RetainForFinal.
 	Engine stream.Config
 	// Archive, when set, receives every finalized run's record. Runs finish
 	// concurrently and handlers read it meanwhile, so it must be safe for
@@ -76,12 +77,6 @@ type Config struct {
 	OnAlert func([]alert.Event)
 	// Logger receives per-run lifecycle diagnostics; default discards.
 	Logger *slog.Logger
-	// OnWindowFlush, when set, receives every run's flushed windows tagged
-	// with the run name (and a nil result when a run finalizes). Like
-	// stream.Config.OnWindowFlush it runs under that run's engine lock: hand
-	// the result to a non-blocking sink and return. The flight recorder's
-	// window ring feeds from here.
-	OnWindowFlush func(run string, wr *stream.WindowResult)
 	// OnIncident, when set, is notified of fleet-level incidents — the stall
 	// watchdog tearing a run down ("stall") or the admission scheduler
 	// shedding a registration ("shed") — off the fleet lock. The service
@@ -476,9 +471,6 @@ func (f *Fleet) buildEngine(rs *runState, info rundir.Info) (*stream.Engine, err
 		}
 	} else {
 		cfg.RetainForFinal = true // exact finalize feeds the archive and blame
-	}
-	if hook := f.cfg.OnWindowFlush; hook != nil {
-		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(rs.name, wr) }
 	}
 	e, err := stream.NewForRun(info, cfg)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -569,14 +570,18 @@ func TestFleetFlushStallIsolated(t *testing.T) {
 	fx := getFleetFixture(t)
 	root := t.TempDir()
 	entered, release := make(chan struct{}), make(chan struct{})
-	var block, unblock sync.Once
+	var blocked atomic.Bool
+	var unblock sync.Once
 	f := New(Config{
 		MaxActive: 2, QueueDepth: 2, Poll: testPoll, Idle: testIdle,
-		OnWindowFlush: func(run string, wr *stream.WindowResult) {
-			if run == "a" && wr != nil {
-				block.Do(func() { close(entered); <-release })
+		Engine: stream.Config{OnWindowFlush: func(wr *stream.WindowResult) {
+			// Run a registers alone, so the first flush is its own. Only
+			// that one blocks; a sync.Once would park every later caller.
+			if wr != nil && blocked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
 			}
-		},
+		}},
 	})
 	defer f.Shutdown(context.Background())
 	defer unblock.Do(func() { close(release) }) // before Shutdown drains run a

@@ -1,3 +1,22 @@
+// Package flight is Grade10's incident-response layer: triggered
+// diagnostics bundles built from evidence that is always being kept anyway,
+// applying the paper's thesis — performance problems are only fixable when
+// the evidence is captured automatically — to the framework itself.
+//
+// A bundle snapshots fixed-budget rings that already exist: the obs.Tracer
+// span ring, the obs.LogRing slog ring, and each active run's stream engine
+// window ring (its last MaxWindows flushed windows, read without the engine
+// lock). The Capturer turns a trigger (alert firing, fleet stall/shed,
+// degraded health, SIGQUIT, manual POST) into a self-contained bundle
+// directory holding pprof profiles, the span ring as a Perfetto trace, the
+// log ring, the window rings, the alert evaluator's lifecycle snapshot, and
+// a manifest — rate-limited per trigger kind and retained
+// oldest-first-evicted under a bundle cap.
+//
+// Bundles are incident data: they hold wall-clock timestamps, goroutine
+// stacks, and profile samples, so they are explicitly EXEMPT from the
+// byte-identical determinism contract that governs analyzed-profile outputs.
+// Nothing a capture observes feeds back into analysis.
 package flight
 
 import (
@@ -17,6 +36,7 @@ import (
 	"grade10/internal/alert"
 	"grade10/internal/obs"
 	"grade10/internal/report"
+	"grade10/internal/stream"
 )
 
 // Trigger names the condition that caused a bundle capture — the rate-limit
@@ -51,8 +71,14 @@ type Config struct {
 	// CPUProfile is how long the capture samples the CPU profile; 0 takes
 	// 250ms, negative disables the CPU profile.
 	CPUProfile time.Duration
-	// Recorder supplies the rings snapshotted into the bundle (may be nil).
-	Recorder *Recorder
+	// Tracer is the span ring snapshotted into trace.json (may be nil).
+	Tracer *obs.Tracer
+	// LogRing is the slog ring snapshotted into logs.json (may be nil).
+	LogRing *obs.LogRing
+	// Windows, when set, snapshots the active runs' window rings into
+	// windows.json. It must not wait on an engine lock: a capture runs
+	// during incidents, exactly when an engine may be stuck.
+	Windows func() []RunWindows
 	// Alerts, when set, snapshots the alert lifecycle into alerts.json.
 	Alerts *alert.Evaluator
 	// Overhead, when set, snapshots per-run overhead into overhead.json.
@@ -61,6 +87,12 @@ type Config struct {
 	Logger *slog.Logger
 	// Now is the wall clock; injectable for tests.
 	Now func() time.Time
+}
+
+// RunWindows is one run's retained windows, bundle-shaped.
+type RunWindows struct {
+	Run     string                 `json:"run"`
+	Windows []*stream.WindowResult `json:"windows"`
 }
 
 // Manifest describes one captured bundle: its trigger, the runs involved,
@@ -287,9 +319,9 @@ func (c *Capturer) capture(req captureReq) (*Manifest, error) {
 	// Span ring as a Perfetto-loadable Chrome trace, via the existing
 	// TraceBuilder; validated before writing so a malformed trace is a note,
 	// not a corrupt artifact.
-	if rec := c.cfg.Recorder; rec != nil && rec.Tracer != nil {
+	if c.cfg.Tracer != nil {
 		write("trace.json", func(w io.Writer) error {
-			b, err := report.BuildTraceEvents(nil, rec.Tracer)
+			b, err := report.BuildTraceEvents(nil, c.cfg.Tracer)
 			if err != nil {
 				return err
 			}
@@ -299,18 +331,17 @@ func (c *Capturer) capture(req captureReq) (*Manifest, error) {
 			return b.WriteJSON(w)
 		})
 	}
-
-	if rec := c.cfg.Recorder; rec != nil {
-		if rec.LogRing != nil {
-			write("logs.json", func(w io.Writer) error {
-				return writeJSONIndent(w, struct {
-					Dropped uint64          `json:"dropped"`
-					Records []obs.LogRecord `json:"records"`
-				}{rec.LogRing.Dropped(), rec.LogRing.Records(-8, 0)})
-			})
-		}
+	if ring := c.cfg.LogRing; ring != nil {
+		write("logs.json", func(w io.Writer) error {
+			return writeJSONIndent(w, struct {
+				Dropped uint64          `json:"dropped"`
+				Records []obs.LogRecord `json:"records"`
+			}{ring.Dropped(), ring.Records(-8, 0)})
+		})
+	}
+	if c.cfg.Windows != nil {
 		write("windows.json", func(w io.Writer) error {
-			return writeJSONIndent(w, rec.WindowSnapshots())
+			return writeJSONIndent(w, c.cfg.Windows())
 		})
 	}
 	if c.cfg.Alerts != nil {

@@ -17,9 +17,9 @@ import (
 	"grade10/internal/stream"
 )
 
-// testRecorder builds a recorder whose rings all hold data, so a capture
+// testRings builds a Config whose rings all hold data, so a capture
 // exercises every bundle section.
-func testRecorder() *Recorder {
+func testRings() Config {
 	tracer := obs.NewTracer()
 	for i := 0; i < 3; i++ {
 		s := tracer.StartSpan("window-flush", i)
@@ -34,9 +34,12 @@ func testRecorder() *Recorder {
 	logger.Info("bundle test record", "k", "v")
 	logger.Debug("below console level")
 
-	rec := NewRecorder(tracer, ring)
-	rec.OnWindowFlush("run-a", &stream.WindowResult{Index: 1, StartSeconds: 0, EndSeconds: 1})
-	return rec
+	return Config{
+		Tracer: tracer, LogRing: ring,
+		Windows: func() []RunWindows {
+			return []RunWindows{{Run: "run-a", Windows: []*stream.WindowResult{{Index: 1, StartSeconds: 0, EndSeconds: 1}}}}
+		},
+	}
 }
 
 // fakeClock is an injectable Now for rate-limit tests.
@@ -63,7 +66,7 @@ func mustCapture(t *testing.T) func(*Manifest, error) *Manifest {
 // gated the write; the test re-checks the on-disk artifact parses).
 func TestBundleCaptureContents(t *testing.T) {
 	dir := t.TempDir()
-	rec := testRecorder()
+	cfg := testRings()
 	rules, err := alert.ParseRules(strings.NewReader("alert hot severity critical when coverage < 0.5\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -71,15 +74,13 @@ func TestBundleCaptureContents(t *testing.T) {
 	ev := alert.NewEvaluator(rules, nil)
 	ev.Eval(alert.Obs{Tick: 1, Scalars: map[string]float64{"coverage": 0.1}})
 
-	c, err := NewCapturer(Config{
-		Dir:        dir,
-		CPUProfile: -1, // skip the sampling sleep in tests
-		Recorder:   rec,
-		Alerts:     ev,
-		Overhead: func() []obs.RunOverhead {
-			return []obs.RunOverhead{{Run: "run-a", OverheadSnapshot: obs.OverheadSnapshot{WallSeconds: 0.5}}}
-		},
-	})
+	cfg.Dir = dir
+	cfg.CPUProfile = -1 // skip the sampling sleep in tests
+	cfg.Alerts = ev
+	cfg.Overhead = func() []obs.RunOverhead {
+		return []obs.RunOverhead{{Run: "run-a", OverheadSnapshot: obs.OverheadSnapshot{WallSeconds: 0.5}}}
+	}
+	c, err := NewCapturer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestBundleCaptureContents(t *testing.T) {
 		t.Fatalf("logs.json records = %+v", logs.Records)
 	}
 
-	// windows.json carries the retained per-run snapshots.
+	// windows.json carries each run's window ring.
 	data, err = os.ReadFile(filepath.Join(bdir, "windows.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,9 @@ func TestAsyncTriggerCaptures(t *testing.T) {
 // rejected.
 func TestBundlesHandler(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCapturer(Config{Dir: dir, CPUProfile: -1, Recorder: testRecorder()})
+	cfg := testRings()
+	cfg.Dir, cfg.CPUProfile = dir, -1
+	c, err := NewCapturer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,36 +403,5 @@ func TestLogsHandler(t *testing.T) {
 	}
 	if code, _ := get("?limit=-1"); code != 400 {
 		t.Fatalf("bad limit = %d, want 400", code)
-	}
-}
-
-// TestRecorderWindowRingBounds: per-run rings keep the newest
-// DefaultWindowsPerRun windows, and the run cap evicts the
-// least-recently-flushed run.
-func TestRecorderWindowRingBounds(t *testing.T) {
-	rec := NewRecorder(nil, nil)
-	rec.winPerRun = 2
-	rec.maxRuns = 2
-
-	for i := 0; i < 5; i++ {
-		rec.OnWindowFlush("a", &stream.WindowResult{Index: i})
-	}
-	rec.OnWindowFlush("b", &stream.WindowResult{Index: 0})
-	snaps := rec.WindowSnapshots()
-	if len(snaps) != 2 || snaps[0].Run != "a" || snaps[1].Run != "b" {
-		t.Fatalf("snapshots = %+v", snaps)
-	}
-	if n := len(snaps[0].Windows); n != 2 {
-		t.Fatalf("run a retained %d windows, want 2", n)
-	}
-	if snaps[0].Windows[1].Index != 4 {
-		t.Fatalf("run a newest window index = %d, want 4", snaps[0].Windows[1].Index)
-	}
-
-	// A third run evicts the least-recently-flushed (a flushed before b).
-	rec.OnWindowFlush("c", &stream.WindowResult{Index: 0})
-	snaps = rec.WindowSnapshots()
-	if len(snaps) != 2 || snaps[0].Run != "b" || snaps[1].Run != "c" {
-		t.Fatalf("after eviction snapshots = %+v", snaps)
 	}
 }

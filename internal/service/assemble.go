@@ -10,8 +10,8 @@
 // directory for runs.
 //
 // Assemble builds what a Config turns on in dependency order: archive,
-// alert evaluator and webhook notifier, SSE broker, flight recorder, fleet,
-// bundle capturer, routes, metrics, listener. Shutdown tears it down in the
+// alert evaluator and webhook notifier, SSE broker, fleet, bundle capturer,
+// routes, metrics, listener. Shutdown tears it down in the
 // one order that drains cleanly: fleet runs, SSE streams, HTTP, queued
 // bundle captures, queued webhooks.
 //
@@ -120,7 +120,6 @@ type Server struct {
 	alerts            *alert.Evaluator
 	notifier          *alert.Notifier
 	broker            *ui.Broker
-	recorder          *flight.Recorder
 	capt              *flight.Capturer
 
 	httpSrv  *http.Server
@@ -167,15 +166,14 @@ func Assemble(cfg Config) (*Server, error) {
 	if cfg.UI {
 		s.broker = ui.NewBroker(0)
 	}
-	s.recorder = flight.NewRecorder(cfg.Engine.Tracer, cfg.LogRing)
 	s.fleet = fleet.New(s.fleetConfig())
 	overhead := s.fleet.Overhead
 	if cfg.BundleDir != "" {
 		var err error
 		s.capt, err = flight.NewCapturer(flight.Config{
 			Dir: cfg.BundleDir, MaxBundles: cfg.BundleMax, MinInterval: cfg.BundleMinInterval,
-			CPUProfile: cfg.BundleCPUProfile, Recorder: s.recorder, Alerts: s.alerts,
-			Overhead: overhead, Logger: s.log,
+			CPUProfile: cfg.BundleCPUProfile, Tracer: cfg.Engine.Tracer, LogRing: cfg.LogRing,
+			Windows: s.windows, Alerts: s.alerts, Overhead: overhead, Logger: s.log,
 		})
 		if err != nil {
 			s.closeBackground()
@@ -221,31 +219,46 @@ func Assemble(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// fleetConfig wires the fleet's hooks to the service's components: every
-// run's flushed windows feed the recorder and the pinned run's also the SSE
-// stream, stall and shed incidents trigger bundles, and finished runs are
-// archived and alert-evaluated.
+// fleetConfig wires the fleet's hooks to the service's components: the
+// pinned run's flushed windows feed the SSE stream, stall and shed
+// incidents trigger bundles, and finished runs are archived and
+// alert-evaluated.
 func (s *Server) fleetConfig() fleet.Config {
 	cfg := fleet.Config{
 		MaxActive: s.cfg.MaxActive, QueueDepth: s.cfg.QueueDepth, StallTimeout: s.cfg.StallTimeout,
 		Poll: s.cfg.Poll, Idle: s.cfg.Idle, Engine: s.cfg.Engine, Logger: s.log,
 		Archive: s.archive,
-		OnWindowFlush: func(run string, wr *stream.WindowResult) {
-			s.recorder.OnWindowFlush(run, wr)
-			if s.broker != nil && run == s.pinnedName() {
-				s.broker.OnWindowFlush(wr)
-			}
-		},
 		OnIncident: func(kind, detail, run string) {
 			if s.capt != nil {
 				s.capt.Trigger(flight.Trigger(kind), detail, []string{run})
 			}
 		},
 	}
+	if s.broker != nil && s.pinnedMode() {
+		// The fleet holds only the pinned run, so every flush is its own.
+		cfg.Engine.OnWindowFlush = s.broker.OnWindowFlush
+	}
 	if s.alerts != nil {
 		cfg.Alerts, cfg.OnAlert = s.alerts, s.publishAlerts
 	}
 	return cfg
+}
+
+// windows snapshots every active run's window ring, in registration order,
+// for a bundle's windows.json. Neither the fleet snapshot nor
+// Engine.Windows waits on an engine lock, so a capture answers even while
+// a run is stuck in a flush or a finalize.
+func (s *Server) windows() []flight.RunWindows {
+	runs := s.fleet.Snapshot().Runs
+	out := make([]flight.RunWindows, 0, len(runs))
+	for _, r := range runs {
+		if e, ok := s.fleet.EngineFor(r.Name); ok {
+			if ws := e.Windows(); len(ws) > 0 {
+				out = append(out, flight.RunWindows{Run: r.Name, Windows: ws})
+			}
+		}
+	}
+	return out
 }
 
 // registerMetrics puts every component's families on the registry behind
@@ -260,7 +273,7 @@ func (s *Server) registerMetrics(overhead func() []obs.RunOverhead) {
 	if s.archive != nil {
 		registerArchiveMetrics(reg, s.archive, &s.lastDiffRegressed)
 	}
-	s.recorder.RegisterMetrics(reg)
+	s.cfg.LogRing.RegisterMetrics(reg)
 	s.capt.RegisterMetrics(reg)
 	flight.RegisterOverheadMetrics(reg, overhead)
 	if s.alerts != nil {

@@ -480,6 +480,15 @@ func checkFull(e *env) {
 	if man.Trigger != "alert" || man.Version == "" || len(man.Notes) > 0 {
 		t.Errorf("manifest = %+v", man)
 	}
+	// windows.json is read from the pinned run's own engine ring.
+	var wins []struct {
+		Run     string
+		Windows []json.RawMessage
+	}
+	mustJSON(t, files["windows.json"], &wins)
+	if len(wins) != 1 || wins[0].Run != "quiet" || len(wins[0].Windows) == 0 {
+		t.Errorf("bundle windows.json = %d runs, want the pinned run quiet with windows", len(wins))
+	}
 	var trace struct{ TraceEvents []json.RawMessage }
 	mustJSON(t, files["trace.json"], &trace)
 	var logs struct{ Records []json.RawMessage }

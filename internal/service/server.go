@@ -190,7 +190,7 @@ func serveExplain(w http.ResponseWriter, r *http.Request, e *stream.Engine) {
 			http.StatusBadRequest)
 		return
 	}
-	derivs, err := e.Explain(queryStr)
+	d, span, err := e.Explain(queryStr)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		var pe *explain.ParseError
@@ -202,16 +202,23 @@ func serveExplain(w http.ResponseWriter, r *http.Request, e *stream.Engine) {
 	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, wd := range derivs {
-			fmt.Fprintln(w, "=== final (exact full-run derivation) ===")
-			_ = wd.Derivation.WriteText(w)
-		}
+		fmt.Fprintln(w, "=== final (exact full-run derivation) ===")
+		_ = d.WriteText(w)
 		return
 	}
+	// One derivation, in a list the wire format keeps: window_start_ns and
+	// window_end_ns bound the analyzed span, and final marks the exact
+	// full-run derivation, the only kind served.
+	type derivation struct {
+		WindowStartNS int64               `json:"window_start_ns"`
+		WindowEndNS   int64               `json:"window_end_ns"`
+		Final         bool                `json:"final"`
+		Derivation    *explain.Derivation `json:"derivation"`
+	}
 	obs.WriteJSON(w, struct {
-		Query       string                    `json:"query"`
-		Derivations []stream.WindowDerivation `json:"derivations"`
-	}{queryStr, derivs})
+		Query       string       `json:"query"`
+		Derivations []derivation `json:"derivations"`
+	}{queryStr, []derivation{{int64(span.Start), int64(span.End), true, d}}})
 }
 
 // serveTrace serves the combined Chrome trace-event export: the pipeline's

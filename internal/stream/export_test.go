@@ -29,7 +29,6 @@ type MemStats struct {
 	OpenPhases    int
 	PendingLeaves int
 	TreePhases    int
-	Windows       int
 }
 
 // Mem returns the engine's retained-state sizes.
@@ -42,6 +41,5 @@ func (e *Engine) Mem() MemStats {
 		OpenPhases:    len(e.tree.Open()),
 		PendingLeaves: len(e.pending),
 		TreePhases:    tree - 1,
-		Windows:       len(e.windows),
 	}
 }

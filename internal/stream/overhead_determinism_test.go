@@ -6,33 +6,31 @@ import (
 	"testing"
 
 	"grade10/internal/enginelog"
-	"grade10/internal/flight"
 	"grade10/internal/obs"
 	"grade10/internal/report"
 	"grade10/internal/stream"
+	"grade10/internal/ui"
 )
 
-// TestDeterminismWithAccountingAndRecorder is the guard for the flight
-// recorder's exemption boundary: with overhead accounting and the recorder's
-// window ring both enabled, the analyzed-profile output must stay
-// byte-identical to the batch reference at every parallelism. The recorder
-// and account observe the pipeline; nothing they measure may feed it.
-func TestDeterminismWithAccountingAndRecorder(t *testing.T) {
+// TestDeterminismWithAccounting is the guard for the diagnostics' exemption
+// boundary: with overhead accounting, self-tracing and a flush consumer all
+// enabled, the analyzed-profile output must stay byte-identical to the batch
+// reference at every parallelism. They observe the pipeline; nothing they
+// measure may feed it.
+func TestDeterminismWithAccounting(t *testing.T) {
 	f := getFixture(t)
 
 	run := func(parallelism int) string {
 		t.Helper()
 		account := &obs.RunAccount{}
-		rec := flight.NewRecorder(obs.NewTracer(), obs.NewLogRing(0))
+		tracer := obs.NewTracer()
 		e, err := stream.New(stream.Config{
 			Models: f.models, RetainForFinal: true, WindowSlices: 16, MaxWindows: 4,
 			ExpectedInstances: len(f.monitoring),
 			Parallelism:       parallelism,
-			Tracer:            rec.Tracer,
+			Tracer:            tracer,
 			Account:           account,
-			OnWindowFlush: func(wr *stream.WindowResult) {
-				rec.OnWindowFlush("guard", wr)
-			},
+			OnWindowFlush:     ui.NewBroker(0).OnWindowFlush,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,10 +54,10 @@ func TestDeterminismWithAccountingAndRecorder(t *testing.T) {
 		if snap.IngestBytes == 0 || snap.IngestItems == 0 {
 			t.Fatalf("account saw no ingest: %+v", snap)
 		}
-		if wins := rec.WindowSnapshots(); len(wins) != 1 || len(wins[0].Windows) == 0 {
-			t.Fatalf("recorder retained no windows: %+v", wins)
+		if len(e.Windows()) == 0 {
+			t.Fatal("engine retained no windows")
 		}
-		if len(rec.Tracer.Spans()) == 0 {
+		if len(tracer.Spans()) == 0 {
 			t.Fatal("tracer recorded no spans")
 		}
 		return buf.String()

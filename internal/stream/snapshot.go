@@ -250,12 +250,30 @@ func (e *Engine) foldWindowLocked(win core.Timeslices, prof *attribution.Profile
 		agg.Windows++
 	}
 
-	e.windows = append(e.windows, wr)
-	if over := len(e.windows) - e.cfg.MaxWindows; over > 0 {
-		e.windows = append([]*WindowResult(nil), e.windows[over:]...)
+	var ring []*WindowResult
+	if p := e.windows.Load(); p != nil {
+		ring = *p
 	}
+	// Appending writes past every published length; evicting copies, so a
+	// reader's ring is never rewritten.
+	ring = append(ring, wr)
+	if over := len(ring) - e.cfg.MaxWindows; over > 0 {
+		ring = append([]*WindowResult(nil), ring[over:]...)
+	}
+	e.windows.Store(&ring)
 	e.stats.WindowsFlushed++
 	return wr
+}
+
+// Windows returns the retained window ring, oldest first: the last
+// MaxWindows flushed windows. It takes no engine lock, so it answers even
+// while a window flush or Finalize holds the engine (a diagnostics bundle
+// captures it during exactly such incidents).
+func (e *Engine) Windows() []*WindowResult {
+	if p := e.windows.Load(); p != nil {
+		return append([]*WindowResult(nil), (*p)...)
+	}
+	return nil
 }
 
 // Stats returns the engine's counters, with the line-parser statistics
@@ -289,7 +307,7 @@ func (e *Engine) Snapshot() Snapshot {
 		WatermarkSeconds: e.watermark.Seconds(),
 		FrontierSeconds:  e.frontier.Seconds(),
 		Stats:            e.statsLocked(),
-		Windows:          append([]*WindowResult(nil), e.windows...),
+		Windows:          e.Windows(),
 	}
 	if e.originSet && e.watermark > e.frontier {
 		snap.LagSeconds = e.watermark.Sub(e.frontier).Seconds()

@@ -239,7 +239,6 @@ type Engine struct {
 	nextWindow int        // index of the next window to flush
 	frontier   vtime.Time // end of the last flushed window
 
-	windows  []*WindowResult
 	explainQ int64 // explain queries served
 	instAggs map[string]*instAgg
 	btlAggs  map[bottleneckKey]*bottleneckAgg
@@ -259,6 +258,12 @@ type Engine struct {
 	// produces anything still reads as stale.
 	finalized    atomic.Bool
 	lastIngestNS atomic.Int64
+
+	// windows is the ring of the last MaxWindows flushed windows, oldest
+	// first. A flush publishes a new ring and never rewrites a published
+	// entry (WindowResults are immutable), so Windows and Snapshot read it
+	// without the engine lock.
+	windows atomic.Pointer[[]*WindowResult]
 }
 
 // New creates an engine for one run.
@@ -838,29 +843,19 @@ func (e *Engine) ExplainQueries() int64 {
 	return e.explainQ
 }
 
-// WindowDerivation is the answer to an explain query: the exact full-run
-// derivation of a finalized, retained run.
-type WindowDerivation struct {
-	// WindowStartNS/WindowEndNS bound the analyzed span; Final marks the
-	// exact full-run derivation, the only kind served.
-	WindowStartNS int64               `json:"window_start_ns"`
-	WindowEndNS   int64               `json:"window_end_ns"`
-	Final         bool                `json:"final"`
-	Derivation    *explain.Derivation `json:"derivation"`
-}
-
 // Explain answers one explain query by recomputing its derivation chains
 // from the finalized run's retained profile. Live windows are not
 // explained: a flush attributes open leaves with provisional ends that it
 // reverts afterwards, and late blocking events still reach the tree after
 // their window flushed, so a later recomputation could read different
-// activity than the flush did (DESIGN.md §9). Returns explain.ParseError /
+// activity than the flush did (DESIGN.md §9). The derivation comes with the
+// analyzed span it covers, the whole run. Returns explain.ParseError /
 // explain.EvalError for bad queries, and a plain error naming why when the
 // run has no final profile to explain.
-func (e *Engine) Explain(queryStr string) ([]WindowDerivation, error) {
+func (e *Engine) Explain(queryStr string) (*explain.Derivation, core.Timeslices, error) {
 	q, err := explain.ParseQuery(queryStr)
 	if err != nil {
-		return nil, err
+		return nil, core.Timeslices{}, err
 	}
 	e.mu.Lock()
 	e.explainQ++
@@ -868,11 +863,11 @@ func (e *Engine) Explain(queryStr string) ([]WindowDerivation, error) {
 	e.mu.Unlock()
 	switch {
 	case !finalized:
-		return nil, fmt.Errorf("stream: run is not finalized yet: explain answers from the final profile")
+		return nil, core.Timeslices{}, fmt.Errorf("stream: run is not finalized yet: explain answers from the final profile")
 	case finalErr != nil:
-		return nil, fmt.Errorf("stream: run has no final profile to explain: %w", finalErr)
+		return nil, core.Timeslices{}, fmt.Errorf("stream: run has no final profile to explain: %w", finalErr)
 	case out == nil:
-		return nil, fmt.Errorf("stream: run was analyzed in bounded mode and retains no profile to explain")
+		return nil, core.Timeslices{}, fmt.Errorf("stream: run was analyzed in bounded mode and retains no profile to explain")
 	}
 	// The final profile is immutable: derive without the lock.
 	span := e.cfg.Tracer.StartSpan("explain-query", -1)
@@ -882,12 +877,7 @@ func (e *Engine) Explain(queryStr string) ([]WindowDerivation, error) {
 	defer span.End()
 	d, err := explain.NewExplainer(out.Profile).Explain(q)
 	if err != nil {
-		return nil, err
+		return nil, core.Timeslices{}, err
 	}
-	return []WindowDerivation{{
-		WindowStartNS: int64(out.Profile.Slices.Start),
-		WindowEndNS:   int64(out.Profile.Slices.End),
-		Final:         true,
-		Derivation:    d,
-	}}, nil
+	return d, out.Profile.Slices, nil
 }

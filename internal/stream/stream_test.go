@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"grade10/internal/cluster"
 	"grade10/internal/enginelog"
@@ -249,16 +250,63 @@ func TestStreamBoundedMemory(t *testing.T) {
 	if maxTree >= totalStarts/2 {
 		t.Fatalf("live tree grew with the trace: max %d phases of %d started", maxTree, totalStarts)
 	}
-	m := e.Mem()
-	if m.OpenPhases != 0 {
+	if m := e.Mem(); m.OpenPhases != 0 {
 		t.Fatalf("%d phases still open after Finalize", m.OpenPhases)
 	}
-	if m.Windows > 4 {
-		t.Fatalf("window ring over bound: %d", m.Windows)
+	if n := len(e.Windows()); n > 4 {
+		t.Fatalf("window ring over bound: %d", n)
 	}
 	st := e.Stats()
 	if st.WindowsFlushed < 4 {
 		t.Fatalf("expected continuous window flushing, got %d", st.WindowsFlushed)
+	}
+}
+
+// TestWindowsDoNotWaitOnEngineLock: Engine.Windows answers while a flush
+// holds the engine lock — an OnWindowFlush hook parked on the second flush
+// — with every window published so far, the one being flushed last. A
+// diagnostics bundle reads the ring during incidents, exactly when an
+// engine may be stuck.
+func TestWindowsDoNotWaitOnEngineLock(t *testing.T) {
+	f := getFixture(t)
+	var flushed []*stream.WindowResult // appended under the engine lock
+	entered, release := make(chan struct{}), make(chan struct{})
+	e, err := stream.New(stream.Config{
+		Models: f.models, Timeslice: vtime.Millisecond, WindowSlices: 8,
+		ExpectedInstances: len(f.monitoring),
+		OnWindowFlush: func(wr *stream.WindowResult) {
+			if wr == nil {
+				return
+			}
+			flushed = append(flushed, wr)
+			if len(flushed) == 2 {
+				close(entered)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := make(chan struct{})
+	go func() { feedAll(e, f); close(fed) }()
+	defer func() { close(release); <-fed }()
+
+	select {
+	case <-entered:
+	case <-time.After(time.Minute):
+		t.Fatal("the engine never flushed a second window")
+	}
+	got := make(chan []*stream.WindowResult, 1)
+	go func() { got <- e.Windows() }()
+	select {
+	case ws := <-got:
+		// The hook is parked, so flushed is stable.
+		if len(ws) != 2 || ws[0] != flushed[0] || ws[1] != flushed[1] {
+			t.Fatalf("Windows() = %d windows, want the 2 flushed so far, the parked one last", len(ws))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Windows waited on the engine lock held by a flush")
 	}
 }
 
