@@ -195,7 +195,7 @@ func main() {
 	}
 
 	if *explainQ != "" {
-		d, err := explain.NewExplainer(out.Profile).Explain(query)
+		d, err := explain.Explain(out.Profile, query)
 		if err != nil {
 			fail(err)
 		}

@@ -102,14 +102,13 @@ func TestExplainParallelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := explain.NewExplainer(out.Profile)
 		var buf bytes.Buffer
 		for _, qs := range queries {
 			q, err := explain.ParseQuery(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := ex.Explain(q)
+			d, err := explain.Explain(out.Profile, q)
 			if err != nil {
 				t.Fatalf("query %q: %v", qs, err)
 			}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 
+	"grade10/internal/core"
+	"grade10/internal/explain"
 	"grade10/internal/profstore"
 )
 
@@ -285,32 +287,23 @@ func (e *Evaluator) transitionLocked(rule Rule, labels map[string]string, o Obs,
 }
 
 // keyExplainQuery renders the explain query evidencing a keyed threshold
-// alert from its instance key ("cpu@0" → "resource=cpu machine=0").
+// alert from its instance key ("cpu@0" → "machine=0 resource=cpu"); a bare
+// resource name (bottleneck_seconds) or a global instance names no machine.
 func keyExplainQuery(metric, key string) string {
 	if metric != "utilization" && metric != "saturated_slices" && metric != "bottleneck_seconds" {
 		return ""
 	}
-	res, rest := key, ""
-	if i := strings.LastIndexByte(key, '@'); i >= 0 {
-		res, rest = key[:i], key[i+1:]
+	q := explain.Query{Resource: key}
+	if res, m, ok := core.ParseInstanceKey(key); ok {
+		q = explain.Query{Resource: res, Machine: m, HasMachine: m != core.GlobalMachine}
 	}
-	q := "resource=" + res
-	if rest != "" && rest != "global" {
-		q += " machine=" + rest
-	}
-	return q
+	return q.String()
 }
 
 // baselineExplainQuery renders the explain query evidencing a baseline alert.
 func baselineExplainQuery(c BaselineCond) string {
-	q := "phase=" + c.PhasePath
-	if c.HasMachine {
-		q += " machine=" + strconv.Itoa(c.Machine)
-	}
-	if c.Resource != "" {
-		q += " resource=" + c.Resource
-	}
-	return q
+	return explain.Query{Phase: c.PhasePath, Machine: c.Machine, HasMachine: c.HasMachine,
+		Resource: c.Resource}.String()
 }
 
 // Snapshot is the full /alerts view: loaded rules, lifecycle instances, and

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"grade10/internal/explain"
 	"grade10/internal/profstore"
 )
 
@@ -132,8 +133,14 @@ func TestFingerprintDedup(t *testing.T) {
 	if snap.EventsTotal != 2 {
 		t.Fatalf("events_total = %d, want 2 (one firing transition per instance)", snap.EventsTotal)
 	}
-	if q := snap.Instances[0].ExplainQuery; q != "resource=cpu machine=0" && q != "resource=cpu machine=1" {
-		t.Fatalf("explain query = %q", q)
+	for _, inst := range snap.Instances {
+		q := inst.ExplainQuery
+		if q != "machine=0 resource=cpu" && q != "machine=1 resource=cpu" {
+			t.Fatalf("explain query = %q", q)
+		}
+		if pq, err := explain.ParseQuery(q); err != nil || pq.String() != q {
+			t.Fatalf("explain query %q is not canonical: reparses as %q, %v", q, pq.String(), err)
+		}
 	}
 }
 
@@ -290,9 +297,33 @@ func TestWriteText(t *testing.T) {
 	var sb strings.Builder
 	WriteText(&sb, ev.Snapshot())
 	out := sb.String()
-	for _, want := range []string{"1 firing", "[FIRING] hot", "resource=cpu machine=0"} {
+	for _, want := range []string{"1 firing", "[FIRING] hot", "machine=0 resource=cpu"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report %q missing %q", out, want)
 		}
+	}
+}
+
+// TestExplainQueriesCanonical pins the evidence pointers alerts attach: each
+// is the canonical explain grammar (it reparses to itself), keyed instances
+// name their machine unless global, and bare resource keys name none.
+func TestExplainQueriesCanonical(t *testing.T) {
+	for _, tc := range []struct{ got, want string }{
+		{keyExplainQuery("utilization", "cpu@0"), "machine=0 resource=cpu"},
+		{keyExplainQuery("saturated_slices", "lock@global"), "resource=lock"},
+		{keyExplainQuery("bottleneck_seconds", "net-in"), "resource=net-in"},
+		{baselineExplainQuery(BaselineCond{PhasePath: "/pr/load", Quantity: "duration"}), "phase=/pr/load"},
+		{baselineExplainQuery(BaselineCond{PhasePath: "/pr/load", Machine: 2, HasMachine: true,
+			Resource: "cpu", Quantity: "attributed"}), "phase=/pr/load machine=2 resource=cpu"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("explain query = %q, want %q", tc.got, tc.want)
+		}
+		if q, err := explain.ParseQuery(tc.got); err != nil || q.String() != tc.got {
+			t.Errorf("explain query %q reparses as %q, %v", tc.got, q.String(), err)
+		}
+	}
+	if q := keyExplainQuery("events", "cpu@0"); q != "" {
+		t.Errorf("unkeyed metric got explain query %q", q)
 	}
 }

@@ -233,7 +233,7 @@ func TestExplainChainsReproduceProfile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		d, err := explain.NewExplainer(prof).Explain(explain.Query{})
+		d, err := explain.Explain(prof, explain.Query{})
 		if err != nil {
 			t.Fatalf("seed %d: explain: %v", seed, err)
 		}

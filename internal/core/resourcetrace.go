@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"grade10/internal/metrics"
 )
@@ -29,6 +30,25 @@ func InstanceKey(resource string, machine int) string {
 		return resource + "@global"
 	}
 	return resource + "@" + strconv.Itoa(machine)
+}
+
+// ParseInstanceKey splits an InstanceKey back into resource name and machine
+// at its last '@'. ok is false when key has no '@', an empty resource, or a
+// machine that is neither "global" nor a non-negative integer.
+func ParseInstanceKey(key string) (resource string, machine int, ok bool) {
+	i := strings.LastIndexByte(key, '@')
+	if i <= 0 {
+		return "", 0, false
+	}
+	resource, m := key[:i], key[i+1:]
+	if m == "global" {
+		return resource, GlobalMachine, true
+	}
+	machine, err := strconv.Atoi(m)
+	if err != nil || machine < 0 {
+		return "", 0, false
+	}
+	return resource, machine, true
 }
 
 // Key returns the instance's InstanceKey, formatted once when it was added.

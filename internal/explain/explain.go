@@ -9,7 +9,6 @@ import (
 
 	"grade10/internal/attribution"
 	"grade10/internal/attribution/reference"
-	"grade10/internal/bottleneck"
 	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
@@ -18,7 +17,7 @@ import (
 // always carries the full chain.
 const maxTextCells = 12
 
-// EvalError is the typed failure of Explainer.Explain: the query parsed but
+// EvalError is the typed failure of Explain: the query parsed but
 // cannot be answered against this profile.
 type EvalError struct {
 	Reason string
@@ -30,21 +29,8 @@ func evalErr(format string, args ...any) error {
 	return &EvalError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Explainer answers explain queries about a finalized attribution profile,
-// recomputing each query's derivation chains from the profile's own inputs.
-// It is immutable after construction and safe for concurrent Explain calls.
-type Explainer struct {
-	Prof *attribution.Profile
-}
-
-// NewExplainer returns an explainer over prof. The profile must be final:
-// its trace, rules, slices and samples are re-read on every query.
-func NewExplainer(prof *attribution.Profile) *Explainer {
-	return &Explainer{Prof: prof}
-}
-
 // Derivation is the full answer to one explain query: per instance, per
-// phase, the captured chain rule → demand → upsample → share for every
+// phase, the recomputed chain rule → demand → upsample → share for every
 // selected cell, with the profile's own numbers alongside as a cross-check.
 type Derivation struct {
 	Query string `json:"query"`
@@ -165,16 +151,18 @@ type StallInterval struct {
 	EndNS   int64 `json:"end_ns"`
 }
 
-// Explain answers a query. It returns *EvalError when the query names a
-// phase or resource absent from this profile, or a window outside the
-// analyzed span.
-func (e *Explainer) Explain(q Query) (*Derivation, error) {
-	return e.explain(q, newRecorder(DefaultMaxCellsPerInstance))
+// Explain answers a query about a finalized attribution profile, recomputing
+// its derivation chains from the profile's own inputs: the trace, rules,
+// slices and samples are re-read on every call, so concurrent calls are
+// safe. It returns *EvalError when the query names a phase or resource
+// absent from this profile, or a window outside the analyzed span.
+func Explain(prof *attribution.Profile, q Query) (*Derivation, error) {
+	return explain(prof, q, DefaultMaxCellsPerInstance)
 }
 
-// explain answers q, recording the recomputed provenance into rec.
-func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
-	slices := e.Prof.Slices
+// explain answers q, keeping at most maxRows rows per instance.
+func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, error) {
+	slices := prof.Slices
 	first, last := 0, slices.Count
 	t0, t1 := slices.Start, slices.End
 	if q.HasRange {
@@ -205,7 +193,7 @@ func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
 	// chain is the one the full pass would have produced.
 	var selected []*attribution.InstanceProfile
 	sub := core.NewResourceTrace()
-	for _, ip := range e.Prof.Instances {
+	for _, ip := range prof.Instances {
 		ri := ip.Instance
 		if q.Resource != "" && ri.Resource.Name != q.Resource {
 			continue
@@ -219,20 +207,24 @@ func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
 		}
 		selected = append(selected, ip)
 	}
+	rec := &recorder{phase: q.Phase, first: first, last: last, maxRows: maxRows,
+		insts: map[string]*instanceRecorder{}}
 	if len(selected) > 0 {
-		if _, err := reference.Attribute(e.Prof.Trace.Leaves(), sub, e.Prof.Rules,
+		if _, err := reference.Attribute(prof.Trace.Leaves(), sub, prof.Rules,
 			slices, rec); err != nil {
 			return nil, err
 		}
 	}
 	for _, ip := range selected {
-		sh := rec.shards[ip.Instance.Key()]
-		d.DroppedRows += sh.dropped
-		inst := e.explainInstance(ip, sh, q, first, last)
-		if inst == nil {
-			continue
-		}
-		if q.Phase != "" && len(inst.Phases) > 0 {
+		ir := rec.insts[ip.Instance.Key()]
+		d.DroppedRows += ir.dropped
+		inst := ir.answer(ip, slices)
+		if q.Phase != "" {
+			// Drop phase-filtered instances with no evidence; resource-only
+			// queries keep them even when no phase had demand here.
+			if len(inst.Phases) == 0 {
+				continue
+			}
 			phaseKnown = true
 		}
 		d.Instances = append(d.Instances, inst)
@@ -245,7 +237,7 @@ func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
 	// Blocking resources have no consumable instance; answer them (and
 	// phase-only queries' stalls) from the trace's blocking intervals.
 	if q.Resource == "" || !resourceKnown {
-		blocking := e.explainBlocking(q, t0, t1)
+		blocking := explainBlocking(prof.Trace, q, t0, t1)
 		if len(blocking) > 0 {
 			resourceKnown = true
 			if q.Phase != "" {
@@ -264,115 +256,12 @@ func (e *Explainer) explain(q Query, rec *recorder) (*Derivation, error) {
 	return d, nil
 }
 
-// explainInstance joins the shard's four provenance tables for one instance
-// over slice range [first, last) and the query's phase filter.
-func (e *Explainer) explainInstance(ip *attribution.InstanceProfile, sh *shard,
-	q Query, first, last int) *InstanceDerivation {
-	slices := e.Prof.Slices
-	ri := ip.Instance
-	capacity := ri.Resource.Capacity
-
-	// Index the columnar tables for the join. Key (slice, phase) for demand
-	// and share; slice alone for split context and upsample contributions.
-	cellKey := func(k int32, p int32) int64 { return int64(k)<<32 | int64(uint32(p)) }
-	demandAt := make(map[int64]int, len(sh.dSlice))
-	for r := range sh.dSlice {
-		demandAt[cellKey(sh.dSlice[r], sh.dPhase[r])] = r
-	}
-	splitAt := make(map[int32]int, len(sh.sSlice))
-	for r := range sh.sSlice {
-		splitAt[sh.sSlice[r]] = r
-	}
-	upsAt := make(map[int32][]int)
-	for r := range sh.uSlice {
-		upsAt[sh.uSlice[r]] = append(upsAt[sh.uSlice[r]], r)
-	}
-	type cellShare struct{ row int }
-	shareAt := make(map[int64]cellShare, len(sh.hSlice))
-	for r := range sh.hSlice {
-		shareAt[cellKey(sh.hSlice[r], sh.hPhase[r])] = cellShare{r}
-	}
-
-	inst := &InstanceDerivation{
-		Key:      ri.Key(),
-		Resource: ri.Resource.Name,
-		Machine:  ri.Machine,
-		Capacity: capacity,
-	}
-
-	// Phases in intern order — the leaf-major order of the demand pass —
-	// which is deterministic for a given input.
-	for pi, phase := range sh.phases {
-		if q.Phase != "" && (phase.Type == nil || phase.Type.Path() != q.Phase) {
-			continue
-		}
-		pd := &PhaseDerivation{
-			Path:     phase.Path,
-			TypePath: phase.Type.Path(),
-			Machine:  phase.Machine,
-		}
-		usage := ip.UsageOf(phase)
-		for k := first; k < last; k++ {
-			dr, ok := demandAt[cellKey(int32(k), int32(pi))]
-			if !ok {
-				continue
-			}
-			t0, t1 := slices.Bounds(k)
-			cell := CellDerivation{
-				Slice:    k,
-				StartNS:  int64(t0),
-				EndNS:    int64(t1),
-				Activity: sh.dActivity[dr],
-				Demand:   sh.dAmount[dr] * sh.dActivity[dr],
-			}
-			pd.RuleKind = core.RuleKind(sh.dKind[dr]).String()
-			pd.RuleAmount = sh.dAmount[dr]
-			if sr, ok := splitAt[int32(k)]; ok {
-				cell.Consumption = sh.sCons[sr]
-				cell.TotalExact = sh.sExact[sr]
-				cell.TotalVarW = sh.sVarW[sr]
-				cell.ExactScale = sh.sScale[sr]
-				cell.Remainder = sh.sRemainder[sr]
-				cell.Saturated = capacity > 0 && sh.sCons[sr] >= bottleneck.SaturationThreshold*capacity
-			}
-			if hr, ok := shareAt[cellKey(int32(k), int32(pi))]; ok {
-				cell.ShareRate = sh.hShare[hr.row]
-				cell.UnitSeconds = cell.ShareRate * slices.SliceSeconds(k)
-			}
-			for _, ur := range upsAt[int32(k)] {
-				cell.Upsample = append(cell.Upsample, UpsampleContribution{
-					StartNS:          sh.uStart[ur],
-					EndNS:            sh.uEnd[ur],
-					Avg:              sh.uAvg[ur],
-					AllocUnitSeconds: sh.uAlloc[ur],
-				})
-			}
-			pd.AttributedUnitSeconds += cell.UnitSeconds
-			if usage != nil {
-				pd.ProfileUnitSeconds += usage.Rate(k) * slices.SliceSeconds(k)
-			}
-			pd.Cells = append(pd.Cells, cell)
-		}
-		if len(pd.Cells) > 0 {
-			inst.Phases = append(inst.Phases, pd)
-		}
-	}
-	if len(inst.Phases) == 0 {
-		// Keep resource-only queries alive even when no phase had demand
-		// here, but drop phase-filtered instances with no evidence.
-		if q.Phase != "" {
-			return nil
-		}
-	}
-	return inst
-}
-
 // explainBlocking resolves stall evidence for blocking resources from the
 // trace: every phase interval blocked on the (optionally named) resource
 // inside [t0, t1).
-func (e *Explainer) explainBlocking(q Query, t0, t1 vtime.Time) []*BlockingDerivation {
+func explainBlocking(trace *core.ExecutionTrace, q Query, t0, t1 vtime.Time) []*BlockingDerivation {
 	byResource := map[string]*BlockingDerivation{}
-	e.Prof.Trace.Root.Walk(func(p *core.Phase) {
+	trace.Root.Walk(func(p *core.Phase) {
 		if q.HasMachine && p.Machine != q.Machine {
 			return
 		}

@@ -100,7 +100,7 @@ func explainQ(t *testing.T, f *fixture, query string) *Derivation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewExplainer(f.prof).Explain(q)
+	d, err := Explain(f.prof, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestExplainRangeClipsCells(t *testing.T) {
 	approx(t, "clipped chain vs profile", pd.AttributedUnitSeconds, pd.ProfileUnitSeconds)
 
 	// A range clipped to the span still answers; one fully outside errors.
-	if _, err := NewExplainer(f.prof).Explain(Query{
+	if _, err := Explain(f.prof, Query{
 		Resource: "cpu", T0: at(5), T1: at(20), HasRange: true}); err != nil {
 		t.Fatalf("partially overlapping range: %v", err)
 	}
-	_, err := NewExplainer(f.prof).Explain(Query{
+	_, err := Explain(f.prof, Query{
 		Resource: "cpu", T0: at(10), T1: at(20), HasRange: true})
 	var ee *EvalError
 	if !errors.As(err, &ee) {
@@ -234,13 +234,12 @@ func TestExplainBlockingResource(t *testing.T) {
 // TestExplainEvalErrors checks unknown names surface as typed *EvalError.
 func TestExplainEvalErrors(t *testing.T) {
 	f := buildFixture(t)
-	ex := NewExplainer(f.prof)
 	for _, q := range []Query{
 		{Resource: "quantum-bus"},
 		{Phase: "/job/p9"},
 		{Phase: "/job/p9", Resource: "cpu"},
 	} {
-		_, err := ex.Explain(q)
+		_, err := Explain(f.prof, q)
 		var ee *EvalError
 		if !errors.As(err, &ee) {
 			t.Fatalf("query %q: want *EvalError, got %v", q.String(), err)
@@ -277,13 +276,12 @@ func TestExplainRenderings(t *testing.T) {
 }
 
 // TestExplainConcurrentQueries checks that queries recompute independently:
-// one explainer answering from several goroutines at once (as the service's
+// one profile answering from several goroutines at once (as the service's
 // handlers do on a finalized run) gives every caller the serial answer.
 func TestExplainConcurrentQueries(t *testing.T) {
 	f := buildFixture(t)
-	ex := NewExplainer(f.prof)
 	render := func() ([]byte, error) {
-		d, err := ex.Explain(Query{Resource: "cpu"})
+		d, err := Explain(f.prof, Query{Resource: "cpu"})
 		if err != nil {
 			return nil, err
 		}
@@ -310,25 +308,20 @@ func TestExplainConcurrentQueries(t *testing.T) {
 }
 
 // TestRecorderMemoryBound checks the per-instance row cap: a tiny bound
-// stops the shard at the cap, counts the dropped rows, and the derivation
+// stops the answer at the cap, counts the dropped rows, and the derivation
 // carries the count and the warning.
 func TestRecorderMemoryBound(t *testing.T) {
 	f := buildFixture(t)
 	q := Query{Resource: "cpu"}
-	rec := newRecorder(4)
-	d, err := NewExplainer(f.prof).explain(q, rec)
+	d, err := explain(f.prof, q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if droppedRows(rec) == 0 {
+	if d.DroppedRows == 0 {
 		t.Fatal("tiny bound dropped nothing")
 	}
-	if rows := rec.shards["cpu@global"].rows(); rows != 4 {
-		t.Fatalf("bounded shard holds %d rows, want the cap 4", rows)
-	}
-	if d.DroppedRows != droppedRows(rec) {
-		t.Fatalf("derivation DroppedRows = %d, recorder dropped %d",
-			d.DroppedRows, droppedRows(rec))
+	if rows := answerRows(d); rows == 0 || rows > 4 {
+		t.Fatalf("bounded answer holds %d rows, want at most the cap 4", rows)
 	}
 	var text bytes.Buffer
 	if err := d.WriteText(&text); err != nil {
@@ -338,21 +331,71 @@ func TestRecorderMemoryBound(t *testing.T) {
 		t.Fatalf("bounded derivation carries no warning:\n%s", text.String())
 	}
 
-	unbounded := newRecorder(DefaultMaxCellsPerInstance)
-	if _, err := NewExplainer(f.prof).explain(q, unbounded); err != nil {
+	unbounded, err := Explain(f.prof, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if droppedRows(unbounded) != 0 {
-		t.Fatalf("default bound dropped %d rows on a 6-slice fixture",
-			droppedRows(unbounded))
+	if unbounded.DroppedRows != 0 {
+		t.Fatalf("default bound dropped %d rows on a 6-slice fixture", unbounded.DroppedRows)
 	}
 }
 
-// droppedRows sums the rows every shard of rec discarded.
-func droppedRows(rec *recorder) int64 {
-	var total int64
-	for _, sh := range rec.shards {
-		total += sh.dropped
+// TestExplainKeepsOnlySelectedCells checks the bound counts only what the
+// answer keeps: a narrow query bounded at its own answer's rows drops
+// nothing and equals the unbounded answer, although the instance it
+// recomputes holds far more rows (p1's and p3's cells, other slices). One
+// row less drops a row and warns, but still names the phase.
+func TestExplainKeepsOnlySelectedCells(t *testing.T) {
+	f := buildFixture(t)
+	q, err := ParseQuery("phase=/job/p2 resource=cpu [2s..3s]")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return total
+	whole, err := Explain(f.prof, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := answerRows(whole)
+	if rows == 0 {
+		t.Fatal("empty answer")
+	}
+	bounded, err := explain(f.prof, q, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bounded.DroppedRows != 0 {
+		t.Fatalf("bound of %d rows dropped %d rows of its own answer", rows, bounded.DroppedRows)
+	}
+	var want, got bytes.Buffer
+	if err := whole.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := bounded.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("bounded answer differs:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+
+	short, err := explain(f.prof, q, rows-1)
+	if err != nil {
+		t.Fatalf("a bound one row short turned a partial chain into an error: %v", err)
+	}
+	if short.DroppedRows == 0 {
+		t.Fatalf("a bound of %d rows kept an answer of %d", rows-1, rows)
+	}
+}
+
+// answerRows counts the rows a derivation keeps: its cells plus the upsample
+// contributions they carry.
+func answerRows(d *Derivation) int {
+	rows := 0
+	for _, inst := range d.Instances {
+		for _, pd := range inst.Phases {
+			for _, c := range pd.Cells {
+				rows += 1 + len(c.Upsample)
+			}
+		}
+	}
+	return rows
 }

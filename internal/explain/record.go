@@ -4,156 +4,188 @@
 // demand → upsampling allocation → capacity share) — the paper's attribution
 // process (§III-D) made inspectable after the fact.
 //
-// Provenance is recomputed per query, never captured while attributing: the
-// explainer re-attributes only the resource instances a query selects
-// through the row-based oracle (internal/attribution/reference), which
-// emits the derivation callbacks, over the finalized profile's own leaves,
-// rules, slices and samples. The oracle is bit-identical to the columnar
-// core, so the chain reproduces the profile, and the production attribution
-// path carries no capture hooks. Memory is bounded per query: each
-// instance's shard stops recording past DefaultMaxCellsPerInstance rows and
-// counts what it dropped.
+// Provenance is recomputed per query, never captured while attributing:
+// Explain re-attributes only the resource instances a query selects through
+// the row-based oracle (internal/attribution/reference) over the finalized
+// profile's own leaves, rules, slices and samples, and the oracle's
+// derivation callbacks fill the answer directly — only the cells of the
+// query's phases and slices are kept. The oracle is bit-identical to the
+// columnar core, so the chain reproduces the profile, and the production
+// attribution path carries no capture hooks. Memory is bounded per query:
+// each instance's answer stops growing past DefaultMaxCellsPerInstance rows
+// and counts what it dropped.
 package explain
 
 import (
+	"sort"
+
 	"grade10/internal/attribution"
+	"grade10/internal/bottleneck"
 	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
 
-// DefaultMaxCellsPerInstance bounds one instance's provenance rows (summed
-// over the demand, upsample, slice, and share tables). At ~50 bytes a row
-// the default caps a shard near 50 MB — far above any smoke run, low enough
-// that a pathological trace cannot exhaust memory silently.
+// DefaultMaxCellsPerInstance bounds the rows one instance's answer keeps:
+// its cells plus the upsample contributions they carry. At ~100 bytes a row
+// the default caps an instance near 100 MB — far above any smoke run, low
+// enough that a pathological trace cannot exhaust memory silently.
 const DefaultMaxCellsPerInstance = 1 << 20
 
-// recorder implements attribution.Recorder with per-instance columnar
-// shards keyed by instance. One recorder serves one recomputation; the
-// reference oracle calls it serially, so it needs no locking.
+// recorder implements attribution.Recorder for one query: it keeps, per
+// instance, only the cells of the query's phase filter in slices
+// [first, last). The reference oracle calls it serially, so it needs no
+// locking.
 type recorder struct {
-	maxCells int
-	shards   map[string]*shard // by ResourceInstance.Key()
-}
-
-// newRecorder creates a recorder that keeps at most maxCells rows per
-// instance.
-func newRecorder(maxCells int) *recorder {
-	return &recorder{maxCells: maxCells, shards: map[string]*shard{}}
+	phase       string // type path filter, "" = all phases
+	first, last int
+	maxRows     int
+	insts       map[string]*instanceRecorder // by ResourceInstance.Key()
 }
 
 // InstanceRecorder implements attribution.Recorder.
 func (r *recorder) InstanceRecorder(_ int, ri *core.ResourceInstance,
 	_ core.Timeslices) attribution.InstanceRecorder {
-	sh := &shard{maxCells: r.maxCells, phaseIdx: map[*core.Phase]int32{}}
-	r.shards[ri.Key()] = sh
-	return sh
+	ir := &instanceRecorder{recorder: r, byPhase: map[*core.Phase]*PhaseDerivation{}}
+	r.insts[ri.Key()] = ir
+	return ir
 }
 
-// shard holds one resource instance's provenance in columnar form: four
-// append-only tables (demand, upsample, slice split, share), with phases
-// interned once per shard. rows() across the tables is bounded by maxCells.
-type shard struct {
-	maxCells int
-	dropped  int64
+// instanceRecorder builds one instance's answer. Demand opens the cells,
+// Upsample and SliceSplit keep the context of slices holding a cell, and
+// Share completes the cells; answer then fills in the rest.
+type instanceRecorder struct {
+	*recorder
+	rows    int
+	dropped int64
 
-	phases   []*core.Phase
-	phaseIdx map[*core.Phase]int32
-
-	// demand table: one row per (leaf, slice) rule firing, leaf-major.
-	dSlice    []int32
-	dPhase    []int32
-	dKind     []uint8
-	dAmount   []float64
-	dActivity []float64
-
-	// upsample table: one row per (measurement, slice) allocation.
-	uSlice []int32
-	uStart []int64
-	uEnd   []int64
-	uAvg   []float64
-	uAlloc []float64
-
-	// slice-split table: one row per slice with consumption and competitors.
-	sSlice     []int32
-	sCons      []float64
-	sExact     []float64
-	sVarW      []float64
-	sScale     []float64
-	sRemainder []float64
-
-	// share table: one row per (slice, active phase), slice-major.
-	hSlice    []int32
-	hPhase    []int32
-	hShare    []float64
-	hActivity []float64
+	phases  []*core.Phase // in first kept demand order: the oracle's leaf order
+	byPhase map[*core.Phase]*PhaseDerivation
+	slices  []sliceContext // by k - first, once a cell is kept
 }
 
-func (s *shard) rows() int {
-	return len(s.dSlice) + len(s.uSlice) + len(s.sSlice) + len(s.hSlice)
+// sliceContext is what every cell of one selected slice shares.
+type sliceContext struct {
+	cells int // kept cells in the slice
+
+	consumption, totalExact, totalVarW, exactScale, remainder float64
+	upsample                                                  []UpsampleContribution
 }
 
-func (s *shard) full() bool {
-	if s.rows() < s.maxCells {
+// fits charges n rows against the bound, or counts them as dropped.
+func (ir *instanceRecorder) fits(n int) bool {
+	if ir.rows+n > ir.maxRows {
+		ir.dropped += int64(n)
 		return false
 	}
-	s.dropped++
+	ir.rows += n
 	return true
 }
 
-func (s *shard) intern(p *core.Phase) int32 {
-	if idx, ok := s.phaseIdx[p]; ok {
-		return idx
+// context returns slice k's context when k holds a kept cell, else nil.
+func (ir *instanceRecorder) context(k int) *sliceContext {
+	if k < ir.first || k >= ir.last || ir.slices == nil || ir.slices[k-ir.first].cells == 0 {
+		return nil
 	}
-	idx := int32(len(s.phases))
-	s.phases = append(s.phases, p)
-	s.phaseIdx[p] = idx
-	return idx
+	return &ir.slices[k-ir.first]
 }
 
 // Demand implements attribution.InstanceRecorder.
-func (s *shard) Demand(k int, phase *core.Phase, rule core.Rule, activity float64) {
-	if s.full() {
+func (ir *instanceRecorder) Demand(k int, phase *core.Phase, rule core.Rule, activity float64) {
+	if k < ir.first || k >= ir.last ||
+		ir.phase != "" && (phase.Type == nil || phase.Type.Path() != ir.phase) || !ir.fits(1) {
 		return
 	}
-	s.dSlice = append(s.dSlice, int32(k))
-	s.dPhase = append(s.dPhase, s.intern(phase))
-	s.dKind = append(s.dKind, uint8(rule.Kind))
-	s.dAmount = append(s.dAmount, rule.Amount)
-	s.dActivity = append(s.dActivity, activity)
+	pd := ir.byPhase[phase]
+	if pd == nil {
+		pd = &PhaseDerivation{
+			Path:       phase.Path,
+			TypePath:   phase.Type.Path(),
+			Machine:    phase.Machine,
+			RuleKind:   rule.Kind.String(),
+			RuleAmount: rule.Amount,
+		}
+		ir.byPhase[phase] = pd
+		ir.phases = append(ir.phases, phase)
+	}
+	pd.Cells = append(pd.Cells, CellDerivation{
+		Slice:    k,
+		Activity: activity,
+		Demand:   rule.Amount * activity,
+	})
+	if ir.slices == nil {
+		ir.slices = make([]sliceContext, ir.last-ir.first)
+	}
+	ir.slices[k-ir.first].cells++
 }
 
-// Upsample implements attribution.InstanceRecorder.
-func (s *shard) Upsample(k int, mStart, mEnd vtime.Time, avg, allocUnitSeconds float64) {
-	if s.full() {
+// Upsample implements attribution.InstanceRecorder. Every cell of slice k
+// carries the contribution, so it costs one row per cell.
+func (ir *instanceRecorder) Upsample(k int, mStart, mEnd vtime.Time, avg, allocUnitSeconds float64) {
+	sc := ir.context(k)
+	if sc == nil || !ir.fits(sc.cells) {
 		return
 	}
-	s.uSlice = append(s.uSlice, int32(k))
-	s.uStart = append(s.uStart, int64(mStart))
-	s.uEnd = append(s.uEnd, int64(mEnd))
-	s.uAvg = append(s.uAvg, avg)
-	s.uAlloc = append(s.uAlloc, allocUnitSeconds)
+	sc.upsample = append(sc.upsample, UpsampleContribution{
+		StartNS:          int64(mStart),
+		EndNS:            int64(mEnd),
+		Avg:              avg,
+		AllocUnitSeconds: allocUnitSeconds,
+	})
 }
 
 // SliceSplit implements attribution.InstanceRecorder.
-func (s *shard) SliceSplit(k int, consumption, totalExact, totalVarW, exactScale, remainder float64) {
-	if s.full() {
-		return
+func (ir *instanceRecorder) SliceSplit(k int, consumption, totalExact, totalVarW, exactScale, remainder float64) {
+	if sc := ir.context(k); sc != nil {
+		sc.consumption, sc.totalExact, sc.totalVarW = consumption, totalExact, totalVarW
+		sc.exactScale, sc.remainder = exactScale, remainder
 	}
-	s.sSlice = append(s.sSlice, int32(k))
-	s.sCons = append(s.sCons, consumption)
-	s.sExact = append(s.sExact, totalExact)
-	s.sVarW = append(s.sVarW, totalVarW)
-	s.sScale = append(s.sScale, exactScale)
-	s.sRemainder = append(s.sRemainder, remainder)
 }
 
-// Share implements attribution.InstanceRecorder.
-func (s *shard) Share(k int, phase *core.Phase, rule core.Rule, activity, share float64) {
-	if s.full() {
+// Share implements attribution.InstanceRecorder. The oracle reports every
+// share after the same phase's demand in that slice, so the cell exists
+// unless the phase is filtered out or the bound dropped it.
+func (ir *instanceRecorder) Share(k int, phase *core.Phase, _ core.Rule, _, share float64) {
+	pd := ir.byPhase[phase]
+	if pd == nil {
 		return
 	}
-	s.hSlice = append(s.hSlice, int32(k))
-	s.hPhase = append(s.hPhase, s.intern(phase))
-	s.hShare = append(s.hShare, share)
-	s.hActivity = append(s.hActivity, activity)
+	i := sort.Search(len(pd.Cells), func(i int) bool { return pd.Cells[i].Slice >= k })
+	if i < len(pd.Cells) && pd.Cells[i].Slice == k {
+		pd.Cells[i].ShareRate = share
+	}
+}
+
+// answer completes the kept cells with their slice bounds and context and
+// sums each phase's chain next to the profile's own cells.
+func (ir *instanceRecorder) answer(ip *attribution.InstanceProfile, slices core.Timeslices) *InstanceDerivation {
+	ri := ip.Instance
+	capacity := ri.Resource.Capacity
+	inst := &InstanceDerivation{
+		Key:      ri.Key(),
+		Resource: ri.Resource.Name,
+		Machine:  ri.Machine,
+		Capacity: capacity,
+	}
+	for _, phase := range ir.phases {
+		pd := ir.byPhase[phase]
+		usage := ip.UsageOf(phase)
+		for i := range pd.Cells {
+			c := &pd.Cells[i]
+			k := c.Slice
+			sc := &ir.slices[k-ir.first]
+			t0, t1 := slices.Bounds(k)
+			c.StartNS, c.EndNS = int64(t0), int64(t1)
+			c.Consumption, c.TotalExact, c.TotalVarW = sc.consumption, sc.totalExact, sc.totalVarW
+			c.ExactScale, c.Remainder = sc.exactScale, sc.remainder
+			c.Saturated = capacity > 0 && sc.consumption >= bottleneck.SaturationThreshold*capacity
+			c.UnitSeconds = c.ShareRate * slices.SliceSeconds(k)
+			c.Upsample = sc.upsample
+			pd.AttributedUnitSeconds += c.UnitSeconds
+			if usage != nil {
+				pd.ProfileUnitSeconds += usage.Rate(k) * slices.SliceSeconds(k)
+			}
+		}
+		inst.Phases = append(inst.Phases, pd)
+	}
+	return inst
 }

@@ -15,6 +15,7 @@ import (
 
 	"grade10/internal/attribution"
 	"grade10/internal/core"
+	"grade10/internal/explain"
 	"grade10/internal/grade10"
 	"grade10/internal/par"
 	"grade10/internal/rundir"
@@ -402,18 +403,18 @@ func blameEntry(e *HostDemand, tp *BlameProfile, others []*BlameProfile, cfg Bla
 				share := contended * shares[ni] / rest
 				out.neighbors[sc.neighRun[ni]] += share
 				slice -= share
+				t0, t1 := int64(k)*int64(cfg.SliceWidth), int64(k+1)*int64(cfg.SliceWidth)
 				out.evidence[sc.neighRun[ni]] = keepTopEvidence(
 					out.evidence[sc.neighRun[ni]], Evidence{
-						T0NS:           int64(k) * int64(cfg.SliceWidth),
-						T1NS:           int64(k+1) * int64(cfg.SliceWidth),
+						T0NS:           t0,
+						T1NS:           t1,
 						Machine:        e.Machine,
 						BlamedNS:       share,
 						TargetDemand:   dT,
 						NeighborDemand: shares[ni],
 						Capacity:       cap,
-						ExplainQuery: fmt.Sprintf("resource=%s machine=%d [%dns..%dns]",
-							e.Resource, e.Machine,
-							int64(k)*int64(cfg.SliceWidth), int64(k+1)*int64(cfg.SliceWidth)),
+						ExplainQuery: explain.Query{Resource: e.Resource, Machine: e.Machine, HasMachine: true,
+							T0: vtime.Time(t0), T1: vtime.Time(t1), HasRange: true}.String(),
 					})
 			}
 		}

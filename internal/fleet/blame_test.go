@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"grade10/internal/explain"
 	"grade10/internal/vtime"
 )
 
@@ -55,8 +56,11 @@ func TestBlameGoldenSplit(t *testing.T) {
 	if ev.T0NS != 0 || ev.T1NS != 1e9 || ev.TargetDemand != 6 || ev.NeighborDemand != 6 {
 		t.Fatalf("evidence = %+v", ev)
 	}
-	if want := "resource=cpu machine=0 [0ns..1000000000ns]"; ev.ExplainQuery != want {
+	if want := "machine=0 resource=cpu [0ns..1000000000ns]"; ev.ExplainQuery != want {
 		t.Fatalf("explain query = %q, want %q", ev.ExplainQuery, want)
+	}
+	if q, err := explain.ParseQuery(ev.ExplainQuery); err != nil || q.String() != ev.ExplainQuery {
+		t.Fatalf("explain query %q is not canonical: reparses as %q, %v", ev.ExplainQuery, q.String(), err)
 	}
 
 	// Blame is symmetric here: b loses the same third, blamed on a.

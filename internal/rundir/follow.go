@@ -14,10 +14,10 @@ import (
 // producer writes it. Callbacks run on the Follow goroutine; nil callbacks
 // are skipped.
 type FollowSink struct {
-	// Info fires once, as soon as run.json appears and parses. A non-nil
-	// error ends the follow, and Follow returns it. A run.json that Load
-	// would reject for its schema version ends the follow with Load's error
-	// instead, before Info fires.
+	// Info fires once, as soon as run.json appears and parses, before any
+	// data callback. A non-nil error ends the follow, and Follow returns it.
+	// A run.json that Load would reject for its schema version ends the
+	// follow with Load's error instead, before Info fires.
 	Info func(Info) error
 	// LogChunk fires with every raw byte range appended to execution.log,
 	// whatever its format — the consumer feeds a format-detecting parser
@@ -63,14 +63,17 @@ func (o *FollowOptions) fill() {
 
 // Follow tails a run directory while cmd/runsim (or any producer) is still
 // writing it, delivering log bytes and monitoring lines to the sink as they
-// land on disk. It handles files that do not exist yet and partially
-// written trailing lines. Follow returns as soon as a poll leaves the sink's
-// Complete answering true, with no sleep in between; when the content never
-// completes, once run.json is present and the data files have been idle for
-// Idle; or when stop is closed. On completion and on stop it drains both
-// data files once more, so bytes appended since the poll still reach the
-// sink (a poll reads the log before the monitoring that proved it whole),
-// but no longer looks for run.json.
+// land on disk. It reads neither data file until run.json has parsed, so
+// data written before the metadata waits on disk, not in memory; each poll
+// then delivers the log before the monitoring. It handles files that do not
+// exist yet and partially written trailing lines. Follow returns as soon as
+// a poll leaves the sink's Complete answering true, with no sleep in
+// between; when the content never completes, once run.json is present and
+// the data files have been idle for Idle; or when stop is closed. On
+// completion and on stop it drains both data files once more (if run.json
+// has parsed), so bytes appended since the poll still reach the sink (a poll
+// reads the log before the monitoring that proved it whole), but no longer
+// looks for run.json.
 func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink) error {
 	opt.fill()
 	f := newFollower(dir, sink)
@@ -133,8 +136,12 @@ func (f *follower) monitoringLine(line []byte) {
 }
 
 // drain delivers whatever both data files gained since the last call and
-// returns the number of bytes read.
+// returns the number of bytes read. Until run.json has parsed it reads
+// nothing: the bytes wait on disk, not in memory.
 func (f *follower) drain() (int64, error) {
+	if !f.infoSeen {
+		return 0, nil
+	}
 	n, err := f.log.drain(f.sink.LogChunk)
 	if err != nil {
 		return n, fmt.Errorf("rundir: following %s: %w", logFile, err)
@@ -146,25 +153,21 @@ func (f *follower) drain() (int64, error) {
 	return n + m, nil
 }
 
-// poll drains both data files, then looks for run.json until it has parsed
-// once. It reports whether anything arrived.
+// poll looks for run.json until it has parsed once, then drains both data
+// files. It reports whether anything arrived.
 func (f *follower) poll() (bool, error) {
-	n, err := f.drain()
-	if err != nil {
-		return false, err
-	}
-	grew := n > 0
+	grew := false
 	if !f.infoSeen {
 		meta, err := os.ReadFile(filepath.Join(f.dir, infoFile))
 		if err != nil {
-			return grew, nil // not written yet; retry next poll
+			return false, nil // not written yet; retry next poll
 		}
 		info, unparsed, err := decodeInfo(meta)
 		switch {
 		case unparsed:
-			return grew, nil // mid-write; retry next poll
+			return false, nil // mid-write; retry next poll
 		case err != nil:
-			return grew, err
+			return false, err
 		}
 		f.infoSeen, grew = true, true
 		if f.sink.Info != nil {
@@ -173,7 +176,8 @@ func (f *follower) poll() (bool, error) {
 			}
 		}
 	}
-	return grew, nil
+	n, err := f.drain()
+	return grew || n > 0, err
 }
 
 // finish delivers a final monitoring line that never got its terminator.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,35 @@ func TestFollowRejectsNewerInfo(t *testing.T) {
 	}
 }
 
+// Data that lands before run.json stays on disk: polls deliver nothing
+// until run.json parses, and then one poll delivers every byte and every
+// line, the log first.
+func TestFollowWaitsForInfo(t *testing.T) {
+	dir := t.TempDir()
+	appendFile(t, filepath.Join(dir, logFile), []byte("S 0 0 /job\nE 5 /job\n"))
+	appendFile(t, filepath.Join(dir, monitoringFile), []byte("machine,resource,capacity,start_ns,end_ns,avg\n0,cpu,8,0,5,1\n"))
+	var got []string
+	fl := newFollower(dir, FollowSink{
+		LogChunk:       func(chunk []byte) { got = append(got, "log:"+string(chunk)) },
+		MonitoringLine: func(line string) { got = append(got, "mon:"+line) },
+	})
+	for i := 0; i < 3; i++ {
+		grew, err := fl.poll()
+		if err != nil || grew || len(got) != 0 {
+			t.Fatalf("poll %d without run.json: grew %v, delivered %q, err %v", i, grew, got, err)
+		}
+	}
+	appendFile(t, filepath.Join(dir, infoFile), []byte(`{"engine":"giraph","job":"job"}`))
+	if grew, err := fl.poll(); err != nil || !grew {
+		t.Fatalf("poll with run.json: grew %v, err %v", grew, err)
+	}
+	want := []string{"log:S 0 0 /job\nE 5 /job\n",
+		"mon:machine,resource,capacity,start_ns,end_ns,avg\n", "mon:0,cpu,8,0,5,1\n"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+}
+
 // Closing stop ends the follow only after one more drain of both data files,
 // so bytes appended after the last poll still reach the sink.
 func TestFollowDrainsOnStop(t *testing.T) {
@@ -123,7 +153,8 @@ func TestFollowDrainsOnStop(t *testing.T) {
 			MonitoringLine: func(line string) { lines = append(lines, line) },
 		})
 	}()
-	// Info fires after the first poll drained both files.
+	// Info fires before the first poll drains both files; the appends below
+	// reach the sink through that drain or the one stop forces.
 	<-infoSeen
 	appendFile(t, logPath, []byte("tail\n"))
 	appendFile(t, monPath, []byte("0,cpu,8,0,10,1\n"))

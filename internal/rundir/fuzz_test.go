@@ -116,7 +116,7 @@ func FuzzFollow(f *testing.F) {
 			lines    []string
 		)
 		emit := func(e enginelog.Event) { events = append(events, e) }
-		fl := newFollower(dir, FollowSink{
+		fl := followerWithInfo(t, dir, FollowSink{
 			LogChunk: func(c []byte) {
 				logBytes = append(logBytes, c...)
 				sp.Feed(c, emit)

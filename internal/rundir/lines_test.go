@@ -61,7 +61,7 @@ func TestLineLimitAgrees(t *testing.T) {
 
 			dir := t.TempDir()
 			var lines []string
-			f := newFollower(dir, FollowSink{MonitoringLine: func(l string) { lines = append(lines, l) }})
+			f := followerWithInfo(t, dir, FollowSink{MonitoringLine: func(l string) { lines = append(lines, l) }})
 			for _, piece := range [][]byte{monData[:cut], monData[cut:]} {
 				appendFile(t, filepath.Join(dir, monitoringFile), piece)
 				if _, err := f.poll(); err != nil {
@@ -84,7 +84,7 @@ func TestLineLimitAgrees(t *testing.T) {
 func TestTailBoundsHostileLine(t *testing.T) {
 	dir := t.TempDir()
 	var lines []string
-	f := newFollower(dir, FollowSink{MonitoringLine: func(l string) { lines = append(lines, l) }})
+	f := followerWithInfo(t, dir, FollowSink{MonitoringLine: func(l string) { lines = append(lines, l) }})
 	path := filepath.Join(dir, monitoringFile)
 	garbage := bytes.Repeat([]byte("x"), 100_000)
 	for written := 0; written < 3<<20; written += len(garbage) {
@@ -110,6 +110,18 @@ func TestTailBoundsHostileLine(t *testing.T) {
 	if n := f.mon.lines.Truncated(); n != 1 {
 		t.Fatalf("truncated = %d, want 1", n)
 	}
+}
+
+// followerWithInfo writes a run.json into dir and returns a follower over it
+// that has already parsed it, so its polls deliver data.
+func followerWithInfo(t testing.TB, dir string, sink FollowSink) *follower {
+	t.Helper()
+	appendFile(t, filepath.Join(dir, infoFile), []byte(`{"engine":"giraph","job":"job"}`))
+	f := newFollower(dir, sink)
+	if _, err := f.poll(); err != nil || !f.infoSeen {
+		t.Fatalf("run.json not seen (err %v)", err)
+	}
+	return f
 }
 
 func appendFile(t testing.TB, path string, data []byte) {

@@ -19,8 +19,7 @@ import (
 // TestFollowCountsMalformedMonitoring: a followed run's malformed monitoring
 // rows (one garbage row, one NaN row) reach the engine and are counted as
 // invalid samples, as they are when fed through IngestMonitoringLine
-// directly. The rows land before run.json, so they also cross the buffer
-// Follow keeps until the engine exists.
+// directly.
 func TestFollowCountsMalformedMonitoring(t *testing.T) {
 	dir := t.TempDir()
 	for name, data := range map[string]string{

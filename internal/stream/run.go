@@ -41,12 +41,12 @@ func NewForRun(info rundir.Info, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Follow tails a run directory into an engine. Log bytes and monitoring
-// lines buffer until run.json appears (it may legitimately land after the
-// data); build then turns the metadata into the engine, the buffer replays
-// into it, and everything after streams straight in. Log bytes are tailed
-// raw, so both enginelog formats stream transparently; monitoring lines go
-// through IngestMonitoringLine, which counts malformed rows, and over-long
+// Follow tails a run directory into an engine. The tail reads no data
+// until run.json appears and parses (it may legitimately land after the
+// data); build then turns the metadata into the engine, and every log byte
+// and monitoring line streams straight in. Log bytes are tailed raw, so
+// both enginelog formats stream transparently; monitoring lines go through
+// IngestMonitoringLine, which counts malformed rows, and over-long
 // monitoring lines the tail dropped count in Stats.Truncated.
 //
 // Follow returns, handing back the engine for the caller to finalize (nil
@@ -69,15 +69,12 @@ func Follow(dir string, opt rundir.FollowOptions, stop <-chan struct{}, build fu
 	}
 }
 
-// followSink is Follow's side of the tail: the engine once run.json built it,
-// the input that arrived before that, and whether the content completed.
+// followSink is Follow's side of the tail: the engine once run.json built it
+// (the tail delivers no data before), and whether the content completed.
 type followSink struct {
-	build        func(rundir.Info) (*Engine, error)
-	e            *Engine
-	pendingLog   []byte
-	pendingMon   []string
-	pendingTrunc int
-	complete     bool
+	build    func(rundir.Info) (*Engine, error)
+	e        *Engine
+	complete bool
 }
 
 func (fs *followSink) sink() rundir.FollowSink {
@@ -88,37 +85,11 @@ func (fs *followSink) sink() rundir.FollowSink {
 				return err
 			}
 			fs.e = e
-			if len(fs.pendingLog) > 0 {
-				e.IngestChunk(fs.pendingLog)
-			}
-			for _, line := range fs.pendingMon {
-				e.IngestMonitoringLine(line)
-			}
-			e.addTruncated(fs.pendingTrunc)
-			fs.pendingLog, fs.pendingMon = nil, nil
 			return nil
 		},
-		LogChunk: func(chunk []byte) {
-			if fs.e != nil {
-				fs.e.IngestChunk(chunk)
-			} else {
-				fs.pendingLog = append(fs.pendingLog, chunk...)
-			}
-		},
-		MonitoringLine: func(line string) {
-			if fs.e != nil {
-				fs.e.IngestMonitoringLine(line)
-			} else {
-				fs.pendingMon = append(fs.pendingMon, line)
-			}
-		},
-		MonitoringTruncated: func(n int) {
-			if fs.e != nil {
-				fs.e.addTruncated(n)
-			} else {
-				fs.pendingTrunc += n
-			}
-		},
+		LogChunk:            func(chunk []byte) { fs.e.IngestChunk(chunk) },
+		MonitoringLine:      func(line string) { fs.e.IngestMonitoringLine(line) },
+		MonitoringTruncated: func(n int) { fs.e.addTruncated(n) },
 		Complete: func() bool {
 			fs.complete = fs.e != nil && fs.e.complete()
 			return fs.complete

@@ -875,7 +875,7 @@ func (e *Engine) Explain(queryStr string) (*explain.Derivation, core.Timeslices,
 		span.SetDetail(q.String())
 	}
 	defer span.End()
-	d, err := explain.NewExplainer(out.Profile).Explain(q)
+	d, err := explain.Explain(out.Profile, q)
 	if err != nil {
 		return nil, core.Timeslices{}, err
 	}

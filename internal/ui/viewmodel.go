@@ -1,14 +1,13 @@
 package ui
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"grade10/internal/bottleneck"
 	"grade10/internal/cluster"
 	"grade10/internal/core"
+	"grade10/internal/explain"
 	"grade10/internal/stream"
 )
 
@@ -151,29 +150,12 @@ type Comms struct {
 	Matrix         [][]float64 `json:"matrix"` // [from][to]
 }
 
-// parseInstanceKey splits a resource instance key ("cpu@2", "lock@global")
-// into resource name and machine index.
-func parseInstanceKey(key string) (resource string, machine int, ok bool) {
-	res, m, found := strings.Cut(key, "@")
-	if !found || res == "" {
-		return "", 0, false
-	}
-	if m == "global" {
-		return res, core.GlobalMachine, true
-	}
-	n, err := strconv.Atoi(m)
-	if err != nil {
-		return "", 0, false
-	}
-	return res, n, true
-}
-
 // machinesAndResources derives the sorted machine and resource axes from the
 // snapshot's instance summaries.
 func machinesAndResources(instances []stream.InstanceSummary) ([]int, []string) {
 	ms, rs := map[int]bool{}, map[string]bool{}
 	for _, is := range instances {
-		if res, m, ok := parseInstanceKey(is.Key); ok {
+		if res, m, ok := core.ParseInstanceKey(is.Key); ok {
 			ms[m] = true
 			rs[res] = true
 		}
@@ -219,15 +201,6 @@ func emptyNotNil[T any](s []T) []T {
 		return []T{}
 	}
 	return s
-}
-
-// explainQuery renders the /explain?q= query reproducing one heat cell.
-func explainQuery(typePath string, machine int, resource string) string {
-	m := "global"
-	if machine != core.GlobalMachine {
-		m = strconv.Itoa(machine)
-	}
-	return fmt.Sprintf("phase=%s machine=%s resource=%s", typePath, m, resource)
 }
 
 // buildHeatmap shapes heat cells into the hierarchical heatmap: one leaf row
@@ -310,7 +283,8 @@ func buildHeatmap(cells []stream.HeatCell, source string) *Heatmap {
 				cell.Share = v / total
 			}
 			if leaf {
-				cell.Query = explainQuery(tp, k.m, k.res)
+				// The /explain?q= query reproducing this cell.
+				cell.Query = explain.Query{Phase: tp, Machine: k.m, HasMachine: true, Resource: k.res}.String()
 			}
 			row.Cells = append(row.Cells, cell)
 			row.TotalUnitSeconds += v
@@ -365,11 +339,7 @@ func buildFinalTimeline(trace *core.ExecutionTrace, rep *bottleneck.Report) *Tim
 			EndSeconds:   p.End.Seconds(),
 		}
 		if p.IsLeaf() {
-			m := "global"
-			if p.Machine != core.GlobalMachine {
-				m = strconv.Itoa(p.Machine)
-			}
-			span.Query = fmt.Sprintf("phase=%s machine=%s", tp, m)
+			span.Query = explain.Query{Phase: tp, Machine: p.Machine, HasMachine: true}.String()
 		}
 		l := lane(p.Machine)
 		l.Spans = append(l.Spans, span)
@@ -417,7 +387,7 @@ func buildLiveTimeline(snap stream.Snapshot) *Timeline {
 	}
 	for _, wr := range snap.Windows {
 		for _, inst := range wr.Instances {
-			res, m, ok := parseInstanceKey(inst.Key)
+			res, m, ok := core.ParseInstanceKey(inst.Key)
 			if !ok {
 				continue
 			}
