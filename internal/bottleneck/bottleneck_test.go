@@ -91,8 +91,8 @@ func fig2Profile(t *testing.T) (*core.ExecutionTrace, *attribution.Profile) {
 }
 
 func find(rep *Report, path, resource string, kind Kind) *PhaseBottleneck {
-	for _, b := range rep.Bottlenecks {
-		if b.Phase.Path == path && b.Resource == resource && b.Kind == kind {
+	for i := range rep.Bottlenecks {
+		if b := &rep.Bottlenecks[i]; b.Phase.Path == path && b.Resource == resource && b.Kind == kind {
 			return b
 		}
 	}
@@ -191,10 +191,9 @@ func TestBlockingBottleneck(t *testing.T) {
 	if q == nil || q.Time != vtime.Duration(sec) {
 		t.Fatalf("queue bottleneck = %+v", q)
 	}
-	// ForPhase groups them.
-	a := tr.ByPath["/job/a"]
-	if got := rep.ForPhase(a); len(got) < 2 {
-		t.Fatalf("ForPhase = %d records", len(got))
+	// One phase's blocking bottlenecks are adjacent, by resource name.
+	if len(rep.Bottlenecks) < 2 || gc != &rep.Bottlenecks[0] || q != &rep.Bottlenecks[1] {
+		t.Fatalf("bottlenecks %+v: want gc then queue first", rep.Bottlenecks)
 	}
 }
 

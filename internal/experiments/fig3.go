@@ -99,7 +99,8 @@ func fig3Series(out *grade10.Output, machine int) []Fig3Point {
 
 	// Per-phase bottleneck slice sets on the cpu resource.
 	bottleneckSlices := map[*core.Phase]map[int]bool{}
-	for _, b := range out.Bottlenecks.Bottlenecks {
+	for i := range out.Bottlenecks.Bottlenecks {
+		b := &out.Bottlenecks.Bottlenecks[i]
 		if b.Resource != cluster.ResCPU || b.Kind == bottleneck.Blocking {
 			continue
 		}

@@ -185,8 +185,11 @@ func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, erro
 		Slices:      last - first,
 	}
 
-	resourceKnown := q.Resource == ""
-	phaseKnown := q.Phase == ""
+	// Whether the query's names are known is decided over the whole
+	// profile, not the queried range or machine: a range holding no
+	// evidence answers with an empty derivation, not an unknown name.
+	phaseKnown, stalled := traceHas(prof.Trace, q.Phase, q.Resource)
+	consumable := false
 
 	// Re-attribute only the selected instances, through the oracle that
 	// emits the derivation callbacks; instances are independent, so each
@@ -198,7 +201,7 @@ func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, erro
 		if q.Resource != "" && ri.Resource.Name != q.Resource {
 			continue
 		}
-		resourceKnown = true
+		consumable = true
 		if q.HasMachine && ri.Machine != q.Machine {
 			continue
 		}
@@ -206,6 +209,12 @@ func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, erro
 			return nil, err
 		}
 		selected = append(selected, ip)
+	}
+	if q.Resource != "" && !consumable && !stalled {
+		return nil, evalErr("unknown resource %q: not a consumable instance of this profile and no phase was blocked on it", q.Resource)
+	}
+	if !phaseKnown {
+		return nil, evalErr("phase type %q matches no phase in this profile", q.Phase)
 	}
 	rec := &recorder{phase: q.Phase, first: first, last: last, maxRows: maxRows,
 		insts: map[string]*instanceRecorder{}}
@@ -225,7 +234,6 @@ func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, erro
 			if len(inst.Phases) == 0 {
 				continue
 			}
-			phaseKnown = true
 		}
 		d.Instances = append(d.Instances, inst)
 		for _, pd := range inst.Phases {
@@ -236,24 +244,26 @@ func explain(prof *attribution.Profile, q Query, maxRows int) (*Derivation, erro
 
 	// Blocking resources have no consumable instance; answer them (and
 	// phase-only queries' stalls) from the trace's blocking intervals.
-	if q.Resource == "" || !resourceKnown {
-		blocking := explainBlocking(prof.Trace, q, t0, t1)
-		if len(blocking) > 0 {
-			resourceKnown = true
-			if q.Phase != "" {
-				phaseKnown = true
-			}
-		}
-		d.Blocking = blocking
-	}
-
-	if !resourceKnown {
-		return nil, evalErr("unknown resource %q: not a consumable instance of this profile and no phase was blocked on it", q.Resource)
-	}
-	if q.Phase != "" && !phaseKnown {
-		return nil, evalErr("phase type %q matches no attributed phase in this profile", q.Phase)
+	if q.Resource == "" || !consumable {
+		d.Blocking = explainBlocking(prof.Trace, q, t0, t1)
 	}
 	return d, nil
+}
+
+// traceHas reports whether the trace holds a phase of type phase (true
+// when phase is empty) and whether any phase stalls on resource, anywhere
+// in the run.
+func traceHas(trace *core.ExecutionTrace, phase, resource string) (phaseKnown, stalled bool) {
+	phaseKnown = phase == ""
+	trace.Root.Walk(func(p *core.Phase) {
+		if !phaseKnown && p.Type != nil && p.Type.Path() == phase {
+			phaseKnown = true
+		}
+		for _, b := range p.Blocked {
+			stalled = stalled || (resource != "" && b.Resource == resource)
+		}
+	})
+	return phaseKnown, stalled
 }
 
 // explainBlocking resolves stall evidence for blocking resources from the

@@ -247,6 +247,43 @@ func TestExplainEvalErrors(t *testing.T) {
 	}
 }
 
+// TestExplainKnownOverWholeProfile checks names are known or unknown over
+// the whole run, not the queried range: p2's gc stall and the phases p2 and
+// p3 all lie after 2s, so a [0s..2s] query on them answers with no
+// evidence, while names the profile never holds still fail.
+func TestExplainKnownOverWholeProfile(t *testing.T) {
+	f := buildFixture(t)
+	for _, c := range []struct {
+		query string
+		known bool
+	}{
+		{"phase=/job/p2 resource=gc [0s..2s]", true}, // known resource, empty range
+		{"phase=/job/p3 [0s..2s]", true},             // known phase type, empty range
+		{"resource=quantum-bus [0s..2s]", false},     // unknown resource
+		{"phase=/job/p9 [0s..2s]", false},            // unknown phase type
+	} {
+		q, err := ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := Explain(f.prof, q)
+		if !c.known {
+			var ee *EvalError
+			if !errors.As(err, &ee) {
+				t.Fatalf("%s: want *EvalError, got %v", c.query, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.query, err)
+		}
+		if len(d.Instances) != 0 || len(d.Blocking) != 0 || d.AttributedUnitSeconds != 0 {
+			t.Fatalf("%s: want an empty derivation, got %d instances, %d blocking, %v unit·s",
+				c.query, len(d.Instances), len(d.Blocking), d.AttributedUnitSeconds)
+		}
+	}
+}
+
 // TestExplainRenderings smoke-checks both output formats: the text chain
 // carries the sums, and the JSON parses back with the same totals.
 func TestExplainRenderings(t *testing.T) {

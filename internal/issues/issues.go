@@ -308,17 +308,13 @@ func stallResources(s *Schedule) []string {
 // skipped, as it would find nothing.
 func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 	s *Schedule, res string, stalls bool) Durations {
-	consumable := slices.ContainsFunc(btl.Rows, func(r bottleneck.Row) bool {
+	var saved []vtime.Duration
+	if slices.ContainsFunc(btl.Rows, func(r bottleneck.Row) bool {
 		return r.Resource == res && r.Kind != bottleneck.Blocking
-	})
-	var durs Durations
-	var onRes []*attribution.InstanceProfile // the instances of res
-	for _, ip := range prof.Instances {
-		if ip.Instance.Resource.Name == res {
-			onRes = append(onRes, ip)
-		}
+	}) {
+		saved = consumableSavings(prof, btl, s, res)
 	}
-	var limits nextLimits
+	var durs Durations
 	for i, leaf := range s.leaves {
 		newDur := s.intrinsic[i]
 		// Blocking bottlenecks on res disappear entirely — including stalls
@@ -335,8 +331,8 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 			}
 		}
 		// Consumable bottlenecks: shrink affected slices.
-		if consumable {
-			newDur -= consumableSavings(prof, btl, onRes, &limits, leaf, res)
+		if saved != nil {
+			newDur -= saved[i]
 		}
 		if newDur < 0 {
 			newDur = 0
@@ -348,16 +344,31 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 	return durs
 }
 
-// consumableSavings sums, over the slices where leaf is bottlenecked on a
-// consumable instance of res, the active time it would save were res
-// infinitely fast: all of it but the next-limiting resource's share.
-func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report,
-	onRes []*attribution.InstanceProfile, limits *nextLimits, leaf *core.Phase, res string) vtime.Duration {
-	var saved vtime.Duration
-	for _, b := range btl.ForPhase(leaf) {
+// consumableSavings returns, for each leaf of s, the active time it would
+// save were res infinitely fast: over the slices where the leaf is
+// bottlenecked on a consumable instance of res, all of its active time but
+// the next-limiting resource's share. One pass over the bottleneck table
+// sums each bottleneck into its leaf; the terms are integer durations, so
+// the table's order does not change the sums.
+func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report, s *Schedule, res string) []vtime.Duration {
+	var onRes []*attribution.InstanceProfile // the instances of res
+	for _, ip := range prof.Instances {
+		if ip.Instance.Resource.Name == res {
+			onRes = append(onRes, ip)
+		}
+	}
+	saved := make([]vtime.Duration, len(s.leaves))
+	var limits nextLimits
+	for i := range btl.Bottlenecks {
+		b := &btl.Bottlenecks[i]
 		if b.Resource != res || b.Kind == bottleneck.Blocking {
 			continue
 		}
+		li, ok := s.leafIndex[b.Phase]
+		if !ok {
+			continue
+		}
+		leaf := b.Phase
 		u := usageOn(onRes, b.Machine, leaf)
 		if u == nil {
 			continue
@@ -372,7 +383,7 @@ func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report,
 			if limit < BottleneckFloor {
 				limit = BottleneckFloor
 			}
-			saved += vtime.Duration(float64(active) * (1 - limit))
+			saved[li] += vtime.Duration(float64(active) * (1 - limit))
 		}
 	}
 	return saved

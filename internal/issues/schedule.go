@@ -31,8 +31,9 @@ import (
 // replay is then one pass over flat arrays; the issue detector runs one per
 // what-if candidate, concurrently.
 type Schedule struct {
-	leaves    []*core.Phase    // breadth-first; Override.Leaf indexes it
-	intrinsic []vtime.Duration // Intrinsic of each leaf
+	leaves    []*core.Phase         // breadth-first; Override.Leaf indexes it
+	leafIndex map[*core.Phase]int32 // each leaf's index in leaves
+	intrinsic []vtime.Duration      // Intrinsic of each leaf
 
 	// The evaluation program. Node i is the latest value among its
 	// dependencies deps[off[i]:off[i+1]] (zero with none), plus the replay
@@ -144,6 +145,7 @@ func Compile(tr *core.ExecutionTrace) *Schedule {
 // index, or -1.
 func (s *Schedule) number(root *core.Phase, n, nleaves int) []int32 {
 	s.leaves = make([]*core.Phase, 0, nleaves)
+	s.leafIndex = make(map[*core.Phase]int32, nleaves)
 	s.leafOf = make([]int32, 0, nleaves)
 	s.intrinsic = make([]vtime.Duration, 0, nleaves)
 	s.phases = append(make([]*core.Phase, 0, n), root)
@@ -157,6 +159,7 @@ func (s *Schedule) number(root *core.Phase, n, nleaves int) []int32 {
 		li := int32(-1)
 		if p > 0 && len(ph.Children) == 0 {
 			li = int32(len(s.leaves))
+			s.leafIndex[ph] = li
 			s.leaves = append(s.leaves, ph)
 			s.leafOf = append(s.leafOf, int32(p))
 			s.intrinsic = append(s.intrinsic, Intrinsic(ph))

@@ -324,7 +324,8 @@ func addJobProfile(b *obs.TraceBuilder, out *grade10.Output) error {
 		}
 		var instants []instant
 		seenPID := map[int]bool{}
-		for _, pb := range out.Bottlenecks.Bottlenecks {
+		for i := range out.Bottlenecks.Bottlenecks {
+			pb := &out.Bottlenecks.Bottlenecks[i]
 			m := pb.Phase.Machine
 			if m < 0 {
 				m = core.GlobalMachine

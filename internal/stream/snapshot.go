@@ -232,7 +232,11 @@ func (e *Engine) foldWindowLocked(win core.Timeslices, prof *attribution.Profile
 		wr.Coverage = attributedAll / consumedAll
 	}
 
-	for _, b := range rep.Bottlenecks {
+	if len(rep.Bottlenecks) > 0 {
+		wr.Bottlenecks = make([]WindowBottleneck, 0, len(rep.Bottlenecks))
+	}
+	for i := range rep.Bottlenecks {
+		b := &rep.Bottlenecks[i]
 		wr.Bottlenecks = append(wr.Bottlenecks, WindowBottleneck{
 			Path: b.Phase.Path, TypePath: b.Phase.Type.Path(), Resource: b.Resource,
 			Machine: b.Machine, Kind: b.Kind.String(), Seconds: b.Time.Seconds(),

@@ -55,10 +55,18 @@ func (b *Broker) RegisterMetrics(reg *obs.Registry) {
 
 // OnWindowFlush is the stream.Config hook: each flushed window becomes one
 // `event: window` frame; the final nil call becomes `event: final`. It never
-// blocks (the engine lock is held by the caller).
+// blocks (the engine lock is held by the caller). With no subscriber a
+// window is not encoded at all: frames are never replayed to later
+// subscribers, so nobody could read it.
 func (b *Broker) OnWindowFlush(wr *stream.WindowResult) {
 	if wr == nil {
 		b.publish(frame("final", []byte("{}")))
+		return
+	}
+	b.mu.Lock()
+	idle := len(b.subs) == 0
+	b.mu.Unlock()
+	if idle {
 		return
 	}
 	data, err := json.Marshal(wr)

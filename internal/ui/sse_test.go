@@ -14,6 +14,7 @@ import (
 
 	"grade10/internal/alert"
 	"grade10/internal/obs"
+	"grade10/internal/race"
 	"grade10/internal/stream"
 	"grade10/internal/ui"
 )
@@ -116,6 +117,22 @@ func TestSSEWindowFrames(t *testing.T) {
 	case fr := <-a.frames:
 		t.Fatalf("unexpected extra frame %v", fr)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestSSENoSubscriberNoEncode: with nobody subscribed a window flush costs
+// no encoding, so it allocates nothing.
+func TestSSENoSubscriberNoEncode(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race mode adds allocations; alloc counts are nondeterministic")
+	}
+	broker := ui.NewBroker(0)
+	wr := &stream.WindowResult{Index: 3, StartSeconds: 1, EndSeconds: 2,
+		Instances:   []stream.WindowInstance{{Key: "cpu@0", Capacity: 4, Utilization: 1}},
+		Bottlenecks: []stream.WindowBottleneck{{Path: "/job/a", TypePath: "/job/a", Resource: "cpu", Kind: "saturation", Seconds: 1}},
+	}
+	if allocs := testing.AllocsPerRun(100, func() { broker.OnWindowFlush(wr) }); allocs != 0 {
+		t.Fatalf("OnWindowFlush with no subscriber allocated %v per run, want 0", allocs)
 	}
 }
 

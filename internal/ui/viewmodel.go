@@ -351,7 +351,8 @@ func buildFinalTimeline(trace *core.ExecutionTrace, rep *bottleneck.Report) *Tim
 		}
 	})
 	if rep != nil {
-		for _, b := range rep.Bottlenecks {
+		for i := range rep.Bottlenecks {
+			b := &rep.Bottlenecks[i]
 			tp := b.Phase.Path
 			if b.Phase.Type != nil {
 				tp = b.Phase.Type.Path()
