@@ -362,11 +362,11 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 	// fraction is the oracle's ActiveFraction, read off the table.
 	ratesLen := 0
 	for li, leaf := range leaves {
-		rule := ar.rules.Get(rules, leaf.Type, ri.Resource.Name)
-		if rule.Kind == core.RuleNone {
+		if ri.Resource.PerMachine && leaf.Machine != ri.Machine {
 			continue
 		}
-		if ri.Resource.PerMachine && leaf.Machine != ri.Machine {
+		rule := ar.rules.Get(rules, leaf.Type, ri.Resource.Name)
+		if rule.Kind == core.RuleNone {
 			continue
 		}
 		first, last := slices.Range(leaf.Start, leaf.End)

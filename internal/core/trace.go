@@ -227,9 +227,17 @@ type ExecutionTrace struct {
 }
 
 // BuildExecutionTrace parses an engine log against an execution model: it
-// feeds every event to a TreeBuilder and finishes the tree.
+// feeds every event to a TreeBuilder and finishes the tree. The whole log is
+// known up front, so the builder is sized for its phase starts: ByPath never
+// rehashes and every phase comes from one slab.
 func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionTrace, error) {
-	b := NewTreeBuilder(model)
+	starts := 0
+	for i := range log.Events {
+		if log.Events[i].Kind == enginelog.PhaseStart {
+			starts++
+		}
+	}
+	b := newTreeBuilder(model, starts)
 	for _, e := range log.Events {
 		if _, err := b.Add(e); err != nil {
 			return nil, err
@@ -249,17 +257,25 @@ type TreeBuilder struct {
 	tr    *ExecutionTrace
 	open  map[string]*Phase
 	n     int // events added, numbering error positions
+	// slab holds the phases of a builder sized for a known number of
+	// starts. Its capacity never changes, so no phase handed out moves; a
+	// start past it allocates its phase alone.
+	slab []Phase
 }
 
 // NewTreeBuilder starts an empty trace for one execution model.
-func NewTreeBuilder(model *ExecutionModel) *TreeBuilder {
+func NewTreeBuilder(model *ExecutionModel) *TreeBuilder { return newTreeBuilder(model, 0) }
+
+// newTreeBuilder starts an empty trace sized for starts phase starts.
+func newTreeBuilder(model *ExecutionModel, starts int) *TreeBuilder {
 	return &TreeBuilder{
 		model: model,
 		tr: &ExecutionTrace{
 			Root:   &Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
-			ByPath: map[string]*Phase{},
+			ByPath: make(map[string]*Phase, starts),
 		},
 		open: map[string]*Phase{},
+		slab: make([]Phase, 0, starts),
 	}
 }
 
@@ -289,7 +305,14 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 		if machine < 0 {
 			machine = parent.Machine
 		}
-		ph := &Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine}
+		var ph *Phase
+		if len(b.slab) < cap(b.slab) {
+			b.slab = b.slab[:len(b.slab)+1]
+			ph = &b.slab[len(b.slab)-1]
+		} else {
+			ph = new(Phase)
+		}
+		*ph = Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine}
 		parent.Children = append(parent.Children, ph)
 		b.tr.ByPath[e.Path] = ph
 		b.open[e.Path] = ph

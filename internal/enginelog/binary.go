@@ -347,14 +347,20 @@ func (d *Decoder) commit(ts int64) {
 }
 
 // Feed consumes a chunk, invoking emit for every event completed by it.
-// Partial trailing records are buffered for the next Feed.
+// Partial trailing records are copied and buffered for the next Feed; the
+// rest of the chunk is decoded in place and not kept.
 func (d *Decoder) Feed(p []byte, emit func(Event)) {
 	if d.dead {
 		return
 	}
-	d.buf = append(d.buf, p...)
+	if len(d.buf) == 0 {
+		d.buf = p
+	} else {
+		d.buf = append(d.buf, p...)
+	}
 	if !d.headerDone {
 		if len(d.buf) < headerLen {
+			d.buf = append([]byte(nil), d.buf...)
 			return
 		}
 		if string(d.buf[:len(Magic)]) != Magic {
@@ -378,8 +384,8 @@ func (d *Decoder) Feed(p []byte, emit func(Event)) {
 				emit(ev)
 			}
 		case errors.Is(err, errShortRecord):
-			// Compact the retained tail so a long-lived tailing decoder
-			// doesn't pin every chunk it ever saw.
+			// Copy the retained tail: the chunk is the caller's, and a
+			// long-lived tailing decoder must not pin every chunk it saw.
 			d.buf = append(d.buf[:0:0], d.buf...)
 			return
 		default:

@@ -133,7 +133,7 @@ func splitFields(s string, dst []string) ([]string, bool) {
 
 // FeedReader streams all of r through Feed in bounded memory.
 func (sp *StreamParser) FeedReader(r io.Reader, emit func(Event)) error {
-	return readChunks(r, func(chunk []byte) { sp.Feed(chunk, emit) })
+	return ReadChunks(r, func(chunk []byte) { sp.Feed(chunk, emit) })
 }
 
 // Finish flushes buffered partial input at end of stream: a final

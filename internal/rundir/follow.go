@@ -3,6 +3,7 @@ package rundir
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -183,19 +184,18 @@ func (f *follower) poll() (bool, error) {
 // finish delivers a final monitoring line that never got its terminator.
 func (f *follower) finish() { f.mon.lines.Finish(f.monitoringLine) }
 
-// tail reads what a producer appends to one file, poll after poll, through
-// one read buffer it reuses. lines splits the chunks of a text file.
+// tail reads what a producer appends to one file, poll after poll. lines
+// splits the chunks of a text file.
 type tail struct {
 	path   string
 	offset int64
-	buf    []byte
 	lines  enginelog.LineSplitter
 }
 
 // drain reads everything appended since the last call and passes it to fn
-// chunk by chunk; a chunk is only valid during the call. It returns the
-// number of bytes read. A missing file is not an error (the producer has not
-// created it yet).
+// chunk by chunk, through a read buffer it holds only for this call; a chunk
+// is only valid during the call. It returns the number of bytes read. A
+// missing file is not an error (the producer has not created it yet).
 func (t *tail) drain(fn func(chunk []byte)) (int64, error) {
 	f, err := os.Open(t.path)
 	if err != nil {
@@ -205,24 +205,12 @@ func (t *tail) drain(fn func(chunk []byte)) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	if t.buf == nil {
-		t.buf = make([]byte, 64<<10)
-	}
-	var consumed int64
-	for {
-		n, err := f.ReadAt(t.buf, t.offset)
-		if n > 0 {
-			consumed += int64(n)
-			t.offset += int64(n)
-			if fn != nil {
-				fn(t.buf[:n])
-			}
+	from := t.offset
+	err = enginelog.ReadChunks(io.NewSectionReader(f, from, math.MaxInt64-from), func(chunk []byte) {
+		t.offset += int64(len(chunk))
+		if fn != nil {
+			fn(chunk)
 		}
-		if err == io.EOF {
-			return consumed, nil
-		}
-		if err != nil {
-			return consumed, err
-		}
-	}
+	})
+	return t.offset - from, err
 }

@@ -3,6 +3,7 @@ package rundir
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -37,6 +38,39 @@ func FuzzReadMonitoring(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, out) {
 			t.Fatalf("round trip changed the samples:\n got %+v\nwant %+v", back, out)
+		}
+	})
+}
+
+// FuzzSplitCommas: splitCommas counts the fields strings.Split(s, ",")
+// returns and, when they fit, returns the same fields; ParseMonitoringLine
+// words a wrong count with that same number.
+func FuzzSplitCommas(f *testing.F) {
+	for _, s := range []string{
+		"", ",", ",,,,,", "0,cpu,8,0,100,1", "0,cpu,8,0,100", "0,cpu,8,0,100,1,", "0,cpu,8,0,100,1,x,y",
+		"a,,b", ",leading", "trailing,", "no commas", ",,,,,,,,,,", "0,cpü,8,0,100,1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var dst [monitoringFields]string
+		n := splitCommas(s, &dst)
+		want := strings.Split(s, ",")
+		if n != len(want) {
+			t.Fatalf("splitCommas(%q) counts %d fields, strings.Split %d", s, n, len(want))
+		}
+		if n <= len(dst) && !reflect.DeepEqual(dst[:n], want) {
+			t.Fatalf("splitCommas(%q) = %q, strings.Split %q", s, dst[:n], want)
+		}
+		line := strings.TrimSpace(s)
+		if line == "" || strings.HasPrefix(line, "machine,") || strings.HasPrefix(line, "#") {
+			return
+		}
+		_, _, err := ParseMonitoringLine(s)
+		if got := len(strings.Split(line, ",")); got != monitoringFields {
+			if want := fmt.Sprintf("expected 6 fields, got %d", got); err == nil || err.Error() != want {
+				t.Fatalf("ParseMonitoringLine(%q) error %v, want %q", s, err, want)
+			}
 		}
 	})
 }

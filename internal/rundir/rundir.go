@@ -235,9 +235,9 @@ func ParseMonitoringLine(line string) (MonitoringRow, bool, error) {
 	if line == "" || strings.HasPrefix(line, "machine,") || strings.HasPrefix(line, "#") {
 		return MonitoringRow{}, false, nil
 	}
-	fields := strings.Split(line, ",")
-	if len(fields) != 6 {
-		return MonitoringRow{}, false, fmt.Errorf("expected 6 fields, got %d", len(fields))
+	var fields [monitoringFields]string
+	if n := splitCommas(line, &fields); n != monitoringFields {
+		return MonitoringRow{}, false, fmt.Errorf("expected 6 fields, got %d", n)
 	}
 	machine, err := strconv.Atoi(fields[0])
 	if err != nil {
@@ -263,6 +263,25 @@ func ParseMonitoringLine(line string) (MonitoringRow, bool, error) {
 		Machine: machine, Resource: fields[1], Capacity: capacity,
 		Sample: metrics.Sample{Start: vtime.Time(start), End: vtime.Time(end), Avg: avg},
 	}, true, nil
+}
+
+// monitoringFields is the number of fields in a monitoring CSV line.
+const monitoringFields = 6
+
+// splitCommas splits s at every comma into dst without allocating and
+// returns the number of fields strings.Split(s, ",") would. dst holds those
+// fields when they fit; a longer line is only counted.
+func splitCommas(s string, dst *[monitoringFields]string) int {
+	n := strings.Count(s, ",") + 1
+	if n > len(dst) {
+		return n
+	}
+	for i := 0; i < n-1; i++ {
+		j := strings.IndexByte(s, ',')
+		dst[i], s = s[:j], s[j+1:]
+	}
+	dst[n-1] = s
+	return n
 }
 
 // parseFinite parses a float and rejects NaN and ±Inf, which would
