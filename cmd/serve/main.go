@@ -10,8 +10,8 @@
 //
 //	serve -run run/ -addr :7070
 //	open  localhost:7070/ui/         # embedded visual profiler (heatmap,
-//	                                 # timeline, comms matrix, click-through
-//	                                 # explain; live SSE on /api/events)
+//	                                 # timeline, click-through explain;
+//	                                 # live SSE on /api/events)
 //	curl localhost:7070/profile      # live profile (JSON)
 //	curl localhost:7070/metrics      # Prometheus text format
 //	curl localhost:7070/trace        # Chrome trace-event JSON (Perfetto)

@@ -25,6 +25,7 @@ package attribution
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"grade10/internal/core"
@@ -77,19 +78,26 @@ type InstanceProfile struct {
 	KnownDemand []float64
 	// VariableWeight[k] is the summed Variable weight of active phases.
 	VariableWeight []float64
-	// Usage lists the per-phase attribution; phases without any attributed
+	// Usage lists the per-phase attribution in core.ComparePhases order (the
+	// leaf order AttributeWindow requires); phases without any attributed
 	// consumption on this instance are omitted.
 	Usage []*PhaseUsage
 	// Unattributed[k] is consumption no rule could absorb (model mismatch
 	// diagnostic): consumption in a slice with no active Variable phase that
 	// exceeds the Exact demand.
 	Unattributed []float64
-
-	byPhase map[*core.Phase]*PhaseUsage
 }
 
 // UsageOf returns the usage record of a phase, or nil.
-func (ip *InstanceProfile) UsageOf(p *core.Phase) *PhaseUsage { return ip.byPhase[p] }
+func (ip *InstanceProfile) UsageOf(p *core.Phase) *PhaseUsage {
+	i, ok := slices.BinarySearchFunc(ip.Usage, p, func(u *PhaseUsage, q *core.Phase) int {
+		return core.ComparePhases(u.Phase, q)
+	})
+	if !ok || ip.Usage[i].Phase != p {
+		return nil
+	}
+	return ip.Usage[i]
+}
 
 // UpsampledSeries converts the per-slice consumption into a step function
 // over the profiled span.
@@ -350,7 +358,6 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 		KnownDemand:    flat[n : 2*n : 2*n],
 		VariableWeight: flat[2*n : 3*n : 3*n],
 		Unattributed:   flat[3*n : 4*n : 4*n],
-		byPhase:        map[*core.Phase]*PhaseUsage{},
 	}
 
 	ar := acquireArena()
@@ -477,7 +484,6 @@ func attributeInstance(ri *core.ResourceInstance, leaves []*core.Phase, act *act
 		}
 		if any {
 			ip.Usage = append(ip.Usage, u)
-			ip.byPhase[u.Phase] = u
 		}
 	}
 	return ip, nil

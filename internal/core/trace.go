@@ -467,16 +467,17 @@ func sortChildren(p *Phase) {
 	}
 }
 
-// SortPhases sorts phases into the one phase order: by start time, then
-// path. Paths are unique within a trace, so the order is total.
-func SortPhases(phases []*Phase) {
-	slices.SortFunc(phases, func(a, b *Phase) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Path, b.Path)
-	})
+// ComparePhases is the one phase order: by start time, then path. Paths are
+// unique within a trace, so the order is total.
+func ComparePhases(a, b *Phase) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Path, b.Path)
 }
+
+// SortPhases sorts phases into ComparePhases order.
+func SortPhases(phases []*Phase) { slices.SortFunc(phases, ComparePhases) }
 
 // Leaves returns all leaf phases in SortPhases order. A finished trace
 // sorts them once and returns that shared slice on every call: callers must

@@ -106,6 +106,39 @@ func TestEndToEndGiraph(t *testing.T) {
 	if !foundGCIssue {
 		t.Fatalf("no gc issue; issues: %+v", out.Issues.Issues)
 	}
+
+	// UsageOf binary-searches Usage, so Usage must be in core.ComparePhases
+	// order at every parallelism: it finds each usage record, and returns
+	// nil for every leaf the instance attributed nothing to.
+	for _, par := range []int{1, 8} {
+		out, err := Characterize(Input{Log: res.Log, Monitoring: monitoring, Models: models,
+			Timeslice: 10 * vtime.Millisecond, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := 0
+		for _, ip := range out.Profile.Instances {
+			used := map[*core.Phase]bool{}
+			for _, u := range ip.Usage {
+				used[u.Phase] = true
+				if got := ip.UsageOf(u.Phase); got != u {
+					t.Fatalf("parallelism %d, %s: UsageOf(%s) = %p, want %p", par, ip.Instance.Key(), u.Phase.Path, got, u)
+				}
+			}
+			for _, leaf := range out.Trace.Leaves() {
+				if used[leaf] {
+					continue
+				}
+				missing++
+				if got := ip.UsageOf(leaf); got != nil {
+					t.Fatalf("parallelism %d, %s: UsageOf(%s) = %p for a leaf missing from Usage", par, ip.Instance.Key(), leaf.Path, got)
+				}
+			}
+		}
+		if missing == 0 {
+			t.Fatalf("parallelism %d: every leaf in every Usage; the nil case went unchecked", par)
+		}
+	}
 }
 
 func TestEndToEndGiraphViaSerializedLog(t *testing.T) {

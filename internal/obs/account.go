@@ -99,8 +99,12 @@ type RunOverhead struct {
 // HeapAllocBytes reads the runtime's cumulative heap allocation counter
 // (/gc/heap/allocs:bytes) — cheap (no stop-the-world, unlike ReadMemStats),
 // so the engine can sample it around every window flush.
-func HeapAllocBytes() uint64 {
-	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+func HeapAllocBytes() uint64 { return readRuntimeMetric("/gc/heap/allocs:bytes") }
+
+// readRuntimeMetric reads one uint64 runtime/metrics value, 0 if the runtime
+// does not export it as one. It does not stop the world.
+func readRuntimeMetric(name string) uint64 {
+	sample := []metrics.Sample{{Name: name}}
 	metrics.Read(sample)
 	if sample[0].Value.Kind() != metrics.KindUint64 {
 		return 0

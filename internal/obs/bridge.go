@@ -10,19 +10,14 @@ func RegisterRuntime(r *Registry) {
 	}
 	r.GaugeFunc("go_goroutines", "Number of live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	readMem := func(f func(*runtime.MemStats) float64) func() float64 {
-		return func() float64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return f(&m)
-		}
+	// Read through runtime/metrics, not runtime.ReadMemStats, so a scrape
+	// never stops the world.
+	gauge := func(name, help, metric string) {
+		r.GaugeFunc(name, help, func() float64 { return float64(readRuntimeMetric(metric)) })
 	}
-	r.GaugeFunc("go_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		readMem(func(m *runtime.MemStats) float64 { return float64(m.HeapAlloc) }))
-	r.GaugeFunc("go_mem_sys_bytes", "Bytes of memory obtained from the OS.",
-		readMem(func(m *runtime.MemStats) float64 { return float64(m.Sys) }))
-	r.GaugeFunc("go_gc_cycles_total", "Completed GC cycles.",
-		readMem(func(m *runtime.MemStats) float64 { return float64(m.NumGC) }))
+	gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects.", "/memory/classes/heap/objects:bytes")
+	gauge("go_mem_sys_bytes", "Bytes of memory obtained from the OS.", "/memory/classes/total:bytes")
+	gauge("go_gc_cycles_total", "Completed GC cycles.", "/gc/cycles/total:gc-cycles")
 }
 
 // BridgeTracer feeds every span the tracer completes into per-stage metric

@@ -22,8 +22,8 @@ import (
 const loadAllocCeiling = 97_000
 
 // TestLoadAllocRatchet measures the bytes one warm rundir.Load of a small
-// fixed-seed text run allocates, with the GC held off, against a committed
-// ceiling.
+// fixed-seed text run allocates, on one P with the GC held off, against a
+// committed ceiling.
 func TestLoadAllocRatchet(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race mode randomly bypasses sync.Pool; allocation figures are nondeterministic")
@@ -54,8 +54,12 @@ func TestLoadAllocRatchet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load() // warm the pools
+	// One P, so every Get meets the P-local slot the warm-up Put filled
+	// (another P's private slot cannot be stolen), and no GC from the warm-up
+	// on, so no cycle empties the pools before the measured loads.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	load() // warm the pools
 	const loads = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

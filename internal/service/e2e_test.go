@@ -30,6 +30,7 @@ import (
 	"grade10/internal/rundir"
 	"grade10/internal/service"
 	"grade10/internal/stream"
+	"grade10/internal/ui"
 	"grade10/internal/vtime"
 	"grade10/internal/workload"
 )
@@ -154,7 +155,6 @@ var probes = []string{
 	"GET /api/overview?run={run}",
 	"GET /api/heatmap",
 	"GET /api/timeline",
-	"GET /api/comms",
 	"GET /api/events",
 	"GET /alerts",
 	"GET /runs",
@@ -358,8 +358,27 @@ func TestServiceEndToEnd(t *testing.T) {
 				fmt.Fprintf(&got, "%s %d\n", p, code)
 			}
 			checkGolden(t, "endpoints_"+tc.name+".golden", got.Bytes())
+			checkNoComms(e)
 			tc.check(e)
 		})
+	}
+}
+
+// checkNoComms: monitoring holds per-machine net totals only, so no route
+// serves a machine × machine matrix. /api/comms falls through the UI mux to
+// 404, and neither the UI's routes nor the service's index list it.
+func checkNoComms(e *env) {
+	const path = "/api/comms"
+	if code, _ := e.do("GET", path); code != http.StatusNotFound {
+		e.t.Errorf("GET %s = %d, want 404", path, code)
+	}
+	for _, r := range ui.NewServer(ui.Config{}).Routes() {
+		if r.Path == path {
+			e.t.Errorf("ui.Server.Routes() lists %s", path)
+		}
+	}
+	if index := e.get("/"); bytes.Contains(index, []byte(path)) {
+		e.t.Errorf("GET / lists %s", path)
 	}
 }
 
@@ -551,10 +570,8 @@ func checkFull(e *env) {
 	if len(tl.Lanes) == 0 {
 		t.Error("timeline has no lanes")
 	}
-	for _, ep := range []string{"overview", "comms"} {
-		if body := e.get("/api/" + ep); len(bytes.TrimSpace(body)) < 3 {
-			t.Errorf("/api/%s empty", ep)
-		}
+	if body := e.get("/api/overview"); len(bytes.TrimSpace(body)) < 3 {
+		t.Error("/api/overview empty")
 	}
 	if ev := firstSSEEvent(t, e.base+"/api/events"); ev != "hello" {
 		t.Errorf("first SSE frame %q, want hello", ev)

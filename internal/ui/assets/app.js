@@ -209,35 +209,6 @@ function renderTimeline(tl) {
   if (!tl.lanes.length) root.append(el("p", "hint", "no flushed windows yet"));
 }
 
-// ---------- comms ----------
-
-function renderComms(cm) {
-  const root = $("comms");
-  root.innerHTML = "";
-  if (!cm.machines.length) { root.append(el("p", "hint", "no network attribution yet")); return; }
-  let max = 0;
-  for (const row of cm.matrix) for (const v of row) max = Math.max(max, v);
-  const table = el("table", "comms");
-  const head = el("tr");
-  head.append(el("th", "", "from \\ to"));
-  for (const m of cm.machines) head.append(el("th", "", machineLabel(m)));
-  head.append(el("th", "", "out Σ"));
-  table.append(head);
-  cm.machines.forEach((from, i) => {
-    const tr = el("tr");
-    tr.append(el("th", "", machineLabel(from)));
-    cm.machines.forEach((_, j) => {
-      const v = cm.matrix[i][j];
-      const td = el("td", "", i === j ? "·" : fmt(v, 2));
-      if (max > 0 && i !== j) td.style.background = heatColor(v / max);
-      tr.append(td);
-    });
-    tr.append(el("td", "", fmt(cm.out_unit_seconds[i], 2)));
-    table.append(tr);
-  });
-  root.append(table);
-}
-
 // ---------- alert banner ----------
 
 // renderAlerts paints the banner from the /alerts lifecycle snapshot:
@@ -388,16 +359,14 @@ async function setupDiff() {
 
 async function refreshAll() {
   try {
-    const [ov, hm, tl, cm] = await Promise.all([
+    const [ov, hm, tl] = await Promise.all([
       getJSON(apiURL("/api/overview")),
       getJSON(apiURL("/api/heatmap")),
       getJSON(apiURL("/api/timeline")),
-      getJSON(apiURL("/api/comms")),
     ]);
     renderOverview(ov);
     renderHeatmap(hm);
     renderTimeline(tl);
-    renderComms(cm);
     return ov;
   } catch (err) {
     $("status").textContent = err.message;

@@ -8,7 +8,6 @@
 //	/api/overview  run header + sorted snapshot summaries (JSON)
 //	/api/heatmap   phase-type tree × machine attribution heatmap (JSON)
 //	/api/timeline  per-machine lanes: phases, blocked intervals, bottlenecks
-//	/api/comms     cross-machine communication matrix estimate (JSON)
 //	/api/events    SSE window-flush and alert stream (with a Broker)
 //
 // Every /api endpoint is deterministic: byte-identical JSON at every engine
@@ -52,7 +51,6 @@ func NewServer(cfg Config) *Server {
 	s.handle("/api/overview", "profiler overview view model (JSON)", s.handleOverview)
 	s.handle("/api/heatmap", "phase × machine attribution heatmap view model (JSON)", s.handleHeatmap)
 	s.handle("/api/timeline", "per-machine timeline view model (JSON)", s.handleTimeline)
-	s.handle("/api/comms", "cross-machine communication matrix estimate (JSON)", s.handleComms)
 	if cfg.Broker != nil {
 		s.handle("/api/events", "SSE window-flush and alert stream", cfg.Broker.ServeHTTP)
 	}
@@ -89,22 +87,18 @@ func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	obs.WriteJSON(w, buildOverview(e.Snapshot(), mode(run), run, sse, out != nil))
 }
 
-// heatCells returns the engine's heat cells and their source: "final" once
-// the exact profile exists, "windows" mid-run.
-func heatCells(e *stream.Engine) ([]stream.HeatCell, string) {
-	cells, final := e.HeatCells()
-	if final {
-		return cells, "final"
-	}
-	return cells, "windows"
-}
-
+// handleHeatmap serves the heat cells with their source: "final" once the
+// exact profile exists, "windows" mid-run.
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	e, _, ok := s.cfg.Resolve(w, r)
 	if !ok {
 		return
 	}
-	cells, source := heatCells(e)
+	cells, final := e.HeatCells()
+	source := "windows"
+	if final {
+		source = "final"
+	}
 	obs.WriteJSON(w, buildHeatmap(cells, source))
 }
 
@@ -118,13 +112,4 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.WriteJSON(w, buildLiveTimeline(e.Snapshot()))
-}
-
-func (s *Server) handleComms(w http.ResponseWriter, r *http.Request) {
-	e, _, ok := s.cfg.Resolve(w, r)
-	if !ok {
-		return
-	}
-	cells, source := heatCells(e)
-	obs.WriteJSON(w, buildComms(cells, source))
 }

@@ -156,7 +156,7 @@ func TestViewModelDeterminism(t *testing.T) {
 	s1 := single(e1)
 	s8 := single(e8)
 
-	for _, path := range []string{"/api/heatmap", "/api/timeline", "/api/comms", "/api/overview"} {
+	for _, path := range []string{"/api/heatmap", "/api/timeline", "/api/overview"} {
 		c1, b1, _ := getBody(t, s1, path)
 		c8, b8, _ := getBody(t, s8, path)
 		if c1 != http.StatusOK || c8 != http.StatusOK {

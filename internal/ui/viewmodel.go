@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"grade10/internal/bottleneck"
-	"grade10/internal/cluster"
 	"grade10/internal/core"
 	"grade10/internal/explain"
 	"grade10/internal/stream"
@@ -134,20 +133,6 @@ type Timeline struct {
 	StartSeconds float64        `json:"start_seconds"`
 	EndSeconds   float64        `json:"end_seconds"`
 	Lanes        []TimelineLane `json:"lanes"`
-}
-
-// Comms is the cross-machine communication matrix. Monitoring records only
-// per-machine net-in/net-out totals — never per-pair flows — so Matrix is a
-// proportional-allocation estimate: machine i's attributed net-out is split
-// across receivers j≠i in proportion to their attributed net-in. Estimate is
-// always true to keep the UI honest about it.
-type Comms struct {
-	Source         string      `json:"source"`
-	Estimate       bool        `json:"estimate"`
-	Machines       []int       `json:"machines"`
-	OutUnitSeconds []float64   `json:"out_unit_seconds"`
-	InUnitSeconds  []float64   `json:"in_unit_seconds"`
-	Matrix         [][]float64 `json:"matrix"` // [from][to]
 }
 
 // machinesAndResources derives the sorted machine and resource axes from the
@@ -417,52 +402,4 @@ func sortedLanes(lanes map[int]*TimelineLane) []TimelineLane {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
 	return out
-}
-
-// buildComms estimates the cross-machine communication matrix from the heat
-// cells' per-machine net-in/net-out attribution totals.
-func buildComms(cells []stream.HeatCell, source string) *Comms {
-	outBy, inBy := map[int]float64{}, map[int]float64{}
-	ms := map[int]bool{}
-	for _, c := range cells {
-		switch c.Resource {
-		case cluster.ResNetOut:
-			outBy[c.Machine] += c.UnitSeconds
-			ms[c.Machine] = true
-		case cluster.ResNetIn:
-			inBy[c.Machine] += c.UnitSeconds
-			ms[c.Machine] = true
-		}
-	}
-	cm := &Comms{Source: source, Estimate: true,
-		Machines: []int{}, OutUnitSeconds: []float64{}, InUnitSeconds: []float64{},
-		Matrix: [][]float64{}}
-	for m := range ms {
-		if m != core.GlobalMachine {
-			cm.Machines = append(cm.Machines, m)
-		}
-	}
-	sort.Ints(cm.Machines)
-	for _, m := range cm.Machines {
-		cm.OutUnitSeconds = append(cm.OutUnitSeconds, outBy[m])
-		cm.InUnitSeconds = append(cm.InUnitSeconds, inBy[m])
-	}
-	for i, from := range cm.Machines {
-		row := make([]float64, len(cm.Machines))
-		var denom float64
-		for j, to := range cm.Machines {
-			if j != i {
-				denom += inBy[to]
-			}
-		}
-		if denom > 0 {
-			for j, to := range cm.Machines {
-				if j != i {
-					row[j] = outBy[from] * inBy[to] / denom
-				}
-			}
-		}
-		cm.Matrix = append(cm.Matrix, row)
-	}
-	return cm
 }
