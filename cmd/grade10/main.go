@@ -238,6 +238,11 @@ func main() {
 		}
 		logger.Info("wrote trace", "path", *traceOut, "spans", len(tracer.Spans()))
 	}
+	if *storeDir == "" && len(alertRuleSet) == 0 {
+		return
+	}
+	rec := profstore.BuildRecord(run.Info, out)
+	rec.Label = *runLabel
 	var alertBase *alert.Baselines
 	if *storeDir != "" {
 		store, err := profstore.Open(*storeDir, profstore.Options{MaxRuns: *storeMax})
@@ -249,8 +254,6 @@ func main() {
 			// it is judged against.
 			alertBase = alert.LearnArchive(store)
 		}
-		rec := profstore.BuildRecord(run.Info, out)
-		rec.Label = *runLabel
 		meta, evicted, err := store.Put(rec)
 		if err != nil {
 			fail(err)
@@ -261,7 +264,7 @@ func main() {
 		}
 	}
 	if len(alertRuleSet) > 0 {
-		runAlerts(alertRuleSet, alertBase, run, out, *runDir, *runLabel, *alertOut)
+		runAlerts(alertRuleSet, alertBase, rec, *runDir, *alertOut)
 	}
 }
 
@@ -271,13 +274,11 @@ func main() {
 // compare against the archive-learned per-cell robust stats. Exit status 4
 // flags firing alerts, so CI can gate on "this run is anomalous" (2 is usage,
 // 3 is -fail-on-regress).
-func runAlerts(rules []alert.Rule, base *alert.Baselines, run *rundir.Run, out *grade10.Output, runDir, label, jsonOut string) {
+func runAlerts(rules []alert.Rule, base *alert.Baselines, rec *profstore.Record, runDir, jsonOut string) {
 	if base != nil {
 		logger.Info("learned alert baselines", "runs", base.Runs(), "cells", base.Len())
 	}
 	ev := alert.NewEvaluator(rules, base)
-	rec := profstore.BuildRecord(run.Info, out)
-	rec.Label = label
 	ev.EvalRecord(rec, filepath.Base(filepath.Clean(runDir)))
 	snap := ev.Snapshot()
 	fmt.Println()

@@ -50,6 +50,32 @@ func (p *Phase) Duration() vtime.Duration { return p.End.Sub(p.Start) }
 // leaves; parents aggregate.
 func (p *Phase) IsLeaf() bool { return len(p.Children) == 0 }
 
+// PhaseStats folds phase instances: their count, total and longest
+// duration, and their blocking time per resource.
+type PhaseStats struct {
+	Count      int
+	Total, Max vtime.Duration
+	// Blocked stays nil until an added phase has blocked.
+	Blocked map[string]vtime.Duration
+}
+
+// Add folds one phase instance.
+func (s *PhaseStats) Add(p *Phase) {
+	d := p.Duration()
+	s.Count++
+	s.Total += d
+	s.Max = max(s.Max, d)
+	for _, b := range p.Blocked {
+		if s.Blocked == nil {
+			s.Blocked = map[string]vtime.Duration{}
+		}
+		s.Blocked[b.Resource] += b.Duration()
+	}
+}
+
+// Mean returns the mean duration, truncated. Call it after an Add.
+func (s *PhaseStats) Mean() vtime.Duration { return s.Total / vtime.Duration(s.Count) }
+
 // Index returns the instance index of the final path segment, or -1.
 func (p *Phase) Index() int {
 	segs := enginelog.Split(p.Path)

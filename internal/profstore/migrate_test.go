@@ -1,6 +1,7 @@
 package profstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -386,9 +387,10 @@ func TestMigrationHostileShardsJSON(t *testing.T) {
 	}
 }
 
-// FuzzOpen feeds arbitrary bytes to index.json, shards.json and one shard
-// index. Open must return a store or a typed error, never panic, and create
-// no directory beyond runs/.
+// FuzzOpen feeds arbitrary bytes to index.json, shards.json, one shard
+// index and one record file, seeded with both the indented encoding of
+// earlier builds and the compact one. Open must return a store or a typed
+// error, never panic, and create no directory beyond runs/.
 func FuzzOpen(f *testing.F) {
 	seed := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(fixtureDir, name))
@@ -397,17 +399,30 @@ func FuzzOpen(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seed("index.json"), seed("shards.json"), seed("shard-00/index.json"))
-	f.Add([]byte{}, []byte(`{"version":1,"shards":1000000000,"next_seq":-1}`), []byte(`{"runs":[{"id":"../x"}]}`))
-	f.Add([]byte(`{"version":2}`), []byte(`{}`), []byte(`{nope`))
-	record := seed("shard-00/runs/2de9d0e149a5.json")
-	f.Fuzz(func(t *testing.T, rootIdx, shards, shardIdx []byte) {
+	compact := func(data []byte) []byte {
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, data); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const recordFile = "shard-00/runs/2de9d0e149a5.json"
+	record := seed(recordFile)
+	var rec Record
+	if err := json.Unmarshal(record, &rec); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed("index.json"), seed("shards.json"), seed("shard-00/index.json"), record)
+	f.Add(compact(seed("index.json")), compact(seed("shards.json")), compact(seed("shard-00/index.json")), encode(&rec))
+	f.Add([]byte{}, []byte(`{"version":1,"shards":1000000000,"next_seq":-1}`), []byte(`{"runs":[{"id":"../x"}]}`), record)
+	f.Add([]byte(`{"version":2}`), []byte(`{}`), []byte(`{nope`), []byte(`{"version":2}`))
+	f.Fuzz(func(t *testing.T, rootIdx, shards, shardIdx, record []byte) {
 		dir := t.TempDir()
 		for path, data := range map[string][]byte{
-			"index.json":                      rootIdx,
-			"shards.json":                     shards,
-			"shard-00/index.json":             shardIdx,
-			"shard-00/runs/2de9d0e149a5.json": record,
+			"index.json":          rootIdx,
+			"shards.json":         shards,
+			"shard-00/index.json": shardIdx,
+			recordFile:            record,
 		} {
 			path = filepath.Join(dir, path)
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -11,7 +11,10 @@
 //	<dir>/index.json     append-ordered metadata of every retained run
 //	<dir>/runs/<id>.json one Record per archived run
 //
-// This is the only layout; Open migrates the sharded one of earlier builds.
+// A record file holds the record's one encoding, compact JSON with ID, Seq
+// and Label zeroed, so its SHA-256 names it; a run's identity lives only in
+// the index. This is the only layout; Open migrates the sharded one of
+// earlier builds, and Get reads the indented records they wrote.
 //
 // Retention is bounded: Options.MaxRuns caps the archive, and the oldest
 // records (lowest sequence number) are evicted deterministically; evictions
@@ -143,39 +146,32 @@ func BuildRecord(info rundir.Info, out *grade10.Output) *Record {
 		MakespanNS:  int64(out.Trace.End.Sub(out.Trace.Start)),
 	}
 
-	// Phase summaries keyed by (type path, machine).
+	// Phase summaries keyed by (type, machine).
 	type phaseKey struct {
-		tp      string
+		t       *core.PhaseType
 		machine int
 	}
-	phases := map[phaseKey]*PhaseSummary{}
+	phases := map[phaseKey]core.PhaseStats{}
 	out.Trace.Root.Walk(func(p *core.Phase) {
 		if p.Type == nil {
 			return // synthetic trace root
 		}
-		k := phaseKey{p.Type.Path(), p.Machine}
-		ps, ok := phases[k]
-		if !ok {
-			ps = &PhaseSummary{TypePath: k.tp, Machine: k.machine, Leaf: p.Type.IsLeaf()}
-			phases[k] = ps
-		}
-		ps.Count++
-		d := int64(p.Duration())
-		ps.TotalNS += d
-		if d > ps.MaxNS {
-			ps.MaxNS = d
-		}
-		for _, b := range p.Blocked {
-			if ps.BlockedNS == nil {
-				ps.BlockedNS = map[string]int64{}
-			}
-			ps.BlockedNS[b.Resource] += int64(b.Duration())
-		}
+		k := phaseKey{p.Type, p.Machine}
+		st := phases[k]
+		st.Add(p)
+		phases[k] = st
 	})
 	rec.Phases = make([]PhaseSummary, 0, len(phases))
-	for _, ps := range phases {
-		ps.MeanNS = ps.TotalNS / int64(ps.Count)
-		rec.Phases = append(rec.Phases, *ps)
+	for k, st := range phases {
+		ps := PhaseSummary{TypePath: k.t.Path(), Machine: k.machine, Leaf: k.t.IsLeaf(),
+			Count: st.Count, TotalNS: int64(st.Total), MeanNS: int64(st.Mean()), MaxNS: int64(st.Max)}
+		for res, d := range st.Blocked {
+			if ps.BlockedNS == nil {
+				ps.BlockedNS = make(map[string]int64, len(st.Blocked))
+			}
+			ps.BlockedNS[res] = int64(d)
+		}
+		rec.Phases = append(rec.Phases, ps)
 	}
 	sort.Slice(rec.Phases, func(i, j int) bool {
 		a, b := rec.Phases[i], rec.Phases[j]
@@ -279,10 +275,13 @@ func BuildRecord(info rundir.Info, out *grade10.Output) *Record {
 }
 
 // ContentID derives the record's deterministic ID: the first 12 hex digits
-// of the SHA-256 of its stable encoding with the store-assigned fields (ID,
-// Seq, Label) zeroed. Two analyses of the same run — at any parallelism —
-// share an ID; archiving is idempotent.
-func ContentID(rec *Record) string {
+// of the SHA-256 of its encoding. Two analyses of the same run — at any
+// parallelism — share an ID; archiving is idempotent.
+func ContentID(rec *Record) string { return hashID(encode(rec)) }
+
+// encode returns the record's one encoding: compact JSON with the
+// store-assigned fields (ID, Seq, Label) zeroed, which the index holds.
+func encode(rec *Record) []byte {
 	clone := *rec
 	clone.ID, clone.Seq, clone.Label = "", 0, ""
 	data, err := json.Marshal(&clone)
@@ -290,6 +289,10 @@ func ContentID(rec *Record) string {
 		// Record marshaling cannot fail: plain structs, string-keyed maps.
 		panic("profstore: encoding record: " + err.Error())
 	}
+	return data
+}
+
+func hashID(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:6])
 }
@@ -467,17 +470,16 @@ func (s *Store) List() []Meta {
 	return append([]Meta(nil), s.idx.Runs...)
 }
 
-// Put archives the record, assigning its Seq and (if empty) its content ID,
-// then evicts the oldest runs past Options.MaxRuns. Re-archiving an ID
-// already present replaces the record in place at a fresh sequence number.
-// It returns the stored meta and the IDs evicted by this append.
+// Put archives the record, assigning its content ID and Seq, then evicts the
+// oldest runs past Options.MaxRuns. Re-archiving an ID already present
+// replaces the record in place at a fresh sequence number. It returns the
+// stored meta and the IDs evicted by this append.
 func (s *Store) Put(rec *Record) (Meta, []string, error) {
 	if rec.Version == 0 {
 		rec.Version = Version
 	}
-	if rec.ID == "" {
-		rec.ID = ContentID(rec)
-	}
+	data := encode(rec)
+	rec.ID = hashID(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec.Seq = s.idx.NextSeq
@@ -485,7 +487,7 @@ func (s *Store) Put(rec *Record) (Meta, []string, error) {
 	meta := Meta{ID: rec.ID, Seq: rec.Seq, Label: rec.Label, Engine: rec.Engine,
 		Job: rec.Job, Workers: rec.Workers, MakespanNS: rec.MakespanNS}
 
-	if err := writeJSON(s.runPath(rec.ID), rec); err != nil {
+	if err := writeFile(s.runPath(rec.ID), data); err != nil {
 		return Meta{}, nil, err
 	}
 	// Drop a replaced entry, append the new one, then evict oldest-first.
@@ -514,7 +516,8 @@ func (s *Store) Put(rec *Record) (Meta, []string, error) {
 	return meta, evicted, nil
 }
 
-// Get loads one record by ID or unique ID prefix.
+// Get loads one record by ID or unique ID prefix. Its ID, Seq and Label come
+// from the index, whatever an older record file holds.
 func (s *Store) Get(id string) (*Record, error) {
 	meta, err := s.Resolve(id)
 	if err != nil {
@@ -528,6 +531,7 @@ func (s *Store) Get(id string) (*Record, error) {
 	if err := json.Unmarshal(data, rec); err != nil {
 		return nil, &CorruptRecordError{Path: s.runPath(meta.ID), Err: err}
 	}
+	rec.ID, rec.Seq, rec.Label = meta.ID, meta.Seq, meta.Label
 	if rec.Version == 0 {
 		rec.Version = 1
 	}
@@ -567,15 +571,20 @@ func (s *Store) runPath(id string) string {
 	return filepath.Join(s.dir, runsDir, id+".json")
 }
 
-// writeJSON writes v as indented JSON to a temporary file renamed over path,
-// so a crash leaves either the old file or the new one, never a torn mix.
+// writeJSON writes v as compact JSON through writeFile.
 func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
+	return writeFile(path, data)
+}
+
+// writeFile writes data to a temporary file renamed over path, so a crash
+// leaves either the old file or the new one, never a torn mix.
+func writeFile(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

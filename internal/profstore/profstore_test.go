@@ -1,11 +1,14 @@
 package profstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -175,20 +178,29 @@ func TestVersionCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A record written without a version field loads as v1.
 	path := filepath.Join(dir, "runs", meta.ID+".json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := strings.Replace(string(data), fmt.Sprintf("\"version\": %d", Version), "\"version\": 0", 1)
-	if legacy == string(data) {
-		t.Fatal("fixture did not strip the version field")
+	version := fmt.Sprintf(`"version":%d`, Version)
+	rewrite := func(t *testing.T, path, from, to string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.Replace(string(data), from, to, 1)
+		if edited == string(data) {
+			t.Fatalf("%s holds no %s", path, from)
+		}
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
+
+	// A record written without a version field loads as v1.
+	rewrite(t, path, version, `"version":0`)
 	got, err := s.Get(meta.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +209,22 @@ func TestVersionCompat(t *testing.T) {
 		t.Fatalf("legacy record version = %d, want 1", got.Version)
 	}
 
+	// So does an indented record of earlier builds, under the same ID.
+	old, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(old, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rewrite(t, path, fmt.Sprintf(`"version": %d`, Version), `"version": 0`)
+	if got, err = s.Get(meta.ID); err != nil || got.Version != 1 || ContentID(got) != meta.ID {
+		t.Fatalf("indented legacy record: %+v, %v", got, err)
+	}
+
 	// A record with the wall-clock "bench" section older builds wrote still
 	// opens, under the same content ID.
-	end := strings.LastIndex(string(data), "}")
-	withBench := string(data[:end]) + `,
-  "bench": [{"name": "attribution", "ns_per_op": {"workers=1": 123}}]
-}
-`
+	withBench := string(data[:len(data)-1]) + `,"bench":[{"name":"attribution","ns_per_op":{"workers=1":123}}]}`
 	if err := os.WriteFile(path, []byte(withBench), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -220,39 +241,140 @@ func TestVersionCompat(t *testing.T) {
 	}
 
 	// A record from a future schema is rejected with a clear error.
-	future := strings.Replace(string(data), fmt.Sprintf("\"version\": %d", Version), "\"version\": 999", 1)
-	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	rewrite(t, path, version, `"version":999`)
 	if _, err := s.Get(meta.ID); err == nil || !strings.Contains(err.Error(), "version 999") {
 		t.Fatalf("future version: err = %v", err)
 	}
 
 	// Same for the index itself.
-	idx, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	futureIdx := strings.Replace(string(idx), fmt.Sprintf("\"version\": %d", Version), "\"version\": 999", 1)
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(futureIdx), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewrite(t, filepath.Join(dir, "index.json"), version, `"version":999`)
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("future index version should be rejected")
 	}
 }
 
+// TestRecordFileIsContentAddressed: after a fresh Put, a replacing Put and
+// evictions, every record file holds exactly the record's compact encoding
+// with ID, Seq and Label zeroed, and the first 12 hex digits of its SHA-256
+// are its name. Get takes ID, Seq and Label from the index alone, also from
+// an indented file of earlier builds whose own seq and label disagree.
+func TestRecordFileIsContentAddressed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxRuns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{} // record file bytes by ID
+	check := func(t *testing.T, step string) {
+		t.Helper()
+		files, _ := filepath.Glob(filepath.Join(dir, "runs", "*"))
+		if len(files) != s.Len() {
+			t.Fatalf("%s: %d record files for %d runs", step, len(files), s.Len())
+		}
+		for _, m := range s.List() {
+			data, err := os.ReadFile(filepath.Join(dir, "runs", m.ID+".json"))
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			sum := sha256.Sum256(data)
+			if name := hex.EncodeToString(sum[:6]); name != m.ID || string(data) != string(want[m.ID]) {
+				t.Fatalf("%s: runs/%s.json hashes to %s and holds\n%s\nwant\n%s", step, m.ID, name, data, want[m.ID])
+			}
+			got, err := s.Get(m.ID)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			if got.ID != m.ID || got.Seq != m.Seq || got.Label != m.Label {
+				t.Fatalf("%s: Get identity (%s, %d, %q), index (%s, %d, %q)",
+					step, got.ID, got.Seq, got.Label, m.ID, m.Seq, m.Label)
+			}
+		}
+	}
+	put := func(t *testing.T, job, label string, makespanNS int64) Meta {
+		t.Helper()
+		rec := testRecord(job, makespanNS)
+		rec.Label = label
+		// The expected bytes, encoded independently of the store.
+		plain := testRecord(job, makespanNS)
+		plain.Version = Version
+		data, err := json.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, _, err := s.Put(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[meta.ID] = data
+		return meta
+	}
+
+	first := put(t, "a", "one", 1e9)
+	check(t, "fresh put")
+	if again := put(t, "a", "two", 1e9); again.ID != first.ID || again.Seq == first.Seq {
+		t.Fatalf("replacing put: %+v after %+v", again, first)
+	}
+	check(t, "replacing put")
+	put(t, "b", "", 2e9)
+	put(t, "c", "three", 3e9)
+	put(t, "d", "four", 4e9)
+	if s.EvictedTotal() != 2 {
+		t.Fatalf("evicted %d, want 2", s.EvictedTotal())
+	}
+	check(t, "evictions")
+
+	// An indented file of earlier builds, identity inside and stale: the
+	// index wins.
+	m := s.List()[0]
+	old := testRecord("c", 3e9)
+	old.Version, old.ID, old.Seq, old.Label = Version, m.ID, 77, "stale"
+	data, err := json.MarshalIndent(old, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "runs", m.ID+".json"), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Seq, old.Label = m.Seq, m.Label
+	if !reflect.DeepEqual(got, old) || ContentID(got) != m.ID {
+		t.Fatalf("indented record: got %+v, want %+v", got, old)
+	}
+}
+
+// TestContentIDPinned pins the content ID of a fixed record and of every
+// record in the sharded fixture, so the IDs of existing archives cannot
+// drift with the encoding.
+func TestContentIDPinned(t *testing.T) {
+	if got := ContentID(testRecord("pr", 1_234_567_890)); got != "ba1f57b93591" {
+		t.Fatalf("ContentID = %s, want ba1f57b93591", got)
+	}
+	dir := t.TempDir()
+	copyTree(t, fixtureDir, dir)
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range s.List() {
+		rec, err := s.Get(m.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ContentID(rec); got != m.ID {
+			t.Fatalf("fixture run %s: ContentID = %s", m.ID, got)
+		}
+	}
+}
+
 func TestRecordJSONStable(t *testing.T) {
 	rec := testRecord("pr", 1_234_567_890)
-	a, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if a, b := encode(rec), encode(rec); string(a) != string(b) {
 		t.Fatal("record encoding is not stable")
 	}
 }

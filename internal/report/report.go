@@ -22,41 +22,23 @@ import (
 // TypeSummary aggregates all instances of one phase type.
 type TypeSummary struct {
 	TypePath string
-	Count    int
-	Total    vtime.Duration
-	Mean     vtime.Duration
-	Max      vtime.Duration
-	// BlockedBy sums blocking time per resource across instances.
-	BlockedBy map[string]vtime.Duration
+	core.PhaseStats
 }
 
 // Summarize computes per-type phase statistics from a trace.
 func Summarize(tr *core.ExecutionTrace) []TypeSummary {
-	byType := map[string]*TypeSummary{}
+	byType := map[*core.PhaseType]core.PhaseStats{}
 	tr.Root.Walk(func(p *core.Phase) {
 		if p.Type == nil {
 			return
 		}
-		tp := p.Type.Path()
-		ts, ok := byType[tp]
-		if !ok {
-			ts = &TypeSummary{TypePath: tp, BlockedBy: map[string]vtime.Duration{}}
-			byType[tp] = ts
-		}
-		ts.Count++
-		d := p.Duration()
-		ts.Total += d
-		if d > ts.Max {
-			ts.Max = d
-		}
-		for _, b := range p.Blocked {
-			ts.BlockedBy[b.Resource] += b.Duration()
-		}
+		st := byType[p.Type]
+		st.Add(p)
+		byType[p.Type] = st
 	})
 	out := make([]TypeSummary, 0, len(byType))
-	for _, ts := range byType {
-		ts.Mean = ts.Total / vtime.Duration(ts.Count)
-		out = append(out, *ts)
+	for t, st := range byType {
+		out = append(out, TypeSummary{TypePath: t.Path(), PhaseStats: st})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TypePath < out[j].TypePath })
 	return out
@@ -71,7 +53,7 @@ func WriteSummary(w io.Writer, out *grade10.Output) error {
 	fmt.Fprintln(tw, "PHASE TYPE\tCOUNT\tTOTAL\tMEAN\tMAX\tBLOCKED")
 	for _, ts := range Summarize(out.Trace) {
 		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%v\t%s\n",
-			ts.TypePath, ts.Count, ts.Total, ts.Mean, ts.Max, blockedString(ts.BlockedBy))
+			ts.TypePath, ts.Count, ts.Total, ts.Mean(), ts.Max, blockedString(ts.Blocked))
 	}
 	return tw.Flush()
 }

@@ -38,7 +38,7 @@ func TestSummarize(t *testing.T) {
 	byType := map[string]TypeSummary{}
 	for _, s := range sums {
 		byType[s.TypePath] = s
-		if s.Count <= 0 || s.Total < 0 || s.Mean > s.Max {
+		if s.Count <= 0 || s.Total < 0 || s.Mean() > s.Max {
 			t.Fatalf("bad summary %+v", s)
 		}
 	}
@@ -47,7 +47,7 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("superstep count %d", ss.Count)
 	}
 	worker := byType["/pagerank/execute/superstep/worker"]
-	if gc := worker.BlockedBy["gc"]; gc <= 0 {
+	if gc := worker.Blocked["gc"]; gc <= 0 {
 		t.Fatalf("no gc blocking aggregated: %+v", worker)
 	}
 }

@@ -332,19 +332,17 @@ func (e *Engine) Snapshot() Snapshot {
 		return snap.OpenPhases[i].Path < snap.OpenPhases[j].Path
 	})
 
-	for tp, ta := range e.typeAggs {
+	for t, ta := range e.typeAggs {
 		ts := TypeSummary{
-			TypePath:     tp,
-			Count:        ta.count,
-			TotalSeconds: ta.total.Seconds(),
-			MaxSeconds:   ta.max.Seconds(),
+			TypePath:     t.Path(),
+			Count:        ta.Count,
+			TotalSeconds: ta.Total.Seconds(),
+			MeanSeconds:  ta.Total.Seconds() / float64(ta.Count),
+			MaxSeconds:   ta.Max.Seconds(),
 		}
-		if ta.count > 0 {
-			ts.MeanSeconds = ta.total.Seconds() / float64(ta.count)
-		}
-		if len(ta.blocked) > 0 {
+		if len(ta.Blocked) > 0 {
 			ts.BlockedSeconds = map[string]float64{}
-			for res, d := range ta.blocked {
+			for res, d := range ta.Blocked {
 				ts.BlockedSeconds[res] = d.Seconds()
 			}
 		}

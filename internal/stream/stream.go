@@ -177,14 +177,6 @@ type instFeed struct {
 	seen         bool
 }
 
-// typeAgg aggregates closed phase instances of one type.
-type typeAgg struct {
-	count   int
-	total   vtime.Duration
-	max     vtime.Duration
-	blocked map[string]vtime.Duration
-}
-
 // bottleneckKey identifies one aggregated bottleneck row.
 type bottleneckKey struct {
 	TypePath string
@@ -242,7 +234,7 @@ type Engine struct {
 	explainQ int64 // explain queries served
 	instAggs map[string]*instAgg
 	btlAggs  map[bottleneckKey]*bottleneckAgg
-	typeAggs map[string]*typeAgg
+	typeAggs map[*core.PhaseType]core.PhaseStats // closed phases by type
 	heatAggs map[heatKey]float64
 	counters map[string]*CounterValue
 
@@ -280,7 +272,7 @@ func New(cfg Config) (*Engine, error) {
 		feeds:    map[feedID]*instFeed{},
 		instAggs: map[string]*instAgg{},
 		btlAggs:  map[bottleneckKey]*bottleneckAgg{},
-		typeAggs: map[string]*typeAgg{},
+		typeAggs: map[*core.PhaseType]core.PhaseStats{},
 		heatAggs: map[heatKey]float64{},
 		counters: map[string]*CounterValue{},
 	}
@@ -369,24 +361,9 @@ func (e *Engine) closePhaseLocked(ph *core.Phase) {
 	if len(ph.Children) == 0 {
 		e.pending = append(e.pending, ph)
 	}
-	tp := "?"
-	if ph.Type != nil {
-		tp = ph.Type.Path()
-	}
-	ta := e.typeAggs[tp]
-	if ta == nil {
-		ta = &typeAgg{blocked: map[string]vtime.Duration{}}
-		e.typeAggs[tp] = ta
-	}
-	ta.count++
-	d := ph.Duration()
-	ta.total += d
-	if d > ta.max {
-		ta.max = d
-	}
-	for _, b := range ph.Blocked {
-		ta.blocked[b.Resource] += b.Duration()
-	}
+	ta := e.typeAggs[ph.Type]
+	ta.Add(ph)
+	e.typeAggs[ph.Type] = ta
 }
 
 func (e *Engine) noteWatermarkLocked(t vtime.Time) {
