@@ -24,11 +24,13 @@ import (
 	"grade10/internal/enginelog"
 	"grade10/internal/experiments"
 	"grade10/internal/giraphsim"
+	"grade10/internal/grade10"
 	"grade10/internal/graph"
 	"grade10/internal/issues"
 	"grade10/internal/metrics"
 	"grade10/internal/pgsim"
 	"grade10/internal/race"
+	"grade10/internal/report"
 	"grade10/internal/rundir"
 	"grade10/internal/stream"
 	"grade10/internal/vertexprog"
@@ -488,9 +490,9 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}
 }
 
-// enginelogFixture encodes one 4-worker Giraph PageRank log in both on-disk
-// formats.
-func enginelogFixture(tb testing.TB) (text, binary []byte) {
+// parseFixtureRun simulates the 4-worker Giraph PageRank run behind the
+// decode, trace-build and report benchmarks.
+func parseFixtureRun(tb testing.TB) *workload.GiraphRun {
 	tb.Helper()
 	cfg := giraphsim.DefaultConfig()
 	cfg.Workers = 4
@@ -500,6 +502,13 @@ func enginelogFixture(tb testing.TB) (text, binary []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return run
+}
+
+// enginelogFixture encodes the parseFixtureRun log in both on-disk formats.
+func enginelogFixture(tb testing.TB) (text, binary []byte) {
+	tb.Helper()
+	run := parseFixtureRun(tb)
 	var textBuf, binBuf bytes.Buffer
 	if err := enginelog.Write(&textBuf, run.Result.Log); err != nil {
 		tb.Fatal(err)
@@ -529,6 +538,37 @@ func BenchmarkEnginelogParse(b *testing.B) {
 	text, binary := enginelogFixture(b)
 	b.Run("format=text", decodeLoop(text))
 	b.Run("format=binary", decodeLoop(binary))
+}
+
+// BenchmarkBuildExecutionTrace builds the phase-instance tree of the
+// parseFixtureRun log: the batch pipeline's trace-build layer.
+func BenchmarkBuildExecutionTrace(b *testing.B) {
+	run := parseFixtureRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildExecutionTrace(run.Result.Log, run.Models.Exec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteAll renders the full text report of the parseFixtureRun
+// profile: the batch pipeline's report layer.
+func BenchmarkWriteAll(b *testing.B) {
+	out, err := parseFixtureRun(b).Characterize(50*vtime.Millisecond, grade10.DefaultTimeslice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := report.WriteAll(&buf, out); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestBinaryDecodeFasterThanText is the binary format's reason to exist, as

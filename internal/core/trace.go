@@ -41,6 +41,11 @@ type Phase struct {
 	// Blocked lists the blocking events logged against this phase, sorted by
 	// start time.
 	Blocked []BlockInterval
+
+	// openPos is one plus the phase's index in its TreeBuilder's open list,
+	// or 0 once it ended. It, not End, tells an open phase: a live window
+	// flush sets an open leaf's End provisionally.
+	openPos int
 }
 
 // Duration returns End-Start.
@@ -281,8 +286,14 @@ func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionT
 type TreeBuilder struct {
 	model *ExecutionModel
 	tr    *ExecutionTrace
-	open  map[string]*Phase
-	n     int // events added, numbering error positions
+	// open holds the started, not yet ended phases in no particular order;
+	// each knows its position (Phase.openPos), so an end removes it by swap.
+	open []*Phase
+	// last is the most recently started phase, nil after a Retire. A start
+	// usually names it or its parent as parent, which resolve checks before
+	// hashing the parent path.
+	last *Phase
+	n    int // events added, numbering error positions
 	// slab holds the phases of a builder sized for a known number of
 	// starts. Its capacity never changes, so no phase handed out moves; a
 	// start past it allocates its phase alone.
@@ -300,7 +311,6 @@ func newTreeBuilder(model *ExecutionModel, starts int) *TreeBuilder {
 			Root:   &Phase{Path: "/", Machine: -1, Start: vtime.Infinity},
 			ByPath: make(map[string]*Phase, starts),
 		},
-		open: map[string]*Phase{},
 		slab: make([]Phase, 0, starts),
 	}
 }
@@ -338,22 +348,24 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 		} else {
 			ph = new(Phase)
 		}
-		*ph = Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine}
+		*ph = Phase{Path: e.Path, Type: pt, Parent: parent, Start: e.Time, End: -1, Machine: machine,
+			openPos: len(b.open) + 1}
 		parent.Children = append(parent.Children, ph)
 		b.tr.ByPath[e.Path] = ph
-		b.open[e.Path] = ph
+		b.open = append(b.open, ph)
+		b.last = ph
 		return ph, nil
 
 	case enginelog.PhaseEnd:
-		ph, ok := b.open[e.Path]
-		if !ok {
+		ph := b.tr.ByPath[e.Path]
+		if ph == nil || ph.openPos == 0 {
 			return nil, fmt.Errorf("core: event %d: end of unknown or closed phase %q", i, e.Path)
 		}
 		if e.Time < ph.Start {
 			return nil, fmt.Errorf("core: event %d: phase %q ends before it starts", i, e.Path)
 		}
 		ph.End = e.Time
-		delete(b.open, e.Path)
+		b.close(ph)
 		sortBlocked(ph)
 		return ph, nil
 
@@ -369,6 +381,17 @@ func (b *TreeBuilder) Add(e enginelog.Event) (*Phase, error) {
 	return nil, nil
 }
 
+// close removes an open phase from the open list: the list's last phase
+// takes its slot.
+func (b *TreeBuilder) close(ph *Phase) {
+	i, n := ph.openPos-1, len(b.open)-1
+	moved := b.open[n]
+	b.open[i], moved.openPos = moved, i+1
+	b.open[n] = nil
+	b.open = b.open[:n]
+	ph.openPos = 0
+}
+
 // canonical reports whether an instance path is canonical ("/a/b.1"): a
 // leading slash, no empty segment and no trailing slash, so each phase has
 // exactly one spelling.
@@ -378,9 +401,11 @@ func canonical(path string) bool {
 
 // resolve finds a canonical started phase's parent and type without
 // splitting its path: the parent path ends at the last slash, and the type
-// is the parent phase's type's child named by the last segment. When the
-// parent or type is missing it returns a nil type and the caller takes
-// resolveSlow, which words the error.
+// is the parent phase's type's child named by the last segment. The parent
+// is looked up in ByPath unless it is the last started phase or that
+// phase's parent, which a log's starts mostly name. When the parent or type
+// is missing it returns a nil type and the caller takes resolveSlow, which
+// words the error.
 func (b *TreeBuilder) resolve(path string) (*Phase, *PhaseType) {
 	cut := strings.LastIndexByte(path, '/')
 	name := enginelog.SegmentName(path[cut+1:])
@@ -390,9 +415,20 @@ func (b *TreeBuilder) resolve(path string) (*Phase, *PhaseType) {
 		}
 		return nil, nil
 	}
-	parent, ok := b.tr.ByPath[path[:cut]]
-	if !ok {
-		return nil, nil
+	pp := path[:cut]
+	var parent *Phase
+	switch last := b.last; {
+	case last == nil:
+	case last.Path == pp:
+		parent = last
+	case last.Parent.Path == pp: // never the root: pp is not "/"
+		parent = last.Parent
+	}
+	if parent == nil {
+		var ok bool
+		if parent, ok = b.tr.ByPath[pp]; !ok {
+			return nil, nil
+		}
 	}
 	return parent, parent.Type.child(name)
 }
@@ -420,15 +456,17 @@ func (b *TreeBuilder) resolveSlow(i int, path string) (*Phase, *PhaseType, error
 // Root returns the synthetic root of the growing tree.
 func (b *TreeBuilder) Root() *Phase { return b.tr.Root }
 
-// Open returns the phases started and not yet ended, by path. The map is the
-// builder's own: callers must not modify it.
-func (b *TreeBuilder) Open() map[string]*Phase { return b.open }
+// Open returns the phases started and not yet ended, in no particular order.
+// The slice is the builder's own: callers must not modify it, and the next
+// Add may reorder it.
+func (b *TreeBuilder) Open() []*Phase { return b.open }
 
 // Retire unlinks an ended phase from its parent and forgets its path, so
 // later events naming it are rejected as unknown. Bounded-memory consumers
 // call it once a phase is no longer needed; a retired tree cannot Finish
 // into a complete trace.
 func (b *TreeBuilder) Retire(ph *Phase) {
+	b.last = nil // it may be ph or ph's child, which would resolve ph again
 	if i := slices.Index(ph.Parent.Children, ph); i >= 0 {
 		ph.Parent.Children = slices.Delete(ph.Parent.Children, i, i+1)
 	}
@@ -442,8 +480,8 @@ func (b *TreeBuilder) Retire(ph *Phase) {
 // and children inside their parents. Children are then sorted by start time
 // and the trace span set. Call it once.
 func (b *TreeBuilder) Finish() (*ExecutionTrace, error) {
-	for path := range b.open {
-		return nil, fmt.Errorf("core: phase %q never ended", path)
+	if len(b.open) > 0 {
+		return nil, fmt.Errorf("core: phase %q never ended", b.open[0].Path)
 	}
 	tr, root := b.tr, b.tr.Root
 	if len(tr.ByPath) == 0 {

@@ -76,3 +76,49 @@ func FuzzSplitFields(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseFastMatchesGeneral checks the text decoder's fast path against
+// the general one: every line parseFast takes is printable ASCII in fields
+// split by single spaces, and the field split and parseEvent must accept it
+// and decode it to the identical Event.
+func FuzzParseFastMatchesGeneral(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Log{Events: writtenShapes}); err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		f.Add(line)
+	}
+	for _, near := range []string{
+		"S 0  2 /app", "E 10\t/app", "B 5 9 gc\t/app/worker.0", " S 0 2 /app", "E 10 /app ",
+		"S +5 2 /app", "E +10 /app", "S 0 +2 /app", "B 5 +9 gc /app",
+		"S 1234567890123456789 2 /app", "E 9223372036854775807 /app", "S 9999999999999999999 2 /app", "S 0 -1234567890123456789 /a",
+		"E -5 /app", "S 0 -0 /app", "E - /app", "S 0 - /app", "E 007 /app",
+		"B 9 5 gc /app", "B -1 -2 gc /app", "B 5 5 gc /app",
+		"E 10 /app/wörker.0", "S 0 2 /app\u0085", "B 5 9 g c /app", "E 10 /app\r", "E 10 /app\r\n",
+		"S 0 2", "E 10", "B 5 9 gc", "B 5 9 gc ", "S 0 2 /a /b", "E 10 /a b", "SX 0 2 /app", "S", "S ",
+		"C 3 msgs 1.5", "E 10 /a\x00b", "E 10 /a\x7fb",
+		"E 10 /app/worker.0/compute\tx", "E 10 /abcdefg\x85hijklmnop", "E 10 /abcdefghijklmno p",
+		"B 5 9 averyveryverylongresourcename /app/worker.0", "B 5 9 averyveryverylong\vname /app",
+	} {
+		f.Add(near)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fast, ok := parseFast(line)
+		if !ok {
+			return
+		}
+		if strings.Contains(line, "  ") || strings.ContainsFunc(line, func(r rune) bool {
+			return r >= utf8.RuneSelf || r < ' '
+		}) {
+			t.Fatalf("%q: fast path took a line that is not printable ASCII in single-spaced fields", line)
+		}
+		general, err := parseEvent(strings.Fields(line))
+		if err != nil {
+			t.Fatalf("%q: fast path took it, general path rejects it: %v", line, err)
+		}
+		if fast != general {
+			t.Fatalf("%q: fast path %+v, general path %+v", line, fast, general)
+		}
+	})
+}

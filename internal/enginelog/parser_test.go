@@ -1,6 +1,7 @@
 package enginelog
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -90,4 +91,40 @@ func readClean(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("degraded decode: %+v", stats)
 	}
 	return log, nil
+}
+
+// writtenShapes holds one event of every start, end and blocking shape
+// Write produces: bound and unbound machines, the largest timestamps the
+// fast path takes and one past them, and nested indexed paths.
+var writtenShapes = []Event{
+	{Kind: PhaseStart, Time: 0, Machine: 2, Path: "/app"},
+	{Kind: PhaseStart, Time: 17, Machine: -1, Path: "/app/superstep.3/worker.12/compute/thread.0"},
+	{Kind: PhaseStart, Time: 999_999_999_999_999_999, Machine: 1023, Path: "/app/load"},
+	{Kind: PhaseStart, Time: 1_000_000_000_000_000_000, Machine: 0, Path: "/app/load"},
+	{Kind: PhaseEnd, Time: 123_456_789, Path: "/app/superstep.3"},
+	{Kind: PhaseEnd, Time: -5, Path: "/app"},
+	{Kind: Blocked, Time: 5, End: 9, Resource: "gc", Path: "/app/worker.0"},
+	{Kind: Blocked, Time: 5, End: 5, Resource: "msgqueue", Path: "/app/worker.0"},
+	{Kind: Counter, Time: 3, Name: "msgs", Value: 1.5},
+}
+
+// TestParseFastTakesWrittenLines checks that the fast path is the common
+// one: it takes every start, end and blocking line Write produces whose
+// integers have at most 18 digits, and decodes each to the written event.
+func TestParseFastTakesWrittenLines(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Log{Events: writtenShapes}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for i, line := range lines {
+		e, ok := parseFast(line)
+		want := writtenShapes[i].Kind != Counter && writtenShapes[i].Time < 1e18
+		if ok != want {
+			t.Errorf("%q: fast path took it = %v, want %v", line, ok, want)
+		}
+		if ok && e != writtenShapes[i] {
+			t.Errorf("%q: fast path %+v, written %+v", line, e, writtenShapes[i])
+		}
+	}
 }

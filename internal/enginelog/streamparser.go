@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+
+	"grade10/internal/vtime"
 )
 
 // StreamParser is the one execution-log decoder. It accepts either enginelog
@@ -70,31 +72,122 @@ func (sp *StreamParser) feed(chunk []byte, emit func(Event)) {
 }
 
 // parseLine parses one text line. Blank lines and '#' comments are ignored;
-// a malformed line is counted and skipped.
+// a malformed line is counted and skipped. A start, end or blocking line
+// written exactly as Write writes it takes parseFast; every other line is
+// split into fields and parsed by parseEvent.
 func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 || line[0] == '#' {
 		return
 	}
 	sp.text.Lines++
-	var buf [maxFields]string
 	text := string(line)
-	fields, ok := splitFields(text, buf[:])
+	e, ok := parseFast(text)
 	if !ok {
-		fields = strings.Fields(text)
-	}
-	e, err := parseEvent(fields)
-	if err != nil {
-		sp.text.Skipped++
-		if sp.text.FirstError == "" {
-			sp.text.FirstError = err.Error()
+		var buf [maxFields]string
+		fields, split := splitFields(text, buf[:])
+		if !split {
+			fields = strings.Fields(text)
 		}
-		return
+		var err error
+		if e, err = parseEvent(fields); err != nil {
+			sp.text.Skipped++
+			if sp.text.FirstError == "" {
+				sp.text.FirstError = err.Error()
+			}
+			return
+		}
 	}
 	sp.text.Events++
 	if emit != nil {
 		emit(e)
 	}
+}
+
+// parseFast parses an S, E or B line in Write's exact shape: fields
+// separated by single spaces, integers of an optional '-' and at most 18
+// digits, and names of printable ASCII. It reports false for any other line,
+// including a blocking interval that ends before it starts, and then
+// parseEvent decides; for a line it takes, parseEvent would return the same
+// event.
+func parseFast(s string) (Event, bool) {
+	if len(s) < 2 || s[1] != ' ' {
+		return Event{}, false
+	}
+	ts, rest, ok := fastInt(s[2:])
+	if !ok {
+		return Event{}, false
+	}
+	e := Event{Time: vtime.Time(ts)}
+	switch s[0] {
+	case 'S':
+		var machine int64
+		if machine, rest, ok = fastInt(rest); !ok {
+			return Event{}, false
+		}
+		e.Kind, e.Machine = PhaseStart, int(machine)
+	case 'E':
+		e.Kind = PhaseEnd
+	case 'B':
+		var end int64
+		if end, rest, ok = fastInt(rest); !ok || end < ts {
+			return Event{}, false
+		}
+		e.Kind, e.End = Blocked, vtime.Time(end)
+		if e.Resource, rest, ok = fastName(rest); !ok || rest == "" {
+			return Event{}, false
+		}
+		rest = rest[1:]
+	default:
+		return Event{}, false
+	}
+	if e.Path, rest, ok = fastName(rest); !ok || rest != "" {
+		return Event{}, false
+	}
+	return e, true
+}
+
+// fastInt takes a field of an optional '-' and 1 to 18 digits, which cannot
+// overflow int64, followed by one space, off the front of s.
+func fastInt(s string) (n int64, rest string, ok bool) {
+	i := 0
+	if len(s) > 0 && s[0] == '-' {
+		i = 1
+	}
+	digits := i
+	for ; i < len(s) && i-digits < 18 && '0' <= s[i] && s[i] <= '9'; i++ {
+		n = n*10 + int64(s[i]-'0')
+	}
+	if i == digits || i == len(s) || s[i] != ' ' {
+		return 0, "", false
+	}
+	if digits == 1 {
+		n = -n
+	}
+	return n, s[i+1:], true
+}
+
+// fastName splits a nonempty field of printable ASCII off the front of s,
+// at its first space or its end. Any other byte, which may be whitespace to
+// strings.Fields, fails it.
+func fastName(s string) (name, rest string, ok bool) {
+	i := 0
+	// Skip eight bytes at a time while each is above ' ' and below 0x80:
+	// subtracting 0x21 from every byte sets the top bit of the lowest one
+	// below 0x21, and a byte of 0x80 or more has it set already.
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if (w-0x2121212121212121|w)&0x8080808080808080 != 0 {
+			break
+		}
+	}
+	for ; i < len(s) && s[i] != ' '; i++ {
+		if s[i] <= ' ' || s[i] >= utf8.RuneSelf {
+			return "", "", false
+		}
+	}
+	return s[:i], s[i:], i > 0
 }
 
 // maxFields is the most fields splitFields returns: the B tag's five and

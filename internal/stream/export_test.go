@@ -4,6 +4,7 @@ import (
 	"grade10/internal/core"
 	"grade10/internal/enginelog"
 	"grade10/internal/rundir"
+	"grade10/internal/vtime"
 )
 
 // IngestEvent feeds one already-decoded event, for tests that craft events
@@ -42,4 +43,16 @@ func (e *Engine) Mem() MemStats {
 		PendingLeaves: len(e.pending),
 		TreePhases:    tree - 1,
 	}
+}
+
+// WindowLeaves returns the leaves a flush of [w0, w1) would hand to
+// attribution, in their order, without flushing.
+func (e *Engine) WindowLeaves(w0, w1 vtime.Time) []*core.Phase {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	leaves, reopened := e.windowLeavesLocked(w0, w1)
+	for _, ph := range reopened {
+		ph.End = -1
+	}
+	return leaves
 }

@@ -317,13 +317,13 @@ func (e *Engine) Snapshot() Snapshot {
 		snap.LagSeconds = e.watermark.Sub(e.frontier).Seconds()
 	}
 
-	for path, ph := range e.tree.Open() {
+	for _, ph := range e.tree.Open() {
 		tp := ""
 		if ph.Type != nil {
 			tp = ph.Type.Path()
 		}
 		snap.OpenPhases = append(snap.OpenPhases, OpenPhase{
-			Path: path, TypePath: tp, Machine: ph.Machine,
+			Path: ph.Path, TypePath: tp, Machine: ph.Machine,
 			StartSeconds:   ph.Start.Seconds(),
 			RunningSeconds: e.watermark.Sub(ph.Start).Seconds(),
 		})

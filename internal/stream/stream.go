@@ -34,6 +34,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,7 +216,7 @@ type Engine struct {
 	maxEnd    vtime.Time // latest phase end seen
 
 	tree    *core.TreeBuilder
-	pending []*core.Phase // closed leaves not yet retired
+	pending []*core.Phase // closed leaves not yet retired, in core.ComparePhases order
 
 	feeds     map[feedID]*instFeed
 	feedOrder []*instFeed // first-seen order
@@ -359,7 +360,8 @@ func (e *Engine) closePhaseLocked(ph *core.Phase) {
 		e.maxEnd = ph.End
 	}
 	if len(ph.Children) == 0 {
-		e.pending = append(e.pending, ph)
+		i, _ := slices.BinarySearchFunc(e.pending, ph, core.ComparePhases)
+		e.pending = slices.Insert(e.pending, i, ph)
 	}
 	ta := e.typeAggs[ph.Type]
 	ta.Add(ph)
@@ -552,28 +554,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	defer e.accountSection()()
 	e.cfg.Account.AddWindow()
 	win := core.NewTimeslices(w0, w1, e.cfg.Timeslice)
-
-	// Leaves overlapping the window: retired-pending closed leaves plus
-	// currently-open model-leaf phases (extended provisionally to the
-	// watermark). In core.SortPhases order, as tr.Leaves() returns them, so
-	// attribution accumulates in the same deterministic order as the batch
-	// path.
-	var leaves []*core.Phase
-	for _, ph := range e.pending {
-		if ph.Start < w1 && ph.End > w0 {
-			leaves = append(leaves, ph)
-		}
-	}
-	var reopened []*core.Phase
-	horizon := vtime.Max(e.watermark, w1)
-	for _, ph := range e.tree.Open() {
-		if ph.Start < w1 && len(ph.Children) == 0 && ph.Type != nil && ph.Type.IsLeaf() {
-			ph.End = horizon
-			reopened = append(reopened, ph)
-			leaves = append(leaves, ph)
-		}
-	}
-	core.SortPhases(leaves)
+	leaves, reopened := e.windowLeavesLocked(w0, w1)
 
 	rt := core.NewResourceTrace()
 	for _, f := range e.feedOrder {
@@ -622,6 +603,34 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		}
 	}
 	span.End()
+}
+
+// windowLeavesLocked returns the leaves overlapping the window [w0, w1):
+// the retired-pending closed leaves plus the currently open model-leaf
+// phases, whose End it sets provisionally to the watermark and which it also
+// returns as reopened, so the caller restores their End to -1. The leaves
+// are in core.SortPhases order, as tr.Leaves() returns them, so attribution
+// accumulates in the same deterministic order as the batch path: pending is
+// kept in that order, so only the reopened leaves are sorted and merged in.
+func (e *Engine) windowLeavesLocked(w0, w1 vtime.Time) (leaves, reopened []*core.Phase) {
+	horizon := vtime.Max(e.watermark, w1)
+	for _, ph := range e.tree.Open() {
+		if ph.Start < w1 && len(ph.Children) == 0 && ph.Type != nil && ph.Type.IsLeaf() {
+			ph.End = horizon
+			reopened = append(reopened, ph)
+		}
+	}
+	core.SortPhases(reopened)
+	next := 0
+	for _, ph := range e.pending {
+		if ph.Start < w1 && ph.End > w0 {
+			for ; next < len(reopened) && core.ComparePhases(reopened[next], ph) < 0; next++ {
+				leaves = append(leaves, reopened[next])
+			}
+			leaves = append(leaves, ph)
+		}
+	}
+	return append(leaves, reopened[next:]...), reopened
 }
 
 // windowObsLocked builds the alert observation for one flushed window: the
@@ -735,9 +744,10 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 
 	// Force-close surviving phases at the watermark. Every accepted start
 	// lies behind it, so no forced end precedes its start, and the closing
-	// order cannot change the fold.
-	for p, ph := range e.tree.Open() {
-		ev := enginelog.Event{Kind: enginelog.PhaseEnd, Time: vtime.Max(e.watermark, ph.Start), Path: p}
+	// order cannot change the fold. Each end removes its phase from the open
+	// list, so the loop walks a copy.
+	for _, ph := range slices.Clone(e.tree.Open()) {
+		ev := enginelog.Event{Kind: enginelog.PhaseEnd, Time: vtime.Max(e.watermark, ph.Start), Path: ph.Path}
 		if _, err := e.tree.Add(ev); err == nil {
 			e.closePhaseLocked(ph)
 			e.stats.ForcedClosures++

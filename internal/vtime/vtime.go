@@ -11,7 +11,6 @@ package vtime
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Time is an instant in virtual nanoseconds since simulation start.
@@ -49,40 +48,88 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 func FromSeconds(s float64) Duration { return Duration(s * float64(Second)) }
 
 // String formats the instant as seconds with millisecond precision,
-// e.g. "12.345s".
+// e.g. "12.345s": fmt's "%.3fs" of t.Seconds(), computed in integers
+// wherever that gives the same digits.
 func (t Time) String() string {
-	return fmt.Sprintf("%.3fs", t.Seconds())
+	v, ok := thousandths(int64(t), int64(Second))
+	if !ok {
+		return fmt.Sprintf("%.3fs", t.Seconds())
+	}
+	var buf [24]byte
+	return string(append(appendThousandths(buf[:0], v), 's'))
 }
 
-// String formats the duration using the most natural unit, e.g. "250ms".
+// String formats the duration using the most natural unit, e.g. "250ms":
+// the value in that unit with three decimals, trailing zeros dropped.
 func (d Duration) String() string {
-	neg := d < 0
-	if neg {
+	if d == 0 {
+		return "0s"
+	}
+	var buf [32]byte
+	b := buf[:0]
+	if d < 0 {
+		b = append(b, '-')
 		d = -d
 	}
-	var s string
 	switch {
-	case d == 0:
-		return "0s"
-	case d < Microsecond:
-		s = strconv.FormatInt(int64(d), 10) + "ns"
+	case d < Microsecond: // also math.MinInt64, which negation leaves negative
+		b = append(strconv.AppendInt(b, int64(d), 10), "ns"...)
 	case d < Millisecond:
-		s = trimZeros(float64(d)/float64(Microsecond)) + "µs"
+		b = append(appendTrimmed(b, d, Microsecond), "µs"...)
 	case d < Second:
-		s = trimZeros(float64(d)/float64(Millisecond)) + "ms"
+		b = append(appendTrimmed(b, d, Millisecond), "ms"...)
 	default:
-		s = trimZeros(float64(d)/float64(Second)) + "s"
+		b = append(appendTrimmed(b, d, Second), 's')
 	}
-	if neg {
-		return "-" + s
-	}
-	return s
+	return string(b)
 }
 
-func trimZeros(v float64) string {
-	s := strconv.FormatFloat(v, 'f', 3, 64)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
+// appendTrimmed appends d in units of unit with three decimals, then drops
+// trailing zeros and a trailing point.
+func appendTrimmed(b []byte, d, unit Duration) []byte {
+	n := len(b)
+	if v, ok := thousandths(int64(d), int64(unit)); ok {
+		b = appendThousandths(b, v)
+	} else {
+		b = strconv.AppendFloat(b, float64(d)/float64(unit), 'f', 3, 64)
+	}
+	for len(b) > n && b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	for len(b) > n && b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// thousandths returns n/unit rounded to three decimals, counted in
+// thousandths, exactly as strconv rounds float64(n)/float64(unit); unit is a
+// power of ten of at least 1000. It reports false where it cannot tell: n
+// outside [0, 2^52), and n on a rounding tie, where the quotient's own
+// rounding error decides. Off a tie, n/unit lies at least 1/(2*unit) from
+// one; below 2^52, float64(n) is exact and the quotient is below 2^52/unit,
+// so its rounding error, half an ulp, is less than that.
+func thousandths(n, unit int64) (int64, bool) {
+	if n < 0 || n >= 1<<52 {
+		return 0, false
+	}
+	step := unit / 1000
+	v, r := n/step, n%step
+	switch {
+	case 2*r > step:
+		v++
+	case 2*r == step:
+		return 0, false
+	}
+	return v, true
+}
+
+// appendThousandths appends v thousandths as a decimal with three fraction
+// digits.
+func appendThousandths(b []byte, v int64) []byte {
+	b = strconv.AppendInt(b, v/1000, 10)
+	f := v % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // Min returns the earlier of a and b.
