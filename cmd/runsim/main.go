@@ -75,7 +75,7 @@ func main() {
 	)
 	flag.Parse()
 	var err error
-	logRing = obs.NewLogRing(0)
+	logRing = obs.NewLogRing()
 	logger, err = obs.NewLoggerWithRing(os.Stderr, "runsim", *logFormat, *logLevel, logRing)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "runsim: %v\n", err)
@@ -124,10 +124,10 @@ func main() {
 		}
 		logger.Info("live characterization listening on " + svc.Addr())
 	}
-	run := &rundir.Run{}
 	var (
-		clu        *cluster.Cluster
-		start, end vtime.Time
+		sim     cluster.Run
+		machine cluster.MachineSpec
+		stats   []any // the engine's own counters, logged with the makespan
 	)
 	switch *engine {
 	case "giraph":
@@ -137,15 +137,13 @@ func main() {
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		run.Info = runInfo("giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
 		res, err := giraphsim.Run(prog, graph.HashPartition(g, cfg.Workers), cfg)
 		if err != nil {
 			fail(err)
 		}
-		run.Log, clu, start, end = res.Log, res.Cluster, res.Start, res.End
-		logger.Info(fmt.Sprintf("%s on giraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
-			"supersteps", res.Stats.Supersteps, "gcs", res.Stats.GCCount,
-			"queue_stalls", res.Stats.QueueStalls)
+		sim, machine = res.Run, cfg.Machine
+		stats = []any{"supersteps", res.Stats.Supersteps, "gcs", res.Stats.GCCount,
+			"queue_stalls", res.Stats.QueueStalls}
 
 	case "powergraph":
 		cfg := experiments.PowerGraphConfig(*scale, *bug)
@@ -154,22 +152,23 @@ func main() {
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		run.Info = runInfo("powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
 		res, err := pgsim.Run(prog, cfg)
 		if err != nil {
 			fail(err)
 		}
-		run.Log, clu, start, end = res.Log, res.Cluster, res.Start, res.End
-		logger.Info(fmt.Sprintf("%s on powergraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
-			"iterations", res.Stats.Iterations,
-			"replication", fmt.Sprintf("%.2f", res.Stats.ReplicationFactor))
+		sim, machine = res.Run, cfg.Machine
+		stats = []any{"iterations", res.Stats.Iterations,
+			"replication", fmt.Sprintf("%.2f", res.Stats.ReplicationFactor)}
 
 	default:
 		logger.Error(fmt.Sprintf("unknown engine %q", *engine))
 		os.Exit(2)
 	}
-	run.Info.StartNS, run.Info.EndNS = int64(start), int64(end)
-	if run.Monitoring, err = cluster.Monitor(clu, start, end, monInterval); err != nil {
+	logger.Info(fmt.Sprintf("%s on %s: makespan %v", prog.Name(), *engine, sim.End.Sub(sim.Start)), stats...)
+	run := &rundir.Run{Log: sim.Log,
+		Info: workload.RunInfo(*engine, prog.Name(), *workers, *threads, machine)}
+	run.Info.StartNS, run.Info.EndNS = int64(sim.Start), int64(sim.End)
+	if run.Monitoring, err = cluster.Monitor(sim.Cluster, sim.Start, sim.End, monInterval); err != nil {
 		fail(err)
 	}
 
@@ -209,14 +208,6 @@ func serveRun(svc *service.Server, dir string, linger time.Duration) {
 	}
 	time.Sleep(linger)
 	svc.Shutdown()
-}
-
-// runInfo is the run metadata known before the simulation runs.
-func runInfo(engine, job string, workers, threads int, m cluster.MachineSpec) rundir.Info {
-	return rundir.Info{
-		Engine: engine, Job: job, Workers: workers, ThreadsPerWorker: threads,
-		Cores: m.Cores, NetBandwidth: m.NetBandwidth, DiskBandwidth: m.DiskBandwidth,
-	}
 }
 
 // parsePlacement maps each run-local machine onto a shared host name,

@@ -111,7 +111,7 @@ func main() {
 	// Every log record tees into the flight recorder's bounded ring (down to
 	// debug, regardless of -log-level) so /logs and bundle captures carry
 	// recent history.
-	logRing := obs.NewLogRing(0)
+	logRing := obs.NewLogRing()
 	logger, err = obs.NewLoggerWithRing(os.Stderr, "serve", *logFormat, *logLevel, logRing)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)

@@ -81,13 +81,11 @@ func (s *PhaseStats) Add(p *Phase) {
 // Mean returns the mean duration, truncated. Call it after an Add.
 func (s *PhaseStats) Mean() vtime.Duration { return s.Total / vtime.Duration(s.Count) }
 
-// Index returns the instance index of the final path segment, or -1.
+// Index returns the instance index of the final path segment, or -1. It
+// reads the last segment in place, without splitting the path.
 func (p *Phase) Index() int {
-	segs := enginelog.Split(p.Path)
-	if len(segs) == 0 {
-		return -1
-	}
-	return enginelog.SegmentIndex(segs[len(segs)-1])
+	path := strings.TrimRight(p.Path, "/")
+	return enginelog.SegmentIndex(path[strings.LastIndexByte(path, '/')+1:])
 }
 
 // BlockedTime returns the phase's own blocking time on the named resource,

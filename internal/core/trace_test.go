@@ -380,3 +380,29 @@ func TestLeavesSharedOnceFinished(t *testing.T) {
 		}
 	}
 }
+
+// TestPhaseIndexMatchesSplit: Index reads the last segment in place and
+// gives what splitting the whole path gives, for the root "/", canonical
+// paths and odd ones, without allocating.
+func TestPhaseIndexMatchesSplit(t *testing.T) {
+	split := func(path string) int {
+		segs := enginelog.Split(path)
+		if len(segs) == 0 {
+			return -1
+		}
+		return enginelog.SegmentIndex(segs[len(segs)-1])
+	}
+	for _, path := range []string{
+		"", "/", "//", "/app", "/app/execute/superstep.12", "/app/execute/superstep.3/worker.0",
+		"/app/load/worker.7/", "/a.1//b.22", "/a.b.3", "/a.x", "/a.", "/.5", "a.4", "/w.-1",
+	} {
+		p := &Phase{Path: path}
+		if got, want := p.Index(), split(path); got != want {
+			t.Errorf("Index(%q) = %d, split form %d", path, got, want)
+		}
+	}
+	p := &Phase{Path: "/app/execute/superstep.12/worker.3"}
+	if allocs := testing.AllocsPerRun(100, func() { p.Index() }); allocs != 0 {
+		t.Errorf("Index allocates %v times per call", allocs)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"grade10/internal/enginelog"
 	"grade10/internal/grade10"
 	"grade10/internal/sim"
-	"grade10/internal/vtime"
 )
 
 // StageSpec describes one stage of the job.
@@ -77,11 +76,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result is the outcome of one run.
+// Result is the outcome of one run: the log, the cluster's ground truth and
+// the run's bounds (cluster.Run), plus the row accounting.
 type Result struct {
-	Log        *enginelog.Log
-	Cluster    *cluster.Cluster
-	Start, End vtime.Time
+	cluster.Run
 	// RowsIn and RowsOut verify conservation through the pipeline.
 	RowsIn, RowsOut float64
 	// StageRows[i][t] is the input row count of stage i, task t.
@@ -94,19 +92,12 @@ func Run(job Job, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	e := &engine{job: job, cfg: cfg}
-	e.sched = sim.NewScheduler()
-	e.cl = cluster.New(e.sched, cfg.Machines, cfg.Machine)
-	e.log = enginelog.NewLogger(e.sched.Now)
-	e.root = "/" + job.Name
-
-	e.sched.Spawn("driver", e.driver)
-	e.sched.Run()
-
+	run := cluster.RunJob(cluster.JobSpec{
+		Name: job.Name, Machines: cfg.Machines, Machine: cfg.Machine,
+		NoiseCores: cfg.OSNoiseCores, NoiseSeed: cfg.NoiseSeed,
+	}, e.driver)
 	return &Result{
-		Log:       e.log.Log(),
-		Cluster:   e.cl,
-		Start:     0,
-		End:       e.endTime,
+		Run:       run,
 		RowsIn:    float64(job.InputRows),
 		RowsOut:   e.rowsOut,
 		StageRows: e.stageRows,
@@ -132,24 +123,18 @@ func validate(job Job, cfg Config) error {
 }
 
 type engine struct {
-	job   Job
-	cfg   Config
-	sched *sim.Scheduler
-	cl    *cluster.Cluster
-	log   *enginelog.Logger
-	root  string
+	*cluster.Job
+	job Job
+	cfg Config
 
 	stageRows [][]float64
 	rowsOut   float64
-	endTime   vtime.Time
 }
 
-// driver runs stages sequentially, tasks in waves over executor slots.
-func (e *engine) driver(p *sim.Proc) {
-	noise := cluster.StartNoise(e.cl, e.cfg.NoiseSeed, e.cfg.OSNoiseCores)
-	defer noise.Stop()
-	e.log.StartPhase(e.root, -1)
-
+// driver runs stages sequentially inside the root phase, tasks in waves over
+// executor slots.
+func (e *engine) driver(j *cluster.Job, p *sim.Proc) {
+	e.Job = j
 	// Initial partitions: uniform.
 	rows := make([]float64, e.job.Stages[0].Tasks)
 	per := float64(e.job.InputRows) / float64(len(rows))
@@ -159,8 +144,8 @@ func (e *engine) driver(p *sim.Proc) {
 
 	for si, stage := range e.job.Stages {
 		e.stageRows = append(e.stageRows, append([]float64(nil), rows...))
-		stagePath := enginelog.JoinIndexed(e.root, "stage", si)
-		e.log.StartPhase(stagePath, -1)
+		stagePath := enginelog.JoinIndexed(e.Root, "stage", si)
+		e.Log.StartPhase(stagePath, -1)
 
 		// Destination partition sizes for the shuffle.
 		var nextRows []float64
@@ -178,7 +163,7 @@ func (e *engine) driver(p *sim.Proc) {
 		for slot := 0; slot < slots; slot++ {
 			slot := slot
 			machine := slot % e.cfg.Machines
-			e.sched.Spawn(fmt.Sprintf("exec-%d-%d", si, slot), func(xp *sim.Proc) {
+			e.Sched.Spawn(fmt.Sprintf("exec-%d-%d", si, slot), func(xp *sim.Proc) {
 				for task := slot; task < stage.Tasks; task += slots {
 					e.runTask(xp, stagePath, si, task, machine, rows[task], stage, nextRows, weights)
 				}
@@ -186,7 +171,7 @@ func (e *engine) driver(p *sim.Proc) {
 			})
 		}
 		latch.Wait(p)
-		e.log.EndPhase(stagePath)
+		e.Log.EndPhase(stagePath)
 
 		if nextRows == nil {
 			for _, r := range rows {
@@ -196,17 +181,14 @@ func (e *engine) driver(p *sim.Proc) {
 		}
 		rows = nextRows
 	}
-
-	e.log.EndPhase(e.root)
-	e.endTime = e.sched.Now()
 }
 
 // runTask computes one task and performs its shuffle writes.
 func (e *engine) runTask(xp *sim.Proc, stagePath string, si, task, machine int,
 	inRows float64, stage StageSpec, nextRows, weights []float64) {
 	taskPath := enginelog.JoinIndexed(stagePath, "task", task)
-	e.log.StartPhase(taskPath, machine)
-	e.cl.CPUs[machine].Compute(xp, 1, inRows*stage.CostPerRow)
+	e.Log.StartPhase(taskPath, machine)
+	e.Cluster.CPUs[machine].Compute(xp, 1, inRows*stage.CostPerRow)
 
 	if nextRows != nil {
 		out := inRows * stage.Selectivity
@@ -224,11 +206,11 @@ func (e *engine) runTask(xp *sim.Proc, stagePath string, si, task, machine int,
 		}
 		for dst := 0; dst < e.cfg.Machines; dst++ {
 			if b := perDst[dst]; b > 0 {
-				e.cl.Net.Transfer(xp, machine, dst, b)
+				e.Cluster.Net.Transfer(xp, machine, dst, b)
 			}
 		}
 	}
-	e.log.EndPhase(taskPath)
+	e.Log.EndPhase(taskPath)
 }
 
 // zipfWeights returns normalized partition weights: uniform at skew 0,

@@ -2,7 +2,6 @@ package enginelog
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -49,30 +48,6 @@ func FuzzParse(f *testing.F) {
 			if back.Events[i] != log.Events[i] {
 				t.Fatalf("round trip event %d: %+v != %+v", i, back.Events[i], log.Events[i])
 			}
-		}
-	})
-}
-
-// FuzzSplitFields checks the stack splitter behind text decoding against
-// strings.Fields on arbitrary bytes: it takes exactly the ASCII lines of at
-// most maxFields fields, and splits each of them identically.
-func FuzzSplitFields(f *testing.F) {
-	f.Add("S 0 2 /app")
-	f.Add(" \tB 5\v9 gc\f/app/worker.0\r\n")
-	f.Add("a b c d e f g h")
-	f.Add("E 1 /app")
-	f.Add("C 3 msgs\u0085 1.5")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, in string) {
-		var buf [maxFields]string
-		got, ok := splitFields(in, buf[:])
-		want := strings.Fields(in)
-		ascii := !strings.ContainsFunc(in, func(r rune) bool { return r >= utf8.RuneSelf })
-		if ok != (ascii && len(want) <= maxFields) {
-			t.Fatalf("%q (ascii %v, %d fields): splitter took it = %v", in, ascii, len(want), ok)
-		}
-		if ok && !slices.Equal(got, want) {
-			t.Fatalf("%q: split into %q, strings.Fields %q", in, got, want)
 		}
 	})
 }

@@ -73,8 +73,9 @@ func (sp *StreamParser) feed(chunk []byte, emit func(Event)) {
 
 // parseLine parses one text line. Blank lines and '#' comments are ignored;
 // a malformed line is counted and skipped. A start, end or blocking line
-// written exactly as Write writes it takes parseFast; every other line is
-// split into fields and parsed by parseEvent.
+// written exactly as Write writes it takes parseFast; every other line (a
+// counter line or a malformed one) is split by strings.Fields and parsed by
+// parseEvent.
 func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 || line[0] == '#' {
@@ -84,13 +85,8 @@ func (sp *StreamParser) parseLine(line []byte, emit func(Event)) {
 	text := string(line)
 	e, ok := parseFast(text)
 	if !ok {
-		var buf [maxFields]string
-		fields, split := splitFields(text, buf[:])
-		if !split {
-			fields = strings.Fields(text)
-		}
 		var err error
-		if e, err = parseEvent(fields); err != nil {
+		if e, err = parseEvent(strings.Fields(text)); err != nil {
 			sp.text.Skipped++
 			if sp.text.FirstError == "" {
 				sp.text.FirstError = err.Error()
@@ -188,40 +184,6 @@ func fastName(s string) (name, rest string, ok bool) {
 		}
 	}
 	return s[:i], s[i:], i > 0
-}
-
-// maxFields is the most fields splitFields returns: the B tag's five and
-// one over, so an overlong line is still split on the stack.
-const maxFields = 6
-
-// asciiSpace marks the bytes strings.Fields splits ASCII text at.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// splitFields splits s at ASCII whitespace into dst, exactly as
-// strings.Fields would, without allocating. It reports false, leaving the
-// split to strings.Fields, when s holds a byte >= 0x80 (which may start
-// Unicode whitespace) or more fields than dst holds.
-func splitFields(s string, dst []string) ([]string, bool) {
-	out := dst[:0]
-	for i := 0; i < len(s); {
-		if s[i] >= utf8.RuneSelf {
-			return nil, false
-		}
-		if asciiSpace[s[i]] {
-			i++
-			continue
-		}
-		j := i
-		for j < len(s) && s[j] < utf8.RuneSelf && !asciiSpace[s[j]] {
-			j++
-		}
-		if len(out) == cap(out) {
-			return nil, false
-		}
-		out = append(out, s[i:j])
-		i = j
-	}
-	return out, true
 }
 
 // FeedReader streams all of r through Feed in bounded memory.

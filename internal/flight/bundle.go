@@ -444,14 +444,15 @@ func (c *Capturer) List() []Manifest {
 // Dir returns the bundle root directory.
 func (c *Capturer) Dir() string { return c.cfg.Dir }
 
-// WatchHealth polls degraded and captures a TriggerHealth bundle on each
-// healthy-to-degraded transition, until stop closes. interval <= 0 takes 5s.
-func (c *Capturer) WatchHealth(stop <-chan struct{}, interval time.Duration, degraded func() (bool, string)) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
+// healthPollInterval is how often WatchHealth polls the health state.
+const healthPollInterval = 5 * time.Second
+
+// WatchHealth polls degraded every healthPollInterval and captures a
+// TriggerHealth bundle on each healthy-to-degraded transition, until stop
+// closes.
+func (c *Capturer) WatchHealth(stop <-chan struct{}, degraded func() (bool, string)) {
 	go func() {
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(healthPollInterval)
 		defer tick.Stop()
 		wasDegraded := false
 		for {

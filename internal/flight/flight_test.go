@@ -26,7 +26,7 @@ func testRings() Config {
 		s.SetItems(int64(i))
 		s.End()
 	}
-	ring := obs.NewLogRing(0)
+	ring := obs.NewLogRing()
 	logger, err := obs.NewLoggerWithRing(io.Discard, "test", "text", "info", ring)
 	if err != nil {
 		panic(err)
@@ -369,7 +369,7 @@ func TestTriggerAndOverheadHandlers(t *testing.T) {
 
 // TestLogsHandler: level and limit filters shape the response; bad inputs 400.
 func TestLogsHandler(t *testing.T) {
-	ring := obs.NewLogRing(0)
+	ring := obs.NewLogRing()
 	logger, err := obs.NewLoggerWithRing(io.Discard, "t", "text", "info", ring)
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,8 @@
 package giraphsim
 
 import (
+	"errors"
+
 	"grade10/internal/cluster"
 	"grade10/internal/obs"
 	"grade10/internal/vtime"
@@ -148,34 +150,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// validate panics on nonsensical configurations; Run wraps this into errors.
+// validate rejects nonsensical configurations.
 func (c Config) validate() error {
 	switch {
 	case c.Workers <= 0:
-		return errf("Workers must be positive")
+		return errors.New("giraphsim: Workers must be positive")
 	case c.ThreadsPerWorker <= 0:
-		return errf("ThreadsPerWorker must be positive")
+		return errors.New("giraphsim: ThreadsPerWorker must be positive")
 	case c.Machine.Cores <= 0 || c.Machine.NetBandwidth <= 0:
-		return errf("machine spec needs positive cores and bandwidth")
+		return errors.New("giraphsim: machine spec needs positive cores and bandwidth")
 	case c.ChunkVertices <= 0:
-		return errf("ChunkVertices must be positive")
+		return errors.New("giraphsim: ChunkVertices must be positive")
 	case c.QueueCapacity <= 0 || c.CommChunkBytes <= 0:
-		return errf("queue sizes must be positive")
+		return errors.New("giraphsim: queue sizes must be positive")
 	case c.CommChunkBytes > c.QueueCapacity:
-		return errf("CommChunkBytes exceeds QueueCapacity")
+		return errors.New("giraphsim: CommChunkBytes exceeds QueueCapacity")
 	case c.HeapCapacity <= 0:
-		return errf("HeapCapacity must be positive")
+		return errors.New("giraphsim: HeapCapacity must be positive")
 	case c.HeapSurvivorFraction < 0 || c.HeapSurvivorFraction >= 1:
-		return errf("HeapSurvivorFraction must be in [0,1)")
+		return errors.New("giraphsim: HeapSurvivorFraction must be in [0,1)")
 	}
 	return nil
 }
-
-type configError string
-
-func (e configError) Error() string { return "giraphsim: " + string(e) }
-
-func errf(msg string) error { return configError(msg) }
 
 // Stats aggregates engine-level observations of one run.
 type Stats struct {

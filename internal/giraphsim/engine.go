@@ -14,14 +14,10 @@ import (
 	"grade10/internal/vtime"
 )
 
-// Result is the outcome of one simulated run.
+// Result is the outcome of one simulated run: the log, the cluster's ground
+// truth and the run's bounds (cluster.Run), plus the engine's own results.
 type Result struct {
-	// Log is the execution log Grade10 ingests.
-	Log *enginelog.Log
-	// Cluster holds ground-truth utilization for monitoring.
-	Cluster *cluster.Cluster
-	// Start and End bound the run in virtual time.
-	Start, End vtime.Time
+	cluster.Run
 	// Values are the final per-vertex algorithm values, identical to the
 	// sequential reference.
 	Values []float64
@@ -45,10 +41,6 @@ func Run(prog vertexprog.Program, part *graph.Partition, cfg Config) (*Result, e
 		g:    prog.Graph(),
 		part: part,
 	}
-	e.sched = sim.NewScheduler()
-	e.cl = cluster.New(e.sched, cfg.Workers, cfg.Machine)
-	e.log = enginelog.NewLogger(e.sched.Now)
-	e.root = "/" + prog.Name()
 	e.owned = part.PartVertices()
 	e.recv = make([]int32, e.g.NumVertices())
 	e.jvms = make([]*jvmState, cfg.Workers)
@@ -57,36 +49,26 @@ func Run(prog vertexprog.Program, part *graph.Partition, cfg Config) (*Result, e
 		e.jvms[w].gate.Open()
 	}
 
-	e.sched.Spawn("master", e.master)
-	e.sched.Run()
-
-	return &Result{
-		Log:     e.log.Log(),
-		Cluster: e.cl,
-		Start:   0,
-		End:     e.endTime,
-		Values:  prog.Values(),
-		Stats:   e.stats,
-	}, nil
+	run := cluster.RunJob(cluster.JobSpec{
+		Name: prog.Name(), Machines: cfg.Workers, Machine: cfg.Machine,
+		NoiseCores: cfg.OSNoiseCores, NoiseSeed: cfg.NoiseSeed,
+	}, e.master)
+	return &Result{Run: run, Values: prog.Values(), Stats: e.stats}, nil
 }
 
 type engine struct {
+	*cluster.Job
 	cfg   Config
 	prog  vertexprog.Program
 	g     *graph.Graph
 	part  *graph.Partition
-	sched *sim.Scheduler
-	cl    *cluster.Cluster
-	log   *enginelog.Logger
-	root  string
 	owned [][]graph.Vertex
 
 	// recv[v] is the number of messages v receives in the current superstep
 	// (sent during the previous one).
-	recv    []int32
-	jvms    []*jvmState
-	stats   Stats
-	endTime vtime.Time
+	recv  []int32
+	jvms  []*jvmState
+	stats Stats
 }
 
 // jvmState models one worker's heap and collector.
@@ -96,13 +78,12 @@ type jvmState struct {
 	gate     *sim.Gate // open when no GC is running
 }
 
-// master orchestrates the whole job: load, superstep loop, write.
-func (e *engine) master(p *sim.Proc) {
-	noise := cluster.StartNoise(e.cl, e.cfg.NoiseSeed, e.cfg.OSNoiseCores)
-	defer noise.Stop()
-	e.log.StartPhase(e.root, -1)
-
-	e.fanOutPhase(p, "load", func(w int) (float64, float64) {
+// master orchestrates the job inside its root phase: load, superstep loop,
+// write.
+func (e *engine) master(j *cluster.Job, p *sim.Proc) {
+	e.Job = j
+	threads := e.cfg.ThreadsPerWorker
+	e.FanOut(p, "load", threads, func(w int) (float64, float64) {
 		edges := 0
 		for _, v := range e.owned[w] {
 			edges += e.g.OutDegree(v)
@@ -111,8 +92,8 @@ func (e *engine) master(p *sim.Proc) {
 			float64(edges) * e.cfg.DiskBytesPerEdge
 	})
 
-	execPath := enginelog.Join(e.root, "execute")
-	e.log.StartPhase(execPath, -1)
+	execPath := enginelog.Join(e.Root, "execute")
+	e.Log.StartPhase(execPath, -1)
 	for s := 0; ; s++ {
 		step := e.prog.Advance(s)
 		e.superstep(p, execPath, s, step)
@@ -121,38 +102,12 @@ func (e *engine) master(p *sim.Proc) {
 			break
 		}
 	}
-	e.log.EndPhase(execPath)
+	e.Log.EndPhase(execPath)
 
-	e.fanOutPhase(p, "write", func(w int) (float64, float64) {
+	e.FanOut(p, "write", threads, func(w int) (float64, float64) {
 		return float64(len(e.owned[w])) * e.cfg.WriteCostPerVertex,
 			float64(len(e.owned[w])) * e.cfg.DiskBytesPerVertex
 	})
-
-	e.log.EndPhase(e.root)
-	e.endTime = e.sched.Now()
-}
-
-// fanOutPhase runs a simple parallel per-worker phase (load/write) where
-// each worker streams workOf's bytes through the disk and burns its
-// core-seconds across all threads.
-func (e *engine) fanOutPhase(p *sim.Proc, name string, workOf func(w int) (cpu, disk float64)) {
-	path := enginelog.Join(e.root, name)
-	e.log.StartPhase(path, -1)
-	latch := sim.NewBarrier(e.cfg.Workers + 1)
-	for w := 0; w < e.cfg.Workers; w++ {
-		w := w
-		e.sched.Spawn(fmt.Sprintf("%s-%d", name, w), func(wp *sim.Proc) {
-			wPath := enginelog.JoinIndexed(path, "worker", w)
-			e.log.StartPhase(wPath, w)
-			work, bytes := workOf(w)
-			e.cl.ReadDisk(wp, w, bytes)
-			e.cl.CPUs[w].Compute(wp, float64(e.cfg.ThreadsPerWorker), work)
-			e.log.EndPhase(wPath)
-			latch.Wait(wp)
-		})
-	}
-	latch.Wait(p)
-	e.log.EndPhase(path)
 }
 
 // chunk is one unit of thread work: compute cost, per-destination message
@@ -177,10 +132,10 @@ type dstBytes struct {
 // of Config.Parallelism.
 func (e *engine) superstep(p *sim.Proc, execPath string, s int, step vertexprog.Step) {
 	span := e.cfg.Tracer.StartSpan("superstep", -1)
-	vStart := e.sched.Now()
+	vStart := e.Sched.Now()
 	ssPath := enginelog.JoinIndexed(execPath, "superstep", s)
-	e.log.StartPhase(ssPath, -1)
-	e.log.AddCounter("active-vertices", float64(len(step.Active)))
+	e.Log.StartPhase(ssPath, -1)
+	e.Log.AddCounter("active-vertices", float64(len(step.Active)))
 
 	// Per-worker active vertex lists.
 	activeByWorker := make([][]graph.Vertex, e.cfg.Workers)
@@ -195,17 +150,17 @@ func (e *engine) superstep(p *sim.Proc, execPath string, s int, step vertexprog.
 	latch := sim.NewBarrier(e.cfg.Workers + 1)
 	for w := 0; w < e.cfg.Workers; w++ {
 		w := w
-		e.sched.Spawn(fmt.Sprintf("ss%d-w%d", s, w), func(wp *sim.Proc) {
+		e.Sched.Spawn(fmt.Sprintf("ss%d-w%d", s, w), func(wp *sim.Proc) {
 			e.workerSuperstep(wp, ssPath, s, w, chunks[w], globalBarrier)
 			latch.Wait(wp)
 		})
 	}
 	latch.Wait(p)
-	e.log.EndPhase(ssPath)
+	e.Log.EndPhase(ssPath)
 	if e.cfg.Tracer.Enabled() {
 		span.SetDetail(ssPath)
 		span.SetItems(int64(len(step.Active)))
-		span.SetWindow(int64(vStart), int64(e.sched.Now()))
+		span.SetWindow(int64(vStart), int64(e.Sched.Now()))
 	}
 	span.End()
 
@@ -314,30 +269,30 @@ func (e *engine) updateRecv(step vertexprog.Step) {
 func (e *engine) workerSuperstep(wp *sim.Proc, ssPath string, s, w int,
 	thChunks [][]chunk, globalBarrier *sim.Barrier) {
 	cfg := &e.cfg
-	cpu := e.cl.CPUs[w]
+	cpu := e.Cluster.CPUs[w]
 	wPath := enginelog.JoinIndexed(ssPath, "worker", w)
-	e.log.StartPhase(wPath, w)
+	e.Log.StartPhase(wPath, w)
 
 	// Prepare.
 	prepPath := enginelog.Join(wPath, "prepare")
-	e.log.StartPhase(prepPath, -1)
+	e.Log.StartPhase(prepPath, -1)
 	cpu.Compute(wp, 1, cfg.PrepareCost)
-	e.log.EndPhase(prepPath)
+	e.Log.EndPhase(prepPath)
 
 	// Outgoing queue and its drain process (the "netty" thread).
-	queue := sim.NewQueue(e.sched, cfg.QueueCapacity)
+	queue := sim.NewQueue(e.Sched, cfg.QueueCapacity)
 	fifo := &dstFIFO{}
 	commDone := sim.NewBarrier(2)
 	commPath := enginelog.Join(wPath, "communicate")
-	e.sched.Spawn(fmt.Sprintf("comm-w%d", w), func(cp *sim.Proc) {
-		e.log.StartPhase(commPath, w)
+	e.Sched.Spawn(fmt.Sprintf("comm-w%d", w), func(cp *sim.Proc) {
+		e.Log.StartPhase(commPath, w)
 		for {
 			before := cp.Now()
 			amount, starved := queue.Get(cp, cfg.CommChunkBytes)
 			if starved > 0 {
 				// Idle waiting for producers: an elastic wait the replay
 				// simulator strips (the drain is a consumer, not a cause).
-				e.log.BlockedSince(commPath, ResStarved, before)
+				e.Log.BlockedSince(commPath, ResStarved, before)
 			}
 			if amount == 0 {
 				break // queue closed and drained
@@ -346,23 +301,23 @@ func (e *engine) workerSuperstep(wp *sim.Proc, ssPath string, s, w int,
 				cpu.Compute(cp, 1, cost) // serialization work
 			}
 			for _, db := range fifo.take(amount) {
-				e.cl.Net.Transfer(cp, w, db.dst, db.bytes)
+				e.Cluster.Net.Transfer(cp, w, db.dst, db.bytes)
 			}
 		}
-		e.log.EndPhase(commPath)
+		e.Log.EndPhase(commPath)
 		commDone.Wait(cp)
 	})
 
 	// Compute with T threads over chunked active vertices.
 	compPath := enginelog.Join(wPath, "compute")
-	e.log.StartPhase(compPath, -1)
+	e.Log.StartPhase(compPath, -1)
 	threads := cfg.ThreadsPerWorker
 	threadLatch := sim.NewBarrier(threads + 1)
 	for t := 0; t < threads; t++ {
 		t := t
-		e.sched.Spawn(fmt.Sprintf("ss%d-w%d-t%d", s, w, t), func(tp *sim.Proc) {
+		e.Sched.Spawn(fmt.Sprintf("ss%d-w%d-t%d", s, w, t), func(tp *sim.Proc) {
 			tPath := enginelog.JoinIndexed(compPath, "thread", t)
-			e.log.StartPhase(tPath, -1)
+			e.Log.StartPhase(tPath, -1)
 			for _, ch := range thChunks[t] {
 				e.maybeGC(tp, w, wPath)
 				cpu.Compute(tp, 1, ch.work)
@@ -384,7 +339,7 @@ func (e *engine) workerSuperstep(wp *sim.Proc, ssPath string, s, w int,
 						remaining -= put
 					}
 					if blocked > 0 {
-						e.log.BlockedSince(tPath, ResMsgQueue, before)
+						e.Log.BlockedSince(tPath, ResMsgQueue, before)
 						e.stats.QueueStalls++
 						e.stats.QueueStallTime += blocked
 					}
@@ -392,12 +347,12 @@ func (e *engine) workerSuperstep(wp *sim.Proc, ssPath string, s, w int,
 					e.stats.BytesSent += ch.remoteSum
 				}
 			}
-			e.log.EndPhase(tPath)
+			e.Log.EndPhase(tPath)
 			threadLatch.Wait(tp)
 		})
 	}
 	threadLatch.Wait(wp)
-	e.log.EndPhase(compPath)
+	e.Log.EndPhase(compPath)
 
 	// Drain and close the queue, wait for communication to finish.
 	queue.Close()
@@ -405,13 +360,13 @@ func (e *engine) workerSuperstep(wp *sim.Proc, ssPath string, s, w int,
 
 	// Global superstep barrier.
 	bPath := enginelog.Join(wPath, "barrier")
-	e.log.StartPhase(bPath, -1)
+	e.Log.StartPhase(bPath, -1)
 	before := wp.Now()
 	globalBarrier.Wait(wp)
-	e.log.BlockedSince(bPath, ResBarrier, before) // zero-length waits are dropped
-	e.log.EndPhase(bPath)
+	e.Log.BlockedSince(bPath, ResBarrier, before) // zero-length waits are dropped
+	e.Log.EndPhase(bPath)
 
-	e.log.EndPhase(wPath)
+	e.Log.EndPhase(wPath)
 }
 
 // buildChunk computes the cost model for a block of vertices: compute work,
@@ -484,7 +439,7 @@ func (e *engine) maybeGC(tp *sim.Proc, w int, wPath string) {
 	}
 	j.inGC = true
 	j.gate.Close()
-	cpu := e.cl.CPUs[w]
+	cpu := e.Cluster.CPUs[w]
 	cpu.Pause()
 	before := tp.Now()
 	pause := e.cfg.GCBaseSeconds + e.cfg.GCSecondsPerByte*j.heapUsed
@@ -495,7 +450,7 @@ func (e *engine) maybeGC(tp *sim.Proc, w int, wPath string) {
 	cpu.ComputeExempt(tp, gcThreads, gcThreads*pause)
 	cpu.Resume()
 	j.heapUsed *= e.cfg.HeapSurvivorFraction
-	e.log.BlockedSince(wPath, ResGC, before)
+	e.Log.BlockedSince(wPath, ResGC, before)
 	e.stats.GCCount++
 	e.stats.GCTime += tp.Now().Sub(before)
 	j.inGC = false

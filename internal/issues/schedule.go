@@ -3,11 +3,9 @@ package issues
 import (
 	"cmp"
 	"slices"
-	"strings"
 	"sync"
 
 	"grade10/internal/core"
-	"grade10/internal/enginelog"
 	"grade10/internal/vtime"
 )
 
@@ -167,7 +165,7 @@ func (s *Schedule) number(root *core.Phase, n, nleaves int) []int32 {
 		leafIdx = append(leafIdx, li)
 		idx := -1
 		if ph.Type != nil && ph.Type.Sequential {
-			idx = segmentIndex(ph.Path)
+			idx = ph.Index()
 		}
 		s.seqIndex = append(s.seqIndex, idx)
 		for _, c := range ph.Children {
@@ -176,12 +174,6 @@ func (s *Schedule) number(root *core.Phase, n, nleaves int) []int32 {
 		}
 	}
 	return leafIdx
-}
-
-// segmentIndex is core.Phase.Index without splitting the path.
-func segmentIndex(path string) int {
-	path = strings.TrimRight(path, "/")
-	return enginelog.SegmentIndex(path[strings.LastIndexByte(path, '/')+1:])
 }
 
 // groupSync assigns every phase of a SyncGroup type to its sync group: one

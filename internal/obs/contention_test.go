@@ -142,7 +142,7 @@ func TestRegistryScrapeDuringLabelCreation(t *testing.T) {
 // records first, counts them, and keeps Seq monotone so consumers can see
 // the gap.
 func TestLogRingBudgetEvictsOldest(t *testing.T) {
-	ring := NewLogRing(2 << 10)
+	ring := &LogRing{max: 2 << 10}
 	logger, err := NewLoggerWithRing(io.Discard, "t", "text", "info", ring)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestLogRingBudgetEvictsOldest(t *testing.T) {
 // TestLogRingCapturesBelowConsoleLevel: the ring keeps debug records the
 // console handler suppresses — that extra detail is the point of teeing.
 func TestLogRingCapturesBelowConsoleLevel(t *testing.T) {
-	ring := NewLogRing(0)
+	ring := NewLogRing()
 	var console bytes.Buffer
 	logger, err := NewLoggerWithRing(&console, "t", "text", "warn", ring)
 	if err != nil {
@@ -213,7 +213,7 @@ func TestLogRingCapturesBelowConsoleLevel(t *testing.T) {
 // TestLogRingConcurrent: appends race reads under -race (the /logs endpoint
 // serves while every goroutine keeps logging).
 func TestLogRingConcurrent(t *testing.T) {
-	ring := NewLogRing(8 << 10)
+	ring := &LogRing{max: 8 << 10}
 	logger, err := NewLoggerWithRing(io.Discard, "t", "text", "info", ring)
 	if err != nil {
 		t.Fatal(err)

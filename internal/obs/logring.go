@@ -42,13 +42,9 @@ type LogRing struct {
 	seq     uint64
 }
 
-// NewLogRing creates a ring with the given byte budget (<= 0 takes
-// DefaultLogRingBytes).
-func NewLogRing(maxBytes int64) *LogRing {
-	if maxBytes <= 0 {
-		maxBytes = DefaultLogRingBytes
-	}
-	return &LogRing{max: maxBytes}
+// NewLogRing creates a ring with a DefaultLogRingBytes budget.
+func NewLogRing() *LogRing {
+	return &LogRing{max: DefaultLogRingBytes}
 }
 
 // append adds one record, evicting oldest-first past the byte budget.

@@ -20,6 +20,8 @@
 package pgsim
 
 import (
+	"errors"
+
 	"grade10/internal/cluster"
 	"grade10/internal/obs"
 	"grade10/internal/vtime"
@@ -131,26 +133,20 @@ func DefaultConfig() Config {
 func (c Config) validate() error {
 	switch {
 	case c.Workers <= 0 || c.Workers > 64:
-		return errf("Workers must be 1..64")
+		return errors.New("pgsim: Workers must be 1..64")
 	case c.ThreadsPerWorker <= 0:
-		return errf("ThreadsPerWorker must be positive")
+		return errors.New("pgsim: ThreadsPerWorker must be positive")
 	case c.Machine.Cores <= 0 || c.Machine.NetBandwidth <= 0:
-		return errf("machine spec needs positive cores and bandwidth")
+		return errors.New("pgsim: machine spec needs positive cores and bandwidth")
 	case c.ChunkEdges <= 0:
-		return errf("ChunkEdges must be positive")
+		return errors.New("pgsim: ChunkEdges must be positive")
 	case c.EnableSyncBug && (c.BugProbability < 0 || c.BugProbability > 1):
-		return errf("BugProbability must be in [0,1]")
+		return errors.New("pgsim: BugProbability must be in [0,1]")
 	case c.EnableSyncBug && (c.BugFactorMin < 1 || c.BugFactorMax < c.BugFactorMin):
-		return errf("bug factors must satisfy 1 ≤ min ≤ max")
+		return errors.New("pgsim: bug factors must satisfy 1 ≤ min ≤ max")
 	}
 	return nil
 }
-
-type configError string
-
-func (e configError) Error() string { return "pgsim: " + string(e) }
-
-func errf(msg string) error { return configError(msg) }
 
 // Stats aggregates engine-level observations of one run.
 type Stats struct {

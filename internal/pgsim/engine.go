@@ -10,17 +10,12 @@ import (
 	"grade10/internal/par"
 	"grade10/internal/sim"
 	"grade10/internal/vertexprog"
-	"grade10/internal/vtime"
 )
 
-// Result is the outcome of one simulated run.
+// Result is the outcome of one simulated run: the log, the cluster's ground
+// truth and the run's bounds (cluster.Run), plus the engine's own results.
 type Result struct {
-	// Log is the execution log Grade10 ingests.
-	Log *enginelog.Log
-	// Cluster holds ground-truth utilization for monitoring.
-	Cluster *cluster.Cluster
-	// Start and End bound the run in virtual time.
-	Start, End vtime.Time
+	cluster.Run
 	// Values are the final per-vertex algorithm values.
 	Values []float64
 	// Stats aggregates engine observations.
@@ -35,56 +30,41 @@ func Run(prog vertexprog.Program, cfg Config) (*Result, error) {
 	g := prog.Graph()
 	e := &engine{cfg: cfg, prog: prog, g: g}
 	e.vc = graph.GreedyVertexCut(g, cfg.Workers)
-	e.sched = sim.NewScheduler()
-	e.cl = cluster.New(e.sched, cfg.Workers, cfg.Machine)
-	e.log = enginelog.NewLogger(e.sched.Now)
-	e.root = "/" + prog.Name()
 	e.active = make([]bool, g.NumVertices())
 	e.bugRNG = rand.New(rand.NewSource(cfg.BugSeed))
 	e.stats.ReplicationFactor = e.vc.ReplicationFactor()
 
-	e.sched.Spawn("master", e.master)
-	e.sched.Run()
-
-	return &Result{
-		Log:     e.log.Log(),
-		Cluster: e.cl,
-		Start:   0,
-		End:     e.endTime,
-		Values:  prog.Values(),
-		Stats:   e.stats,
-	}, nil
+	run := cluster.RunJob(cluster.JobSpec{
+		Name: prog.Name(), Machines: cfg.Workers, Machine: cfg.Machine,
+		NoiseCores: cfg.OSNoiseCores, NoiseSeed: cfg.NoiseSeed,
+	}, e.master)
+	return &Result{Run: run, Values: prog.Values(), Stats: e.stats}, nil
 }
 
 type engine struct {
-	cfg   Config
-	prog  vertexprog.Program
-	g     *graph.Graph
-	vc    *graph.VertexCut
-	sched *sim.Scheduler
-	cl    *cluster.Cluster
-	log   *enginelog.Logger
-	root  string
+	*cluster.Job
+	cfg  Config
+	prog vertexprog.Program
+	g    *graph.Graph
+	vc   *graph.VertexCut
 
-	active  []bool // active flags for the current iteration
-	bugRNG  *rand.Rand
-	stats   Stats
-	endTime vtime.Time
+	active []bool // active flags for the current iteration
+	bugRNG *rand.Rand
+	stats  Stats
 }
 
-// master orchestrates: load, iteration loop, write.
-func (e *engine) master(p *sim.Proc) {
-	noise := cluster.StartNoise(e.cl, e.cfg.NoiseSeed, e.cfg.OSNoiseCores)
-	defer noise.Stop()
-	e.log.StartPhase(e.root, -1)
-
-	e.fanOutPhase(p, "load", func(w int) (float64, float64) {
+// master orchestrates the job inside its root phase: load, iteration loop,
+// write.
+func (e *engine) master(j *cluster.Job, p *sim.Proc) {
+	e.Job = j
+	threads := e.cfg.ThreadsPerWorker
+	e.FanOut(p, "load", threads, func(w int) (float64, float64) {
 		edges := float64(len(e.vc.PartEdges(w)))
 		return edges * e.cfg.LoadCostPerEdge, edges * e.cfg.DiskBytesPerEdge
 	})
 
-	execPath := enginelog.Join(e.root, "execute")
-	e.log.StartPhase(execPath, -1)
+	execPath := enginelog.Join(e.Root, "execute")
+	e.Log.StartPhase(execPath, -1)
 	for s := 0; ; s++ {
 		step := e.prog.Advance(s)
 		e.iteration(p, execPath, s, step)
@@ -93,9 +73,9 @@ func (e *engine) master(p *sim.Proc) {
 			break
 		}
 	}
-	e.log.EndPhase(execPath)
+	e.Log.EndPhase(execPath)
 
-	e.fanOutPhase(p, "write", func(w int) (float64, float64) {
+	e.FanOut(p, "write", threads, func(w int) (float64, float64) {
 		masters := 0
 		for v := 0; v < e.g.NumVertices(); v++ {
 			if e.vc.Master(graph.Vertex(v)) == w {
@@ -105,29 +85,6 @@ func (e *engine) master(p *sim.Proc) {
 		return float64(masters) * e.cfg.WriteCostPerVertex,
 			float64(masters) * e.cfg.DiskBytesPerVertex
 	})
-
-	e.log.EndPhase(e.root)
-	e.endTime = e.sched.Now()
-}
-
-func (e *engine) fanOutPhase(p *sim.Proc, name string, workOf func(w int) (cpu, disk float64)) {
-	path := enginelog.Join(e.root, name)
-	e.log.StartPhase(path, -1)
-	latch := sim.NewBarrier(e.cfg.Workers + 1)
-	for w := 0; w < e.cfg.Workers; w++ {
-		w := w
-		e.sched.Spawn(fmt.Sprintf("%s-%d", name, w), func(wp *sim.Proc) {
-			wPath := enginelog.JoinIndexed(path, "worker", w)
-			e.log.StartPhase(wPath, w)
-			work, bytes := workOf(w)
-			e.cl.ReadDisk(wp, w, bytes)
-			e.cl.CPUs[w].Compute(wp, float64(e.cfg.ThreadsPerWorker), work)
-			e.log.EndPhase(wPath)
-			latch.Wait(wp)
-		})
-	}
-	latch.Wait(p)
-	e.log.EndPhase(path)
 }
 
 // iterPlan precomputes one iteration's per-worker work and traffic.
@@ -296,10 +253,10 @@ func make2D(n int) [][]float64 {
 // iteration runs one GAS iteration across all workers.
 func (e *engine) iteration(p *sim.Proc, execPath string, s int, step vertexprog.Step) {
 	span := e.cfg.Tracer.StartSpan("iteration", -1)
-	vStart := e.sched.Now()
+	vStart := e.Sched.Now()
 	itPath := enginelog.JoinIndexed(execPath, "iteration", s)
-	e.log.StartPhase(itPath, -1)
-	e.log.AddCounter("active-vertices", float64(len(step.Active)))
+	e.Log.StartPhase(itPath, -1)
+	e.Log.AddCounter("active-vertices", float64(len(step.Active)))
 
 	pl := e.plan(step)
 	W := e.cfg.Workers
@@ -309,17 +266,17 @@ func (e *engine) iteration(p *sim.Proc, execPath string, s int, step vertexprog.
 	latch := sim.NewBarrier(W + 1) // master join
 	for w := 0; w < W; w++ {
 		w := w
-		e.sched.Spawn(fmt.Sprintf("it%d-w%d", s, w), func(wp *sim.Proc) {
+		e.Sched.Spawn(fmt.Sprintf("it%d-w%d", s, w), func(wp *sim.Proc) {
 			e.workerIteration(wp, itPath, s, w, step, pl, gatherXB, syncXB, iterEndB)
 			latch.Wait(wp)
 		})
 	}
 	latch.Wait(p)
-	e.log.EndPhase(itPath)
+	e.Log.EndPhase(itPath)
 	if e.cfg.Tracer.Enabled() {
 		span.SetDetail(itPath)
 		span.SetItems(int64(len(step.Active)))
-		span.SetWindow(int64(vStart), int64(e.sched.Now()))
+		span.SetWindow(int64(vStart), int64(e.Sched.Now()))
 	}
 	span.End()
 }
@@ -328,7 +285,7 @@ func (e *engine) iteration(p *sim.Proc, execPath string, s int, step vertexprog.
 func (e *engine) workerIteration(wp *sim.Proc, itPath string, s, w int,
 	step vertexprog.Step, pl *iterPlan, gatherXB, syncXB, iterEndB *sim.Barrier) {
 	wPath := enginelog.JoinIndexed(itPath, "worker", w)
-	e.log.StartPhase(wPath, w)
+	e.Log.StartPhase(wPath, w)
 
 	// Gather: threads over participating edges, contiguous blocks. The cost
 	// of gathering over an edge scales with the program's vertex weights
@@ -353,14 +310,14 @@ func (e *engine) workerIteration(wp *sim.Proc, itPath string, s, w int,
 
 	// Iteration barrier.
 	bPath := enginelog.Join(wPath, "barrier")
-	e.log.StartPhase(bPath, -1)
+	e.Log.StartPhase(bPath, -1)
 	before := wp.Now()
 	iterEndB.Wait(wp)
 	e.stats.BarrierWait += wp.Now().Sub(before)
-	e.log.BlockedSince(bPath, ResBarrier, before)
-	e.log.EndPhase(bPath)
+	e.Log.BlockedSince(bPath, ResBarrier, before)
+	e.Log.EndPhase(bPath)
 
-	e.log.EndPhase(wPath)
+	e.Log.EndPhase(wPath)
 }
 
 // threadedPhase runs a thread-parallel minor-step (gather/apply/scatter)
@@ -370,9 +327,9 @@ func (e *engine) workerIteration(wp *sim.Proc, itPath string, s, w int,
 func (e *engine) threadedPhase(wp *sim.Proc, wPath, name string, s, w int,
 	thWork [][]float64, bugThread int, bugFactor float64) {
 	path := enginelog.Join(wPath, name)
-	e.log.StartPhase(path, -1)
+	e.Log.StartPhase(path, -1)
 	e.runThreads(wp, path, s, w, thWork, bugThread, bugFactor)
-	e.log.EndPhase(path)
+	e.Log.EndPhase(path)
 }
 
 // runThreads runs one thread phase per precomputed chunk-work block
@@ -380,21 +337,21 @@ func (e *engine) threadedPhase(wp *sim.Proc, wPath, name string, s, w int,
 // plan/chunkWork).
 func (e *engine) runThreads(wp *sim.Proc, parent string, s, w int,
 	thWork [][]float64, bugThread int, bugFactor float64) {
-	cpu := e.cl.CPUs[w]
+	cpu := e.Cluster.CPUs[w]
 	threads := e.cfg.ThreadsPerWorker
 	latch := sim.NewBarrier(threads + 1)
 	for t := 0; t < threads; t++ {
 		t := t
-		e.sched.Spawn(fmt.Sprintf("%s-it%d-w%d-t%d", parent, s, w, t), func(tp *sim.Proc) {
+		e.Sched.Spawn(fmt.Sprintf("%s-it%d-w%d-t%d", parent, s, w, t), func(tp *sim.Proc) {
 			tPath := enginelog.JoinIndexed(parent, "thread", t)
-			e.log.StartPhase(tPath, -1)
+			e.Log.StartPhase(tPath, -1)
 			for _, work := range thWork[t] {
 				if t == bugThread {
 					work *= bugFactor
 				}
 				cpu.Compute(tp, 1, work)
 			}
-			e.log.EndPhase(tPath)
+			e.Log.EndPhase(tPath)
 			latch.Wait(tp)
 		})
 	}
@@ -407,19 +364,19 @@ func (e *engine) runThreads(wp *sim.Proc, parent string, s, w int,
 func (e *engine) exchangePhase(wp *sim.Proc, wPath, name string, w int,
 	bytes [][]float64, barrier *sim.Barrier) {
 	path := enginelog.Join(wPath, name)
-	e.log.StartPhase(path, -1)
+	e.Log.StartPhase(path, -1)
 	for d := 0; d < e.cfg.Workers; d++ {
 		if b := bytes[w][d]; b > 0 && d != w {
 			if cost := b * e.cfg.SerializeCostPerByte; cost > 0 {
-				e.cl.CPUs[w].Compute(wp, 1, cost) // serialization work
+				e.Cluster.CPUs[w].Compute(wp, 1, cost) // serialization work
 			}
-			e.cl.Net.Transfer(wp, w, d, b)
+			e.Cluster.Net.Transfer(wp, w, d, b)
 			e.stats.BytesSent += b
 		}
 	}
 	before := wp.Now()
 	barrier.Wait(wp)
 	e.stats.BarrierWait += wp.Now().Sub(before)
-	e.log.BlockedSince(path, ResBarrier, before)
-	e.log.EndPhase(path)
+	e.Log.BlockedSince(path, ResBarrier, before)
+	e.Log.EndPhase(path)
 }

@@ -131,7 +131,7 @@ type Server struct {
 // Assemble builds the service and, with an Addr, starts serving HTTP.
 func Assemble(cfg Config) (*Server, error) {
 	if cfg.LogRing == nil {
-		cfg.LogRing = obs.NewLogRing(0)
+		cfg.LogRing = obs.NewLogRing()
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(cfg.LogRing.Wrap(slog.NewTextHandler(io.Discard, nil)))
@@ -179,7 +179,7 @@ func Assemble(cfg Config) (*Server, error) {
 			s.closeBackground()
 			return nil, err
 		}
-		s.capt.WatchHealth(s.done, 0, s.degraded)
+		s.capt.WatchHealth(s.done, s.degraded)
 	}
 
 	s.mountRoutes()

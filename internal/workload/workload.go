@@ -15,6 +15,7 @@ import (
 	"grade10/internal/grade10"
 	"grade10/internal/graph"
 	"grade10/internal/pgsim"
+	"grade10/internal/rundir"
 	"grade10/internal/vertexprog"
 	"grade10/internal/vtime"
 )
@@ -108,13 +109,23 @@ func All() []Spec {
 	return out
 }
 
-// GiraphRun is a finished BSP-engine execution with everything Grade10
-// needs.
-type GiraphRun struct {
-	Config giraphsim.Config
-	Result *giraphsim.Result
+// Run is a finished simulated execution with everything Grade10 needs: the
+// engine config C it ran with, the engine's result R, and the engine's tuned
+// models.
+type Run[C, R any] struct {
+	Config C
+	Result R
 	Models grade10.Models
+	// sim is the engine-independent part of Result, which Characterize
+	// reads.
+	sim cluster.Run
 }
+
+// GiraphRun is a finished BSP-engine execution.
+type GiraphRun = Run[giraphsim.Config, *giraphsim.Result]
+
+// PowerGraphRun is a finished GAS-engine execution.
+type PowerGraphRun = Run[pgsim.Config, *pgsim.Result]
 
 // RunGiraph executes a workload on the BSP engine with the given config and
 // builds the tuned Giraph models for it.
@@ -124,51 +135,18 @@ func RunGiraph(spec Spec, cfg giraphsim.Config) (*GiraphRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := graph.HashPartition(g, cfg.Workers)
-	res, err := giraphsim.Run(prog, part, cfg)
+	res, err := giraphsim.Run(prog, graph.HashPartition(g, cfg.Workers), cfg)
 	if err != nil {
 		return nil, err
 	}
-	models, err := grade10.GiraphModel(grade10.ModelParams{
-		Job:              prog.Name(),
-		Cores:            cfg.Machine.Cores,
-		NetBandwidth:     cfg.Machine.NetBandwidth,
-		DiskBandwidth:    cfg.Machine.DiskBandwidth,
-		ThreadsPerWorker: cfg.ThreadsPerWorker,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &GiraphRun{Config: cfg, Result: res, Models: models}, nil
-}
-
-// Characterize runs the Grade10 pipeline on the run with the given
-// monitoring interval and timeslice.
-func (r *GiraphRun) Characterize(interval, timeslice vtime.Duration) (*grade10.Output, error) {
-	monitoring, err := cluster.Monitor(r.Result.Cluster, r.Result.Start, r.Result.End, interval)
-	if err != nil {
-		return nil, err
-	}
-	return grade10.Characterize(grade10.Input{
-		Log:        r.Result.Log,
-		Monitoring: monitoring,
-		Models:     r.Models,
-		Timeslice:  timeslice,
-	})
-}
-
-// PowerGraphRun is a finished GAS-engine execution.
-type PowerGraphRun struct {
-	Config pgsim.Config
-	Result *pgsim.Result
-	Models grade10.Models
+	info := RunInfo("giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+	return newRun(info, cfg, res, res.Run)
 }
 
 // RunPowerGraph executes a workload on the GAS engine with the given config
 // and builds the tuned PowerGraph models for it.
 func RunPowerGraph(spec Spec, cfg pgsim.Config) (*PowerGraphRun, error) {
-	g := spec.Dataset.Graph()
-	prog, err := NewProgram(spec.Algorithm, g)
+	prog, err := NewProgram(spec.Algorithm, spec.Dataset.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -176,27 +154,37 @@ func RunPowerGraph(spec Spec, cfg pgsim.Config) (*PowerGraphRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := grade10.PowerGraphModel(grade10.ModelParams{
-		Job:              prog.Name(),
-		Cores:            cfg.Machine.Cores,
-		NetBandwidth:     cfg.Machine.NetBandwidth,
-		DiskBandwidth:    cfg.Machine.DiskBandwidth,
-		ThreadsPerWorker: cfg.ThreadsPerWorker,
-	})
+	info := RunInfo("powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+	return newRun(info, cfg, res, res.Run)
+}
+
+// RunInfo is a simulated run's metadata (run.json) as it is known before the
+// run: the engine, the job, and the cluster's shape. The models of a run are
+// built from it.
+func RunInfo(engine, job string, workers, threads int, m cluster.MachineSpec) rundir.Info {
+	return rundir.Info{
+		Engine: engine, Job: job, Workers: workers, ThreadsPerWorker: threads,
+		Cores: m.Cores, NetBandwidth: m.NetBandwidth, DiskBandwidth: m.DiskBandwidth,
+	}
+}
+
+func newRun[C, R any](info rundir.Info, cfg C, res R, sim cluster.Run) (*Run[C, R], error) {
+	models, err := grade10.ModelsForEngine(info.Engine, grade10.RunParams(info))
 	if err != nil {
 		return nil, err
 	}
-	return &PowerGraphRun{Config: cfg, Result: res, Models: models}, nil
+	return &Run[C, R]{Config: cfg, Result: res, Models: models, sim: sim}, nil
 }
 
-// Characterize runs the Grade10 pipeline on the run.
-func (r *PowerGraphRun) Characterize(interval, timeslice vtime.Duration) (*grade10.Output, error) {
-	monitoring, err := cluster.Monitor(r.Result.Cluster, r.Result.Start, r.Result.End, interval)
+// Characterize runs the Grade10 pipeline on the run with the given
+// monitoring interval and timeslice.
+func (r *Run[C, R]) Characterize(interval, timeslice vtime.Duration) (*grade10.Output, error) {
+	monitoring, err := cluster.Monitor(r.sim.Cluster, r.sim.Start, r.sim.End, interval)
 	if err != nil {
 		return nil, err
 	}
 	return grade10.Characterize(grade10.Input{
-		Log:        r.Result.Log,
+		Log:        r.sim.Log,
 		Monitoring: monitoring,
 		Models:     r.Models,
 		Timeslice:  timeslice,
