@@ -65,8 +65,10 @@ type PhaseBottleneck struct {
 	Kind     Kind
 	// Time is the total bottlenecked duration within the phase.
 	Time vtime.Duration
-	// Slices lists the affected timeslices (consumable kinds only).
+	// Slices lists the affected timeslices, and Usage is the phase's usage
+	// row on the instance (consumable kinds only).
 	Slices []int
+	Usage  *attribution.PhaseUsage
 	// Intervals, EvStart and EvEnd summarize the triggering evidence: the
 	// number of contiguous evidence intervals (stalls for Blocking, slice
 	// runs for consumable kinds) and the virtual-time bounds of the first
@@ -348,11 +350,13 @@ func (t *table) detectConsumable(prof *attribution.Profile) {
 			}
 			if len(t.sat) > 0 {
 				if b := t.add(usage.Phase, res, machine, Saturation, satTime, t.sat); b != nil {
+					b.Usage = usage
 					b.Intervals, b.EvStart, b.EvEnd = sliceEvidence(ts, b.Slices)
 				}
 			}
 			if len(t.exact) > 0 {
 				if b := t.add(usage.Phase, res, machine, ExactLimit, exactTime, t.exact); b != nil {
+					b.Usage = usage
 					b.Intervals, b.EvStart, b.EvEnd = sliceEvidence(ts, b.Slices)
 				}
 			}

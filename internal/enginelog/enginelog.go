@@ -90,10 +90,16 @@ func SegmentName(segment string) string {
 	return segment
 }
 
-// SegmentIndex returns the index of a segment, or -1 if it has none.
+// maxIndexDigits is the longest index SegmentIndex reads: every 18-digit
+// number fits in an int64.
+const maxIndexDigits = 18
+
+// SegmentIndex returns the index of a segment, or -1 if it has none: no
+// dot, or a suffix after the last dot that is empty, holds a non-digit, or
+// is longer than maxIndexDigits (so the value cannot overflow).
 func SegmentIndex(segment string) int {
 	i := strings.LastIndexByte(segment, '.')
-	if i < 0 {
+	if i < 0 || i == len(segment)-1 || len(segment)-1-i > maxIndexDigits {
 		return -1
 	}
 	idx := 0

@@ -35,11 +35,38 @@ func TestPathHelpers(t *testing.T) {
 	if SegmentName("compute") != "compute" || SegmentIndex("compute") != -1 {
 		t.Fatal("unindexed segment parsing wrong")
 	}
-	if SegmentIndex("weird.x2") != -1 {
-		t.Fatal("non-numeric index accepted")
-	}
 	if Split("/") != nil {
 		t.Fatal("root split not empty")
+	}
+}
+
+// TestSegmentIndex: a segment's index is its digit run after the last dot,
+// leading zeros allowed; an empty, non-digit or overlong run (one that
+// could overflow an int) is no index, as is a segment without a dot.
+func TestSegmentIndex(t *testing.T) {
+	for _, c := range []struct {
+		segment string
+		want    int
+	}{
+		{"superstep", -1},
+		{"superstep.", -1},
+		{".", -1},
+		{"superstep.0", 0},
+		{"superstep.3", 3},
+		{"superstep.03", 3},
+		{".7", 7},
+		{"a.b.12", 12},
+		{"weird.x2", -1},
+		{"weird.2x", -1},
+		{"weird.-1", -1},
+		{"superstep.999999999999999999", 999999999999999999},
+		{"superstep.000000000000000042", 42},
+		{"superstep.9999999999999999999", -1},
+		{"superstep.0000000000000000042", -1},
+	} {
+		if got := SegmentIndex(c.segment); got != c.want {
+			t.Errorf("SegmentIndex(%q) = %d, want %d", c.segment, got, c.want)
+		}
 	}
 }
 

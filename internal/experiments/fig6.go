@@ -55,10 +55,10 @@ func Figure6() (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig6FromTrace(out.Trace, run.Config.ThreadsPerWorker)
+	return fig6FromTrace(out.Trace)
 }
 
-func fig6FromTrace(tr *core.ExecutionTrace, threads int) (*Fig6Result, error) {
+func fig6FromTrace(tr *core.ExecutionTrace) (*Fig6Result, error) {
 	// Outlier detection over gather-thread groups. Steps in this simulation
 	// last tens of milliseconds, not the paper's seconds; "non-trivial"
 	// scales accordingly.
@@ -132,7 +132,6 @@ func fig6FromTrace(tr *core.ExecutionTrace, threads int) (*Fig6Result, error) {
 			res.SlowdownMax = s
 		}
 	}
-	_ = threads
 	return res, nil
 }
 
@@ -188,11 +187,4 @@ func PrintFig6(w io.Writer, r *Fig6Result) {
 		r.AffectedSteps, r.TotalSteps,
 		100*float64(r.AffectedSteps)/float64(max(1, r.TotalSteps)),
 		r.SlowdownMin, r.SlowdownMax)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -88,24 +88,38 @@ func (s *Schedule) pinnedBy(val []vtime.Time, p int32) int32 {
 
 // predecessorEndingAt finds the first sibling in child order (an After
 // predecessor, or a lower-indexed instance of q's Sequential type) whose
-// replayed end equals q's start.
+// replayed end equals q's start. Only After edges need a scan of the
+// siblings. The lower-indexed instances are q's prev chain plus the tied
+// instances no chain passes through. Each instance on the chain starts no
+// earlier than the next one back ends, so ends only fall along the walk
+// back from q, and the walk stops at the first end below q's start.
 func (s *Schedule) predecessorEndingAt(val []vtime.Time, q int32, start vtime.Time) int32 {
 	par, typ := s.parent[q], s.phases[q].Type
 	if par < 0 || typ == nil {
 		return -1
 	}
-	for k, sib := range s.phases[par].Children {
-		b := s.firstKid[par] + int32(k)
-		if b == q || sib.Type == nil {
-			continue
-		}
-		isPred := slices.Contains(typ.After, sib.Type.Name) ||
-			(typ.Sequential && sib.Type == typ && s.seqIndex[b] >= 0 && s.seqIndex[b] < s.seqIndex[q])
-		if isPred && val[s.end[b]] == start {
-			return b
+	first := int32(-1) // children are numbered consecutively, in child order
+	match := func(b int32) {
+		if val[s.end[b]] == start && (first < 0 || b < first) {
+			first = b
 		}
 	}
-	return -1
+	if len(typ.After) > 0 {
+		for k, sib := range s.phases[par].Children {
+			if b := s.firstKid[par] + int32(k); b != q && sib.Type != nil && slices.Contains(typ.After, sib.Type.Name) {
+				match(b)
+			}
+		}
+	}
+	for b := s.prev[q]; b >= 0 && val[s.end[b]] == start; b = s.prev[b] {
+		match(b)
+	}
+	for _, b := range s.tied {
+		if s.parent[b] == par && s.phases[b].Type == typ && s.seqIndex[b] < s.seqIndex[q] {
+			match(b)
+		}
+	}
+	return first
 }
 
 // deepestLeafEndingAt descends from p to a leaf whose replayed end matches t,

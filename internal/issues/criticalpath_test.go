@@ -1,8 +1,14 @@
 package issues
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"grade10/internal/race"
 )
 
 func TestCriticalPathFollowsSlowestWorkers(t *testing.T) {
@@ -75,5 +81,78 @@ func TestCriticalPathSingleLeaf(t *testing.T) {
 	last := path[len(path)-1].Phase.Path
 	if last != "/app/write" {
 		t.Fatalf("last step %s", last)
+	}
+}
+
+// manySupersteps builds a BSP trace of n supersteps, two workers of two
+// threads each, with thread durations cycling through 1-5 s so the slowest
+// worker changes from one superstep to the next.
+func manySupersteps(t testing.TB, n int) *Schedule {
+	t.Helper()
+	durs := make([][][]int64, n)
+	for s := range durs {
+		durs[s] = make([][]int64, 2)
+		for w := range durs[s] {
+			durs[s][w] = []int64{1 + int64(s*7+w*3)%5, 1 + int64(s*3+w*5+1)%5}
+		}
+	}
+	return Compile(bspTrace(t, durs))
+}
+
+// BenchmarkCriticalPath times the replay of the recorded durations plus the
+// critical-path walk over BSP traces of two lengths.
+func BenchmarkCriticalPath(b *testing.B) {
+	for _, n := range []int{500, 4000} {
+		s := manySupersteps(b, n)
+		b.Run(fmt.Sprintf("supersteps=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.replayPath(nil)
+			}
+		})
+	}
+}
+
+// TestCriticalPathLinear guards the critical-path walk against growing
+// faster than the run: per superstep, replay plus critical path at 4000
+// supersteps costs within 2x of its cost at 500. A walk that scans every
+// sibling superstep for each step of the path is quadratic and fails here.
+// The 500-superstep side cycles through eight schedules, so both sides touch
+// the same amount of memory and a cache that holds one small schedule but
+// not the large one does not count as growth. Each run times both sides for
+// at least sampleTime, back to back so that load from other processes falls
+// on both, and the median of 5 runs' ratios is compared.
+func TestCriticalPathLinear(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation distorts the timing comparison")
+	}
+	const (
+		samples    = 5
+		sampleTime = 50 * time.Millisecond
+	)
+	var short []*Schedule
+	for range 8 {
+		short = append(short, manySupersteps(t, 500))
+	}
+	long := []*Schedule{manySupersteps(t, 4000)}
+	perStep := func(ss []*Schedule, n int) float64 {
+		runtime.GC()
+		reps, t0 := 0, time.Now()
+		for time.Since(t0) < sampleTime {
+			ss[reps%len(ss)].replayPath(nil)
+			reps++
+		}
+		return float64(time.Since(t0)) / float64(n*reps)
+	}
+	perStep(short, 500) // warm the scratch pools
+	perStep(long, 4000)
+	ratios := make([]float64, samples)
+	for i := range ratios {
+		ratios[i] = perStep(long, 4000) / perStep(short, 500)
+	}
+	slices.Sort(ratios)
+	if r := ratios[samples/2]; r > 2 {
+		t.Errorf("critical path per superstep at 4000 supersteps is %.2fx its cost at 500 (median of %.2f), want at most 2x",
+			r, ratios)
 	}
 }

@@ -171,7 +171,6 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 
 	groups := groupLeaves(sched.leaves)
 	resources := bottleneckResources(btl)
-	stalled := stallResources(sched)
 	typePaths := groupTypePaths(groups)
 
 	type candidate struct {
@@ -198,7 +197,7 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 		switch c.kind {
 		case BottleneckImpact:
 			issue.Resource = c.name
-			durs = removeBottleneck(prof, btl, sched, c.name, slices.Contains(stalled, c.name))
+			durs = removeBottleneck(prof, btl, sched, c.name)
 		case ImbalanceImpact:
 			issue.PhaseType = c.name
 			durs = balanceType(sched, groups, c.name)
@@ -284,30 +283,18 @@ func bottleneckResources(btl *bottleneck.Report) []string {
 	return out
 }
 
-// stallResources lists the resources any phase of the schedule stalls on.
-func stallResources(s *Schedule) []string {
-	var out []string
-	for _, p := range s.phases {
-		for _, b := range p.Blocked {
-			if !slices.Contains(out, b.Resource) {
-				out = append(out, b.Resource)
-			}
-		}
-	}
-	return out
-}
-
 // removeBottleneck computes optimistic leaf durations with all bottlenecks
 // on resource res eliminated: blocking time on res vanishes, and slices
 // where the phase was bottlenecked on res shrink to what the next-limiting
 // resource allows (§III-F, "how much shorter a phase could become until
-// another resource becomes bottlenecked"). btl must be Detect(prof): a
-// consumable bottleneck's active time per slice is its usage row on prof.
-// stalls says whether any phase stalls on res; without stalls, or without a
-// consumable bottleneck row on res, that half of the per-leaf work is
-// skipped, as it would find nothing.
-func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
-	s *Schedule, res string, stalls bool) Durations {
+// another resource becomes bottlenecked"). btl must be Detect(prof). Each
+// half of the per-leaf work runs only when btl has a row of its kind on res:
+// a phase stalls on res for a positive time exactly when a Blocking row
+// names res, and a zero-length stall changes no duration.
+func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report, s *Schedule, res string) Durations {
+	stalls := slices.ContainsFunc(btl.Rows, func(r bottleneck.Row) bool {
+		return r.Resource == res && r.Kind == bottleneck.Blocking
+	})
 	var saved []vtime.Duration
 	if slices.ContainsFunc(btl.Rows, func(r bottleneck.Row) bool {
 		return r.Resource == res && r.Kind != bottleneck.Blocking
@@ -348,15 +335,10 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 // save were res infinitely fast: over the slices where the leaf is
 // bottlenecked on a consumable instance of res, all of its active time but
 // the next-limiting resource's share. One pass over the bottleneck table
-// sums each bottleneck into its leaf; the terms are integer durations, so
-// the table's order does not change the sums.
+// sums each bottleneck into its leaf, reading the active time from the
+// bottleneck's usage row; the terms are integer durations, so the table's
+// order does not change the sums.
 func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report, s *Schedule, res string) []vtime.Duration {
-	var onRes []*attribution.InstanceProfile // the instances of res
-	for _, ip := range prof.Instances {
-		if ip.Instance.Resource.Name == res {
-			onRes = append(onRes, ip)
-		}
-	}
 	saved := make([]vtime.Duration, len(s.leaves))
 	var limits nextLimits
 	for i := range btl.Bottlenecks {
@@ -368,11 +350,7 @@ func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report, s *Sch
 		if !ok {
 			continue
 		}
-		leaf := b.Phase
-		u := usageOn(onRes, b.Machine, leaf)
-		if u == nil {
-			continue
-		}
+		leaf, u := b.Phase, b.Usage
 		others := limits.of(prof, leaf.Type, res)
 		for _, k := range b.Slices {
 			active := u.Active[k-u.First]
@@ -387,17 +365,6 @@ func consumableSavings(prof *attribution.Profile, btl *bottleneck.Report, s *Sch
 		}
 	}
 	return saved
-}
-
-// usageOn returns the usage record of leaf on the instance of onRes on
-// machine, or nil.
-func usageOn(onRes []*attribution.InstanceProfile, machine int, leaf *core.Phase) *attribution.PhaseUsage {
-	for _, ip := range onRes {
-		if ip.Instance.Machine == machine {
-			return ip.UsageOf(leaf)
-		}
-	}
-	return nil
 }
 
 // nextLimits memoizes, per leaf type, the instances of resources other

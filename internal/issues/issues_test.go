@@ -16,7 +16,7 @@ const sec = vtime.Second
 
 func at(s int64) vtime.Time { return vtime.Time(s) * vtime.Time(sec) }
 
-func bspModel(t *testing.T) *core.ExecutionModel {
+func bspModel(t testing.TB) *core.ExecutionModel {
 	t.Helper()
 	root := core.NewRootType("app")
 	root.Child("load", false)
@@ -33,9 +33,9 @@ func bspModel(t *testing.T) *core.ExecutionModel {
 	return m
 }
 
-// bspTrace builds a two-superstep trace. threadDurs[superstep][worker][thread]
-// gives thread durations in seconds.
-func bspTrace(t *testing.T, threadDurs [][][]int64) *core.ExecutionTrace {
+// bspTrace builds a BSP trace with one superstep per entry of threadDurs:
+// threadDurs[superstep][worker][thread] gives thread durations in seconds.
+func bspTrace(t testing.TB, threadDurs [][][]int64) *core.ExecutionTrace {
 	t.Helper()
 	m := bspModel(t)
 	var now vtime.Time

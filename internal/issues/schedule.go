@@ -50,6 +50,11 @@ type Schedule struct {
 	firstKid []int32
 	seqIndex []int   // a Sequential phase's instance index (last path segment), or -1
 	leafOf   []int32 // phase of each leaf
+	// prev is each Sequential phase's predecessor (sequence), or -1; tied
+	// lists the Sequential phases that share their index with an earlier
+	// sibling in child order, which no prev chain passes through.
+	prev []int32
+	tied []int32
 	// start, rawEnd and end are each phase's nodes; group is its sync group
 	// or -1. Group g's node is groupEnd[g] and its members, in depth-first
 	// order, are members[memOff[g]:memOff[g+1]].
@@ -221,7 +226,7 @@ func (s *Schedule) groupSync(n int32) {
 func (s *Schedule) starts(next int32, endOf func(int32) int32) (startOf, deps, off []int32) {
 	n := int32(len(s.phases))
 	startOf = make([]int32, n)
-	prev := s.sequence()
+	s.sequence()
 	off = []int32{0}
 	alloc := func(extra []int32, parentStart int32) int32 {
 		if parentStart >= 0 {
@@ -247,8 +252,8 @@ func (s *Schedule) starts(next int32, endOf func(int32) int32) (startOf, deps, o
 				}
 			}
 		}
-		if prev[p] >= 0 {
-			extra = append(extra, endOf(prev[p]))
+		if s.prev[p] >= 0 {
+			extra = append(extra, endOf(s.prev[p]))
 		}
 		if len(extra) == 0 {
 			startOf[p] = startOf[par]
@@ -259,14 +264,15 @@ func (s *Schedule) starts(next int32, endOf func(int32) int32) (startOf, deps, o
 	return startOf, deps, off
 }
 
-// sequence finds each Sequential phase's predecessor: among its siblings of
+// sequence sets each Sequential phase's predecessor: among its siblings of
 // the same type, the one with the highest instance index below its own,
-// first in child order on ties; -1 when there is none.
-func (s *Schedule) sequence() []int32 {
+// first in child order on ties; -1 when there is none. The instances of an
+// index but the first in child order go to tied.
+func (s *Schedule) sequence() {
 	n := int32(len(s.phases))
-	prev := make([]int32, n)
-	for i := range prev {
-		prev[i] = -1
+	s.prev = make([]int32, n)
+	for i := range s.prev {
+		s.prev[i] = -1
 	}
 	var run []int32
 	var sequenced []*core.PhaseType
@@ -290,12 +296,13 @@ func (s *Schedule) sequence() []int32 {
 			for i, q := range run {
 				if i == 0 || s.seqIndex[q] != s.seqIndex[run[i-1]] {
 					before, head = head, q
+				} else {
+					s.tied = append(s.tied, q)
 				}
-				prev[q] = before
+				s.prev[q] = before
 			}
 		}
 	}
-	return prev
 }
 
 // topoOrder orders the nodes of a dependency graph (CSR over raw ids) so

@@ -99,14 +99,95 @@ func buildTrace(t testing.TB, log *enginelog.Log, models grade10.Models) *core.E
 	return tr
 }
 
+// tieTrace is a hand-built trace of the cases where a walk along each
+// instance's sequential predecessor and a scan of all its siblings could
+// disagree on the critical path: a Sequential type that is also After
+// another type, zero-length instances, and index ties (step.3 next to
+// step.03, step.6 next to step.06), of which the predecessor links only the
+// first in child order. Replayed with its recorded durations, step.03 (a
+// tied instance) and step.4 both end when step.5 starts, and step.03 comes
+// first in child order.
+func tieTrace(t testing.TB) *core.ExecutionTrace {
+	t.Helper()
+	root := core.NewRootType("job")
+	root.Child("prep", true)
+	step := root.Child("step", true, "prep")
+	step.Sequential = true
+	step.Child("task", true)
+	root.Child("final", false, "step")
+	m, err := core.NewExecutionModel(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now vtime.Time
+	l := enginelog.NewLogger(func() vtime.Time { return now })
+	for _, ev := range []struct {
+		at   int64
+		path string
+		end  bool
+	}{
+		{0, "/job", false},
+		{0, "/job/prep.0", false},
+		{0, "/job/prep.1", false},
+		{4, "/job/prep.0", true},
+		{6, "/job/prep.1", true},
+		{6, "/job/step.0", false},
+		{6, "/job/step.0/task.0", false},
+		{6, "/job/step.0/task.1", false},
+		{8, "/job/step.0/task.1", true},
+		{9, "/job/step.0/task.0", true},
+		{9, "/job/step.0", true},
+		{9, "/job/step.1", false},
+		{9, "/job/step.1", true},
+		{9, "/job/step.2", false},
+		{12, "/job/step.2", true},
+		{12, "/job/step.3", false},
+		{13, "/job/step.03", false},
+		{14, "/job/step.3", true},
+		{20, "/job/step.03", true},
+		{20, "/job/step.4", false},
+		{25, "/job/step.4", true},
+		{25, "/job/step.5", false},
+		{25, "/job/step.5/task.0", false},
+		{25, "/job/step.5/task.1", false},
+		{27, "/job/step.5/task.1", true},
+		{30, "/job/step.5/task.0", true},
+		{30, "/job/step.5", true},
+		{30, "/job/step.06", false},
+		{30, "/job/step.06", true},
+		{30, "/job/step.6", false},
+		{30, "/job/step.6", true},
+		{30, "/job/step.7", false},
+		{32, "/job/step.7", true},
+		{32, "/job/final", false},
+		{35, "/job/final", true},
+		{35, "/job", true},
+	} {
+		now = vtime.Time(ev.at) * vtime.Time(vtime.Second)
+		if ev.end {
+			l.EndPhase(ev.path)
+		} else {
+			l.StartPhase(ev.path, -1)
+		}
+	}
+	tr, err := core.BuildExecutionTrace(l.Log(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestScheduleMatchesOracle is the property behind the compiled replay: on
 // every engine family's trace, with seeded random per-leaf durations, the
 // schedule's makespan and critical path equal the recursive oracle's
 // exactly. Half the seeds draw durations from a few multiples of the
 // recorded one, so that ties — which the critical path breaks by path and
-// child order — are common.
+// child order — are common. tieTrace adds index ties and zero-length
+// instances.
 func TestScheduleMatchesOracle(t *testing.T) {
-	for name, tr := range engineTraces(t) {
+	traces := engineTraces(t)
+	traces["ties"] = tieTrace(t)
+	for name, tr := range traces {
 		leaves := tr.Leaves()
 		for seed := int64(0); seed < 20; seed++ {
 			var durs map[*core.Phase]vtime.Duration
